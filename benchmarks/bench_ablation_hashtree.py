@@ -14,19 +14,19 @@ from repro.bench.reporting import format_table
 from repro.datasets import t10i4d100k_like
 
 
-def _run(use_tree: bool):
+def _run(store: str):
     return run_comparison(
         t10i4d100k_like(scale=0.006, seed=7),
         0.0025,
         num_partitions=8,
         max_length=3,
-        yafim_kwargs={"use_hash_tree": use_tree},
+        yafim_kwargs={"candidate_store": store},
     ).yafim
 
 
 def test_ablation_hashtree(benchmark):
     tree, flat = benchmark.pedantic(
-        lambda: (_run(True), _run(False)), rounds=1, iterations=1
+        lambda: (_run("hashtree"), _run("linear")), rounds=1, iterations=1
     )
     assert tree.itemsets == flat.itemsets
 

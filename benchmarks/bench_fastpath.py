@@ -1,6 +1,6 @@
-"""Counting fast path vs the seed's counting shape, on the dense datasets.
+"""Counting fast path vs the paper dataflow, on the dense datasets.
 
-The fast path (PR: dictionary encoding + in-tree weighted counting +
+The fast path (dictionary encoding + in-store weighted counting +
 cross-pass compaction) attacks three costs the seed paid every pass:
 
 * one ``(candidate, 1)`` tuple allocated per match per transaction
@@ -14,7 +14,7 @@ cross-pass compaction) attacks three costs the seed paid every pass:
   (``CompactionStats``).
 
 This benchmark mines the dense seed datasets twice on the process
-backend — all fast-path knobs on vs. all off — verifies identical
+backend — fast path vs. ``paper_dataflow=True`` — verifies identical
 output, then writes ``BENCH_fastpath.json`` at the repo root with
 per-pass wall-clock, shuffle bytes/records and allocated-pair counts.
 
@@ -52,9 +52,7 @@ BACKEND = "processes"
 N_WORKERS = 2
 N_PARTITIONS = 6
 
-BASELINE_KNOBS = dict(
-    use_dict_encoding=False, use_in_tree_counting=False, use_compaction=False
-)
+BASELINE_KNOBS = dict(paper_dataflow=True)
 
 DEFAULT_STORES = ["hashtree", "trie", "flatdict", "bitmap"]
 

@@ -58,7 +58,7 @@ print(
 print("\nYAFIM configuration ablation on this workload (levels <= 3):")
 configs = {
     "paper defaults": {},
-    "no hash tree": {"use_hash_tree": False},
+    "no hash tree": {"candidate_store": "linear"},
     "no broadcast": {"use_broadcast": False},
     "no RDD cache": {"cache_transactions": False},
 }

@@ -84,23 +84,20 @@ def _write_trace(traces, path: str) -> None:
     print(f"wrote chrome://tracing JSON to {path}")
 
 
-#: Algorithms accepting the counting fast-path knobs.
-_FASTPATH_ALGORITHMS = ("yafim", "rapriori")
+#: Algorithms with a paper dataflow to switch to.
+_DATAFLOW_ALGORITHMS = ("yafim", "rapriori")
 
 
-def _fastpath_options(args) -> dict:
-    """Translate ``--no-fastpath``/``--no-compaction`` into miner options."""
-    options = {}
-    if getattr(args, "no_fastpath", False):
-        options.update(use_dict_encoding=False, use_in_tree_counting=False)
-    if getattr(args, "no_compaction", False):
-        options["use_compaction"] = False
-    if options and getattr(args, "algorithm", "yafim") not in _FASTPATH_ALGORITHMS:
+def _dataflow_options(args) -> dict:
+    """Translate ``--paper-dataflow`` into miner options."""
+    if not args.paper_dataflow:
+        return {}
+    if getattr(args, "algorithm", "yafim") not in _DATAFLOW_ALGORITHMS:
         raise ReproError(
-            f"--no-fastpath/--no-compaction apply to "
-            f"{'/'.join(_FASTPATH_ALGORITHMS)}, not {args.algorithm!r}"
+            f"--paper-dataflow applies to "
+            f"{'/'.join(_DATAFLOW_ALGORITHMS)}, not {args.algorithm!r}"
         )
-    return options
+    return {"paper_dataflow": True}
 
 
 def _print_top_itemsets(itemsets: dict, top: int) -> None:
@@ -193,7 +190,7 @@ def cmd_mine(args) -> int:
             approx_ratio=args.approx_ratio,
             sample_frac=args.sample_frac,
             incremental=args.incremental,
-            options=_fastpath_options(args),
+            options=_dataflow_options(args),
         ),
     )
     print(result.summary())
@@ -228,16 +225,12 @@ def cmd_compare(args) -> int:
 
     ds = _dataset_from_args(args)
     print(f"running YAFIM and MRApriori on {ds.name} at minsup={args.support:g} ...")
-    store_kwargs = (
-        {"candidate_store": args.candidate_store}
-        if args.candidate_store != "hashtree"
-        else {}
-    )
+    store_kwargs = {"candidate_store": args.candidate_store}
     run = run_comparison(
         ds, args.support, num_partitions=args.parallelism or 8,
         max_length=args.max_length,
-        yafim_kwargs={**_fastpath_options(args), **store_kwargs} or None,
-        mr_kwargs=store_kwargs or None,
+        yafim_kwargs={**_dataflow_options(args), **store_kwargs},
+        mr_kwargs=store_kwargs,
     )
     rows = [(k, mr, ya, x) for k, mr, ya, x in run.per_pass()]
     print(format_table(["pass", "MRApriori (s)", "YAFIM (s)", "speedup"], rows))
@@ -306,7 +299,7 @@ def cmd_submit(args) -> int:
         approx_ratio=args.approx_ratio,
         sample_frac=args.sample_frac,
         incremental=args.incremental,
-        options=_fastpath_options(args),
+        options=_dataflow_options(args),
     )
     submit_kwargs = dict(
         priority=args.priority,
@@ -460,15 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.core.registry import algorithm_names
     from repro.engine.executors import BACKENDS
 
-    def fastpath_knobs(p):
+    def counting_knobs(p):
         p.add_argument(
-            "--no-fastpath", action="store_true",
-            help="disable dictionary encoding + in-tree counting "
-            "(YAFIM/R-Apriori counting fast path)",
-        )
-        p.add_argument(
-            "--no-compaction", action="store_true",
-            help="disable cross-pass transaction dedup/compaction",
+            "--paper-dataflow", action="store_true",
+            help="run the paper's literal Fig. 1-2 dataflow instead of the "
+            "counting fast path (YAFIM/R-Apriori; same itemsets)",
         )
         p.add_argument(
             "--candidate-store", default="hashtree", choices=store_names(),
@@ -482,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-length", type=int, default=None)
         p.add_argument("--backend", default="threads", choices=BACKENDS)
         p.add_argument("--parallelism", type=int, default=None)
-        fastpath_knobs(p)
+        counting_knobs(p)
         p.add_argument(
             "--num-partitions", type=int, default=None,
             help="partitions for the transaction RDD and shuffles",
@@ -541,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--support", type=float, required=True)
     cmp_.add_argument("--max-length", type=int, default=None)
     cmp_.add_argument("--parallelism", type=int, default=None)
-    fastpath_knobs(cmp_)
+    counting_knobs(cmp_)
     cmp_.add_argument(
         "--trace-out", default=None, metavar="FILE",
         help="write both runs' chrome://tracing JSON here",

@@ -14,6 +14,7 @@ from repro.core.candidatestore import (
     store_names,
     unregister_store,
 )
+from repro.core.counting import count_exact
 from repro.core.registry import (
     AlgorithmSpec,
     algorithm_names,
@@ -26,7 +27,7 @@ from repro.core.incremental import IncrementalMiner, IncrementalUpdate, run_incr
 from repro.core.one_phase import OnePhaseMR
 from repro.core.pfp import PFP
 from repro.core.rapriori import RApriori
-from repro.core.toivonen import ToivonenResult, count_exact, toivonen
+from repro.core.toivonen import ToivonenResult, toivonen
 from repro.core.topk import TopKResult, mine_top_k
 from repro.core.mrapriori import (
     MRApriori,

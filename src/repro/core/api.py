@@ -33,7 +33,6 @@ and ``result.engine_metrics`` for engine-backed algorithms.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterable, Sequence
 
 from repro.common.errors import MiningError
@@ -43,14 +42,11 @@ from repro.core.results import MiningRunResult
 #: Result alias kept for the public API surface.
 MiningResult = MiningRunResult
 
-#: legacy positional parameter order of the pre-registry signature
-_LEGACY_POSITIONAL = ("algorithm", "max_length", "backend", "parallelism", "num_partitions")
-
 
 def mine_frequent_itemsets(
     transactions: Iterable[Sequence],
     min_support: float | None = None,
-    *legacy_args,
+    *,
     config: MiningConfig | None = None,
     algorithm: str = "yafim",
     max_length: int | None = None,
@@ -81,7 +77,7 @@ def mine_frequent_itemsets(
         Engine knobs for the parallel algorithms.
     **options:
         Extra keyword arguments for the selected miner's constructor
-        (e.g. YAFIM's ``use_hash_tree=False``).
+        (e.g. YAFIM's ``paper_dataflow=True``).
 
     Returns
     -------
@@ -90,35 +86,9 @@ def mine_frequent_itemsets(
         counts; per-iteration stats (shuffle/broadcast bytes, cache hit
         rate, straggler ratio), ``result.trace`` and
         ``result.engine_metrics`` ride along.
-
-    .. deprecated::
-        Passing ``algorithm``/``max_length``/``backend``/... positionally
-        (the pre-registry signature) still works but emits a
-        ``DeprecationWarning``; pass them as keywords or in a
-        :class:`MiningConfig`.
     """
-    if legacy_args:
-        if len(legacy_args) > len(_LEGACY_POSITIONAL):
-            raise TypeError(
-                f"mine_frequent_itemsets takes at most "
-                f"{2 + len(_LEGACY_POSITIONAL)} positional arguments"
-            )
-        warnings.warn(
-            "passing algorithm/max_length/backend/parallelism/num_partitions "
-            "positionally is deprecated; pass them as keywords or use "
-            "config=MiningConfig(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        legacy = dict(zip(_LEGACY_POSITIONAL, legacy_args))
-        algorithm = legacy.get("algorithm", algorithm)
-        max_length = legacy.get("max_length", max_length)
-        backend = legacy.get("backend", backend)
-        parallelism = legacy.get("parallelism", parallelism)
-        num_partitions = legacy.get("num_partitions", num_partitions)
-
     if config is not None:
-        if min_support is not None or legacy_args or options:
+        if min_support is not None or options:
             raise MiningError(
                 "pass either config=MiningConfig(...) or individual "
                 "arguments, not both"

@@ -30,7 +30,6 @@ violation evidence attached as provenance.
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -38,50 +37,10 @@ from repro.algorithms.fpgrowth import fpgrowth
 from repro.common.errors import MiningError
 from repro.common.itemset import Itemset, canonical_transaction, min_support_count
 from repro.common.rng import make_rng, spawn
-from repro.core.candidatestore import (
-    BitmapStore,
-    get_store,
-    make_store,
-    shared_bitmap_counts,
-)
+from repro.core.candidatestore import get_store
+from repro.core.counting import _resolve, count_exact
 from repro.core.results import MiningRunResult, engine_iteration_stats
 from repro.core.summaries import negative_border
-
-
-def _resolve(bc, direct):
-    """Broadcast value when shipped by broadcast, closure capture otherwise."""
-    return bc.value if bc is not None else direct
-
-
-def _count_all(stores, rows) -> dict:
-    """Exact counts of every store's candidates over ``rows``.
-
-    Bitmap stores count through ONE shared vertical build
-    (:func:`~repro.core.candidatestore.shared_bitmap_counts` — the
-    per-length stores would otherwise each re-scan the rows); other
-    stores exposing the batch ``count_partition`` hook count in one
-    call; legacy stores like the paper's
-    :class:`~repro.core.hashtree.HashTree` stream ``count_into`` — the
-    same duck-typing :class:`~repro.core.counting.CandidateCounter`
-    applies in YAFIM's Phase II.
-    """
-    rows = rows if isinstance(rows, list) else list(rows)
-    shared = shared_bitmap_counts(stores, rows)
-    counts: dict = {} if shared is None else shared
-    streaming = []
-    for store in stores:
-        if shared is not None and isinstance(store, BitmapStore):
-            continue
-        count_partition = getattr(store, "count_partition", None)
-        if count_partition is not None:
-            counts.update(count_partition(rows))
-        else:
-            streaming.append(store)
-    if streaming:
-        for txn in rows:
-            for store in streaming:
-                store.count_into(counts, txn)
-    return counts
 
 
 @dataclass
@@ -144,25 +103,6 @@ class SampleMiner:
                 border = [b for b in border if len(b) <= self._max_length]
             out.append((len(sample), tuple(frequent), tuple(border)))
         return out
-
-
-class VerifyCounter:
-    """``run_job`` kernel: exact candidate counts for one partition.
-
-    One store per candidate length (the stores' ``subset`` contract is
-    per-length); each store's batch ``count_partition`` hook runs — so
-    the bitmap store's vertical tid-bitmap kernel accelerates the
-    verification pass exactly as it does YAFIM's Phase II.
-    """
-
-    def __init__(self, *, bc=None, stores=None):
-        self._bc = bc
-        self._stores = stores
-
-    def __call__(self, _task_ctx, partition):
-        stores = _resolve(self._bc, self._stores)
-        rows = partition if isinstance(partition, list) else list(partition)
-        return _count_all(stores, rows)
 
 
 class ApproxMiner:
@@ -235,8 +175,9 @@ class ApproxMiner:
     ) -> ApproxResult:
         if not 0.0 < min_support <= 1.0:
             raise MiningError(f"min_support must be in (0, 1], got {min_support}")
+        # empty rows stay: they count toward |D| (and the threshold)
+        # exactly as in the exact miners, and sampling may draw them
         txns = [canonical_transaction(t) for t in transactions]
-        txns = [t for t in txns if t]
         n = len(txns)
         if n == 0:
             raise MiningError("cannot mine an empty transaction database")
@@ -290,7 +231,11 @@ class ApproxMiner:
             "verify_pass", "driver",
             n_candidates=len(candidates), store=self.candidate_store,
         ):
-            counts = self._verify(txns, candidates, run_bcs)
+            counts = count_exact(
+                txns, candidates, self.candidate_store, self.store_options,
+                ctx=self.ctx, num_partitions=self.num_partitions,
+                broadcasts=run_bcs if self.use_broadcast else None,
+            )
         frequent = {c: v for c, v in counts.items() if v >= threshold}
         result.itemsets = dict(sorted(frequent.items()))
         violations = {c for border in borders for c in border if c in frequent}
@@ -350,31 +295,6 @@ class ApproxMiner:
         )
         return [entry for part in self.ctx.run_job(rdd, kernel) for entry in part]
 
-    def _verify(self, txns, candidates, run_bcs) -> dict:
-        """Exact support of every candidate in one pass over ``txns``."""
-        by_len: dict[int, list] = defaultdict(list)
-        for cand in candidates:
-            by_len[len(cand)].append(cand)
-        stores = [
-            make_store(self.candidate_store, cands, **self.store_options)
-            for _, cands in sorted(by_len.items())
-        ]
-        if not stores:
-            return {}
-        bc = None
-        if self.use_broadcast:
-            bc = self.ctx.broadcast(stores)
-            run_bcs.append(bc)
-        kernel = VerifyCounter(bc=bc, stores=None if bc is not None else stores)
-        rdd = self.ctx.parallelize(txns, self.num_partitions)
-        merged: dict = {}
-        for part_counts in self.ctx.run_job(rdd, kernel):
-            for cand, count in part_counts.items():
-                merged[cand] = merged.get(cand, 0) + count
-        for cand in candidates:  # candidates never seen still get an entry
-            merged.setdefault(cand, 0)
-        return merged
-
 
 def run_approx(ctx, transactions, config) -> ApproxResult:
     """Registry-shaped runner: dispatch a ``config.approx`` mining run.
@@ -398,4 +318,4 @@ def run_approx(ctx, transactions, config) -> ApproxResult:
     return miner.run(transactions, config.min_support, max_length=config.max_length)
 
 
-__all__ = ["ApproxMiner", "ApproxResult", "SampleMiner", "VerifyCounter", "run_approx"]
+__all__ = ["ApproxMiner", "ApproxResult", "SampleMiner", "run_approx"]

@@ -39,8 +39,8 @@ can validate its ``candidate_store`` knob and the CLI can derive
 Built-ins:
 
 ``hashtree``
-    The paper's structure (:class:`~repro.core.hashtree.HashTree`),
-    registered as a virtual subclass — the default.
+    The paper's structure (:class:`~repro.core.hashtree.HashTree`) —
+    the default.
 ``trie``
     Prefix trie over sorted candidate tuples; counting walks the
     transaction's (deduplicated, sorted) items once per reachable node.
@@ -54,18 +54,16 @@ Built-ins:
     transactions occupy one tid *run* of length ``weight``, so a single
     popcount still yields the exact weighted support.
 ``linear``
-    Flat list scan (ablation A3's ``use_hash_tree=False`` matcher).
+    Flat list scan (ablation A3: ``candidate_store="linear"``).
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from itertools import combinations
 from math import comb
 
 from repro.common.itemset import Itemset
-from repro.core.hashtree import HashTree
 
 
 class CandidateStore(ABC):
@@ -316,9 +314,9 @@ def build_tid_bitmaps(
     short without changing any intersection count.
 
     Factored out of :meth:`BitmapStore.count_partition` so several
-    per-length stores counting the same partition (the approximate
-    miner's one-pass verification) can share ONE build over the union of
-    their items instead of each re-scanning the rows.
+    per-length stores counting the same partition
+    (:func:`repro.core.counting.count_stores`) can share ONE build over
+    the union of their items instead of each re-scanning the rows.
     """
     buffers: dict = {}
     pos = 0
@@ -352,32 +350,6 @@ def build_tid_bitmaps(
     }
 
 
-def shared_bitmap_counts(stores, partition, weighted: bool = False) -> dict | None:
-    """Count several :class:`BitmapStore` instances over one partition
-    with a single shared vertical build.
-
-    Returns the merged candidate counts, or ``None`` when fewer than two
-    of ``stores`` are bitmap stores (no build worth sharing — callers
-    fall back to per-store counting).  Non-bitmap stores in ``stores``
-    are ignored; count those separately.
-    """
-    bitmap_stores = [
-        s for s in stores if isinstance(s, BitmapStore) and s.k is not None
-    ]
-    if len(bitmap_stores) < 2:
-        return None
-    rows = partition if isinstance(partition, list) else list(partition)
-    relevant = set().union(*(s._items for s in bitmap_stores))
-    min_k = min(s.k for s in bitmap_stores)
-    bitmaps = build_tid_bitmaps(
-        rows, relevant, min_items=min_k, weighted=weighted
-    )
-    counts: dict = {}
-    for store in bitmap_stores:
-        counts.update(store.count_partition(rows, weighted, bitmaps=bitmaps))
-    return counts
-
-
 class BitmapStore(CandidateStore):
     """Vertical tid-bitmap counting kernel (the RDD-Eclat speedup).
 
@@ -407,7 +379,9 @@ class BitmapStore(CandidateStore):
     """
 
     def __init__(self, candidates=()):
-        self._items: set = set()
+        #: distinct items across the candidates — what a tid-bitmap build
+        #: over this store must cover
+        self.items: set = set()
         self._sets: list[frozenset] = []
         self._sorted: list[Itemset] | None = None
         super().__init__(candidates)
@@ -416,7 +390,7 @@ class BitmapStore(CandidateStore):
         cand = self._register_candidate(candidate)
         if cand is None:
             return
-        self._items.update(cand)
+        self.items.update(cand)
         self._sets.append(frozenset(cand))
         self._sorted = None
 
@@ -435,13 +409,13 @@ class BitmapStore(CandidateStore):
         """Counts via the vertical kernel; ``bitmaps`` optionally supplies
         a prebuilt :func:`build_tid_bitmaps` result (it must cover this
         store's items over the same rows), skipping the build — see
-        :func:`shared_bitmap_counts`."""
+        :func:`repro.core.counting.count_stores`."""
         k = self.k
         if k is None or not self._order:
             return {}
         if bitmaps is None:
             bitmaps = build_tid_bitmaps(
-                partition, self._items, min_items=k, weighted=weighted
+                partition, self.items, min_items=k, weighted=weighted
             )
         if not bitmaps:
             return {}
@@ -470,21 +444,13 @@ class BitmapStore(CandidateStore):
         return counts
 
     def stats(self) -> dict:
-        return {**super().stats(), "items": len(self._items)}
+        return {**super().stats(), "items": len(self.items)}
 
 
 # ---------------------------------------------------------------------------
 # Store registry + factory
 # ---------------------------------------------------------------------------
 _STORES: dict[str, type] = {}
-
-#: legacy ``HashTree``-era keyword aliases accepted (with a warning) by
-#: :func:`make_store`
-_LEGACY_STORE_OPTS = {
-    "hash_tree_fanout": "fanout",
-    "hash_tree_leaf_size": "max_leaf_size",
-}
-
 
 def register_store(name: str, cls: type, *, overwrite: bool = False) -> type:
     """Register a store class under ``name``; returns ``cls``.
@@ -530,28 +496,11 @@ def make_store(name: str, candidates=(), **opts) -> CandidateStore:
     """Build the store registered under ``name`` over ``candidates``.
 
     ``opts`` go to the store constructor (e.g. ``fanout=``/
-    ``max_leaf_size=`` for ``hashtree``).  The pre-API keyword spellings
-    ``hash_tree_fanout``/``hash_tree_leaf_size`` are still accepted but
-    emit a :class:`DeprecationWarning`.
+    ``max_leaf_size=`` for ``hashtree``).
     """
-    for legacy, current in _LEGACY_STORE_OPTS.items():
-        if legacy in opts:
-            warnings.warn(
-                f"make_store option {legacy!r} is deprecated; pass {current!r}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            opts.setdefault(current, opts.pop(legacy))
-    cls = get_store(name)
-    return cls(candidates, **opts)
+    return get_store(name)(candidates, **opts)
 
 
-# HashTree predates the interface and conforms by duck typing (it grew
-# count_into/candidate_index in PR 4); register it as a virtual subclass
-# so isinstance checks treat it as a store.
-CandidateStore.register(HashTree)
-
-register_store("hashtree", HashTree)
 register_store("trie", TrieStore)
 register_store("flatdict", FlatDictStore)
 register_store("bitmap", BitmapStore)
@@ -567,7 +516,10 @@ __all__ = [
     "get_store",
     "make_store",
     "register_store",
-    "shared_bitmap_counts",
     "store_names",
     "unregister_store",
 ]
+
+# HashTree subclasses CandidateStore, so its module can only load once the
+# base class above exists; importing it here registers ``"hashtree"``.
+import repro.core.hashtree  # noqa: E402,F401

@@ -1,28 +1,37 @@
-"""Picklable per-partition kernels for the counting fast path.
+"""Per-partition counting — the one home of every exact count.
 
-Every class here is a top-level callable so the process backend can
+Every miner's Phase II is "build a candidate store, count it against
+every transaction, threshold"; this module owns the *count* step for all
+of them.  The store contract (:class:`~repro.core.candidatestore.
+CandidateStore`) supplies ``count_partition``; everything here is a thin,
+picklable shell around that one call:
+
+* :class:`CandidateCounter` — YAFIM's ``map_partitions`` kernel, one
+  ``(candidate_index, partial_count)`` record per distinct candidate per
+  partition (int keys into the driver's ``apriori_gen`` order keep the
+  shuffle small; the driver decodes after ``collect_as_map``);
+* :func:`count_stores` / :class:`StoreCounter` — several per-length
+  stores over one partition, in-process or as a ``run_job`` kernel;
+* :func:`merge_counts` — the driver-side sum of per-partition partials;
+* :func:`count_rows` / :func:`count_exact` — the whole pass, on the
+  engine or in-process, for the approximate, Toivonen and incremental
+  miners.
+
+Every class is a top-level callable so the process backend can
 cloudpickle it inside a task closure.  Each kernel resolves its shipped
 state exactly once per partition — through a broadcast variable when the
 miner runs with ``use_broadcast`` (the paper's §IV-C behaviour), or a
 direct closure capture under the A1 ablation — then streams the
 partition.
-
-The fast-path kernels replace the seed's
-``flat_map(subset) -> map((cand, 1)) -> reduceByKey`` shape with a
-single ``map_partitions`` pass that aggregates into a per-partition
-dict *during* the hash-tree walk (:meth:`HashTree.count_into`), so the
-shuffle sees one ``(candidate_index, partial_count)`` record per
-distinct candidate per partition instead of one tuple per match.
-Candidate *indexes* (ints into the driver's ``apriori_gen`` order) keep
-shuffle keys small and constant-size; the driver decodes them after
-``collect_as_map``.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import combinations
 
 from repro.common.sizeof import estimate_size
+from repro.core.candidatestore import BitmapStore, build_tid_bitmaps, make_store
 
 
 def _resolve(bc, direct):
@@ -30,13 +39,24 @@ def _resolve(bc, direct):
     return bc.value if bc is not None else direct
 
 
+def merge_counts(parts) -> dict:
+    """Driver-side sum of per-partition ``key -> partial count`` dicts."""
+    merged: dict = {}
+    get = merged.get
+    for counts in parts:
+        for key, c in counts.items():
+            merged[key] = get(key, 0) + c
+    return merged
+
+
 # -- Phase I ---------------------------------------------------------------
 class Phase1PartitionCounter:
     """``run_job`` kernel: one scan yields ``(n_transactions, item -> count)``.
 
-    Replaces the seed's two jobs (``count()`` + item-count shuffle) with a
-    single shuffle-free pass; the driver merges the per-partition
-    counters and applies the support threshold itself.
+    Replaces the paper dataflow's two jobs (``count()`` + item-count
+    shuffle) with a single shuffle-free pass; the driver merges the
+    per-partition counters (:func:`merge_counts`) and applies the support
+    threshold itself.
     """
 
     def __call__(self, _task_ctx, partition):
@@ -50,54 +70,24 @@ class Phase1PartitionCounter:
         return n, counts
 
 
-def merge_counters(parts) -> tuple[int, dict]:
-    """Driver-side merge of :class:`Phase1PartitionCounter` results."""
-    total = 0
-    merged: dict = {}
-    get = merged.get
-    for n, counts in parts:
-        total += n
-        for item, c in counts.items():
-            merged[item] = get(item, 0) + c
-    return total, merged
-
-
 # -- working-set preparation ----------------------------------------------
 class TransactionEncoder:
-    """Re-encode/project a transaction partition after Phase I.
+    """Re-encode a transaction partition after Phase I.
 
-    With a dictionary: items become dense int codes ordered by descending
-    support, infrequent items dropped.  Without one (compaction without
-    encoding): items are projected onto the frequent-item set, original
-    values kept.  With ``dedupe`` the partition's identical encoded
-    transactions collapse into ``(txn, multiplicity)`` pairs.
-    Transactions left with fewer than two items can never support a
-    k>=2 candidate and are dropped either way.
+    Items become dense int codes ordered by descending support
+    (:class:`~repro.common.encoding.ItemDictionary`), infrequent items
+    are dropped, and the partition's identical encoded transactions
+    collapse into ``(txn, multiplicity)`` pairs.  Transactions left with
+    fewer than two items can never support a k>=2 candidate and are
+    dropped.
     """
 
-    def __init__(self, *, dict_bc=None, dictionary=None, keep_bc=None, keep=None,
-                 dedupe: bool = False):
-        self._dict_bc = dict_bc
+    def __init__(self, *, bc=None, dictionary=None):
+        self._bc = bc
         self._dictionary = dictionary
-        self._keep_bc = keep_bc
-        self._keep = keep
-        self._dedupe = dedupe
-
-    def _encoder(self):
-        dictionary = _resolve(self._dict_bc, self._dictionary)
-        if dictionary is not None:
-            return dictionary.encode_transaction
-        keep = _resolve(self._keep_bc, self._keep)
-        return lambda txn: tuple(i for i in txn if i in keep)
 
     def __call__(self, partition):
-        encode = self._encoder()
-        if not self._dedupe:
-            for txn in partition:
-                enc = encode(txn)
-                if len(enc) >= 2:
-                    yield enc
-            return
+        encode = _resolve(self._bc, self._dictionary).encode_transaction
         counts: dict = {}
         get = counts.get
         for txn in partition:
@@ -157,16 +147,12 @@ class PartitionSummarizer:
 
 # -- Phase II --------------------------------------------------------------
 class CandidateCounter:
-    """Fast-path counting kernel: ``(candidate_index, partial_count)``.
+    """YAFIM's counting kernel: ``(candidate_index, partial_count)``.
 
-    Aggregates the whole partition into one counter — no match lists, no
-    per-match pair tuples — and emits one record per distinct matched
-    candidate.  Stores exposing ``count_partition`` (the pluggable
-    :class:`~repro.core.candidatestore.CandidateStore` batch hook, e.g.
-    ``BitmapStore``'s vertical bitmap kernel) count the materialized
-    partition in one shot; anything else (including the pre-API
-    ``HashTree``) streams per-transaction ``count_into``.  Indexes refer
-    to the matcher's construction order (= the driver's ``apriori_gen``
+    The store's ``count_partition`` aggregates the whole partition into
+    one counter — no match lists, no per-match pair tuples — and the
+    kernel emits one record per distinct matched candidate.  Indexes
+    refer to the store's insertion order (= the driver's ``apriori_gen``
     order), so the reduced map decodes driver-side via
     ``candidates[index]``.
     """
@@ -177,103 +163,152 @@ class CandidateCounter:
         self._weighted = weighted
 
     def __call__(self, partition):
-        matcher = _resolve(self._bc, self._matcher)
-        count_partition = getattr(matcher, "count_partition", None)
-        if count_partition is not None:
-            counts = count_partition(partition, weighted=self._weighted)
-        else:
-            counts = {}
-            count_into = matcher.count_into
-            if self._weighted:
-                for txn, weight in partition:
-                    count_into(counts, txn, weight)
-            else:
-                for txn in partition:
-                    count_into(counts, txn)
-        index = matcher.candidate_index()
+        store = _resolve(self._bc, self._matcher)
+        counts = store.count_partition(partition, weighted=self._weighted)
+        index = store.candidate_index()
         for cand, n in counts.items():
             yield index[cand], n
 
 
 class CandidateEmitter:
-    """Baseline-shape kernel: one ``(candidate, weight)`` pair per match.
+    """Paper-dataflow kernel: one ``(candidate, 1)`` pair per match.
 
-    Equivalent to the seed's ``flat_map(subset).map((cand, 1))`` fused
-    into one stage; used when ``use_in_tree_counting`` is off so the
-    ablation still measures the materialize-then-shuffle cost.
+    Fig. 2's ``flatMap(subset).map((cand, 1))`` fused into one stage, so
+    ``paper_dataflow=True`` still measures the materialize-then-shuffle
+    cost the counting kernel above removes.
     """
 
-    def __init__(self, *, bc=None, matcher=None, weighted: bool = False):
+    def __init__(self, *, bc=None, matcher=None):
         self._bc = bc
         self._matcher = matcher
-        self._weighted = weighted
 
     def __call__(self, partition):
-        matcher = _resolve(self._bc, self._matcher)
-        subset = matcher.subset
-        if self._weighted:
-            for txn, weight in partition:
-                for cand in subset(txn):
-                    yield cand, weight
-        else:
-            for txn in partition:
-                for cand in subset(txn):
-                    yield cand, 1
+        subset = _resolve(self._bc, self._matcher).subset
+        for txn in partition:
+            for cand in subset(txn):
+                yield cand, 1
 
 
-# -- R-Apriori pass 2 ------------------------------------------------------
 class PairCounter:
-    """Candidate-free pair counting with a per-partition counter.
+    """R-Apriori pass 2: candidate-free pair counting, one counter per
+    partition.
 
     ``keep``/``keep_bc`` carry the frequent-item set when the working RDD
-    still holds raw transactions; ``None`` means the transactions were
-    already projected onto frequent items (encoding/compaction on), so no
-    per-transaction filter — and no pass-2 shipping at all — is needed.
+    still holds raw transactions (the paper dataflow); without one the
+    transactions were already projected onto frequent items by the
+    encoder, so no per-transaction filter — and no pass-2 shipping at
+    all — is needed.
     """
 
-    def __init__(self, *, keep_bc=None, keep=None, filter_items: bool = True,
-                 weighted: bool = False):
+    def __init__(self, *, keep_bc=None, keep=None, weighted: bool = False):
         self._keep_bc = keep_bc
         self._keep = keep
-        self._filter = filter_items
         self._weighted = weighted
 
     def __call__(self, partition):
-        keep = _resolve(self._keep_bc, self._keep) if self._filter else None
+        keep = _resolve(self._keep_bc, self._keep)
+        rows = partition if self._weighted else ((txn, 1) for txn in partition)
         counts: dict = {}
         get = counts.get
-        if self._weighted:
-            for txn, weight in partition:
-                kept = [i for i in txn if i in keep] if keep is not None else txn
-                for pair in combinations(kept, 2):
-                    counts[pair] = get(pair, 0) + weight
-        else:
-            for txn in partition:
-                kept = [i for i in txn if i in keep] if keep is not None else txn
-                for pair in combinations(kept, 2):
-                    counts[pair] = get(pair, 0) + 1
+        for txn, weight in rows:
+            kept = txn if keep is None else [i for i in txn if i in keep]
+            for pair in combinations(kept, 2):
+                counts[pair] = get(pair, 0) + weight
         yield from counts.items()
 
 
-class PairEmitter:
-    """Baseline-shape pair enumeration: one ``(pair, weight)`` per match."""
+# -- several stores, one pass --------------------------------------------------
+def count_stores(stores, rows, weighted: bool = False) -> dict:
+    """Merged exact counts of every store's candidates over one partition.
 
-    def __init__(self, *, keep_bc=None, keep=None, filter_items: bool = True,
-                 weighted: bool = False):
-        self._keep_bc = keep_bc
-        self._keep = keep
-        self._filter = filter_items
+    Stores hold same-length candidates, so a mixed-length candidate set
+    is one store per length counted over the same ``rows``.  Two or more
+    :class:`~repro.core.candidatestore.BitmapStore` instances share ONE
+    vertical build over the union of their items (each would otherwise
+    re-scan the rows); every other store counts through its own
+    ``count_partition``.
+    """
+    rows = rows if isinstance(rows, list) else list(rows)
+    sharing = [s for s in stores if isinstance(s, BitmapStore) and len(s)]
+    bitmaps = None
+    if len(sharing) > 1:
+        bitmaps = build_tid_bitmaps(
+            rows,
+            set().union(*(s.items for s in sharing)),
+            min_items=min(s.k for s in sharing),
+            weighted=weighted,
+        )
+    counts: dict = {}
+    for store in stores:
+        if bitmaps is not None and isinstance(store, BitmapStore):
+            counts.update(store.count_partition(rows, weighted, bitmaps=bitmaps))
+        else:
+            counts.update(store.count_partition(rows, weighted))
+    return counts
+
+
+class StoreCounter:
+    """``run_job`` kernel: :func:`count_stores` over one partition."""
+
+    def __init__(self, *, bc=None, stores=None, weighted: bool = False):
+        self._bc = bc
+        self._stores = stores
         self._weighted = weighted
 
-    def __call__(self, partition):
-        keep = _resolve(self._keep_bc, self._keep) if self._filter else None
-        if self._weighted:
-            for txn, weight in partition:
-                kept = [i for i in txn if i in keep] if keep is not None else txn
-                for pair in combinations(kept, 2):
-                    yield pair, weight
-        else:
-            for txn in partition:
-                kept = [i for i in txn if i in keep] if keep is not None else txn
-                for pair in combinations(kept, 2):
-                    yield pair, 1
+    def __call__(self, _task_ctx, partition):
+        return count_stores(
+            _resolve(self._bc, self._stores), partition, self._weighted
+        )
+
+
+def count_rows(
+    stores, rows, *, weighted: bool = False, ctx=None,
+    num_partitions: int | None = None, broadcasts: list | None = None,
+) -> dict:
+    """One full counting pass of ``stores`` over ``rows``.
+
+    In-process without ``ctx``; with an engine context the rows spread
+    over ``num_partitions`` and one job counts them, the driver merging
+    the partials.  The stores ship inside the task closure unless
+    ``broadcasts`` is a list: then they ship as one broadcast variable,
+    appended to the list for the caller to account and destroy.
+    """
+    if ctx is None:
+        return count_stores(stores, rows, weighted)
+    bc = None
+    if broadcasts is not None:
+        bc = ctx.broadcast(stores)
+        broadcasts.append(bc)
+    kernel = StoreCounter(
+        bc=bc, stores=None if bc is not None else stores, weighted=weighted
+    )
+    return merge_counts(ctx.run_job(ctx.parallelize(rows, num_partitions), kernel))
+
+
+def count_exact(
+    rows, candidates, candidate_store: str = "hashtree",
+    store_options: dict | None = None, *, ctx=None,
+    num_partitions: int | None = None, broadcasts: list | None = None,
+) -> dict:
+    """Exact support of arbitrary-length ``candidates`` in ONE pass.
+
+    Groups the candidates by length, builds one ``candidate_store`` per
+    length, counts ``rows`` (``ctx``/``num_partitions``/``broadcasts`` as
+    in :func:`count_rows`) and zero-fills, so every candidate — seen or
+    not — gets an entry.
+    """
+    candidates = list(candidates)
+    by_len: dict[int, list] = defaultdict(list)
+    for cand in candidates:
+        by_len[len(cand)].append(cand)
+    stores = [
+        make_store(candidate_store, cands, **(store_options or {}))
+        for _, cands in sorted(by_len.items())
+    ]
+    counts = {}
+    if stores:
+        counts = count_rows(
+            stores, rows, ctx=ctx, num_partitions=num_partitions,
+            broadcasts=broadcasts,
+        )
+    return {cand: counts.get(cand, 0) for cand in candidates}

@@ -10,21 +10,24 @@ Algorithm 1/3 — in time far below a linear scan of all candidates.
 The tree is built once per iteration on the driver and shipped to workers
 through a broadcast variable (§IV-C).
 
-``HashTree`` predates the pluggable :class:`repro.core.candidatestore`
-API but honors its **at-most-once contract**: ``count_into``/``subset``
-report each candidate at most once per transaction.  Containment checks
-run against the transaction's item *set* (duplicate transaction items
+``HashTree`` is a :class:`~repro.core.candidatestore.CandidateStore`
+(registered as ``"hashtree"``, the default): the base class supplies
+candidate validation, insertion-order bookkeeping and the batch
+``count_partition``/``subset`` defaults, the tree supplies the walk.  It
+honors the **at-most-once contract** because containment checks run
+against the transaction's item *set* (duplicate transaction items
 collapse), every node is visited at most once by the slot-set walk, and
-``insert`` ignores duplicate candidates — a re-inserted candidate would
+a duplicate ``insert`` is a no-op — a re-inserted candidate would
 otherwise occupy two bucket slots and silently double-count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.common.itemset import Itemset
 from repro.common.rng import stable_hash
+from repro.core.candidatestore import CandidateStore, register_store
 
 
 class _Node:
@@ -36,7 +39,7 @@ class _Node:
         self.is_leaf = True
 
 
-class HashTree:
+class HashTree(CandidateStore):
     """Hash tree over canonical k-itemsets.
 
     Parameters
@@ -59,14 +62,8 @@ class HashTree:
             raise ValueError("max_leaf_size must be >= 1")
         self.fanout = fanout
         self.max_leaf_size = max_leaf_size
-        self.k: int | None = None
-        self.size = 0
         self._root = _Node()
-        self._order: list[Itemset] = []  # insertion order = driver's candidate order
-        self._seen: set[Itemset] = set()
-        self._index: dict[Itemset, int] | None = None  # lazy, built worker-side
-        for cand in candidates:
-            self.insert(cand)
+        super().__init__(candidates)
 
     # -- construction -------------------------------------------------------
     def _hash(self, item) -> int:
@@ -75,27 +72,15 @@ class HashTree:
         return stable_hash(item) % self.fanout
 
     def insert(self, candidate: Itemset) -> None:
-        candidate = tuple(candidate)
-        if self.k is None:
-            if not candidate:
-                raise ValueError("cannot insert the empty itemset")
-            self.k = len(candidate)
-        elif len(candidate) != self.k:
-            raise ValueError(
-                f"hash tree holds {self.k}-itemsets, got length {len(candidate)}"
-            )
-        if candidate in self._seen:
+        candidate = self._register_candidate(candidate)
+        if candidate is None:
             return  # duplicate insert must not double-count (store contract)
-        self._seen.add(candidate)
         node = self._root
         depth = 0
         while not node.is_leaf:
             node = node.children.setdefault(self._hash(candidate[depth]), _Node())
             depth += 1
         node.bucket.append(candidate)
-        self._order.append(candidate)
-        self._index = None
-        self.size += 1
         if len(node.bucket) > self.max_leaf_size and depth < self.k:
             self._split(node, depth)
 
@@ -112,8 +97,9 @@ class HashTree:
                 self._split(child, depth + 1)
 
     # -- queries ----------------------------------------------------------
-    def subset(self, transaction: Sequence) -> list[Itemset]:
-        """Candidates contained in the ``transaction``.
+    def count_into(self, counts: dict, transaction: Sequence, weight: int = 1) -> None:
+        """Add ``weight`` to ``counts[cand]`` for every contained candidate
+        — the ``C_t = subset(C_k, t)`` step, counted in place.
 
         Hash-tree walk with slot-set pruning: a subtree under slot ``s`` at
         any depth can only hold matching candidates when some transaction
@@ -127,33 +113,6 @@ class HashTree:
         walk; profiling showed the per-call recursion cost in Python far
         outweighs that extra pruning, while the slot-set walk visits at
         most one node per tree node — see DESIGN.md.)
-        """
-        if self.k is None or len(transaction) < self.k:
-            return []
-        txn_set = frozenset(transaction)
-        slots = {self._hash(i) for i in txn_set}
-        out: list[Itemset] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                for cand in node.bucket:
-                    if txn_set.issuperset(cand):
-                        out.append(cand)
-            else:
-                for slot, child in node.children.items():
-                    if slot in slots:
-                        stack.append(child)
-        return out
-
-    def count_into(self, counts: dict, transaction: Sequence, weight: int = 1) -> None:
-        """Add ``weight`` to ``counts[cand]`` for every contained candidate.
-
-        Same slot-set walk as :meth:`subset`, but increments a
-        per-partition counter in place instead of materializing a match
-        list — the counting fast path allocates one dict entry per
-        *distinct* matched candidate rather than one tuple per match
-        per transaction.
         """
         if self.k is None or len(transaction) < self.k:
             return
@@ -173,17 +132,6 @@ class HashTree:
                     if slot in slots:
                         stack.append(child)
 
-    def candidate_index(self) -> dict[Itemset, int]:
-        """Candidate -> position in insertion order (= the driver's
-        ``apriori_gen`` order).  Built lazily and cached, so a
-        worker-resident broadcast tree pays the cost once per worker; the
-        fast-path kernel uses it to shuffle small int keys instead of
-        k-tuples.
-        """
-        if self._index is None:
-            self._index = {cand: i for i, cand in enumerate(self._order)}
-        return self._index
-
     def contains_candidate(self, candidate: Itemset) -> bool:
         node = self._root
         depth = 0
@@ -194,18 +142,6 @@ class HashTree:
             node = child
             depth += 1
         return tuple(candidate) in node.bucket
-
-    def __iter__(self) -> Iterator[Itemset]:
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield from node.bucket
-            else:
-                stack.extend(node.children.values())
-
-    def __len__(self) -> int:
-        return self.size
 
     # -- diagnostics ---------------------------------------------------------
     def stats(self) -> dict:
@@ -223,9 +159,12 @@ class HashTree:
             else:
                 stack.extend((c, depth + 1) for c in node.children.values())
         return {
-            "candidates": self.size,
+            **super().stats(),
             "leaves": leaves,
             "max_depth": max_depth,
             "mean_leaf_depth": depth_total / leaves if leaves else 0.0,
             "largest_leaf": biggest_leaf,
         }
+
+
+register_store("hashtree", HashTree)

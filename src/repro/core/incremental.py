@@ -49,34 +49,8 @@ from repro.common.errors import MiningError
 from repro.common.itemset import canonical_transaction, min_support_count
 from repro.core.candidates import apriori_gen
 from repro.core.candidatestore import make_store
+from repro.core.counting import count_rows
 from repro.core.results import IterationStats, MiningRunResult
-
-
-def _count_rows(store, rows) -> dict:
-    """One store's exact candidate counts for weighted
-    ``(encoded_txn, multiplicity)`` rows.
-
-    Prefers the batch ``count_partition`` kernel; falls back to streaming
-    ``count_into`` for stores that predate it (the raw :class:`HashTree`),
-    mirroring :mod:`repro.core.counting`.
-    """
-    count_partition = getattr(store, "count_partition", None)
-    if count_partition is not None:
-        return count_partition(rows, weighted=True)
-    counts: dict = {}
-    for txn, weight in rows:
-        store.count_into(counts, txn, weight)
-    return counts
-
-
-class _WindowCounter:
-    """``run_job`` kernel: counts of one partition of weighted rows."""
-
-    def __init__(self, store):
-        self.store = store
-
-    def __call__(self, _task_ctx, partition):
-        return _count_rows(self.store, list(partition))
 
 
 @dataclass
@@ -423,13 +397,10 @@ class IncrementalMiner:
         rows = list(self._encoded.items())
         counts: dict = {}
         if rows:
-            if self.ctx is not None:
-                rdd = self.ctx.parallelize(rows, self.num_partitions)
-                for part in self.ctx.run_job(rdd, _WindowCounter(store)):
-                    for cand, cnt in part.items():
-                        counts[cand] = counts.get(cand, 0) + cnt
-            else:
-                counts = _count_rows(store, rows)
+            counts = count_rows(
+                [store], rows, weighted=True,
+                ctx=self.ctx, num_partitions=self.num_partitions,
+            )
         return {c: counts.get(c, 0) for c in candidates}
 
     def _rebuild(self, update: IncrementalUpdate) -> None:
@@ -521,7 +492,8 @@ class IncrementalMiner:
                 # one delta pass, then re-threshold from exact counts.
                 lvl = self._levels[li]
                 if delta_rows:
-                    for cand, cnt in _count_rows(lvl.store, delta_rows).items():
+                    delta_counts = lvl.store.count_partition(delta_rows, weighted=True)
+                    for cand, cnt in delta_counts.items():
                         lvl.counts[cand] += sign * cnt
                 new_frequent = {
                     c for c, v in lvl.counts.items() if v >= threshold
@@ -549,7 +521,10 @@ class IncrementalMiner:
                 store = self._make_store(candidates)
                 counts: dict = {}
                 if retained:
-                    dcounts = _count_rows(store, delta_rows) if delta_rows else {}
+                    dcounts = (
+                        store.count_partition(delta_rows, weighted=True)
+                        if delta_rows else {}
+                    )
                     for cand in retained:
                         counts[cand] = old_counts[cand] + sign * dcounts.get(cand, 0)
                     update.delta_candidates += len(retained)
@@ -576,6 +551,18 @@ class IncrementalMiner:
         del self._levels[li:]
 
 
+def incremental_store(config) -> str:
+    """The store an incremental run of ``config`` counts with.
+
+    ``MiningConfig.candidate_store`` defaults to the batch miners'
+    ``hashtree``; this tier's default is ``bitmap`` (the cheapest kernel
+    per delta row), so the batch default maps to it and any other choice
+    — the field, or ``options["candidate_store"]`` over it — is honoured.
+    """
+    store = config.options.get("candidate_store", config.candidate_store)
+    return "bitmap" if store == "hashtree" else store
+
+
 def run_incremental(ctx, transactions, config) -> MiningRunResult:
     """Registry-shaped runner for ``MiningConfig(incremental=True)``.
 
@@ -583,24 +570,22 @@ def run_incremental(ctx, transactions, config) -> MiningRunResult:
     to the exact miners — and exists so the same config flows through
     ``mine_frequent_itemsets``, the CLI, and the serving tier (where the
     built state is kept warm and appends become delta updates).
-
-    Store choice mirrors ``_with_store``: an explicit
-    ``options["candidate_store"]`` wins, then a non-default
-    ``config.candidate_store``; the incremental default is ``bitmap``.
     """
-    options = dict(config.options)
-    store = options.pop("candidate_store", None) or (
-        config.candidate_store if config.candidate_store != "hashtree" else "bitmap"
-    )
     miner = IncrementalMiner(
         transactions,
         config.min_support,
         max_length=config.max_length,
-        candidate_store=store,
+        candidate_store=incremental_store(config),
         num_partitions=config.num_partitions,
         ctx=ctx,
     )
     return miner.result()
 
 
-__all__ = ["FamilyDiff", "IncrementalMiner", "IncrementalUpdate", "run_incremental"]
+__all__ = [
+    "FamilyDiff",
+    "IncrementalMiner",
+    "IncrementalUpdate",
+    "incremental_store",
+    "run_incremental",
+]

@@ -159,14 +159,11 @@ class MRApriori:
         holding the transaction file.
     num_reducers:
         Reducers per job.
-    use_hash_tree:
-        Ship candidates as a hash tree (as the paper's baseline does via
-        its hash-tree-in-DistributedCache idiom) or as a flat list.
-        Only consulted when ``candidate_store`` is unset.
     candidate_store:
         Name of a registered :mod:`repro.core.candidatestore` store; one
         store per combined candidate level rides the distributed cache.
-        Overrides ``use_hash_tree`` when given.
+        The default ships a hash tree (the paper baseline's
+        hash-tree-in-DistributedCache idiom); ``linear`` a flat list.
     combine_strategy:
         SPC (default), FPC or DPC level-combining policy.
     work_dir:
@@ -179,19 +176,14 @@ class MRApriori:
         self,
         runner: JobRunner,
         num_reducers: int = 2,
-        use_hash_tree: bool = True,
         combine_strategy: CombineStrategy = spc_strategy,
         work_dir: str = "/mrapriori",
         sep: str | None = None,
-        candidate_store: str | None = None,
+        candidate_store: str = "hashtree",
     ):
         self.runner = runner
         self.num_reducers = num_reducers
-        self.use_hash_tree = use_hash_tree
-        if candidate_store is None:
-            candidate_store = "hashtree" if use_hash_tree else "linear"
-        else:
-            get_store(candidate_store)  # fail in the driver, not a map task
+        get_store(candidate_store)  # fail in the driver, not a map task
         self.candidate_store = candidate_store
         self.combine_strategy = combine_strategy
         self.work_dir = work_dir.rstrip("/")

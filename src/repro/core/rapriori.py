@@ -12,53 +12,52 @@ onward, where the prune step eliminates real work.
 This module subclasses :class:`~repro.core.yafim.Yafim` and overrides
 only the pass-2 counting strategy (:meth:`Yafim._level_pass`); Phase I,
 the level loop, the counting fast path and the compaction machinery are
-all inherited.  When the fast path is on, the working RDD is already
-projected onto frequent items, so pass 2 ships *nothing* — not even the
-frequent-item set — and the pair kernels aggregate per partition like
-every other pass.  The ablation benchmark quantifies the pass-2 saving
-on the sparse dataset family where m (and hence C(m, 2)) is large.
+all inherited.  On the fast path the working RDD is already projected
+onto frequent items, so pass 2 ships *nothing* — not even the
+frequent-item set — and the pair kernel aggregates per partition like
+every other pass; under ``paper_dataflow`` it ships the frequent-item
+set and filters the raw transactions.  The ablation benchmark quantifies
+the pass-2 saving on the sparse dataset family where m (and hence
+C(m, 2)) is large.
 """
 
 from __future__ import annotations
 
 from repro.common.sizeof import estimate_size
-from repro.core.counting import PairCounter, PairEmitter
+from repro.core.counting import PairCounter
 from repro.core.yafim import Yafim
 
 
 class RApriori(Yafim):
     """YAFIM with R-Apriori's candidate-free second pass.
 
-    All constructor knobs are inherited; ``use_hash_tree``/``use_broadcast``
-    now apply only from pass 3 onward (pass 2 ships the frequent-item
-    *set* at most, never a candidate structure).
+    All constructor knobs are inherited; ``candidate_store``/
+    ``use_broadcast`` now apply only from pass 3 onward (pass 2 ships the
+    frequent-item *set* at most, never a candidate structure).
     """
 
     algorithm_name = "rapriori"
 
-    def _level_pass(self, k, enc_level, working, weighted, threshold):
+    def _level_pass(self, k, enc_level, working, threshold):
         if k != 2:
-            return super()._level_pass(k, enc_level, working, weighted, threshold)
+            return super()._level_pass(k, enc_level, working, threshold)
         # ---- pass 2: candidate-free pair counting ------------------------
         m = len(enc_level)
-        # Encoding/compaction already projected transactions onto frequent
-        # items; only the raw-RDD path still needs the frequent-item set.
-        projected = self.use_dict_encoding or self.use_compaction
+        # The encoder already projected transactions onto frequent items;
+        # only the paper dataflow's raw RDD still needs the frequent-item set.
         keep = bc = None
         bc_bytes = closure_bytes = 0
-        if not projected:
+        if self.paper_dataflow:
             keep = frozenset(item for (item,) in enc_level)
             if self.use_broadcast:
                 bc = self.ctx.broadcast(keep)
                 bc_bytes = bc.size_bytes
             else:
                 closure_bytes = estimate_size(keep) * working.num_partitions
-        kernel_cls = PairCounter if self.use_in_tree_counting else PairEmitter
-        kernel = kernel_cls(
+        kernel = PairCounter(
             keep_bc=bc,
             keep=keep if bc is None else None,
-            filter_items=not projected,
-            weighted=weighted,
+            weighted=not self.paper_dataflow,
         )
         pairs = (
             working.map_partitions(kernel)

@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import MiningError
@@ -50,7 +50,7 @@ class MiningConfig:
 
     Parameters mirror :func:`repro.core.api.mine_frequent_itemsets`;
     ``options`` carries algorithm-specific keyword arguments handed to
-    the miner's constructor (e.g. YAFIM's ``use_hash_tree=False``).
+    the miner's constructor (e.g. YAFIM's ``paper_dataflow=True``).
     """
 
     min_support: float
@@ -158,9 +158,9 @@ class MiningConfig:
         answer an approx request from an exact entry and upgrade approx
         entries when the exact run lands.
         """
-        return replace(
-            self, approx=False, approx_samples=4, approx_ratio=0.8, sample_frac=0.1
-        )
+        sampling = ("approx", "approx_samples", "approx_ratio", "sample_frac")
+        defaults = {f.name: f.default for f in fields(self) if f.name in sampling}
+        return replace(self, **defaults)
 
 
 @dataclass(frozen=True)
@@ -284,18 +284,10 @@ def run_algorithm(
 # Built-in algorithms
 # ---------------------------------------------------------------------------
 def _with_store(config: MiningConfig) -> dict:
-    """Miner options with the config's ``candidate_store`` folded in.
-
-    The default ``"hashtree"`` is *not* injected, so miners keep deriving
-    their store from legacy knobs (``use_hash_tree=False`` -> ``linear``,
-    ablation A3); an explicit ``options["candidate_store"]`` wins over
-    the field so the options path keeps working.  The oracles and PFP
-    are candidate-free and never receive the knob.
-    """
-    options = dict(config.options)
-    if config.candidate_store != "hashtree":
-        options.setdefault("candidate_store", config.candidate_store)
-    return options
+    """Miner options with the config's ``candidate_store`` folded in; an
+    explicit ``options["candidate_store"]`` wins over the field.  The
+    oracles and PFP are candidate-free and never receive the knob."""
+    return {"candidate_store": config.candidate_store, **config.options}
 
 
 def _run_yafim(ctx, txns, config: MiningConfig) -> MiningRunResult:
@@ -328,8 +320,10 @@ def _run_pfp(ctx, txns, config: MiningConfig) -> MiningRunResult:
     return miner.run(txns, config.min_support, max_length=config.max_length)
 
 
-def _run_mrapriori(txns, config: MiningConfig) -> MiningRunResult:
-    from repro.core.mrapriori import MRApriori
+def _run_on_minidfs(txns, config: MiningConfig, mine) -> MiningRunResult:
+    """Stage ``txns`` as a text file on an ephemeral mini-DFS, run
+    ``mine(job_runner, path)`` against it, and undo the text round-trip
+    (items come back as strings; plain-int datasets get their ints back)."""
     from repro.hdfs.filesystem import MiniDfs
     from repro.mapreduce.runner import JobRunner
 
@@ -343,46 +337,39 @@ def _run_mrapriori(txns, config: MiningConfig) -> MiningRunResult:
             backend="threads" if config.backend == "threads" else "serial",
             parallelism=config.parallelism or 4,
         )
-        result = MRApriori(runner, **_with_store(config)).run(
-            "/transactions.txt", config.min_support, max_length=config.max_length
-        )
-        # Items round-tripped through text; restore original types when
-        # they were plain ints.
-        if txns and all(isinstance(i, int) for t in txns for i in t):
-            result.itemsets = {
-                tuple(sorted(int(i) for i in k)): v for k, v in result.itemsets.items()
-            }
-        return result
+        result = mine(runner, "/transactions.txt")
+    if txns and all(isinstance(i, int) for t in txns for i in t):
+        result.itemsets = {
+            tuple(sorted(int(i) for i in k)): v for k, v in result.itemsets.items()
+        }
+    return result
+
+
+def _run_mrapriori(txns, config: MiningConfig) -> MiningRunResult:
+    from repro.core.mrapriori import MRApriori
+
+    return _run_on_minidfs(
+        txns, config,
+        lambda runner, path: MRApriori(runner, **_with_store(config)).run(
+            path, config.min_support, max_length=config.max_length
+        ),
+    )
 
 
 def _run_one_phase(txns, config: MiningConfig) -> MiningRunResult:
     from repro.core.one_phase import OnePhaseMR
-    from repro.hdfs.filesystem import MiniDfs
-    from repro.mapreduce.runner import JobRunner
 
-    with MiniDfs(n_datanodes=2, replication=1) as dfs:
-        dfs.write_lines(
-            "/transactions.txt",
-            (" ".join(str(i) for i in sorted(set(t))) for t in txns),
-        )
-        runner = JobRunner(
-            dfs,
-            backend="threads" if config.backend == "threads" else "serial",
-            parallelism=config.parallelism or 4,
-        )
-        options = _with_store(config)
-        # subset enumeration is exponential without a cap; the class
-        # default (3) applies when neither max_length nor options set one
-        if config.max_length is not None:
-            options.setdefault("max_length", config.max_length)
-        result = OnePhaseMR(runner, **options).run(
-            "/transactions.txt", config.min_support
-        )
-        if txns and all(isinstance(i, int) for t in txns for i in t):
-            result.itemsets = {
-                tuple(sorted(int(i) for i in k)): v for k, v in result.itemsets.items()
-            }
-        return result
+    options = _with_store(config)
+    # subset enumeration is exponential without a cap; the class
+    # default (3) applies when neither max_length nor options set one
+    if config.max_length is not None:
+        options.setdefault("max_length", config.max_length)
+    return _run_on_minidfs(
+        txns, config,
+        lambda runner, path: OnePhaseMR(runner, **options).run(
+            path, config.min_support
+        ),
+    )
 
 
 def _make_oracle_runner(name: str) -> Callable:

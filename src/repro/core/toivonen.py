@@ -12,15 +12,14 @@ negative border from :mod:`repro.core.summaries`:
    family is provably complete; otherwise the sample missed patterns —
    resample and repeat.
 
-The exact counting pass goes through the pluggable
-:mod:`repro.core.candidatestore` registry (one store per candidate
-length) — ``candidate_store="bitmap"`` swaps the hash-tree walk for the
-vertical tid-bitmap kernel.
+The exact counting pass is :func:`repro.core.counting.count_exact` over
+the pluggable :mod:`repro.core.candidatestore` registry (one store per
+candidate length) — ``candidate_store="bitmap"`` swaps the hash-tree walk
+for the vertical tid-bitmap kernel.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
@@ -29,7 +28,7 @@ from repro.algorithms.fpgrowth import fpgrowth
 from repro.common.errors import MiningError
 from repro.common.itemset import Itemset, min_support_count
 from repro.common.rng import make_rng
-from repro.core.candidatestore import make_store
+from repro.core.counting import count_exact
 from repro.core.summaries import negative_border
 
 
@@ -44,37 +43,6 @@ class ToivonenResult:
     @property
     def num_itemsets(self) -> int:
         return len(self.itemsets)
-
-
-def count_exact(
-    transactions: list[Itemset],
-    candidates: Iterable[Itemset],
-    candidate_store: str = "hashtree",
-    store_options: dict | None = None,
-) -> dict:
-    """One full pass: exact support counts of arbitrary-length candidates.
-
-    ``candidate_store`` names any registered
-    :mod:`repro.core.candidatestore` store; each store's batch
-    ``count_partition`` hook counts the whole pass (the bitmap store's
-    vertical kernel included).
-    """
-    by_len: dict[int, list[Itemset]] = defaultdict(list)
-    for cand in candidates:
-        by_len[len(cand)].append(cand)
-    stores = [
-        make_store(candidate_store, cands, **(store_options or {}))
-        for _, cands in sorted(by_len.items())
-        if cands
-    ]
-    from repro.core.approx import _count_all
-
-    counts: dict[Itemset, int] = _count_all(stores, transactions)
-    # candidates never seen still deserve an entry
-    for cands in by_len.values():
-        for cand in cands:
-            counts.setdefault(cand, 0)
-    return counts
 
 
 def toivonen(

@@ -18,31 +18,28 @@ Phase II (Algorithm 3, Fig. 2), for k = 2, 3, ... until L_k is empty::
 
 The transaction RDD is loaded once and cached (§IV-B); every iteration
 re-scans it from cluster memory.  Three of the paper's design choices are
-independently switchable for the ablation benchmarks: ``use_hash_tree``
-(A3), ``use_broadcast`` (A1) and ``cache_transactions`` (A2).
+independently switchable for the ablation benchmarks: ``use_broadcast``
+(A1), ``cache_transactions`` (A2) and the candidate structure (A3:
+``candidate_store="linear"`` degrades the hash tree to a flat scan).
 
-On top of the paper's structure sits the **counting fast path** — three
-further independent knobs, all default-on:
+The listing above is the **paper dataflow**, kept runnable as the
+structural-fidelity reference under ``paper_dataflow=True``.  By default
+the same two phases run through the counting fast path instead:
 
-``use_dict_encoding``
-    After Phase I the transactions are re-encoded over a broadcast
-    item -> dense-int dictionary ordered by descending support
-    (:class:`~repro.common.encoding.ItemDictionary`), dropping
-    infrequent items.  Every later pass hashes small ints.
-``use_in_tree_counting``
-    Phase I becomes one shuffle-free ``run_job`` whose per-partition
-    counters merge on the driver; Phase II replaces
-    ``flat_map(subset).map((cand, 1))`` with a ``map_partitions`` kernel
-    that aggregates during the hash-tree walk and ships one
-    ``(candidate_index, partial_count)`` int-keyed record per distinct
-    candidate per partition (:mod:`repro.core.counting`).
-``use_compaction``
-    Identical encoded transactions dedupe into ``(txn, multiplicity)``
-    once after encoding; between passes the working RDD drops
-    transactions shorter than k+1 and projects out items in no frequent
-    k-itemset, re-caching the shrunk RDD and unpersisting the old one.
-    Every shrink is measured as a
-    :class:`~repro.core.results.CompactionStats` on the pass it follows.
+* Phase I is one shuffle-free ``run_job`` whose per-partition counters
+  merge on the driver;
+* the transactions are re-encoded once over a broadcast item ->
+  dense-int dictionary ordered by descending support
+  (:class:`~repro.common.encoding.ItemDictionary`), infrequent items
+  dropped and identical rows deduplicated into ``(txn, multiplicity)``;
+* each Phase II pass is one ``map_partitions`` kernel
+  (:class:`~repro.core.counting.CandidateCounter`) that counts the whole
+  partition inside the candidate store and ships one int-keyed
+  ``(candidate_index, partial_count)`` record per distinct candidate;
+* between passes the working RDD drops transactions shorter than k+1
+  and projects out items in no frequent k-itemset, re-caching the
+  shrunk RDD and unpersisting the old one.  Every shrink is measured as
+  a :class:`~repro.core.results.CompactionStats` on the pass it follows.
 
 The candidate structure itself is pluggable: ``candidate_store``
 selects any :mod:`repro.core.candidatestore` registration (hash tree by
@@ -61,7 +58,7 @@ from repro.common.errors import MiningError
 from repro.common.itemset import canonical_transaction, min_support_count
 from repro.common.sizeof import estimate_size
 from repro.core.candidates import apriori_gen
-from repro.core.candidatestore import LinearStore, get_store, make_store
+from repro.core.candidatestore import get_store, make_store
 from repro.core.counting import (
     CandidateCounter,
     CandidateEmitter,
@@ -69,7 +66,7 @@ from repro.core.counting import (
     Phase1PartitionCounter,
     TransactionCompactor,
     TransactionEncoder,
-    merge_counters,
+    merge_counts,
 )
 from repro.core.results import (
     CompactionStats,
@@ -99,18 +96,6 @@ class Yafim:
     num_partitions:
         Partitions for the transaction RDD and shuffles (default: the
         context's parallelism).
-    use_hash_tree:
-        Store candidates in a hash tree (paper behaviour).  ``False``
-        degrades to a flat candidate list scan (ablation A3).  Only
-        consulted when ``candidate_store`` is unset.
-    candidate_store:
-        Name of a registered :mod:`repro.core.candidatestore` store
-        (``hashtree``/``trie``/``flatdict``/``bitmap``/``linear``) for
-        Phase II counting; overrides ``use_hash_tree`` when given and
-        fails fast on unknown names.
-    store_options:
-        Extra keyword arguments for the store constructor (merged over
-        the ``hash_tree_*`` shape knobs for the ``hashtree`` store).
     use_broadcast:
         Ship candidates via a broadcast variable (paper behaviour).
         ``False`` captures them in every task closure (ablation A1).
@@ -118,11 +103,20 @@ class Yafim:
         Cache the transaction RDD in memory (paper behaviour).  ``False``
         recomputes/re-reads it every iteration (ablation A2); the fast
         path's encoded/compacted RDDs are then never cached either.
-    hash_tree_fanout / hash_tree_leaf_size:
-        Hash-tree shape knobs.
-    use_dict_encoding / use_in_tree_counting / use_compaction:
-        Counting fast-path knobs (see module docstring); independent and
-        default-on, so every ablation pair still isolates one variable.
+    paper_dataflow:
+        Run the paper's literal Fig. 1–2 dataflow — ``count()`` plus an
+        item-count shuffle for Phase I, ``flatMap(subset).map((c, 1))
+        .reduceByKey`` over the raw cached transactions for every
+        Phase II pass — instead of the counting fast path (see module
+        docstring).  The structural-fidelity reference; same itemsets.
+    candidate_store:
+        Name of a registered :mod:`repro.core.candidatestore` store
+        (``hashtree``/``trie``/``flatdict``/``bitmap``/``linear``) for
+        Phase II counting; ``linear`` is ablation A3.  Unknown names fail
+        fast on the driver.
+    store_options:
+        Keyword arguments for the store constructor (e.g. the hash
+        tree's ``fanout``/``max_leaf_size``).
     """
 
     algorithm_name = "yafim"
@@ -131,33 +125,20 @@ class Yafim:
         self,
         ctx: Context,
         num_partitions: int | None = None,
-        use_hash_tree: bool = True,
         use_broadcast: bool = True,
         cache_transactions: bool = True,
-        hash_tree_fanout: int = 64,
-        hash_tree_leaf_size: int = 16,
         clear_shuffles_between_iterations: bool = True,
-        use_dict_encoding: bool = True,
-        use_in_tree_counting: bool = True,
-        use_compaction: bool = True,
-        candidate_store: str | None = None,
+        paper_dataflow: bool = False,
+        candidate_store: str = "hashtree",
         store_options: dict | None = None,
     ):
         self.ctx = ctx
         self.num_partitions = num_partitions or ctx.default_parallelism
-        self.use_hash_tree = use_hash_tree
         self.use_broadcast = use_broadcast
         self.cache_transactions = cache_transactions
-        self.hash_tree_fanout = hash_tree_fanout
-        self.hash_tree_leaf_size = hash_tree_leaf_size
         self.clear_shuffles = clear_shuffles_between_iterations
-        self.use_dict_encoding = use_dict_encoding
-        self.use_in_tree_counting = use_in_tree_counting
-        self.use_compaction = use_compaction
-        if candidate_store is None:
-            candidate_store = "hashtree" if use_hash_tree else "linear"
-        else:
-            get_store(candidate_store)  # fail on the driver, not in a worker
+        self.paper_dataflow = paper_dataflow
+        get_store(candidate_store)  # fail on the driver, not in a worker
         self.candidate_store = candidate_store
         self.store_options = dict(store_options or {})
 
@@ -239,11 +220,12 @@ class Yafim:
 
     def _phase_one(self, transactions: RDD, min_support: float):
         """Count 1-items; returns ``(n_transactions, item -> count, threshold)``."""
-        if self.use_in_tree_counting:
+        if not self.paper_dataflow:
             # Fast path: one shuffle-free job returns each partition's
             # (row count, item counter); the driver merges and thresholds.
             parts = self.ctx.run_job(transactions, Phase1PartitionCounter())
-            n, counts = merge_counters(parts)
+            n = sum(rows for rows, _ in parts)
+            counts = merge_counts(item_counts for _, item_counts in parts)
             if n == 0:
                 raise MiningError("cannot mine an empty transaction database")
             threshold = min_support_count(min_support, n)
@@ -265,20 +247,21 @@ class Yafim:
         self, transactions, level, item_level, threshold, max_length, result
     ) -> None:
         run_bcs: list = []  # broadcasts that must outlive working-RDD recomputes
-        working, weighted, dictionary, last_summary = self._prepare_working(
-            transactions, item_level, result, run_bcs
-        )
-        enc_level = (
-            {dictionary.encode_itemset(i): c for i, c in level.items()}
-            if dictionary is not None
-            else level
-        )
+        if self.paper_dataflow:
+            # the raw cached RDD flows straight into Phase II
+            working, dictionary, last_summary = transactions, None, None
+            enc_level = level
+        else:
+            working, dictionary, last_summary = self._encode_working(
+                transactions, item_level, result, run_bcs
+            )
+            enc_level = {dictionary.encode_itemset(i): c for i, c in level.items()}
         k = 2
         while enc_level and (max_length is None or k <= max_length):
             t0 = time.perf_counter()
             mark = self.ctx.event_log.mark()
             ship_mark = self.ctx.executor.shipped_bytes_total()
-            passed = self._level_pass(k, enc_level, working, weighted, threshold)
+            passed = self._level_pass(k, enc_level, working, threshold)
             if passed is None:
                 break
             enc_level, n_candidates, bc, bc_bytes, closure_bytes = passed
@@ -305,7 +288,7 @@ class Yafim:
             if self.clear_shuffles:
                 self.ctx.clear_shuffle_outputs()
             if (
-                self.use_compaction
+                not self.paper_dataflow
                 and enc_level
                 and (max_length is None or k + 1 <= max_length)
             ):
@@ -316,7 +299,7 @@ class Yafim:
         for bc in run_bcs:
             bc.destroy()
 
-    def _level_pass(self, k, enc_level, working, weighted, threshold):
+    def _level_pass(self, k, enc_level, working, threshold):
         """Count one candidate level against the working RDD.
 
         Returns ``(L_k, n_candidates, bc, bc_bytes, closure_bytes)`` or
@@ -342,59 +325,41 @@ class Yafim:
             # broadcast ablation can quantify the saving (§IV-C).
             closure_bytes = estimate_size(matcher) * working.num_partitions
         direct = None if bc is not None else matcher
-        if self.use_in_tree_counting:
-            kernel = CandidateCounter(bc=bc, matcher=direct, weighted=weighted)
-            counted = (
-                working.map_partitions(kernel)
-                .reduce_by_key(lambda a, b: a + b, self.num_partitions)
-                .filter(lambda kv: kv[1] >= threshold)
-                .collect_as_map()
-            )
-            new_level = {candidates[i]: c for i, c in counted.items()}
+        if self.paper_dataflow:
+            kernel = CandidateEmitter(bc=bc, matcher=direct)
         else:
-            kernel = CandidateEmitter(bc=bc, matcher=direct, weighted=weighted)
-            new_level = (
-                working.map_partitions(kernel)
-                .reduce_by_key(lambda a, b: a + b, self.num_partitions)
-                .filter(lambda kv: kv[1] >= threshold)
-                .collect_as_map()
-            )
+            kernel = CandidateCounter(bc=bc, matcher=direct, weighted=True)
+        new_level = (
+            working.map_partitions(kernel)
+            .reduce_by_key(lambda a, b: a + b, self.num_partitions)
+            .filter(lambda kv: kv[1] >= threshold)
+            .collect_as_map()
+        )
+        if not self.paper_dataflow:  # decode the int shuffle keys
+            new_level = {candidates[i]: c for i, c in new_level.items()}
         return new_level, len(candidates), bc, bc_bytes, closure_bytes
 
     # -- working-set management ------------------------------------------------
-    def _prepare_working(self, transactions, item_level, result, run_bcs):
-        """Encode/project/dedupe the transaction RDD after Phase I.
+    def _encode_working(self, transactions, item_level, result, run_bcs):
+        """Dict-encode, project and dedupe the transaction RDD after Phase I.
 
-        Returns ``(working_rdd, weighted, dictionary, after_summary)``.
-        With both fast-path knobs off this is the identity — the paper's
-        raw cached RDD flows straight into Phase II.
+        Returns ``(working_rdd, dictionary, after_summary)``; the working
+        RDD holds weighted ``(encoded_txn, multiplicity)`` rows.
         """
-        if not (self.use_dict_encoding or self.use_compaction):
-            return transactions, False, None, None
         t0 = time.perf_counter()
-        dictionary = keep = None
+        dictionary = ItemDictionary.from_counts(item_level)
         ship_bc = None
-        if self.use_dict_encoding:
-            dictionary = ItemDictionary.from_counts(item_level)
-            payload = dictionary
-        else:
-            keep = frozenset(item_level)
-            payload = keep
         if self.use_broadcast:
-            ship_bc = self.ctx.broadcast(payload)
+            ship_bc = self.ctx.broadcast(dictionary)
             run_bcs.append(ship_bc)
         before = self._summarize(transactions, weighted=False)
         kernel = TransactionEncoder(
-            dict_bc=ship_bc if dictionary is not None else None,
-            dictionary=dictionary if ship_bc is None else None,
-            keep_bc=ship_bc if dictionary is None else None,
-            keep=keep if ship_bc is None else None,
-            dedupe=self.use_compaction,
+            bc=ship_bc, dictionary=dictionary if ship_bc is None else None
         )
         working = transactions.map_partitions(kernel)
         if self.cache_transactions:
             working = working.cache()
-        after = self._summarize(working, weighted=self.use_compaction)
+        after = self._summarize(working, weighted=True)
         stats = CompactionStats(
             kind="encode",
             seconds=time.perf_counter() - t0,
@@ -402,16 +367,16 @@ class Yafim:
             items_before=before[1], items_after=after[1],
             bytes_before=before[2], bytes_after=after[2],
             weight_after=after[3],
-            dict_items=len(dictionary) if dictionary is not None else 0,
+            dict_items=len(dictionary),
             dict_broadcast_bytes=ship_bc.size_bytes if ship_bc is not None else 0,
         )
         result.iterations[-1].compaction = stats
         self._record_compaction_span(stats, t0, label="encode k=1")
         if self.cache_transactions:
             transactions.unpersist()  # superseded by the encoded working set
-        return working, self.use_compaction, dictionary, after
+        return working, dictionary, after
 
-    def _compact_between(self, working, enc_level, k, last_summary, result, run_bcs):
+    def _compact_between(self, working, enc_level, k, before, result, run_bcs):
         """Shrink the weighted working RDD after pass k (fast path only)."""
         t0 = time.perf_counter()
         keep = frozenset(item for itemset in enc_level for item in itemset)
@@ -426,7 +391,6 @@ class Yafim:
         if self.cache_transactions:
             shrunk = shrunk.cache()
         after = self._summarize(shrunk, weighted=True)
-        before = last_summary or (0, 0, 0, 0)
         stats = CompactionStats(
             kind="compact",
             seconds=time.perf_counter() - t0,
@@ -470,11 +434,7 @@ class Yafim:
 
     # -- helpers ---------------------------------------------------------------
     def _build_matcher(self, candidates: list):
-        opts = dict(self.store_options)
-        if self.candidate_store == "hashtree":
-            opts.setdefault("fanout", self.hash_tree_fanout)
-            opts.setdefault("max_leaf_size", self.hash_tree_leaf_size)
-        return make_store(self.candidate_store, candidates, **opts)
+        return make_store(self.candidate_store, candidates, **self.store_options)
 
     def _iteration_stats(
         self, k: int, seconds: float, n_candidates: int, n_frequent: int,
@@ -492,8 +452,3 @@ class Yafim:
             closure_bytes=closure_bytes,
             shipped_bytes=shipped_bytes,
         )
-
-
-#: Backwards-compatible name for the A3 ablation matcher, which now lives
-#: in the store registry as ``candidate_store="linear"``.
-_LinearMatcher = LinearStore

@@ -998,16 +998,14 @@ class MiningService:
         (an append landed after this job was submitted — the job must
         still answer for its own version).
         """
-        from repro.core.incremental import IncrementalMiner
+        from repro.core.incremental import IncrementalMiner, incremental_store
 
         config = job.request.config
         try:
             entry = self.dataset_registry.get(job.dataset_id)
         except ServeError:
             return None
-        store = config.options.get("candidate_store") or (
-            config.candidate_store if config.candidate_store != "hashtree" else "bitmap"
-        )
+        store = incremental_store(config)
         mkey = (config.min_support, config.max_length, store)
         with entry.lock:
             if entry.versions.get(job.dataset_version) != job.dataset_fingerprint:

@@ -39,6 +39,14 @@ class TestApproxMiner:
         assert result.verified_exact
         assert result.itemsets == apriori(TXNS, 0.3)
 
+    def test_empty_rows_count_toward_database_size(self, ctx):
+        # dropping empty rows shrank |D| 8 -> 4, lowered the absolute
+        # threshold and reported the infrequent ('a', 'b'): 2
+        txns = [["a", "b"], ["a", "b"], ["a"], [], [], [], ["b", "c"], []]
+        result = ApproxMiner(ctx, sample_frac=1.0).run(txns, 0.3)
+        assert result.n_transactions == 8
+        assert result.itemsets == apriori(txns, 0.3) == {("a",): 3, ("b",): 3}
+
     def test_counts_are_exact_not_sampled(self, ctx):
         result = ApproxMiner(ctx, n_samples=3, sample_frac=0.4, seed=2).run(TXNS, 0.3)
         oracle = apriori(TXNS, 0.3)

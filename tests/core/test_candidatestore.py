@@ -104,23 +104,23 @@ class TestRegistry:
             unregister_store("mystore")
         assert "mystore" not in store_names()
 
-    def test_hashtree_is_virtual_store(self):
-        assert isinstance(HashTree(CANDIDATES), CandidateStore)
+    def test_hashtree_inherits_the_store_contract(self):
+        tree = HashTree(CANDIDATES)
+        assert CandidateStore in HashTree.__mro__  # real, not virtual, subclass
+        assert isinstance(tree, CandidateStore)
+        assert list(tree) == CANDIDATES  # insertion order, not tree order
         assert isinstance(make_store("trie", CANDIDATES), CandidateStore)
 
-    def test_legacy_keyword_shim_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="hash_tree_fanout"):
-            store = make_store("hashtree", CANDIDATES, hash_tree_fanout=8)
-        assert store.fanout == 8
-        with pytest.warns(DeprecationWarning, match="hash_tree_leaf_size"):
-            store = make_store("hashtree", CANDIDATES, hash_tree_leaf_size=4)
-        assert store.max_leaf_size == 4
+    def test_unknown_store_option_is_type_error(self):
+        # make_store forwards opts verbatim: no aliased spellings
+        with pytest.raises(TypeError):
+            make_store("hashtree", CANDIDATES, leaf_size=4)
 
     def test_no_warning_for_current_keywords(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             store = make_store("hashtree", CANDIDATES, fanout=16, max_leaf_size=8)
-        assert store.fanout == 16
+        assert (store.fanout, store.max_leaf_size) == (16, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +169,12 @@ class TestStoreContract:
 
     def test_count_partition_unweighted(self, name):
         store = make_store(name, CANDIDATES)
-        counter = getattr(store, "count_partition", None)
-        if counter is None:  # HashTree predates the batch hook
-            pytest.skip(f"{name} has no count_partition")
-        assert counter(iter(TXNS)) == brute_counts(CANDIDATES, TXNS)
+        assert store.count_partition(iter(TXNS)) == brute_counts(CANDIDATES, TXNS)
 
     def test_count_partition_weighted(self, name):
         store = make_store(name, CANDIDATES)
-        counter = getattr(store, "count_partition", None)
-        if counter is None:
-            pytest.skip(f"{name} has no count_partition")
         weights = [(i % 4) + 1 for i in range(len(TXNS))]
-        got = counter(iter(zip(TXNS, weights)), weighted=True)
+        got = store.count_partition(iter(zip(TXNS, weights)), weighted=True)
         assert got == brute_counts(CANDIDATES, TXNS, weights)
 
     def test_subset_matches_count_into(self, name):

@@ -1,9 +1,9 @@
-"""The counting fast path: dictionary encoding, in-tree weighted counting,
-and cross-pass transaction compaction.
+"""The counting fast path: dictionary encoding, in-store weighted
+counting, and cross-pass transaction compaction.
 
 The contract under test everywhere: the fast path is a *performance*
-feature — flipping any combination of its knobs must never change the
-mined itemsets, on any backend.
+feature — switching between it and the paper dataflow must never change
+the mined itemsets, on any backend.
 """
 
 import random
@@ -12,9 +12,8 @@ import pytest
 
 from repro.algorithms import apriori
 from repro.common.encoding import ItemDictionary
-from repro.core import HashTree, RApriori, Yafim
+from repro.core import HashTree, LinearStore, RApriori, Yafim
 from repro.core.one_phase import OnePhaseMR, SubsetEnumerationMapper
-from repro.core.yafim import _LinearMatcher
 from repro.engine import Context
 from repro.engine.executors import BACKENDS
 from repro.hdfs import MiniDfs
@@ -29,10 +28,8 @@ TXNS = [
     ["bread", "milk", "diaper", "cola"],
 ] * 6
 
-#: Seed shape: all three fast-path knobs off.
-PAPER_SHAPE = dict(
-    use_dict_encoding=False, use_in_tree_counting=False, use_compaction=False
-)
+#: Seed shape: the paper's literal Fig. 1-2 dataflow.
+PAPER_SHAPE = dict(paper_dataflow=True)
 
 
 def random_transactions(n=120, n_items=14, seed=11):
@@ -91,7 +88,7 @@ class TestItemDictionary:
 def _matchers(candidates):
     return [
         HashTree(candidates, fanout=4, max_leaf_size=2),
-        _LinearMatcher(candidates),
+        LinearStore(candidates),
     ]
 
 
@@ -125,14 +122,25 @@ class TestCountInto:
 
 
 # ---------------------------------------------------------------------------
-# Output equivalence across knobs and backends
+# Output equivalence across dataflows and backends
 # ---------------------------------------------------------------------------
+#: (miner knobs, backend): the two dataflows on every backend, plus each
+#: with closure shipping (A1) — under the paper dataflow the only runs
+#: where the store and R-Apriori's keep-set ride in task closures
 KNOB_GRID = [
-    dict(use_dict_encoding=e, use_in_tree_counting=t, use_compaction=c)
-    for e in (True, False)
-    for t in (True, False)
-    for c in (True, False)
+    (dict(paper_dataflow=paper, **extra), backend)
+    for paper in (False, True)
+    for backend, extra in [
+        *((b, {}) for b in BACKENDS),
+        ("serial", dict(use_broadcast=False)),
+    ]
 ]
+
+
+def _mine(miner_cls, knobs, txns, min_support):
+    options, backend = knobs
+    with Context(backend=backend, parallelism=2) as c:
+        return miner_cls(c, num_partitions=4, **options).run(txns, min_support)
 
 
 class TestKnobEquivalence:
@@ -141,9 +149,8 @@ class TestKnobEquivalence:
         return apriori(TXNS, 0.3)
 
     @pytest.mark.parametrize("knobs", KNOB_GRID)
-    def test_every_knob_combination_matches_oracle(self, ctx, knobs, oracle):
-        result = Yafim(ctx, num_partitions=4, **knobs).run(TXNS, 0.3)
-        assert result.itemsets == oracle
+    def test_every_knob_combination_matches_oracle(self, knobs, oracle):
+        assert _mine(Yafim, knobs, TXNS, 0.3).itemsets == oracle
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fastpath_identical_across_backends(self, backend, oracle):
@@ -156,9 +163,8 @@ class TestKnobEquivalence:
         assert fast.itemsets == apriori(txns, 0.2)
 
     @pytest.mark.parametrize("knobs", KNOB_GRID)
-    def test_rapriori_matches_oracle_under_every_knob(self, ctx, knobs, oracle):
-        result = RApriori(ctx, num_partitions=4, **knobs).run(TXNS, 0.3)
-        assert result.itemsets == oracle
+    def test_rapriori_matches_oracle_under_every_knob(self, knobs, oracle):
+        assert _mine(RApriori, knobs, TXNS, 0.3).itemsets == oracle
 
     def test_max_length_respected_on_fastpath(self, ctx, oracle):
         result = Yafim(ctx, num_partitions=4).run(TXNS, 0.3, max_length=2)
@@ -232,7 +238,7 @@ class TestShuffleAccounting:
         total = lambda r, field: sum(getattr(it, field) for it in r.iterations)  # noqa: E731
         assert total(fast, "shuffle_records") < total(base, "shuffle_records")
         # counting_records = pairs allocated before the map-side combine;
-        # the in-tree walk allocates per distinct candidate, the seed per match
+        # the in-store count allocates per distinct candidate, the seed per match
         assert 0 < total(fast, "counting_records") < total(base, "counting_records")
 
 

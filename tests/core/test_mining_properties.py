@@ -71,7 +71,7 @@ class TestParallelMinersMatchOracle:
         want = fpgrowth(txns, sup)
         with Context(backend="serial") as ctx:
             got = Yafim(
-                ctx, hash_tree_fanout=fanout, hash_tree_leaf_size=leaf
+                ctx, store_options={"fanout": fanout, "max_leaf_size": leaf}
             ).run(txns, sup).itemsets
         assert got == want
 

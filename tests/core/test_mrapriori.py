@@ -52,7 +52,7 @@ class TestMRApriori:
             assert it.hdfs_write_bytes > 0, f"pass {it.k} wrote nothing to DFS"
 
     def test_flat_matcher_agrees(self, runner):
-        got = MRApriori(runner, use_hash_tree=False).run("/t.txt", 0.4)
+        got = MRApriori(runner, candidate_store="linear").run("/t.txt", 0.4)
         assert got.itemsets == ORACLE
 
     def test_max_length(self, runner):

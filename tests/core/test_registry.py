@@ -152,17 +152,26 @@ class TestMiningConfig:
         b = MiningConfig(min_support=0.4, candidate_store="trie")
         assert a.cache_key() == b.cache_key()
 
-    def test_default_store_not_injected_into_options(self):
-        # `use_hash_tree=False` (ablation A3) must keep selecting the
-        # linear matcher: the default "hashtree" may not override it.
+    def test_options_store_overrides_the_config_field(self, monkeypatch):
+        # ablation A3 through the options path: the field's default
+        # "hashtree" is always folded in, but may not override it.
+        import repro.core.yafim as yafim
+
+        built = []
+        real = yafim.make_store
+        monkeypatch.setattr(
+            yafim, "make_store",
+            lambda name, *a, **kw: built.append(name) or real(name, *a, **kw),
+        )
         got = run_algorithm(
             TXNS,
             MiningConfig(
                 min_support=0.4, backend="serial",
-                options={"use_hash_tree": False},
+                options={"candidate_store": "linear"},
             ),
         )
         assert got.itemsets == ORACLE
+        assert built and set(built) == {"linear"}
 
     def test_explicit_store_flows_to_miner(self):
         got = run_algorithm(
@@ -172,21 +181,40 @@ class TestMiningConfig:
         assert got.itemsets == ORACLE
 
 
-class TestLegacyShim:
-    def test_positional_algorithm_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            got = mine_frequent_itemsets(TXNS, 0.4, "eclat")
-        assert got.algorithm == "eclat"
-        assert got.itemsets == ORACLE
+class TestEmptyRows:
+    """Empty transactions count toward |D| on every in-memory path, so the
+    absolute threshold — and the answer — match the oracle's."""
 
-    def test_full_legacy_signature(self):
-        with pytest.warns(DeprecationWarning):
-            got = mine_frequent_itemsets(TXNS, 0.4, "yafim", None, "serial", None, 3)
-        assert got.itemsets == ORACLE
+    ROWS = [["a", "b"], ["a", "b"], ["a"], [], [], [], ["b", "c"], []]
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            dict(algorithm="yafim"),
+            dict(algorithm="rapriori"),
+            dict(algorithm="dist_eclat"),
+            dict(algorithm="pfp"),
+            dict(approx=True, sample_frac=1.0),
+            dict(incremental=True),
+        ],
+        ids=["yafim", "rapriori", "dist_eclat", "pfp", "approx", "incremental"],
+    )
+    def test_matches_oracle(self, path):
+        config = MiningConfig(min_support=0.3, backend="serial", **path)
+        got = run_algorithm(self.ROWS, config)
+        assert got.n_transactions == len(self.ROWS)
+        assert got.itemsets == apriori(self.ROWS, 0.3) == {("a",): 3, ("b",): 3}
+
+
+class TestLegacyShim:
+    """The pre-registry positional signature is gone: everything past
+    ``min_support`` is keyword-only."""
 
     def test_too_many_positionals_is_type_error(self):
         with pytest.raises(TypeError):
-            mine_frequent_itemsets(TXNS, 0.4, "yafim", None, "serial", None, 3, "extra")
+            mine_frequent_itemsets(TXNS, 0.4, "eclat")
+        with pytest.raises(TypeError):
+            mine_frequent_itemsets(TXNS, 0.4, "yafim", None, "serial", None, 3)
 
     def test_keyword_call_does_not_warn(self):
         with warnings.catch_warnings():

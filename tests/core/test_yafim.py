@@ -73,11 +73,11 @@ class TestConfigurations:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"use_hash_tree": False},
+            {"candidate_store": "linear"},
             {"use_broadcast": False},
             {"cache_transactions": False},
-            {"use_hash_tree": False, "use_broadcast": False, "cache_transactions": False},
-            {"hash_tree_fanout": 4, "hash_tree_leaf_size": 2},
+            {"candidate_store": "linear", "use_broadcast": False, "cache_transactions": False},
+            {"store_options": {"fanout": 4, "max_leaf_size": 2}},
             {"num_partitions": 1},
             {"num_partitions": 7},
             {"clear_shuffles_between_iterations": False},

@@ -29,10 +29,8 @@ def ctx():
         yield c
 
 
-#: Knobs restoring the seed's exact paper dataflow (fast path off).
-PAPER_SHAPE = dict(
-    use_dict_encoding=False, use_in_tree_counting=False, use_compaction=False
-)
+#: The seed's exact paper dataflow (fast path off).
+PAPER_SHAPE = dict(paper_dataflow=True)
 
 
 class TestPhaseStructure:

@@ -11,6 +11,9 @@ the same YAFIM workload on every backend and records:
 * serialized bytes shipped per iteration (``IterationStats.shipped_bytes``),
 * the processes backend's shipping ledger, including ``naive_block_bytes``
   — what the seed's embed-everything-per-task strategy would have moved,
+* task-closure bytes per job (``task_bytes_per_job``): after the first
+  job every closure must stay below one partition's pickled size — data
+  ships as blocks, once per worker, never inside a task batch,
 
 then writes ``BENCH_executor_shipping.json`` at the repo root.
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import sys
 import time
 
@@ -44,9 +48,21 @@ N_PARTITIONS = 6  # > workers, so per-task shipping would multiply bytes
 def _mine(backend: str, transactions, min_support: float) -> tuple[dict, dict]:
     t0 = time.perf_counter()
     with Context(backend=backend, parallelism=N_WORKERS) as ctx:
+        ship = getattr(ctx.executor, "shipping_metrics", None)
+        task_bytes_per_job = []
+        if ship is not None:
+            run_job = ctx.run_job
+
+            def metered_run_job(*args, **kwargs):
+                before = ship.task_bytes
+                try:
+                    return run_job(*args, **kwargs)
+                finally:
+                    task_bytes_per_job.append(ship.task_bytes - before)
+
+            ctx.run_job = metered_run_job
         result = Yafim(ctx, num_partitions=N_PARTITIONS).run(transactions, min_support)
         wall = time.perf_counter() - t0
-        ship = getattr(ctx.executor, "shipping_metrics", None)
         record = {
             "backend": backend,
             "wall_seconds": round(wall, 4),
@@ -73,12 +89,15 @@ def _mine(backend: str, transactions, min_support: float) -> tuple[dict, dict]:
                 "broadcast_payload_bytes": ship.broadcast_payload_bytes,
                 "naive_block_bytes": ship.naive_block_bytes,
                 "worker_store_evictions": ship.worker_store_evictions,
+                "task_bytes_per_job": task_bytes_per_job,
             }
         return record, result.itemsets
 
 
 def run_shipping_bench(smoke: bool = False) -> dict:
-    scale = 0.03 if smoke else 0.12
+    # smoke stays large enough that one partition (~5 KB pickled) clearly
+    # outweighs a stage's ~3 KB of pickled task descriptors and functions
+    scale = 0.08 if smoke else 0.12
     ds = mushroom_like(scale=scale, seed=7)
     min_support = 0.35
 
@@ -114,6 +133,15 @@ def run_shipping_bench(smoke: bool = False) -> dict:
         f"embedding ({ship['naive_block_bytes']}B)"
     )
 
+    # Ship-once claim: no data rides in a task closure.  Every job after
+    # the first (which may still carry the un-cached lineage) ships less
+    # closure than ONE partition of the input would pickle to.
+    one_partition = len(pickle.dumps(ds.transactions[: len(ds.transactions) // N_PARTITIONS]))
+    later_jobs = ship["task_bytes_per_job"][1:]
+    assert later_jobs and max(later_jobs) < one_partition, (
+        f"a task closure outgrew one partition ({one_partition}B): {later_jobs}"
+    )
+
     report = {
         "benchmark": "executor_shipping",
         "smoke": smoke,
@@ -122,6 +150,7 @@ def run_shipping_bench(smoke: bool = False) -> dict:
         "dataset": f"mushroom_like(scale={scale})",
         "min_support": min_support,
         "backends": records,
+        "one_partition_pickled_bytes": one_partition,
         "bytes_saved_vs_per_task": ship["naive_block_bytes"] - actual_block_bytes,
         "ship_reduction_factor": round(
             ship["naive_block_bytes"] / max(1, actual_block_bytes), 2

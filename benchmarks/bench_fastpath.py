@@ -4,11 +4,12 @@ The fast path (dictionary encoding + in-store weighted counting +
 cross-pass compaction) attacks three costs the seed paid every pass:
 
 * one ``(candidate, 1)`` tuple allocated per match per transaction
-  before the map-side combine (``IterationStats.counting_records``),
-* k-tuple shuffle keys where a candidate *index* int suffices
-  (``IterationStats.shuffle_bytes`` / ``shuffle_records``; Phase I
-  drops its shuffle entirely — per-partition counters merge on the
-  driver),
+  before the map-side combine (``IterationStats.counting_records``;
+  the fast path's kernel emits one int-keyed record per distinct
+  candidate per partition instead — ``result_records``),
+* the shuffle itself (``IterationStats.shuffle_bytes`` /
+  ``shuffle_records``): every fast-path pass is one shuffle-free job
+  whose per-partition counts merge on the driver,
 * re-scanning dead weight: infrequent items and duplicate/short
   transactions that cannot affect any later pass
   (``CompactionStats``).
@@ -69,6 +70,12 @@ def _mine(
             transactions, min_support
         )
     wall = time.perf_counter() - t0
+
+    def emitted(it) -> int:
+        """Records the counting kernel emitted: into the shuffle-map
+        combine (paper dataflow) or back to the driver (fast path)."""
+        return it.result_records if fastpath and it.k >= 2 else it.counting_records
+
     compaction_seconds = sum(
         it.compaction.seconds for it in result.iterations if it.compaction
     )
@@ -89,13 +96,13 @@ def _mine(
                 "seconds": round(it.seconds, 4),
                 "shuffle_bytes": it.shuffle_bytes,
                 "shuffle_records": it.shuffle_records,
-                "allocated_pairs": it.counting_records,
+                "allocated_pairs": emitted(it),
             }
             for it in result.iterations
         ],
         "shuffle_bytes_total": sum(it.shuffle_bytes for it in result.iterations),
         "shuffle_records_total": sum(it.shuffle_records for it in result.iterations),
-        "allocated_pairs_total": sum(it.counting_records for it in result.iterations),
+        "allocated_pairs_total": sum(emitted(it) for it in result.iterations),
         "compaction": [
             {
                 "after_pass": it.k,
@@ -119,17 +126,16 @@ def _compare(
 
     assert fast_itemsets == base_itemsets, f"{name}: fast path changed the output"
 
-    # Wire-volume claims, pass by pass: Phase I ships nothing (driver-side
-    # merge) and every candidate pass ships int-keyed partials instead of
-    # k-tuple keys.
+    # Wire-volume claims, pass by pass: no fast-path pass shuffles at all
+    # (driver-side merge of int-keyed partials), every baseline pass does.
     assert len(fast["passes"]) == len(base["passes"])
     for fp, bp in zip(fast["passes"], base["passes"]):
-        assert fp["shuffle_bytes"] < bp["shuffle_bytes"], (
+        assert fp["shuffle_bytes"] == 0 < bp["shuffle_bytes"], (
             f"{name} pass {fp['k']}: fastpath shuffled {fp['shuffle_bytes']}B, "
             f"baseline {bp['shuffle_bytes']}B"
         )
-    assert fast["shuffle_records_total"] < base["shuffle_records_total"], name
-    assert fast["allocated_pairs_total"] < base["allocated_pairs_total"], name
+    assert fast["shuffle_records_total"] == 0 < base["shuffle_records_total"], name
+    assert 0 < fast["allocated_pairs_total"] < base["allocated_pairs_total"], name
 
     return {
         "min_support": min_support,

@@ -63,8 +63,8 @@ def test_fault_overhead(benchmark):
         with_failures = _timed_run(
             lambda ctx: (
                 # post-completion failures: the work runs, then is lost
-                ctx.fault_injector.fail_task(stage_kind="shuffle_map", times=5, when="after"),
-                ctx.fault_injector.fail_task(stage_kind="result", times=5, when="after"),
+                # (every default-dataflow pass is one result stage)
+                ctx.fault_injector.fail_task(stage_kind="result", times=10, when="after"),
             )
         )
         cache_loss = _timed_cache_loss_run()

@@ -33,6 +33,7 @@ def _run_all(make, sup):
     out = {}
     for label, factory in (
         ("yafim", lambda c: Yafim(c, num_partitions=8)),
+        ("yafim_paper", lambda c: Yafim(c, num_partitions=8, paper_dataflow=True)),
         ("dist_eclat", lambda c: DistEclat(c, num_partitions=8)),
         ("pfp", lambda c: PFP(c, n_groups=8, num_partitions=8)),
     ):
@@ -65,7 +66,7 @@ def test_parallel_miners(benchmark, name):
     write_report(f"parallel_miners_{name.split('(')[0]}", table)
 
     # structural claims from the literature:
-    yafim_shuffles = results["yafim"][2]
     assert results["dist_eclat"][2] == 1, "Dist-Eclat: single shuffle"
     assert results["pfp"][2] == 2, "PFP: counting + sharding"
-    assert yafim_shuffles >= 3, "YAFIM: one shuffle per level"
+    assert results["yafim_paper"][2] >= 3, "YAFIM (Fig. 1-2): one shuffle per level"
+    assert results["yafim"][2] == 0, "YAFIM default dataflow: counts merge on the driver"

@@ -48,6 +48,7 @@ class StageRecord:
     input_bytes: int = 0  # HDFS reads feeding the stage
     output_bytes: int = 0  # HDFS writes produced by the stage
     shuffle_bytes: int = 0  # network all-to-all volume
+    result_bytes: int = 0  # task results collected by the driver (network)
 
 
 @dataclass
@@ -79,7 +80,11 @@ class SimulatedRun:
 
 
 def simulate_spark_stage(record: StageRecord, spec: ClusterSpec) -> SimulatedStage:
-    """One engine stage: makespan over all cores + byte costs + task launch."""
+    """One engine stage: makespan over all cores + byte costs + task launch.
+
+    The network pays for the shuffle and for the results the driver
+    collects — a driver-side merge of per-partition counts moves them
+    just as a shuffle would have."""
     compute = list_schedule_makespan(record.task_durations, spec.total_cores)
     waves = -(-len(record.task_durations) // spec.total_cores) if record.task_durations else 0
     return SimulatedStage(
@@ -87,7 +92,7 @@ def simulate_spark_stage(record: StageRecord, spec: ClusterSpec) -> SimulatedSta
         compute_s=compute,
         io_s=spec.disk_read_seconds(record.input_bytes)
         + spec.disk_write_seconds(record.output_bytes),
-        network_s=spec.network_seconds(record.shuffle_bytes),
+        network_s=spec.network_seconds(record.shuffle_bytes + record.result_bytes),
         overhead_s=waves * spec.spark_task_overhead_s,
     )
 

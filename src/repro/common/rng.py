@@ -8,11 +8,20 @@ sub-components stay statistically independent.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
+
+# numpy loads inside the two functions that need it: every engine and
+# serving module imports this one for ``stable_hash`` alone, and mining
+# never draws a random number.
 
 
 def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Return a numpy Generator from a seed, passing Generators through."""
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -20,6 +29,8 @@ def make_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
 
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     """Derive ``n`` statistically independent child generators."""
+    import numpy as np
+
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
 
 

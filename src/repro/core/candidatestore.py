@@ -382,7 +382,6 @@ class BitmapStore(CandidateStore):
         #: distinct items across the candidates — what a tid-bitmap build
         #: over this store must cover
         self.items: set = set()
-        self._sets: list[frozenset] = []
         self._sorted: list[Itemset] | None = None
         super().__init__(candidates)
 
@@ -391,7 +390,6 @@ class BitmapStore(CandidateStore):
         if cand is None:
             return
         self.items.update(cand)
-        self._sets.append(frozenset(cand))
         self._sorted = None
 
     def count_into(self, counts: dict, transaction, weight: int = 1) -> None:
@@ -399,8 +397,8 @@ class BitmapStore(CandidateStore):
             return
         issuperset = frozenset(transaction).issuperset
         get = counts.get
-        for cand, cset in zip(self._order, self._sets):
-            if issuperset(cset):
+        for cand in self._order:
+            if issuperset(cand):
                 counts[cand] = get(cand, 0) + weight
 
     def count_partition(

@@ -9,10 +9,12 @@ picklable shell around that one call:
 * :class:`CandidateCounter` — YAFIM's ``map_partitions`` kernel, one
   ``(candidate_index, partial_count)`` record per distinct candidate per
   partition (int keys into the driver's ``apriori_gen`` order keep the
-  shuffle small; the driver decodes after ``collect_as_map``);
+  partials small; the driver decodes after merging);
 * :func:`count_stores` / :class:`StoreCounter` — several per-length
   stores over one partition, in-process or as a ``run_job`` kernel;
-* :func:`merge_counts` — the driver-side sum of per-partition partials;
+* :func:`collect_partials` / :func:`merge_counts` — a partition's
+  ``(key, partial)`` records back to the driver as one dict, and the
+  driver-side sum of those dicts (every miner's merge: no shuffle);
 * :func:`count_rows` / :func:`count_exact` — the whole pass, on the
   engine or in-process, for the approximate, Toivonen and incremental
   miners.
@@ -39,6 +41,12 @@ def _resolve(bc, direct):
     return bc.value if bc is not None else direct
 
 
+def collect_partials(_task_ctx, partition) -> dict:
+    """``run_job`` function: a counting kernel's ``(key, partial)`` records
+    as this partition's ``key -> partial count`` dict."""
+    return dict(partition)
+
+
 def merge_counts(parts) -> dict:
     """Driver-side sum of per-partition ``key -> partial count`` dicts."""
     merged: dict = {}
@@ -51,23 +59,26 @@ def merge_counts(parts) -> dict:
 
 # -- Phase I ---------------------------------------------------------------
 class Phase1PartitionCounter:
-    """``run_job`` kernel: one scan yields ``(n_transactions, item -> count)``.
+    """``run_job`` kernel: one scan yields ``(summary, item -> count)``.
 
     Replaces the paper dataflow's two jobs (``count()`` + item-count
     shuffle) with a single shuffle-free pass; the driver merges the
     per-partition counters (:func:`merge_counts`) and applies the support
-    threshold itself.
+    threshold itself.  ``summary`` is the partition's ``(rows, items,
+    est_bytes)`` — the "before" side of the encode round's
+    :class:`~repro.core.results.CompactionStats`, read off the scan that
+    is happening anyway instead of a second job over the same rows.
     """
 
     def __call__(self, _task_ctx, partition):
-        n = 0
+        rows = list(partition)
         counts: dict = {}
         get = counts.get
-        for txn in partition:
-            n += 1
+        for txn in rows:
             for item in txn:
                 counts[item] = get(item, 0) + 1
-        return n, counts
+        summary = (len(rows), sum(counts.values()), estimate_size(rows))
+        return summary, counts
 
 
 # -- working-set preparation ----------------------------------------------
@@ -123,25 +134,19 @@ class TransactionCompactor:
 
 
 class PartitionSummarizer:
-    """``run_job`` kernel: ``(rows, items, est_bytes, weight)`` per partition.
+    """``run_job`` kernel: ``(rows, items, est_bytes, weight)`` of a
+    weighted working partition.
 
-    ``weight`` is the logical transaction count the rows represent (sum
-    of multiplicities when weighted, = rows otherwise).  Feeds
+    ``weight`` is the logical transaction count the rows represent (the
+    sum of their multiplicities).  Feeds
     :class:`~repro.core.results.CompactionStats`; running it against a
     freshly cached RDD also materializes the cache.
     """
 
-    def __init__(self, weighted: bool):
-        self._weighted = weighted
-
     def __call__(self, _task_ctx, partition):
         data = list(partition)
-        if self._weighted:
-            items = sum(len(txn) for txn, _w in data)
-            weight = sum(w for _txn, w in data)
-        else:
-            items = sum(len(txn) for txn in data)
-            weight = len(data)
+        items = sum(len(txn) for txn, _w in data)
+        weight = sum(w for _txn, w in data)
         return len(data), items, estimate_size(data), weight
 
 

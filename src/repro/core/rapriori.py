@@ -5,20 +5,22 @@ R-Apriori's observation: YAFIM's second pass is its bottleneck — for
 frequent-item count m, ``apriori_gen`` materialises all C(m, 2) pair
 candidates and builds a hash tree over them, even though *counting pairs
 needs no candidate set at all*: each transaction, filtered to its
-frequent items, can emit its own pairs directly and a ``reduceByKey``
-does the rest.  The candidate structure only pays for itself from pass 3
-onward, where the prune step eliminates real work.
+frequent items, can emit its own pairs directly and summing the
+per-partition pair counts does the rest.  The candidate structure only
+pays for itself from pass 3 onward, where the prune step eliminates real
+work.
 
 This module subclasses :class:`~repro.core.yafim.Yafim` and overrides
 only the pass-2 counting strategy (:meth:`Yafim._level_pass`); Phase I,
 the level loop, the counting fast path and the compaction machinery are
 all inherited.  On the fast path the working RDD is already projected
 onto frequent items, so pass 2 ships *nothing* — not even the
-frequent-item set — and the pair kernel aggregates per partition like
-every other pass; under ``paper_dataflow`` it ships the frequent-item
-set and filters the raw transactions.  The ablation benchmark quantifies
-the pass-2 saving on the sparse dataset family where m (and hence
-C(m, 2)) is large.
+frequent-item set — and the pair kernel aggregates per partition and
+merges on the driver like every other pass
+(:meth:`Yafim._count_level`); under ``paper_dataflow`` it ships the
+frequent-item set, filters the raw transactions and shuffles.  The
+ablation benchmark quantifies the pass-2 saving on the sparse dataset
+family where m (and hence C(m, 2)) is large.
 """
 
 from __future__ import annotations
@@ -59,11 +61,6 @@ class RApriori(Yafim):
             keep=keep if bc is None else None,
             weighted=not self.paper_dataflow,
         )
-        pairs = (
-            working.map_partitions(kernel)
-            .reduce_by_key(lambda a, b: a + b, self.num_partitions)
-            .filter(lambda kv: kv[1] >= threshold)
-            .collect_as_map()
-        )
+        pairs = self._count_level(working, kernel, threshold)
         # report what YAFIM *would* have materialised; R-Apriori builds none
         return pairs, m * (m - 1) // 2, bc, bc_bytes, closure_bytes

@@ -65,9 +65,12 @@ class IterationStats:
     cache_hit_rate: float = 0.0  # block-manager hits / (hits + misses); 0.0 when uncached
     straggler_ratio: float = 0.0  # max task duration / mean task duration (>= 1.0)
     shipped_bytes: int = 0  # bytes physically serialized driver->workers this pass
-    # counting fast-path observability
+    # counting observability: the shuffle counters are true shuffle
+    # counters (0 on the default dataflow, which merges on the driver)
     shuffle_records: int = 0  # records written to shuffle buckets (post map-side combine)
     counting_records: int = 0  # records entering the shuffle-map combine ("allocated pairs")
+    result_records: int = 0  # records result tasks returned to the driver (the partials)
+    result_bytes: int = 0  # estimated bytes of those results (what the replay charges)
     compaction: CompactionStats | None = None  # working-set shrink applied after this pass
     # incremental-update observability (repro.core.incremental): how this
     # level's counts were brought current on the last append/retire
@@ -111,6 +114,7 @@ def engine_iteration_stats(
                 task_durations=[t.duration_s for t in ts],
                 input_bytes=sum(t.input_bytes for t in ts),
                 shuffle_bytes=write,
+                result_bytes=sum(t.result_bytes for t in ts),
             )
         )
         shuffle_total += write
@@ -136,6 +140,8 @@ def engine_iteration_stats(
         counting_records=sum(
             t.combine_records_in for t in tasks if t.kind == "shuffle_map"
         ),
+        result_records=sum(t.records_out for t in tasks if t.kind == "result"),
+        result_bytes=sum(t.result_bytes for t in tasks),
     )
 
 

@@ -23,19 +23,27 @@ independently switchable for the ablation benchmarks: ``use_broadcast``
 ``candidate_store="linear"`` degrades the hash tree to a flat scan).
 
 The listing above is the **paper dataflow**, kept runnable as the
-structural-fidelity reference under ``paper_dataflow=True``.  By default
-the same two phases run through the counting fast path instead:
+structural-fidelity reference under ``paper_dataflow=True`` — the only
+place a ``reduceByKey`` shuffle still runs.  By default the same two
+phases run through the counting fast path instead, every pass of which
+is **one shuffle-free engine job** (count distribution: local counts,
+one global merge):
 
-* Phase I is one shuffle-free ``run_job`` whose per-partition counters
-  merge on the driver;
+* Phase I is one ``run_job`` whose per-partition item counters merge on
+  the driver; the same scan returns the ``(rows, items, bytes)`` summary
+  the encode round reports as its "before";
 * the transactions are re-encoded once over a broadcast item ->
   dense-int dictionary ordered by descending support
   (:class:`~repro.common.encoding.ItemDictionary`), infrequent items
   dropped and identical rows deduplicated into ``(txn, multiplicity)``;
 * each Phase II pass is one ``map_partitions`` kernel
   (:class:`~repro.core.counting.CandidateCounter`) that counts the whole
-  partition inside the candidate store and ships one int-keyed
-  ``(candidate_index, partial_count)`` record per distinct candidate;
+  partition inside the candidate store; one ``run_job`` brings each
+  partition's int-keyed ``candidate_index -> partial_count`` dict back,
+  and the driver sums the ≤ ``num_partitions`` dicts
+  (:func:`~repro.core.counting.merge_counts`), thresholds and decodes
+  (:meth:`Yafim._count_level`) — the same merge Phase I, the approximate
+  miner's verify pass and ``count_rows`` use;
 * between passes the working RDD drops transactions shorter than k+1
   and projects out items in no frequent k-itemset, re-caching the
   shrunk RDD and unpersisting the old one.  Every shrink is measured as
@@ -66,6 +74,7 @@ from repro.core.counting import (
     Phase1PartitionCounter,
     TransactionCompactor,
     TransactionEncoder,
+    collect_partials,
     merge_counts,
 )
 from repro.core.results import (
@@ -94,8 +103,8 @@ class Yafim:
     ctx:
         Engine context (any backend).
     num_partitions:
-        Partitions for the transaction RDD and shuffles (default: the
-        context's parallelism).
+        Partitions for the transaction RDD and the paper dataflow's
+        shuffles (default: the context's parallelism).
     use_broadcast:
         Ship candidates via a broadcast variable (paper behaviour).
         ``False`` captures them in every task closure (ablation A1).
@@ -190,7 +199,7 @@ class Yafim:
         t0 = time.perf_counter()
         mark = self.ctx.event_log.mark()
         ship_mark = self.ctx.executor.shipped_bytes_total()
-        n, item_level, threshold = self._phase_one(transactions, min_support)
+        n, item_level, threshold, summary = self._phase_one(transactions, min_support)
         level = {(item,): c for item, c in item_level.items()}
         result.n_transactions = n
         result.iterations.append(
@@ -211,7 +220,7 @@ class Yafim:
         # ---- Phase II: iterate k-frequent -> (k+1)-frequent ---------------
         if level and (max_length is None or max_length >= 2):
             self._run_phase_two(
-                transactions, level, item_level, threshold, max_length, result
+                transactions, level, item_level, threshold, max_length, result, summary
             )
         result.trace = self.ctx.tracer
         result.engine_metrics = collect_engine_metrics(self.ctx)
@@ -219,17 +228,22 @@ class Yafim:
         return result
 
     def _phase_one(self, transactions: RDD, min_support: float):
-        """Count 1-items; returns ``(n_transactions, item -> count, threshold)``."""
+        """Count 1-items; returns ``(n_transactions, item -> count,
+        threshold, summary)`` — ``summary`` is the raw RDD's ``(rows,
+        items, est_bytes)`` (``None`` under the paper dataflow, which never
+        encodes)."""
         if not self.paper_dataflow:
             # Fast path: one shuffle-free job returns each partition's
-            # (row count, item counter); the driver merges and thresholds.
+            # (summary, item counter); the driver merges and thresholds.
             parts = self.ctx.run_job(transactions, Phase1PartitionCounter())
-            n = sum(rows for rows, _ in parts)
+            summary = tuple(map(sum, zip(*(part_summary for part_summary, _ in parts))))
             counts = merge_counts(item_counts for _, item_counts in parts)
+            n = summary[0] if summary else 0
             if n == 0:
                 raise MiningError("cannot mine an empty transaction database")
             threshold = min_support_count(min_support, n)
-            return n, {i: c for i, c in counts.items() if c >= threshold}, threshold
+            frequent = {i: c for i, c in counts.items() if c >= threshold}
+            return n, frequent, threshold, summary
         n = transactions.count()  # materializes the cache
         if n == 0:
             raise MiningError("cannot mine an empty transaction database")
@@ -241,10 +255,10 @@ class Yafim:
             .filter(lambda kv: kv[1] >= threshold)
             .collect_as_map()
         )
-        return n, item_level, threshold
+        return n, item_level, threshold, None
 
     def _run_phase_two(
-        self, transactions, level, item_level, threshold, max_length, result
+        self, transactions, level, item_level, threshold, max_length, result, summary
     ) -> None:
         run_bcs: list = []  # broadcasts that must outlive working-RDD recomputes
         if self.paper_dataflow:
@@ -253,7 +267,7 @@ class Yafim:
             enc_level = level
         else:
             working, dictionary, last_summary = self._encode_working(
-                transactions, item_level, result, run_bcs
+                transactions, item_level, summary, result, run_bcs
             )
             enc_level = {dictionary.encode_itemset(i): c for i, c in level.items()}
         k = 2
@@ -326,25 +340,44 @@ class Yafim:
             closure_bytes = estimate_size(matcher) * working.num_partitions
         direct = None if bc is not None else matcher
         if self.paper_dataflow:
-            kernel = CandidateEmitter(bc=bc, matcher=direct)
+            new_level = self._count_level(
+                working, CandidateEmitter(bc=bc, matcher=direct), threshold
+            )
         else:
-            kernel = CandidateCounter(bc=bc, matcher=direct, weighted=True)
-        new_level = (
-            working.map_partitions(kernel)
-            .reduce_by_key(lambda a, b: a + b, self.num_partitions)
-            .filter(lambda kv: kv[1] >= threshold)
-            .collect_as_map()
-        )
-        if not self.paper_dataflow:  # decode the int shuffle keys
-            new_level = {candidates[i]: c for i, c in new_level.items()}
+            new_level = self._count_level(
+                working, CandidateCounter(bc=bc, matcher=direct, weighted=True),
+                threshold, decode=candidates,
+            )
         return new_level, len(candidates), bc, bc_bytes, closure_bytes
 
+    def _count_level(self, working, kernel, threshold, decode=None) -> dict:
+        """Run one counting ``kernel`` over ``working``; the frequent keys.
+
+        Default dataflow: ONE shuffle-free job — each partition's
+        ``(key, partial)`` records come back as a dict, the driver sums
+        the dicts, thresholds, and maps int keys through ``decode`` (the
+        ``apriori_gen`` list :class:`CandidateCounter` indexes into).
+        Paper dataflow: Fig. 2's ``reduceByKey(_ + _).filter(>= minsup)``.
+        """
+        counted = working.map_partitions(kernel)
+        if self.paper_dataflow:
+            return (
+                counted.reduce_by_key(lambda a, b: a + b, self.num_partitions)
+                .filter(lambda kv: kv[1] >= threshold)
+                .collect_as_map()
+            )
+        merged = merge_counts(self.ctx.run_job(counted, collect_partials))
+        if decode is None:
+            return {key: c for key, c in merged.items() if c >= threshold}
+        return {decode[i]: c for i, c in merged.items() if c >= threshold}
+
     # -- working-set management ------------------------------------------------
-    def _encode_working(self, transactions, item_level, result, run_bcs):
+    def _encode_working(self, transactions, item_level, before, result, run_bcs):
         """Dict-encode, project and dedupe the transaction RDD after Phase I.
 
-        Returns ``(working_rdd, dictionary, after_summary)``; the working
-        RDD holds weighted ``(encoded_txn, multiplicity)`` rows.
+        ``before`` is Phase I's ``(rows, items, est_bytes)`` of the raw
+        RDD.  Returns ``(working_rdd, dictionary, after_summary)``; the
+        working RDD holds weighted ``(encoded_txn, multiplicity)`` rows.
         """
         t0 = time.perf_counter()
         dictionary = ItemDictionary.from_counts(item_level)
@@ -352,14 +385,13 @@ class Yafim:
         if self.use_broadcast:
             ship_bc = self.ctx.broadcast(dictionary)
             run_bcs.append(ship_bc)
-        before = self._summarize(transactions, weighted=False)
         kernel = TransactionEncoder(
             bc=ship_bc, dictionary=dictionary if ship_bc is None else None
         )
         working = transactions.map_partitions(kernel)
         if self.cache_transactions:
             working = working.cache()
-        after = self._summarize(working, weighted=True)
+        after = self._summarize(working)
         stats = CompactionStats(
             kind="encode",
             seconds=time.perf_counter() - t0,
@@ -390,7 +422,7 @@ class Yafim:
         shrunk = working.map_partitions(kernel)
         if self.cache_transactions:
             shrunk = shrunk.cache()
-        after = self._summarize(shrunk, weighted=True)
+        after = self._summarize(shrunk)
         stats = CompactionStats(
             kind="compact",
             seconds=time.perf_counter() - t0,
@@ -405,15 +437,11 @@ class Yafim:
             working.unpersist()
         return shrunk, after
 
-    def _summarize(self, rdd, weighted: bool):
-        """(rows, items, est_bytes, weight) for an RDD; materializes caches."""
-        parts = self.ctx.run_job(rdd, PartitionSummarizer(weighted))
-        return (
-            sum(p[0] for p in parts),
-            sum(p[1] for p in parts),
-            sum(p[2] for p in parts),
-            sum(p[3] for p in parts),
-        )
+    def _summarize(self, working):
+        """(rows, items, est_bytes, weight) of a weighted working RDD;
+        materializes its cache."""
+        parts = self.ctx.run_job(working, PartitionSummarizer())
+        return tuple(map(sum, zip(*parts)))
 
     def _record_compaction_span(self, stats: CompactionStats, t0: float, label: str):
         self.ctx.tracer.add_span(

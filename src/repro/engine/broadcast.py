@@ -16,6 +16,10 @@ copy resolves the payload through its
 value crosses the process boundary at most once per worker — the
 in-process analogue of Torrent broadcast.  Outside that context (plain
 ``pickle.dumps`` by user code) the value is embedded as before.
+
+The value is serialized exactly once, when the broadcast is created:
+that blob's length is ``size_bytes`` (what the cost model charges per
+node) and that blob is what every worker receives.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import time
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Generic, TypeVar
 
-from repro.common.sizeof import estimate_size
 from repro.engine.workerstore import broadcast_key
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,8 +61,10 @@ class Broadcast(Generic[T]):
         self._value = value
         self._manager = manager
         self._by_ref = False
-        self._blob: bytes | None = None
-        self.size_bytes = estimate_size(value)
+        import cloudpickle
+
+        self._blob: bytes | None = cloudpickle.dumps(value)
+        self.size_bytes = len(self._blob)
 
     @property
     def value(self) -> T:
@@ -71,16 +76,12 @@ class Broadcast(Generic[T]):
             self._manager.record_access(self)
         return self._value
 
-    def shipping_blob(self) -> bytes:
-        """The serialized payload (cached; computed once per broadcast)."""
-        if self._blob is None:
-            import cloudpickle
-
-            self._blob = cloudpickle.dumps(self._value)
+    def shipping_blob(self) -> bytes | None:
+        """The serialized payload (``None`` once destroyed)."""
         return self._blob
 
     def shipping_size_bytes(self) -> int:
-        return len(self.shipping_blob())
+        return self.size_bytes
 
     def destroy(self) -> None:
         """Release the value (driver side)."""

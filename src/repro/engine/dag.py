@@ -169,26 +169,54 @@ class DAGScheduler:
                 func=stage.func if isinstance(stage, ResultStage) else None,
                 shuffle_dep=stage.shuffle_dep if isinstance(stage, ShuffleMapStage) else None,
             )
-            if self.context.executor.needs_preload:
-                self._resolve_task_inputs(rdd, parts[i].index, task)
             tasks.append(task)
+        if self.context.executor.needs_preload:
+            resident: set[int] = set()
+            computed: set[int] = set()
+            for task in tasks:
+                self._resolve_task_inputs(
+                    rdd, task.partition.index, task, resident, computed
+                )
+            # A cached RDD one task hit and another missed (a dropped or
+            # evicted block) keeps its lineage for the whole stage.
+            lineage_free = frozenset(resident - computed)
+            for task in tasks:
+                task.resident_rdds = lineage_free
         return tasks
 
-    def _resolve_task_inputs(self, rdd: "RDD", partition_index: int, task: Task) -> None:
+    def _resolve_task_inputs(
+        self, rdd: "RDD", partition_index: int, task: Task,
+        resident: set[int], computed: set[int],
+    ) -> None:
         """Turn driver-resident inputs a remote worker cannot reach into
         block *references*: the payload is registered with the executor
         (``offer_block``) under a stable key and only the key rides on the
-        task — the executor ships the bytes at most once per worker."""
-        from repro.engine.rdd import CoGroupedRDD, ShuffledRDD
+        task — the executor ships the bytes at most once per worker.
+
+        ``resident`` collects the ids of RDDs whose partition arrived as
+        a block (the worker never computes it), ``computed`` the ids of
+        RDDs the worker will compute from their parents."""
+        from repro.engine.rdd import CoGroupedRDD, ParallelCollectionRDD, ShuffledRDD
 
         offer = self.context.executor.offer_block
+        block = BlockId(rdd.id, partition_index)
+        ref = block.ref()
         if rdd.storage_level is not None:
-            data = self.context.block_manager.get(BlockId(rdd.id, partition_index))
+            data = self.context.block_manager.get(block)
             if data is not None:
-                ref = BlockId(rdd.id, partition_index).ref()
                 offer(ref, data)
                 task.block_refs.append(ref)
+                resident.add(rdd.id)
                 return  # the cache hit cuts the pipeline here
+        if isinstance(rdd, ParallelCollectionRDD):
+            # The slice has no unpersist to release it: the executor
+            # forgets it when the RDD itself is garbage collected.
+            offer(ref, rdd.slice(partition_index), owner=rdd)
+            task.block_refs.append(ref)
+            task.slice_refs.append(ref)
+            resident.add(rdd.id)
+            return
+        computed.add(rdd.id)
         if isinstance(rdd, ShuffledRDD):
             key = (rdd.shuffle_dep.shuffle_id, partition_index)
             buckets, _ = self.context.shuffle_manager.fetch(*key)
@@ -206,7 +234,7 @@ class DAGScheduler:
             return
         for dep in rdd.dependencies:
             for parent_idx in dep.get_parents(partition_index):
-                self._resolve_task_inputs(dep.rdd, parent_idx, task)
+                self._resolve_task_inputs(dep.rdd, parent_idx, task, resident, computed)
 
     def _run_with_retries(self, stage: Stage, tasks: list[Task]) -> dict[int, TaskResult]:
         done: dict[int, TaskResult] = {}
@@ -285,3 +313,9 @@ class DAGScheduler:
             level = self.context._storage_level_of(rdd_id)
             if level is not None:
                 self.context.block_manager.put(BlockId(rdd_id, part), data, level)
+        if res.cache_back:
+            # The partition just cached supersedes the slices it was
+            # computed from: drop them from the executor registry and the
+            # worker stores (lineage recovery re-offers them on a loss).
+            for ref in res.task.slice_refs:
+                self.context.executor.invalidate_block(ref)

@@ -5,7 +5,9 @@ objects; the executor returns ``(task, result_or_exception)`` pairs.
 
 The process backend keeps **persistent, stateful workers**: a task ships
 as a small closure blob plus *references* to named data blocks
-(broadcast payloads, cached RDD partitions, shuffle segments), and each
+(broadcast payloads, cached RDD partitions, parallelized source slices,
+shuffle segments) — no data and no lineage below a block rides in the
+closure — and each
 worker resolves the references through its process-local
 :class:`~repro.engine.workerstore.WorkerBlockStore` — the driver pushes
 blocks a worker lacks piggybacked on the task batch, the worker pulls
@@ -16,9 +18,11 @@ and every shipped byte is accounted in :class:`ShippingMetrics`.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import os
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -77,9 +81,11 @@ class Executor:
     def run_tasks(self, tasks: list["Task"]) -> list[tuple["Task", "TaskResult | BaseException"]]:
         raise NotImplementedError
 
-    def offer_block(self, key: tuple, data: Any) -> None:
+    def offer_block(self, key: tuple, data: Any, owner: Any = None) -> None:
         """Driver-side registration of a referenceable payload (no-op for
-        backends that share the driver's memory)."""
+        backends that share the driver's memory).  A payload nothing will
+        ever invalidate explicitly (a parallelized slice) names its
+        ``owner``: it is forgotten once the owner is garbage collected."""
 
     def invalidate_block(self, key: tuple) -> None:
         """Forget a payload (destroyed broadcast); workers drop it too."""
@@ -206,6 +212,9 @@ class ProcessExecutor(Executor):
         self._driver_blocks: dict[tuple, Any] = {}  # key -> payload object
         self._blob_cache: dict[tuple, bytes] = {}  # key -> serialized payload
         self._bc_payloads: dict[tuple, Any] = {}  # ("bc", id) -> Broadcast
+        # Keys whose owner died; finalizers only append (they can fire
+        # inside any allocation, also under ``_lock``), ``run_tasks`` drains.
+        self._orphaned: collections.deque[tuple] = collections.deque()
         self.shipping_metrics = ShippingMetrics()
 
     @property
@@ -213,10 +222,12 @@ class ProcessExecutor(Executor):
         return self._n
 
     # -- driver-side block registry ---------------------------------------
-    def offer_block(self, key: tuple, data: Any) -> None:
+    def offer_block(self, key: tuple, data: Any, owner: Any = None) -> None:
         with self._lock:
             if key not in self._driver_blocks:
                 self._driver_blocks[key] = data
+                if owner is not None:
+                    weakref.finalize(owner, self._orphaned.append, key)
 
     def invalidate_block(self, key: tuple) -> None:
         self.invalidate_prefix(key)
@@ -249,24 +260,22 @@ class ProcessExecutor(Executor):
         return self.shipping_metrics.total_shipped_bytes
 
     def _payload_blob(self, key: tuple) -> bytes | None:
-        """Serialized payload for ``key`` (cached; one pickling per key)."""
+        """Serialized payload for ``key``: a broadcast's own blob, or one
+        pickling per block — under the lock, so a concurrent dispatch
+        thread waits for the blob instead of making a second one (pickling
+        holds the GIL either way)."""
         import cloudpickle
 
         with self._lock:
             blob = self._blob_cache.get(key)
-            if blob is not None:
-                return blob
-            bc = self._bc_payloads.get(key)
-            obj = self._driver_blocks.get(key)
-        if bc is not None:
-            blob = bc.shipping_blob()
-        elif obj is not None or key in self._driver_blocks:
-            blob = cloudpickle.dumps(obj)
-        else:
-            return None
-        with self._lock:
-            self._blob_cache[key] = blob
-        return blob
+            if blob is None:
+                if key in self._bc_payloads:
+                    blob = self._bc_payloads[key].shipping_blob()
+                elif key in self._driver_blocks:
+                    blob = cloudpickle.dumps(self._driver_blocks[key])
+                if blob is not None:
+                    self._blob_cache[key] = blob
+            return blob
 
     # -- pool lifecycle ----------------------------------------------------
     def _ensure_started(self) -> None:
@@ -318,6 +327,8 @@ class ProcessExecutor(Executor):
         if not tasks:
             return []
         self._ensure_started()
+        while self._orphaned:
+            self.invalidate_prefix(self._orphaned.popleft())
         batches: list[list] = [[] for _ in range(self._n)]
         for i, task in enumerate(tasks):
             batches[i % self._n].append(task)
@@ -337,15 +348,18 @@ class ProcessExecutor(Executor):
         import cloudpickle
 
         from repro.engine.broadcast import broadcast_key, ship_broadcasts_by_ref
+        from repro.engine.dependencies import ship_without_lineage
 
         handle = self._handles[slot]
         ms = self.shipping_metrics
 
         # One cloudpickle round per batch: the RDD graph is serialized
-        # once (pickle memoization shares it across the batch's tasks)
-        # and broadcasts collapse to ids, collected for shipping below.
+        # once (pickle memoization shares it across the batch's tasks),
+        # broadcasts collapse to ids, collected for shipping below, and
+        # RDDs the stage reads as blocks collapse to stubs (a batch never
+        # mixes stages, so its tasks share one resident set).
         collector: dict[int, Any] = {}
-        with ship_broadcasts_by_ref(collector):
+        with ship_broadcasts_by_ref(collector), ship_without_lineage(batch[0].resident_rdds):
             batch_blob = cloudpickle.dumps(batch)
 
         bc_refs = {broadcast_key(bc_id): bc for bc_id, bc in collector.items()}

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import networkx as nx
-
 from repro.engine.dependencies import NarrowDependency, ShuffleDependency
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.engine.rdd import RDD
 
 
 def to_networkx(rdd: "RDD") -> nx.DiGraph:
     """Directed lineage graph: edges point parent -> child."""
+    import networkx as nx  # only this export needs it; the engine does not
+
     g = nx.DiGraph()
 
     def visit(node: "RDD") -> None:

@@ -23,6 +23,8 @@ class TaskMetrics:
     start_s: float = 0.0  # perf_counter at task start (feeds the tracer)
     duration_s: float = 0.0
     records_in: int = 0
+    #: shuffle-map tasks: records written to the buckets; result tasks:
+    #: length of the returned collection (0 when the result is a scalar)
     records_out: int = 0
     #: Records entering the shuffle-map bucket/combine step — the pairs the
     #: upstream pipeline actually allocated; equals records_out when no
@@ -31,6 +33,8 @@ class TaskMetrics:
     input_bytes: int = 0  # bytes read from the mini-DFS
     shuffle_read_bytes: int = 0
     shuffle_write_bytes: int = 0
+    #: estimated size of the value a result task returned to the driver
+    result_bytes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
     worker_id: str = ""

@@ -1,8 +1,9 @@
 """Partition descriptors.
 
 A partition is the unit of parallelism: every RDD is a list of partitions
-and every task computes exactly one of them.  Concrete RDDs attach their
-own payload (a slice of driver data, an input split, a reduce-bucket id).
+and every task computes exactly one of them.  A descriptor says *which*
+piece (an index, an input split, a reduce-bucket id) and never carries
+the piece's data, so it is always cheap to ship inside a task.
 """
 
 from __future__ import annotations
@@ -16,16 +17,6 @@ class Partition:
     """Base partition: just an index within its RDD."""
 
     index: int
-
-
-@dataclass(frozen=True)
-class DataPartition(Partition):
-    """Partition of a parallelized driver-side collection."""
-
-    data: tuple
-
-    def __repr__(self) -> str:  # keep reprs small; data can be huge
-        return f"DataPartition(index={self.index}, n={len(self.data)})"
 
 
 @dataclass(frozen=True)

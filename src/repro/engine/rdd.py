@@ -11,7 +11,12 @@ cloudpickled into the worker with ``context`` stripped (see
 ``RDD.__getstate__``).  Driver-resident services (block manager, shuffle
 manager) are then reached through *preloaded* task inputs resolved by the
 scheduler before shipping — ``iterator`` and ``ShuffledRDD.compute`` check
-the task context's preloads first.
+the task context's preloads first.  An RDD whose partitions every task of
+the stage receives as preloaded blocks ships as a :class:`ResidentRDD`
+stub — id and partition count, nothing below it (see
+:func:`~repro.engine.dependencies.ship_without_lineage`) — and a
+parallelized collection never ships its data inside the graph: its
+slices are blocks too.
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from repro.engine.dependencies import (
     OneToOneDependency,
     RangeDependency,
     ShuffleDependency,
+    shipping_resident,
 )
-from repro.engine.partition import DataPartition, Partition, ReducePartition, SplitPartition
+from repro.engine.partition import Partition, ReducePartition, SplitPartition
 from repro.engine.partitioner import (
     HashPartitioner,
     Partitioner,
@@ -142,6 +148,12 @@ class RDD(Generic[T]):
         return iter(data)
 
     # -- pickling (process backend) -----------------------------------------
+    def __reduce_ex__(self, protocol):
+        resident = shipping_resident()
+        if resident and self.id in resident:
+            return ResidentRDD, (self.id, self.num_partitions)
+        return super().__reduce_ex__(protocol)
+
     def __getstate__(self):
         state = dict(self.__dict__)
         state["context"] = None  # driver-only service locator
@@ -618,8 +630,34 @@ class RDD(Generic[T]):
 # =========================================================================
 # Concrete RDDs
 # =========================================================================
+class ResidentRDD(RDD[T]):
+    """Worker-side stand-in for an RDD shipped without its lineage.
+
+    Carries the id and partition count the RDDs above it need to address
+    their parent; every partition a task reads from it arrives as a
+    preloaded block, so ``compute`` is unreachable in a healthy run."""
+
+    def __init__(self, rdd_id: int, num_partitions: int):
+        self.context = None
+        self.id = rdd_id
+        self.dependencies = []
+        self.storage_level = None
+        self._partitions = [Partition(index=i) for i in range(num_partitions)]
+
+    def compute(self, partition: Partition, task_ctx) -> Iterator[T]:
+        raise EngineError(
+            f"partition {partition.index} of RDD {self.id} shipped as a block "
+            "reference but is not among the task's preloaded blocks"
+        )
+
+
 class ParallelCollectionRDD(RDD[T]):
-    """Driver-side collection sliced into ``num_slices`` partitions."""
+    """Driver-side collection sliced into ``num_slices`` partitions.
+
+    The slices stay on the driver: the process backend ships partition
+    ``i`` as block ``("rdd", id, i)`` (offered by the scheduler, pushed
+    once per worker, dropped when this RDD is garbage collected), never
+    inside a pickled task graph."""
 
     def __init__(self, context: "Context", data: Iterable[T], num_slices: int):
         super().__init__(context, [])
@@ -627,20 +665,30 @@ class ParallelCollectionRDD(RDD[T]):
             raise EngineError("num_slices must be >= 1")
         items = list(data)
         n = len(items)
-        self._slices: list[tuple] = []
+        self._num_slices = num_slices
+        self._slices: list[tuple] | None = []
         for i in range(num_slices):
             lo = (i * n) // num_slices
             hi = ((i + 1) * n) // num_slices
             self._slices.append(tuple(items[lo:hi]))
 
     def _make_partitions(self) -> list[Partition]:
-        return [DataPartition(index=i, data=s) for i, s in enumerate(self._slices)]
+        return [Partition(index=i) for i in range(self._num_slices)]
+
+    def slice(self, index: int) -> tuple:
+        return self._slices[index]
 
     def compute(self, partition: Partition, task_ctx) -> Iterator[T]:
-        assert isinstance(partition, DataPartition)
+        data = self._slices[partition.index]
         if task_ctx is not None:
-            task_ctx.metrics.records_in += len(partition.data)
-        return iter(partition.data)
+            task_ctx.metrics.records_in += len(data)
+        return iter(data)
+
+    def __getstate__(self):
+        state = super().__getstate__()
+        if shipping_resident() is not None:
+            state["_slices"] = None  # shipped as blocks, see class docstring
+        return state
 
 
 class TextFileRDD(RDD[str]):

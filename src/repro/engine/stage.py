@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from repro.common.sizeof import estimate_size
 from repro.engine.dependencies import ShuffleDependency
 from repro.engine.metrics import TaskMetrics
 from repro.engine.partition import Partition
@@ -70,6 +71,14 @@ class Task:
     #: worker resolves them through its block store (see
     #: :mod:`repro.engine.workerstore`) before running the task.
     block_refs: list = field(default_factory=list)
+    #: Ids of the RDDs whose partitions *every* task of this stage reads
+    #: through :attr:`block_refs` (cache hits, parallelized slices).  The
+    #: process backend ships those RDDs as stubs, without their lineage
+    #: (:func:`repro.engine.dependencies.ship_without_lineage`).
+    resident_rdds: frozenset = frozenset()
+    #: The :attr:`block_refs` that are parallelized-collection slices;
+    #: released once this task's output is cached (it supersedes them).
+    slice_refs: list = field(default_factory=list)
     preloaded_blocks: dict = field(default_factory=dict)
     preloaded_shuffle: dict = field(default_factory=dict)
     attempt: int = 0
@@ -105,6 +114,11 @@ class Task:
                 value = self._run_shuffle_map(ctx)
             else:
                 value = self.func(ctx, self.rdd.iterator(self.partition, ctx))
+                if isinstance(value, (list, tuple, dict, set, frozenset)):
+                    metrics.records_out = len(value)
+                # what a cluster would move to the driver; the replay
+                # charges it as it charges shuffle_write_bytes
+                metrics.result_bytes = estimate_size(value)
         metrics.duration_s = time.perf_counter() - t0
         return TaskResult(
             task=self,

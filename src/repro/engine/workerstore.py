@@ -7,7 +7,8 @@ worker half of that design (the driver half is
 :class:`~repro.engine.executors.ProcessExecutor`):
 
 * a task arrives as a small closure blob plus *references* to named data
-  blocks — ``("bc", broadcast_id)``, ``("rdd", rdd_id, partition)`` or
+  blocks — ``("bc", broadcast_id)``, ``("rdd", rdd_id, partition)`` (a
+  cached partition or a parallelized collection's slice) or
   ``("shuf", shuffle_id, partition)``;
 * each worker process owns one :class:`WorkerBlockStore`, an LRU cache
   with a byte budget, that resolves those references;

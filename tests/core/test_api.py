@@ -56,3 +56,31 @@ class TestDispatch:
 
         assert repro.mine_frequent_itemsets is mine_frequent_itemsets
         assert repro.MiningResult is not None
+
+
+def test_mining_and_serving_import_neither_numpy_nor_networkx():
+    """Both cost ~20 MiB and ~0.15 s to import and neither is touched by
+    mining or serving: ``repro.common.rng`` and ``repro.engine.lineage``
+    load them inside the functions that use them."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "import repro.core.api, repro.cli, repro.serve.service\n"
+        "import repro.serve.http, repro.serve.router\n"
+        "from repro import mine_frequent_itemsets\n"
+        "got = mine_frequent_itemsets([[1, 2], [1, 2], [2, 3]], 0.5, backend='serial')\n"
+        "assert got.itemsets\n"
+        "print(sorted({'numpy', 'networkx'} & set(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -300,3 +300,153 @@ class TestServeComposition:
             assert service.wait(job_b.job_id, timeout=120).state.value == "done"
             assert job_a.result.itemsets == direct_a.itemsets
             assert job_b.result.itemsets == direct_b.itemsets
+
+
+class TestShipOnce:
+    """A task batch carries functions and the graph the worker walks —
+    never data: source slices and cached partitions are blocks, an RDD
+    the whole stage reads as blocks ships without its lineage."""
+
+    @staticmethod
+    def _chain(n_rows: int) -> tuple[list[int], int]:
+        """Six jobs over one cached RDD: (task bytes per job, pickled
+        size of one source partition)."""
+        import pickle
+
+        rows = [(i, f"row-{i:020d}") for i in range(n_rows)]
+        with Context(backend="processes", parallelism=2) as ctx:
+            cached = ctx.parallelize(rows, 4).map(lambda r: (r[0] % 7, len(r[1]))).cache()
+            m = ctx.executor.shipping_metrics
+            per_job = []
+            for k in range(6):
+                before = m.task_bytes
+                got = cached.map(lambda kv, k=k: kv[1] + k).sum()
+                assert got == n_rows * (24 + k)
+                per_job.append(m.task_bytes - before)
+        return per_job, len(pickle.dumps(rows[: n_rows // 4]))
+
+    def test_task_bytes_of_later_jobs_ignore_dataset_size(self):
+        small, small_part = self._chain(400)
+        big, big_part = self._chain(4000)
+        assert big_part > 9 * small_part
+        assert small[1:] == big[1:]  # jobs 2..6: stubs + functions only
+        assert max(big) < big_part  # even job 1 ships no slice in a closure
+
+    def test_slices_and_broadcasts_cross_once_per_worker(self, pctx):
+        shipments = []
+        pctx.executor.broadcast_ship_hook = lambda *event: shipments.append(event[:2])
+        bc = pctx.broadcast({"add": 1})
+        rdd = pctx.parallelize(range(40), 4)  # never cached: no cut
+        for _ in range(3):
+            assert rdd.map(lambda x, b=bc: x + b.value["add"]).sum() == 820
+        m = pctx.executor.shipping_metrics
+        # 4 slices (partition p always lands on worker p % 2) + the
+        # broadcast on each of the 2 workers, all in job 1
+        assert m.blocks_pushed == 6
+        assert m.blocks_pulled == 0
+        assert len(shipments) == len(set(shipments)) == 2
+
+    def test_partial_block_loss_keeps_lineage_for_that_stage(self, pctx):
+        from repro.engine.storage import BlockId
+
+        cached = pctx.parallelize(range(40), 4).map(lambda x: x * 2).cache()
+        assert cached.sum() == 1560
+        assert pctx.block_manager.drop_block(BlockId(cached.id, 1))
+        # partitions 0, 2, 3 hit their blocks, partition 1 recomputes from
+        # the re-offered slice — and is cached back
+        assert cached.map(lambda x: x + 1).sum() == 1600
+        assert pctx.block_manager.cached_block_count == 4
+
+    def test_collected_collection_releases_its_slices(self, pctx):
+        import gc
+
+        rdd = pctx.parallelize(range(40), 4)
+        assert rdd.count() == 40
+        keys = {k for k in pctx.executor._driver_blocks if k[:2] == ("rdd", rdd.id)}
+        assert len(keys) == 4
+        del rdd
+        gc.collect()
+        assert pctx.parallelize(range(8), 2).count() == 8  # next run_tasks drains
+        assert not keys & set(pctx.executor._driver_blocks)
+        for handle in pctx.executor._handles:
+            assert not keys & handle.known
+
+    def test_broadcast_is_serialized_once(self, pctx):
+        import cloudpickle
+
+        payload = {i: "y" * 40 for i in range(300)}
+        real_dumps = cloudpickle.dumps
+        dumped = []
+
+        def counting_dumps(obj, *args, **kwargs):
+            if obj is payload:
+                dumped.append(1)
+            return real_dumps(obj, *args, **kwargs)
+
+        cloudpickle.dumps = counting_dumps
+        try:
+            bc = pctx.broadcast(payload)
+            got = pctx.parallelize(range(8), 4).map(lambda x, b=bc: len(b.value)).collect()
+        finally:
+            cloudpickle.dumps = real_dumps
+        assert got == [300] * 8
+        assert dumped == [1]
+        assert bc.size_bytes == len(bc.shipping_blob())
+        m = pctx.executor.shipping_metrics
+        assert m.broadcast_bytes_shipped == 2 * bc.size_bytes
+
+
+MINING_TXNS = [
+    ["a", "b", "c", "d"],
+    ["a", "b", "c"],
+    ["a", "b", "d"],
+    ["b", "c", "d"],
+    ["a", "c"],
+    ["e", "a", "b", "c"],
+] * 12
+
+
+class TestMiningSurvivesEveryLossCase:
+    """Lineage recovery on the process backend, through both level-wise
+    miners: the driver loses a cached block, a worker cannot hold its
+    partitions, and nothing is cached at all."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        from repro.algorithms import apriori
+
+        return apriori(MINING_TXNS, 0.3)
+
+    @pytest.mark.parametrize("algorithm", ["yafim", "rapriori"])
+    @pytest.mark.parametrize("case", ["driver_drops_block", "tiny_worker_store", "no_cache"])
+    def test_oracle_itemsets(self, oracle, algorithm, case):
+        from repro.core import RApriori, Yafim
+        from repro.engine.storage import BlockId
+
+        base = {"yafim": Yafim, "rapriori": RApriori}[algorithm]
+
+        class Miner(base):
+            def _build_matcher(self, candidates):
+                if case == "driver_drops_block":
+                    # once per candidate pass: lose partition 0 of whatever
+                    # is cached, so the next stage mixes hits and misses
+                    manager = self.ctx.block_manager
+                    for block in list(manager._mem):
+                        if block.partition == 0:
+                            manager.drop_block(BlockId(block.rdd_id, 0))
+                return super()._build_matcher(candidates)
+
+        ctx_kwargs = {"worker_store_bytes": 1} if case == "tiny_worker_store" else {}
+        with Context(backend="processes", parallelism=2, **ctx_kwargs) as ctx:
+            miner = Miner(ctx, num_partitions=4, cache_transactions=case != "no_cache")
+            result = miner.run(MINING_TXNS, 0.3)
+            m = ctx.executor.shipping_metrics
+            if case == "tiny_worker_store":
+                assert m.worker_store_evictions > 0 and m.blocks_pulled > 0
+            if case == "no_cache":
+                # no cut, yet the 4 source slices crossed once, not per pass
+                assert m.blocks_pushed - m.broadcast_blocks_shipped == 4
+                assert m.blocks_pulled == 0
+        assert result.itemsets == oracle
+        assert max(len(i) for i in oracle) >= 3  # the candidate passes ran
+        assert all(it.shuffle_records == 0 for it in result.iterations)

@@ -86,10 +86,17 @@ class TestFaultToleranceEndToEnd:
         ds = medical_cases(n_cases=200, seed=11)
         with Context(backend="serial") as ctx:
             want = Yafim(ctx).run(ds.transactions, 0.08).itemsets
+        # default dataflow: every pass is one result stage
+        with Context(backend="serial") as ctx:
+            ctx.fault_injector.fail_task(stage_kind="result", times=5)
+            got = Yafim(ctx).run(ds.transactions, 0.08).itemsets
+            assert ctx.fault_injector.injected == 5
+        assert got == want
+        # paper dataflow: the shuffle-map stages retry too
         with Context(backend="serial") as ctx:
             ctx.fault_injector.fail_task(stage_kind="shuffle_map", times=3)
             ctx.fault_injector.fail_task(stage_kind="result", times=2)
-            got = Yafim(ctx).run(ds.transactions, 0.08).itemsets
+            got = Yafim(ctx, paper_dataflow=True).run(ds.transactions, 0.08).itemsets
             assert ctx.fault_injector.injected == 5
         assert got == want
 

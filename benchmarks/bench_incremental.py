@@ -13,9 +13,14 @@ than re-mining the appended window from scratch, while producing results
 The sweep runs mushroom at the paper's operating support (0.35): for
 each append fraction it builds fresh incremental state over the base
 window, times the append, times a cold build over the appended window
-with the same store and code path, and checks equality.  A sliding leg
-(append + retire of the same size) is recorded for the steady-state
-window-slide cost.  ``BENCH_incremental.json`` lands at the repo root.
+with the same store and code path, and checks equality.  Each append is
+timed twice — with the family diff the update emits and with
+``track_family_diff=False`` — so the diff's cost is a recorded ratio, not
+a guess (PR 10 tripled the update pass by building the diff from two
+full-family snapshots and nothing noticed).  A sliding leg (one fused
+``slide``: append + retire of the same size) is recorded for the
+steady-state window-slide cost.  ``BENCH_incremental.json`` lands at the
+repo root; :func:`check_floors` is the gate CI runs over it.
 
 Run standalone (CI uses ``--smoke``)::
 
@@ -44,25 +49,68 @@ SEED = 7
 #: append sizes as fractions of the base window — all within the <= 1%
 #: regime the >= 5x headline claim is scoped to
 APPEND_FRACS = (0.002, 0.005, 0.01)
+#: an update is a few milliseconds on a shared box: each timed update is
+#: the fastest of this many, every one on freshly built state
+REPEATS = 5
+
+#: The gate.  Ratios, so the host cancels out; each floor is half of what
+#: the reference box measures in that mode (smoke: +1 row 2.45x, slide
+#: 0.95x — on an eighth of the window nearly every level re-mines, so an
+#: update is about one re-mine; full: +12 rows 14.3x, slide 5.9x).  A
+#: change that falls through a floor has made the update path twice as
+#: slow relative to a re-mine.  The ceiling on what emitting the family
+#: diff may add to the append updates is the same in both modes
+#: (measured 1.0-1.05x smoke, 1.2x full; PR 10's two-snapshot diff was
+#: 2.9x).
+FLOORS = {
+    True: {"smallest_append": 1.2, "slide": 0.47},
+    False: {"smallest_append": 7.0, "slide": 3.0},
+}
+DIFF_COST_CEILING = 1.25
 
 
-def _cold_build(window: list) -> tuple[float, IncrementalMiner]:
+def _cold_build(window: list, **options) -> tuple[float, IncrementalMiner]:
     """Full re-mine of ``window`` through the same store and code path
     the update uses, so the comparison isolates delta-maintenance."""
     t0 = time.perf_counter()
-    miner = IncrementalMiner(window, SUPPORT, candidate_store=STORE)
+    miner = IncrementalMiner(window, SUPPORT, candidate_store=STORE, **options)
     return time.perf_counter() - t0, miner
 
 
+def _cold_remine(window: list) -> tuple[float, IncrementalMiner]:
+    """The re-mine an update is measured against: fastest of three."""
+    return min((_cold_build(window) for _ in range(3)), key=lambda run: run[0])
+
+
+def _timed_update(base: list, apply, variants=({},)) -> list:
+    """Per option set in ``variants``: ``(build wall, update wall, miner,
+    update)`` of the fastest of ``REPEATS`` runs of ``apply(miner)`` on
+    freshly built state whose family has been read once — what every
+    consumer does with a build (a job returns it, a watch ships it), and
+    what fills the miner's decode memo.  The variants take turns inside
+    each round, so a slow stretch of the host lands on all of them."""
+    best: list = [None] * len(variants)
+    for _ in range(REPEATS):
+        for i, options in enumerate(variants):
+            build_wall, miner = _cold_build(base, **options)
+            miner.itemsets()
+            t0 = time.perf_counter()
+            update = apply(miner)
+            wall = time.perf_counter() - t0
+            if best[i] is None or wall < best[i][1]:
+                best[i] = (build_wall, wall, miner, update)
+    return best
+
+
 def _leg(base: list, delta: list) -> dict:
-    """One append fraction: fresh state over base, timed append, timed
-    cold re-mine of the appended window, equality check."""
+    """One append fraction: fresh state over base, timed append (with and
+    without the family diff), timed cold re-mine of the appended window,
+    equality check."""
     window = base + delta
-    build_wall, miner = _cold_build(base)
-    t0 = time.perf_counter()
-    update = miner.append(delta)
-    update_wall = time.perf_counter() - t0
-    cold_wall, cold = _cold_build(window)
+    (build_wall, update_wall, miner, update), (_, bare_wall, _, _) = _timed_update(
+        base, lambda m: m.append(delta), ({}, {"track_family_diff": False})
+    )
+    cold_wall, cold = _cold_remine(window)
 
     # correctness invariant, independent of timing: the delta-maintained
     # state equals a cold re-mine of the same window, counts included
@@ -78,6 +126,8 @@ def _leg(base: list, delta: list) -> dict:
         "append_frac": round(len(delta) / len(base), 5),
         "build_wall_s": round(build_wall, 4),
         "update_wall_s": round(update_wall, 4),
+        "update_wall_nodiff_s": round(bare_wall, 4),
+        "diff_cost_ratio": round(update_wall / max(bare_wall, 1e-9), 3),
         "full_remine_wall_s": round(cold_wall, 4),
         "speedup_vs_remine": round(cold_wall / max(update_wall, 1e-9), 2),
         "full_rebuild": update.full_rebuild,
@@ -91,15 +141,13 @@ def _leg(base: list, delta: list) -> dict:
 
 
 def _slide_leg(base: list, delta: list) -> dict:
-    """Steady-state slide: append d rows, retire the d oldest, checked
-    against a cold build of the slid window."""
+    """Steady-state slide: append d rows and retire the d oldest as one
+    fused update, checked against a cold build of the slid window."""
     window = base[len(delta):] + delta
-    _, miner = _cold_build(base)
-    t0 = time.perf_counter()
-    miner.append(delta)
-    miner.retire(len(delta))
-    slide_wall = time.perf_counter() - t0
-    cold_wall, cold = _cold_build(window)
+    [(_, slide_wall, miner, update)] = _timed_update(
+        base, lambda m: m.slide(delta, len(delta))
+    )
+    cold_wall, cold = _cold_remine(window)
     assert miner.itemsets() == cold.itemsets(), (
         f"slide of {len(delta)} rows diverged from the cold re-mine"
     )
@@ -108,6 +156,7 @@ def _slide_leg(base: list, delta: list) -> dict:
         "slide_wall_s": round(slide_wall, 4),
         "full_remine_wall_s": round(cold_wall, 4),
         "speedup_vs_remine": round(cold_wall / max(slide_wall, 1e-9), 2),
+        "levels_remined": update.levels_remined,
         "n_itemsets": len(cold.itemsets()),
     }
 
@@ -240,23 +289,51 @@ def run_incremental_bench(smoke: bool = False, streaming: bool = False) -> dict:
 
     best = max(leg["speedup_vs_remine"] for leg in report["appends"])
     report["best_append_speedup"] = best
-
-    # Every leg already asserted incremental == cold re-mine above.  The
-    # timing invariant: some <= 1% append must beat the full re-mine even
-    # at smoke scale; the >= 5x headline is only meaningful on the
-    # full-size window, where the re-mine has real work to amortize.
-    assert best > 1.0, (
-        f"no append fraction beat a full re-mine (best {best}x)"
+    report["diff_cost_ratio"] = round(
+        sum(leg["update_wall_s"] for leg in report["appends"])
+        / sum(leg["update_wall_nodiff_s"] for leg in report["appends"]),
+        3,
     )
+
+    # Every leg already asserted incremental == cold re-mine above; the
+    # timing gate is check_floors.  The >= 5x headline is only meaningful
+    # on the full-size window, where the re-mine has real work to amortize.
+    with open(REPORT_PATH, "w") as f:
+        json.dump(report, f, indent=2)
+    check_floors(report)
     if not smoke:
         assert best >= 5.0, (
             f"incremental update {best}x < 5x over full re-mine on "
             f"mushroom at support {SUPPORT}"
         )
-
-    with open(REPORT_PATH, "w") as f:
-        json.dump(report, f, indent=2)
     return report
+
+
+def check_floors(report: dict) -> None:
+    """The timing gate over a report (a fresh run, or the checked-in
+    file): update-vs-re-mine ratios above their floors, and the appends
+    with their family diffs within the ceiling of the same appends
+    without."""
+    floors = FLOORS[report["smoke"]]
+    smallest = report["appends"][0]
+    assert smallest["speedup_vs_remine"] >= floors["smallest_append"], (
+        f"+{smallest['n_delta']}-row update is {smallest['speedup_vs_remine']}x "
+        f"a full re-mine, floor {floors['smallest_append']}x"
+    )
+    slide = report["slide"]
+    assert slide["speedup_vs_remine"] >= floors["slide"], (
+        f"slide is {slide['speedup_vs_remine']}x a full re-mine, "
+        f"floor {floors['slide']}x"
+    )
+    assert report["diff_cost_ratio"] <= DIFF_COST_CEILING, (
+        f"the family diff makes the append updates {report['diff_cost_ratio']}x "
+        f"diff-less ones, ceiling {DIFF_COST_CEILING}x: "
+        + ", ".join(
+            f"+{leg['n_delta']} rows {leg['update_wall_s']}s vs "
+            f"{leg['update_wall_nodiff_s']}s"
+            for leg in report["appends"]
+        )
+    )
 
 
 def test_incremental(benchmark):
@@ -291,7 +368,8 @@ def main(argv=None) -> int:
         )
         print(
             f"  +{leg['n_delta']} rows ({leg['append_frac']:.1%}): update "
-            f"{leg['update_wall_s']}s vs re-mine {leg['full_remine_wall_s']}s "
+            f"{leg['update_wall_s']}s ({leg['diff_cost_ratio']}x diff-less) vs "
+            f"re-mine {leg['full_remine_wall_s']}s "
             f"= {leg['speedup_vs_remine']}x  [{mode}]"
         )
     slide = report["slide"]
@@ -312,7 +390,10 @@ def main(argv=None) -> int:
             f"{policy['peak_window']}, retired "
             f"{policy['retired_transactions']} (warm == cold re-mine)"
         )
-    print(f"best append speedup: {report['best_append_speedup']}x")
+    print(
+        f"best append speedup: {report['best_append_speedup']}x; family diff "
+        f"costs {report['diff_cost_ratio']}x a diff-less update"
+    )
     print(f"wrote {REPORT_PATH}")
     return 0
 

@@ -286,37 +286,29 @@ class FlatDictStore(CandidateStore):
                     counts[cand] = get(cand, 0) + weight
 
 
-def _set_bit_run(buf: bytearray, pos: int, width: int) -> None:
-    """Set bits ``[pos, pos + width)`` in a little-endian bit buffer."""
-    end = pos + width
-    first_byte, first_bit = divmod(pos, 8)
-    last_byte, last_bit = divmod(end, 8)  # exclusive end
-    if first_byte == last_byte:
-        buf[first_byte] |= ((1 << width) - 1) << first_bit
-        return
-    buf[first_byte] |= (0xFF << first_bit) & 0xFF
-    if last_byte > first_byte + 1:
-        buf[first_byte + 1 : last_byte] = b"\xff" * (last_byte - first_byte - 1)
-    if last_bit:
-        buf[last_byte] |= (1 << last_bit) - 1
-
-
 def build_tid_bitmaps(
-    partition, relevant, *, min_items: int = 1, weighted: bool = False
+    partition, relevant: set, *, min_items: int = 1, weighted: bool = False
 ) -> dict:
-    """Vertical build: item -> little-endian tid-bitmap int over ``partition``.
+    """Vertical build: item -> tid-bitmap int over ``partition``.
 
-    Bit ``t`` of ``bitmaps[item]`` is set when logical transaction ``t``
-    contains ``item``; a weighted ``(txn, weight)`` record occupies a run
-    of ``weight`` consecutive tid positions.  Rows with fewer than
-    ``min_items`` relevant items get no tid run — they cannot support any
-    candidate of that many items, so skipping them keeps the bitmaps
-    short without changing any intersection count.
+    One bit per logical transaction, the first transaction in the most
+    significant bit: a bit of ``bitmaps[item]`` is set when that
+    transaction contains ``item``; a weighted ``(txn, weight)`` record
+    occupies a run of ``weight`` consecutive tid positions.  Rows with
+    fewer than ``min_items`` relevant items get no tid run — they cannot
+    support any candidate of that many items, so skipping them keeps the
+    bitmaps short without changing any intersection count.
 
-    Factored out of :meth:`BitmapStore.count_partition` so several
-    per-length stores counting the same partition
-    (:func:`repro.core.counting.count_stores`) can share ONE build over
-    the union of their items instead of each re-scanning the rows.
+    Each item's bits are appended as ``b"0"`` / ``b"1"`` bytes (zeros up
+    to the row's position, then the run) and parsed once with
+    ``int(buf, 2)``: every per-row step is a C-level ``bytearray``
+    append, at one transient byte per tid per relevant item.
+
+    A function of its own so stores counting the same rows — several
+    per-length stores (:func:`repro.core.counting.count_stores`), or one
+    level after another (:class:`repro.core.counting.SharedRows`) — can
+    share ONE build and read it through
+    :meth:`BitmapStore.count_bitmaps`.
     """
     buffers: dict = {}
     pos = 0
@@ -325,29 +317,20 @@ def build_tid_bitmaps(
             txn, weight = record
         else:
             txn, weight = record, 1
-        items = set(txn) & relevant
+        items = relevant.intersection(txn)
         if len(items) < min_items:
             continue  # supports no candidate: assign it no tid run
-        end = pos + weight
-        need = (end + 7) >> 3
+        run = b"1" * weight
         for item in items:
             buf = buffers.get(item)
             if buf is None:
-                buffers[item] = buf = bytearray(need)
-            elif len(buf) < need:
-                buf.extend(b"\x00" * (need - len(buf)))
-            _set_bit_run(buf, pos, weight)
-        pos = end
-    if not buffers:
-        return {}
-    width = (pos + 7) >> 3
-    return {
-        item: int.from_bytes(
-            buf if len(buf) == width else buf + b"\x00" * (width - len(buf)),
-            "little",
-        )
-        for item, buf in buffers.items()
-    }
+                buffers[item] = buf = bytearray()
+            gap = pos - len(buf)
+            if gap:
+                buf += b"0" * gap
+            buf += run
+        pos += weight
+    return {item: int(buf.ljust(pos, b"0"), 2) for item, buf in buffers.items()}
 
 
 class BitmapStore(CandidateStore):
@@ -401,21 +384,20 @@ class BitmapStore(CandidateStore):
             if issuperset(cand):
                 counts[cand] = get(cand, 0) + weight
 
-    def count_partition(
-        self, partition, weighted: bool = False, *, bitmaps: dict | None = None
-    ) -> dict:
-        """Counts via the vertical kernel; ``bitmaps`` optionally supplies
-        a prebuilt :func:`build_tid_bitmaps` result (it must cover this
-        store's items over the same rows), skipping the build — see
-        :func:`repro.core.counting.count_stores`."""
-        k = self.k
-        if k is None or not self._order:
+    def count_partition(self, partition, weighted: bool = False) -> dict:
+        if self.k is None or not self._order:
             return {}
-        if bitmaps is None:
-            bitmaps = build_tid_bitmaps(
-                partition, self.items, min_items=k, weighted=weighted
-            )
-        if not bitmaps:
+        return self.count_bitmaps(
+            build_tid_bitmaps(partition, self.items, min_items=self.k, weighted=weighted)
+        )
+
+    def count_bitmaps(self, bitmaps: dict) -> dict:
+        """Counts from a prebuilt :func:`build_tid_bitmaps` result, which
+        must cover this store's items: the build is the per-row part of a
+        counting pass, and callers counting several stores over the same
+        rows pay it once."""
+        k = self.k
+        if k is None or not bitmaps:
             return {}
         # ---- intersect candidates, sharing prefixes via a stack ----------
         if self._sorted is None:

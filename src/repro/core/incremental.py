@@ -18,14 +18,25 @@ rejected).  :class:`IncrementalMiner` therefore keeps, per window:
 * the exact per-item counts of the raw window (level 1 and the
   dictionary-shift guard).
 
-``append(transactions)`` / ``retire(n_oldest)`` then update counts with
-**one ``count_partition`` pass over the delta per level** and re-derive
-each frequent family against the new threshold.  A level is re-mined only
-when the previous level's frequent family actually changed (a border
-itemset crossed the threshold, in either direction — ``retire`` lowers
-the threshold, so borders cross upward there too).  Even then the pass is
-*border-bounded*: candidates already tracked keep their maintained counts
-and only the genuinely new candidates take a full-window counting pass.
+``append(transactions)`` / ``retire(n_oldest)`` / ``slide(transactions,
+n_oldest)`` are one update path: the appended rows and the retired rows
+form a **signed delta** (a row on both sides cancels), each level takes
+one ``count_partition`` pass over the ``+`` rows and one over the ``-``
+rows, and each frequent family is re-derived against the **final**
+threshold.  A window advance must be a ``slide``, not an ``append`` then
+a ``retire``: the window in between is the largest of the three, its
+threshold the highest, and itemsets at the threshold fall out only to
+come back — every level they touch re-mined twice for a state nobody can
+observe.  A level is re-mined only when the previous level's frequent
+family actually changed (a border itemset crossed the threshold, in
+either direction — retiring lowers the threshold, so borders cross
+upward there too).  Even then the pass is *border-bounded*: candidates
+already tracked keep their maintained counts and only the genuinely new
+candidates take a full-window counting pass, all levels of one update
+reading one tid-bitmap build of the window.  The update also says what it
+changed: its :class:`FamilyDiff` is built from the ``(old, new)`` counts
+the pass holds while it applies them, not from two snapshots of the
+family.
 Two events fall back to a full rebuild: a frequent singleton outside the
 item dictionary (its occurrences were dropped at encode time, so no delta
 pass can recover them — the window must be re-encoded) — and nothing
@@ -49,7 +60,7 @@ from repro.common.errors import MiningError
 from repro.common.itemset import canonical_transaction, min_support_count
 from repro.core.candidates import apriori_gen
 from repro.core.candidatestore import make_store
-from repro.core.counting import count_rows
+from repro.core.counting import SharedRows, count_rows
 from repro.core.results import IterationStats, MiningRunResult
 
 
@@ -131,10 +142,11 @@ class FamilyDiff:
 
 @dataclass
 class IncrementalUpdate:
-    """What one ``append``/``retire`` (or the initial build) actually did."""
+    """What one ``append``/``retire``/``slide`` (or the initial build)
+    actually did."""
 
-    kind: str  # "build" | "append" | "retire"
-    n_delta: int  # logical transactions added/removed
+    kind: str  # "build" | "append" | "retire" | "slide"
+    n_delta: int  # logical transactions added plus removed
     n_transactions: int = 0  # window size after the update
     version: int = 0
     seconds: float = 0.0
@@ -150,10 +162,24 @@ class IncrementalUpdate:
     #: per-level trail: {"k", "mode" ("delta"|"remine"), "delta_candidates",
     #: "full_candidates"} — folded into IterationStats by ``result()``
     per_level: list = field(default_factory=list)
-    #: how the frequent family changed across this update (appends and
-    #: retires only; ``None`` on the initial build or when diff tracking
-    #: is disabled) — the payload the streaming change feed ships
+    #: how the frequent family changed across this update (``None`` on
+    #: the initial build, on a no-op, or when diff tracking is disabled)
+    #: — the payload the streaming change feed ships
     family_diff: FamilyDiff | None = None
+
+
+class _DecodeMemo(dict):
+    """Encoded itemset -> itemset in original items, filled on first
+    lookup.  Lives as long as its dictionary: an update decodes what it
+    changed, and anything it has decoded before is one dict hit."""
+
+    def __init__(self, dictionary: ItemDictionary):
+        super().__init__()
+        self._decode_itemset = dictionary.decode_itemset
+
+    def __missing__(self, cand):
+        out = self[cand] = self._decode_itemset(cand)
+        return out
 
 
 @dataclass
@@ -233,11 +259,8 @@ class IncrementalMiner:
             "incremental_update", "driver", kind="build", n_delta=len(self._window)
         ):
             self._rebuild(update)
-        update.n_transactions = len(self._window)
-        update.version = self.version
-        update.threshold = self._threshold
         update.seconds = time.perf_counter() - t0
-        self.last_update = update
+        self.last_update = self._stamp(update)
 
     # -- public surface ----------------------------------------------------
     @property
@@ -264,26 +287,7 @@ class IncrementalMiner:
 
     def append(self, transactions) -> IncrementalUpdate:
         """Extend the window; maintain counts from the delta alone."""
-        delta = [canonical_transaction(t) for t in transactions]
-        update = IncrementalUpdate(kind="append", n_delta=len(delta))
-        if not delta:
-            update.n_transactions = len(self._window)
-            update.version = self.version
-            update.threshold = self._threshold
-            return update
-        t0 = time.perf_counter()
-        before = self.itemsets() if self.track_family_diff else None
-        with self._trace().span(
-            "incremental_update", "driver", kind="append", n_delta=len(delta)
-        ):
-            self._window.extend(delta)
-            for txn in delta:
-                for item in txn:
-                    self._item_counts[item] = self._item_counts.get(item, 0) + 1
-            self._apply_delta(delta, +1, update)
-        if before is not None:
-            update.family_diff = FamilyDiff.between(before, self.itemsets())
-        return self._seal(update, t0)
+        return self._update("append", transactions, 0)
 
     def retire(self, n_oldest: int) -> IncrementalUpdate:
         """Drop the ``n_oldest`` transactions from the front of the window.
@@ -292,34 +296,20 @@ class IncrementalMiner:
         itemsets can cross *upward* here exactly as appends push them up.
         Raises :class:`MiningError` rather than emptying the window.
         """
-        update = IncrementalUpdate(kind="retire", n_delta=max(0, n_oldest))
-        if n_oldest <= 0:
-            update.n_transactions = len(self._window)
-            update.version = self.version
-            update.threshold = self._threshold
-            return update
-        if n_oldest >= len(self._window):
-            raise MiningError(
-                f"retire({n_oldest}) would empty the {len(self._window)}-transaction window"
-            )
-        t0 = time.perf_counter()
-        before = self.itemsets() if self.track_family_diff else None
-        with self._trace().span(
-            "incremental_update", "driver", kind="retire", n_delta=n_oldest
-        ):
-            retired = self._window[:n_oldest]
-            del self._window[:n_oldest]
-            for txn in retired:
-                for item in txn:
-                    left = self._item_counts[item] - 1
-                    if left:
-                        self._item_counts[item] = left
-                    else:
-                        del self._item_counts[item]
-            self._apply_delta(retired, -1, update)
-        if before is not None:
-            update.family_diff = FamilyDiff.between(before, self.itemsets())
-        return self._seal(update, t0)
+        return self._update("retire", (), n_oldest)
+
+    def slide(self, transactions, n_oldest: int) -> IncrementalUpdate:
+        """Append ``transactions`` and retire the ``n_oldest`` rows of the
+        result as ONE update against the final threshold.
+
+        Same window as ``append`` then ``retire``, without visiting the
+        state in between: there the threshold sits at its highest (window
+        + delta rows), so itemsets fall out only to come back when the
+        retire lowers it again, and every level they touch is re-mined
+        twice for a window no caller can observe.  Rows that appear on
+        both sides cancel before anything is counted.
+        """
+        return self._update("slide", transactions, n_oldest)
 
     def itemsets(self) -> dict:
         """Current frequent itemsets (decoded) with exact counts."""
@@ -328,7 +318,7 @@ class IncrementalMiner:
         for item, count in self._item_counts.items():
             if count >= threshold:
                 out[(item,)] = count
-        decode = self._dictionary.decode_itemset
+        decode = self._decode
         for lvl in self._levels:
             for cand in lvl.frequent:
                 out[decode(cand)] = lvl.counts[cand]
@@ -380,25 +370,95 @@ class IncrementalMiner:
         self._tracer = Tracer(label="incremental")
         return self._tracer
 
-    def _seal(self, update: IncrementalUpdate, t0: float) -> IncrementalUpdate:
-        self.version += 1
+    def _stamp(self, update: IncrementalUpdate) -> IncrementalUpdate:
         update.n_transactions = len(self._window)
         update.version = self.version
         update.threshold = self._threshold
+        return update
+
+    def _update(self, kind: str, transactions, n_oldest: int) -> IncrementalUpdate:
+        """The one update path: append ``transactions``, then drop the
+        ``n_oldest`` rows of the result (either side may be empty)."""
+        appended = [canonical_transaction(t) for t in transactions]
+        n_oldest = max(0, n_oldest)
+        update = IncrementalUpdate(kind=kind, n_delta=len(appended) + n_oldest)
+        if not appended and not n_oldest:
+            return self._stamp(update)
+        total = len(self._window) + len(appended)
+        if n_oldest >= total:
+            raise MiningError(
+                f"retire({n_oldest}) would empty the {total}-transaction window"
+            )
+        t0 = time.perf_counter()
+        with self._trace().span(
+            "incremental_update", "driver", kind=kind, n_delta=update.n_delta
+        ):
+            retired = self._window[:n_oldest]
+            retired += appended[: n_oldest - len(retired)]
+            item_delta: dict = {}
+            for sign, txns in ((1, appended), (-1, retired)):
+                for txn in txns:
+                    for item in txn:
+                        item_delta[item] = item_delta.get(item, 0) + sign
+            threshold = min_support_count(self.min_support, total - n_oldest)
+            # Dictionary-shift guard: a frequent item outside the alphabet
+            # was dropped from every encoded row — no delta pass can recover
+            # its co-occurrences, so re-encode the window.  (An alphabet
+            # item going infrequent needs nothing: its codes just leave
+            # level 1.)  Looked up before anything mutates, so the rebuild
+            # can diff against a snapshot of the old family.
+            newcomers = [
+                item
+                for item in self._item_counts.keys() | item_delta.keys()
+                if item not in self._dictionary
+                and self._item_counts.get(item, 0) + item_delta.get(item, 0)
+                >= threshold
+            ]
+            before = self.itemsets() if newcomers and self.track_family_diff else None
+            self._window.extend(appended)
+            del self._window[:n_oldest]
+            for item, moved in item_delta.items():
+                left = self._item_counts.get(item, 0) + moved
+                if left:
+                    self._item_counts[item] = left
+                else:
+                    self._item_counts.pop(item, None)
+            if newcomers:
+                update.full_rebuild = True
+                update.rebuild_reason = f"new frequent singleton {newcomers[0]!r}"
+                self.full_rebuilds += 1
+                self._rebuild(update)
+                if before is not None:
+                    update.family_diff = FamilyDiff.between(before, self.itemsets())
+            else:
+                self._apply_delta(appended, retired, item_delta, threshold, update)
+        self.version += 1
         update.seconds = time.perf_counter() - t0
         self.last_update = update
-        return update
+        return self._stamp(update)
 
     def _make_store(self, candidates):
         return make_store(self.candidate_store, candidates, **self.store_options)
 
-    def _count_window(self, store, candidates) -> dict:
+    def _shared_window(self) -> SharedRows:
+        """The window's weighted rows, for the full-window passes of ONE
+        update (the rows change with the next): however many levels it
+        counts, bitmap stores share one build over the level-1 codes."""
+        return SharedRows(
+            list(self._encoded.items()),
+            {code for (code,) in self._frequent1},
+            min_items=2,
+            weighted=True,
+        )
+
+    def _count_window(self, window: SharedRows, store, candidates) -> dict:
         """Exact full-window counts for ``candidates`` (zero-filled)."""
-        rows = list(self._encoded.items())
         counts: dict = {}
-        if rows:
+        if window.rows and self.ctx is None:
+            counts = window.count(store)
+        elif window.rows:  # a lent context: one engine job per pass
             counts = count_rows(
-                [store], rows, weighted=True,
+                [store], window.rows, weighted=True,
                 ctx=self.ctx, num_partitions=self.num_partitions,
             )
         return {c: counts.get(c, 0) for c in candidates}
@@ -411,6 +471,7 @@ class IncrementalMiner:
             i: c for i, c in self._item_counts.items() if c >= self._threshold
         }
         self._dictionary = ItemDictionary.from_counts(frequent_items)
+        self._decode = _DecodeMemo(self._dictionary).__getitem__
         encoded: dict = {}
         for txn in self._window:
             enc = self._dictionary.encode_transaction(txn)
@@ -419,6 +480,7 @@ class IncrementalMiner:
         self._encoded = encoded
         self._frequent1 = {(self._dictionary.code(i),) for i in frequent_items}
         self._levels: list[_Level] = []
+        window = self._shared_window()
         prev = sorted(self._frequent1)
         k = 2
         while prev and (self.max_length is None or k <= self.max_length):
@@ -426,7 +488,7 @@ class IncrementalMiner:
             if not candidates:
                 break
             store = self._make_store(candidates)
-            counts = self._count_window(store, candidates)
+            counts = self._count_window(window, store, candidates)
             frequent = {c for c in candidates if counts[c] >= self._threshold}
             self._levels.append(
                 _Level(k=k, counts=counts, frequent=frequent, store=store)
@@ -440,72 +502,82 @@ class IncrementalMiner:
             prev = sorted(frequent)
             k += 1
 
-    def _apply_delta(self, delta_txns, sign: int, update: IncrementalUpdate) -> None:
-        """Window and item counts already reflect the delta; bring the
-        encoded rows and every level's counts/families up to date."""
-        threshold = min_support_count(self.min_support, len(self._window))
-        self._threshold = threshold
+    def _apply_delta(
+        self, appended, retired, item_delta: dict, threshold: int,
+        update: IncrementalUpdate,
+    ) -> None:
+        """Window and item counts already hold the new state; bring the
+        encoded rows and every level's counts and families up to it, and
+        record what changed in ``update.family_diff`` from the ``(old,
+        new)`` counts this pass holds anyway."""
+        was, self._threshold = self._threshold, threshold
+        dictionary = self._dictionary
+        diff = FamilyDiff() if self.track_family_diff else None
+        changed_counts = diff.changed if diff is not None else None
 
-        # Dictionary-shift guard: a frequent item outside the alphabet was
-        # dropped from every encoded row — no delta pass can recover its
-        # co-occurrences, so re-encode the window.  (An alphabet item going
-        # infrequent needs nothing: its codes just leave level 1.)
-        for item, count in self._item_counts.items():
-            if count >= threshold and item not in self._dictionary:
-                update.full_rebuild = True
-                update.rebuild_reason = f"new frequent singleton {item!r}"
-                self.full_rebuilds += 1
-                self._rebuild(update)
-                return
-
-        # Encode + compact the delta over the unchanged dictionary, and
-        # fold it into the window's weighted rows.
-        delta_map: dict = {}
-        for txn in delta_txns:
-            enc = self._dictionary.encode_transaction(txn)
-            if len(enc) >= 2:
-                delta_map[enc] = delta_map.get(enc, 0) + 1
-        for enc, mult in delta_map.items():
-            left = self._encoded.get(enc, 0) + sign * mult
+        # Encode + compact the signed delta over the unchanged dictionary
+        # (a row on both sides cancels) and fold it into the window's
+        # weighted rows.
+        net: dict = {}
+        for sign, txns in ((1, appended), (-1, retired)):
+            for txn in txns:
+                enc = dictionary.encode_transaction(txn)
+                if len(enc) >= 2:
+                    net[enc] = net.get(enc, 0) + sign
+        plus, minus = [], []
+        for enc, mult in net.items():
+            if not mult:
+                continue
+            (plus if mult > 0 else minus).append((enc, abs(mult)))
+            left = self._encoded.get(enc, 0) + mult
             if left > 0:
                 self._encoded[enc] = left
             else:
                 self._encoded.pop(enc, None)
-        delta_rows = list(delta_map.items())
-        update.delta_rows = len(delta_rows)
+        update.delta_rows = len(plus) + len(minus)
 
-        dictionary = self._dictionary
+        item_counts = self._item_counts
+        old_f1 = self._frequent1
         new_f1 = {
             (dictionary.code(i),)
-            for i, c in self._item_counts.items()
+            for i, c in item_counts.items()
             if c >= threshold and i in dictionary
         }
-        changed = new_f1 != self._frequent1
+        if diff is not None:  # level 1 lives in item space: no decode
+            for (code,) in new_f1 - old_f1:
+                item = dictionary.item(code)
+                diff.added[(item,)] = item_counts[item]
+            for (code,) in old_f1 - new_f1:
+                item = dictionary.item(code)
+                diff.removed[(item,)] = (
+                    item_counts.get(item, 0) - item_delta.get(item, 0)
+                )
+            for item, d in item_delta.items():
+                new = item_counts.get(item, 0)
+                if d and item in dictionary and new - d >= was and new >= threshold:
+                    changed_counts[(item,)] = (new - d, new)
+        changed = new_f1 != old_f1
         self._frequent1 = new_f1
 
+        window = None  # full-window rows, shared by this update's fresh counts
         prev = sorted(new_f1)
         li = 0
         k = 2
         while prev and (self.max_length is None or k <= self.max_length):
-            if li < len(self._levels) and not changed:
+            old = self._levels[li] if li < len(self._levels) else None
+            if old is not None and not changed:
                 # Candidate set unchanged (tracked == apriori_gen(prev)):
-                # one delta pass, then re-threshold from exact counts.
-                lvl = self._levels[li]
-                if delta_rows:
-                    delta_counts = lvl.store.count_partition(delta_rows, weighted=True)
-                    for cand, cnt in delta_counts.items():
-                        lvl.counts[cand] += sign * cnt
-                new_frequent = {
-                    c for c, v in lvl.counts.items() if v >= threshold
-                }
-                changed = new_frequent != lvl.frequent
-                lvl.frequent = new_frequent
-                update.delta_candidates += len(lvl.counts)
+                # one signed delta pass, then re-threshold from exact counts.
+                lvl, counts, old_frequent = old, old.counts, old.frequent
+                moved = _count_delta(lvl.store, plus, minus)
+                _fold(counts, moved, changed_counts, was, threshold, self._decode)
+                lvl.frequent = {c for c, v in counts.items() if v >= threshold}
+
+                def old_count(cand):
+                    return counts[cand] - moved.get(cand, 0)
+
+                n_fresh = 0
                 update.levels_delta += 1
-                update.per_level.append(
-                    {"k": k, "mode": "delta",
-                     "delta_candidates": len(lvl.counts), "full_candidates": 0}
-                )
             else:
                 # A border itemset crossed below (or the level is new):
                 # regenerate the candidate set.  Border-bounded: retained
@@ -514,41 +586,92 @@ class IncrementalMiner:
                 candidates = apriori_gen(prev)
                 if not candidates:
                     break
-                old = self._levels[li] if li < len(self._levels) else None
                 old_counts = old.counts if old is not None else {}
-                retained = [c for c in candidates if c in old_counts]
-                fresh = [c for c in candidates if c not in old_counts]
+                old_frequent = old.frequent if old is not None else set()
+                old_count = old_counts.__getitem__
+                counts = {c: old_counts[c] for c in candidates if c in old_counts}
+                fresh = [c for c in candidates if c not in counts]
                 store = self._make_store(candidates)
-                counts: dict = {}
-                if retained:
-                    dcounts = (
-                        store.count_partition(delta_rows, weighted=True)
-                        if delta_rows else {}
-                    )
-                    for cand in retained:
-                        counts[cand] = old_counts[cand] + sign * dcounts.get(cand, 0)
-                    update.delta_candidates += len(retained)
+                if counts:
+                    moved = _count_delta(store, plus, minus)
+                    for cand in fresh:  # counted over the window, delta included
+                        moved.pop(cand, None)
+                    _fold(counts, moved, changed_counts, was, threshold, self._decode)
                 if fresh:
-                    counts.update(self._count_window(self._make_store(fresh), fresh))
-                    update.full_candidates += len(fresh)
-                frequent = {c for c in candidates if counts[c] >= threshold}
-                lvl = _Level(k=k, counts=counts, frequent=frequent, store=store)
-                if old is not None:
-                    changed = frequent != old.frequent
-                    self._levels[li] = lvl
-                else:
-                    changed = True
-                    self._levels.append(lvl)
-                update.levels_remined += 1
-                update.per_level.append(
-                    {"k": k, "mode": "remine",
-                     "delta_candidates": len(retained),
-                     "full_candidates": len(fresh)}
+                    if window is None:
+                        window = self._shared_window()
+                    counts.update(
+                        self._count_window(window, self._make_store(fresh), fresh)
+                    )
+                lvl = _Level(
+                    k=k, counts=counts, store=store,
+                    frequent={c for c in candidates if counts[c] >= threshold},
                 )
-            prev = sorted(self._levels[li].frequent)
+                self._levels[li : li + 1] = [lvl]
+                n_fresh = len(fresh)
+                update.levels_remined += 1
+            if diff is not None:
+                _record_crossings(
+                    diff, self._decode, old_frequent, lvl.frequent, old_count,
+                    counts.__getitem__,
+                )
+            changed = lvl.frequent != old_frequent
+            update.delta_candidates += len(counts) - n_fresh
+            update.full_candidates += n_fresh
+            update.per_level.append(
+                {"k": k, "mode": "delta" if lvl is old else "remine",
+                 "delta_candidates": len(counts) - n_fresh,
+                 "full_candidates": n_fresh}
+            )
+            prev = sorted(lvl.frequent)
             li += 1
             k += 1
+        if diff is not None:
+            for gone in self._levels[li:]:
+                for cand in gone.frequent:
+                    diff.removed[self._decode(cand)] = gone.counts[cand]
         del self._levels[li:]
+        update.family_diff = diff
+
+
+def _count_delta(store, plus: list, minus: list) -> dict:
+    """Net signed delta counts of ``store``'s candidates: the appended
+    rows count up, the retired rows count down."""
+    moved = store.count_partition(plus, weighted=True) if plus else {}
+    if minus:
+        for cand, n in store.count_partition(minus, weighted=True).items():
+            moved[cand] = moved.get(cand, 0) - n
+    return moved
+
+
+def _fold(counts: dict, moved: dict, changed, was: int, bar: int, decode) -> None:
+    """Add the net delta counts ``moved`` into ``counts``.
+
+    Given a ``changed`` map (a :class:`FamilyDiff`'s), note on the way
+    every itemset whose count moved while it stayed frequent — at least
+    ``was`` before, at least ``bar`` now: this loop is where the ``(old,
+    new)`` pair is in hand, so the diff costs it no second lookup.
+    """
+    if changed is None:
+        for cand, d in moved.items():
+            counts[cand] += d
+        return
+    for cand, d in moved.items():
+        if d:
+            old = counts[cand]
+            counts[cand] = new = old + d
+            if old >= was and new >= bar:
+                changed[decode(cand)] = (old, new)
+
+
+def _record_crossings(
+    diff: FamilyDiff, decode, old_frequent: set, frequent: set, old_count, count
+) -> None:
+    """The itemsets one level gained and lost, with their new / last counts."""
+    for cand in frequent - old_frequent:
+        diff.added[decode(cand)] = count(cand)
+    for cand in old_frequent - frequent:
+        diff.removed[decode(cand)] = old_count(cand)
 
 
 def incremental_store(config) -> str:

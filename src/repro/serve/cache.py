@@ -31,64 +31,81 @@ from collections.abc import Iterable, Sequence
 from repro.common.sizeof import estimate_size
 
 
-class FingerprintChain:
-    """Incrementally extendable dataset fingerprint.
+_DIGEST_BYTES = hashlib.sha256().digest_size
 
-    The fingerprint is one sha256 stream over length-prefixed chunks of
-    length-prefixed transactions, so appending a delta only hashes the
-    delta: the chain keeps the running hasher and ``extend`` feeds it the
-    new transactions, yielding the *new version's* fingerprint without
-    re-reading the window.  Because a sha256 stream is chunking-invariant,
-    the digest is **byte-identical** to :func:`dataset_fingerprint` over
-    the concatenated window — one chunk or many, the same hex string —
-    which is what lets the serving tier mix raw-transaction submissions
-    and versioned named datasets in one cache keyspace.
+
+class FingerprintChain:
+    """A dataset fingerprint that follows a sliding window at delta cost.
+
+    The fingerprint is sha256 over the concatenated **per-row sha256
+    digests** of the window, in order.  The chain keeps those digests, so
+    ``extend`` hashes only the appended rows, ``retire`` drops the oldest
+    rows' digests without reading a single row, and either way the new
+    fingerprint is one sha256 over 32 bytes per row.  It is
+    **byte-identical** to :func:`dataset_fingerprint` over the current
+    window after any sequence of extends and retires — which is what lets
+    the serving tier mix raw-transaction submissions and versioned named
+    datasets in one cache keyspace.
 
     Items are rendered with ``str`` — the same rendering the ``.dat`` file
     format uses — so a dataset fingerprints identically whether it arrived
     as parsed ints or as strings read back from disk.  The encoding is
-    injective: every transaction and every rendered item is
-    length-prefixed, so ``[["a b"]]`` and ``[["a", "b"]]`` hash
+    injective: every row is its own fixed-width digest, and inside a row
+    the item count and every rendered item are length-prefixed, so
+    ``[["a b"]]`` / ``[["a", "b"]]`` and ``[[1], [2]]`` / ``[[1, 2]]`` hash
     differently.  (A join on a separator would conflate them, letting one
     tenant's submission silently hit another dataset's cache entry.)
     """
 
-    __slots__ = ("_h", "n_transactions")
+    __slots__ = ("_digests",)
 
     def __init__(self, transactions: Iterable[Sequence] = ()):
-        self._h = hashlib.sha256()
-        self.n_transactions = 0
+        self._digests = bytearray()
         self.extend(transactions)
 
+    @property
+    def n_transactions(self) -> int:
+        return len(self._digests) // _DIGEST_BYTES
+
     def extend(self, transactions: Iterable[Sequence]) -> str:
-        """Fold a chunk of transactions in; returns the new fingerprint."""
-        h = self._h
+        """Fold a chunk of transactions in; returns the new fingerprint.
+
+        All or nothing: a row that cannot be rendered raises before the
+        chain changes."""
+        sha256 = hashlib.sha256
+        digests = []
         for txn in transactions:
-            items = [str(i).encode("utf-8") for i in txn]
-            h.update(len(items).to_bytes(4, "big"))
-            for data in items:
-                h.update(len(data).to_bytes(4, "big"))
-                h.update(data)
-            self.n_transactions += 1
-        return h.hexdigest()
+            parts = [len(txn).to_bytes(4, "big")]
+            for item in txn:
+                data = str(item).encode("utf-8")
+                parts.append(len(data).to_bytes(4, "big"))
+                parts.append(data)
+            digests.append(sha256(b"".join(parts)).digest())
+        self._digests += b"".join(digests)
+        return self.hexdigest()
+
+    def retire(self, n_oldest: int) -> str:
+        """Drop the ``n_oldest`` rows from the front; returns the new
+        fingerprint."""
+        del self._digests[: max(0, n_oldest) * _DIGEST_BYTES]
+        return self.hexdigest()
 
     def hexdigest(self) -> str:
-        """The current version's fingerprint (does not consume the chain)."""
-        return self._h.hexdigest()
+        """The current window's fingerprint."""
+        return hashlib.sha256(self._digests).hexdigest()
 
     def copy(self) -> "FingerprintChain":
         """An independent chain at the same position (what-if appends)."""
         clone = object.__new__(FingerprintChain)
-        clone._h = self._h.copy()
-        clone.n_transactions = self.n_transactions
+        clone._digests = bytearray(self._digests)
         return clone
 
 
 def dataset_fingerprint(transactions: Iterable[Sequence]) -> str:
     """Content hash of a transaction list (hex sha256, order-sensitive).
 
-    The single-chunk form of :class:`FingerprintChain` — see there for
-    the encoding contract.
+    The one-shot form of :class:`FingerprintChain` — see there for the
+    encoding contract.
     """
     return FingerprintChain(transactions).hexdigest()
 

@@ -3,7 +3,7 @@
 :class:`LocalClient` talks to a :class:`~repro.serve.service.MiningService`
 directly (zero serialization — the embedded deployment); :class:`HttpClient`
 speaks the JSON protocol of :mod:`repro.serve.http` with nothing beyond
-``urllib``.  Both expose the same verbs (``submit`` / ``status`` /
+``http.client``.  Both expose the same verbs (``submit`` / ``status`` /
 ``result`` / ``wait`` / ``cancel``) plus a blocking ``mine`` convenience
 that round-trips one request, so tests and benchmarks can swap transports.
 """
@@ -11,11 +11,11 @@ that round-trips one request, so tests and benchmarks can swap transports.
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
 from repro.core.registry import MiningConfig
 from repro.serve.jobs import (
@@ -25,7 +25,7 @@ from repro.serve.jobs import (
     ServeError,
     TERMINAL_STATES,
 )
-from repro.serve.service import MiningService
+from repro.serve.service import MAX_POLL_S, MiningService
 
 #: job states (as strings) in which polling should stop
 TERMINAL_STATE_VALUES = frozenset(s.value for s in TERMINAL_STATES)
@@ -38,14 +38,6 @@ _TRANSIENT_CONNECT_ERRORS = (
     BrokenPipeError,
     ConnectionAbortedError,
 )
-
-
-def _is_transient(err: Exception) -> bool:
-    if isinstance(err, _TRANSIENT_CONNECT_ERRORS):
-        return True
-    if isinstance(err, urllib.error.URLError):
-        return isinstance(err.reason, _TRANSIENT_CONNECT_ERRORS)
-    return False
 
 
 class LocalClient:
@@ -148,7 +140,11 @@ class HttpClient:
     Transient connection failures (refused/reset while the server starts
     or restarts) are retried with capped exponential backoff
     (``connect_retries`` attempts, ``retry_backoff_s`` doubling up to
-    ``max_backoff_s``).  A 429 rejection raises
+    ``max_backoff_s``).  Each thread that uses the client keeps ONE
+    connection open and sends every request down it: an op is three
+    requests (submit, wait, result), and a connection per request costs
+    the server an accept and a new handler thread each time — beside a
+    mining worker, several waits for the GIL.  A 429 rejection raises
     :class:`~repro.serve.jobs.RejectedError` carrying the server's
     ``Retry-After`` hint, which :meth:`mine` honours by backing off and
     resubmitting until its deadline.
@@ -167,59 +163,73 @@ class HttpClient:
         self.connect_retries = connect_retries
         self.retry_backoff_s = retry_backoff_s
         self.max_backoff_s = max_backoff_s
+        url = urlsplit(self.base_url)
+        self._connect = (
+            http.client.HTTPSConnection if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._address = (url.hostname, url.port)
+        self._prefix = url.path
+        self._local = threading.local()  # .connection: this thread's
 
     # -- transport ---------------------------------------------------------
     def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
         body = None if payload is None else json.dumps(payload).encode("utf-8")
-        for attempt in range(self.connect_retries + 1):
-            req = urllib.request.Request(
-                self.base_url + path,
-                data=body,
-                method=method,
-                headers={"Content-Type": "application/json"} if body else {},
-            )
+        headers = {"Content-Type": "application/json"} if body else {}
+        attempt = 0
+        while True:
+            conn = getattr(self._local, "connection", None)
+            reused = conn is not None
+            if conn is None:
+                conn = self._local.connection = self._connect(
+                    *self._address, timeout=30
+                )
             try:
-                with urllib.request.urlopen(req, timeout=30) as resp:
-                    return json.loads(resp.read())
-            except urllib.error.HTTPError as err:
-                try:
-                    detail_payload = json.loads(err.read())
-                    detail = detail_payload.get("error", "")
-                except Exception:  # noqa: BLE001 - best-effort error body
-                    detail_payload, detail = {}, ""
-                if err.code == 429:
-                    header = err.headers.get("Retry-After") if err.headers else None
-                    retry_after = detail_payload.get("retry_after_s")
-                    if retry_after is None:
-                        try:
-                            retry_after = float(header)
-                        except (TypeError, ValueError):
-                            retry_after = 1.0
-                    raise RejectedError(
-                        f"{method} {path} -> HTTP 429: {detail or err.reason}",
-                        retry_after_s=float(retry_after),
-                        scope=detail_payload.get("scope", "server"),
-                        shard=detail_payload.get("shard"),
-                        queue_depth=detail_payload.get("queue_depth"),
-                        queue_limit=detail_payload.get("queue_limit"),
-                    ) from err
-                # structured client error: re-raise with the server's code
-                # so callers branch on ``err.code`` ("version_conflict",
-                # "unknown_dataset"...) instead of parsing message prose
-                raise ApiError(
-                    f"{method} {path} -> HTTP {err.code}: {detail or err.reason}",
-                    status=err.code,
-                    code=detail_payload.get("code", "error"),
-                ) from err
-            except (urllib.error.URLError, *_TRANSIENT_CONNECT_ERRORS) as err:
-                if _is_transient(err) and attempt < self.connect_retries:
-                    backoff = min(
-                        self.max_backoff_s, self.retry_backoff_s * (2**attempt)
+                conn.request(method, self._prefix + path, body=body, headers=headers)
+                response = conn.getresponse()
+                data = response.read()
+            except (http.client.HTTPException, OSError) as err:
+                conn.close()
+                self._local.connection = None
+                transient = isinstance(err, _TRANSIENT_CONNECT_ERRORS)
+                if reused and transient:
+                    continue  # the server dropped an idle connection: reconnect
+                if transient and attempt < self.connect_retries:
+                    time.sleep(
+                        min(self.max_backoff_s, self.retry_backoff_s * (2**attempt))
                     )
-                    time.sleep(backoff)
+                    attempt += 1
                     continue
-                reason = getattr(err, "reason", err)
-                raise ServeError(f"cannot reach {self.base_url}: {reason}") from err
+                raise ServeError(f"cannot reach {self.base_url}: {err}") from err
+            if response.status < 400:
+                return json.loads(data)
+            try:
+                detail_payload = json.loads(data)
+                detail = detail_payload.get("error", "")
+            except (ValueError, AttributeError):  # best-effort error body
+                detail_payload, detail = {}, ""
+            summary = f"{method} {path} -> HTTP {response.status}: {detail or response.reason}"
+            if response.status == 429:
+                retry_after = detail_payload.get("retry_after_s")
+                if retry_after is None:
+                    try:
+                        retry_after = float(response.getheader("Retry-After"))
+                    except (TypeError, ValueError):
+                        retry_after = 1.0
+                raise RejectedError(
+                    summary,
+                    retry_after_s=float(retry_after),
+                    scope=detail_payload.get("scope", "server"),
+                    shard=detail_payload.get("shard"),
+                    queue_depth=detail_payload.get("queue_depth"),
+                    queue_limit=detail_payload.get("queue_limit"),
+                )
+            # structured client error: re-raise with the server's code
+            # so callers branch on ``err.code`` ("version_conflict",
+            # "unknown_dataset"...) instead of parsing message prose
+            raise ApiError(
+                summary, status=response.status, code=detail_payload.get("code", "error")
+            )
 
     # -- verbs -------------------------------------------------------------
     def healthz(self) -> dict:
@@ -368,22 +378,34 @@ class HttpClient:
         )
 
     def status(self, job_id: str) -> dict:
+        """``GET /jobs/<id>``: the job's snapshot, now.  ``job_id`` goes
+        into the path as given, so it may carry the route's query string
+        (:meth:`wait` asks for ``<id>?timeout_s=<s>``)."""
         return self._request("GET", f"/jobs/{job_id}")
 
     def cancel(self, job_id: str) -> bool:
         return bool(self._request("DELETE", f"/jobs/{job_id}").get("cancelled"))
 
     def wait(self, job_id: str, timeout: float | None = None) -> dict:
-        """Poll until the job is terminal; returns the final snapshot.
+        """Block until the job is terminal; returns the final snapshot.
 
-        A 429 on the status poll (a rate-limited server) is not fatal:
-        the loop honours the ``Retry-After`` hint and keeps polling
-        until the deadline.
+        Each status read long-polls (``GET /jobs/<id>?timeout_s=<s>``):
+        the server answers when the job turns terminal, or after the
+        time asked (it caps one wait at ``MAX_POLL_S``), so a finished
+        job is seen when it finishes and not at the next poll tick.
+        ``poll_interval_s`` is only the floor between two reads when a
+        non-terminal answer came back early.  A 429 on a read (a
+        rate-limited server) is not fatal: the loop honours the
+        ``Retry-After`` hint and keeps going until the deadline.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
+            asked = time.monotonic()
+            wait_s = MAX_POLL_S
+            if deadline is not None:
+                wait_s = min(wait_s, max(0.0, deadline - asked))
             try:
-                snapshot = self.status(job_id)
+                snapshot = self.status(f"{job_id}?{urlencode({'timeout_s': wait_s})}")
             except RejectedError as err:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise
@@ -395,7 +417,9 @@ class HttpClient:
                 raise ServeError(
                     f"job {job_id} still {snapshot['state']} after {timeout}s"
                 )
-            time.sleep(self.poll_interval_s)
+            early = self.poll_interval_s - (time.monotonic() - asked)
+            if early > 0:
+                time.sleep(early)
 
     def _bounded_sleep(self, wanted_s: float, deadline: float | None) -> float:
         sleep_s = max(0.01, wanted_s)

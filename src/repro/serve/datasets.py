@@ -257,10 +257,11 @@ class ManagedDataset:
         :attr:`lock`).
 
         Returns an :class:`AppendResult`, or ``None`` when there was
-        nothing to do (empty delta, no retire due).  The delta is
-        validated and hashed into a *copy* of the fingerprint chain
-        before any state mutates — a poisoned delta (unhashable item,
-        un-serializable row) leaves the entry exactly as it was.
+        nothing to do (empty delta, no retire due).  Hashing the delta
+        into the fingerprint chain is the first thing that mutates, and
+        the chain takes a delta whole or not at all — a poisoned delta
+        (un-renderable item, a row that is not iterable) leaves the entry
+        exactly as it was.
         """
         if self.retired:
             raise ApiError(
@@ -272,14 +273,10 @@ class ManagedDataset:
         now = self.clock() if now is None else now
         if not delta and self._excess(now) == 0:
             return None
-        trial = self.chain.copy()
-        if delta:
-            try:
-                trial.extend(delta)
-            except ApiError:
-                raise
-            except Exception as exc:
-                raise ApiError(f"delta could not be fingerprinted: {exc}") from exc
+        try:
+            fingerprint = self.chain.extend(delta)
+        except Exception as exc:
+            raise ApiError(f"delta could not be fingerprinted: {exc}") from exc
         old_fp, old_version = self.fingerprint, self.version
         self.transactions.extend(delta)
         self.arrivals.extend([now] * len(delta))
@@ -289,20 +286,16 @@ class ManagedDataset:
             pre_trim = list(self.transactions)
             del self.transactions[: n_retire]
             del self.arrivals[: n_retire]
-            # Retired rows are gone from the front: the append-only chain
-            # cannot express that, so rebuild it from the trimmed window
-            # (O(window) hashing — bounded by the policy itself).  Every
-            # retained version stops being a prefix of the new window, so
-            # the prefix-guard map must empty — pinned snapshots then
-            # fail the guard and their jobs fall back to a cold run,
-            # which is exactly the never-serve-stale behavior.
-            self.chain = FingerprintChain(self.transactions)
-            self.fingerprint = self.chain.hexdigest()
+            # The chain drops the retired rows' digests: O(retired), no
+            # row is re-read.  Every retained version stops being a
+            # prefix of the new window, so the prefix-guard map must
+            # empty — pinned snapshots then fail the guard and their jobs
+            # fall back to a cold run, which is exactly the
+            # never-serve-stale behavior.
+            fingerprint = self.chain.retire(n_retire)
             self.versions.clear()
             self.retires += n_retire
-        else:
-            self.chain = trial
-            self.fingerprint = trial.hexdigest()
+        self.fingerprint = fingerprint
         self.version += 1
         self.versions[self.version] = self.fingerprint
         self._prune_versions()
@@ -344,6 +337,8 @@ class ManagedDataset:
         )
         if start is None:
             return None
+        if start == len(log) - 1:
+            return log[start][2]  # one transition: logged diffs are never mutated
         return FamilyDiff.compose(diff for _, _, diff in log[start:])
 
     def info(self) -> dict:

@@ -10,7 +10,10 @@ JSON over ``http.server`` — no third-party dependencies:
                             "pinned"/"approx"}`` → 202 with the job snapshot
                             (200 when memoized; 429 + ``Retry-After`` when
                             admission control or load shedding rejects)
-``GET /jobs/<id>``          lifecycle snapshot (state, attempts, timings...)
+``GET /jobs/<id>``          lifecycle snapshot (state, attempts, timings...);
+                            ``?timeout_s=<s>`` long-polls: the answer waits
+                            up to that long (server cap 25 s) for the job
+                            to turn terminal
 ``DELETE /jobs/<id>``       cancel (queued or running)
 ``GET /results/<id>``       mined itemsets once DONE (409 with the state
                             while the job is still in flight)
@@ -68,7 +71,7 @@ from repro.core.registry import MiningConfig
 from repro.serve.jobs import ApiError, JobState, RejectedError, ServeError
 from repro.serve.planner import CostPlanner
 from repro.serve.router import ShardRouter
-from repro.serve.service import MiningService
+from repro.serve.service import MAX_POLL_S, MiningService
 
 _CONFIG_FIELDS = {f.name for f in dataclass_fields(MiningConfig)}
 
@@ -86,8 +89,21 @@ _CREATE_FIELDS = {
 }
 _APPEND_FIELDS = {"transactions", "expected_version", "flush"}
 
-#: query keys for GET /datasets/<id>/changes
+#: query keys for GET /datasets/<id>/changes and GET /jobs/<id>
 _CHANGES_PARAMS = {"since", "min_support", "max_length", "candidate_store", "timeout_s"}
+_JOB_PARAMS = {"timeout_s"}
+
+
+def _query_params(query: str, valid: set) -> dict:
+    """The query string as a dict; a key outside ``valid`` is a 400
+    (``?timeout=5`` must not silently poll without waiting)."""
+    params = {k: v[-1] for k, v in parse_qs(query).items()}
+    unknown = set(params) - valid
+    if unknown:
+        raise ServeError(
+            f"unknown query param(s) {sorted(unknown)}; valid: {sorted(valid)}"
+        )
+    return params
 
 
 def config_from_dict(payload: dict) -> MiningConfig:
@@ -145,6 +161,12 @@ def itemsets_from_payload(payload: dict) -> dict:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: buffer the response and send it once, when the handler returns:
+    #: headers and body as two writes are two syscalls — beside a mining
+    #: worker each one costs this thread a wait for the GIL — and on a
+    #: kept-alive connection the second waits for the client's delayed ACK
+    wbufsize = 1 << 20
+    disable_nagle_algorithm = True  # same, for a body the buffer cannot hold
 
     @property
     def service(self) -> MiningService | ShardRouter:
@@ -162,6 +184,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if status >= 400:
+            # an error may answer before the request body was read: end
+            # the connection rather than parse the leftovers as a request
+            self.send_header("Connection", "close")
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
@@ -209,9 +235,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif path == "/metrics":
             self._send_json(200, self.service.metrics())
         elif path.startswith("/jobs/"):
-            job = self._job_or_404(path.removeprefix("/jobs/"))
-            if job is not None:
-                self._send_json(200, job.snapshot())
+            self._get_job(path.removeprefix("/jobs/"), url.query)
         elif path.startswith("/results/"):
             job = self._job_or_404(path.removeprefix("/results/"))
             if job is None:
@@ -247,14 +271,23 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._no_route("GET")
 
+    def _get_job(self, job_id: str, query: str) -> None:
+        """The job's snapshot — after blocking up to ``timeout_s`` (capped
+        server-side) for it to turn terminal, when the query asks."""
+        try:
+            timeout_s = float(_query_params(query, _JOB_PARAMS).get("timeout_s", 0.0))
+        except (ServeError, ValueError) as err:
+            self._send_json(400, {"error": str(err), "code": "bad_request"})
+            return
+        job = self._job_or_404(job_id)
+        if job is None:
+            return
+        if timeout_s > 0:
+            job.wait(min(timeout_s, MAX_POLL_S))
+        self._send_json(200, job.snapshot())
+
     def _get_changes(self, dataset_id: str, query: str) -> None:
-        params = {k: v[-1] for k, v in parse_qs(query).items()}
-        unknown = set(params) - _CHANGES_PARAMS
-        if unknown:
-            raise ServeError(
-                f"unknown query param(s) {sorted(unknown)}; "
-                f"valid: {sorted(_CHANGES_PARAMS)}"
-            )
+        params = _query_params(query, _CHANGES_PARAMS)
         for required in ("since", "min_support"):
             if required not in params:
                 raise ServeError(f"query param {required!r} is required")

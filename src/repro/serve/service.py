@@ -51,9 +51,9 @@ from repro.serve.jobs import (
 #: exception types treated as transient (retried with backoff)
 TRANSIENT_ERRORS = (EngineError,)
 
-#: server-side cap on one ``/changes`` long-poll wait — below the HTTP
-#: client's 30s socket timeout so a quiet feed answers empty, not with a
-#: connection error
+#: server-side cap on one long-poll wait (``/changes``, ``/jobs/<id>``)
+#: — below the HTTP client's 30s socket timeout so a quiet feed or a
+#: long job answers "nothing yet", not with a connection error
 MAX_POLL_S = 25.0
 
 
@@ -568,13 +568,12 @@ class MiningService:
             watch = entry.watches.get(mkey)
             if watch is None and res.n_retired == 0:
                 continue
-            diffs = []
             try:
-                pending = res.pre_trim_window[miner.n_transactions :]
-                if pending:
-                    diffs.append(miner.append(pending).family_diff)
-                if res.n_retired:
-                    diffs.append(miner.retire(res.n_retired).family_diff)
+                # ONE update per version bump: the window between the
+                # append and the retire is never mined
+                update = miner.slide(
+                    res.pre_trim_window[miner.n_transactions :], res.n_retired
+                )
             except MiningError:
                 del entry.miners[mkey]
                 if watch is not None:
@@ -582,9 +581,7 @@ class MiningService:
                 continue
             if watch is not None and watch.start_version is not None:
                 watch.record(
-                    res.old_version,
-                    res.new_version,
-                    FamilyDiff.compose(d for d in diffs if d is not None),
+                    res.old_version, res.new_version, update.family_diff or FamilyDiff()
                 )
 
     def dataset_info(self, dataset_id: str) -> dict:
@@ -645,7 +642,13 @@ class MiningService:
                     status=409,
                     code="dataset_retired",
                 )
-            return self._changes_payload_locked(entry, mkey, since)
+            header, diff, family = self._changes_locked(entry, mkey, since)
+        # Sorting and rendering every changed itemset is the slow part of
+        # an answer, and nothing in it needs the dataset any more: the
+        # writer's next append or submit must not queue behind it.
+        if diff is None:
+            return {**header, "reset": True, "family": _family_payload(family)}
+        return {**header, "reset": False, **_diff_payload(diff)}
 
     def _ensure_watch_locked(self, entry, min_support, max_length, candidate_store):
         """The (mining key, warm miner) for a change-feed subscription,
@@ -678,19 +681,20 @@ class MiningService:
             watch.log.clear()
         return mkey, miner
 
-    def _changes_payload_locked(self, entry, mkey, since: int) -> dict:
-        base = {
+    def _changes_locked(self, entry, mkey, since: int) -> tuple:
+        """``(payload header, diff, family)`` for a change-feed answer:
+        the composed diff from ``since``, or — when the log no longer
+        covers ``since`` — ``None`` and a snapshot of the full family
+        (caller holds ``entry.lock``; both are the caller's to render)."""
+        header = {
             "dataset_id": entry.dataset_id,
             "since": since,
             "version": entry.version,
             "n_transactions": len(entry.transactions),
         }
         diff = entry.changes_since(mkey, since)
-        if diff is None:
-            # the log no longer covers `since` — ship the full family
-            miner = entry.miners[mkey]
-            return {**base, "reset": True, "family": _family_payload(miner.itemsets())}
-        return {**base, "reset": False, **_diff_payload(diff)}
+        family = entry.miners[mkey].itemsets() if diff is None else None
+        return header, diff, family
 
     # -- ingest flusher ----------------------------------------------------
     def _ensure_flusher(self, entry) -> None:

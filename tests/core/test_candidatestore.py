@@ -22,7 +22,7 @@ from repro.core.candidatestore import (
     FlatDictStore,
     LinearStore,
     TrieStore,
-    _set_bit_run,
+    build_tid_bitmaps,
     get_store,
     make_store,
     register_store,
@@ -222,13 +222,26 @@ class TestStoreContract:
 # Store-specific behaviour
 # ---------------------------------------------------------------------------
 class TestBitmapStore:
-    def test_set_bit_run(self):
-        for pos, width in [(0, 1), (7, 1), (3, 5), (5, 9), (0, 16), (9, 23), (6, 2)]:
-            buf = bytearray((pos + width + 7) // 8)
-            _set_bit_run(buf, pos, width)
-            val = int.from_bytes(buf, "little")
-            assert val == ((1 << width) - 1) << pos, (pos, width)
-            assert val.bit_count() == width
+    def test_build_tid_bitmaps_layout(self):
+        # one bit per logical transaction, first row in the top bit; a
+        # weighted row is a run; a row short of min_items gets no tid
+        part = [((1, 2), 3), ((2, 9), 1), ((1,), 2), ((1, 2, 3), 1)]
+        got = build_tid_bitmaps(part, {1, 2, 3}, weighted=True)
+        assert got == {1: 0b1110111, 2: 0b1111001, 3: 0b0000001}
+        assert build_tid_bitmaps(part, {1, 2, 3}, min_items=2, weighted=True) == {
+            1: 0b1111, 2: 0b1111, 3: 0b0001,
+        }
+        assert build_tid_bitmaps([(5,), (1, 5), (1,)], {1}) == {1: 0b011}
+        assert build_tid_bitmaps([(5,)], {1}) == {}
+
+    def test_count_bitmaps_reads_a_shared_build(self):
+        # a build over a superset of the store's items (what several
+        # stores over the same rows share) counts like the store's own
+        cands, txns = random_case(5, k=3, n_cands=30, n_items=12)
+        store = BitmapStore(cands)
+        shared = build_tid_bitmaps(txns, set(range(12)), min_items=2)
+        assert store.count_bitmaps(shared) == store.count_partition(txns)
+        assert store.count_bitmaps({}) == {}
 
     def test_weighted_run_encoding_is_exact(self):
         # compaction multiplicities: (txn, w) occupies a run of w tids, so

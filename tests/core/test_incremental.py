@@ -12,7 +12,10 @@ parity while defeating the point.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.algorithms import fpgrowth
 from repro.common.errors import MiningError
 from repro.core.incremental import FamilyDiff, IncrementalMiner, run_incremental
 from repro.core.registry import MiningConfig, run_algorithm
@@ -336,3 +339,153 @@ class TestFamilyDiff:
             diffs.append(miner.last_update.family_diff)
         assert all(d is not None for d in diffs)
         assert FamilyDiff.compose(diffs).apply(start) == miner.itemsets()
+
+
+# ---------------------------------------------------------------------------
+# The fused update: slide == append-then-retire == cold re-mine == fpgrowth
+# ---------------------------------------------------------------------------
+ITEMS = "abcdef"
+rows_st = st.lists(
+    st.lists(st.sampled_from(ITEMS), max_size=4, unique=True).map(tuple),
+    max_size=8,
+)
+steps_st = st.lists(st.tuples(rows_st, st.integers(0, 10)), min_size=1, max_size=5)
+
+
+def assert_diff_is_exact(diff, before, after):
+    """The diff the update emitted is *the* diff, not just one that
+    replays: same three maps as the two-snapshot construction."""
+    assert diff.apply(before) == after
+    want = FamilyDiff.between(before, after)
+    assert (diff.added, diff.removed, diff.changed) == (
+        want.added, want.removed, want.changed
+    )
+
+
+class TestFusedSlide:
+    @pytest.mark.parametrize("store", STORES)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        initial=rows_st.filter(bool), steps=steps_st,
+        min_support=st.sampled_from([0.2, 0.34, 0.5]),
+    )
+    def test_slide_equals_two_steps_equals_cold_mine(
+        self, store, initial, steps, min_support
+    ):
+        fused = IncrementalMiner(initial, min_support, candidate_store=store)
+        twice = IncrementalMiner(initial, min_support, candidate_store=store)
+        window = list(initial)
+        for delta, n_oldest in steps:
+            n_oldest = min(n_oldest, len(window) + len(delta) - 1)
+            before = fused.itemsets()
+            update = fused.slide(delta, n_oldest)
+            two = [twice.append(delta), twice.retire(n_oldest)]
+            window = (window + delta)[n_oldest:]
+            after = fused.itemsets()
+            assert after == twice.itemsets() == fpgrowth(window, min_support)
+            assert after == IncrementalMiner(
+                window, min_support, candidate_store=store
+            ).itemsets()
+            assert fused.n_transactions == len(window)
+            assert update.threshold == twice.threshold
+            if delta or n_oldest:
+                assert_diff_is_exact(update.family_diff, before, after)
+                folded = FamilyDiff.compose(
+                    u.family_diff for u in two if u.family_diff is not None
+                )
+                assert folded.apply(before) == after
+
+    def test_row_on_both_sides_cancels(self):
+        # the oldest row comes back in the delta: nothing to count
+        miner = IncrementalMiner(BORDER_BASE, 0.5)
+        before = miner.itemsets()
+        upd = miner.slide([BORDER_BASE[0]], 1)
+        assert upd.kind == "slide" and upd.n_delta == 2
+        assert upd.delta_rows == 0 and upd.levels_remined == 0
+        assert miner.itemsets() == before == oracle(
+            BORDER_BASE[1:] + [BORDER_BASE[0]], 0.5
+        )
+        assert upd.family_diff.is_empty
+
+    def test_empty_delta_with_a_retire_is_a_retire(self):
+        fused = IncrementalMiner(BORDER_BASE, 0.5)
+        plain = IncrementalMiner(BORDER_BASE, 0.5)
+        before = fused.itemsets()
+        upd = fused.slide([], 6)
+        plain.retire(6)
+        assert fused.itemsets() == plain.itemsets() == oracle(BORDER_BASE[6:], 0.5)
+        assert upd.threshold == plain.threshold == 3
+        assert_diff_is_exact(upd.family_diff, before, fused.itemsets())
+        assert fused.slide([], 0).n_delta == 0 and fused.version == 2
+
+    def test_slide_skips_the_intermediate_threshold(self):
+        """The append raises the threshold past a (6 of 14 < 7) and the
+        retire lowers it back: two steps re-mine levels 2 and 3 twice for
+        a window nobody sees, the fused update re-mines nothing."""
+        base = [("c",)] * 2 + [("a", "b", "c")] * 6 + [("b", "c")] * 4
+        delta = [("b", "c")] * 2
+        two = IncrementalMiner(base, 0.5)
+        assert ("a", "b", "c") in two.itemsets()
+        first, second = two.append(delta), two.retire(2)
+        assert ("a",) in first.family_diff.removed
+        assert ("a",) in second.family_diff.added
+        fused = IncrementalMiner(base, 0.5)
+        upd = fused.slide(delta, 2)
+        assert fused.itemsets() == two.itemsets() == oracle((base + delta)[2:], 0.5)
+        assert first.levels_remined + second.levels_remined >= 2
+        assert upd.levels_remined == 0 and not upd.full_rebuild
+        assert not upd.family_diff.added and not upd.family_diff.removed
+
+    def test_slide_that_makes_an_outsider_frequent_rebuilds(self):
+        base = BORDER_BASE + [("d",)]  # d is outside the dictionary
+        miner = IncrementalMiner(base, 0.5)
+        before = miner.itemsets()
+        upd = miner.slide([("c", "d")] * 9, 4)
+        window = (base + [("c", "d")] * 9)[4:]
+        assert upd.full_rebuild and "'d'" in upd.rebuild_reason
+        assert miner.full_rebuilds == 1
+        assert miner.itemsets() == oracle(window, 0.5)
+        assert ("c", "d") in miner.itemsets()
+        assert_diff_is_exact(upd.family_diff, before, miner.itemsets())
+
+    @pytest.mark.parametrize("n_oldest", [14, 15, 99])
+    def test_slide_that_would_empty_the_window_changes_nothing(self, n_oldest):
+        miner = IncrementalMiner(BORDER_BASE, 0.5)
+        before, version = miner.itemsets(), miner.version
+        with pytest.raises(MiningError):
+            miner.slide([("a", "b")] * 2, n_oldest)  # window 12 + delta 2
+        assert miner.itemsets() == before and miner.version == version
+        assert miner.n_transactions == len(BORDER_BASE)
+        assert miner.last_update.kind == "build"
+        miner.slide([("a", "b")] * 2, 13)  # one row left is still a window
+        assert miner.itemsets() == oracle([("a", "b")], 0.5)
+
+    def test_untracked_slide_emits_no_diff(self):
+        miner = IncrementalMiner(BORDER_BASE, 0.5, track_family_diff=False)
+        assert miner.slide([("a", "b")] * 4, 2).family_diff is None
+        assert miner.slide([("c", "d")] * 30, 1).full_rebuild
+        assert miner.last_update.family_diff is None
+
+    def test_one_window_build_per_update(self, sparse_pool, monkeypatch):
+        """However many levels an update re-mines, the bitmap stores of
+        its fresh candidates read one full-window build."""
+        import repro.core.counting as counting
+
+        builds = []
+        real = counting.build_tid_bitmaps
+
+        def counted(rows, *args, **kwargs):
+            builds.append(len(rows))
+            return real(rows, *args, **kwargs)
+
+        window = list(sparse_pool[:120])
+        miner = IncrementalMiner(window, 0.05)
+        monkeypatch.setattr(counting, "build_tid_bitmaps", counted)
+        levels_with_fresh = 0
+        for start in range(120, 200, 20):
+            del builds[:]
+            upd = miner.slide(sparse_pool[start:start + 20], 20)
+            fresh = [lvl for lvl in upd.per_level if lvl["full_candidates"]]
+            levels_with_fresh = max(levels_with_fresh, len(fresh))
+            assert len(builds) == (1 if fresh else 0)
+        assert levels_with_fresh >= 2  # the case the sharing exists for

@@ -1,14 +1,23 @@
 """Cross-job cache behaviour: fingerprints, LRU byte budget, TTL, contexts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.registry import MiningConfig
 from repro.serve.cache import (
     ContextPool,
     DatasetCache,
+    FingerprintChain,
     LruByteCache,
     ResultCache,
     dataset_fingerprint,
+)
+
+#: rows whose renderings collide unless boundaries are hashed ("1" vs 1
+#: must agree, "a b" vs "a", "b" must not)
+rows = st.lists(
+    st.one_of(st.integers(0, 9), st.sampled_from(["a", "b", "a b", "1"])), max_size=3
 )
 
 
@@ -31,6 +40,70 @@ class TestDatasetFingerprint:
         assert dataset_fingerprint([["a b"]]) != dataset_fingerprint([["a", "b"]])
         assert dataset_fingerprint([["a", "b c"]]) != dataset_fingerprint([["a b", "c"]])
         assert dataset_fingerprint([["a\nb"]]) != dataset_fingerprint([["a"], ["b"]])
+
+    def test_injective_across_row_boundaries(self):
+        # every row is its own digest: where a row ends is part of the hash
+        assert dataset_fingerprint([[1], [2]]) != dataset_fingerprint([[1, 2]])
+        assert dataset_fingerprint([[], [1]]) != dataset_fingerprint([[1], []])
+        assert dataset_fingerprint([[1]]) != dataset_fingerprint([[1], []])
+        assert dataset_fingerprint([]) != dataset_fingerprint([[]])
+
+    def test_order_sensitive(self):
+        assert dataset_fingerprint([[1], [2]]) != dataset_fingerprint([[2], [1]])
+        assert dataset_fingerprint([[1, 2]]) != dataset_fingerprint([[2, 1]])
+
+
+class TestFingerprintChainContract:
+    """One fingerprint format: whatever extends, retires and copies led to
+    a window, the chain reads what ``dataset_fingerprint`` reads."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        initial=st.lists(rows, max_size=6),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("extend"), st.lists(rows, max_size=4)),
+                st.tuples(st.just("retire"), st.integers(0, 5)),
+                st.tuples(st.just("copy"), st.none()),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_chain_equals_one_shot_after_any_interleaving(self, initial, ops):
+        chain, window = FingerprintChain(initial), list(initial)
+        left_behind = []
+        for op, arg in ops:
+            if op == "extend":
+                assert chain.extend(arg) == dataset_fingerprint(window + arg)
+                window += arg
+            elif op == "retire":
+                assert chain.retire(arg) == dataset_fingerprint(window[arg:])
+                del window[:arg]
+            else:
+                left_behind.append((chain, list(window)))
+                chain = chain.copy()
+            assert chain.hexdigest() == dataset_fingerprint(window)
+            assert chain.n_transactions == len(window)
+        for old, old_window in left_behind:  # copies never share state
+            assert old.hexdigest() == dataset_fingerprint(old_window)
+
+    def test_retire_reads_no_row(self):
+        chain = FingerprintChain([[1, 2], [3], [4, 5]])
+        assert chain.retire(2) == dataset_fingerprint([[4, 5]])
+        assert chain.retire(0) == chain.retire(-3) == dataset_fingerprint([[4, 5]])
+        assert chain.retire(7) == dataset_fingerprint([])  # over-retire: empty
+
+    def test_extend_is_all_or_nothing(self):
+        class Poison:
+            def __str__(self):
+                raise RuntimeError("unrenderable item")
+
+        chain = FingerprintChain([[1, 2]])
+        for bad in ([[3], [4, Poison()]], [[3], 4]):
+            with pytest.raises((RuntimeError, TypeError)):
+                chain.extend(bad)
+            assert chain.hexdigest() == dataset_fingerprint([[1, 2]])
+            assert chain.n_transactions == 1
 
 
 class TestLruByteCache:

@@ -176,6 +176,70 @@ class TestDatasetRegistry:
             entry.append([("x", "y")])
         assert 1 not in entry.versions
 
+    def test_fingerprint_follows_a_sliding_window(self):
+        """The chain retires with the window: after any mix of plain and
+        retiring appends the entry's fingerprint is the one-shot
+        fingerprint of its rows (one cache keyspace with raw submits)."""
+        reg = DatasetRegistry()
+        entry, _ = reg.create("w", BASE, max_window=len(BASE) + 2)
+        window = list(BASE)
+        for delta in ([("x", "y")], DELTA, [("z",)] * 9, [], [("a",)]):
+            with entry.lock:
+                res = entry.append(delta)
+            window = (window + delta)[-(len(BASE) + 2):]
+            assert entry.transactions == window
+            assert entry.fingerprint == entry.chain.hexdigest()
+            assert entry.fingerprint == dataset_fingerprint(window)
+            assert entry.chain.n_transactions == len(window)
+            if res is not None:
+                assert entry.versions == {entry.version: entry.fingerprint}
+        assert entry.retires == len(BASE) + 15 - len(window)
+
+    def test_poisoned_delta_changes_nothing(self):
+        """Hashing the delta is the first step and takes it whole or not
+        at all: chain, window, arrivals, version, pins and warm miners
+        all stay exactly as they were — also when a retire was due."""
+
+        class Poison:
+            def __str__(self):
+                raise RuntimeError("unrenderable item")
+
+        reg = DatasetRegistry()
+        entry, _ = reg.create("w", BASE, max_window=len(BASE))
+        entry.miners[(0.5, None, "bitmap")] = miner = object()
+        entry.pin_version(1)
+        before = (
+            list(entry.transactions), list(entry.arrivals), entry.version,
+            entry.fingerprint, dict(entry.versions), entry.retires,
+        )
+        for bad in ([("a", "b"), ("a", Poison())], [("a", "b"), 7]):
+            with entry.lock, pytest.raises(ApiError, match="fingerprinted"):
+                entry.append(bad)
+            assert before == (
+                entry.transactions, entry.arrivals, entry.version,
+                entry.fingerprint, entry.versions, entry.retires,
+            )
+            assert entry.chain.hexdigest() == dataset_fingerprint(BASE)
+            assert entry.miners == {(0.5, None, "bitmap"): miner}
+        with entry.lock:
+            entry.append(DELTA)  # still fully functional
+        assert entry.fingerprint == dataset_fingerprint((BASE + DELTA)[len(DELTA):])
+
+    def test_retire_clears_the_prefix_guard(self):
+        """A pinned pre-retire version must leave the version map: its
+        snapshot is no longer a prefix of the window, and a job holding
+        it has to fall back to a cold run of its own rows."""
+        reg = DatasetRegistry()
+        entry, _ = reg.create("w", BASE, max_window=len(BASE) + 1)
+        entry.pin_version(1)
+        with entry.lock:
+            entry.append([("x",)])  # no retire: the pinned version stays
+        assert set(entry.versions) == {1, 2}
+        with entry.lock:
+            res = entry.append(DELTA)  # retires: every older version goes
+        assert res.n_retired == len(DELTA)
+        assert entry.versions == {3: entry.fingerprint}
+
     def test_empty_create_rejected_and_empty_append_is_noop(self):
         reg = DatasetRegistry()
         with pytest.raises(ApiError):
@@ -237,6 +301,27 @@ class TestServiceDatasets:
         post = service.submit(None, approx, dataset_id="w")
         assert post.wait(30.0)
         assert post.via == "run"
+
+    def test_job_pinned_before_a_retire_answers_its_own_snapshot(self, service):
+        """A retire empties the version map, so a job that snapshotted an
+        older version fails the warm path's prefix guard and re-mines its
+        own rows cold; the warm miner has moved on and stays right."""
+        service.create_dataset("w", BASE, max_window=len(BASE) + 1)
+        assert service.submit(None, INC, dataset_id="w").wait(30.0)  # warm miner
+        entry = service.dataset_registry.get("w")
+        with entry.lock:  # the worker parks at the warm-miner path
+            service.append_dataset("w", [("x", "y")])
+            v2 = list(entry.transactions)
+            stale = service.submit(None, INC, dataset_id="w")
+            service.append_dataset("w", DELTA)  # retires under the parked job
+            assert entry.versions == {3: entry.fingerprint}
+        assert stale.wait(30.0)
+        assert stale.dataset_version == 2
+        assert stale.result.itemsets == oracle(v2)
+        fresh = service.submit(None, INC, dataset_id="w")
+        assert fresh.wait(30.0)
+        assert fresh.dataset_version == 3
+        assert fresh.result.itemsets == oracle((v2 + DELTA)[len(DELTA):])
 
     def test_version_conflict(self, service):
         service.create_dataset("w", BASE)

@@ -1,6 +1,7 @@
 """HTTP front-end: endpoints, error codes, client round-trips, CLI wiring."""
 
 import threading
+import time
 
 import pytest
 
@@ -127,6 +128,83 @@ class TestEndpoints:
         client.mine(TXNS, CFG, timeout=30.0)
         snapshot = client.submit(TXNS, CFG)
         assert snapshot["state"] == "done" and snapshot["via"] == "memoized"
+
+
+class TestJobLongPoll:
+    """``GET /jobs/<id>?timeout_s=`` answers when the job turns terminal,
+    and ``HttpClient.wait`` rides it instead of sleeping between reads."""
+
+    INC = MiningConfig(min_support=0.4, backend="serial", incremental=True)
+
+    @pytest.fixture()
+    def parked(self, server, request):
+        """``(submit, entry)``: jobs on this dataset park in the
+        warm-miner path for as long as the test holds ``entry.lock``
+        (which the submit, made from the test's own thread, re-enters)."""
+        name = request.node.name  # in a row too: no memoized answer
+        HttpClient(server.url).create_dataset(name, TXNS + [[name]])
+
+        def submit():
+            return server.service.submit(None, self.INC, dataset_id=name).job_id
+
+        return submit, server.service.dataset_registry.get(name)
+
+    def test_wait_returns_when_the_job_finishes_in_one_read(self, server, parked):
+        submit, entry = parked
+        reads = []
+
+        class Counting(HttpClient):
+            def status(self, job_id):
+                reads.append(job_id)
+                return super().status(job_id)
+
+        # a client that slept between reads would need 5 s to notice
+        client = Counting(server.url, poll_interval_s=5.0)
+        got = {}
+
+        def waiter(job_id):
+            got["snapshot"] = client.wait(job_id, timeout=30.0)
+            got["at"] = time.monotonic()
+
+        with entry.lock:
+            job_id = submit()
+            t = threading.Thread(target=waiter, args=(job_id,))
+            t.start()
+            time.sleep(0.3)
+            assert t.is_alive() and not got  # parked server-side, not done
+            released = time.monotonic()
+        t.join(10.0)
+        assert not t.is_alive()
+        assert got["snapshot"]["state"] == "done"
+        assert got["at"] - released < 2.0
+        assert len(reads) == 1
+
+    def test_long_poll_times_out_with_the_current_snapshot(self, server, parked):
+        submit, entry = parked
+        client = HttpClient(server.url, poll_interval_s=0.01)
+        with entry.lock:
+            job_id = submit()
+            t0 = time.monotonic()
+            assert client.status(job_id)["state"] in ("pending", "running")
+            assert time.monotonic() - t0 < 1.0  # a plain read never blocks
+            t0 = time.monotonic()
+            snapshot = client.status(f"{job_id}?timeout_s=0.25")
+            assert 0.25 <= time.monotonic() - t0 < 2.0
+            assert snapshot["state"] in ("pending", "running")
+            t0 = time.monotonic()
+            with pytest.raises(ServeError, match="still"):
+                client.wait(job_id, timeout=0.3)
+            assert 0.3 <= time.monotonic() - t0 < 2.0
+        assert client.wait(job_id, timeout=30.0)["state"] == "done"
+
+    def test_bad_query_is_400(self, client):
+        job_id = client.submit(TXNS, CFG)["job_id"]
+        for query in ("timeout=5", "timeout_s=soon", "timeout_s=1&since=3"):
+            with pytest.raises(ServeError, match="400"):
+                client.status(f"{job_id}?{query}")
+        with pytest.raises(ServeError, match="404"):
+            client.status("job-999999?timeout_s=0.1")
+        assert client.status(f"{job_id}?timeout_s=30")["state"] == "done"
 
 
 class TestConcurrentHttp:
@@ -339,3 +417,50 @@ class TestClientConnectRetry:
             t.join(5.0)
             if "server" in started:
                 started["server"].close()
+
+
+class TestClientKeepsOneConnection:
+    """Every request of a thread goes down one kept-alive connection; an
+    error answer or a dropped connection costs one reconnect, never a
+    failed or mis-parsed request."""
+
+    def test_requests_reuse_the_connection(self, server):
+        client = HttpClient(server.url)
+        client.healthz()
+        sock = client._local.connection.sock
+        final = client.wait(client.submit(TXNS, CFG)["job_id"], timeout=30.0)
+        client.result(final["job_id"])
+        assert client._local.connection.sock is sock
+
+    def test_an_error_answer_does_not_poison_the_next_request(self, server):
+        # the 404 is sent before the body is read: the server must end the
+        # connection, or "{...}" would prefix the next request line
+        client = HttpClient(server.url)
+        for _ in range(2):
+            with pytest.raises(ServeError, match="404"):
+                client._request("POST", "/nowhere", {"transactions": TXNS})
+            assert client.healthz()["status"] == "ok"
+
+    def test_reconnects_when_the_server_dropped_the_connection(self, server):
+        import socket
+
+        client = HttpClient(server.url, connect_retries=0)
+        client.healthz()
+        client._local.connection.sock.shutdown(socket.SHUT_RDWR)
+        assert client.healthz()["status"] == "ok"  # no retry budget needed
+
+    def test_each_thread_has_its_own_connection(self, server):
+        client = HttpClient(server.url)
+        client.healthz()
+        mine = client._local.connection
+        seen = []
+
+        def other():
+            client.healthz()
+            seen.append(client._local.connection)
+
+        t = threading.Thread(target=other)
+        t.start()
+        t.join(10.0)
+        assert seen and seen[0] is not mine
+        assert client._local.connection is mine

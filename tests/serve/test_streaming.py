@@ -232,6 +232,39 @@ class TestChangeFeed:
         final = oracle(BASE + DELTA + [("b", "c")] * 8)
         assert apply_payload_diff(oracle(BASE), payload) == final
 
+    @pytest.mark.parametrize("since, renderer", [(1, "_diff_payload"), (0, "_family_payload")])
+    def test_answer_is_rendered_outside_the_dataset_lock(
+        self, service, monkeypatch, since, renderer
+    ):
+        """Sorting and rendering every changed itemset is the slow part of
+        an answer; while a watcher's thread does it, the writer must be
+        able to take the dataset lock (diff and full-family answers)."""
+        import repro.serve.service as service_module
+
+        service.create_dataset("w", BASE)
+        service.dataset_changes("w", since=1, min_support=0.5)  # watch
+        service.append_dataset("w", DELTA)
+        entry = service.dataset_registry.get("w")
+        real = getattr(service_module, renderer)
+        lock_was_free = []
+
+        def rendering(*args):
+            def writer():
+                got = entry.lock.acquire(timeout=2.0)
+                lock_was_free.append(got)
+                if got:
+                    entry.lock.release()
+
+            t = threading.Thread(target=writer)
+            t.start()
+            t.join(5.0)
+            return real(*args)
+
+        monkeypatch.setattr(service_module, renderer, rendering)
+        payload = service.dataset_changes("w", since=since, min_support=0.5)
+        assert payload["reset"] is (since == 0)
+        assert lock_was_free and all(lock_was_free)
+
     def test_uncovered_since_ships_reset_with_full_family(self, service):
         service.create_dataset("w", BASE)
         service.append_dataset("w", DELTA)

@@ -262,15 +262,11 @@ def cmd_serve(args) -> int:
         result_ttl_s=args.result_ttl,
         default_timeout_s=args.job_timeout,
     )
-    tier = (
-        f"shards={args.shards}, workers/shard={args.workers}, "
-        f"queue_limit={args.queue_limit}, planner={'on' if args.planner else 'off'}"
-        if args.shards > 1 or args.planner
-        else f"workers={args.workers}, queue_limit={args.queue_limit}"
-    )
     print(
         f"serving on {server.url}  "
-        f"({tier}, result_ttl={args.result_ttl:g}s; Ctrl-C to stop)",
+        f"(shards={args.shards}, workers/shard={args.workers}, "
+        f"queue_limit={args.queue_limit}, planner={'on' if args.planner else 'off'}, "
+        f"result_ttl={args.result_ttl:g}s; Ctrl-C to stop)",
         flush=True,
     )
     server.serve_forever()
@@ -540,16 +536,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the mining service over HTTP")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080, help="0 = ephemeral")
-    serve.add_argument("--workers", type=int, default=4, help="worker threads")
+    serve.add_argument("--workers", type=int, default=4, help="worker threads per shard")
     serve.add_argument(
         "--shards", type=int, default=1,
         help="mining-service shards behind a consistent-hash router "
         "(each gets --workers threads and its own caches)",
     )
     serve.add_argument(
-        "--queue-limit", type=int, default=None,
-        help="bounded queue per service/shard; full queues answer 429 "
-        "(default: unbounded single service, 32 per routed shard)",
+        "--queue-limit", type=int, default=32,
+        help="bounded queue per shard; a full queue answers 429 (default 32)",
     )
     serve.add_argument(
         "--planner", action="store_true",

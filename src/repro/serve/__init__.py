@@ -4,9 +4,11 @@ One :class:`MiningService` turns the one-shot mining API into a serving
 layer: a priority job queue over a bounded worker pool, a cross-job
 dataset cache, warm engine contexts, and result memoization — the same
 amortize-the-repeated-cost move the YAFIM paper makes for Apriori passes,
-applied across requests.  :class:`MiningServer` puts it behind a stdlib
-JSON/HTTP front-end; :class:`LocalClient` / :class:`HttpClient` are the
-two transports.  See ``docs/serving.md``.
+applied across requests.  :class:`ShardRouter` spreads jobs over N >= 1
+of them; :class:`MiningServer` puts a router behind a stdlib JSON/HTTP
+front-end; :class:`LocalClient` / :class:`HttpClient` are the two
+transports.  The protocol they all speak is one table,
+:data:`repro.serve.api.OPERATIONS`.  See ``docs/serving.md``.
 """
 
 from repro.serve.cache import (

@@ -1,0 +1,313 @@
+"""The serve protocol, declared once.
+
+:data:`OPERATIONS` has one row per operation of the mining service:
+the HTTP method and path template (its ``{placeholders}`` are the path
+arguments), each other argument's place on the wire (JSON body key or
+query key) with its coercion and required/default, the success status,
+and how a :class:`~repro.serve.router.ShardRouter` finds the shard that
+owns it.  The HTTP handler, :class:`~repro.serve.client.HttpClient`, the
+router's forwarders and :class:`~repro.serve.client.LocalClient` are all
+derived from the rows; adding an argument to an operation is an edit to
+its row and to the ``MiningService`` method that implements it.
+
+:func:`encode_request` and :func:`decode_request` are the only two
+functions that know the wire format.  They are inverses:
+``decode_request(*encode_request(name, **kw))`` gives back ``kw`` (plus
+the row's declared defaults) for every ``kw`` the row accepts.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import re
+from collections.abc import Callable
+from dataclasses import dataclass
+from urllib.parse import parse_qs, quote, unquote, urlencode, urlsplit
+
+from repro.core.registry import MiningConfig
+from repro.serve.datasets import POLICY_FIELDS
+from repro.serve.jobs import ApiError, JobRequest, ServeError
+from repro.serve.service import MAX_POLL_S
+
+BODY, QUERY = "body", "query"
+
+#: how the router finds the shard an operation runs on: the one that
+#: accepted the job, the named dataset's home, or every shard (the
+#: router answers itself: placement for submit, sums for the rest)
+BY_JOB, BY_DATASET, FANOUT = "job", "dataset", "fanout"
+
+_OMIT = object()  # no default: an absent field is left to the implementation
+
+
+@dataclass
+class Field:
+    """One body or query argument of an operation.
+
+    ``name`` is the keyword the implementation takes, ``wire`` its key
+    on the wire when that differs.  ``coerce`` turns the wire value into
+    the keyword value and raises on a bad one; ``render`` is its inverse
+    for values JSON cannot carry as given.
+    """
+
+    name: str
+    where: str
+    coerce: Callable | None = None
+    required: bool = False
+    default: object = _OMIT
+    wire: str = ""
+    render: Callable | None = None
+
+    def __post_init__(self):
+        self.wire = self.wire or self.name
+
+
+@dataclass(eq=False)
+class Operation:
+    """One row of the protocol.  ``call`` names the implementing method
+    of ``MiningService`` / ``ShardRouter`` where it differs from ``name``;
+    ``finish`` is a cross-field step run on the decoded keywords."""
+
+    name: str
+    method: str
+    path: str
+    fields: tuple[Field, ...] = ()
+    status: int = 200
+    route: str = FANOUT
+    call: str = ""
+    quote_path: bool = True
+    finish: Callable[[dict], None] | None = None
+
+    def __post_init__(self):
+        # derived once, at import — per-request dispatch only looks up
+        self.call = self.call or self.name
+        self.path_names = tuple(re.findall(r"\{(\w+)\}", self.path))
+        self.pattern = re.compile(re.sub(r"\{\w+\}", "([^/]+)", self.path))
+        self.by_name = {f.name: f for f in self.fields}
+        self.wire_names = {
+            where: frozenset(f.wire for f in self.fields if f.where == where)
+            for where in (BODY, QUERY)
+        }
+
+
+# -- coercions ---------------------------------------------------------------
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(MiningConfig)}
+
+
+def config_from_dict(payload: dict) -> MiningConfig:
+    """Build a :class:`MiningConfig` from a JSON object, rejecting unknown
+    keys with a clear error instead of a ``TypeError`` deep in dataclasses."""
+    if not isinstance(payload, dict):
+        raise ServeError(f"config must be an object, got {type(payload).__name__}")
+    unknown = set(payload) - _CONFIG_FIELDS
+    if unknown:
+        raise ServeError(
+            f"unknown config field(s) {sorted(unknown)}; valid: {sorted(_CONFIG_FIELDS)}"
+        )
+    if "min_support" not in payload:
+        raise ServeError("config.min_support is required")
+    return MiningConfig(**payload)
+
+
+def _config_payload(config) -> dict:
+    return config.canonical() if isinstance(config, MiningConfig) else config
+
+
+def _is(kind: type, what: str, empty_ok: bool = True) -> Callable:
+    def check(value):
+        if not isinstance(value, kind) or not (value or empty_ok):
+            raise TypeError(f"must be {what}, got {type(value).__name__}")
+        return value
+
+    return check
+
+
+_rows = _is(list, "a non-empty list of lists", empty_ok=False)
+_delta = _is(list, "a list of lists")
+_text = _is(str, "a non-empty string", empty_ok=False)
+_flag = _is(bool, "true or false")
+
+
+def _row_lists(transactions) -> list:
+    return [list(t) for t in transactions]
+
+
+def _names(value) -> frozenset:
+    return frozenset(_text(v) for v in _delta(value))
+
+
+def _poll_s(value) -> float:
+    """One long-poll wait: never negative, never past the server's cap."""
+    return max(0.0, min(float(value), MAX_POLL_S))
+
+
+#: coercion for a ``JobRequest`` field, by its annotation (a new field
+#: with another annotation fails here, at import)
+_BY_ANNOTATION = {"int": int, "float": float, "float | None": float, "str": _text}
+
+
+def _finish_submit(kwargs: dict) -> None:
+    if (kwargs["transactions"] is None) == ("dataset_id" not in kwargs):
+        raise ServeError("pass transactions or dataset: one of them, not both")
+    if kwargs.pop("approx", False):
+        # top-level sugar for the fast tier: flips the config knob
+        # without the caller rebuilding the config object
+        kwargs["config"] = dataclasses.replace(kwargs["config"], approx=True)
+
+
+OPERATIONS: tuple[Operation, ...] = (
+    Operation(
+        "submit", "POST", "/jobs", status=202, finish=_finish_submit,
+        fields=(
+            Field("config", BODY, config_from_dict, required=True, render=_config_payload),
+            *(
+                Field(f.name, BODY, _BY_ANNOTATION[f.type])
+                for f in dataclasses.fields(JobRequest)
+                if f.name != "config"
+            ),
+            Field("dataset_id", BODY, _text, wire="dataset"),
+            Field("transactions", BODY, _rows, default=None, render=_row_lists),
+            # read by the router's planner, not by the service
+            Field("pinned", BODY, _names, render=sorted),
+            # read by ``_finish_submit``: never reaches the implementation
+            Field("approx", BODY, _flag),
+        ),
+    ),
+    # ``HttpClient.status`` takes "<id>[?timeout_s=<s>]" as its one
+    # argument (``wait`` polls through it, and subclasses count polls by
+    # overriding it), so this is the one path argument sent as given
+    Operation(
+        "wait", "GET", "/jobs/{job_id}", route=BY_JOB, quote_path=False,
+        fields=(Field("timeout", QUERY, _poll_s, default=0.0, wire="timeout_s"),),
+    ),
+    Operation("cancel", "DELETE", "/jobs/{job_id}", route=BY_JOB),
+    Operation("result", "GET", "/results/{job_id}", route=BY_JOB, call="get"),
+    Operation(
+        "create_dataset", "POST", "/datasets/{dataset_id}", status=201, route=BY_DATASET,
+        fields=(
+            Field("transactions", BODY, _rows, required=True, render=_row_lists),
+            Field("replace", BODY, _flag),
+            # values pass through: ManagedDataset validates its own policies
+            *(Field(name, BODY) for name in POLICY_FIELDS),
+        ),
+    ),
+    Operation(
+        "append_dataset", "POST", "/datasets/{dataset_id}/append", route=BY_DATASET,
+        fields=(
+            # optional: ``flush`` with no delta is a pure "flush now"
+            Field("transactions", BODY, _delta, default=None, render=_row_lists),
+            Field("expected_version", BODY, int),
+            Field("flush", BODY, _flag),
+        ),
+    ),
+    Operation("dataset_info", "GET", "/datasets/{dataset_id}", route=BY_DATASET),
+    Operation(
+        "dataset_changes", "GET", "/datasets/{dataset_id}/changes", route=BY_DATASET,
+        fields=(
+            Field("since", QUERY, int, required=True),
+            Field("min_support", QUERY, float, required=True),
+            Field("max_length", QUERY, int),
+            Field("candidate_store", QUERY, _text),
+            Field("timeout_s", QUERY, float),
+        ),
+    ),
+    Operation("healthz", "GET", "/healthz"),
+    Operation("metrics", "GET", "/metrics"),
+)
+
+BY_NAME = {op.name: op for op in OPERATIONS}
+
+
+# -- the codec ---------------------------------------------------------------
+def encode_request(name: str, **kwargs) -> tuple[str, str, dict | None]:
+    """``(method, path, payload)`` for calling operation ``name`` with
+    ``kwargs`` (the implementation's own keywords).  ``None`` values are
+    not sent; path arguments are percent-quoted whole, so an id is data
+    and never URL syntax."""
+    op = BY_NAME[name]
+    if not set(op.path_names) <= kwargs.keys() <= {*op.path_names, *op.by_name}:
+        raise TypeError(f"{name}() takes {[*op.path_names, *op.by_name]}, got {sorted(kwargs)}")
+    ids = {k: kwargs.pop(k) for k in op.path_names}
+    if op.quote_path:
+        ids = {k: quote(str(v), safe="") for k, v in ids.items()}
+    sent: dict[str, dict] = {BODY: {}, QUERY: {}}
+    for key, value in kwargs.items():
+        if value is not None:
+            field = op.by_name[key]
+            sent[field.where][field.wire] = field.render(value) if field.render else value
+    path = op.path.format(**ids)
+    if sent[QUERY]:
+        path += "?" + urlencode(sent[QUERY])
+    return op.method, path, sent[BODY] if op.wire_names[BODY] else None
+
+
+def _json_object(body: bytes) -> dict:
+    if not body:
+        raise ServeError("request body required")
+    try:
+        payload = json.loads(body)
+    except json.JSONDecodeError as err:
+        raise ServeError(f"invalid JSON body: {err}") from err
+    if not isinstance(payload, dict):
+        raise ServeError("request body must be a JSON object")
+    return payload
+
+
+def decode_request(method: str, raw_path: str, body: bytes = b"") -> tuple[Operation, dict]:
+    """The operation a request names and the keywords to call its
+    implementation with.
+
+    Raises :class:`ApiError` 404 ``unknown_route`` when nothing matches,
+    and :class:`ServeError` (a 400) for a missing or malformed body, an
+    undeclared body or query key (``priorty``, ``?timeout=5`` must not
+    silently fall back to defaults), a missing required field or a value
+    its coercion refuses.
+    """
+    url = urlsplit(raw_path)
+    path = url.path.rstrip("/")
+    for op in OPERATIONS:
+        match = op.pattern.fullmatch(path) if op.method == method else None
+        if match is not None:
+            break
+    else:
+        raise ApiError(f"no route for {method} {raw_path}", status=404, code="unknown_route")
+    given = {
+        BODY: _json_object(body) if op.wire_names[BODY] else {},
+        QUERY: {k: v[-1] for k, v in parse_qs(url.query).items()} if url.query else {},
+    }
+    for where, label in ((BODY, "field(s)"), (QUERY, "query param(s)")):
+        unknown = given[where].keys() - op.wire_names[where]
+        if unknown:
+            raise ServeError(
+                f"unknown {label} {sorted(unknown)}; valid: {sorted(op.wire_names[where])}"
+            )
+    kwargs = dict(zip(op.path_names, map(unquote, match.groups())))
+    for field in op.fields:
+        value = given[field.where].get(field.wire)
+        if value is None:  # absent, or a JSON null
+            if field.required:
+                raise ServeError(f"{field.where} field {field.wire!r} is required")
+            if field.default is not _OMIT:
+                kwargs[field.name] = field.default
+            continue
+        try:
+            kwargs[field.name] = field.coerce(value) if field.coerce else value
+        except (TypeError, ValueError) as err:
+            raise ServeError(f"{field.wire}: {err}") from err
+    if op.finish is not None:
+        op.finish(kwargs)
+    return op, kwargs
+
+
+__all__ = [
+    "BY_DATASET",
+    "BY_JOB",
+    "BY_NAME",
+    "FANOUT",
+    "Field",
+    "OPERATIONS",
+    "Operation",
+    "config_from_dict",
+    "decode_request",
+    "encode_request",
+]

@@ -3,9 +3,11 @@
 :class:`LocalClient` talks to a :class:`~repro.serve.service.MiningService`
 directly (zero serialization — the embedded deployment); :class:`HttpClient`
 speaks the JSON protocol of :mod:`repro.serve.http` with nothing beyond
-``http.client``.  Both expose the same verbs (``submit`` / ``status`` /
-``result`` / ``wait`` / ``cancel``) plus a blocking ``mine`` convenience
-that round-trips one request, so tests and benchmarks can swap transports.
+``http.client``.  Both expose the operations of
+:data:`repro.serve.api.OPERATIONS` (``submit`` / ``status`` / ``result``
+/ ``wait`` / ``cancel`` and the dataset verbs) plus a blocking ``mine``
+convenience that round-trips one request, so tests and benchmarks can
+swap transports.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import http.client
 import json
 import threading
 import time
-from urllib.parse import urlencode, urlsplit
+from urllib.parse import urlsplit
 
 from repro.core.registry import MiningConfig
+from repro.serve.api import OPERATIONS, encode_request
 from repro.serve.jobs import (
     ApiError,
     JobState,
@@ -30,6 +33,9 @@ from repro.serve.service import MAX_POLL_S, MiningService
 #: job states (as strings) in which polling should stop
 TERMINAL_STATE_VALUES = frozenset(s.value for s in TERMINAL_STATES)
 
+#: what ``LocalClient`` passes straight to its backend
+_BACKEND_CALLS = frozenset(op.call for op in OPERATIONS)
+
 #: connection-level failures worth retrying: the server is starting,
 #: restarting, or briefly shedding its listen backlog
 _TRANSIENT_CONNECT_ERRORS = (
@@ -41,71 +47,18 @@ _TRANSIENT_CONNECT_ERRORS = (
 
 
 class LocalClient:
-    """In-process client: thin sugar over a service you already hold."""
+    """In-process client: thin sugar over a service (or router) you
+    already hold.  Only the verbs whose behaviour differs from the
+    backend's are spelled out; every other operation of the protocol
+    table is the backend's own method, arguments untouched."""
 
     def __init__(self, service: MiningService):
         self.service = service
 
-    def submit(self, transactions, config: MiningConfig, **submit_kwargs):
-        return self.service.submit(transactions, config, **submit_kwargs)
-
-    def create_dataset(
-        self,
-        dataset_id: str,
-        transactions,
-        *,
-        replace=False,
-        max_window: int | None = None,
-        max_age_s: float | None = None,
-        flush_rows: int | None = None,
-        flush_age_s: float | None = None,
-    ) -> dict:
-        return self.service.create_dataset(
-            dataset_id,
-            transactions,
-            replace=replace,
-            max_window=max_window,
-            max_age_s=max_age_s,
-            flush_rows=flush_rows,
-            flush_age_s=flush_age_s,
-        )
-
-    def append_dataset(
-        self,
-        dataset_id: str,
-        transactions,
-        *,
-        expected_version: int | None = None,
-        flush: bool = False,
-    ) -> dict:
-        return self.service.append_dataset(
-            dataset_id,
-            transactions,
-            expected_version=expected_version,
-            flush=flush,
-        )
-
-    def dataset_info(self, dataset_id: str) -> dict:
-        return self.service.dataset_info(dataset_id)
-
-    def dataset_changes(
-        self,
-        dataset_id: str,
-        *,
-        since: int,
-        min_support: float,
-        max_length: int | None = None,
-        candidate_store: str | None = None,
-        timeout_s: float = 0.0,
-    ) -> dict:
-        return self.service.dataset_changes(
-            dataset_id,
-            since=since,
-            min_support=min_support,
-            max_length=max_length,
-            candidate_store=candidate_store,
-            timeout_s=timeout_s,
-        )
+    def __getattr__(self, name: str):
+        if name in _BACKEND_CALLS:
+            return getattr(self.service, name)
+        raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
 
     def status(self, job_id: str) -> dict:
         return self.service.get(job_id).snapshot()
@@ -122,9 +75,6 @@ class LocalClient:
         if job.state is not JobState.DONE:
             raise ServeError(f"job {job_id} is {job.state.value}, not done")
         return dict(job.result.itemsets)
-
-    def cancel(self, job_id: str) -> bool:
-        return self.service.cancel(job_id)
 
     def mine(self, transactions, config: MiningConfig, timeout: float | None = None):
         """Submit, wait, and return the full :class:`MiningRunResult`."""
@@ -232,11 +182,14 @@ class HttpClient:
             )
 
     # -- verbs -------------------------------------------------------------
+    def _call(self, operation: str, **kwargs) -> dict:
+        return self._request(*encode_request(operation, **kwargs))
+
     def healthz(self) -> dict:
-        return self._request("GET", "/healthz")
+        return self._call("healthz")
 
     def metrics(self) -> dict:
-        return self._request("GET", "/metrics")
+        return self._call("metrics")
 
     def submit(
         self,
@@ -246,6 +199,7 @@ class HttpClient:
         priority: int = 0,
         timeout_s: float | None = None,
         max_retries: int = 0,
+        retry_backoff_s: float | None = None,
         tenant: str = "default",
         pinned=(),
         approx: bool = False,
@@ -258,33 +212,22 @@ class HttpClient:
         ``dataset`` names a registered dataset instead of shipping raw
         ``transactions`` (pass ``transactions=None``): the job runs on
         the dataset's current version, server-side.
+        ``pinned`` names default-valued knobs the server's planner must
+        leave alone (a no-op on a server started without ``--planner``).
         Raises :class:`RejectedError` on a 429 (queue full / load shed);
         its ``retry_after_s`` says how long to back off before retrying.
         """
-        if isinstance(config, MiningConfig):
-            if approx and not config.approx:
-                # flip the flag before serializing: canonical() only
-                # carries the sampling knobs on approx configs, so setting
-                # it server-side would lose any non-default knob values
-                config = dataclasses.replace(config, approx=True)
-            config = config.canonical()
-        payload = {
-            "config": config,
-            "priority": priority,
-            "max_retries": max_retries,
-            "tenant": tenant,
-        }
-        if dataset is not None:
-            payload["dataset"] = dataset
-        else:
-            payload["transactions"] = [list(t) for t in transactions]
-        if pinned:
-            payload["pinned"] = sorted(pinned)
-        if approx:
-            payload["approx"] = True
-        if timeout_s is not None:
-            payload["timeout_s"] = timeout_s
-        return self._request("POST", "/jobs", payload)
+        if approx and isinstance(config, MiningConfig) and not config.approx:
+            # flip the flag before serializing: canonical() only
+            # carries the sampling knobs on approx configs, so setting
+            # it server-side would lose any non-default knob values
+            config = dataclasses.replace(config, approx=True)
+        return self._call(
+            "submit", config=config, priority=priority, timeout_s=timeout_s,
+            max_retries=max_retries, retry_backoff_s=retry_backoff_s, tenant=tenant,
+            dataset_id=dataset, transactions=None if dataset is not None else transactions,
+            pinned=pinned or None, approx=approx or None,
+        )
 
     def create_dataset(
         self,
@@ -304,18 +247,11 @@ class HttpClient:
         ``flush_age_s`` enable the ingest buffer (small appends coalesce
         into one delta update per flush).
         """
-        payload = {"transactions": [list(t) for t in transactions]}
-        if replace:
-            payload["replace"] = True
-        for key, value in (
-            ("max_window", max_window),
-            ("max_age_s", max_age_s),
-            ("flush_rows", flush_rows),
-            ("flush_age_s", flush_age_s),
-        ):
-            if value is not None:
-                payload[key] = value
-        return self._request("POST", f"/datasets/{dataset_id}", payload)
+        return self._call(
+            "create_dataset", dataset_id=dataset_id, transactions=transactions,
+            replace=replace or None, max_window=max_window, max_age_s=max_age_s,
+            flush_rows=flush_rows, flush_age_s=flush_age_s,
+        )
 
     def append_dataset(
         self,
@@ -335,18 +271,14 @@ class HttpClient:
         matches, ``code="unknown_dataset"`` for an unregistered name, or
         ``code="dataset_retired"`` after a same-name replace.
         """
-        payload: dict = {}
-        if transactions is not None:
-            payload["transactions"] = [list(t) for t in transactions]
-        if expected_version is not None:
-            payload["expected_version"] = expected_version
-        if flush:
-            payload["flush"] = True
-        return self._request("POST", f"/datasets/{dataset_id}/append", payload)
+        return self._call(
+            "append_dataset", dataset_id=dataset_id, transactions=transactions,
+            expected_version=expected_version, flush=flush or None,
+        )
 
     def dataset_info(self, dataset_id: str) -> dict:
         """``GET /datasets/<id>``: version, size, fingerprint, warm miners."""
-        return self._request("GET", f"/datasets/{dataset_id}")
+        return self._call("dataset_info", dataset_id=dataset_id)
 
     def dataset_changes(
         self,
@@ -366,25 +298,20 @@ class HttpClient:
         lists, or ``reset=true`` with the full ``family`` when the change
         log no longer covers ``since``.
         """
-        params = {"since": int(since), "min_support": min_support}
-        if max_length is not None:
-            params["max_length"] = max_length
-        if candidate_store is not None:
-            params["candidate_store"] = candidate_store
-        if timeout_s:
-            params["timeout_s"] = timeout_s
-        return self._request(
-            "GET", f"/datasets/{dataset_id}/changes?{urlencode(params)}"
+        return self._call(
+            "dataset_changes", dataset_id=dataset_id, since=int(since),
+            min_support=min_support, max_length=max_length,
+            candidate_store=candidate_store, timeout_s=timeout_s or None,
         )
 
     def status(self, job_id: str) -> dict:
         """``GET /jobs/<id>``: the job's snapshot, now.  ``job_id`` goes
         into the path as given, so it may carry the route's query string
         (:meth:`wait` asks for ``<id>?timeout_s=<s>``)."""
-        return self._request("GET", f"/jobs/{job_id}")
+        return self._call("wait", job_id=job_id)
 
     def cancel(self, job_id: str) -> bool:
-        return bool(self._request("DELETE", f"/jobs/{job_id}").get("cancelled"))
+        return bool(self._call("cancel", job_id=job_id).get("cancelled"))
 
     def wait(self, job_id: str, timeout: float | None = None) -> dict:
         """Block until the job is terminal; returns the final snapshot.
@@ -404,8 +331,11 @@ class HttpClient:
             wait_s = MAX_POLL_S
             if deadline is not None:
                 wait_s = min(wait_s, max(0.0, deadline - asked))
+            # every poll is one ``status(<one argument>)`` call: the
+            # argument is what follows "/jobs/" in the encoded request
+            path = encode_request("wait", job_id=job_id, timeout=wait_s)[1]
             try:
-                snapshot = self.status(f"{job_id}?{urlencode({'timeout_s': wait_s})}")
+                snapshot = self.status(path.rpartition("/")[2])
             except RejectedError as err:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise
@@ -429,7 +359,7 @@ class HttpClient:
 
     def result_detail(self, job_id: str) -> dict:
         """The raw ``GET /results/<id>`` payload (raises unless DONE)."""
-        return self._request("GET", f"/results/{job_id}")
+        return self._call("result", job_id=job_id)
 
     def result(self, job_id: str) -> dict:
         """The job's itemsets as ``{tuple(items): count}`` (raises unless DONE)."""

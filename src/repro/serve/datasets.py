@@ -85,28 +85,22 @@ class _Watch:
         self.log.clear()
 
 
-def _positive_int(value, name: str) -> int | None:
+def _positive(kind: type, value, name: str):
+    """``value`` as a positive ``kind`` (``int`` or ``float``), ``None`` kept."""
     if value is None:
         return None
     try:
-        out = int(value)
+        out = kind(value)
     except (TypeError, ValueError):
-        raise ApiError(f"{name} must be a positive integer, got {value!r}") from None
-    if out < 1:
-        raise ApiError(f"{name} must be >= 1, got {value!r}")
-    return out
-
-
-def _positive_float(value, name: str) -> float | None:
-    if value is None:
-        return None
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ApiError(f"{name} must be a positive number, got {value!r}") from None
-    if out <= 0:
+        raise ApiError(f"{name} must be a positive {kind.__name__}, got {value!r}") from None
+    if not out > 0:
         raise ApiError(f"{name} must be > 0, got {value!r}")
     return out
+
+
+#: the window / ingest-buffer policies ``create_dataset`` takes, each
+#: validated by :class:`ManagedDataset` itself
+POLICY_FIELDS = ("max_window", "max_age_s", "flush_rows", "flush_age_s")
 
 
 class ManagedDataset:
@@ -126,10 +120,10 @@ class ManagedDataset:
         clock=time.monotonic,
     ):
         self.dataset_id = dataset_id
-        self.max_window = _positive_int(max_window, "max_window")
-        self.max_age_s = _positive_float(max_age_s, "max_age_s")
-        self.flush_rows = _positive_int(flush_rows, "flush_rows")
-        self.flush_age_s = _positive_float(flush_age_s, "flush_age_s")
+        self.max_window = _positive(int, max_window, "max_window")
+        self.max_age_s = _positive(float, max_age_s, "max_age_s")
+        self.flush_rows = _positive(int, flush_rows, "flush_rows")
+        self.flush_age_s = _positive(float, flush_age_s, "flush_age_s")
         self.changelog_limit = max(1, int(changelog_limit))
         self.clock = clock
         self.transactions: list = list(transactions)
@@ -173,6 +167,16 @@ class ManagedDataset:
         self._buffer: list = []
         self._buffer_opened_s: float | None = None
         self.retires = 0
+
+    def check_live(self) -> None:
+        """Refuse (409 ``dataset_retired``) to touch an entry a same-name
+        replace has retired (caller holds :attr:`lock`)."""
+        if self.retired:
+            raise ApiError(
+                f"dataset {self.dataset_id!r} was replaced; re-resolve it",
+                status=409,
+                code="dataset_retired",
+            )
 
     # -- ingest buffer -----------------------------------------------------
     @property
@@ -263,12 +267,7 @@ class ManagedDataset:
         (un-renderable item, a row that is not iterable) leaves the entry
         exactly as it was.
         """
-        if self.retired:
-            raise ApiError(
-                f"dataset {self.dataset_id!r} was replaced; re-resolve it",
-                status=409,
-                code="dataset_retired",
-            )
+        self.check_live()
         delta = list(transactions)
         now = self.clock() if now is None else now
         if not delta and self._excess(now) == 0:
@@ -354,12 +353,7 @@ class ManagedDataset:
                 "watches": len(self.watches),
                 "retired": self.retired,
                 "retired_transactions": self.retires,
-                "policy": {
-                    "max_window": self.max_window,
-                    "max_age_s": self.max_age_s,
-                    "flush_rows": self.flush_rows,
-                    "flush_age_s": self.flush_age_s,
-                },
+                "policy": {name: getattr(self, name) for name in POLICY_FIELDS},
             }
 
 
@@ -452,4 +446,4 @@ class DatasetRegistry:
         }
 
 
-__all__ = ["AppendResult", "DatasetRegistry", "ManagedDataset"]
+__all__ = ["AppendResult", "DatasetRegistry", "ManagedDataset", "POLICY_FIELDS"]

@@ -27,10 +27,12 @@ in-process :class:`~repro.serve.service.MiningService` shards.
   (backend / partitions / candidate store) per job and is calibrated by
   every completed run's measured time.
 
-The router exposes the same verbs as a single service (``submit`` /
-``get`` / ``wait`` / ``cancel`` / ``metrics`` / ``shutdown``), so
-:class:`~repro.serve.client.LocalClient` and the HTTP front-end work
-against either.
+The router is what :class:`~repro.serve.http.MiningServer` always
+fronts (an unsharded server is ``n_shards=1``).  It implements placement
+(``submit``) and the fan-out answers (``healthz`` / ``metrics``) itself;
+every other operation of :data:`repro.serve.api.OPERATIONS` is forwarded,
+arguments untouched, to the shard the row's routing rule names — the
+signatures live on :class:`~repro.serve.service.MiningService` only.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from __future__ import annotations
 import threading
 
 from repro.core.registry import MiningConfig
+from repro.serve.api import BY_DATASET, BY_JOB, OPERATIONS
 from repro.serve.cache import dataset_fingerprint
-from repro.serve.jobs import Job, JobState, RejectedError, ServeError
+from repro.serve.jobs import ApiError, Job, JobState, RejectedError, ServeError
 from repro.serve.planner import CostPlanner, PlanDecision
 from repro.serve.service import MiningService
 from repro.serve.shard import HashRing, Shard
@@ -158,13 +161,16 @@ class ShardRouter:
         config: MiningConfig,
         *,
         priority: int = 0,
-        timeout_s: float | None = None,
-        max_retries: int = 0,
-        tenant: str = "default",
         pinned=(),
         dataset_id: str | None = None,
+        **job_kwargs,
     ) -> Job:
         """Route one job: plan, shed, try home shard, spill along the ring.
+
+        The router reads ``priority`` (shedding, planning) and consumes
+        ``pinned`` (knobs the planner must leave alone; nothing to do
+        without one); every other keyword is
+        :meth:`MiningService.submit`'s and reaches the shard untouched.
 
         ``dataset_id`` submits against a registered named dataset: the
         job goes to the dataset's home shard (where the window, registry
@@ -178,68 +184,42 @@ class ShardRouter:
         with self._lock:
             if self._shutdown:
                 raise ServeError("router is shut down")
-        if dataset_id is not None:
-            if transactions is not None:
-                raise ServeError("pass transactions or dataset_id, not both")
-            shard = self._dataset_shard(dataset_id)
-            try:
-                job = shard.submit(
-                    None,
-                    config,
-                    home=True,
-                    priority=priority,
-                    timeout_s=timeout_s,
-                    max_retries=max_retries,
-                    tenant=tenant,
-                    dataset_id=dataset_id,
-                )
-            except RejectedError:
-                with self._lock:
-                    self.jobs_rejected += 1
-                raise
-            with self._lock:
-                self.jobs_routed += 1
-                self._job_shard[job.job_id] = shard
-            return job
-        txns = transactions if isinstance(transactions, list) else list(transactions)
-        fp = dataset_fingerprint(txns)
-
         decision = None
-        if self.planner is not None:
-            config, decision = self.planner.plan(
-                txns, config, pinned=pinned, fingerprint=fp, priority=priority
-            )
+        if dataset_id is not None:
+            # the home shard or nobody: no plan, no shedding, no spill
+            txns = transactions
+            preference = [self.dataset_home(dataset_id)]
+            job_kwargs["dataset_id"] = dataset_id
+        else:
+            txns = transactions if isinstance(transactions, list) else list(transactions)
+            fp = job_kwargs["fingerprint"] = dataset_fingerprint(txns)
+            if self.planner is not None:
+                config, decision = self.planner.plan(
+                    txns, config, pinned=pinned, fingerprint=fp, priority=priority
+                )
+            if (
+                self.shed_priority is not None
+                and priority > self.shed_priority
+                and self._global_utilization() >= self.shed_at
+            ):
+                with self._lock:
+                    self.jobs_shed += 1
+                raise RejectedError(
+                    f"load shed: priority {priority} > {self.shed_priority} while "
+                    f"queues are {self._global_utilization():.0%} full",
+                    retry_after_s=1.0,
+                    scope="router",
+                )
+            preference = self.ring.preference(fp)
+            if not self.spill:
+                preference = preference[:1]
 
-        if (
-            self.shed_priority is not None
-            and priority > self.shed_priority
-            and self._global_utilization() >= self.shed_at
-        ):
-            with self._lock:
-                self.jobs_shed += 1
-            raise RejectedError(
-                f"load shed: priority {priority} > {self.shed_priority} while "
-                f"queues are {self._global_utilization():.0%} full",
-                retry_after_s=1.0,
-                scope="router",
-            )
-
-        preference = self.ring.preference(fp)
-        if not self.spill:
-            preference = preference[:1]
         rejections: list[RejectedError] = []
         for rank, name in enumerate(preference):
             shard = self._by_name[name]
             try:
                 job = shard.submit(
-                    txns,
-                    config,
-                    home=rank == 0,
-                    priority=priority,
-                    timeout_s=timeout_s,
-                    max_retries=max_retries,
-                    tenant=tenant,
-                    fingerprint=fp,
+                    txns, config, home=rank == 0, priority=priority, **job_kwargs
                 )
             except RejectedError as err:
                 rejections.append(err)
@@ -258,6 +238,8 @@ class ShardRouter:
 
         with self._lock:
             self.jobs_rejected += 1
+        if dataset_id is not None:
+            raise rejections[0]  # the home shard's own answer
         retry_after = min((r.retry_after_s for r in rejections), default=1.0)
         raise RejectedError(
             f"all {len(preference)} shard(s) are saturated",
@@ -265,67 +247,6 @@ class ShardRouter:
             scope="router",
             queue_depth=sum(s.queue_depth() for s in self.shards),
             queue_limit=(self.queue_limit or 0) * len(self.shards),
-        )
-
-    # -- named datasets ----------------------------------------------------
-    def create_dataset(
-        self,
-        dataset_id: str,
-        transactions,
-        *,
-        replace: bool = False,
-        max_window: int | None = None,
-        max_age_s: float | None = None,
-        flush_rows: int | None = None,
-        flush_age_s: float | None = None,
-    ) -> dict:
-        """Register a named dataset on its home shard (see :meth:`dataset_home`)."""
-        return self._dataset_shard(dataset_id).service.create_dataset(
-            dataset_id,
-            transactions,
-            replace=replace,
-            max_window=max_window,
-            max_age_s=max_age_s,
-            flush_rows=flush_rows,
-            flush_age_s=flush_age_s,
-        )
-
-    def append_dataset(
-        self,
-        dataset_id: str,
-        transactions,
-        *,
-        expected_version: int | None = None,
-        flush: bool = False,
-    ) -> dict:
-        """Append to a named dataset on its home shard — the one whose
-        registry entry, dataset cache, and warm miners hold its state."""
-        return self._dataset_shard(dataset_id).service.append_dataset(
-            dataset_id, transactions, expected_version=expected_version, flush=flush
-        )
-
-    def dataset_info(self, dataset_id: str) -> dict:
-        return self._dataset_shard(dataset_id).service.dataset_info(dataset_id)
-
-    def dataset_changes(
-        self,
-        dataset_id: str,
-        *,
-        since: int,
-        min_support: float,
-        max_length: int | None = None,
-        candidate_store: str | None = None,
-        timeout_s: float = 0.0,
-    ) -> dict:
-        """The change feed, served by the home shard — the only shard
-        whose change log and warm miner track this dataset."""
-        return self._dataset_shard(dataset_id).service.dataset_changes(
-            dataset_id,
-            since=since,
-            min_support=min_support,
-            max_length=max_length,
-            candidate_store=candidate_store,
-            timeout_s=timeout_s,
         )
 
     # -- planner feedback --------------------------------------------------
@@ -349,17 +270,8 @@ class ShardRouter:
         with self._lock:
             shard = self._job_shard.get(job_id)
         if shard is None:
-            raise ServeError(f"unknown job {job_id!r}")
+            raise ApiError(f"unknown job {job_id!r}", status=404, code="unknown_job")
         return shard
-
-    def get(self, job_id: str) -> Job:
-        return self._shard_for_job(job_id).service.get(job_id)
-
-    def wait(self, job_id: str, timeout: float | None = None) -> Job:
-        return self._shard_for_job(job_id).service.wait(job_id, timeout)
-
-    def cancel(self, job_id: str) -> bool:
-        return self._shard_for_job(job_id).service.cancel(job_id)
 
     def queue_depth(self) -> int:
         return sum(s.queue_depth() for s in self.shards)
@@ -412,6 +324,22 @@ class ShardRouter:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
+
+
+def _forwarder(op):
+    def forward(self, *args, **kwargs):
+        key = args[0] if args else kwargs.get(op.path_names[0])
+        shard = self._shard_for_job(key) if op.route == BY_JOB else self._dataset_shard(key)
+        return getattr(shard.service, op.call)(*args, **kwargs)
+
+    forward.__name__ = op.call
+    forward.__doc__ = f"``MiningService.{op.call}`` on the shard that owns the {op.route}."
+    return forward
+
+
+for _op in OPERATIONS:
+    if _op.route in (BY_JOB, BY_DATASET):
+        setattr(ShardRouter, _op.call, _forwarder(_op))
 
 
 __all__ = ["ShardRouter"]

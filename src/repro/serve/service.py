@@ -82,6 +82,11 @@ def _diff_payload(diff) -> dict:
     }
 
 
+def _quantile(samples: list, q: float) -> float:
+    """Nearest-rank ``q``-quantile (0..1) of non-empty sorted ``samples``."""
+    return samples[min(len(samples) - 1, max(0, round(q * (len(samples) - 1))))]
+
+
 class LatencyHistogram:
     """Bounded-reservoir latency recorder with percentile summaries.
 
@@ -111,10 +116,7 @@ class LatencyHistogram:
         """The ``q``-quantile (0..1) over the retained window (0.0 empty)."""
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        idx = min(len(samples) - 1, max(0, round(q * (len(samples) - 1))))
-        return samples[idx]
+        return _quantile(samples, q) if samples else 0.0
 
     def snapshot(self) -> dict:
         """JSON-safe summary: count, mean, p50/p95/p99, max."""
@@ -124,16 +126,12 @@ class LatencyHistogram:
         if not samples:
             return {"count": count, "mean_s": 0.0, "p50_s": 0.0,
                     "p95_s": 0.0, "p99_s": 0.0, "max_s": 0.0}
-
-        def pct(q):
-            return samples[min(len(samples) - 1, max(0, round(q * (len(samples) - 1))))]
-
         return {
             "count": count,
             "mean_s": round(total / count, 6),
-            "p50_s": round(pct(0.50), 6),
-            "p95_s": round(pct(0.95), 6),
-            "p99_s": round(pct(0.99), 6),
+            "p50_s": round(_quantile(samples, 0.50), 6),
+            "p95_s": round(_quantile(samples, 0.95), 6),
+            "p99_s": round(_quantile(samples, 0.99), 6),
             "max_s": round(samples[-1], 6),
         }
 
@@ -503,12 +501,7 @@ class MiningService:
         """
         entry = self.dataset_registry.get(dataset_id)
         with entry.lock:
-            if entry.retired:
-                raise ApiError(
-                    f"dataset {dataset_id!r} was replaced; re-resolve it",
-                    status=409,
-                    code="dataset_retired",
-                )
+            entry.check_live()
             if expected_version is not None and entry.version != expected_version:
                 raise ApiError(
                     f"dataset {dataset_id!r} is at version {entry.version}, "
@@ -612,18 +605,9 @@ class MiningService:
         ``reset=true`` with the full current family instead of a diff.
         """
         entry = self.dataset_registry.get(dataset_id)
-        try:
-            since = int(since)
-        except (TypeError, ValueError):
-            raise ApiError(f"since must be an integer version, got {since!r}") from None
         deadline = time.monotonic() + max(0.0, min(float(timeout_s), MAX_POLL_S))
         with entry.changed:
-            if entry.retired:
-                raise ApiError(
-                    f"dataset {dataset_id!r} was replaced; re-resolve it",
-                    status=409,
-                    code="dataset_retired",
-                )
+            entry.check_live()
             if since > entry.version:
                 raise ApiError(
                     f"since={since} is ahead of {dataset_id!r} version {entry.version}"
@@ -636,12 +620,7 @@ class MiningService:
                 if remaining <= 0:
                     break
                 entry.changed.wait(remaining)
-            if entry.retired:
-                raise ApiError(
-                    f"dataset {dataset_id!r} was replaced; re-resolve it",
-                    status=409,
-                    code="dataset_retired",
-                )
+            entry.check_live()
             header, diff, family = self._changes_locked(entry, mkey, since)
         # Sorting and rendering every changed itemset is the slow part of
         # an answer, and nothing in it needs the dataset any more: the
@@ -736,7 +715,7 @@ class MiningService:
         with self._lock:
             job = self._jobs.get(job_id)
         if job is None:
-            raise ServeError(f"unknown job {job_id!r}")
+            raise ApiError(f"unknown job {job_id!r}", status=404, code="unknown_job")
         return job
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:

@@ -117,13 +117,6 @@ class Shard:
     def queue_depth(self) -> int:
         return self.service.queue_depth()
 
-    def utilization(self) -> float:
-        """Queue fullness in [0, 1]; 0.0 when the queue is unbounded."""
-        limit = self.service.queue_limit
-        if not limit:
-            return 0.0
-        return min(1.0, self.service.queue_depth() / limit)
-
     def stats(self) -> dict:
         return {
             "name": self.name,

@@ -69,3 +69,33 @@ def test_incremental_replay_runs_on_a_small_window(ledger):
     assert out["core.candidatestore.delta_count_s"] > 0.0
     assert out["core.incremental.delta_candidates"] > 0
     assert out["core.incremental.full_rebuilds"] == 0
+
+
+def test_traced_client_sees_the_serve_hooks(ledger):
+    """The serve workloads' hooks: ``TracedClient`` overrides
+    ``HttpClient._request`` / ``.status`` and keys on the literal paths
+    ``"/jobs"`` and ``"/results/<id>"``; ``aggregate_metrics`` reads the
+    routed ``/metrics`` shape by key."""
+    import client as ledger_client
+
+    from repro.serve import MiningServer
+
+    config = MiningConfig(min_support=0.3, backend="serial")
+    with MiningServer(port=0, shards=2, n_workers=1) as server:
+        traced = ledger_client.TracedClient(server.url)
+        record = ledger_client.run_job(
+            traced, ledger_client.JobRecord("fresh", None), ROWS, config
+        )
+        assert record.ok and record.polls >= 1 and traced.polls >= 1
+        assert record.itemsets == mine_frequent_itemsets(ROWS, config=config).itemsets
+        paths = [path for path, _, _ in traced.exchanges]
+        assert paths == ["/jobs", f"/results/{record.snapshot['job_id']}"]
+        requests, responses = traced.wire_bytes()
+        assert len(requests) == len(responses) == 1 and min(requests + responses) > 0
+        totals = ledger_client.aggregate_metrics(traced.metrics())
+    assert set(totals) == {
+        "result_hits", "result_misses", "dataset_hits", "dataset_misses",
+        "contexts_created", "contexts_reused", "retired_rows", "coalesced",
+        "rejected", "spilled", "per_shard",
+    }
+    assert sum(totals["per_shard"]) == 1 and traced.errors == 0

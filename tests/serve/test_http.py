@@ -116,13 +116,15 @@ class TestEndpoints:
     def test_metrics_exposes_queue_states_and_hit_rates(self, client):
         client.mine(TXNS, CFG, timeout=30.0)  # memoized or run — either way counted
         m = client.metrics()
-        assert m["queue_depth"] >= 0
-        assert set(m["jobs_by_state"]) == {
+        assert m["router"]["queue_depth"] >= 0
+        (shard,) = m["shards"]
+        service = shard["service"]
+        assert set(service["jobs_by_state"]) == {
             "pending", "running", "done", "failed", "cancelled", "timed_out"
         }
-        assert "hit_rate" in m["dataset_cache"]
-        assert "hit_rate" in m["result_cache"]
-        assert any("state" in j for j in m["recent_jobs"])
+        assert "hit_rate" in service["dataset_cache"]
+        assert "hit_rate" in service["result_cache"]
+        assert any("state" in j for j in service["recent_jobs"])
 
     def test_memoized_submit_returns_200_done(self, client):
         client.mine(TXNS, CFG, timeout=30.0)
@@ -147,7 +149,8 @@ class TestJobLongPoll:
         def submit():
             return server.service.submit(None, self.INC, dataset_id=name).job_id
 
-        return submit, server.service.dataset_registry.get(name)
+        (shard,) = server.service.shards
+        return submit, shard.service.dataset_registry.get(name)
 
     def test_wait_returns_when_the_job_finishes_in_one_read(self, server, parked):
         submit, entry = parked

@@ -33,6 +33,7 @@ or under pytest-benchmark along with the other figures.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import time
@@ -54,17 +55,20 @@ APPEND_FRACS = (0.002, 0.005, 0.01)
 REPEATS = 5
 
 #: The gate.  Ratios, so the host cancels out; each floor is half of what
-#: the reference box measures in that mode (smoke: +1 row 2.45x, slide
-#: 0.95x — on an eighth of the window nearly every level re-mines, so an
-#: update is about one re-mine; full: +12 rows 14.3x, slide 5.9x).  A
+#: the reference box measures in that mode (smoke: +1 row 5.7x, slide
+#: 2.6x — on an eighth of the window nearly every level re-mines, which
+#: since PR 16 costs the candidates that crossed, not the level; full:
+#: +12 rows 11-14x, slide 7.1x), except that the full-mode append floor
+#: stays where PR 14 put it: a pure-delta append and a cold build both run
+#: the same bitmap walk, both got faster, and the ratio did not move.  A
 #: change that falls through a floor has made the update path twice as
 #: slow relative to a re-mine.  The ceiling on what emitting the family
 #: diff may add to the append updates is the same in both modes
-#: (measured 1.0-1.05x smoke, 1.2x full; PR 10's two-snapshot diff was
-#: 2.9x).
+#: (measured 1.1-1.15x smoke, 1.1-1.2x full; PR 10's two-snapshot diff
+#: was 2.9x).
 FLOORS = {
-    True: {"smallest_append": 1.2, "slide": 0.47},
-    False: {"smallest_append": 7.0, "slide": 3.0},
+    True: {"smallest_append": 2.8, "slide": 1.3},
+    False: {"smallest_append": 7.0, "slide": 3.6},
 }
 DIFF_COST_CEILING = 1.25
 
@@ -88,12 +92,18 @@ def _timed_update(base: list, apply, variants=({},)) -> list:
     freshly built state whose family has been read once — what every
     consumer does with a build (a job returns it, a watch ships it), and
     what fills the miner's decode memo.  The variants take turns inside
-    each round, so a slow stretch of the host lands on all of them."""
+    each round, so a slow stretch of the host lands on all of them.  The
+    collector runs before the clock starts: a build leaves tens of
+    thousands of young tuples behind, and whichever variant allocates
+    enough to trigger a collection first (the one that builds a diff)
+    would otherwise be charged for traversing them — a warm miner's state
+    is old by the time it is updated."""
     best: list = [None] * len(variants)
     for _ in range(REPEATS):
         for i, options in enumerate(variants):
             build_wall, miner = _cold_build(base, **options)
             miner.itemsets()
+            gc.collect()
             t0 = time.perf_counter()
             update = apply(miner)
             wall = time.perf_counter() - t0

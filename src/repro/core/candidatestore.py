@@ -18,6 +18,15 @@ The interface (:class:`CandidateStore`)::
     stats() -> dict                    # structure diagnostics
     len(store), iter(store)
 
+**Signed multiplicities.**  A weighted partition holds ``(transaction,
+multiplicity)`` pairs and a multiplicity may be negative — a row leaving
+a sliding window.  ``count_partition(rows, weighted=True)`` then returns
+*net* counts: what the positive rows support minus what the negative
+rows support, a row present with both signs counting on both sides.
+``count_into`` stores get this for free (``+= weight``); the bitmap
+kernel carries a mask of the negative tid runs.  A candidate whose net
+count is zero may be absent from the result.
+
 **The at-most-once contract.**  ``count_into`` adds ``weight`` to each
 contained candidate **at most once per transaction**, even when the
 transaction carries duplicate items and even when the same candidate was
@@ -52,7 +61,8 @@ Built-ins:
     big-ints) over dict-encoded transactions; every candidate support is
     one bitmap AND chain + ``int.bit_count()``.  Weighted (compacted)
     transactions occupy one tid *run* of length ``weight``, so a single
-    popcount still yields the exact weighted support.
+    popcount still yields the exact weighted support.  A negative
+    multiplicity marks its run in a mask and counts down.
 ``linear``
     Flat list scan (ablation A3: ``candidate_store="linear"``).
 """
@@ -116,7 +126,8 @@ class CandidateStore(ABC):
         """Count a whole partition into one dict.
 
         ``weighted`` partitions hold ``(transaction, multiplicity)`` pairs
-        (the compaction representation).  The default streams
+        (the compaction representation); a negative multiplicity counts
+        down, so the result is the net count.  The default streams
         :meth:`count_into`; batch kernels (:class:`BitmapStore`) override
         this with a vertical pass over the materialized partition.
         """
@@ -286,15 +297,25 @@ class FlatDictStore(CandidateStore):
                     counts[cand] = get(cand, 0) + weight
 
 
+class TidBitmaps(dict):
+    """``item -> tid-bitmap`` plus :attr:`negative`, the mask of the tid
+    runs whose record carried a negative multiplicity (0 when none did):
+    an intersection ``bm`` supports ``popcount(bm) - 2 * popcount(bm &
+    negative)`` net transactions."""
+
+    negative = 0
+
+
 def build_tid_bitmaps(
     partition, relevant: set, *, min_items: int = 1, weighted: bool = False
-) -> dict:
+) -> TidBitmaps:
     """Vertical build: item -> tid-bitmap int over ``partition``.
 
     One bit per logical transaction, the first transaction in the most
     significant bit: a bit of ``bitmaps[item]`` is set when that
     transaction contains ``item``; a weighted ``(txn, weight)`` record
-    occupies a run of ``weight`` consecutive tid positions.  Rows with
+    occupies a run of ``|weight|`` consecutive tid positions, also set in
+    the result's ``negative`` mask when ``weight < 0``.  Rows with
     fewer than ``min_items`` relevant items get no tid run — they cannot
     support any candidate of that many items, so skipping them keeps the
     bitmaps short without changing any intersection count.
@@ -306,11 +327,11 @@ def build_tid_bitmaps(
 
     A function of its own so stores counting the same rows — several
     per-length stores (:func:`repro.core.counting.count_stores`), or one
-    level after another (:class:`repro.core.counting.SharedRows`) — can
-    share ONE build and read it through
+    level after another — can share ONE build and read it through
     :meth:`BitmapStore.count_bitmaps`.
     """
     buffers: dict = {}
+    negative = bytearray()
     pos = 0
     for record in partition:
         if weighted:
@@ -320,6 +341,9 @@ def build_tid_bitmaps(
         items = relevant.intersection(txn)
         if len(items) < min_items:
             continue  # supports no candidate: assign it no tid run
+        if weight < 0:
+            weight = -weight
+            negative += b"0" * (pos - len(negative)) + b"1" * weight
         run = b"1" * weight
         for item in items:
             buf = buffers.get(item)
@@ -330,7 +354,12 @@ def build_tid_bitmaps(
                 buf += b"0" * gap
             buf += run
         pos += weight
-    return {item: int(buf.ljust(pos, b"0"), 2) for item, buf in buffers.items()}
+    bitmaps = TidBitmaps(
+        (item, int(buf.ljust(pos, b"0"), 2)) for item, buf in buffers.items()
+    )
+    if negative:
+        bitmaps.negative = int(negative.ljust(pos, b"0"), 2)
+    return bitmaps
 
 
 class BitmapStore(CandidateStore):
@@ -349,7 +378,10 @@ class BitmapStore(CandidateStore):
     intersection is already the exact weighted support — no per-weight
     bucketing.  Total bitmap length is the partition's logical
     transaction count in *bits*, so the run encoding costs 1/8 byte per
-    logical transaction per distinct item.
+    logical transaction per distinct item.  A negative weight's run is
+    also set in the build's ``negative`` mask, and a candidate's net
+    support is ``popcount(bm) - 2 * popcount(bm & negative)`` — still one
+    build and one prefix walk for a signed delta.
 
     **Prefix caching.**  Candidates are intersected in lexicographic
     order with a stack of shared-prefix intersections, so sibling
@@ -392,13 +424,15 @@ class BitmapStore(CandidateStore):
         )
 
     def count_bitmaps(self, bitmaps: dict) -> dict:
-        """Counts from a prebuilt :func:`build_tid_bitmaps` result, which
+        """Counts from a prebuilt :func:`build_tid_bitmaps` result (or any
+        ``item -> tid-bitmap`` mapping kept current some other way), which
         must cover this store's items: the build is the per-row part of a
         counting pass, and callers counting several stores over the same
         rows pay it once."""
         k = self.k
         if k is None or not bitmaps:
             return {}
+        negative = getattr(bitmaps, "negative", 0)
         # ---- intersect candidates, sharing prefixes via a stack ----------
         if self._sorted is None:
             self._sorted = sorted(self._order)
@@ -419,6 +453,8 @@ class BitmapStore(CandidateStore):
                     prefix_items.append(cand[j])
                     prefix_bms.append(bm)
             support = bm.bit_count()
+            if negative:
+                support -= 2 * (bm & negative).bit_count()
             if support:
                 counts[cand] = support
         return counts
@@ -491,6 +527,7 @@ __all__ = [
     "CandidateStore",
     "FlatDictStore",
     "LinearStore",
+    "TidBitmaps",
     "TrieStore",
     "build_tid_bitmaps",
     "get_store",

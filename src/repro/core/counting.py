@@ -12,7 +12,7 @@ picklable shell around that one call:
   partials small; the driver decodes after merging);
 * :func:`count_stores` / :class:`StoreCounter` — several per-length
   stores over one partition, in-process or as a ``run_job`` kernel
-  (:class:`SharedRows`: the bitmap stores among them share one build);
+  (the bitmap stores among them share one build);
 * :func:`collect_partials` / :func:`merge_counts` — a partition's
   ``(key, partial)`` records back to the driver as one dict, and the
   driver-side sum of those dicts (every miner's merge: no shuffle);
@@ -224,52 +224,30 @@ class PairCounter:
 
 
 # -- several stores, one pass --------------------------------------------------
-class SharedRows:
-    """Rows that several stores count, not necessarily at the same time.
+def count_stores(stores, rows, weighted: bool = False) -> dict:
+    """Merged exact counts of every store's candidates over one partition.
 
     Stores hold same-length candidates, so a mixed-length candidate set
-    is one store per length over the same rows, and a level-wise miner's
-    next store exists only once the previous level is counted.  Every
-    :class:`~repro.core.candidatestore.BitmapStore` counted here reads
-    ONE vertical build over ``items`` (made on first need; each would
-    otherwise re-scan the rows); every other store counts through its
-    own ``count_partition``.
+    is one store per length over the same rows.  Two or more
+    :class:`~repro.core.candidatestore.BitmapStore` among them read ONE
+    vertical build (each would otherwise re-scan the rows); every other
+    store counts through its own ``count_partition``.
     """
-
-    def __init__(self, rows, items: set, *, min_items: int = 1, weighted: bool = False):
-        self.rows = rows if isinstance(rows, list) else list(rows)
-        self.items = items
-        self.min_items = min_items
-        self.weighted = weighted
-        self._bitmaps: dict | None = None
-
-    def count(self, store) -> dict:
-        if not isinstance(store, BitmapStore):
-            return store.count_partition(self.rows, self.weighted)
-        if self._bitmaps is None:
-            self._bitmaps = build_tid_bitmaps(
-                self.rows, self.items, min_items=self.min_items, weighted=self.weighted
-            )
-        return store.count_bitmaps(self._bitmaps)
-
-
-def count_stores(stores, rows, weighted: bool = False) -> dict:
-    """Merged exact counts of every store's candidates over one partition
-    (two or more bitmap stores through one :class:`SharedRows` build)."""
     rows = rows if isinstance(rows, list) else list(rows)
     sharing = [s for s in stores if isinstance(s, BitmapStore) and len(s)]
-    counts: dict = {}
+    bitmaps = None
     if len(sharing) > 1:
-        shared = SharedRows(
+        bitmaps = build_tid_bitmaps(
             rows,
             set().union(*(s.items for s in sharing)),
             min_items=min(s.k for s in sharing),
             weighted=weighted,
         )
-        for store in stores:
-            counts.update(shared.count(store))
-    else:
-        for store in stores:
+    counts: dict = {}
+    for store in stores:
+        if bitmaps is not None and isinstance(store, BitmapStore):
+            counts.update(store.count_bitmaps(bitmaps))
+        else:
             counts.update(store.count_partition(rows, weighted))
     return counts
 

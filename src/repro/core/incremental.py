@@ -9,8 +9,11 @@ the only itemsets that can cross *upward* are the level's **negative
 border** (the candidates ``apriori_gen`` produced and the counting pass
 rejected).  :class:`IncrementalMiner` therefore keeps, per window:
 
-* the dict-encoded transactions with multiplicities (the PR-4 compacted
-  representation — identical rows collapse to one weighted row);
+* the window **vertically**: one tid-bitmap per dictionary code, bit
+  ``i`` = row ``i`` of the window (oldest row in bit 0) — bulk-built when
+  the window is (re-)encoded, then *maintained*: an appended row sets one
+  bit per item, a retire shifts every bitmap right (RDD-Eclat's lesson:
+  keep the tidsets and intersect, do not rebuild them per pass);
 * per level ``k``: exact counts for **every** generated candidate, i.e.
   the frequent k-itemsets *and* the level's negative border, plus a warm
   :class:`~repro.core.candidatestore.CandidateStore` over them (bitmap by
@@ -19,25 +22,39 @@ rejected).  :class:`IncrementalMiner` therefore keeps, per window:
   dictionary-shift guard).
 
 ``append(transactions)`` / ``retire(n_oldest)`` / ``slide(transactions,
-n_oldest)`` are one update path: the appended rows and the retired rows
-form a **signed delta** (a row on both sides cancels), each level takes
-one ``count_partition`` pass over the ``+`` rows and one over the ``-``
-rows, and each frequent family is re-derived against the **final**
-threshold.  A window advance must be a ``slide``, not an ``append`` then
-a ``retire``: the window in between is the largest of the three, its
-threshold the highest, and itemsets at the threshold fall out only to
-come back — every level they touch re-mined twice for a state nobody can
-observe.  A level is re-mined only when the previous level's frequent
-family actually changed (a border itemset crossed the threshold, in
-either direction — retiring lowers the threshold, so borders cross
-upward there too).  Even then the pass is *border-bounded*: candidates
-already tracked keep their maintained counts and only the genuinely new
-candidates take a full-window counting pass, all levels of one update
-reading one tid-bitmap build of the window.  The update also says what it
-changed: its :class:`FamilyDiff` is built from the ``(old, new)`` counts
-the pass holds while it applies them, not from two snapshots of the
-family.
-Two events fall back to a full rebuild: a frequent singleton outside the
+n_oldest)`` are one update path whose work follows the delta in three
+places:
+
+* **Counting.**  The appended rows and the retired rows form a *signed*
+  delta — ``(row, +n)`` / ``(row, -n)``, a row on both sides cancels —
+  and each level takes ONE ``count_partition(signed, weighted=True)``
+  pass returning net counts; each frequent family is re-derived against
+  the **final** threshold.  A window advance must be a ``slide``, not an
+  ``append`` then a ``retire``: the window in between is the largest of
+  the three, its threshold the highest, and itemsets at the threshold
+  fall out only to come back — every level they touch re-mined twice for
+  a state nobody can observe.
+* **Candidates.**  The tracked set of level ``k`` always equals
+  ``apriori_gen`` of level ``k-1``'s frequent family, and is *kept* so,
+  not re-derived: when that family gains and loses a few itemsets (a
+  border itemset crossed the threshold, in either direction — retiring
+  lowers the threshold, so borders cross upward there too), level ``k``
+  drops the supersets of what left and gains the one-item extensions of
+  what arrived whose every (k-1)-subset is frequent
+  (:func:`~repro.core.candidates.candidates_delta`).  Counts are edited
+  in place; ``apriori_gen`` runs only for a level that did not exist, or
+  when so much crossed that generating the level whole is the cheaper
+  way to the same set.
+* **The window.**  Only those genuinely new candidates need the whole
+  window, and they read the maintained bitmaps: one prefix walk, no
+  build, whatever the configured store (the store counts the delta
+  passes; with an engine context lent, it also counts the window's rows
+  as one job per level).
+
+The update also says what it changed: its :class:`FamilyDiff` is built
+from the ``(old, new)`` counts the pass holds while it applies them, not
+from two snapshots of the family.
+One event falls back to a full rebuild: a frequent singleton outside the
 item dictionary (its occurrences were dropped at encode time, so no delta
 pass can recover them — the window must be re-encoded) — and nothing
 else; a dictionary item going *infrequent* needs no re-encode, its codes
@@ -46,8 +63,9 @@ simply drop out of level 1.
 Correctness contract (pinned by the oracle tests): after any sequence of
 appends and retires the mined itemsets equal a cold re-mine of the
 current window.  Every update is traced as an ``incremental_update`` span
-and reported as :class:`IncrementalUpdate` delta-pass stats, which also
-ride on the result's :class:`~repro.core.results.IterationStats`.
+carrying its per-phase seconds (:data:`PHASES`) and reported as
+:class:`IncrementalUpdate` delta-pass stats, which also ride on the
+result's :class:`~repro.core.results.IterationStats`.
 """
 
 from __future__ import annotations
@@ -58,10 +76,16 @@ from dataclasses import dataclass, field
 from repro.common.encoding import ItemDictionary
 from repro.common.errors import MiningError
 from repro.common.itemset import canonical_transaction, min_support_count
-from repro.core.candidates import apriori_gen
-from repro.core.candidatestore import make_store
-from repro.core.counting import SharedRows, count_rows
+from repro.core.candidates import apriori_gen, candidates_delta
+from repro.core.candidatestore import BitmapStore, build_tid_bitmaps, make_store
+from repro.core.counting import TransactionEncoder, count_rows
 from repro.core.results import IterationStats, MiningRunResult
+
+#: where an update's seconds went: keeping candidate sets and their stores
+#: current / the signed delta passes and folding them in / the vertical
+#: window and the full-window counts of new candidates / re-thresholding
+#: and the family diff
+PHASES = ("generate", "delta", "window", "diff")
 
 
 @dataclass
@@ -160,8 +184,11 @@ class IncrementalUpdate:
     levels_delta: int = 0  # levels kept current by a delta pass alone
     levels_remined: int = 0  # levels whose candidate set was regenerated
     #: per-level trail: {"k", "mode" ("delta"|"remine"), "delta_candidates",
-    #: "full_candidates"} — folded into IterationStats by ``result()``
+    #: "full_candidates", "candidates_added", "candidates_dropped",
+    #: "seconds"} — folded into IterationStats by ``result()``
     per_level: list = field(default_factory=list)
+    #: seconds per phase of :data:`PHASES`, summed over the levels
+    phase_seconds: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     #: how the frequent family changed across this update (``None`` on
     #: the initial build, on a no-op, or when diff tracking is disabled)
     #: — the payload the streaming change feed ships
@@ -210,8 +237,10 @@ class IncrementalMiner:
     max_length:
         Optional cap on mined itemset length.
     candidate_store:
-        Store used for every counting pass (default ``"bitmap"`` — the
-        vertical tid-bitmap kernel is the cheapest per delta row).
+        The warm per-level store the delta passes count through (default
+        ``"bitmap"`` — the vertical tid-bitmap kernel is the cheapest per
+        delta row), and the engine jobs of a lent context.  In-process
+        full-window counts read the miner's own vertical window.
     num_partitions / ctx:
         When ``ctx`` (an engine :class:`~repro.engine.context.Context`)
         is set, full-window counting passes run as engine jobs over
@@ -255,12 +284,8 @@ class IncrementalMiner:
         self.full_rebuilds = 0
         t0 = time.perf_counter()
         update = IncrementalUpdate(kind="build", n_delta=len(self._window))
-        with self._trace().span(
-            "incremental_update", "driver", kind="build", n_delta=len(self._window)
-        ):
-            self._rebuild(update)
-        update.seconds = time.perf_counter() - t0
-        self.last_update = self._stamp(update)
+        self._rebuild(update)
+        self.last_update = self._finish(update, t0)
 
     # -- public surface ----------------------------------------------------
     @property
@@ -337,7 +362,7 @@ class IncrementalMiner:
         by_k = {entry["k"]: entry for entry in upd.per_level}
         first = IterationStats(
             k=1,
-            seconds=upd.seconds,
+            seconds=upd.seconds - sum(entry["seconds"] for entry in upd.per_level),
             n_candidates=len(self._item_counts),
             n_frequent=len(self._frequent1),
             delta_rows=upd.delta_rows,
@@ -348,12 +373,14 @@ class IncrementalMiner:
             result.iterations.append(
                 IterationStats(
                     k=lvl.k,
-                    seconds=0.0,
+                    seconds=entry.get("seconds", 0.0),
                     n_candidates=len(lvl.counts),
                     n_frequent=len(lvl.frequent),
                     delta_rows=upd.delta_rows,
                     delta_candidates=entry.get("delta_candidates", 0),
                     full_candidates=entry.get("full_candidates", 0),
+                    candidates_added=entry.get("candidates_added", 0),
+                    candidates_dropped=entry.get("candidates_dropped", 0),
                 )
             )
         result.trace = self._trace()
@@ -376,6 +403,16 @@ class IncrementalMiner:
         update.threshold = self._threshold
         return update
 
+    def _finish(self, update: IncrementalUpdate, t0: float) -> IncrementalUpdate:
+        """Stamp ``update``, close its clock and trace it, phases included."""
+        update.seconds = time.perf_counter() - t0
+        self._trace().add_span(
+            "incremental_update", "driver", t0, update.seconds,
+            kind=update.kind, n_delta=update.n_delta,
+            **{f"{phase}_s": s for phase, s in update.phase_seconds.items()},
+        )
+        return self._stamp(update)
+
     def _update(self, kind: str, transactions, n_oldest: int) -> IncrementalUpdate:
         """The one update path: append ``transactions``, then drop the
         ``n_oldest`` rows of the result (either side may be empty)."""
@@ -390,106 +427,121 @@ class IncrementalMiner:
                 f"retire({n_oldest}) would empty the {total}-transaction window"
             )
         t0 = time.perf_counter()
-        with self._trace().span(
-            "incremental_update", "driver", kind=kind, n_delta=update.n_delta
-        ):
-            retired = self._window[:n_oldest]
-            retired += appended[: n_oldest - len(retired)]
-            item_delta: dict = {}
-            for sign, txns in ((1, appended), (-1, retired)):
-                for txn in txns:
-                    for item in txn:
-                        item_delta[item] = item_delta.get(item, 0) + sign
-            threshold = min_support_count(self.min_support, total - n_oldest)
-            # Dictionary-shift guard: a frequent item outside the alphabet
-            # was dropped from every encoded row — no delta pass can recover
-            # its co-occurrences, so re-encode the window.  (An alphabet
-            # item going infrequent needs nothing: its codes just leave
-            # level 1.)  Looked up before anything mutates, so the rebuild
-            # can diff against a snapshot of the old family.
-            newcomers = [
-                item
-                for item in self._item_counts.keys() | item_delta.keys()
-                if item not in self._dictionary
-                and self._item_counts.get(item, 0) + item_delta.get(item, 0)
-                >= threshold
-            ]
-            before = self.itemsets() if newcomers and self.track_family_diff else None
-            self._window.extend(appended)
-            del self._window[:n_oldest]
-            for item, moved in item_delta.items():
-                left = self._item_counts.get(item, 0) + moved
-                if left:
-                    self._item_counts[item] = left
-                else:
-                    self._item_counts.pop(item, None)
-            if newcomers:
-                update.full_rebuild = True
-                update.rebuild_reason = f"new frequent singleton {newcomers[0]!r}"
-                self.full_rebuilds += 1
-                self._rebuild(update)
-                if before is not None:
-                    update.family_diff = FamilyDiff.between(before, self.itemsets())
+        retired = self._window[:n_oldest]
+        retired += appended[: n_oldest - len(retired)]
+        item_delta: dict = {}
+        for sign, txns in ((1, appended), (-1, retired)):
+            for txn in txns:
+                for item in txn:
+                    item_delta[item] = item_delta.get(item, 0) + sign
+        threshold = min_support_count(self.min_support, total - n_oldest)
+        # Dictionary-shift guard: a frequent item outside the alphabet
+        # was dropped from every encoded row — no delta pass can recover
+        # its co-occurrences, so re-encode the window.  (An alphabet
+        # item going infrequent needs nothing: its codes just leave
+        # level 1.)  Looked up before anything mutates, so the rebuild
+        # can diff against a snapshot of the old family.
+        newcomers = [
+            item
+            for item in self._item_counts.keys() | item_delta.keys()
+            if item not in self._dictionary
+            and self._item_counts.get(item, 0) + item_delta.get(item, 0)
+            >= threshold
+        ]
+        before = self.itemsets() if newcomers and self.track_family_diff else None
+        self._window.extend(appended)
+        del self._window[:n_oldest]
+        for item, moved in item_delta.items():
+            left = self._item_counts.get(item, 0) + moved
+            if left:
+                self._item_counts[item] = left
             else:
-                self._apply_delta(appended, retired, item_delta, threshold, update)
+                self._item_counts.pop(item, None)
+        if newcomers:
+            update.full_rebuild = True
+            update.rebuild_reason = f"new frequent singleton {newcomers[0]!r}"
+            self.full_rebuilds += 1
+            self._rebuild(update)
+            if before is not None:
+                t_diff = time.perf_counter()
+                update.family_diff = FamilyDiff.between(before, self.itemsets())
+                update.phase_seconds["diff"] += time.perf_counter() - t_diff
+        else:
+            self._apply_delta(appended, retired, item_delta, threshold, update)
         self.version += 1
-        update.seconds = time.perf_counter() - t0
         self.last_update = update
-        return self._stamp(update)
+        return self._finish(update, t0)
 
-    def _make_store(self, candidates):
+    def _make_store(self, candidates=()):
         return make_store(self.candidate_store, candidates, **self.store_options)
 
-    def _shared_window(self) -> SharedRows:
-        """The window's weighted rows, for the full-window passes of ONE
-        update (the rows change with the next): however many levels it
-        counts, bitmap stores share one build over the level-1 codes."""
-        return SharedRows(
-            list(self._encoded.items()),
-            {code for (code,) in self._frequent1},
-            min_items=2,
-            weighted=True,
-        )
+    def _window_rows(self) -> list:
+        """The window as weighted encoded rows (identical rows collapsed,
+        rows too short for any k >= 2 candidate dropped): what a counting
+        pass that cannot read the vertical window scans — the engine jobs
+        of a lent context."""
+        return list(TransactionEncoder(dictionary=self._dictionary)(self._window))
 
-    def _count_window(self, window: SharedRows, store, candidates) -> dict:
-        """Exact full-window counts for ``candidates`` (zero-filled)."""
-        counts: dict = {}
-        if window.rows and self.ctx is None:
-            counts = window.count(store)
-        elif window.rows:  # a lent context: one engine job per pass
+    def _count_window(self, candidates, store=None, rows=None) -> dict:
+        """Exact full-window counts for ``candidates`` (zero-filled).
+
+        In-process that is one prefix walk over the maintained
+        tid-bitmaps — no build, whatever ``candidate_store`` is.  A lent
+        context counts ``rows`` (:meth:`_window_rows`) as one engine job.
+        ``store``, if given, already holds ``candidates``."""
+        if self.ctx is None:
+            if not isinstance(store, BitmapStore):
+                store = BitmapStore(candidates)
+            counts = store.count_bitmaps(self._tids)
+        elif rows:
+            if store is None:
+                store = self._make_store(candidates)
             counts = count_rows(
-                [store], window.rows, weighted=True,
+                [store], rows, weighted=True,
                 ctx=self.ctx, num_partitions=self.num_partitions,
             )
+        else:
+            counts = {}
         return {c: counts.get(c, 0) for c in candidates}
 
     def _rebuild(self, update: IncrementalUpdate) -> None:
         """Full re-encode + re-mine of the current window (initial build
         and the new-frequent-singleton fallback)."""
+        clock = time.perf_counter
+        phases = update.phase_seconds
+        t0 = clock()
         self._threshold = min_support_count(self.min_support, len(self._window))
         frequent_items = {
             i: c for i, c in self._item_counts.items() if c >= self._threshold
         }
         self._dictionary = ItemDictionary.from_counts(frequent_items)
         self._decode = _DecodeMemo(self._dictionary).__getitem__
-        encoded: dict = {}
-        for txn in self._window:
-            enc = self._dictionary.encode_transaction(txn)
-            if len(enc) >= 2:  # shorter rows cannot support any k>=2 candidate
-                encoded[enc] = encoded.get(enc, 0) + 1
-        self._encoded = encoded
+        # The vertical window, bulk-built.  Bit i of a code's bitmap is
+        # row i of the window, so the newest row goes in first (a build's
+        # first record lands in the top bit) and every row gets a bit.
+        encode = self._dictionary.encode_transaction
+        self._tids = build_tid_bitmaps(
+            [encode(txn) for txn in reversed(self._window)],
+            set(range(len(self._dictionary))), min_items=0,
+        )
+        rows = self._window_rows() if self.ctx is not None else None
+        phases["window"] += clock() - t0
         self._frequent1 = {(self._dictionary.code(i),) for i in frequent_items}
         self._levels: list[_Level] = []
-        window = self._shared_window()
-        prev = sorted(self._frequent1)
+        prev = self._frequent1
         k = 2
         while prev and (self.max_length is None or k <= self.max_length):
+            t0 = clock()
             candidates = apriori_gen(prev)
             if not candidates:
                 break
             store = self._make_store(candidates)
-            counts = self._count_window(window, store, candidates)
+            t1 = clock()
+            counts = self._count_window(candidates, store, rows)
             frequent = {c for c in candidates if counts[c] >= self._threshold}
+            t2 = clock()
+            phases["generate"] += t1 - t0
+            phases["window"] += t2 - t1
             self._levels.append(
                 _Level(k=k, counts=counts, frequent=frequent, store=store)
             )
@@ -497,44 +549,63 @@ class IncrementalMiner:
             update.levels_remined += 1
             update.per_level.append(
                 {"k": k, "mode": "remine", "delta_candidates": 0,
-                 "full_candidates": len(candidates)}
+                 "full_candidates": len(candidates),
+                 "candidates_added": len(candidates), "candidates_dropped": 0,
+                 "seconds": t2 - t0}
             )
-            prev = sorted(frequent)
+            prev = frequent
             k += 1
+
+    def _advance_window(self, encoded: list, n_oldest: int) -> None:
+        """Bring the vertical window up to date: one bit per appended row
+        (``encoded``, in order) above the rows it held, then the
+        ``n_oldest`` oldest rows shifted out of every bitmap.  Called with
+        ``_window`` already advanced."""
+        n_before = len(self._window) - len(encoded) + n_oldest
+        tids = self._tids
+        for i, enc in enumerate(encoded, n_before):
+            bit = 1 << i
+            for code in enc:
+                tids[code] = tids.get(code, 0) | bit
+        if n_oldest:
+            for code, bitmap in tids.items():
+                tids[code] = bitmap >> n_oldest
 
     def _apply_delta(
         self, appended, retired, item_delta: dict, threshold: int,
         update: IncrementalUpdate,
     ) -> None:
         """Window and item counts already hold the new state; bring the
-        encoded rows and every level's counts and families up to it, and
-        record what changed in ``update.family_diff`` from the ``(old,
-        new)`` counts this pass holds anyway."""
+        vertical window and every level's candidates, counts and family
+        up to it, and record what changed in ``update.family_diff`` from
+        the ``(old, new)`` counts this pass holds anyway."""
+        clock = time.perf_counter
+        phases = update.phase_seconds
         was, self._threshold = self._threshold, threshold
         dictionary = self._dictionary
+        decode = self._decode
         diff = FamilyDiff() if self.track_family_diff else None
         changed_counts = diff.changed if diff is not None else None
 
-        # Encode + compact the signed delta over the unchanged dictionary
-        # (a row on both sides cancels) and fold it into the window's
-        # weighted rows.
+        # Encode the delta over the unchanged dictionary.  The appended
+        # rows enter the vertical window and the retired ones leave it;
+        # appended minus retired is the signed delta every level counts
+        # (a row on both sides cancels, and one too short for a k >= 2
+        # candidate is no row at all).
+        t0 = clock()
+        encode = dictionary.encode_transaction
+        encoded = [encode(txn) for txn in appended]
+        self._advance_window(encoded, len(retired))
         net: dict = {}
-        for sign, txns in ((1, appended), (-1, retired)):
-            for txn in txns:
-                enc = dictionary.encode_transaction(txn)
+        for sign, rows in ((1, encoded), (-1, map(encode, retired))):
+            for enc in rows:
                 if len(enc) >= 2:
                     net[enc] = net.get(enc, 0) + sign
-        plus, minus = [], []
-        for enc, mult in net.items():
-            if not mult:
-                continue
-            (plus if mult > 0 else minus).append((enc, abs(mult)))
-            left = self._encoded.get(enc, 0) + mult
-            if left > 0:
-                self._encoded[enc] = left
-            else:
-                self._encoded.pop(enc, None)
-        update.delta_rows = len(plus) + len(minus)
+        signed = [(enc, mult) for enc, mult in net.items() if mult]
+        update.delta_rows = len(signed)
+        window_rows = None  # for a lent context, encoded on first need
+        t1 = clock()
+        phases["window"] += t1 - t0
 
         item_counts = self._item_counts
         old_f1 = self._frequent1
@@ -543,11 +614,14 @@ class IncrementalMiner:
             for i, c in item_counts.items()
             if c >= threshold and i in dictionary
         }
+        # what the family below gained and lost: level k's candidates
+        # follow level k-1's crossings
+        arrived, left = new_f1 - old_f1, old_f1 - new_f1
         if diff is not None:  # level 1 lives in item space: no decode
-            for (code,) in new_f1 - old_f1:
+            for (code,) in arrived:
                 item = dictionary.item(code)
                 diff.added[(item,)] = item_counts[item]
-            for (code,) in old_f1 - new_f1:
+            for (code,) in left:
                 item = dictionary.item(code)
                 diff.removed[(item,)] = (
                     item_counts.get(item, 0) - item_delta.get(item, 0)
@@ -556,92 +630,88 @@ class IncrementalMiner:
                 new = item_counts.get(item, 0)
                 if d and item in dictionary and new - d >= was and new >= threshold:
                     changed_counts[(item,)] = (new - d, new)
-        changed = new_f1 != old_f1
         self._frequent1 = new_f1
+        phases["diff"] += clock() - t1
 
-        window = None  # full-window rows, shared by this update's fresh counts
-        prev = sorted(new_f1)
+        items = sorted(code for (code,) in old_f1 | new_f1)
+        prev = new_f1
         li = 0
         k = 2
         while prev and (self.max_length is None or k <= self.max_length):
-            old = self._levels[li] if li < len(self._levels) else None
-            if old is not None and not changed:
-                # Candidate set unchanged (tracked == apriori_gen(prev)):
-                # one signed delta pass, then re-threshold from exact counts.
-                lvl, counts, old_frequent = old, old.counts, old.frequent
-                moved = _count_delta(lvl.store, plus, minus)
-                _fold(counts, moved, changed_counts, was, threshold, self._decode)
-                lvl.frequent = {c for c, v in counts.items() if v >= threshold}
-
-                def old_count(cand):
-                    return counts[cand] - moved.get(cand, 0)
-
-                n_fresh = 0
-                update.levels_delta += 1
-            else:
-                # A border itemset crossed below (or the level is new):
-                # regenerate the candidate set.  Border-bounded: retained
-                # candidates keep their maintained counts (delta applied);
-                # only genuinely new candidates pay a full-window pass.
-                candidates = apriori_gen(prev)
-                if not candidates:
+            t0 = clock()
+            lvl = self._levels[li] if li < len(self._levels) else None
+            counts = lvl.counts if lvl is not None else {}
+            remine = bool(arrived or left)
+            fresh: list = []
+            dropped: dict = {}  # candidate -> its last count
+            if remine:
+                # tracked == apriori_gen(prev) is kept, not re-derived: a
+                # candidate goes when a subset of it left the family
+                # below, and comes when an arrival completes its subsets
+                fresh, stale = candidates_delta(counts, prev, arrived, left, items)
+                dropped = {cand: counts.pop(cand) for cand in stale}
+                if dropped:
+                    lvl.store = self._make_store(counts)
+            if lvl is None:  # no such level before
+                if not fresh:
                     break
-                old_counts = old.counts if old is not None else {}
-                old_frequent = old.frequent if old is not None else set()
-                old_count = old_counts.__getitem__
-                counts = {c: old_counts[c] for c in candidates if c in old_counts}
-                fresh = [c for c in candidates if c not in counts]
-                store = self._make_store(candidates)
-                if counts:
-                    moved = _count_delta(store, plus, minus)
-                    for cand in fresh:  # counted over the window, delta included
-                        moved.pop(cand, None)
-                    _fold(counts, moved, changed_counts, was, threshold, self._decode)
-                if fresh:
-                    if window is None:
-                        window = self._shared_window()
-                    counts.update(
-                        self._count_window(window, self._make_store(fresh), fresh)
-                    )
-                lvl = _Level(
-                    k=k, counts=counts, store=store,
-                    frequent={c for c in candidates if counts[c] >= threshold},
-                )
-                self._levels[li : li + 1] = [lvl]
-                n_fresh = len(fresh)
-                update.levels_remined += 1
+                lvl = _Level(k=k, counts=counts, frequent=set(), store=self._make_store())
+                self._levels.append(lvl)
+            t1 = clock()
+            # ONE signed pass over the delta for the candidates that stay
+            moved: dict = {}
+            if signed and counts:
+                moved = lvl.store.count_partition(signed, weighted=True)
+                _fold(counts, moved, changed_counts, was, threshold, decode)
+            t2 = clock()
+            n_kept = len(counts)
+            if fresh:  # counted over the whole window, delta included
+                if self.ctx is not None and window_rows is None:
+                    window_rows = self._window_rows()
+                counts.update(self._count_window(fresh, rows=window_rows))
+                for cand in fresh:
+                    lvl.store.insert(cand)
+            t3 = clock()
+            old_frequent = lvl.frequent
+            lvl.frequent = {c for c, v in counts.items() if v >= threshold}
+            arrived, left = lvl.frequent - old_frequent, old_frequent - lvl.frequent
             if diff is not None:
-                _record_crossings(
-                    diff, self._decode, old_frequent, lvl.frequent, old_count,
-                    counts.__getitem__,
-                )
-            changed = lvl.frequent != old_frequent
-            update.delta_candidates += len(counts) - n_fresh
-            update.full_candidates += n_fresh
+                for cand in arrived:
+                    diff.added[decode(cand)] = counts[cand]
+                for cand in left:
+                    diff.removed[decode(cand)] = (
+                        dropped[cand] if cand in dropped
+                        else counts[cand] - moved.get(cand, 0)
+                    )
+            t4 = clock()
+            phases["generate"] += t1 - t0
+            phases["delta"] += t2 - t1
+            phases["window"] += t3 - t2
+            phases["diff"] += t4 - t3
+            if not counts:  # every candidate lost a subset: the level is gone
+                del self._levels[li]
+                break
+            update.delta_candidates += n_kept
+            update.full_candidates += len(fresh)
+            if remine:
+                update.levels_remined += 1
+            else:
+                update.levels_delta += 1
             update.per_level.append(
-                {"k": k, "mode": "delta" if lvl is old else "remine",
-                 "delta_candidates": len(counts) - n_fresh,
-                 "full_candidates": n_fresh}
+                {"k": k, "mode": "remine" if remine else "delta",
+                 "delta_candidates": n_kept, "full_candidates": len(fresh),
+                 "candidates_added": len(fresh), "candidates_dropped": len(dropped),
+                 "seconds": t4 - t0}
             )
-            prev = sorted(lvl.frequent)
+            prev = lvl.frequent
             li += 1
             k += 1
         if diff is not None:
             for gone in self._levels[li:]:
                 for cand in gone.frequent:
-                    diff.removed[self._decode(cand)] = gone.counts[cand]
+                    diff.removed[decode(cand)] = gone.counts[cand]
         del self._levels[li:]
         update.family_diff = diff
-
-
-def _count_delta(store, plus: list, minus: list) -> dict:
-    """Net signed delta counts of ``store``'s candidates: the appended
-    rows count up, the retired rows count down."""
-    moved = store.count_partition(plus, weighted=True) if plus else {}
-    if minus:
-        for cand, n in store.count_partition(minus, weighted=True).items():
-            moved[cand] = moved.get(cand, 0) - n
-    return moved
 
 
 def _fold(counts: dict, moved: dict, changed, was: int, bar: int, decode) -> None:
@@ -664,26 +734,21 @@ def _fold(counts: dict, moved: dict, changed, was: int, bar: int, decode) -> Non
                 changed[decode(cand)] = (old, new)
 
 
-def _record_crossings(
-    diff: FamilyDiff, decode, old_frequent: set, frequent: set, old_count, count
-) -> None:
-    """The itemsets one level gained and lost, with their new / last counts."""
-    for cand in frequent - old_frequent:
-        diff.added[decode(cand)] = count(cand)
-    for cand in old_frequent - frequent:
-        diff.removed[decode(cand)] = old_count(cand)
+def incremental_store(asked) -> str:
+    """The store an incremental run counts with, given the one asked for.
 
-
-def incremental_store(config) -> str:
-    """The store an incremental run of ``config`` counts with.
-
-    ``MiningConfig.candidate_store`` defaults to the batch miners'
-    ``hashtree``; this tier's default is ``bitmap`` (the cheapest kernel
-    per delta row), so the batch default maps to it and any other choice
-    — the field, or ``options["candidate_store"]`` over it — is honoured.
+    ``asked`` is a :class:`~repro.core.registry.MiningConfig` (its
+    ``candidate_store`` field, or ``options["candidate_store"]`` over
+    it), a store name, or ``None``.  ``MiningConfig.candidate_store``
+    defaults to the batch miners' ``hashtree``; this tier's default is
+    ``bitmap`` (the cheapest kernel per delta row), so the batch default
+    and no choice at all both map to it and any other choice is honoured.
+    Everything that names a warm miner by its store goes through here, so
+    two spellings of one choice never build two miners.
     """
-    store = config.options.get("candidate_store", config.candidate_store)
-    return "bitmap" if store == "hashtree" else store
+    if not (asked is None or isinstance(asked, str)):
+        asked = asked.options.get("candidate_store", asked.candidate_store)
+    return "bitmap" if asked in (None, "hashtree") else asked
 
 
 def run_incremental(ctx, transactions, config) -> MiningRunResult:

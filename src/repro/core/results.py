@@ -77,6 +77,8 @@ class IterationStats:
     delta_rows: int = 0  # physical (deduplicated) delta rows counted
     delta_candidates: int = 0  # candidates maintained by a delta-only pass
     full_candidates: int = 0  # candidates re-counted over the full window
+    candidates_added: int = 0  # candidates that entered the level's tracked set
+    candidates_dropped: int = 0  # candidates that left it (lost a frequent subset)
 
 
 def engine_iteration_stats(

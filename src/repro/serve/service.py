@@ -35,7 +35,7 @@ import time
 from collections import deque
 
 from repro.common.errors import EngineError, MiningError
-from repro.core.incremental import FamilyDiff
+from repro.core.incremental import FamilyDiff, IncrementalMiner, incremental_store
 from repro.core.registry import MiningConfig, get_algorithm, run_algorithm
 from repro.serve.cache import ContextPool, DatasetCache, ResultCache
 from repro.serve.datasets import DatasetRegistry
@@ -57,16 +57,31 @@ TRANSIENT_ERRORS = (EngineError,)
 MAX_POLL_S = 25.0
 
 
-def _itemset_sort_key(itemset):
-    return (len(itemset), [str(x) for x in itemset])
+def _mining_key(min_support, max_length, store) -> tuple:
+    """What names a dataset's warm miner in ``entry.miners``.  ``store``
+    is however the caller spelt it — a job's config, a watcher's query
+    argument or nothing — so one logical key is one miner."""
+    return (min_support, max_length, incremental_store(store))
+
+
+def _in_payload_order(by_itemset: dict) -> list:
+    """``(itemset, value)`` pairs in the order payloads list them:
+    shorter itemsets first, equal lengths in the items' own order.  That
+    is a native tuple sort — no key object per itemset, which at a few
+    thousand changed itemsets per version is GIL time taken from the
+    writer.  Itemsets whose items do not compare with each other (mixed
+    types) fall back to the order of their ``str`` forms."""
+    try:
+        pairs = sorted(by_itemset.items())
+    except TypeError:
+        pairs = sorted(by_itemset.items(), key=lambda kv: [str(x) for x in kv[0]])
+    pairs.sort(key=lambda kv: len(kv[0]))  # stable: item order kept within a length
+    return pairs
 
 
 def _family_payload(family: dict) -> list:
     """JSON-safe ``[[itemset, count], ...]`` in deterministic order."""
-    return [
-        [list(itemset), count]
-        for itemset, count in sorted(family.items(), key=lambda kv: _itemset_sort_key(kv[0]))
-    ]
+    return [[list(itemset), count] for itemset, count in _in_payload_order(family)]
 
 
 def _diff_payload(diff) -> dict:
@@ -75,9 +90,7 @@ def _diff_payload(diff) -> dict:
         "removed": _family_payload(diff.removed),
         "changed": [
             [list(itemset), old, new]
-            for itemset, (old, new) in sorted(
-                diff.changed.items(), key=lambda kv: _itemset_sort_key(kv[0])
-            )
+            for itemset, (old, new) in _in_payload_order(diff.changed)
         ],
     }
 
@@ -633,10 +646,7 @@ class MiningService:
         """The (mining key, warm miner) for a change-feed subscription,
         building or catching up the miner so its window IS the entry's
         current window (caller holds ``entry.lock``)."""
-        from repro.core.incremental import IncrementalMiner
-
-        store = candidate_store or "bitmap"
-        mkey = (min_support, max_length, store)
+        mkey = _mining_key(min_support, max_length, candidate_store)
         if entry.pending_buffered:
             self._apply_advance_locked(entry, entry.take_buffer())
         watch = entry.watch(mkey)
@@ -646,7 +656,7 @@ class MiningService:
                 list(entry.transactions),
                 min_support,
                 max_length=max_length,
-                candidate_store=store,
+                candidate_store=mkey[-1],
             )
             entry.miners[mkey] = miner
             watch.reset()
@@ -655,6 +665,7 @@ class MiningService:
             # skipped transitions predate the watch baseline being set
             # below, so no log entries are lost to subscribers.
             miner.append(entry.transactions[miner.n_transactions :])
+        miner.track_family_diff = True  # from here on somebody reads it
         if watch.start_version is None:
             watch.start_version = entry.version
             watch.log.clear()
@@ -981,15 +992,12 @@ class MiningService:
         (an append landed after this job was submitted — the job must
         still answer for its own version).
         """
-        from repro.core.incremental import IncrementalMiner, incremental_store
-
         config = job.request.config
         try:
             entry = self.dataset_registry.get(job.dataset_id)
         except ServeError:
             return None
-        store = incremental_store(config)
-        mkey = (config.min_support, config.max_length, store)
+        mkey = _mining_key(config.min_support, config.max_length, config)
         with entry.lock:
             if entry.versions.get(job.dataset_version) != job.dataset_fingerprint:
                 return None  # replaced under the same name: snapshot mismatch
@@ -999,9 +1007,12 @@ class MiningService:
                     txns,
                     config.min_support,
                     max_length=config.max_length,
-                    candidate_store=store,
+                    candidate_store=mkey[-1],
                     num_partitions=config.num_partitions,
                     ctx=ctx,
+                    # a job reads families, not diffs: the miner starts
+                    # emitting them when a watch on its key asks
+                    track_family_diff=False,
                 )
                 try:
                     return miner.result()

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.candidates import apriori_gen, join_step, prune_step
+import repro.core.candidates as candidates_module
+from repro.core.candidates import apriori_gen, candidates_delta, join_step, prune_step
 
 
 class TestJoinStep:
@@ -86,3 +87,78 @@ class TestAprioriGen:
             prev = list(combinations(items, k - 1))
             got = apriori_gen(prev)
             assert got == list(combinations(items, k))
+
+
+def downward_closed_family(maximal):
+    """Every non-empty subset of the given itemsets, by length."""
+    by_len = {}
+    for top in maximal:
+        for k in range(1, len(top) + 1):
+            by_len.setdefault(k, set()).update(combinations(sorted(top), k))
+    return by_len
+
+
+def brute_apriori_gen(prev, k):
+    """Join + prune by definition: every k-set over the family's items
+    whose every (k-1)-subset is in the family."""
+    items = sorted({i for p in prev for i in p})
+    return [
+        cand for cand in combinations(items, k)
+        if all(sub in prev for sub in combinations(cand, k - 1))
+    ]
+
+
+families_st = st.lists(
+    st.sets(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=6
+)
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=80, deadline=None)
+    @given(families_st)
+    def test_apriori_gen_is_join_plus_prune(self, maximal):
+        """On downward-closed families, k = 2..5 (and past the top, where
+        nothing is generated): the parent-skipping, short-circuiting prune
+        keeps exactly what the definition keeps."""
+        family = downward_closed_family(maximal)
+        for k in range(2, 7):
+            prev = family.get(k - 1, set())
+            assert apriori_gen(prev) == brute_apriori_gen(prev, k)
+
+    @settings(max_examples=120, deadline=None)
+    @given(families_st, families_st)
+    def test_candidates_follow_the_crossings(self, old_max, new_max):
+        """apriori_gen(new) == apriori_gen(old) - stale + fresh at every
+        level, whichever way the delta was found."""
+        old, new = downward_closed_family(old_max), downward_closed_family(new_max)
+        items = sorted(i for (i,) in old[1] | new[1])
+        for k in range(2, 7):
+            was, now = old.get(k - 1, set()), new.get(k - 1, set())
+            if not now:
+                break
+            tracked = set(apriori_gen(was))
+            fresh, stale = candidates_delta(tracked, now, now - was, was - now, items)
+            assert fresh == sorted(set(fresh)) and not tracked & set(fresh)
+            assert set(stale) <= tracked
+            assert sorted((tracked - set(stale)) | set(fresh)) == apriori_gen(now)
+
+    def test_few_crossings_are_followed_many_regenerate(self, monkeypatch):
+        calls = []
+        real = candidates_module.apriori_gen
+        monkeypatch.setattr(
+            candidates_module, "apriori_gen", lambda prev: calls.append(1) or real(prev)
+        )
+        items = list(range(8))
+        was = set(combinations(items, 2)) - {(0, 1)}
+        tracked = set(real(was))
+        now = was | {(0, 1)}
+        fresh, stale = candidates_delta(tracked, now, {(0, 1)}, set(), items)
+        assert (fresh, stale) == ([(0, 1, x) for x in range(2, 8)], []) and not calls
+        fresh, stale = candidates_delta(tracked, now - {(6, 7)}, {(0, 1)}, {(6, 7)}, items)
+        assert stale == [(x, 6, 7) for x in range(6)] and len(fresh) == 6 and not calls
+        # nothing tracked yet, or most of the family crossed: generated whole
+        assert candidates_delta((), now, now, set(), items) == (real(now), [])
+        shrunk = {p for p in now if max(p) < 4}
+        fresh, stale = candidates_delta(tracked, shrunk, {(0, 1)}, now - shrunk, items)
+        assert fresh == [(0, 1, 2), (0, 1, 3)] and len(calls) == 2
+        assert sorted((tracked - set(stale)) | set(fresh)) == real(shrunk)

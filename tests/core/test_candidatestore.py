@@ -177,6 +177,35 @@ class TestStoreContract:
         got = store.count_partition(iter(zip(TXNS, weights)), weighted=True)
         assert got == brute_counts(CANDIDATES, TXNS, weights)
 
+    def test_signed_multiplicities_give_net_counts(self, name):
+        # a retired row carries a negative multiplicity: the pass returns
+        # what the plus rows support minus what the minus rows support,
+        # a row on both sides counting on both
+        def nonzero(counts):
+            return {c: n for c, n in counts.items() if n}
+
+        for seed in range(4):
+            cands, txns = random_case(seed)
+            rng = random.Random(seed)
+            signs = [rng.choice((1, 2, -1, -3)) for _ in txns]
+            both = txns[0]  # present with both signs, weights that differ
+            signed = list(zip(txns, signs)) + [(both, 2), (both, -5)]
+            rng.shuffle(signed)
+            plus = [(t, w) for t, w in signed if w > 0]
+            minus = [(t, -w) for t, w in signed if w < 0]
+            store = make_store(name, cands)
+            want = store.count_partition(iter(plus), weighted=True)
+            for cand, n in store.count_partition(iter(minus), weighted=True).items():
+                want[cand] = want.get(cand, 0) - n
+            got = store.count_partition(iter(signed), weighted=True)
+            assert nonzero(got) == nonzero(want), f"seed {seed}"
+            assert any(n < 0 for n in got.values()) and any(n > 0 for n in got.values())
+        # all-negative and exactly-cancelling partitions
+        store = make_store(name, [(1, 2)])
+        assert store.count_partition([((1, 2, 3), -2)], weighted=True) == {(1, 2): -2}
+        got = store.count_partition([((1, 2), 3), ((1, 2, 4), -3)], weighted=True)
+        assert nonzero(got) == {}
+
     def test_subset_matches_count_into(self, name):
         store = make_store(name, CANDIDATES)
         for txn in TXNS:
@@ -233,6 +262,17 @@ class TestBitmapStore:
         }
         assert build_tid_bitmaps([(5,), (1, 5), (1,)], {1}) == {1: 0b011}
         assert build_tid_bitmaps([(5,)], {1}) == {}
+        assert got.negative == 0
+
+    def test_negative_runs_are_masked(self):
+        # a negative weight is a run of |weight| tids, marked in the mask
+        part = [((1, 2), 2), ((1,), -3), ((2, 9), 1), ((1, 2), -1)]
+        got = build_tid_bitmaps(part, {1, 2}, weighted=True)
+        assert got == {1: 0b1111101, 2: 0b1100011}
+        assert got.negative == 0b0011101
+        store = BitmapStore([(1, 2)])
+        assert store.count_bitmaps(got) == {(1, 2): 1}
+        assert store.count_bitmaps(dict(got)) == {(1, 2): 3}  # a plain mapping has no mask
 
     def test_count_bitmaps_reads_a_shared_build(self):
         # a build over a superset of the store's items (what several

@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 from repro.algorithms import fpgrowth
 from repro.common.errors import MiningError
-from repro.core.incremental import FamilyDiff, IncrementalMiner, run_incremental
+from repro.core.candidates import apriori_gen
+from repro.core.candidatestore import BitmapStore, build_tid_bitmaps
+from repro.core.incremental import (
+    PHASES, FamilyDiff, IncrementalMiner, run_incremental,
+)
 from repro.core.registry import MiningConfig, run_algorithm
 from repro.datasets import mushroom_like, quest_generator
 from repro.engine import Context
@@ -352,6 +356,38 @@ rows_st = st.lists(
 steps_st = st.lists(st.tuples(rows_st, st.integers(0, 10)), min_size=1, max_size=5)
 
 
+def assert_tracked_is_apriori_gen(miner):
+    """The invariant incremental candidate maintenance must keep: every
+    level tracks exactly ``apriori_gen`` of the family below it — nothing
+    stale, nothing missing, no empty level, no level past the last."""
+    prev = miner._frequent1
+    for k, lvl in enumerate(miner._levels, 2):
+        assert lvl.k == k
+        assert set(lvl.counts) == set(apriori_gen(sorted(prev))) != set()
+        assert set(lvl.store) == set(lvl.counts)
+        assert lvl.frequent == {
+            c for c, n in lvl.counts.items() if n >= miner.threshold
+        }
+        prev = lvl.frequent
+    if prev and (miner.max_length is None or miner.max_length > len(miner._levels) + 1):
+        assert not apriori_gen(sorted(prev))
+
+
+def assert_vertical_window_is_current(miner):
+    """The maintained tid-bitmaps against a fresh build over the window:
+    same support for every tracked candidate, and no bit past the end."""
+    encode = miner._dictionary.encode_transaction
+    rows = [encode(txn) for txn in miner._window]
+    fresh = build_tid_bitmaps(rows, {c for r in rows for c in r}, min_items=0)
+    for lvl in miner._levels:
+        store = BitmapStore(lvl.counts)
+        assert store.count_bitmaps(miner._tids) == store.count_bitmaps(fresh)
+        assert store.count_bitmaps(fresh) == {c: n for c, n in lvl.counts.items() if n}
+    for code, bitmap in miner._tids.items():
+        assert bitmap.bit_length() <= len(rows)
+        assert bitmap.bit_count() == fresh.get(code, 0).bit_count()
+
+
 def assert_diff_is_exact(diff, before, after):
     """The diff the update emitted is *the* diff, not just one that
     replays: same three maps as the two-snapshot construction."""
@@ -388,6 +424,9 @@ class TestFusedSlide:
             ).itemsets()
             assert fused.n_transactions == len(window)
             assert update.threshold == twice.threshold
+            for miner in (fused, twice):
+                assert_tracked_is_apriori_gen(miner)
+                assert_vertical_window_is_current(miner)
             if delta or n_oldest:
                 assert_diff_is_exact(update.family_diff, before, after)
                 folded = FamilyDiff.compose(
@@ -466,13 +505,15 @@ class TestFusedSlide:
         assert miner.slide([("c", "d")] * 30, 1).full_rebuild
         assert miner.last_update.family_diff is None
 
-    def test_one_window_build_per_update(self, sparse_pool, monkeypatch):
-        """However many levels an update re-mines, the bitmap stores of
-        its fresh candidates read one full-window build."""
-        import repro.core.counting as counting
+    def test_an_advance_builds_nothing_over_the_window(self, sparse_pool, monkeypatch):
+        """However many levels an update re-mines, its fresh candidates
+        read the maintained vertical window: the only builds an advance
+        makes are the delta's."""
+        import repro.core.candidatestore as candidatestore
+        import repro.core.incremental as incremental
 
         builds = []
-        real = counting.build_tid_bitmaps
+        real = candidatestore.build_tid_bitmaps
 
         def counted(rows, *args, **kwargs):
             builds.append(len(rows))
@@ -480,12 +521,93 @@ class TestFusedSlide:
 
         window = list(sparse_pool[:120])
         miner = IncrementalMiner(window, 0.05)
-        monkeypatch.setattr(counting, "build_tid_bitmaps", counted)
+        for module in (candidatestore, incremental):
+            monkeypatch.setattr(module, "build_tid_bitmaps", counted)
         levels_with_fresh = 0
         for start in range(120, 200, 20):
             del builds[:]
             upd = miner.slide(sparse_pool[start:start + 20], 20)
+            window = window[20:] + list(sparse_pool[start:start + 20])
             fresh = [lvl for lvl in upd.per_level if lvl["full_candidates"]]
             levels_with_fresh = max(levels_with_fresh, len(fresh))
-            assert len(builds) == (1 if fresh else 0)
-        assert levels_with_fresh >= 2  # the case the sharing exists for
+            assert builds and max(builds) <= upd.delta_rows <= 40
+            assert miner.itemsets() == oracle(window, 0.05)
+        assert levels_with_fresh >= 2  # the case the vertical window exists for
+
+
+class TestCandidateMaintenance:
+    """Level k's tracked set follows level k-1's crossings, the vertical
+    window follows the rows — on every store, and across the events that
+    stress them: a retire deeper than the old window, a dictionary-shift
+    rebuild, levels appearing and vanishing."""
+
+    @pytest.mark.parametrize("store", STORES)
+    def test_random_sequence_keeps_both_invariants(self, sparse_pool, store):
+        rng = random.Random(STORES.index(store))
+        window = list(sparse_pool[:60])
+        cursor = 60
+        miner = IncrementalMiner(window, 0.1, candidate_store=store)
+        for step in range(12):
+            n_new = rng.randint(0, 25) if cursor < len(sparse_pool) else 0
+            delta = list(sparse_pool[cursor:cursor + n_new])
+            cursor += len(delta)
+            n_old = rng.randint(0, len(window) // 3)
+            if step == 5:  # retire past the rows the window held before
+                n_old = len(window) + len(delta) // 2
+            if step == 8:  # an item outside the dictionary turns frequent
+                delta += [(9001, 9002) + tuple(sparse_pool[0][:2])] * len(window)
+            n_old = min(n_old, len(window) + len(delta) - 1)
+            if not delta and not n_old:
+                continue
+            upd = miner.slide(delta, n_old)
+            window = (window + delta)[n_old:]
+            assert upd.full_rebuild or step != 8
+            assert miner.itemsets() == oracle(window, 0.1)
+            assert_tracked_is_apriori_gen(miner)
+            assert_vertical_window_is_current(miner)
+        assert miner.full_rebuilds >= 1
+
+    def test_levels_vanish_and_return(self):
+        """(a, b) falling out takes level 3 with it — its family reported
+        removed with its last count — and coming back regenerates it."""
+        miner = IncrementalMiner(BORDER_BASE + [("a", "b", "c")] * 4, 0.5)
+        assert miner.itemsets()[("a", "b", "c")] == 8 and len(miner._levels) == 2
+        upd = miner.slide([("c",)] * 4, 4)  # ab: 8 -> 4 of 16
+        assert upd.family_diff.removed[("a", "b", "c")] == 8
+        assert len(miner._levels) == 1 and not upd.full_rebuild
+        assert_tracked_is_apriori_gen(miner)
+        upd = miner.slide([("a", "b", "c")] * 6, 6)
+        assert upd.family_diff.added[("a", "b", "c")] == 10
+        assert upd.per_level[-1] == {
+            "k": 3, "mode": "remine", "delta_candidates": 0, "full_candidates": 1,
+            "candidates_added": 1, "candidates_dropped": 0,
+            "seconds": upd.per_level[-1]["seconds"],
+        }
+        assert_tracked_is_apriori_gen(miner)
+        assert_vertical_window_is_current(miner)
+
+    def test_update_says_what_it_cost(self):
+        """Added / dropped candidates per level, and per-phase seconds on
+        the update, its span and the result's IterationStats."""
+        miner = IncrementalMiner(BORDER_BASE, 0.5)
+        assert set(miner.last_update.phase_seconds) == set(PHASES)
+        upd = miner.append([("a", "b", "c")] * 4)  # (a, b) crosses: abc is new
+        lvl2, lvl3 = upd.per_level
+        assert (lvl2["mode"], lvl2["candidates_added"], lvl2["candidates_dropped"]) == (
+            "delta", 0, 0)
+        assert (lvl3["mode"], lvl3["candidates_added"]) == ("remine", 1)
+        assert all(s >= 0.0 for s in upd.phase_seconds.values())
+        assert 0.0 < sum(upd.phase_seconds.values()) <= upd.seconds
+        result = miner.result()
+        span = [s for s in result.trace.spans if s.name == "incremental_update"][-1]
+        assert span.args["kind"] == "append"
+        assert {f"{p}_s": upd.phase_seconds[p] for p in PHASES}.items() <= span.args.items()
+        assert [it.candidates_added for it in result.iterations] == [0, 0, 1]
+        assert sum(it.seconds for it in result.iterations) == pytest.approx(upd.seconds)
+        # d (6 of 13 < 7) leaves level 1: its pairs and abd go with it
+        miner = IncrementalMiner([("a", "b", "c")] * 6 + [("a", "b", "d")] * 6, 0.5)
+        upd = miner.append([("a", "b", "c")])
+        assert [lvl["candidates_dropped"] for lvl in upd.per_level] == [3, 1]
+        assert [it.candidates_dropped for it in miner.result().iterations] == [0, 3, 1]
+        assert upd.family_diff.removed[("a", "b", "d")] == 6
+        assert_tracked_is_apriori_gen(miner)

@@ -265,6 +265,47 @@ class TestChangeFeed:
         assert payload["reset"] is (since == 0)
         assert lock_was_free and all(lock_was_free)
 
+    @pytest.mark.parametrize("spelling", [None, "bitmap", "hashtree"])
+    def test_job_and_watch_share_one_miner(self, service, spelling):
+        """A job's config says ``hashtree`` (the batch default) where a
+        watcher says nothing; both mean this tier's default store, and
+        one logical mining key must be one warm miner — built once,
+        advanced once per version."""
+        service.create_dataset("w", BASE)
+        job = service.submit(None, INC, dataset_id="w")
+        assert job.wait(30.0) and job.result.itemsets == oracle(BASE)
+        entry = service.dataset_registry.get("w")
+        (miner,) = entry.miners.values()
+        assert not miner.track_family_diff  # nobody reads a job-only miner's diffs
+        service.dataset_changes("w", since=1, min_support=0.5, candidate_store=spelling)
+        assert list(entry.miners.values()) == [miner] and miner.track_family_diff
+        service.append_dataset("w", DELTA)
+        payload = service.dataset_changes(
+            "w", since=1, min_support=0.5, candidate_store=spelling
+        )
+        assert apply_payload_diff(oracle(BASE), payload) == oracle(BASE + DELTA)
+        assert list(entry.miners.values()) == [miner] and miner.version == 2
+        # a store this tier honours as asked is a different miner
+        service.dataset_changes("w", since=2, min_support=0.5, candidate_store="trie")
+        assert len(entry.miners) == 2
+
+    def test_payloads_list_shorter_itemsets_first_then_item_order(self):
+        from repro.serve.service import _diff_payload, _family_payload
+
+        family = {(10, 2): 1, (2,): 5, (2, 3): 4, (10,): 3, (2, 3, 10): 1}
+        assert [items for items, _ in _family_payload(family)] == [
+            [2], [10], [2, 3], [10, 2], [2, 3, 10],
+        ]  # numbers in numeric order, not "10" < "2"
+        mixed = {("b", 1): 2, (1,): 3, ("a",): 4, (1, "a"): 1}
+        assert [items for items, _ in _family_payload(mixed)] == [
+            [1], ["a"], [1, "a"], ["b", 1],
+        ]  # items that do not compare: by their str forms
+        diff = FamilyDiff(added={("b",): 2, ("a",): 1}, changed={("c", "d"): (1, 2), ("c",): (4, 5)})
+        assert _diff_payload(diff) == {
+            "added": [[["a"], 1], [["b"], 2]], "removed": [],
+            "changed": [[["c"], 4, 5], [["c", "d"], 1, 2]],
+        }
+
     def test_uncovered_since_ships_reset_with_full_family(self, service):
         service.create_dataset("w", BASE)
         service.append_dataset("w", DELTA)

@@ -121,9 +121,9 @@ def _mine_with_appends(args, txns) -> int:
     and report update cost against a cold re-mine of the final window."""
     import time
 
-    from repro.core.incremental import IncrementalMiner
+    from repro.core.incremental import IncrementalMiner, incremental_store
 
-    store = args.candidate_store if args.candidate_store != "hashtree" else "bitmap"
+    store = incremental_store(args.candidate_store)
     t0 = time.perf_counter()
     miner = IncrementalMiner(
         txns, args.support, max_length=args.max_length, candidate_store=store
@@ -492,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--incremental", action="store_true",
             help="incremental tier: delta-maintained counts with "
-            "border-bounded re-mining (candidate store defaults to bitmap)",
+            "border-bounded re-mining (candidate store defaults to bitmap; "
+            "runs in-process, --backend is inert)",
         )
         p.add_argument("--top", type=int, default=15, help="itemsets/rules to print")
 

@@ -38,7 +38,7 @@ from repro.common.errors import MiningError
 from repro.common.itemset import Itemset, canonical_transaction, min_support_count
 from repro.common.rng import make_rng, spawn
 from repro.core.candidatestore import get_store
-from repro.core.counting import _resolve, count_exact
+from repro.core.counting import count_exact
 from repro.core.results import MiningRunResult, engine_iteration_stats
 from repro.core.summaries import negative_border
 
@@ -84,16 +84,15 @@ class SampleMiner:
     ``(sample_size, frequent_itemsets, negative_border)`` per sample.
     """
 
-    def __init__(self, *, bc=None, items=None, min_support: float = 0.0,
-                 ratio: float = 0.8, max_length: int | None = None):
-        self._bc = bc
-        self._items = items
+    def __init__(self, bc, *, min_support: float, ratio: float = 0.8,
+                 max_length: int | None = None):
+        self._bc = bc  # broadcast of the full database's item universe
         self._min_support = min_support
         self._ratio = ratio
         self._max_length = max_length
 
     def __call__(self, _task_ctx, partition):
-        all_items = _resolve(self._bc, self._items)
+        all_items = self._bc.value
         out = []
         for sample in partition:
             lowered = max(1.0 / len(sample), self._ratio * self._min_support)
@@ -130,9 +129,6 @@ class ApproxMiner:
         Job seed; per-sample generators derive from it via
         :func:`repro.common.rng.spawn`, so a fixed config reproduces the
         same samples — and therefore the same result — bit for bit.
-    use_broadcast:
-        Ship the item universe and verification stores via broadcast
-        (default) instead of task closures.
     """
 
     algorithm_name = "approx"
@@ -147,7 +143,6 @@ class ApproxMiner:
         candidate_store: str = "hashtree",
         store_options: dict | None = None,
         seed: int = 0,
-        use_broadcast: bool = True,
     ):
         if n_samples < 1:
             raise MiningError(f"n_samples must be >= 1, got {n_samples}")
@@ -164,7 +159,6 @@ class ApproxMiner:
         self.candidate_store = candidate_store
         self.store_options = dict(store_options or {})
         self.seed = seed
-        self.use_broadcast = use_broadcast
 
     # -- the algorithm -----------------------------------------------------
     def run(
@@ -233,8 +227,7 @@ class ApproxMiner:
         ):
             counts = count_exact(
                 txns, candidates, self.candidate_store, self.store_options,
-                ctx=self.ctx, num_partitions=self.num_partitions,
-                broadcasts=run_bcs if self.use_broadcast else None,
+                ctx=self.ctx, num_partitions=self.num_partitions, broadcasts=run_bcs,
             )
         frequent = {c: v for c, v in counts.items() if v >= threshold}
         result.itemsets = dict(sorted(frequent.items()))
@@ -282,16 +275,10 @@ class ApproxMiner:
         # never enter any border, so the verification pass could not see
         # the miss and ``verified_exact`` would be falsely claimed.
         rdd = self.ctx.parallelize(samples, len(samples))
-        bc = None
-        if self.use_broadcast:
-            bc = self.ctx.broadcast(all_items)
-            run_bcs.append(bc)
+        bc = self.ctx.broadcast(all_items)
+        run_bcs.append(bc)
         kernel = SampleMiner(
-            bc=bc,
-            items=None if bc is not None else all_items,
-            min_support=min_support,
-            ratio=self.ratio,
-            max_length=max_length,
+            bc, min_support=min_support, ratio=self.ratio, max_length=max_length
         )
         return [entry for part in self.ctx.run_job(rdd, kernel) for entry in part]
 
@@ -301,7 +288,7 @@ def run_approx(ctx, transactions, config) -> ApproxResult:
 
     The fast tier replaces the configured algorithm wholesale — only the
     sampling knobs, the candidate store, and ``options``' ``seed`` /
-    ``use_broadcast`` are consulted; algorithm-specific options belong
+    ``store_options`` are consulted; algorithm-specific options belong
     to the exact twin and are ignored here.
     """
     miner = ApproxMiner(
@@ -313,7 +300,6 @@ def run_approx(ctx, transactions, config) -> ApproxResult:
         candidate_store=config.candidate_store,
         store_options=config.options.get("store_options"),
         seed=config.options.get("seed", 0),
-        use_broadcast=config.options.get("use_broadcast", True),
     )
     return miner.run(transactions, config.min_support, max_length=config.max_length)
 

@@ -16,16 +16,15 @@ picklable shell around that one call:
 * :func:`collect_partials` / :func:`merge_counts` — a partition's
   ``(key, partial)`` records back to the driver as one dict, and the
   driver-side sum of those dicts (every miner's merge: no shuffle);
-* :func:`count_rows` / :func:`count_exact` — the whole pass, on the
-  engine or in-process, for the approximate, Toivonen and incremental
-  miners.
+* :func:`count_exact` — the whole pass over arbitrary-length candidates,
+  on the engine or in-process, for the approximate and Toivonen miners.
 
 Every class is a top-level callable so the process backend can
-cloudpickle it inside a task closure.  Each kernel resolves its shipped
-state exactly once per partition — through a broadcast variable when the
-miner runs with ``use_broadcast`` (the paper's §IV-C behaviour), or a
-direct closure capture under the A1 ablation — then streams the
-partition.
+cloudpickle it inside a task closure.  Each of YAFIM's kernels resolves
+its shipped state exactly once per partition — through a broadcast
+variable when the miner runs with ``use_broadcast`` (the paper's §IV-C
+behaviour), or a direct closure capture under the A1 ablation — then
+streams the partition.
 """
 
 from __future__ import annotations
@@ -224,7 +223,7 @@ class PairCounter:
 
 
 # -- several stores, one pass --------------------------------------------------
-def count_stores(stores, rows, weighted: bool = False) -> dict:
+def count_stores(stores, rows) -> dict:
     """Merged exact counts of every store's candidates over one partition.
 
     Stores hold same-length candidates, so a mixed-length candidate set
@@ -241,53 +240,25 @@ def count_stores(stores, rows, weighted: bool = False) -> dict:
             rows,
             set().union(*(s.items for s in sharing)),
             min_items=min(s.k for s in sharing),
-            weighted=weighted,
         )
     counts: dict = {}
     for store in stores:
         if bitmaps is not None and isinstance(store, BitmapStore):
             counts.update(store.count_bitmaps(bitmaps))
         else:
-            counts.update(store.count_partition(rows, weighted))
+            counts.update(store.count_partition(rows))
     return counts
 
 
 class StoreCounter:
-    """``run_job`` kernel: :func:`count_stores` over one partition."""
+    """``run_job`` kernel: :func:`count_stores` of the broadcast stores
+    over one partition."""
 
-    def __init__(self, *, bc=None, stores=None, weighted: bool = False):
+    def __init__(self, bc):
         self._bc = bc
-        self._stores = stores
-        self._weighted = weighted
 
     def __call__(self, _task_ctx, partition):
-        return count_stores(
-            _resolve(self._bc, self._stores), partition, self._weighted
-        )
-
-
-def count_rows(
-    stores, rows, *, weighted: bool = False, ctx=None,
-    num_partitions: int | None = None, broadcasts: list | None = None,
-) -> dict:
-    """One full counting pass of ``stores`` over ``rows``.
-
-    In-process without ``ctx``; with an engine context the rows spread
-    over ``num_partitions`` and one job counts them, the driver merging
-    the partials.  The stores ship inside the task closure unless
-    ``broadcasts`` is a list: then they ship as one broadcast variable,
-    appended to the list for the caller to account and destroy.
-    """
-    if ctx is None:
-        return count_stores(stores, rows, weighted)
-    bc = None
-    if broadcasts is not None:
-        bc = ctx.broadcast(stores)
-        broadcasts.append(bc)
-    kernel = StoreCounter(
-        bc=bc, stores=None if bc is not None else stores, weighted=weighted
-    )
-    return merge_counts(ctx.run_job(ctx.parallelize(rows, num_partitions), kernel))
+        return count_stores(self._bc.value, partition)
 
 
 def count_exact(
@@ -298,9 +269,12 @@ def count_exact(
     """Exact support of arbitrary-length ``candidates`` in ONE pass.
 
     Groups the candidates by length, builds one ``candidate_store`` per
-    length, counts ``rows`` (``ctx``/``num_partitions``/``broadcasts`` as
-    in :func:`count_rows`) and zero-fills, so every candidate — seen or
-    not — gets an entry.
+    length, counts ``rows`` and zero-fills, so every candidate — seen or
+    not — gets an entry.  In-process without ``ctx``; with an engine
+    context the rows spread over ``num_partitions`` and one job counts
+    them, the driver merging the partials — the stores ship as one
+    broadcast variable, appended to ``broadcasts`` for the caller to
+    account and destroy.
     """
     candidates = list(candidates)
     by_len: dict[int, list] = defaultdict(list)
@@ -310,10 +284,14 @@ def count_exact(
         make_store(candidate_store, cands, **(store_options or {}))
         for _, cands in sorted(by_len.items())
     ]
-    counts = {}
-    if stores:
-        counts = count_rows(
-            stores, rows, ctx=ctx, num_partitions=num_partitions,
-            broadcasts=broadcasts,
+    if not stores:
+        counts = {}
+    elif ctx is None:
+        counts = count_stores(stores, rows)
+    else:
+        bc = ctx.broadcast(stores)
+        broadcasts.append(bc)
+        counts = merge_counts(
+            ctx.run_job(ctx.parallelize(rows, num_partitions), StoreCounter(bc))
         )
     return {cand: counts.get(cand, 0) for cand in candidates}

@@ -11,23 +11,24 @@ cross-check of YAFIM's output.
 
 Algorithm:
 
-1. one shuffle builds the vertical layout ``item -> tid-set`` and keeps
-   the frequent items (this is Dist-Eclat's "find frequent singletons"
-   step, expressed as ``flatMap -> groupByKey``),
+1. one shuffle builds the vertical layout ``item -> tid-bitmap`` and
+   keeps the frequent items (this is Dist-Eclat's "find frequent
+   singletons" step, expressed as ``flatMap -> groupByKey``),
 2. frequent items become mining *prefixes*, hash-partitioned across the
-   cluster; each prefix's job ships with the tid-sets of the items that
+   cluster; each prefix's job ships with the bitmaps of the items that
    can extend it (items greater in the total order),
-3. each partition mines its prefixes depth-first with set intersection,
+3. each partition mines its prefixes depth-first by intersection,
    entirely locally — no further shuffles (k-phase Apriori's per-level
    synchronisation is gone, which is the point of the design).
 
-``candidate_store="bitmap"`` swaps the frozenset tid-sets for big-int
-tid-*bitmaps* mined with ``&`` + ``int.bit_count()`` — the RDD-Eclat
-speedup (PAPERS.md, arxiv 1912.06415) and the same intersection kernel
+The vertical layout is one representation: a big-int tid-*bitmap* per
+item (bit ``t`` = transaction ``t``), intersected with ``&`` and counted
+with ``int.bit_count()`` — the RDD-Eclat speedup (PAPERS.md, arxiv
+1912.06415) and the same word-wise kernel
 :class:`~repro.core.candidatestore.BitmapStore` uses for Apriori-family
-counting.  DistEclat is candidate-free, so every other registered store
-name keeps the frozenset representation; outputs are identical either
-way.
+counting (:mod:`repro.algorithms.eclat` keeps plain tid-sets, as the
+independent oracle).  The miner is candidate-free, so
+``MiningConfig.candidate_store`` does not reach it.
 """
 
 from __future__ import annotations
@@ -51,26 +52,11 @@ class DistEclat:
         Engine context (any backend).
     num_partitions:
         How many prefix groups to mine in parallel.
-    candidate_store:
-        Registered store name (validated); ``"bitmap"`` selects big-int
-        tid-bitmap intersection, anything else frozenset tid-sets (the
-        miner is candidate-free, so only the vertical representation
-        changes).
     """
 
-    def __init__(
-        self,
-        ctx: Context,
-        num_partitions: int | None = None,
-        candidate_store: str = "hashtree",
-    ):
-        from repro.core.candidatestore import get_store
-
-        get_store(candidate_store)  # validate the name up front
+    def __init__(self, ctx: Context, num_partitions: int | None = None):
         self.ctx = ctx
         self.num_partitions = num_partitions or ctx.default_parallelism
-        self.candidate_store = candidate_store
-        self.use_bitmaps = candidate_store == "bitmap"
 
     def run(
         self,
@@ -93,14 +79,14 @@ class DistEclat:
         t0 = time.perf_counter()
         mark = self.ctx.event_log.mark()
         rdd = self.ctx.parallelize(list(enumerate(txns)), self.num_partitions)
-        tidsets = dict(
+        bitmaps = dict(
             rdd.flat_map(lambda pair: [(item, pair[0]) for item in pair[1]])
             .group_by_key(self.num_partitions)
-            .map_values(frozenset)
             .filter(lambda kv: len(kv[1]) >= threshold)
+            .map_values(lambda tids: _tids_to_bitmap(tids, n))
             .collect()
         )
-        singletons = {(item,): len(tids) for item, tids in tidsets.items()}
+        singletons = {(item,): bm.bit_count() for item, bm in bitmaps.items()}
         result.itemsets.update(singletons)
         result.iterations.append(
             engine_iteration_stats(
@@ -118,36 +104,28 @@ class DistEclat:
         # ---- phase 2: distribute prefixes, mine depth-first locally ------
         t0 = time.perf_counter()
         mark = self.ctx.event_log.mark()
-        order = sorted(tidsets)
+        order = sorted(bitmaps)
         jobs = []
         for idx, item in enumerate(order):
             tail = order[idx + 1 :]
             if tail:
                 jobs.append((item, tail))
-        if self.use_bitmaps:
-            # big-int tid-bitmaps: intersection is a C-speed word-wise AND
-            # and support one popcount, vs. per-element frozenset hashing
-            vertical = {
-                item: _tids_to_bitmap(tids, n) for item, tids in tidsets.items()
-            }
-        else:
-            vertical = tidsets
-        bc_tidsets = self.ctx.broadcast(vertical)
+        bc_bitmaps = self.ctx.broadcast(bitmaps)
 
-        def mine_prefix(job, _bc=bc_tidsets, _thr=threshold, _max=max_length,
-                        _bitmap=self.use_bitmaps):
+        def mine_prefix(job, _bc=bc_bitmaps, _thr=threshold, _max=max_length):
             item, tail = job
             tids = _bc.value
-            support_of = int.bit_count if _bitmap else len
             found: list[tuple] = []
 
             def extend(prefix, prefix_tids, tail_items):
+                # intersection is a C-speed word-wise AND, support one popcount
                 for j, nxt in enumerate(tail_items):
                     new_tids = prefix_tids & tids[nxt]
-                    if support_of(new_tids) < _thr:
+                    support = new_tids.bit_count()
+                    if support < _thr:
                         continue
                     new_prefix = prefix + (nxt,)
-                    found.append((new_prefix, support_of(new_tids)))
+                    found.append((new_prefix, support))
                     if _max is None or len(new_prefix) < _max:
                         extend(new_prefix, new_tids, tail_items[j + 1 :])
 
@@ -167,10 +145,10 @@ class DistEclat:
                 seconds=time.perf_counter() - t0,
                 n_candidates=len(jobs),
                 n_frequent=len(mined),
-                broadcast_bytes=bc_tidsets.size_bytes,
+                broadcast_bytes=bc_bitmaps.size_bytes,
             )
         )
-        bc_tidsets.destroy()
+        bc_bitmaps.destroy()
         self._attach_observability(result)
         return result
 
@@ -180,7 +158,7 @@ class DistEclat:
 
 
 def _tids_to_bitmap(tids, n_txns: int) -> int:
-    """Frozenset of tids -> little-endian big-int bitmap over n_txns bits."""
+    """Transaction ids -> little-endian big-int bitmap over n_txns bits."""
     buf = bytearray((n_txns + 7) >> 3)
     for t in tids:
         buf[t >> 3] |= 1 << (t & 7)

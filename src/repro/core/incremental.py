@@ -48,8 +48,12 @@ places:
 * **The window.**  Only those genuinely new candidates need the whole
   window, and they read the maintained bitmaps: one prefix walk, no
   build, whatever the configured store (the store counts the delta
-  passes; with an engine context lent, it also counts the window's rows
-  as one job per level).
+  passes only).
+
+Everything runs in the calling thread: a popcount walk over resident
+bitmaps beats re-encoding the window for an engine job per level by
+2-5x at every size measured, so the miner takes no engine context and
+``MiningConfig.backend`` is inert for this tier.
 
 The update also says what it changed: its :class:`FamilyDiff` is built
 from the ``(old, new)`` counts the pass holds while it applies them, not
@@ -78,8 +82,8 @@ from repro.common.errors import MiningError
 from repro.common.itemset import canonical_transaction, min_support_count
 from repro.core.candidates import apriori_gen, candidates_delta
 from repro.core.candidatestore import BitmapStore, build_tid_bitmaps, make_store
-from repro.core.counting import TransactionEncoder, count_rows
 from repro.core.results import IterationStats, MiningRunResult
+from repro.engine.tracing import Tracer
 
 #: where an update's seconds went: keeping candidate sets and their stores
 #: current / the signed delta passes and folding them in / the vertical
@@ -239,15 +243,11 @@ class IncrementalMiner:
     candidate_store:
         The warm per-level store the delta passes count through (default
         ``"bitmap"`` — the vertical tid-bitmap kernel is the cheapest per
-        delta row), and the engine jobs of a lent context.  In-process
-        full-window counts read the miner's own vertical window.
-    num_partitions / ctx:
-        When ``ctx`` (an engine :class:`~repro.engine.context.Context`)
-        is set, full-window counting passes run as engine jobs over
-        ``num_partitions`` partitions; delta passes always run on the
-        driver — a ≤1% delta is far below job-launch overhead.  ``ctx``
-        is a plain attribute: the serving tier lends a pooled context
-        per update and detaches it afterwards.
+        delta row).  Full-window counts read the miner's own vertical
+        window.
+    track_family_diff:
+        Emit a :class:`FamilyDiff` with every update (a plain attribute:
+        the serving tier turns it on when a watch starts reading them).
     """
 
     def __init__(
@@ -257,10 +257,6 @@ class IncrementalMiner:
         *,
         max_length: int | None = None,
         candidate_store: str = "bitmap",
-        store_options: dict | None = None,
-        num_partitions: int | None = None,
-        ctx=None,
-        tracer=None,
         track_family_diff: bool = True,
     ):
         if not 0.0 < min_support <= 1.0:
@@ -268,11 +264,8 @@ class IncrementalMiner:
         self.min_support = min_support
         self.max_length = max_length
         self.candidate_store = candidate_store
-        self.store_options = dict(store_options or {})
-        self.num_partitions = num_partitions
-        self.ctx = ctx
         self.track_family_diff = track_family_diff
-        self._tracer = tracer
+        self._trace = Tracer(label="incremental")
         self._window: list = [canonical_transaction(t) for t in transactions]
         if not self._window:
             raise MiningError("cannot build incremental state over an empty window")
@@ -383,20 +376,10 @@ class IncrementalMiner:
                     candidates_dropped=entry.get("candidates_dropped", 0),
                 )
             )
-        result.trace = self._trace()
+        result.trace = self._trace
         return result
 
     # -- internals ---------------------------------------------------------
-    def _trace(self):
-        if self._tracer is not None:
-            return self._tracer
-        if self.ctx is not None:
-            return self.ctx.tracer
-        from repro.engine.tracing import Tracer
-
-        self._tracer = Tracer(label="incremental")
-        return self._tracer
-
     def _stamp(self, update: IncrementalUpdate) -> IncrementalUpdate:
         update.n_transactions = len(self._window)
         update.version = self.version
@@ -406,7 +389,7 @@ class IncrementalMiner:
     def _finish(self, update: IncrementalUpdate, t0: float) -> IncrementalUpdate:
         """Stamp ``update``, close its clock and trace it, phases included."""
         update.seconds = time.perf_counter() - t0
-        self._trace().add_span(
+        self._trace.add_span(
             "incremental_update", "driver", t0, update.seconds,
             kind=update.kind, n_delta=update.n_delta,
             **{f"{phase}_s": s for phase, s in update.phase_seconds.items()},
@@ -473,35 +456,16 @@ class IncrementalMiner:
         return self._finish(update, t0)
 
     def _make_store(self, candidates=()):
-        return make_store(self.candidate_store, candidates, **self.store_options)
+        return make_store(self.candidate_store, candidates)
 
-    def _window_rows(self) -> list:
-        """The window as weighted encoded rows (identical rows collapsed,
-        rows too short for any k >= 2 candidate dropped): what a counting
-        pass that cannot read the vertical window scans — the engine jobs
-        of a lent context."""
-        return list(TransactionEncoder(dictionary=self._dictionary)(self._window))
-
-    def _count_window(self, candidates, store=None, rows=None) -> dict:
-        """Exact full-window counts for ``candidates`` (zero-filled).
-
-        In-process that is one prefix walk over the maintained
-        tid-bitmaps — no build, whatever ``candidate_store`` is.  A lent
-        context counts ``rows`` (:meth:`_window_rows`) as one engine job.
-        ``store``, if given, already holds ``candidates``."""
-        if self.ctx is None:
-            if not isinstance(store, BitmapStore):
-                store = BitmapStore(candidates)
-            counts = store.count_bitmaps(self._tids)
-        elif rows:
-            if store is None:
-                store = self._make_store(candidates)
-            counts = count_rows(
-                [store], rows, weighted=True,
-                ctx=self.ctx, num_partitions=self.num_partitions,
-            )
-        else:
-            counts = {}
+    def _count_window(self, candidates, store=None) -> dict:
+        """Exact full-window counts for ``candidates`` (zero-filled): one
+        prefix walk over the maintained tid-bitmaps — no build, whatever
+        ``candidate_store`` is.  ``store``, if given, already holds
+        ``candidates``."""
+        if not isinstance(store, BitmapStore):
+            store = BitmapStore(candidates)
+        counts = store.count_bitmaps(self._tids)
         return {c: counts.get(c, 0) for c in candidates}
 
     def _rebuild(self, update: IncrementalUpdate) -> None:
@@ -524,7 +488,6 @@ class IncrementalMiner:
             [encode(txn) for txn in reversed(self._window)],
             set(range(len(self._dictionary))), min_items=0,
         )
-        rows = self._window_rows() if self.ctx is not None else None
         phases["window"] += clock() - t0
         self._frequent1 = {(self._dictionary.code(i),) for i in frequent_items}
         self._levels: list[_Level] = []
@@ -537,7 +500,7 @@ class IncrementalMiner:
                 break
             store = self._make_store(candidates)
             t1 = clock()
-            counts = self._count_window(candidates, store, rows)
+            counts = self._count_window(candidates, store)
             frequent = {c for c in candidates if counts[c] >= self._threshold}
             t2 = clock()
             phases["generate"] += t1 - t0
@@ -603,7 +566,6 @@ class IncrementalMiner:
                     net[enc] = net.get(enc, 0) + sign
         signed = [(enc, mult) for enc, mult in net.items() if mult]
         update.delta_rows = len(signed)
-        window_rows = None  # for a lent context, encoded on first need
         t1 = clock()
         phases["window"] += t1 - t0
 
@@ -666,9 +628,7 @@ class IncrementalMiner:
             t2 = clock()
             n_kept = len(counts)
             if fresh:  # counted over the whole window, delta included
-                if self.ctx is not None and window_rows is None:
-                    window_rows = self._window_rows()
-                counts.update(self._count_window(fresh, rows=window_rows))
+                counts.update(self._count_window(fresh))
                 for cand in fresh:
                     lvl.store.insert(cand)
             t3 = clock()
@@ -751,21 +711,21 @@ def incremental_store(asked) -> str:
     return "bitmap" if asked in (None, "hashtree") else asked
 
 
-def run_incremental(ctx, transactions, config) -> MiningRunResult:
+def run_incremental(transactions, config) -> MiningRunResult:
     """Registry-shaped runner for ``MiningConfig(incremental=True)``.
 
     A one-shot incremental run is a cold build — byte-identical itemsets
     to the exact miners — and exists so the same config flows through
     ``mine_frequent_itemsets``, the CLI, and the serving tier (where the
-    built state is kept warm and appends become delta updates).
+    built state is kept warm and appends become delta updates).  It runs
+    in the calling thread: ``backend`` / ``parallelism`` / partition
+    counts on the config are inert here.
     """
     miner = IncrementalMiner(
         transactions,
         config.min_support,
         max_length=config.max_length,
         candidate_store=incremental_store(config),
-        num_partitions=config.num_partitions,
-        ctx=ctx,
     )
     return miner.result()
 

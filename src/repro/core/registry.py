@@ -69,7 +69,9 @@ class MiningConfig:
     sample_frac: float = 0.1
     #: incremental tier (repro.core.incremental): the run builds (or, in
     #: the serving tier, reuses) delta-maintainable sliding-window state
-    #: instead of dispatching ``algorithm``; results are exact
+    #: instead of dispatching ``algorithm``; results are exact.  The tier
+    #: is in-process: ``backend`` / ``parallelism`` / ``num_partitions``
+    #: are inert on an incremental config
     incremental: bool = False
     options: dict = field(default_factory=dict)
 
@@ -251,10 +253,11 @@ def run_algorithm(
         # The incremental tier likewise replaces the configured algorithm:
         # a one-shot run is a cold build of the delta-maintainable window
         # state (identical itemsets); the serving tier keeps that state
-        # warm so dataset appends become delta updates.
+        # warm so dataset appends become delta updates.  It walks its own
+        # resident bitmaps in this thread — no engine, ``backend`` inert.
         from repro.core.incremental import run_incremental
 
-        runner = run_incremental
+        return run_incremental(txns, config)
     elif not spec.needs_engine:
         return spec.runner(txns, config)
     else:
@@ -286,7 +289,8 @@ def run_algorithm(
 def _with_store(config: MiningConfig) -> dict:
     """Miner options with the config's ``candidate_store`` folded in; an
     explicit ``options["candidate_store"]`` wins over the field.  The
-    oracles and PFP are candidate-free and never receive the knob."""
+    oracles, PFP and DistEclat are candidate-free and never receive the
+    knob."""
     return {"candidate_store": config.candidate_store, **config.options}
 
 
@@ -307,9 +311,7 @@ def _run_rapriori(ctx, txns, config: MiningConfig) -> MiningRunResult:
 def _run_dist_eclat(ctx, txns, config: MiningConfig) -> MiningRunResult:
     from repro.core.dist_eclat import DistEclat
 
-    miner = DistEclat(
-        ctx, num_partitions=config.num_partitions, **_with_store(config)
-    )
+    miner = DistEclat(ctx, num_partitions=config.num_partitions, **config.options)
     return miner.run(txns, config.min_support, max_length=config.max_length)
 
 

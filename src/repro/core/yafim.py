@@ -42,8 +42,8 @@ one global merge):
   partition's int-keyed ``candidate_index -> partial_count`` dict back,
   and the driver sums the ≤ ``num_partitions`` dicts
   (:func:`~repro.core.counting.merge_counts`), thresholds and decodes
-  (:meth:`Yafim._count_level`) — the same merge Phase I, the approximate
-  miner's verify pass and ``count_rows`` use;
+  (:meth:`Yafim._count_level`) — the same merge Phase I and the
+  approximate miner's verify pass use;
 * between passes the working RDD drops transactions shorter than k+1
   and projects out items in no frequent k-itemset, re-caching the
   shrunk RDD and unpersisting the old one.  Every shrink is measured as
@@ -136,7 +136,6 @@ class Yafim:
         num_partitions: int | None = None,
         use_broadcast: bool = True,
         cache_transactions: bool = True,
-        clear_shuffles_between_iterations: bool = True,
         paper_dataflow: bool = False,
         candidate_store: str = "hashtree",
         store_options: dict | None = None,
@@ -145,7 +144,6 @@ class Yafim:
         self.num_partitions = num_partitions or ctx.default_parallelism
         self.use_broadcast = use_broadcast
         self.cache_transactions = cache_transactions
-        self.clear_shuffles = clear_shuffles_between_iterations
         self.paper_dataflow = paper_dataflow
         get_store(candidate_store)  # fail on the driver, not in a worker
         self.candidate_store = candidate_store
@@ -214,8 +212,9 @@ class Yafim:
             )
         )
         result.itemsets.update(level)
-        if self.clear_shuffles:
-            self.ctx.clear_shuffle_outputs()
+        # paper dataflow: a pass's shuffle output is dead once collected
+        # (the default dataflow has none to clear)
+        self.ctx.clear_shuffle_outputs()
 
         # ---- Phase II: iterate k-frequent -> (k+1)-frequent ---------------
         if level and (max_length is None or max_length >= 2):
@@ -299,8 +298,7 @@ class Yafim:
             )
             if bc is not None:
                 bc.destroy()
-            if self.clear_shuffles:
-                self.ctx.clear_shuffle_outputs()
+            self.ctx.clear_shuffle_outputs()
             if (
                 not self.paper_dataflow
                 and enc_level

@@ -6,9 +6,12 @@ arguments), each other argument's place on the wire (JSON body key or
 query key) with its coercion and required/default, the success status,
 and how a :class:`~repro.serve.router.ShardRouter` finds the shard that
 owns it.  The HTTP handler, :class:`~repro.serve.client.HttpClient`, the
-router's forwarders and :class:`~repro.serve.client.LocalClient` are all
-derived from the rows; adding an argument to an operation is an edit to
-its row and to the ``MiningService`` method that implements it.
+router's forwarders, :class:`~repro.serve.client.LocalClient` and the
+dataset verbs of an embedded :class:`~repro.serve.service.MiningService`
+are all derived from the rows; adding an argument to an operation is an
+edit to its row and to the method that implements it — on
+``MiningService`` for the job rows, on
+:class:`~repro.serve.datasets.DatasetRegistry` for the ``BY_DATASET`` rows.
 
 :func:`encode_request` and :func:`decode_request` are the only two
 functions that know the wire format.  They are inverses:
@@ -27,8 +30,7 @@ from urllib.parse import parse_qs, quote, unquote, urlencode, urlsplit
 
 from repro.core.registry import MiningConfig
 from repro.serve.datasets import POLICY_FIELDS
-from repro.serve.jobs import ApiError, JobRequest, ServeError
-from repro.serve.service import MAX_POLL_S
+from repro.serve.jobs import MAX_POLL_S, ApiError, JobRequest, ServeError
 
 BODY, QUERY = "body", "query"
 
@@ -65,8 +67,9 @@ class Field:
 @dataclass(eq=False)
 class Operation:
     """One row of the protocol.  ``call`` names the implementing method
-    of ``MiningService`` / ``ShardRouter`` where it differs from ``name``;
-    ``finish`` is a cross-field step run on the decoded keywords."""
+    (of ``MiningService``, or ``DatasetRegistry`` for a ``BY_DATASET``
+    row) where it differs from ``name``; ``finish`` is a cross-field step
+    run on the decoded keywords."""
 
     name: str
     method: str

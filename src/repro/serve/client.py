@@ -22,13 +22,14 @@ from urllib.parse import urlsplit
 from repro.core.registry import MiningConfig
 from repro.serve.api import OPERATIONS, encode_request
 from repro.serve.jobs import (
+    MAX_POLL_S,
     ApiError,
     JobState,
     RejectedError,
     ServeError,
     TERMINAL_STATES,
 )
-from repro.serve.service import MAX_POLL_S, MiningService
+from repro.serve.service import MiningService
 
 #: job states (as strings) in which polling should stop
 TERMINAL_STATE_VALUES = frozenset(s.value for s in TERMINAL_STATES)

@@ -1,4 +1,5 @@
-"""Named, versioned datasets for the serving tier.
+"""The dataset tier: named, versioned datasets that keep their own
+miners in step.
 
 A raw ``submit(transactions, ...)`` identifies its dataset by content
 fingerprint — immutable by construction.  Sliding-window workloads need
@@ -8,28 +9,39 @@ the incrementally-extendable
 :class:`~repro.serve.cache.FingerprintChain`) so results cached for a
 stale version are invalidated rather than served.
 
-:class:`DatasetRegistry` is the name → :class:`ManagedDataset` map a
-:class:`~repro.serve.service.MiningService` owns.  Each entry carries
-the current window, its version counter and fingerprint chain, the
-dataset's **warm incremental miners** — one
-:class:`~repro.core.incremental.IncrementalMiner` per mining key, kept
-resident so a re-submit after an append pays one delta pass instead of
-a full re-mine — and the streaming machinery:
+:class:`ManagedDataset` is one such name: the current window, its
+version counter and fingerprint chain, and everything that has to move
+when the window does —
 
 * an **ingest buffer** (``flush_rows`` / ``flush_age_s``) that coalesces
   many small appends into one delta update;
 * **window policies** (``max_window`` / ``max_age_s``) that retire the
   oldest transactions automatically on every advance;
+* the **warm incremental miners**, one
+  :class:`~repro.core.incremental.IncrementalMiner` per mining key, built
+  and caught up in one place (:meth:`ManagedDataset.miner_for`) for jobs
+  and watches alike and advanced by :meth:`ManagedDataset.append` itself;
 * per-mining-key **watches** holding a bounded change log of
   :class:`~repro.core.incremental.FamilyDiff` transitions, feeding the
   ``GET /datasets/<id>/changes`` long-poll.
+
+:class:`DatasetRegistry` is the tier's front: the name map, the four
+``BY_DATASET`` operations of :data:`repro.serve.api.OPERATIONS`, the
+background ingest flusher, and the step that keeps the owning service's
+caches coherent with every advance.  The job tier reaches it twice per
+job: :meth:`DatasetRegistry.snapshot` at submit,
+:meth:`DatasetRegistry.warm_result` at run.
 
 In router mode every dataset has a single home shard (consistent-hashed
 on the *name*, which — unlike the fingerprint — is stable across
 appends), so the warm state and the change log are never split.
 
-All mutation happens under the entry's :attr:`ManagedDataset.lock`;
-the registry lock only guards the name map and its counters.
+Locks: an entry's state is guarded by that entry's
+:attr:`~ManagedDataset.lock`; the registry lock guards the name map, the
+counters and the flusher handle, and is taken alone or inside an entry
+lock, never around one.  Nothing here touches a service's job lock, and
+the job tier takes no entry lock while holding its own: the two kinds
+never nest (``docs/serving.md``, "Architecture").
 """
 
 from __future__ import annotations
@@ -41,9 +53,10 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.incremental import FamilyDiff
-from repro.serve.cache import FingerprintChain
-from repro.serve.jobs import ApiError
+from repro.common.errors import MiningError
+from repro.core.incremental import FamilyDiff, IncrementalMiner, incremental_store
+from repro.serve.cache import DatasetCache, FingerprintChain, ResultCache
+from repro.serve.jobs import MAX_POLL_S, ApiError, ServeError
 
 
 @dataclass
@@ -103,6 +116,53 @@ def _positive(kind: type, value, name: str):
 POLICY_FIELDS = ("max_window", "max_age_s", "flush_rows", "flush_age_s")
 
 
+def _mining_key(min_support, max_length, store) -> tuple:
+    """What names a dataset's warm miner in ``entry.miners``.  ``store``
+    is however the caller spelt it — a job's config, a watcher's query
+    argument or nothing — so one logical key is one miner."""
+    return (min_support, max_length, incremental_store(store))
+
+
+def _fingerprinted(chain: FingerprintChain, delta: list) -> str:
+    """``chain`` extended by ``delta`` — whole or, for a delta with an
+    un-renderable item or a row that is not iterable, not at all (400)."""
+    try:
+        return chain.extend(delta)
+    except Exception as exc:
+        raise ApiError(f"delta could not be fingerprinted: {exc}") from exc
+
+
+def _in_payload_order(by_itemset: dict) -> list:
+    """``(itemset, value)`` pairs in the order payloads list them:
+    shorter itemsets first, equal lengths in the items' own order.  That
+    is a native tuple sort — no key object per itemset, which at a few
+    thousand changed itemsets per version is GIL time taken from the
+    writer.  Itemsets whose items do not compare with each other (mixed
+    types) fall back to the order of their ``str`` forms."""
+    try:
+        pairs = sorted(by_itemset.items())
+    except TypeError:
+        pairs = sorted(by_itemset.items(), key=lambda kv: [str(x) for x in kv[0]])
+    pairs.sort(key=lambda kv: len(kv[0]))  # stable: item order kept within a length
+    return pairs
+
+
+def _family_payload(family: dict) -> list:
+    """JSON-safe ``[[itemset, count], ...]`` in deterministic order."""
+    return [[list(itemset), count] for itemset, count in _in_payload_order(family)]
+
+
+def _diff_payload(diff) -> dict:
+    return {
+        "added": _family_payload(diff.added),
+        "removed": _family_payload(diff.removed),
+        "changed": [
+            [list(itemset), old, new]
+            for itemset, (old, new) in _in_payload_order(diff.changed)
+        ],
+    }
+
+
 class ManagedDataset:
     """One named dataset: window, version, fingerprint chain, policies,
     ingest buffer, warm miners, and the change-feed watches."""
@@ -140,16 +200,12 @@ class ManagedDataset:
         self.version = 1
         self.chain = FingerprintChain(self.transactions)
         self.fingerprint = self.chain.hexdigest()
-        #: version -> that version's fingerprint, for the *retained*
-        #: versions only: the current one plus any pinned by in-flight
-        #: job snapshots.  A hit proves the snapshot is a prefix of the
-        #: current window — the O(1) guard the warm-miner path uses —
-        #: because retires clear the map (old versions stop being
-        #: prefixes) and unpinned stale versions are pruned on advance
-        #: (they would otherwise leak one entry per append, forever).
-        self.versions: dict[int, str] = {1: self.fingerprint}
-        #: version -> refcount of in-flight jobs snapshotting it
-        self._pins: dict[int, int] = {}
+        #: the oldest version whose window is still a prefix of the
+        #: current one: every retiring advance moves it to the version
+        #: it produced.  A job that snapshotted version ``v`` may use a
+        #: warm miner iff ``v >= prefix_since`` (and this entry is still
+        #: live) — its rows are then the first ``n`` of ours
+        self.prefix_since = 1
         self.created_s = now
         self.updated_s = now
         #: serializes appends, submit snapshots, and warm-miner updates
@@ -189,7 +245,12 @@ class ManagedDataset:
         return len(self._buffer)
 
     def buffer_add(self, delta: list) -> int:
-        """Stage a delta in the ingest buffer (caller holds :attr:`lock`)."""
+        """Stage a delta in the ingest buffer (caller holds :attr:`lock`).
+
+        The delta is fingerprinted here, on a throwaway chain, so one
+        that cannot be is refused at its own call — not at the flush that
+        would have carried other callers' staged rows down with it."""
+        _fingerprinted(FingerprintChain(), delta)
         if self._buffer_opened_s is None and delta:
             self._buffer_opened_s = self.clock()
         self._buffer.extend(delta)
@@ -206,11 +267,13 @@ class ManagedDataset:
                 return True
         return False
 
-    def take_buffer(self) -> list:
-        out = self._buffer
+    def flush(self):
+        """:meth:`append` everything staged as one advance; the rows leave
+        the buffer only once it has landed."""
+        res = self.append(self._buffer)
         self._buffer = []
         self._buffer_opened_s = None
-        return out
+        return res
 
     # -- window policies ---------------------------------------------------
     def _excess(self, now: float) -> int:
@@ -233,32 +296,11 @@ class ManagedDataset:
             return False
         return self._excess(now if now is not None else self.clock()) > 0
 
-    # -- version pins ------------------------------------------------------
-    def pin_version(self, version: int) -> None:
-        """Keep ``version`` in :attr:`versions` while a job snapshot of it
-        is in flight (caller holds :attr:`lock`)."""
-        self._pins[version] = self._pins.get(version, 0) + 1
-
-    def release_version(self, version: int) -> None:
-        with self.lock:
-            left = self._pins.get(version, 0) - 1
-            if left > 0:
-                self._pins[version] = left
-            else:
-                self._pins.pop(version, None)
-            self._prune_versions()
-
-    def _prune_versions(self) -> None:
-        keep = set(self._pins)
-        keep.add(self.version)
-        for version in [v for v in self.versions if v not in keep]:
-            del self.versions[version]
-
     # -- the one mutation path ---------------------------------------------
     def append(self, transactions: Iterable[Sequence], now: float | None = None):
         """Advance the window: apply ``transactions`` (may be empty) and
-        any due policy retire as ONE version bump (caller holds
-        :attr:`lock`).
+        any due policy retire as ONE version bump, bring the warm miners
+        along and wake the long-pollers (caller holds :attr:`lock`).
 
         Returns an :class:`AppendResult`, or ``None`` when there was
         nothing to do (empty delta, no retire due).  Hashing the delta
@@ -272,10 +314,7 @@ class ManagedDataset:
         now = self.clock() if now is None else now
         if not delta and self._excess(now) == 0:
             return None
-        try:
-            fingerprint = self.chain.extend(delta)
-        except Exception as exc:
-            raise ApiError(f"delta could not be fingerprinted: {exc}") from exc
+        fingerprint = _fingerprinted(self.chain, delta)
         old_fp, old_version = self.fingerprint, self.version
         self.transactions.extend(delta)
         self.arrivals.extend([now] * len(delta))
@@ -286,20 +325,17 @@ class ManagedDataset:
             del self.transactions[: n_retire]
             del self.arrivals[: n_retire]
             # The chain drops the retired rows' digests: O(retired), no
-            # row is re-read.  Every retained version stops being a
-            # prefix of the new window, so the prefix-guard map must
-            # empty — pinned snapshots then fail the guard and their jobs
-            # fall back to a cold run, which is exactly the
-            # never-serve-stale behavior.
+            # row is re-read.
             fingerprint = self.chain.retire(n_retire)
-            self.versions.clear()
             self.retires += n_retire
+            # No older version's window is a prefix of the one this
+            # advance produces: a job holding such a snapshot re-mines
+            # its own rows cold.
+            self.prefix_since = self.version + 1
         self.fingerprint = fingerprint
         self.version += 1
-        self.versions[self.version] = self.fingerprint
-        self._prune_versions()
         self.updated_s = now
-        return AppendResult(
+        res = AppendResult(
             old_version=old_version,
             new_version=self.version,
             old_fingerprint=old_fp,
@@ -308,15 +344,81 @@ class ManagedDataset:
             n_retired=n_retire,
             pre_trim_window=pre_trim,
         )
+        self._sync_miners(res)
+        self.changed.notify_all()
+        return res
+
+    # -- warm miners -------------------------------------------------------
+    def miner_for(self, key: tuple, n_rows: int):
+        """The warm miner for mining ``key`` with its window at our first
+        ``n_rows`` rows — built on first use, caught up by one delta pass
+        when lazily behind — or ``None`` when it has already moved past
+        them.  The one place a miner is built or caught up, for jobs
+        (``n_rows`` of their snapshot, a version ``>= prefix_since``) and
+        watches (the whole window) alike; caller holds :attr:`lock`."""
+        miner = self.miners.get(key)
+        if miner is None:
+            min_support, max_length, store = key
+            miner = self.miners[key] = IncrementalMiner(
+                self.transactions[:n_rows],
+                min_support,
+                max_length=max_length,
+                candidate_store=store,
+                # nobody reads diffs until a watch on the key asks
+                track_family_diff=False,
+            )
+        elif miner.n_transactions > n_rows:
+            return None
+        elif miner.n_transactions < n_rows:
+            miner.append(self.transactions[miner.n_transactions : n_rows])
+        return miner
+
+    def _sync_miners(self, res: AppendResult) -> None:
+        """Bring warm miners in step with one window advance.
+
+        Watched mining keys update eagerly on every advance — their
+        :class:`~repro.core.incremental.FamilyDiff` transitions are what
+        the change feed ships.  Unwatched miners stay lazy (the next job
+        folds the delta) *except* across a retire: the retired rows leave
+        the window now, so every miner must retire now or its window
+        stops being a prefix of ours.  A miner that cannot follow (e.g.
+        the retire would empty it) is dropped and rebuilt on demand.
+        """
+        for key, miner in list(self.miners.items()):
+            watch = self.watches.get(key)
+            if watch is None and res.n_retired == 0:
+                continue
+            try:
+                # ONE update per version bump: the window between the
+                # append and the retire is never mined
+                update = miner.slide(
+                    res.pre_trim_window[miner.n_transactions :], res.n_retired
+                )
+            except MiningError:
+                del self.miners[key]
+                if watch is not None:
+                    watch.reset()
+                continue
+            if watch is not None and watch.start_version is not None:
+                watch.record(
+                    res.old_version, res.new_version, update.family_diff or FamilyDiff()
+                )
 
     # -- change feed -------------------------------------------------------
-    def watch(self, mining_key: tuple) -> _Watch:
-        """The watch for ``mining_key``, created on first use (caller
-        holds :attr:`lock`)."""
-        watch = self.watches.get(mining_key)
+    def watch(self, key: tuple) -> _Watch:
+        """The change-feed watch on mining ``key``, established on first
+        use: its warm miner is brought to the current window and from
+        here on emits the diffs :meth:`append` logs (caller holds
+        :attr:`lock`)."""
+        watch = self.watches.get(key)
         if watch is None:
-            watch = _Watch(log=deque(maxlen=self.changelog_limit))
-            self.watches[mining_key] = watch
+            watch = self.watches[key] = _Watch(log=deque(maxlen=self.changelog_limit))
+        self.miner_for(key, len(self.transactions)).track_family_diff = True
+        if watch.start_version is None:
+            # transitions the miner folded lazily just now predate this
+            # baseline, so no log entry is lost to subscribers
+            watch.start_version = self.version
+            watch.log.clear()
         return watch
 
     def changes_since(self, mining_key: tuple, since: int) -> FamilyDiff | None:
@@ -358,15 +460,30 @@ class ManagedDataset:
 
 
 class DatasetRegistry:
-    """Thread-safe name → :class:`ManagedDataset` map."""
+    """The dataset tier of one :class:`~repro.serve.service.MiningService`:
+    the name → :class:`ManagedDataset` map, the four ``BY_DATASET``
+    operations of the protocol table, the background ingest flusher, and
+    the cache-coherence step every window advance owes ``datasets`` /
+    ``results`` — the owning service's parsed-dataset and result caches.
+    """
 
-    def __init__(self):
+    def __init__(self, datasets: DatasetCache, results: ResultCache):
+        self._cache = datasets
+        self._results = results
         self._lock = threading.Lock()
         self._datasets: dict[str, ManagedDataset] = {}
         self.creates = 0
         self.appends = 0
         self.flushes = 0
+        # Background ingest flusher: started lazily by the first dataset
+        # registered with an age-based policy (flush_age_s / max_age_s);
+        # applies age-triggered buffer flushes and age-based retires even
+        # when no new append arrives.
+        self._flusher: threading.Thread | None = None
+        self._flusher_stop = threading.Event()
+        self._flusher_tick = 0.5
 
+    # -- the name map ------------------------------------------------------
     def create(
         self,
         dataset_id: str,
@@ -378,12 +495,9 @@ class DatasetRegistry:
         """Register a new dataset; returns ``(entry, replaced_entry)``.
 
         ``replaced_entry`` is the old :class:`ManagedDataset` when
-        ``replace=True`` overwrote an existing name — the owning service
-        retires it under *its own* lock before invalidating its cache
-        entries, so a concurrent append through a stale reference either
-        lands before the barrier (and is invalidated with the rest) or
-        gets a 409.  Without ``replace``, a duplicate name raises
-        :class:`ApiError` 409 ``dataset_exists``.
+        ``replace=True`` overwrote an existing name (for
+        :meth:`create_dataset` to retire).  Without ``replace``, a
+        duplicate name raises :class:`ApiError` 409 ``dataset_exists``.
         """
         if not dataset_id or not isinstance(dataset_id, str):
             raise ApiError(
@@ -422,10 +536,6 @@ class DatasetRegistry:
             )
         return entry
 
-    def ids(self) -> list[str]:
-        with self._lock:
-            return sorted(self._datasets)
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._datasets)
@@ -444,6 +554,251 @@ class DatasetRegistry:
             "retired_transactions": sum(e.retires for e in entries),
             "watches": sum(len(e.watches) for e in entries),
         }
+
+    # -- the BY_DATASET operations -----------------------------------------
+    def create_dataset(
+        self,
+        dataset_id: str,
+        transactions,
+        *,
+        replace: bool = False,
+        max_window: int | None = None,
+        max_age_s: float | None = None,
+        flush_rows: int | None = None,
+        flush_age_s: float | None = None,
+    ) -> dict:
+        """Register a named, versioned dataset; returns its info dict.
+
+        ``max_window`` / ``max_age_s`` are window policies: every advance
+        retires the oldest transactions beyond the count/age bound.
+        ``flush_rows`` / ``flush_age_s`` turn on the ingest buffer: small
+        appends are staged and folded into one delta update when either
+        trigger fires (or on ``flush=True`` / a submit for the dataset).
+
+        Raises :class:`ApiError` 409 ``dataset_exists`` when the name is
+        taken and ``replace`` is false.  Replacing retires the old entry
+        *under its own lock* before invalidating its cache entries — a
+        concurrent append through a stale reference either lands before
+        that barrier (and is invalidated with the rest) or gets a 409
+        ``dataset_retired``.
+        """
+        entry, old = self.create(
+            dataset_id,
+            transactions,
+            replace=replace,
+            max_window=max_window,
+            max_age_s=max_age_s,
+            flush_rows=flush_rows,
+            flush_age_s=flush_age_s,
+        )
+        if old is not None:
+            with old.lock:
+                old.retired = True
+                replaced_fp = old.fingerprint
+                old.changed.notify_all()  # wake its long-pollers -> 409
+            if replaced_fp != entry.fingerprint:
+                self._cache.remove(replaced_fp)
+                self._results.invalidate_dataset(replaced_fp)
+        ages = [a for a in (entry.flush_age_s, entry.max_age_s) if a is not None]
+        if ages:
+            self._ensure_flusher(min(ages))
+        with entry.lock:
+            self._cache.add(list(entry.transactions), entry.fingerprint)
+            return entry.info()
+
+    def append_dataset(
+        self,
+        dataset_id: str,
+        transactions,
+        *,
+        expected_version: int | None = None,
+        flush: bool = False,
+    ) -> dict:
+        """Append transactions to a named dataset and invalidate everything
+        cached for the old version.
+
+        On a buffering dataset the delta is *staged*: the window (and
+        version) only advance when a flush trigger fires — ``flush_rows``
+        staged, the buffer older than ``flush_age_s``, ``flush=True``, or
+        a submit for this dataset.  The returned info dict's ``flushed``
+        says which happened; ``buffered`` counts rows still staged.
+
+        ``expected_version`` is optimistic concurrency control: when set
+        and the dataset has moved on, raises :class:`ApiError` 409
+        ``version_conflict`` instead of appending.  ``invalidated_results``
+        reports how many stale cached results a flush evicted.  A delta
+        that cannot be fingerprinted is a 400 at this call, staged or
+        not, and changes nothing.
+        """
+        entry = self.get(dataset_id)
+        with entry.lock:
+            entry.check_live()
+            if expected_version is not None and entry.version != expected_version:
+                raise ApiError(
+                    f"dataset {dataset_id!r} is at version {entry.version}, "
+                    f"expected {expected_version}",
+                    status=409,
+                    code="version_conflict",
+                )
+            delta = list(transactions) if transactions is not None else []
+            if not delta and not flush:
+                raise ApiError("append requires at least one transaction")
+            if entry.buffering:
+                entry.buffer_add(delta)
+                flushed = flush or entry.buffer_ready()
+                res = entry.flush() if flushed else None
+            else:
+                flushed, res = True, entry.append(delta)
+            if delta:
+                self.record_append()
+            invalidated = self._settle(entry, res)
+            info = entry.info()
+        info["invalidated_results"] = invalidated
+        info["flushed"] = flushed
+        return info
+
+    def dataset_info(self, dataset_id: str) -> dict:
+        """Info dict for a named dataset (404 ``unknown_dataset`` if absent)."""
+        return self.get(dataset_id).info()
+
+    def dataset_changes(
+        self,
+        dataset_id: str,
+        *,
+        since: int,
+        min_support: float,
+        max_length: int | None = None,
+        candidate_store: str | None = None,
+        timeout_s: float = 0.0,
+    ) -> dict:
+        """The change feed: what happened to the frequent-itemset family
+        of ``dataset_id`` (under the given mining key) since version
+        ``since``.
+
+        Establishes a watch on first use — the dataset's warm miner for
+        the key is built (a full mine) and from then on updated eagerly
+        on every window advance, logging one
+        :class:`~repro.core.incremental.FamilyDiff` per version
+        transition.  When ``since`` is the current version the call
+        long-polls up to ``timeout_s`` (capped server-side) for the next
+        advance.  A ``since`` older than the log covers answers
+        ``reset=true`` with the full current family instead of a diff.
+        """
+        entry = self.get(dataset_id)
+        key = _mining_key(min_support, max_length, candidate_store)
+        deadline = time.monotonic() + max(0.0, min(float(timeout_s), MAX_POLL_S))
+        with entry.changed:
+            entry.check_live()
+            if since > entry.version:
+                raise ApiError(
+                    f"since={since} is ahead of {dataset_id!r} version {entry.version}"
+                )
+            if entry.pending_buffered:
+                self._settle(entry, entry.flush())
+            entry.watch(key)
+            while entry.version == since and not entry.retired:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                entry.changed.wait(remaining)
+            entry.check_live()
+            header = {
+                "dataset_id": entry.dataset_id,
+                "since": since,
+                "version": entry.version,
+                "n_transactions": len(entry.transactions),
+            }
+            diff = entry.changes_since(key, since)
+            # the log no longer covers ``since``: the full family instead
+            family = entry.miners[key].itemsets() if diff is None else None
+        # Sorting and rendering every changed itemset is the slow part of
+        # an answer, and nothing in it needs the dataset any more: the
+        # writer's next append or submit must not queue behind it.
+        if diff is None:
+            return {**header, "reset": True, "family": _family_payload(family)}
+        return {**header, "reset": False, **_diff_payload(diff)}
+
+    # -- what the job tier asks --------------------------------------------
+    def snapshot(self, dataset_id: str) -> tuple:
+        """``(entry, version, fingerprint, rows)`` of the named dataset as
+        it stands, staged appends folded in first (read-your-writes): what
+        a job submitted now answers for, whatever lands after."""
+        entry = self.get(dataset_id)
+        with entry.lock:
+            if entry.pending_buffered:
+                self._settle(entry, entry.flush())
+            return entry, entry.version, entry.fingerprint, list(entry.transactions)
+
+    def warm_result(self, entry: ManagedDataset, version: int, n_rows: int, config):
+        """An incremental job's answer from ``entry``'s warm miner, for
+        the ``n_rows``-row window it snapshotted at ``version``.
+
+        The first job for a mining key builds the miner (a full mine);
+        every later one pays one delta pass over the rows appended since
+        — the update win the incremental tier exists for.  ``None``
+        (→ the caller's cold run of its own rows) when warm state cannot
+        answer for that snapshot: the entry was replaced, rows it held
+        have retired (``version < prefix_since``), or the miner has
+        already moved past it.
+        """
+        key = _mining_key(config.min_support, config.max_length, config)
+        with entry.lock:
+            if entry.retired or version < entry.prefix_since:
+                return None
+            miner = entry.miner_for(key, n_rows)
+            return None if miner is None else miner.result()
+
+    def _settle(self, entry: ManagedDataset, res: AppendResult | None) -> int:
+        """Cache coherence for one window advance ``res`` (``None``:
+        nothing moved): the old window must never be served again — its
+        parsed copy and every result memoized for it go, the new window's
+        copy comes.  Returns how many results went (caller holds
+        ``entry.lock``)."""
+        if res is None:
+            return 0
+        self.record_flush()
+        self._cache.remove(res.old_fingerprint)
+        invalidated = self._results.invalidate_dataset(res.old_fingerprint)
+        self._cache.add(list(entry.transactions), res.new_fingerprint)
+        return invalidated
+
+    # -- ingest flusher ----------------------------------------------------
+    def _ensure_flusher(self, age_s: float) -> None:
+        """Start the background flusher, ticking often enough for an
+        ``age_s`` trigger (no-op once :meth:`close` has run)."""
+        with self._lock:
+            self._flusher_tick = min(self._flusher_tick, max(0.02, age_s / 4.0))
+            if self._flusher is not None or self._flusher_stop.is_set():
+                return
+            self._flusher = threading.Thread(
+                target=self._flusher_loop, name="repro-serve-flusher", daemon=True
+            )
+            self._flusher.start()
+
+    def _flusher_loop(self) -> None:
+        while not self._flusher_stop.wait(self._flusher_tick):
+            with self._lock:
+                entries = list(self._datasets.values())
+            for entry in entries:
+                try:
+                    with entry.lock:
+                        if entry.retired:
+                            continue
+                        if entry.buffer_ready():
+                            self._settle(entry, entry.flush())
+                        elif entry.age_retire_due():
+                            self._settle(entry, entry.append([]))
+                except ServeError:
+                    # hygiene loop: one entry's failure must not stop the rest
+                    continue
+
+    def close(self, wait: bool = True) -> None:
+        """Stop the flusher (the owning service is shutting down)."""
+        self._flusher_stop.set()
+        with self._lock:
+            flusher = self._flusher
+        if wait and flusher is not None:
+            flusher.join(timeout=5.0)
 
 
 __all__ = ["AppendResult", "DatasetRegistry", "ManagedDataset", "POLICY_FIELDS"]

@@ -27,6 +27,12 @@ from repro.common.errors import ReproError
 from repro.core.registry import MiningConfig
 
 
+#: server-side cap on one long-poll wait (``/changes``, ``/jobs/<id>``)
+#: — below the HTTP client's 30s socket timeout so a quiet feed or a
+#: long job answers "nothing yet", not with a connection error
+MAX_POLL_S = 25.0
+
+
 class ServeError(ReproError):
     """Raised for invalid service requests (unknown job, bad payload...)."""
 
@@ -173,9 +179,9 @@ class Job:
     #: True while the job sits in a tenant queue (service-internal; used to
     #: keep the admission-control depth counter exact under lazy removal)
     _queued: bool = field(default=False, repr=False)
-    #: the ManagedDataset whose version this job pinned at submit time;
-    #: the pin (and this reference) is released in _finish_locked so the
-    #: entry's version map can prune entries no in-flight job needs
+    #: the ManagedDataset ``dataset_version`` was snapshotted from — the
+    #: warm-miner path answers only while it is still the live entry
+    #: under its name; dropped with ``_txns`` when the job is terminal
     _dataset_entry: object | None = field(default=None, repr=False)
 
     @property

@@ -32,7 +32,9 @@ fronts (an unsharded server is ``n_shards=1``).  It implements placement
 (``submit``) and the fan-out answers (``healthz`` / ``metrics``) itself;
 every other operation of :data:`repro.serve.api.OPERATIONS` is forwarded,
 arguments untouched, to the shard the row's routing rule names — the
-signatures live on :class:`~repro.serve.service.MiningService` only.
+signatures live on :class:`~repro.serve.service.MiningService` (job
+rows) and :class:`~repro.serve.datasets.DatasetRegistry` (dataset rows)
+only.
 """
 
 from __future__ import annotations
@@ -300,8 +302,9 @@ class ShardRouter:
                 },
                 "ring": {"nodes": self.ring.nodes, "replicas": self.ring.replicas},
             }
-        # shard/service metrics are collected outside the router lock
-        # (lock order is always service -> router, never the reverse)
+        # shard/service metrics are collected outside the router lock:
+        # a shard's on_job_finished takes it while holding the service's
+        # (lock table in docs/serving.md, "Architecture")
         out["router"]["queue_depth"] = self.queue_depth()
         out["shards"] = [
             {**s.stats(), "service": s.service.metrics()} for s in self.shards

@@ -1,4 +1,4 @@
-"""The multi-tenant mining service: priority queue + bounded worker pool.
+"""The job tier of the mining service: priority queue + bounded worker pool.
 
 :class:`MiningService` accepts mining jobs (any algorithm registered in
 :mod:`repro.core.registry`), runs them on a fixed pool of worker threads,
@@ -15,6 +15,14 @@ Each job gets a configurable timeout, client cancellation (queued or
 running), and bounded retry-with-backoff for transient engine faults
 (:class:`~repro.common.errors.EngineError` and subclasses — injected
 failures, task-retry exhaustion; programming errors fail immediately).
+
+Jobs are all this module knows.  Named datasets are the dataset tier's
+(:mod:`repro.serve.datasets`): a job for one reaches it twice — a
+snapshot at submit, a warm answer at run — and the service's four
+dataset verbs are the registry's own methods, forwarded per the protocol
+table's routing column.  ``MiningService._lock`` guards the queue, the
+job table and every job's state; it is never held together with a
+dataset's lock, in either order.
 
 Use it embedded::
 
@@ -34,9 +42,9 @@ import threading
 import time
 from collections import deque
 
-from repro.common.errors import EngineError, MiningError
-from repro.core.incremental import FamilyDiff, IncrementalMiner, incremental_store
+from repro.common.errors import EngineError
 from repro.core.registry import MiningConfig, get_algorithm, run_algorithm
+from repro.serve.api import BY_DATASET, OPERATIONS
 from repro.serve.cache import ContextPool, DatasetCache, ResultCache
 from repro.serve.datasets import DatasetRegistry
 from repro.serve.jobs import (
@@ -50,50 +58,6 @@ from repro.serve.jobs import (
 
 #: exception types treated as transient (retried with backoff)
 TRANSIENT_ERRORS = (EngineError,)
-
-#: server-side cap on one long-poll wait (``/changes``, ``/jobs/<id>``)
-#: — below the HTTP client's 30s socket timeout so a quiet feed or a
-#: long job answers "nothing yet", not with a connection error
-MAX_POLL_S = 25.0
-
-
-def _mining_key(min_support, max_length, store) -> tuple:
-    """What names a dataset's warm miner in ``entry.miners``.  ``store``
-    is however the caller spelt it — a job's config, a watcher's query
-    argument or nothing — so one logical key is one miner."""
-    return (min_support, max_length, incremental_store(store))
-
-
-def _in_payload_order(by_itemset: dict) -> list:
-    """``(itemset, value)`` pairs in the order payloads list them:
-    shorter itemsets first, equal lengths in the items' own order.  That
-    is a native tuple sort — no key object per itemset, which at a few
-    thousand changed itemsets per version is GIL time taken from the
-    writer.  Itemsets whose items do not compare with each other (mixed
-    types) fall back to the order of their ``str`` forms."""
-    try:
-        pairs = sorted(by_itemset.items())
-    except TypeError:
-        pairs = sorted(by_itemset.items(), key=lambda kv: [str(x) for x in kv[0]])
-    pairs.sort(key=lambda kv: len(kv[0]))  # stable: item order kept within a length
-    return pairs
-
-
-def _family_payload(family: dict) -> list:
-    """JSON-safe ``[[itemset, count], ...]`` in deterministic order."""
-    return [[list(itemset), count] for itemset, count in _in_payload_order(family)]
-
-
-def _diff_payload(diff) -> dict:
-    return {
-        "added": _family_payload(diff.added),
-        "removed": _family_payload(diff.removed),
-        "changed": [
-            [list(itemset), old, new]
-            for itemset, (old, new) in _in_payload_order(diff.changed)
-        ],
-    }
-
 
 def _quantile(samples: list, q: float) -> float:
     """Nearest-rank ``q``-quantile (0..1) of non-empty sorted ``samples``."""
@@ -211,7 +175,7 @@ class MiningService:
         self.datasets = DatasetCache(dataset_cache_bytes)
         self.results = ResultCache(result_cache_entries, result_ttl_s)
         self.contexts = ContextPool(max_idle_contexts)
-        self.dataset_registry = DatasetRegistry()
+        self.dataset_registry = DatasetRegistry(self.datasets, self.results)
         self.default_timeout_s = default_timeout_s
         self.queue_limit = queue_limit
         self.tenant_weights = dict(tenant_weights or {})
@@ -241,13 +205,6 @@ class MiningService:
         self.queue_wait_hist = LatencyHistogram()
         self.run_time_hist = LatencyHistogram()
         self._tenant_counts: dict[str, dict[str, int]] = {}
-        # Background ingest flusher: started lazily by the first dataset
-        # registered with an age-based policy (flush_age_s / max_age_s);
-        # scans entries and applies age-triggered buffer flushes and
-        # age-based retires even when no new append arrives.
-        self._flusher: threading.Thread | None = None
-        self._flusher_stop = threading.Event()
-        self._flusher_tick = 0.5
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"repro-serve-{i}", daemon=True
@@ -296,84 +253,65 @@ class MiningService:
             retry_backoff_s=retry_backoff_s,
             tenant=tenant,
         )
-        dataset_version = None
-        dataset_entry = None
+        dataset_entry = dataset_version = None
         if dataset_id is not None:
             if transactions is not None:
                 raise ServeError("pass transactions or dataset_id, not both")
-            entry = self.dataset_registry.get(dataset_id)
-            with entry.lock:
-                # Read-your-writes: buffered-but-unflushed appends must be
-                # visible to a mine of the same dataset, so flush first.
-                if entry.pending_buffered:
-                    self._apply_advance_locked(entry, entry.take_buffer())
-                transactions = list(entry.transactions)
-                fingerprint = entry.fingerprint
-                dataset_version = entry.version
-                # Pin the snapshot version so its prefix-guard entry
-                # survives until this job is terminal (released in
-                # _finish_locked); unpinned stale versions are pruned.
-                entry.pin_version(dataset_version)
-            dataset_entry = entry
+            dataset_entry, dataset_version, fingerprint, transactions = (
+                self.dataset_registry.snapshot(dataset_id)
+            )
         elif transactions is None:
             raise ServeError("submit requires transactions or a dataset_id")
-        try:
-            txns = transactions if isinstance(transactions, list) else list(transactions)
-            fingerprint = self.datasets.add(txns, fingerprint)
-            job = Job(
-                request=request,
-                dataset_fingerprint=fingerprint,
-                shard=self.name,
-                dataset_id=dataset_id,
-                dataset_version=dataset_version,
-            )
-            job._txns = txns  # released in _finish_locked
-            job._dataset_entry = dataset_entry  # pin released there too
-            key = job.result_key
+        txns = transactions if isinstance(transactions, list) else list(transactions)
+        fingerprint = self.datasets.add(txns, fingerprint)
+        job = Job(
+            request=request,
+            dataset_fingerprint=fingerprint,
+            shard=self.name,
+            dataset_id=dataset_id,
+            dataset_version=dataset_version,
+        )
+        job._txns = txns  # released in _finish_locked
+        job._dataset_entry = dataset_entry
+        key = job.result_key
 
-            # An approx request is answered by its exact twin's entry first —
-            # the exact result is strictly better, and the approx entry must
-            # never shadow it.  One get_first probe = one hit/miss recorded,
-            # so the twin lookup cannot inflate the miss count.
-            lookup = [key]
-            if config.approx:
-                lookup.insert(0, (fingerprint, config.exact_twin().cache_key()))
-            memoized = self.results.get_first(lookup)
-            with self._queue_cond:
-                if self._shutdown:
-                    raise ServeError("service is shut down")
-                if memoized is not None:
-                    self._register_locked(job)
-                    self._finish_locked(job, JobState.DONE, result=memoized, via="memoized")
-                    return job
-                primary = self._inflight.get(key)
-                if primary is not None and not primary.is_terminal:
-                    self._register_locked(job)
-                    job.via = "coalesced"
-                    job.coalesced_with = primary.job_id
-                    self.jobs_coalesced += 1
-                    self._followers.setdefault(key, []).append(job)
-                    return job
-                if self.queue_limit is not None and self._queued >= self.queue_limit:
-                    self.jobs_rejected += 1
-                    raise RejectedError(
-                        f"queue full ({self._queued}/{self.queue_limit} jobs waiting)"
-                        + (f" on {self.name}" if self.name else ""),
-                        retry_after_s=self._retry_after_locked(),
-                        shard=self.name,
-                        queue_depth=self._queued,
-                        queue_limit=self.queue_limit,
-                    )
+        # An approx request is answered by its exact twin's entry first —
+        # the exact result is strictly better, and the approx entry must
+        # never shadow it.  One get_first probe = one hit/miss recorded,
+        # so the twin lookup cannot inflate the miss count.
+        lookup = [key]
+        if config.approx:
+            lookup.insert(0, (fingerprint, config.exact_twin().cache_key()))
+        memoized = self.results.get_first(lookup)
+        with self._queue_cond:
+            if self._shutdown:
+                raise ServeError("service is shut down")
+            if memoized is not None:
                 self._register_locked(job)
-                self._inflight[key] = job
-                self._enqueue_locked(job)
-            return job
-        except BaseException:
-            # The job never reached a terminal state (rejection, shutdown,
-            # unexpected error): the pin would otherwise leak its version.
-            if dataset_entry is not None:
-                dataset_entry.release_version(dataset_version)
-            raise
+                self._finish_locked(job, JobState.DONE, result=memoized, via="memoized")
+                return job
+            primary = self._inflight.get(key)
+            if primary is not None and not primary.is_terminal:
+                self._register_locked(job)
+                job.via = "coalesced"
+                job.coalesced_with = primary.job_id
+                self.jobs_coalesced += 1
+                self._followers.setdefault(key, []).append(job)
+                return job
+            if self.queue_limit is not None and self._queued >= self.queue_limit:
+                self.jobs_rejected += 1
+                raise RejectedError(
+                    f"queue full ({self._queued}/{self.queue_limit} jobs waiting)"
+                    + (f" on {self.name}" if self.name else ""),
+                    retry_after_s=self._retry_after_locked(),
+                    shard=self.name,
+                    queue_depth=self._queued,
+                    queue_limit=self.queue_limit,
+                )
+            self._register_locked(job)
+            self._inflight[key] = job
+            self._enqueue_locked(job)
+        return job
 
     def _register_locked(self, job: Job) -> None:
         self._jobs[job.job_id] = job
@@ -439,287 +377,6 @@ class MiningService:
                 self._rr_cursor += 1
             return job
         return None
-
-    # -- named datasets ----------------------------------------------------
-    def create_dataset(
-        self,
-        dataset_id: str,
-        transactions,
-        *,
-        replace: bool = False,
-        max_window: int | None = None,
-        max_age_s: float | None = None,
-        flush_rows: int | None = None,
-        flush_age_s: float | None = None,
-    ) -> dict:
-        """Register a named, versioned dataset; returns its info dict.
-
-        ``max_window`` / ``max_age_s`` are window policies: every advance
-        retires the oldest transactions beyond the count/age bound.
-        ``flush_rows`` / ``flush_age_s`` turn on the ingest buffer: small
-        appends are staged and folded into one delta update when either
-        trigger fires (or on ``flush=True`` / a submit for the dataset).
-
-        Raises :class:`ApiError` 409 ``dataset_exists`` when the name is
-        taken and ``replace`` is false.  Replacing retires the old entry
-        *under its own lock* before invalidating its cache entries — a
-        concurrent append through a stale reference either lands before
-        that barrier (and is invalidated with the rest) or gets a 409
-        ``dataset_retired``.
-        """
-        entry, old = self.dataset_registry.create(
-            dataset_id,
-            transactions,
-            replace=replace,
-            max_window=max_window,
-            max_age_s=max_age_s,
-            flush_rows=flush_rows,
-            flush_age_s=flush_age_s,
-        )
-        if old is not None:
-            with old.lock:
-                old.retired = True
-                replaced_fp = old.fingerprint
-                old.changed.notify_all()  # wake its long-pollers -> 409
-            if replaced_fp != entry.fingerprint:
-                self.datasets.remove(replaced_fp)
-                self.results.invalidate_dataset(replaced_fp)
-        if entry.flush_age_s is not None or entry.max_age_s is not None:
-            self._ensure_flusher(entry)
-        with entry.lock:
-            self.datasets.add(list(entry.transactions), entry.fingerprint)
-            return entry.info()
-
-    def append_dataset(
-        self,
-        dataset_id: str,
-        transactions,
-        *,
-        expected_version: int | None = None,
-        flush: bool = False,
-    ) -> dict:
-        """Append transactions to a named dataset and invalidate everything
-        cached for the old version.
-
-        On a buffering dataset the delta is *staged*: the window (and
-        version) only advance when a flush trigger fires — ``flush_rows``
-        staged, the buffer older than ``flush_age_s``, ``flush=True``, or
-        a submit for this dataset.  The returned info dict's ``flushed``
-        says which happened; ``buffered`` counts rows still staged.
-
-        ``expected_version`` is optimistic concurrency control: when set
-        and the dataset has moved on, raises :class:`ApiError` 409
-        ``version_conflict`` instead of appending.  ``invalidated_results``
-        reports how many stale cached results a flush evicted.
-        """
-        entry = self.dataset_registry.get(dataset_id)
-        with entry.lock:
-            entry.check_live()
-            if expected_version is not None and entry.version != expected_version:
-                raise ApiError(
-                    f"dataset {dataset_id!r} is at version {entry.version}, "
-                    f"expected {expected_version}",
-                    status=409,
-                    code="version_conflict",
-                )
-            delta = list(transactions) if transactions is not None else []
-            if not delta and not flush:
-                raise ApiError("append requires at least one transaction")
-            if delta:
-                self.dataset_registry.record_append()
-            if entry.buffering:
-                entry.buffer_add(delta)
-                if not flush and not entry.buffer_ready():
-                    info = entry.info()
-                    info["invalidated_results"] = 0
-                    info["flushed"] = False
-                    return info
-                delta = entry.take_buffer()
-            invalidated, _ = self._apply_advance_locked(entry, delta)
-            info = entry.info()
-        info["invalidated_results"] = invalidated
-        info["flushed"] = True
-        return info
-
-    def _apply_advance_locked(self, entry, delta: list) -> tuple[int, object]:
-        """Advance ``entry`` by ``delta`` + any due policy retire, keep the
-        caches and warm miners coherent, and feed the change log (caller
-        holds ``entry.lock``).  Returns ``(invalidated_results, AppendResult
-        or None)``."""
-        res = entry.append(delta)
-        if res is None:
-            return 0, None
-        self.dataset_registry.record_flush()
-        self._sync_miners_locked(entry, res)
-        # stale-version hygiene: the old window must never be served
-        # again — drop its parsed copy and every memoized result for it
-        self.datasets.remove(res.old_fingerprint)
-        invalidated = self.results.invalidate_dataset(res.old_fingerprint)
-        self.datasets.add(list(entry.transactions), res.new_fingerprint)
-        entry.changed.notify_all()
-        return invalidated, res
-
-    def _sync_miners_locked(self, entry, res) -> None:
-        """Bring warm miners in step with one window advance.
-
-        Watched mining keys update eagerly on every advance — their
-        :class:`~repro.core.incremental.FamilyDiff` transitions are what
-        the change feed ships.  Unwatched miners stay lazy (the next job
-        folds the delta) *except* across a retire: the retired rows leave
-        the window now, so every miner must retire now or its window
-        stops being a prefix of the entry's.  A miner that cannot follow
-        (e.g. the retire would empty it) is dropped and rebuilt on demand.
-        """
-        for mkey, miner in list(entry.miners.items()):
-            watch = entry.watches.get(mkey)
-            if watch is None and res.n_retired == 0:
-                continue
-            try:
-                # ONE update per version bump: the window between the
-                # append and the retire is never mined
-                update = miner.slide(
-                    res.pre_trim_window[miner.n_transactions :], res.n_retired
-                )
-            except MiningError:
-                del entry.miners[mkey]
-                if watch is not None:
-                    watch.reset()
-                continue
-            if watch is not None and watch.start_version is not None:
-                watch.record(
-                    res.old_version, res.new_version, update.family_diff or FamilyDiff()
-                )
-
-    def dataset_info(self, dataset_id: str) -> dict:
-        """Info dict for a named dataset (404 ``unknown_dataset`` if absent)."""
-        return self.dataset_registry.get(dataset_id).info()
-
-    def dataset_changes(
-        self,
-        dataset_id: str,
-        *,
-        since: int,
-        min_support: float,
-        max_length: int | None = None,
-        candidate_store: str | None = None,
-        timeout_s: float = 0.0,
-    ) -> dict:
-        """The change feed: what happened to the frequent-itemset family
-        of ``dataset_id`` (under the given mining key) since version
-        ``since``.
-
-        Establishes a watch on first use — the dataset's warm miner for
-        the key is built (a full mine) and from then on updated eagerly
-        on every window advance, logging one
-        :class:`~repro.core.incremental.FamilyDiff` per version
-        transition.  When ``since`` is the current version the call
-        long-polls up to ``timeout_s`` (capped server-side) for the next
-        advance.  A ``since`` older than the log covers answers
-        ``reset=true`` with the full current family instead of a diff.
-        """
-        entry = self.dataset_registry.get(dataset_id)
-        deadline = time.monotonic() + max(0.0, min(float(timeout_s), MAX_POLL_S))
-        with entry.changed:
-            entry.check_live()
-            if since > entry.version:
-                raise ApiError(
-                    f"since={since} is ahead of {dataset_id!r} version {entry.version}"
-                )
-            mkey, miner = self._ensure_watch_locked(
-                entry, min_support, max_length, candidate_store
-            )
-            while entry.version == since and not entry.retired:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                entry.changed.wait(remaining)
-            entry.check_live()
-            header, diff, family = self._changes_locked(entry, mkey, since)
-        # Sorting and rendering every changed itemset is the slow part of
-        # an answer, and nothing in it needs the dataset any more: the
-        # writer's next append or submit must not queue behind it.
-        if diff is None:
-            return {**header, "reset": True, "family": _family_payload(family)}
-        return {**header, "reset": False, **_diff_payload(diff)}
-
-    def _ensure_watch_locked(self, entry, min_support, max_length, candidate_store):
-        """The (mining key, warm miner) for a change-feed subscription,
-        building or catching up the miner so its window IS the entry's
-        current window (caller holds ``entry.lock``)."""
-        mkey = _mining_key(min_support, max_length, candidate_store)
-        if entry.pending_buffered:
-            self._apply_advance_locked(entry, entry.take_buffer())
-        watch = entry.watch(mkey)
-        miner = entry.miners.get(mkey)
-        if miner is None:
-            miner = IncrementalMiner(
-                list(entry.transactions),
-                min_support,
-                max_length=max_length,
-                candidate_store=mkey[-1],
-            )
-            entry.miners[mkey] = miner
-            watch.reset()
-        elif miner.n_transactions < len(entry.transactions):
-            # Lazily-behind miner: fold the pending delta now.  The
-            # skipped transitions predate the watch baseline being set
-            # below, so no log entries are lost to subscribers.
-            miner.append(entry.transactions[miner.n_transactions :])
-        miner.track_family_diff = True  # from here on somebody reads it
-        if watch.start_version is None:
-            watch.start_version = entry.version
-            watch.log.clear()
-        return mkey, miner
-
-    def _changes_locked(self, entry, mkey, since: int) -> tuple:
-        """``(payload header, diff, family)`` for a change-feed answer:
-        the composed diff from ``since``, or — when the log no longer
-        covers ``since`` — ``None`` and a snapshot of the full family
-        (caller holds ``entry.lock``; both are the caller's to render)."""
-        header = {
-            "dataset_id": entry.dataset_id,
-            "since": since,
-            "version": entry.version,
-            "n_transactions": len(entry.transactions),
-        }
-        diff = entry.changes_since(mkey, since)
-        family = entry.miners[mkey].itemsets() if diff is None else None
-        return header, diff, family
-
-    # -- ingest flusher ----------------------------------------------------
-    def _ensure_flusher(self, entry) -> None:
-        """Start (or re-tune) the background flusher for age triggers."""
-        ages = [a for a in (entry.flush_age_s, entry.max_age_s) if a is not None]
-        if ages:
-            self._flusher_tick = min(
-                self._flusher_tick, max(0.02, min(ages) / 4.0)
-            )
-        with self._lock:
-            if self._flusher is not None or self._shutdown:
-                return
-            self._flusher = threading.Thread(
-                target=self._flusher_loop, name="repro-serve-flusher", daemon=True
-            )
-        self._flusher.start()
-
-    def _flusher_loop(self) -> None:
-        while not self._flusher_stop.wait(self._flusher_tick):
-            for dataset_id in self.dataset_registry.ids():
-                try:
-                    entry = self.dataset_registry.get(dataset_id)
-                except ServeError:
-                    continue
-                try:
-                    with entry.lock:
-                        if entry.retired:
-                            continue
-                        if entry.pending_buffered and entry.buffer_ready():
-                            self._apply_advance_locked(entry, entry.take_buffer())
-                        elif entry.age_retire_due():
-                            self._apply_advance_locked(entry, [])
-                except ServeError:
-                    # hygiene loop: one entry's failure must not stop the rest
-                    continue
 
     # -- queries -----------------------------------------------------------
     def get(self, job_id: str) -> Job:
@@ -825,7 +482,6 @@ class MiningService:
     # -- lifecycle ---------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting work, cancel queued jobs, drain the workers."""
-        self._flusher_stop.set()
         with self._queue_cond:
             if self._shutdown:
                 return
@@ -841,8 +497,7 @@ class MiningService:
         if wait:
             for w in self._workers:
                 w.join(timeout=10.0)
-            if self._flusher is not None:
-                self._flusher.join(timeout=5.0)
+        self.dataset_registry.close(wait)
         self.contexts.close()
 
     def __enter__(self) -> "MiningService":
@@ -922,17 +577,19 @@ class MiningService:
                             f"dataset {job.dataset_fingerprint[:12]} lost before run"
                         )
                     self.datasets.add(txns, job.dataset_fingerprint)
-                if (
-                    config.approx
-                    or config.incremental
-                    or get_algorithm(config.algorithm).needs_engine
-                ):
+                result = None
+                entry = job._dataset_entry
+                if config.incremental:
+                    # in-process tier: no engine context to check out, and
+                    # a named dataset's warm miner answers when it can
+                    if entry is not None:
+                        result = self.dataset_registry.warm_result(
+                            entry, job.dataset_version, len(txns), config
+                        )
+                elif config.approx or get_algorithm(config.algorithm).needs_engine:
                     ctx = self.contexts.acquire(
                         config.backend, config.parallelism, label=job.job_id
                     )
-                result = None
-                if config.incremental and job.dataset_id is not None:
-                    result = self._run_incremental_warm(job, txns, ctx)
                 if result is None:
                     result = run_algorithm(txns, config, ctx=ctx)
                 box["result"] = result
@@ -975,61 +632,6 @@ class MiningService:
             f"{kind} failure after {job.attempts} attempt(s): {error!r}",
         )
 
-    def _run_incremental_warm(self, job: Job, txns: list, ctx):
-        """Serve an incremental named-dataset job from the dataset's warm
-        :class:`~repro.core.incremental.IncrementalMiner`.
-
-        The first job for a (dataset, mining-key) pair builds the miner
-        (a full mine); every later job pays one delta pass over the
-        transactions appended since the miner's window — the ≥5× update
-        win the incremental tier exists for.  The engine context is only
-        *lent* to the persistent miner for the duration of the call; the
-        miner itself outlives the job inside the dataset entry.
-
-        Returns ``None`` (→ cold ``run_algorithm``) when warm state
-        cannot answer this job's snapshot: the dataset was deleted or
-        replaced, or the miner's window is already ahead of the snapshot
-        (an append landed after this job was submitted — the job must
-        still answer for its own version).
-        """
-        config = job.request.config
-        try:
-            entry = self.dataset_registry.get(job.dataset_id)
-        except ServeError:
-            return None
-        mkey = _mining_key(config.min_support, config.max_length, config)
-        with entry.lock:
-            if entry.versions.get(job.dataset_version) != job.dataset_fingerprint:
-                return None  # replaced under the same name: snapshot mismatch
-            miner = entry.miners.get(mkey)
-            if miner is None:
-                miner = IncrementalMiner(
-                    txns,
-                    config.min_support,
-                    max_length=config.max_length,
-                    candidate_store=mkey[-1],
-                    num_partitions=config.num_partitions,
-                    ctx=ctx,
-                    # a job reads families, not diffs: the miner starts
-                    # emitting them when a watch on its key asks
-                    track_family_diff=False,
-                )
-                try:
-                    return miner.result()
-                finally:
-                    miner.ctx = None
-                    entry.miners[mkey] = miner
-            if miner.n_transactions > len(txns):
-                return None
-            miner.ctx = ctx
-            try:
-                delta = txns[miner.n_transactions :]
-                if delta:
-                    miner.append(delta)
-                return miner.result()
-            finally:
-                miner.ctx = None
-
     def _finish_locked(
         self,
         job: Job,
@@ -1044,14 +646,7 @@ class MiningService:
         if job.is_terminal:
             return
         self._dequeue_account_locked(job)
-        if job._dataset_entry is not None:
-            # Lock order here is service lock -> entry lock; safe because
-            # no path acquires the service lock while holding an entry
-            # lock (dataset mutation never touches the queue).
-            entry = job._dataset_entry
-            job._dataset_entry = None
-            entry.release_version(job.dataset_version)
-        job._txns = None
+        job._txns = job._dataset_entry = None
         job.state = state
         job.result = result
         job.error = error
@@ -1118,3 +713,17 @@ class MiningService:
                     continue
                 follower.coalesced_with = new_primary.job_id
                 self._followers.setdefault(key, []).append(follower)
+
+
+def _dataset_verb(op):
+    def verb(self, *args, **kwargs):
+        return getattr(self.dataset_registry, op.call)(*args, **kwargs)
+
+    verb.__name__ = op.call
+    verb.__doc__ = f"``DatasetRegistry.{op.call}`` on this service's dataset tier."
+    return verb
+
+
+for _op in OPERATIONS:
+    if _op.route == BY_DATASET:
+        setattr(MiningService, _op.call, _dataset_verb(_op))

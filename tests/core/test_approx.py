@@ -95,8 +95,7 @@ class TestApproxMiner:
         # its singleton must still enter the sample's negative border, or
         # a globally frequent item missed by every sample would never be
         # verified and verified_exact could be falsely claimed
-        miner = ApproxMiner(ctx, n_samples=1, sample_frac=0.5, seed=0,
-                            use_broadcast=False)
+        miner = ApproxMiner(ctx, n_samples=1, sample_frac=0.5, seed=0)
         samples = [[("a",), ("a", "b")]]
         per_sample = miner._mine_samples(samples, ["a", "b", "z"], 0.5, None, [])
         ((_, _, border),) = per_sample

@@ -156,6 +156,26 @@ class TestMine:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_mine_incremental_is_the_oracle_on_every_backend(
+        self, tmp_path, capsys, backend
+    ):
+        from repro.algorithms import apriori
+
+        rows = [["a", "b"], ["a", "b", "c"], ["b", "c"], ["a", "b"]]
+        data = tmp_path / "t.dat"
+        data.write_text("".join(" ".join(row) + "\n" for row in rows))
+        rc = main(
+            [
+                "mine", "--input", str(data), "--support", "0.5",
+                "--incremental", "--backend", backend, "--top", "50",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0 and out.startswith("incremental:")
+        listing = [line.split() for line in out.splitlines() if "pass" not in line][1:]
+        assert {tuple(items): int(n) for *items, n in listing} == apriori(rows, 0.5)
+
     def test_mine_trace_out_writes_chrome_trace(self, tmp_path, capsys):
         data = tmp_path / "t.dat"
         data.write_text("a b\na b c\nb c\na b\n")

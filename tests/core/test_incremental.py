@@ -22,9 +22,9 @@ from repro.core.candidatestore import BitmapStore, build_tid_bitmaps
 from repro.core.incremental import (
     PHASES, FamilyDiff, IncrementalMiner, run_incremental,
 )
+from repro.core.api import mine_frequent_itemsets
 from repro.core.registry import MiningConfig, run_algorithm
 from repro.datasets import mushroom_like, quest_generator
-from repro.engine import Context
 
 STORES = ["hashtree", "trie", "flatdict", "bitmap", "linear"]
 
@@ -202,25 +202,6 @@ class TestRandomizedOracleParity:
                 miner.retire(n)
             assert miner.itemsets() == oracle(window, 0.08)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_engine_backed_full_passes(self, sparse_pool, backend):
-        """With a ctx attached, full-window passes (build + rebuild +
-        border re-mines) run as engine jobs; parity must survive all
-        three backends."""
-        window = list(sparse_pool[:80])
-        with Context(backend=backend, parallelism=2) as ctx:
-            miner = IncrementalMiner(
-                window, 0.08, candidate_store="bitmap",
-                num_partitions=2, ctx=ctx,
-            )
-            delta = sparse_pool[80:110]
-            window.extend(delta)
-            miner.append(delta)
-            assert miner.itemsets() == oracle(window, 0.08)
-            del window[:25]
-            miner.retire(25)
-            assert miner.itemsets() == oracle(window, 0.08)
-
     def test_dense_dataset_parity(self):
         ds = mushroom_like(scale=0.02, seed=11)
         window = [tuple(t) for t in ds.transactions]
@@ -249,17 +230,35 @@ class TestResultAndRegistry:
         got = run_algorithm(window, cfg).itemsets
         assert got == oracle(window, 0.08)
 
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    def test_one_shot_ignores_backend(self, sparse_pool, backend, monkeypatch):
+        """``backend`` is inert for this tier: the one-shot run answers
+        the oracle's map from the calling thread, whatever it says."""
+        import repro.engine.context as context
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an incremental run started an engine context")
+
+        monkeypatch.setattr(context.Context, "__init__", no_engine)
+        window = sparse_pool[:120]
+        cfg = MiningConfig(
+            min_support=0.08, incremental=True, backend=backend, parallelism=2,
+        )
+        result = mine_frequent_itemsets(window, config=cfg)
+        assert result.itemsets == fpgrowth(window, 0.08)
+        assert result.engine_metrics is None and result.trace.spans
+
     def test_run_incremental_store_resolution(self, sparse_pool):
         window = sparse_pool[:60]
         cfg = MiningConfig(
             min_support=0.1, incremental=True,
             options={"candidate_store": "trie"},
         )
-        assert run_incremental(None, window, cfg).itemsets == oracle(window, 0.1)
+        assert run_incremental(window, cfg).itemsets == oracle(window, 0.1)
         cfg2 = MiningConfig(
             min_support=0.1, incremental=True, candidate_store="flatdict"
         )
-        assert run_incremental(None, window, cfg2).itemsets == oracle(window, 0.1)
+        assert run_incremental(window, cfg2).itemsets == oracle(window, 0.1)
 
 
 class TestFamilyDiff:

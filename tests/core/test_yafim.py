@@ -80,7 +80,7 @@ class TestConfigurations:
             {"store_options": {"fanout": 4, "max_leaf_size": 2}},
             {"num_partitions": 1},
             {"num_partitions": 7},
-            {"clear_shuffles_between_iterations": False},
+            {"paper_dataflow": True},  # the one dataflow with shuffle output to clear
         ],
     )
     def test_all_configs_agree(self, ctx, kwargs):

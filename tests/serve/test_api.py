@@ -30,8 +30,9 @@ from repro.serve import (
     ServeError,
     ShardRouter,
 )
-from repro.serve.api import BY_NAME, OPERATIONS, decode_request, encode_request
-from repro.serve.service import MAX_POLL_S
+from repro.serve.api import BY_DATASET, BY_NAME, OPERATIONS, decode_request, encode_request
+from repro.serve.datasets import DatasetRegistry
+from repro.serve.jobs import MAX_POLL_S
 
 ROOT = Path(__file__).resolve().parents[2]
 TXNS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
@@ -93,9 +94,15 @@ VERBS = {"wait": "status", "result": "result_detail"}
 @pytest.mark.parametrize("op", OPERATIONS, ids=ROW_IDS)
 class TestSurfacesMatchTheTable:
     def test_service_method_takes_exactly_the_rows_fields(self, op):
+        """The routing column says which tier implements a row: the
+        dataset tier for ``BY_DATASET``, the job tier for the rest — and
+        the job tier's own dataset verbs only forward."""
         declared = set(op.path_names) | set(op.by_name) - set(UPSTREAM.get(op.name, ()))
-        implemented = parameters(getattr(MiningService, op.call))
+        owner = DatasetRegistry if op.route == BY_DATASET else MiningService
+        implemented = parameters(getattr(owner, op.call))
         assert implemented - SHARD_PRIVATE.get(op.name, set()) == declared
+        if owner is DatasetRegistry:
+            assert parameters(getattr(MiningService, op.call)) == {"args", "kwargs"}
 
     def test_http_client_verb_takes_exactly_the_rows_fields(self, op):
         declared = set(op.path_names) | {f.wire for f in op.fields}

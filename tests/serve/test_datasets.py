@@ -12,6 +12,7 @@ from repro.core.api import mine_frequent_itemsets
 from repro.core.registry import MiningConfig
 from repro.serve import (
     ApiError,
+    DatasetCache,
     DatasetRegistry,
     FingerprintChain,
     HttpClient,
@@ -33,6 +34,11 @@ INC = MiningConfig(min_support=0.5, backend="serial", incremental=True)
 def oracle(txns, config=CFG):
     exact = MiningConfig(min_support=config.min_support, backend="serial")
     return mine_frequent_itemsets(txns, config=exact).itemsets
+
+
+def registry():
+    """A dataset tier on its own, with caches of its own to keep coherent."""
+    return DatasetRegistry(DatasetCache(1 << 20), ResultCache(16, 60.0))
 
 
 class TestFingerprintChain:
@@ -119,22 +125,22 @@ class TestResultCacheInvalidation:
 
 class TestDatasetRegistry:
     def test_create_and_fingerprint(self):
-        reg = DatasetRegistry()
+        reg = registry()
         entry, replaced = reg.create("w", BASE)
         assert replaced is None
         assert entry.version == 1
         assert entry.fingerprint == dataset_fingerprint(BASE)
-        assert entry.versions == {1: entry.fingerprint}
+        assert entry.prefix_since == 1
 
     def test_duplicate_name_conflicts(self):
-        reg = DatasetRegistry()
+        reg = registry()
         reg.create("w", BASE)
         with pytest.raises(ApiError) as err:
             reg.create("w", BASE)
         assert err.value.status == 409 and err.value.code == "dataset_exists"
 
     def test_replace_returns_the_old_entry(self):
-        reg = DatasetRegistry()
+        reg = registry()
         entry, _ = reg.create("w", BASE)
         old_fp = entry.fingerprint
         entry2, replaced = reg.create("w", DELTA, replace=True)
@@ -144,14 +150,14 @@ class TestDatasetRegistry:
 
     def test_unknown_dataset(self):
         with pytest.raises(ApiError) as err:
-            DatasetRegistry().get("nope")
+            registry().get("nope")
         assert err.value.status == 404 and err.value.code == "unknown_dataset"
         assert err.value.payload() == {
             "error": str(err.value), "code": "unknown_dataset",
         }
 
     def test_append_advances_version(self):
-        reg = DatasetRegistry()
+        reg = registry()
         entry, _ = reg.create("w", BASE)
         with entry.lock:
             res = entry.append(DELTA)
@@ -159,28 +165,15 @@ class TestDatasetRegistry:
         assert res.old_version == 1 and res.new_version == 2
         assert res.old_fingerprint == dataset_fingerprint(BASE)
         assert res.new_fingerprint == dataset_fingerprint(BASE + DELTA)
-        # unpinned old versions are pruned; only the live one remains
-        assert entry.versions == {2: res.new_fingerprint}
+        # nothing retired: version 1's window is still a prefix of ours
+        assert entry.prefix_since == 1
         assert entry.info()["n_transactions"] == len(BASE) + len(DELTA)
-
-    def test_pinned_versions_survive_pruning(self):
-        reg = DatasetRegistry()
-        entry, _ = reg.create("w", BASE)
-        v1_fp = entry.fingerprint
-        entry.pin_version(1)
-        with entry.lock:
-            entry.append(DELTA)
-        assert 1 in entry.versions and entry.versions[1] == v1_fp
-        entry.release_version(1)
-        with entry.lock:
-            entry.append([("x", "y")])
-        assert 1 not in entry.versions
 
     def test_fingerprint_follows_a_sliding_window(self):
         """The chain retires with the window: after any mix of plain and
         retiring appends the entry's fingerprint is the one-shot
         fingerprint of its rows (one cache keyspace with raw submits)."""
-        reg = DatasetRegistry()
+        reg = registry()
         entry, _ = reg.create("w", BASE, max_window=len(BASE) + 2)
         window = list(BASE)
         for delta in ([("x", "y")], DELTA, [("z",)] * 9, [], [("a",)]):
@@ -192,56 +185,63 @@ class TestDatasetRegistry:
             assert entry.fingerprint == dataset_fingerprint(window)
             assert entry.chain.n_transactions == len(window)
             if res is not None:
-                assert entry.versions == {entry.version: entry.fingerprint}
+                assert (entry.prefix_since == entry.version) == bool(res.n_retired)
         assert entry.retires == len(BASE) + 15 - len(window)
 
     def test_poisoned_delta_changes_nothing(self):
         """Hashing the delta is the first step and takes it whole or not
-        at all: chain, window, arrivals, version, pins and warm miners
-        all stay exactly as they were — also when a retire was due."""
+        at all: chain, window, arrivals, version, prefix guard and warm
+        miners all stay exactly as they were — also when a retire was due."""
 
         class Poison:
             def __str__(self):
                 raise RuntimeError("unrenderable item")
 
-        reg = DatasetRegistry()
+        reg = registry()
         entry, _ = reg.create("w", BASE, max_window=len(BASE))
-        entry.miners[(0.5, None, "bitmap")] = miner = object()
-        entry.pin_version(1)
+        with entry.lock:
+            miner = entry.miner_for((0.5, None, "bitmap"), len(BASE))
         before = (
             list(entry.transactions), list(entry.arrivals), entry.version,
-            entry.fingerprint, dict(entry.versions), entry.retires,
+            entry.fingerprint, entry.prefix_since, entry.retires,
         )
         for bad in ([("a", "b"), ("a", Poison())], [("a", "b"), 7]):
             with entry.lock, pytest.raises(ApiError, match="fingerprinted"):
                 entry.append(bad)
             assert before == (
                 entry.transactions, entry.arrivals, entry.version,
-                entry.fingerprint, entry.versions, entry.retires,
+                entry.fingerprint, entry.prefix_since, entry.retires,
             )
             assert entry.chain.hexdigest() == dataset_fingerprint(BASE)
             assert entry.miners == {(0.5, None, "bitmap"): miner}
+            assert miner.version == 1
         with entry.lock:
-            entry.append(DELTA)  # still fully functional
-        assert entry.fingerprint == dataset_fingerprint((BASE + DELTA)[len(DELTA):])
+            entry.append(DELTA)  # still fully functional, the miner with it
+        window = (BASE + DELTA)[len(DELTA):]
+        assert entry.fingerprint == dataset_fingerprint(window)
+        assert miner.itemsets() == oracle(window)
 
     def test_retire_clears_the_prefix_guard(self):
-        """A pinned pre-retire version must leave the version map: its
-        snapshot is no longer a prefix of the window, and a job holding
-        it has to fall back to a cold run of its own rows."""
-        reg = DatasetRegistry()
+        """A retiring advance moves ``prefix_since`` to the version it
+        produced: no older snapshot is a prefix of the window any more,
+        and a job holding one has to fall back to a cold run of its own
+        rows."""
+        reg = registry()
         entry, _ = reg.create("w", BASE, max_window=len(BASE) + 1)
-        entry.pin_version(1)
         with entry.lock:
-            entry.append([("x",)])  # no retire: the pinned version stays
-        assert set(entry.versions) == {1, 2}
+            entry.append([("x",)])  # no retire: versions 1 and 2 both prefixes
+        assert (entry.version, entry.prefix_since) == (2, 1)
         with entry.lock:
             res = entry.append(DELTA)  # retires: every older version goes
         assert res.n_retired == len(DELTA)
-        assert entry.versions == {3: entry.fingerprint}
+        assert (entry.version, entry.prefix_since) == (3, 3)
+        cfg = MiningConfig(min_support=0.5, incremental=True)
+        assert reg.warm_result(entry, 2, len(BASE) + 1, cfg) is None
+        warm = reg.warm_result(entry, 3, len(entry.transactions), cfg)
+        assert warm.itemsets == oracle(entry.transactions)
 
     def test_empty_create_rejected_and_empty_append_is_noop(self):
-        reg = DatasetRegistry()
+        reg = registry()
         with pytest.raises(ApiError):
             reg.create("w", [])
         entry, _ = reg.create("w2", BASE)
@@ -303,9 +303,9 @@ class TestServiceDatasets:
         assert post.via == "run"
 
     def test_job_pinned_before_a_retire_answers_its_own_snapshot(self, service):
-        """A retire empties the version map, so a job that snapshotted an
-        older version fails the warm path's prefix guard and re-mines its
-        own rows cold; the warm miner has moved on and stays right."""
+        """A retire moves the prefix guard past every older version, so a
+        job that snapshotted one re-mines its own rows cold; the warm
+        miner has moved on and stays right."""
         service.create_dataset("w", BASE, max_window=len(BASE) + 1)
         assert service.submit(None, INC, dataset_id="w").wait(30.0)  # warm miner
         entry = service.dataset_registry.get("w")
@@ -314,7 +314,7 @@ class TestServiceDatasets:
             v2 = list(entry.transactions)
             stale = service.submit(None, INC, dataset_id="w")
             service.append_dataset("w", DELTA)  # retires under the parked job
-            assert entry.versions == {3: entry.fingerprint}
+            assert (entry.version, entry.prefix_since) == (3, 3)
         assert stale.wait(30.0)
         assert stale.dataset_version == 2
         assert stale.result.itemsets == oracle(v2)
@@ -366,7 +366,9 @@ class TestServiceDatasets:
         assert miner.n_transactions == len(BASE) + len(DELTA)
         assert miner.last_update.kind == "append"
         assert not miner.last_update.full_rebuild
-        assert miner.ctx is None  # the lent context was detached
+        # an in-process tier: no job of it ever checked out an engine context
+        pool = service.metrics()["context_pool"]
+        assert pool["created"] == pool["reused"] == 0
 
     def test_warm_miner_survives_memoized_hits(self, service):
         service.create_dataset("w", BASE)

@@ -132,6 +132,23 @@ class TestEndpoints:
         assert snapshot["state"] == "done" and snapshot["via"] == "memoized"
 
 
+@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+def test_incremental_job_checks_out_no_context_on_any_backend(backend):
+    """``POST /jobs`` with ``incremental=True``: the oracle's map whatever
+    ``backend`` says — the tier runs in the worker's own thread, so the
+    field is inert and the context pool never hears of the job."""
+    rows = TXNS + [[backend]]  # its own fingerprint: no memoized answer
+    config = MiningConfig(min_support=0.4, backend=backend, incremental=True)
+    with MiningServer(port=0, n_workers=1) as srv:
+        client = HttpClient(srv.url, poll_interval_s=0.01)
+        assert client.mine(rows, config, timeout=30.0) == (
+            mine_frequent_itemsets(rows, config=CFG).itemsets
+        )
+        (shard,) = client.metrics()["shards"]
+        pool = shard["service"]["context_pool"]
+        assert pool["created"] == pool["reused"] == 0
+
+
 class TestJobLongPoll:
     """``GET /jobs/<id>?timeout_s=`` answers when the job turns terminal,
     and ``HttpClient.wait`` rides it instead of sleeping between reads."""

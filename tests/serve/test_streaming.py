@@ -21,10 +21,14 @@ from repro.core.incremental import FamilyDiff
 from repro.core.registry import MiningConfig
 from repro.serve import (
     ApiError,
+    DatasetCache,
     DatasetRegistry,
     HttpClient,
+    LocalClient,
+    ManagedDataset,
     MiningServer,
     MiningService,
+    ResultCache,
     dataset_fingerprint,
 )
 
@@ -37,6 +41,11 @@ INC = MiningConfig(min_support=0.5, backend="serial", incremental=True)
 def oracle(txns, min_support=0.5):
     cfg = MiningConfig(min_support=min_support, backend="serial")
     return mine_frequent_itemsets(txns, config=cfg).itemsets
+
+
+def registry():
+    """A dataset tier on its own, with caches of its own to keep coherent."""
+    return DatasetRegistry(DatasetCache(1 << 20), ResultCache(16, 60.0))
 
 
 def payload_to_family(pairs):
@@ -144,7 +153,7 @@ class TestWindowPolicies:
 
     def test_max_age_retires_by_arrival_stamp(self):
         clock = [100.0]
-        reg = DatasetRegistry()
+        reg = registry()
         entry, _ = reg.create(
             "w", BASE, max_age_s=10.0, clock=lambda: clock[0]
         )
@@ -160,7 +169,7 @@ class TestWindowPolicies:
 
     def test_window_never_empties_under_age_policy(self):
         clock = [0.0]
-        reg = DatasetRegistry()
+        reg = registry()
         entry, _ = reg.create(
             "w", BASE, max_age_s=1.0, clock=lambda: clock[0]
         )
@@ -193,7 +202,7 @@ class TestWindowPolicies:
         assert first.wait(30.0)
         service.append_dataset("w", DELTA)  # retires len(DELTA) oldest
         entry = service.dataset_registry.get("w")
-        assert set(entry.versions) == {entry.version}
+        assert entry.prefix_since == entry.version == 2
         second = service.submit(None, INC, dataset_id="w")
         assert second.wait(30.0)
         assert second.result.itemsets == oracle((BASE + DELTA)[len(DELTA):])
@@ -239,13 +248,13 @@ class TestChangeFeed:
         """Sorting and rendering every changed itemset is the slow part of
         an answer; while a watcher's thread does it, the writer must be
         able to take the dataset lock (diff and full-family answers)."""
-        import repro.serve.service as service_module
+        import repro.serve.datasets as datasets_module
 
         service.create_dataset("w", BASE)
         service.dataset_changes("w", since=1, min_support=0.5)  # watch
         service.append_dataset("w", DELTA)
         entry = service.dataset_registry.get("w")
-        real = getattr(service_module, renderer)
+        real = getattr(datasets_module, renderer)
         lock_was_free = []
 
         def rendering(*args):
@@ -260,7 +269,7 @@ class TestChangeFeed:
             t.join(5.0)
             return real(*args)
 
-        monkeypatch.setattr(service_module, renderer, rendering)
+        monkeypatch.setattr(datasets_module, renderer, rendering)
         payload = service.dataset_changes("w", since=since, min_support=0.5)
         assert payload["reset"] is (since == 0)
         assert lock_was_free and all(lock_was_free)
@@ -290,7 +299,7 @@ class TestChangeFeed:
         assert len(entry.miners) == 2
 
     def test_payloads_list_shorter_itemsets_first_then_item_order(self):
-        from repro.serve.service import _diff_payload, _family_payload
+        from repro.serve.datasets import _diff_payload, _family_payload
 
         family = {(10, 2): 1, (2,): 5, (2, 3): 4, (10,): 3, (2, 3, 10): 1}
         assert [items for items, _ in _family_payload(family)] == [
@@ -426,29 +435,106 @@ class TestLifecycleBugfixes:
         assert info["version"] == 2
         assert entry.fingerprint == dataset_fingerprint(BASE + DELTA)
 
+    @pytest.mark.parametrize("transport", ["local", "http"])
+    @pytest.mark.parametrize("trigger", ["submit", "flusher"])
+    def test_poisoned_append_is_refused(self, transport, trigger):
+        """Bugfix: a delta is validated where it is staged.  The poisoned
+        call answers 400 itself; the rows other callers staged stay
+        staged, and the next flush trigger — an unrelated submit, or the
+        flusher thread — folds them in instead of failing and dropping
+        them."""
+        good, poisoned = [["a", "b"]], [["a", "b"], 7]
+        policy = {"flush_age_s": 0.05} if trigger == "flusher" else {}
+        with MiningServer(port=0, n_workers=1) as server:
+            if transport == "http":
+                client = HttpClient(server.url, poll_interval_s=0.01)
+
+                def append_poisoned():  # the typed verb cannot even render it
+                    client._request(
+                        "POST", "/datasets/w/append", {"transactions": poisoned}
+                    )
+            else:
+                client = LocalClient(server.service)
+
+                def append_poisoned():
+                    client.append_dataset("w", poisoned)
+
+            client.create_dataset("w", BASE, flush_rows=100, **policy)
+            assert client.append_dataset("w", good)["buffered"] == 1
+            with pytest.raises(ApiError, match="fingerprinted") as err:
+                append_poisoned()
+            assert err.value.status == 400
+            if trigger == "submit":
+                info = client.dataset_info("w")
+                assert (info["version"], info["buffered"]) == (1, 1)
+                client.wait(server.service.submit(None, CFG, dataset_id="w").job_id, 30.0)
+            deadline = time.monotonic() + 5.0
+            while client.dataset_info("w")["version"] == 1 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            info = client.dataset_info("w")
+            assert (info["version"], info["buffered"]) == (2, 0)
+            assert info["n_transactions"] == len(BASE) + len(good)
+            assert info["fingerprint"] == dataset_fingerprint(BASE + good)
+
+    def test_a_flush_that_raises_keeps_the_staged_rows(self):
+        """Rows leave the buffer only once the advance that folds them in
+        has landed — whatever made it raise."""
+        entry = ManagedDataset("w", BASE, flush_rows=100)
+        entry.buffer_add(DELTA)
+        entry._buffer.append(7)  # past the staging check, by hand
+        with entry.lock, pytest.raises(ApiError, match="fingerprinted"):
+            entry.flush()
+        assert entry.pending_buffered == len(DELTA) + 1 and entry.version == 1
+        entry._buffer.pop()
+        with entry.lock:
+            assert entry.flush().n_appended == len(DELTA)
+        assert entry.pending_buffered == 0 and entry.version == 2
+
     def test_versions_stay_bounded_over_long_append_loop(self, service):
-        """Bugfix (c): the version->fingerprint map must not grow one
-        entry per append forever."""
-        service.create_dataset("w", BASE)
+        """Bugfix (c): nothing on the entry may grow one element per
+        version forever — in-flight jobs included.  What says which old
+        versions are still usable is one integer, not a map."""
+        service.create_dataset("w", BASE, max_window=len(BASE) + 30)
         entry = service.dataset_registry.get("w")
-        for i in range(50):
+        assert service.submit(None, INC, dataset_id="w").wait(30.0)
+        service.dataset_changes("w", since=1, min_support=0.5)  # a watch, its log
+
+        def sizes():
+            return {
+                name: len(value) for name, value in vars(entry).items()
+                if hasattr(value, "__len__") and name not in ("transactions", "arrivals")
+            }
+
+        for _ in range(entry.changelog_limit):  # fill what is bounded by design
             service.append_dataset("w", [("a", "c")])
-            assert len(entry.versions) == 1  # only the live version
-        assert entry.version == 51
+        (watch,) = entry.watches.values()
+        before, log_before = sizes(), len(watch.log)
+        jobs = []
+        for _ in range(50):
+            service.append_dataset("w", [("a", "c")])
+            jobs.append(service.submit(None, INC, dataset_id="w"))
+        assert all(job.wait(30.0) for job in jobs)
+        assert sizes() == before and len(watch.log) == log_before
+        assert entry.version == 51 + entry.changelog_limit
 
     def test_pinned_version_survives_until_job_finishes(self, service):
-        service.create_dataset("w", BASE)
+        """What a job pins is its own snapshot — the rows, and the entry
+        they came from — and only until it is terminal: the dataset moves
+        on underneath (here past a retire) and remembers nothing of it."""
+        service.create_dataset("w", BASE, max_window=len(BASE))
         entry = service.dataset_registry.get("w")
-        job = service.submit(None, CFG, dataset_id="w")
+        with entry.lock:  # the worker parks at the warm-miner path
+            job = service.submit(None, INC, dataset_id="w")
+            service.append_dataset("w", DELTA)
+            assert job._dataset_entry is entry and job._txns == BASE
         assert job.wait(30.0)
-        # the pin was released when the job finished: appends prune v1
-        service.append_dataset("w", DELTA)
-        assert set(entry.versions) == {2}
+        assert job.dataset_version == 1 and job.result.itemsets == oracle(BASE)
+        assert job._dataset_entry is None and job._txns is None
 
     def test_registry_counters_are_lock_protected(self):
         """Bugfix (d): concurrent appends must not lose counter
         increments to a data race."""
-        reg = DatasetRegistry()
+        reg = registry()
         n_threads, per_thread = 8, 200
 
         def hammer():

@@ -176,7 +176,6 @@ def _closed_loop_leg(
         queue_limit=SHARD_QUEUE_LIMIT,
         result_cache_entries=RESULT_CACHE_ENTRIES,
     )
-    client = LocalClient(router)
     try:
         def run_client(cid: int):
             nonlocal rejects
@@ -191,7 +190,9 @@ def _closed_loop_leg(
                         with lock:
                             rejects += 1
                         time.sleep(err.retry_after_s)
-                client.wait(job.job_id, 300)
+                # the Job in hand, not a lookup by id: each shard retains
+                # only RESULT_CACHE_ENTRIES finished jobs, fewer than clients
+                job.wait(300)
                 with lock:
                     latencies.append(time.perf_counter() - t0)
 

@@ -1,10 +1,11 @@
 """``repro.serve`` — the multi-tenant mining service.
 
 One :class:`MiningService` turns the one-shot mining API into a serving
-layer: a priority job queue over a bounded worker pool, a cross-job
-dataset cache, warm engine contexts, and result memoization — the same
-amortize-the-repeated-cost move the YAFIM paper makes for Apriori passes,
-applied across requests.  :class:`ShardRouter` spreads jobs over N >= 1
+layer: a tenant-fair priority queue (:class:`TenantQueue`) over a bounded
+worker pool (each worker a :class:`JobRunner` call), a bounded job
+table, a cross-job dataset cache, warm engine contexts, and result
+memoization — the same amortize-the-repeated-cost move the YAFIM paper
+makes for Apriori passes, applied across requests.  :class:`ShardRouter` spreads jobs over N >= 1
 of them; :class:`MiningServer` puts a router behind a stdlib JSON/HTTP
 front-end; :class:`LocalClient` / :class:`HttpClient` are the two
 transports.  The protocol they all speak is one table,
@@ -32,7 +33,9 @@ from repro.serve.jobs import (
     TERMINAL_STATES,
 )
 from repro.serve.planner import CostPlanner, DatasetStats, PlanDecision
+from repro.serve.queue import TenantQueue
 from repro.serve.router import ShardRouter
+from repro.serve.runner import JobRunner
 from repro.serve.service import LatencyHistogram, MiningService
 from repro.serve.shard import HashRing, Shard
 
@@ -49,6 +52,7 @@ __all__ = [
     "HttpClient",
     "Job",
     "JobRequest",
+    "JobRunner",
     "JobState",
     "LatencyHistogram",
     "LocalClient",
@@ -63,6 +67,7 @@ __all__ = [
     "Shard",
     "ShardRouter",
     "TERMINAL_STATES",
+    "TenantQueue",
     "config_from_dict",
     "dataset_fingerprint",
 ]

@@ -170,7 +170,7 @@ OPERATIONS: tuple[Operation, ...] = (
             ),
             Field("dataset_id", BODY, _text, wire="dataset"),
             Field("transactions", BODY, _rows, default=None, render=_row_lists),
-            # read by the router's planner, not by the service
+            # knobs the shard's planner must leave alone (inert without one)
             Field("pinned", BODY, _names, render=sorted),
             # read by ``_finish_submit``: never reaches the implementation
             Field("approx", BODY, _flag),

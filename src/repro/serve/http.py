@@ -15,7 +15,9 @@ the row's implementation on the server's
                                         control or load shedding rejects)
 ``GET /jobs/{job_id}``                  lifecycle snapshot; ``?timeout_s=<s>``
                                         long-polls (server cap 25 s) for the
-                                        job to turn terminal
+                                        job to turn terminal (410
+                                        ``job_expired`` once the shard no
+                                        longer retains the finished job)
 ``DELETE /jobs/{job_id}``               cancel (queued or running)
 ``GET /results/{job_id}``               mined itemsets once DONE (409
                                         ``not_done`` while in flight)
@@ -37,7 +39,7 @@ the row's implementation on the server's
 A ``{job_id}`` / ``{dataset_id}`` path segment is percent-decoded whole:
 an id is data, whatever characters it holds.  Every error response
 carries a machine-usable ``code`` next to the human ``error`` message
-(``bad_request``, ``unknown_job``, ``unknown_dataset``,
+(``bad_request``, ``unknown_job``, ``job_expired``, ``unknown_dataset``,
 ``dataset_exists``, ``version_conflict``, ``dataset_retired``,
 ``not_done``, ``rejected``, ``unknown_route``) —
 :class:`~repro.serve.client.HttpClient` re-raises them as

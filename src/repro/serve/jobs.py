@@ -10,14 +10,21 @@ through::
        │           ├──────▶ TIMED_OUT   (deadline fired mid-run)
        └───────────┴──────▶ CANCELLED   (client cancel, queued or running)
 
-State is only ever mutated under the owning service's lock; readers get
-point-in-time :meth:`Job.snapshot` dicts, which are also the HTTP
-status-endpoint payloads.
+A job's record has one owner: the :class:`Job` in the table of the
+shard that accepted it.  State is only ever mutated under that service's
+lock (``attempts`` by the runner of the one worker that holds the job);
+readers get point-in-time :meth:`Job.snapshot` dicts, which are also the
+HTTP status-endpoint payloads.  The id says where the record lives —
+``job-<shard>-<n>``, or ``job-<n>`` from an unnamed embedded service,
+``n`` counting that shard's accepted jobs — so a router needs no table
+to find it, and a shard can tell an id it has since let go (410
+``job_expired``) from one it never minted (404 ``unknown_job``) by
+comparing ``n`` with its own counter.
 """
 
 from __future__ import annotations
 
-import itertools
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -110,11 +117,22 @@ TERMINAL_STATES = frozenset(
     {JobState.DONE, JobState.FAILED, JobState.CANCELLED, JobState.TIMED_OUT}
 )
 
-_job_ids = itertools.count(1)
+_JOB_ID = re.compile(r"job-(?:(.+)-)?([1-9][0-9]*)")
 
 
-def _next_job_id() -> str:
-    return f"job-{next(_job_ids)}"
+def mint_job_id(shard: str | None, number: int) -> str:
+    """The id of the ``number``-th job ``shard`` accepted.  Router-made
+    shard names (``shard-<i>``) keep it to URL-unreserved characters."""
+    return f"job-{shard}-{number}" if shard else f"job-{number}"
+
+
+def parse_job_id(job_id: str) -> tuple[str | None, int]:
+    """``(shard, number)`` as :func:`mint_job_id` put them in;
+    ``(None, 0)`` — no shard's counter reaches 0 — for anything else."""
+    match = _JOB_ID.fullmatch(job_id)
+    if match is None:
+        return None, 0
+    return match.group(1), int(match.group(2))
 
 
 @dataclass
@@ -143,7 +161,7 @@ class Job:
 
     request: JobRequest
     dataset_fingerprint: str
-    job_id: str = field(default_factory=_next_job_id)
+    job_id: str  # minted by the accepting service (see mint_job_id)
     state: JobState = JobState.PENDING
     submitted_s: float = field(default_factory=time.monotonic)
     started_s: float | None = None
@@ -157,28 +175,22 @@ class Job:
     coalesced_with: str | None = None
     #: name of the MiningService shard that accepted the job (router mode)
     shard: str | None = None
-    #: knobs the cost-based planner chose for this job, e.g.
-    #: ``{"backend": "serial", "num_partitions": 2}`` (None = no planner)
-    planned: dict | None = None
+    #: the service's planner's :class:`~repro.serve.planner.PlanDecision`
+    #: for this submission (None = no planner, or a named-dataset job);
+    #: ``planned`` / ``fast_tier`` read it, the runner applies it, and the
+    #: service feeds it back to the planner with the measured runtime
+    decision: object | None = field(default=None, repr=False)
     #: named-dataset provenance: which managed dataset (and which version
     #: of it) the job's transaction snapshot came from; None for raw
     #: transaction submissions
     dataset_id: str | None = None
     dataset_version: int | None = None
-    #: True when the planner rerouted an exact submission onto the
-    #: approximate fast tier — surfaced top-level so a caller who never
-    #: asked for approximation sees the substitution in every snapshot,
-    #: not only in the result's provenance block
-    fast_tier: bool = False
     cancel_event: threading.Event = field(default_factory=threading.Event, repr=False)
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
     #: the submitted transactions, pinned until the job is terminal so
     #: DatasetCache eviction under memory pressure can never fail an
     #: accepted job (admission control bounds how many pins exist)
     _txns: object | None = field(default=None, repr=False)
-    #: True while the job sits in a tenant queue (service-internal; used to
-    #: keep the admission-control depth counter exact under lazy removal)
-    _queued: bool = field(default=False, repr=False)
     #: the ManagedDataset ``dataset_version`` was snapshotted from — the
     #: warm-miner path answers only while it is still the live entry
     #: under its name; dropped with ``_txns`` when the job is terminal
@@ -186,8 +198,24 @@ class Job:
 
     @property
     def result_key(self) -> tuple[str, str]:
-        """Memoization key: (dataset fingerprint, config content hash)."""
+        """Memoization key: (dataset fingerprint, config content hash) —
+        of the config as asked, whatever the planner chose to run it with."""
         return (self.dataset_fingerprint, self.request.config.cache_key())
+
+    @property
+    def planned(self) -> dict | None:
+        """Execution knobs the planner chose, e.g. ``{"backend": "serial",
+        "num_partitions": 1}`` — applied when the job runs, never part of
+        its key (None = unplanned)."""
+        return None if self.decision is None else self.decision.chosen
+
+    @property
+    def fast_tier(self) -> bool:
+        """True when the planner rerouted an exact submission onto the
+        approximate fast tier — surfaced top-level so a caller who never
+        asked for approximation sees the substitution in every snapshot,
+        not only in the result's provenance block."""
+        return self.decision is not None and self.decision.routed_fast
 
     @property
     def is_terminal(self) -> bool:

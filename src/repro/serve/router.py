@@ -23,9 +23,9 @@ in-process :class:`~repro.serve.service.MiningService` shards.
   low-priority jobs (``priority > shed_priority``) are rejected
   immediately, preserving the remaining slots for important traffic.
 * **Cost-based planning.**  An optional
-  :class:`~repro.serve.planner.CostPlanner` fills unpinned engine knobs
-  (backend / partitions / candidate store) per job and is calibrated by
-  every completed run's measured time.
+  :class:`~repro.serve.planner.CostPlanner` is handed to every shard;
+  the shard that accepts a job plans it and calibrates the one shared
+  model with the run's measured time.
 
 The router is what :class:`~repro.serve.http.MiningServer` always
 fronts (an unsharded server is ``n_shards=1``).  It implements placement
@@ -35,6 +35,13 @@ arguments untouched, to the shard the row's routing rule names — the
 signatures live on :class:`~repro.serve.service.MiningService` (job
 rows) and :class:`~repro.serve.datasets.DatasetRegistry` (dataset rows)
 only.
+
+The router keeps **no per-job state**: a job's record lives in the table
+of the shard that accepted it, and its id (``job-<shard>-<n>``) names
+that shard, so ``wait`` / ``result`` / ``cancel`` reach it from the id
+alone.  What the router holds is fixed at construction (shards, ring)
+plus four counters; ``ShardRouter._lock`` guards those and the shutdown
+flag and is never held across a call into a shard.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ import threading
 from repro.core.registry import MiningConfig
 from repro.serve.api import BY_DATASET, BY_JOB, OPERATIONS
 from repro.serve.cache import dataset_fingerprint
-from repro.serve.jobs import ApiError, Job, JobState, RejectedError, ServeError
-from repro.serve.planner import CostPlanner, PlanDecision
+from repro.serve.jobs import ApiError, Job, RejectedError, ServeError, parse_job_id
+from repro.serve.planner import CostPlanner
 from repro.serve.service import MiningService
 from repro.serve.shard import HashRing, Shard
 
@@ -65,8 +72,9 @@ class ShardRouter:
         disables rejection — the router then never spills either, since
         no shard ever reports itself full.
     planner:
-        A :class:`CostPlanner` (or ``None``).  When set, every submit
-        plans unpinned knobs and completed runs calibrate the model.
+        A :class:`CostPlanner` (or ``None``).  When set, every shard
+        plans with it: unpinned knobs are chosen per submit and completed
+        runs calibrate the model.
     replicas:
         Virtual nodes per shard on the hash ring.
     spill:
@@ -111,17 +119,16 @@ class ShardRouter:
                     n_workers=n_workers,
                     queue_limit=queue_limit,
                     name=f"shard-{i}",
-                    on_job_finished=self._on_job_finished,
                     **service_kwargs,
                 ),
             )
             for i in range(n_shards)
         ]
+        for shard in self.shards:
+            shard.service.planner = planner
         self._by_name = {s.name: s for s in self.shards}
         self.ring = HashRing([s.name for s in self.shards], replicas=replicas)
         self._lock = threading.Lock()
-        self._job_shard: dict[str, Shard] = {}
-        self._decisions: dict[str, PlanDecision] = {}
         self._shutdown = False
         self.jobs_routed = 0
         self.jobs_spilled = 0
@@ -163,15 +170,13 @@ class ShardRouter:
         config: MiningConfig,
         *,
         priority: int = 0,
-        pinned=(),
         dataset_id: str | None = None,
         **job_kwargs,
     ) -> Job:
-        """Route one job: plan, shed, try home shard, spill along the ring.
+        """Route one job: shed, try home shard, spill along the ring.
 
-        The router reads ``priority`` (shedding, planning) and consumes
-        ``pinned`` (knobs the planner must leave alone; nothing to do
-        without one); every other keyword is
+        The router reads ``priority`` (shedding) and ``dataset_id``
+        (placement); every other keyword is
         :meth:`MiningService.submit`'s and reaches the shard untouched.
 
         ``dataset_id`` submits against a registered named dataset: the
@@ -186,19 +191,14 @@ class ShardRouter:
         with self._lock:
             if self._shutdown:
                 raise ServeError("router is shut down")
-        decision = None
         if dataset_id is not None:
-            # the home shard or nobody: no plan, no shedding, no spill
+            # the home shard or nobody: no shedding, no spill
             txns = transactions
             preference = [self.dataset_home(dataset_id)]
             job_kwargs["dataset_id"] = dataset_id
         else:
             txns = transactions if isinstance(transactions, list) else list(transactions)
             fp = job_kwargs["fingerprint"] = dataset_fingerprint(txns)
-            if self.planner is not None:
-                config, decision = self.planner.plan(
-                    txns, config, pinned=pinned, fingerprint=fp, priority=priority
-                )
             if (
                 self.shed_priority is not None
                 and priority > self.shed_priority
@@ -226,16 +226,10 @@ class ShardRouter:
             except RejectedError as err:
                 rejections.append(err)
                 continue
-            if decision is not None:
-                job.planned = decision.chosen
-                job.fast_tier = decision.routed_fast
             with self._lock:
                 self.jobs_routed += 1
                 if rank > 0:
                     self.jobs_spilled += 1
-                self._job_shard[job.job_id] = shard
-                if decision is not None and job.via == "run":
-                    self._decisions[job.job_id] = decision
             return job
 
         with self._lock:
@@ -251,26 +245,11 @@ class ShardRouter:
             queue_limit=(self.queue_limit or 0) * len(self.shards),
         )
 
-    # -- planner feedback --------------------------------------------------
-    def _on_job_finished(self, job: Job) -> None:
-        """Shard callback (runs under that shard's service lock): feed the
-        measured runtime of planned, actually-run jobs to the planner."""
-        with self._lock:
-            decision = self._decisions.pop(job.job_id, None)
-        if (
-            decision is not None
-            and self.planner is not None
-            and job.state is JobState.DONE
-            and job.via == "run"
-            and job.started_s is not None
-            and job.finished_s is not None
-        ):
-            self.planner.observe(decision, job.finished_s - job.started_s)
-
     # -- queries -----------------------------------------------------------
     def _shard_for_job(self, job_id: str) -> Shard:
-        with self._lock:
-            shard = self._job_shard.get(job_id)
+        """The shard the id names; whether that shard still holds, ever
+        minted, or has let go of the job is its own answer."""
+        shard = self._by_name.get(parse_job_id(job_id)[0])
         if shard is None:
             raise ApiError(f"unknown job {job_id!r}", status=404, code="unknown_job")
         return shard
@@ -302,9 +281,8 @@ class ShardRouter:
                 },
                 "ring": {"nodes": self.ring.nodes, "replicas": self.ring.replicas},
             }
-        # shard/service metrics are collected outside the router lock:
-        # a shard's on_job_finished takes it while holding the service's
-        # (lock table in docs/serving.md, "Architecture")
+        # per-shard reads happen outside the router lock: it is never
+        # held across a call into a shard
         out["router"]["queue_depth"] = self.queue_depth()
         out["shards"] = [
             {**s.stats(), "service": s.service.metrics()} for s in self.shards

@@ -1,4 +1,4 @@
-"""The job tier of the mining service: priority queue + bounded worker pool.
+"""The job tier of the mining service: admission, the job table, workers.
 
 :class:`MiningService` accepts mining jobs (any algorithm registered in
 :mod:`repro.core.registry`), runs them on a fixed pool of worker threads,
@@ -11,18 +11,24 @@ and layers three amortizations over the one-shot API:
 * datasets and warm engine contexts persist across jobs in the
   :class:`~repro.serve.cache.DatasetCache` / ``ContextPool``.
 
-Each job gets a configurable timeout, client cancellation (queued or
-running), and bounded retry-with-backoff for transient engine faults
-(:class:`~repro.common.errors.EngineError` and subclasses — injected
-failures, task-retry exhaustion; programming errors fail immediately).
+Every piece of job state has one owner.  *Is it queued, who runs next*:
+:class:`~repro.serve.queue.TenantQueue`.  *How it executes* (timeout,
+cancellation, retry-with-backoff for transient engine faults):
+:class:`~repro.serve.runner.JobRunner`, which takes none of this
+module's locks — a worker is pop → run → finish.  *Where its record is,
+what was planned for it*: the :class:`Job` in this service's **job
+table** — live jobs plus the most recent ``result_cache_entries``
+terminal ones, so memory stays bounded; an id the shard minted but no
+longer holds answers 410 ``job_expired``.
 
 Jobs are all this module knows.  Named datasets are the dataset tier's
 (:mod:`repro.serve.datasets`): a job for one reaches it twice — a
 snapshot at submit, a warm answer at run — and the service's four
 dataset verbs are the registry's own methods, forwarded per the protocol
 table's routing column.  ``MiningService._lock`` guards the queue, the
-job table and every job's state; it is never held together with a
-dataset's lock, in either order.
+job table and every job's state; under it only leaf locks are taken (the
+caches', the histograms', the planner's), and it is never held together
+with a dataset's lock, in either order.
 
 Use it embedded::
 
@@ -36,16 +42,16 @@ or behind the HTTP front-end in :mod:`repro.serve.http`.
 
 from __future__ import annotations
 
-import heapq
+import bisect
+import dataclasses
 import itertools
 import threading
 import time
 from collections import deque
 
-from repro.common.errors import EngineError
-from repro.core.registry import MiningConfig, get_algorithm, run_algorithm
+from repro.core.registry import MiningConfig, get_algorithm
 from repro.serve.api import BY_DATASET, OPERATIONS
-from repro.serve.cache import ContextPool, DatasetCache, ResultCache
+from repro.serve.cache import ContextPool, DatasetCache, ResultCache, dataset_fingerprint
 from repro.serve.datasets import DatasetRegistry
 from repro.serve.jobs import (
     ApiError,
@@ -54,10 +60,12 @@ from repro.serve.jobs import (
     JobState,
     RejectedError,
     ServeError,
+    mint_job_id,
+    parse_job_id,
 )
+from repro.serve.queue import TenantQueue
+from repro.serve.runner import JobRunner
 
-#: exception types treated as transient (retried with backoff)
-TRANSIENT_ERRORS = (EngineError,)
 
 def _quantile(samples: list, q: float) -> float:
     """Nearest-rank ``q``-quantile (0..1) of non-empty sorted ``samples``."""
@@ -68,19 +76,25 @@ class LatencyHistogram:
     """Bounded-reservoir latency recorder with percentile summaries.
 
     Keeps the most recent ``max_samples`` observations (enough for stable
-    p50/p95/p99 at serving rates) plus lifetime count/total, so the
-    ``/metrics`` payload stays O(1) in served-job count.  Thread-safe.
+    p50/p95/p99 at serving rates) plus lifetime count/total.  The window
+    is kept sorted as samples come and go, so a summary is a few index
+    reads: the ``/metrics`` payload costs the same however many jobs were
+    served.  Thread-safe.
     """
 
     def __init__(self, max_samples: int = 2048):
         self._lock = threading.Lock()
-        self._samples: deque[float] = deque(maxlen=max_samples)
+        self._window: deque[float] = deque(maxlen=max_samples)  # arrival order
+        self._sorted: list[float] = []  # the same samples, ascending
         self.count = 0
         self.total_s = 0.0
 
     def record(self, seconds: float) -> None:
         with self._lock:
-            self._samples.append(seconds)
+            if len(self._window) == self._window.maxlen:  # the oldest falls out
+                del self._sorted[bisect.bisect_left(self._sorted, self._window[0])]
+            self._window.append(seconds)
+            bisect.insort(self._sorted, seconds)
             self.count += 1
             self.total_s += seconds
 
@@ -89,32 +103,25 @@ class LatencyHistogram:
         with self._lock:
             return self.total_s / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        """The ``q``-quantile (0..1) over the retained window (0.0 empty)."""
-        with self._lock:
-            samples = sorted(self._samples)
-        return _quantile(samples, q) if samples else 0.0
-
     def snapshot(self) -> dict:
         """JSON-safe summary: count, mean, p50/p95/p99, max."""
         with self._lock:
-            samples = sorted(self._samples)
-            count, total = self.count, self.total_s
-        if not samples:
-            return {"count": count, "mean_s": 0.0, "p50_s": 0.0,
-                    "p95_s": 0.0, "p99_s": 0.0, "max_s": 0.0}
-        return {
-            "count": count,
-            "mean_s": round(total / count, 6),
-            "p50_s": round(_quantile(samples, 0.50), 6),
-            "p95_s": round(_quantile(samples, 0.95), 6),
-            "p99_s": round(_quantile(samples, 0.99), 6),
-            "max_s": round(samples[-1], 6),
-        }
+            samples = self._sorted
+            if not samples:
+                return {"count": self.count, "mean_s": 0.0, "p50_s": 0.0,
+                        "p95_s": 0.0, "p99_s": 0.0, "max_s": 0.0}
+            return {
+                "count": self.count,
+                "mean_s": round(self.total_s / self.count, 6),
+                "p50_s": round(_quantile(samples, 0.50), 6),
+                "p95_s": round(_quantile(samples, 0.95), 6),
+                "p99_s": round(_quantile(samples, 0.99), 6),
+                "max_s": round(samples[-1], 6),
+            }
 
 
 class MiningService:
-    """Job queue + worker pool + caches; the serving layer's single object.
+    """Admission + job table + worker pool + caches: one shard's job tier.
 
     Parameters
     ----------
@@ -124,7 +131,9 @@ class MiningService:
     dataset_cache_bytes:
         Byte budget for parsed transaction lists shared across jobs.
     result_cache_entries / result_ttl_s:
-        LRU size and freshness window of the result memoizer.
+        LRU size and freshness window of the result memoizer; the job
+        table also retains ``result_cache_entries`` terminal jobs (live
+        ones always), oldest-finished out first.
     default_timeout_s:
         Timeout applied to jobs that do not specify their own; ``None``
         means no deadline.
@@ -143,13 +152,14 @@ class MiningService:
         of credit per scheduling round, so one tenant's backlog cannot
         starve the rest; priority still orders jobs *within* a tenant.
     name:
-        Optional shard name, stamped on every accepted job and reported
-        in metrics (the router names its shards ``shard-0..n-1``).
-    on_job_finished:
-        Optional callback invoked (under the service lock) with each job
-        as it reaches a terminal state — the router feeds observed
-        runtimes back to the planner through this.  Must not call back
-        into the service.
+        Optional shard name, stamped on every accepted job (and into its
+        id) and reported in metrics (the router names its shards
+        ``shard-0..n-1``).
+
+    ``planner`` is an attribute: assign a
+    :class:`~repro.serve.planner.CostPlanner` (the router hands every
+    shard its one instance) and the service plans each raw-transaction
+    submit and feeds the runtime of every planned run back to it.
     """
 
     def __init__(
@@ -163,7 +173,6 @@ class MiningService:
         queue_limit: int | None = None,
         tenant_weights: dict[str, float] | None = None,
         name: str | None = None,
-        on_job_finished=None,
     ):
         if n_workers < 1:
             raise ServeError(f"n_workers must be >= 1, got {n_workers}")
@@ -180,23 +189,21 @@ class MiningService:
         self.queue_limit = queue_limit
         self.tenant_weights = dict(tenant_weights or {})
         self.name = name
-        self.on_job_finished = on_job_finished
+        self.planner = None
         self._lock = threading.Lock()
         self._queue_cond = threading.Condition(self._lock)
-        # Per-tenant priority heaps of (priority, seq, job), served
-        # deficit-round-robin (see _pop_next_locked).
-        self._tenant_heaps: dict[str, list[tuple[int, int, Job]]] = {}
-        self._tenant_order: list[str] = []
-        self._deficits: dict[str, float] = {}
-        self._rr_cursor = 0
-        self._queued = 0  # PENDING jobs currently in a tenant heap
-        self._seq = itertools.count()
+        self._queue = TenantQueue(self.tenant_weights)
+        self._runner = JobRunner(self.datasets, self.contexts, self.dataset_registry)
+        #: the job table, in submission order: every live job, plus the
+        #: terminal ones whose ids are in ``_finished`` (oldest first)
         self._jobs: dict[str, Job] = {}
-        #: result_key -> primary in-flight Job (for coalescing)
-        self._inflight: dict[tuple, Job] = {}
-        #: result_key -> follower Jobs attached to the primary
-        self._followers: dict[tuple, list[Job]] = {}
+        self._finished: deque[str] = deque()
+        self._state_counts = {state.value: 0 for state in JobState}
+        #: result_key -> the jobs in flight for it: the primary (queued or
+        #: running), then the followers coalesced onto it
+        self._inflight: dict[tuple, list[Job]] = {}
         self._shutdown = False
+        #: jobs accepted so far — also the number in the newest job's id
         self.jobs_submitted = 0
         self.jobs_coalesced = 0
         self.jobs_rejected = 0
@@ -225,6 +232,7 @@ class MiningService:
         max_retries: int = 0,
         retry_backoff_s: float = 0.05,
         tenant: str = "default",
+        pinned=(),
         fingerprint: str | None = None,
         dataset_id: str | None = None,
     ) -> Job:
@@ -240,20 +248,20 @@ class MiningService:
         change what this job answers for, and a result cached for a
         pre-append version can never answer it.
 
+        With a ``planner`` set, a raw-transaction job is keyed as asked
+        and run as planned: the knobs the planner chose (none of those
+        named in ``pinned``) ride on the job as ``planned`` and never
+        enter its memoization key; only a fast-tier reroute changes the
+        question, and that flips ``approx`` in the job's own config.
+
         Raises :class:`RejectedError` when ``queue_limit`` is set and the
         queue is full — except for memoized hits and coalesced followers,
-        which consume no queue slot and are always admitted.
+        which consume no queue slot and are always admitted.  A refused
+        submit leaves the job table, tenant counters and caches as it
+        found them (its one result-cache probe is counted).
         """
         get_algorithm(config.algorithm)  # fail fast on unknown algorithms
-        request = JobRequest(
-            config=config,
-            priority=priority,
-            timeout_s=self.default_timeout_s if timeout_s is None else timeout_s,
-            max_retries=max_retries,
-            retry_backoff_s=retry_backoff_s,
-            tenant=tenant,
-        )
-        dataset_entry = dataset_version = None
+        dataset_entry = dataset_version = decision = None
         if dataset_id is not None:
             if transactions is not None:
                 raise ServeError("pass transactions or dataset_id, not both")
@@ -263,17 +271,22 @@ class MiningService:
         elif transactions is None:
             raise ServeError("submit requires transactions or a dataset_id")
         txns = transactions if isinstance(transactions, list) else list(transactions)
-        fingerprint = self.datasets.add(txns, fingerprint)
-        job = Job(
-            request=request,
-            dataset_fingerprint=fingerprint,
-            shard=self.name,
-            dataset_id=dataset_id,
-            dataset_version=dataset_version,
+        fingerprint = fingerprint or dataset_fingerprint(txns)
+        if self.planner is not None and dataset_id is None:
+            _, decision = self.planner.plan(
+                txns, config, pinned=pinned, fingerprint=fingerprint, priority=priority
+            )
+            if decision.routed_fast:
+                config = dataclasses.replace(config, approx=True)
+        request = JobRequest(
+            config=config,
+            priority=priority,
+            timeout_s=self.default_timeout_s if timeout_s is None else timeout_s,
+            max_retries=max_retries,
+            retry_backoff_s=retry_backoff_s,
+            tenant=tenant,
         )
-        job._txns = txns  # released in _finish_locked
-        job._dataset_entry = dataset_entry
-        key = job.result_key
+        key = (fingerprint, config.cache_key())
 
         # An approx request is answered by its exact twin's entry first —
         # the exact result is strictly better, and the approx entry must
@@ -284,107 +297,75 @@ class MiningService:
             lookup.insert(0, (fingerprint, config.exact_twin().cache_key()))
         memoized = self.results.get_first(lookup)
         with self._queue_cond:
+            # admit first: nothing below this block runs for a refused submit
             if self._shutdown:
                 raise ServeError("service is shut down")
-            if memoized is not None:
-                self._register_locked(job)
-                self._finish_locked(job, JobState.DONE, result=memoized, via="memoized")
-                return job
-            primary = self._inflight.get(key)
-            if primary is not None and not primary.is_terminal:
-                self._register_locked(job)
-                job.via = "coalesced"
-                job.coalesced_with = primary.job_id
-                self.jobs_coalesced += 1
-                self._followers.setdefault(key, []).append(job)
-                return job
-            if self.queue_limit is not None and self._queued >= self.queue_limit:
+            group = None if memoized is not None else self._inflight.get(key)
+            needs_slot = memoized is None and group is None
+            depth = len(self._queue)
+            if needs_slot and self.queue_limit is not None and depth >= self.queue_limit:
                 self.jobs_rejected += 1
+                # load-based hint: time for the backlog to drain one slot, from
+                # the observed mean run time (floored when cold)
+                mean_run = self.run_time_hist.mean_s or 0.1
                 raise RejectedError(
-                    f"queue full ({self._queued}/{self.queue_limit} jobs waiting)"
+                    f"queue full ({depth}/{self.queue_limit} jobs waiting)"
                     + (f" on {self.name}" if self.name else ""),
-                    retry_after_s=self._retry_after_locked(),
+                    retry_after_s=min(
+                        30.0, max(0.05, mean_run * (depth + 1) / len(self._workers))
+                    ),
                     shard=self.name,
-                    queue_depth=self._queued,
+                    queue_depth=depth,
                     queue_limit=self.queue_limit,
                 )
-            self._register_locked(job)
-            self._inflight[key] = job
-            self._enqueue_locked(job)
+            self.jobs_submitted += 1
+            job = Job(
+                request=request,
+                dataset_fingerprint=fingerprint,
+                job_id=mint_job_id(self.name, self.jobs_submitted),
+                shard=self.name,
+                decision=decision,
+                dataset_id=dataset_id,
+                dataset_version=dataset_version,
+                _txns=txns,  # released in _finish_locked
+                _dataset_entry=dataset_entry,
+            )
+            self._jobs[job.job_id] = job
+            self._state_counts[job.state.value] += 1
+            counts = self._tenant_counts.setdefault(tenant, {"submitted": 0})
+            counts["submitted"] += 1
+            self.datasets.add(txns, fingerprint)
+            if memoized is not None:
+                self._finish_locked(job, JobState.DONE, result=memoized, via="memoized")
+            elif group is not None:
+                job.via = "coalesced"
+                job.coalesced_with = group[0].job_id
+                self.jobs_coalesced += 1
+                group.append(job)
+            else:
+                self._inflight[key] = [job]
+                self._queue.push(job)
+                self._queue_cond.notify()
         return job
-
-    def _register_locked(self, job: Job) -> None:
-        self._jobs[job.job_id] = job
-        self.jobs_submitted += 1
-        counts = self._tenant_counts.setdefault(job.request.tenant, {"submitted": 0})
-        counts["submitted"] += 1
-
-    def _retry_after_locked(self) -> float:
-        """Load-based Retry-After estimate: time for the backlog to drain
-        one slot, from the observed mean run time (floored when cold)."""
-        mean_run = self.run_time_hist.mean_s or 0.1
-        estimate = mean_run * (self._queued + 1) / len(self._workers)
-        return min(30.0, max(0.05, estimate))
-
-    # -- tenant queues (deficit round-robin) -------------------------------
-    def _enqueue_locked(self, job: Job) -> None:
-        tenant = job.request.tenant
-        heap = self._tenant_heaps.get(tenant)
-        if heap is None:
-            heap = self._tenant_heaps[tenant] = []
-            self._tenant_order.append(tenant)
-            self._deficits.setdefault(tenant, 0.0)
-        heapq.heappush(heap, (job.request.priority, next(self._seq), job))
-        job._queued = True
-        self._queued += 1
-        self._queue_cond.notify()
-
-    def _dequeue_account_locked(self, job: Job) -> None:
-        """A queued job left the queue (popped, cancelled, or drained)."""
-        if job._queued:
-            job._queued = False
-            self._queued -= 1
-
-    def _pop_next_locked(self) -> Job | None:
-        """Next runnable job under deficit round-robin, or ``None``.
-
-        Each visit to a tenant grants it ``weight`` credit; one job costs
-        one credit.  A weight-2 tenant therefore drains two jobs per
-        round for every one of a weight-1 tenant, and an idle tenant's
-        credit resets (no banking while the queue is empty).  Within a
-        tenant the existing (priority, FIFO) heap order applies.
-        """
-        while self._queued:
-            order = self._tenant_order
-            tenant = order[self._rr_cursor % len(order)]
-            heap = self._tenant_heaps.get(tenant) or []
-            # drop entries finished while queued (lazy removal)
-            while heap and not heap[0][2]._queued:
-                heapq.heappop(heap)
-            if not heap:
-                self._deficits[tenant] = 0.0
-                self._rr_cursor += 1
-                continue
-            if self._deficits[tenant] < 1.0:
-                self._deficits[tenant] += self.tenant_weights.get(tenant, 1.0)
-                if self._deficits[tenant] < 1.0:
-                    self._rr_cursor += 1
-                continue
-            self._deficits[tenant] -= 1.0
-            _, _, job = heapq.heappop(heap)
-            self._dequeue_account_locked(job)
-            if self._deficits[tenant] < 1.0:
-                self._rr_cursor += 1
-            return job
-        return None
 
     # -- queries -----------------------------------------------------------
     def get(self, job_id: str) -> Job:
+        """The job's record.  Raises :class:`ApiError` 410 ``job_expired``
+        for an id this shard minted and has since let go (the table keeps
+        ``result_cache_entries`` terminal jobs), 404 ``unknown_job`` for
+        one it never minted."""
         with self._lock:
             job = self._jobs.get(job_id)
-        if job is None:
-            raise ApiError(f"unknown job {job_id!r}", status=404, code="unknown_job")
-        return job
+            minted = self.jobs_submitted
+        if job is not None:
+            return job
+        shard, number = parse_job_id(job_id)
+        if shard == (self.name or None) and 0 < number <= minted:
+            raise ApiError(
+                f"job {job_id!r} finished and is no longer retained",
+                status=410, code="job_expired",
+            )
+        raise ApiError(f"unknown job {job_id!r}", status=404, code="unknown_job")
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Block until ``job_id`` is terminal (or ``timeout`` elapses)."""
@@ -406,9 +387,7 @@ class MiningService:
                 return False
             if job.state is JobState.PENDING:
                 if job.coalesced_with is not None:
-                    followers = self._followers.get(job.result_key, [])
-                    if job in followers:
-                        followers.remove(job)
+                    self._inflight[job.result_key].remove(job)
                 self._finish_locked(job, JobState.CANCELLED, error="cancelled by client")
                 return True
             job.cancel_event.set()
@@ -416,28 +395,26 @@ class MiningService:
 
     def queue_depth(self) -> int:
         with self._lock:
-            return self._queued
+            return len(self._queue)
 
     def jobs_by_state(self) -> dict[str, int]:
-        counts = {state.value: 0 for state in JobState}
+        """Jobs accepted so far, by current state (retained or not)."""
         with self._lock:
-            for job in self._jobs.values():
-                counts[job.state.value] += 1
-        return counts
+            return dict(self._state_counts)
 
     def tenant_stats(self) -> dict:
         """Per-tenant submitted/terminal-state counts, pending depth, and
         SLO weight — the router's balance decisions, observable."""
         with self._lock:
-            out = {}
-            for tenant, counts in self._tenant_counts.items():
-                heap = self._tenant_heaps.get(tenant) or []
-                out[tenant] = {
+            pending = self._queue.pending()
+            return {
+                tenant: {
                     **counts,
-                    "pending": sum(1 for _, _, j in heap if j._queued),
+                    "pending": pending.get(tenant, 0),
                     "weight": self.tenant_weights.get(tenant, 1.0),
                 }
-        return out
+                for tenant, counts in self._tenant_counts.items()
+            }
 
     def healthz(self) -> dict:
         """The ``GET /healthz`` payload."""
@@ -445,11 +422,12 @@ class MiningService:
 
     def metrics(self) -> dict:
         """The ``GET /metrics`` payload: queue, states, caches, latency
-        histograms, per-tenant counts, recent jobs."""
+        histograms, per-tenant counts, recent jobs — at a cost that does
+        not depend on how many jobs the shard has served."""
         with self._lock:
-            jobs = list(self._jobs.values())
+            tail = list(itertools.islice(reversed(self._jobs.values()), 20))
         recent = []
-        for job in jobs[-20:]:
+        for job in reversed(tail):
             entry = job.snapshot()
             metrics = getattr(job.result, "engine_metrics", None)
             if metrics is not None:
@@ -486,13 +464,8 @@ class MiningService:
             if self._shutdown:
                 return
             self._shutdown = True
-            for heap in self._tenant_heaps.values():
-                for _, _, job in heap:
-                    if job.state is JobState.PENDING:
-                        self._finish_locked(
-                            job, JobState.CANCELLED, error="service shut down"
-                        )
-                heap.clear()
+            for job in self._queue.drain():
+                self._finish_locked(job, JobState.CANCELLED, error="service shut down")
             self._queue_cond.notify_all()
         if wait:
             for w in self._workers:
@@ -508,129 +481,28 @@ class MiningService:
 
     # -- worker internals --------------------------------------------------
     def _worker_loop(self) -> None:
+        """pop -> run -> finish; the run holds no service lock."""
         while True:
             with self._queue_cond:
                 job = None
                 while not self._shutdown:
-                    job = self._pop_next_locked()
+                    job = self._queue.pop()
                     if job is not None:
                         break
                     self._queue_cond.wait()
                 if self._shutdown:
                     return
-                job.state = JobState.RUNNING
+                self._set_state_locked(job, JobState.RUNNING)
                 job.started_s = time.monotonic()
                 self.queue_wait_hist.record(job.started_s - job.submitted_s)
-            self._run_job(job)
+            state, result, error = self._runner.run(job)
+            with self._queue_cond:
+                self._finish_locked(job, state, result=result, error=error)
 
-    def _run_job(self, job: Job) -> None:
-        deadline = (
-            job.started_s + job.request.timeout_s
-            if job.request.timeout_s is not None
-            else None
-        )
-        while True:
-            job.attempts += 1
-            outcome = self._attempt(job, deadline)
-            if outcome is not None:
-                state, result, error = outcome
-                with self._queue_cond:
-                    self._finish_locked(job, state, result=result, error=error)
-                return
-            # transient failure with retry budget left: back off, then go
-            # again (the backoff sleep itself honours cancel + deadline)
-            backoff = job.request.retry_backoff_s * (2 ** (job.attempts - 1))
-            if deadline is not None:
-                backoff = min(backoff, max(0.0, deadline - time.monotonic()))
-            if job.cancel_event.wait(backoff):
-                with self._queue_cond:
-                    self._finish_locked(
-                        job, JobState.CANCELLED, error="cancelled by client"
-                    )
-                return
-            if deadline is not None and time.monotonic() >= deadline:
-                with self._queue_cond:
-                    self._finish_locked(
-                        job,
-                        JobState.TIMED_OUT,
-                        error=f"timed out after {job.request.timeout_s:g}s",
-                    )
-                return
-
-    def _attempt(self, job: Job, deadline: float | None):
-        """Run one attempt; returns ``(state, result, error)`` or ``None``
-        when the attempt failed transiently and the retry budget allows
-        another go."""
-        box: dict[str, object] = {}
-
-        def target():
-            ctx = None
-            config = job.request.config
-            try:
-                txns = self.datasets.get(job.dataset_fingerprint)
-                if txns is None:
-                    # evicted while queued: run from the job's own pin and
-                    # re-warm the cache for followers and repeat traffic
-                    txns = job._txns
-                    if txns is None:
-                        raise ServeError(
-                            f"dataset {job.dataset_fingerprint[:12]} lost before run"
-                        )
-                    self.datasets.add(txns, job.dataset_fingerprint)
-                result = None
-                entry = job._dataset_entry
-                if config.incremental:
-                    # in-process tier: no engine context to check out, and
-                    # a named dataset's warm miner answers when it can
-                    if entry is not None:
-                        result = self.dataset_registry.warm_result(
-                            entry, job.dataset_version, len(txns), config
-                        )
-                elif config.approx or get_algorithm(config.algorithm).needs_engine:
-                    ctx = self.contexts.acquire(
-                        config.backend, config.parallelism, label=job.job_id
-                    )
-                if result is None:
-                    result = run_algorithm(txns, config, ctx=ctx)
-                box["result"] = result
-            except BaseException as exc:  # noqa: BLE001 - reported to client
-                box["error"] = exc
-            finally:
-                if ctx is not None:
-                    self.contexts.release(ctx)
-
-        thread = threading.Thread(target=target, name=f"{job.job_id}-run", daemon=True)
-        thread.start()
-        while thread.is_alive():
-            if deadline is not None and time.monotonic() >= deadline:
-                # abandon the attempt: the stray thread releases its context
-                # when it eventually finishes; its result is discarded
-                return (
-                    JobState.TIMED_OUT,
-                    None,
-                    f"timed out after {job.request.timeout_s:g}s",
-                )
-            if job.cancel_event.is_set():
-                return (JobState.CANCELLED, None, "cancelled by client")
-            thread.join(timeout=0.01)
-
-        error = box.get("error")
-        if error is None:
-            return (JobState.DONE, box["result"], None)
-        if isinstance(error, ApiError):
-            # dataset disappeared mid-run etc.: a client error, not a fault
-            return (JobState.FAILED, None, str(error))
-        if (
-            isinstance(error, TRANSIENT_ERRORS)
-            and job.attempts <= job.request.max_retries
-        ):
-            return None
-        kind = "transient" if isinstance(error, TRANSIENT_ERRORS) else "permanent"
-        return (
-            JobState.FAILED,
-            None,
-            f"{kind} failure after {job.attempts} attempt(s): {error!r}",
-        )
+    def _set_state_locked(self, job: Job, state: JobState) -> None:
+        self._state_counts[job.state.value] -= 1
+        job.state = state
+        self._state_counts[state.value] += 1
 
     def _finish_locked(
         self,
@@ -641,34 +513,42 @@ class MiningService:
         error: str | None = None,
         via: str | None = None,
     ) -> None:
-        """Transition ``job`` to a terminal state (caller holds the lock)
-        and settle its followers."""
+        """Transition ``job`` to a terminal state (caller holds the lock),
+        retire the oldest retained record past the cap, and settle its
+        followers."""
         if job.is_terminal:
             return
-        self._dequeue_account_locked(job)
+        self._queue.discard(job)
         job._txns = job._dataset_entry = None
-        job.state = state
+        self._set_state_locked(job, state)
         job.result = result
         job.error = error
         job.finished_s = time.monotonic()
         if job.started_s is not None:
             self.run_time_hist.record(job.finished_s - job.started_s)
-        counts = self._tenant_counts.setdefault(
-            job.request.tenant, {"submitted": 0}
-        )
+        counts = self._tenant_counts[job.request.tenant]
         counts[state.value] = counts.get(state.value, 0) + 1
         if via is not None:
             job.via = via
-        if self.on_job_finished is not None:
-            try:
-                self.on_job_finished(job)
-            except Exception:  # noqa: BLE001 - observers must not kill workers
-                pass
+        self._finished.append(job.job_id)
+        if len(self._finished) > self.results.max_entries:
+            del self._jobs[self._finished.popleft()]
+        if (
+            self.planner is not None
+            and job.decision is not None
+            and state is JobState.DONE
+            and job.via == "run"
+            and job.started_s is not None
+        ):
+            # calibration: a planned job that actually ran (the planner's
+            # lock is a leaf; it never calls back)
+            self.planner.observe(job.decision, job.finished_s - job.started_s)
         key = job.result_key
+        group = self._inflight.get(key)
         followers: list[Job] = []
-        if self._inflight.get(key) is job:
+        if group is not None and group[0] is job:  # the primary leaves: settle the rest
             del self._inflight[key]
-            followers = self._followers.pop(key, [])
+            followers = group[1:]
         if state is JobState.DONE and via is None:
             config = job.request.config
             if config.approx:
@@ -690,29 +570,20 @@ class MiningService:
                 self._finish_locked(
                     follower, JobState.CANCELLED, error="service shut down"
                 )
-        else:
-            # The primary did not produce a result — promote followers to
-            # independent runs rather than failing them for someone else's
-            # timeout/cancellation.
-            for follower in followers:
-                if follower.is_terminal:
-                    continue
-                follower.via = "run"
-                follower.coalesced_with = None
-                self._inflight[key] = follower
-                # Promotion bypasses admission control: the follower never
-                # held a queue slot, and it inherits the one its primary
-                # just freed.
-                self._enqueue_locked(follower)
-                break  # first follower becomes the new primary; rest re-attach
-            else:
-                return
-            new_primary = self._inflight[key]
-            for follower in followers:
-                if follower is new_primary or follower.is_terminal:
-                    continue
+        elif followers:
+            # The primary did not produce a result — promote the first
+            # follower to an independent run rather than failing it for
+            # someone else's timeout/cancellation; the rest re-attach.
+            # Promotion bypasses admission control: the follower never
+            # held a queue slot, and it inherits the one its primary freed.
+            new_primary = followers[0]
+            new_primary.via = "run"
+            new_primary.coalesced_with = None
+            self._inflight[key] = followers
+            self._queue.push(new_primary)
+            self._queue_cond.notify()
+            for follower in followers[1:]:
                 follower.coalesced_with = new_primary.job_id
-                self._followers.setdefault(key, []).append(follower)
 
 
 def _dataset_verb(op):

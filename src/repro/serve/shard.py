@@ -1,7 +1,7 @@
 """Consistent-hash ring and the shard unit the router spreads load over.
 
 A :class:`Shard` is one named :class:`~repro.serve.service.MiningService`
-plus the router-side counters for it (accepted / spilled-in / rejected).
+plus the router-side counters for it (accepted as home / spilled in).
 :class:`HashRing` maps dataset fingerprints to shards with virtual nodes,
 so cache affinity survives shard add/remove: each physical shard owns
 ``replicas`` points on a 2^64 ring, a key belongs to the first point at
@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 
-from repro.serve.jobs import Job, RejectedError, ServeError
+from repro.serve.jobs import Job, ServeError
 from repro.serve.service import MiningService
 
 
@@ -99,15 +99,10 @@ class Shard:
         self.service = service
         self.jobs_home = 0  # accepted as the fingerprint's home shard
         self.jobs_spilled_in = 0  # accepted for a saturated neighbour
-        self.jobs_rejected = 0  # admission refusals at this shard
 
     def submit(self, transactions, config, *, home: bool, **submit_kwargs) -> Job:
         """Submit to this shard's service; tracks home/spill acceptance."""
-        try:
-            job = self.service.submit(transactions, config, **submit_kwargs)
-        except RejectedError:
-            self.jobs_rejected += 1
-            raise
+        job = self.service.submit(transactions, config, **submit_kwargs)
         if home:
             self.jobs_home += 1
         else:
@@ -122,7 +117,7 @@ class Shard:
             "name": self.name,
             "jobs_home": self.jobs_home,
             "jobs_spilled_in": self.jobs_spilled_in,
-            "jobs_rejected": self.jobs_rejected,
+            "jobs_rejected": self.service.jobs_rejected,  # its own admission refusals
             "queue_depth": self.queue_depth(),
             "queue_limit": self.service.queue_limit,
         }

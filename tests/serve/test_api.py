@@ -83,9 +83,9 @@ def parameters(func) -> set:
 #: keywords the router adds when it calls a shard — not part of the protocol
 SHARD_PRIVATE = {"submit": {"fingerprint"}}
 
-#: submit fields read in front of the service: by the router's planner,
-#: by the codec (folded into ``config``)
-UPSTREAM = {"submit": {"pinned": "router", "approx": "codec"}}
+#: submit fields read in front of the service: by the codec (folded into
+#: ``config``)
+UPSTREAM = {"submit": {"approx": "codec"}}
 
 #: the ``HttpClient`` method for a row, where it is not the row's name
 VERBS = {"wait": "status", "result": "result_detail"}
@@ -117,12 +117,10 @@ class TestSurfacesMatchTheTable:
 
 
 def test_router_consumes_only_its_own_layer():
-    """What the router's submit names is what the table says it reads;
+    """The router's submit names only what placement and shedding read;
     the rest is ``**job_kwargs`` and reaches the shard untouched."""
     named = parameters(ShardRouter.submit) - {"job_kwargs"}
-    router_layer = {k for k, who in UPSTREAM["submit"].items() if who == "router"}
-    assert router_layer <= named
-    assert named <= {"transactions", "config", "priority", "dataset_id"} | router_layer
+    assert named == {"transactions", "config", "priority", "dataset_id"}
     assert named <= set(BY_NAME["submit"].by_name)
     assert inspect.signature(ShardRouter.submit).parameters["job_kwargs"].kind is (
         inspect.Parameter.VAR_KEYWORD
@@ -435,6 +433,13 @@ LADDER = [
     ("GET", "/datasets/never/changes?since=1&min_support=0.4", None, 404, "unknown_dataset"),
     ("POST", "/jobs", as_json({"dataset": "never", "config": {"min_support": 0.4}}),
      404, "unknown_dataset"),
+    # a job id names its shard ("job-999999" above has none in it): an
+    # unknown shard, a number its shard has not minted yet (rows are
+    # appended here: the test ids above carry their index)
+    ("GET", "/jobs/job-shard-7-1", None, 404, "unknown_job"),
+    ("GET", "/results/job-shard-0-999999", None, 404, "unknown_job"),
+    ("DELETE", "/jobs/job-shard-0-999999", None, 404, "unknown_job"),
+    ("GET", "/jobs/job-shard-0-0", None, 404, "unknown_job"),
 ]
 
 
@@ -481,6 +486,55 @@ class TestErrorLadder:
             with pytest.raises(ApiError) as err:
                 call()
             assert (err.value.status, err.value.code) == (404, code)
+
+
+# -- a job the shard has let go is 410, on both transports --------------------
+class TestExpiredJobs:
+    @pytest.fixture(scope="class")
+    def small(self):
+        """Two shards that each retain ONE finished job."""
+        with MiningServer(port=0, shards=2, n_workers=1, result_cache_entries=1) as srv:
+            yield srv
+
+    @pytest.fixture(params=["local", "http"])
+    def expired(self, request, small):
+        """``(client, id the shard minted and let go, a retained id)``."""
+        if request.param == "local":
+            client = LocalClient(small.service)
+        else:
+            client = HttpClient(small.url, poll_interval_s=0.01)
+        ids = []
+        for seed in (1, 2):  # same rows: same home shard
+            job = small.service.submit(TXNS, MiningConfig(min_support=0.1 * seed,
+                                                          backend="serial"))
+            assert small.service.wait(job.job_id, 30.0).state is JobState.DONE
+            ids.append(job.job_id)
+        return client, ids[0], ids[1]
+
+    def test_wait_result_and_cancel_answer_410(self, expired):
+        client, gone, kept = expired
+        for call in (client.status, client.result, client.cancel,
+                     lambda job_id: client.wait(job_id, 1.0)):
+            with pytest.raises(ApiError) as err:
+                call(gone)
+            assert (err.value.status, err.value.code) == (410, "job_expired")
+        assert client.result(kept)  # the shard's newest finished job is retained
+
+    def test_never_minted_ids_stay_404(self, expired):
+        client, gone, _ = expired
+        shard = gone.rpartition("-")[0]  # "job-shard-<i>"
+        for never in (f"{shard}-999999", "job-shard-9-1", "job-5", "job-x"):
+            for call in (client.status, client.result, client.cancel):
+                with pytest.raises(ApiError) as err:
+                    call(never)
+                assert (err.value.status, err.value.code) == (404, "unknown_job"), never
+
+    def test_the_410_body_carries_the_code(self, small, expired):
+        _, gone, _ = expired
+        for method, path in (("GET", f"/jobs/{gone}"), ("GET", f"/jobs/{gone}?timeout_s=0.1"),
+                             ("GET", f"/results/{gone}"), ("DELETE", f"/jobs/{gone}")):
+            status, payload = raw_request(small, method, path)
+            assert (status, payload["code"]) == (410, "job_expired") and payload["error"]
 
 
 # -- one server shape --------------------------------------------------------

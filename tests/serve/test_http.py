@@ -56,6 +56,8 @@ class TestEndpoints:
         assert final["state"] == "done"
         itemsets = client.result(final["job_id"])
         assert itemsets == mine_frequent_itemsets(TXNS, config=CFG).itemsets
+        (shard,) = client.metrics()["shards"]
+        assert shard["service"]["jobs_by_state"]["done"] >= 1
 
     def test_result_conflict_while_pending(self, client, server):
         # a job that never runs (blocked behind nothing) finishes fast, so
@@ -313,12 +315,20 @@ class TestShardedServer:
             seed += 1
             txns = [[seed, seed + 1], [seed, seed + 2], [seed + 3000]]
             wanted.setdefault(router.home_shard(txns), txns)
+        before = sharded_client.metrics()
         shards_seen = set()
         for txns in wanted.values():
             snap = sharded_client.submit(txns, CFG)
             final = sharded_client.wait(snap["job_id"], timeout=30.0)
             shards_seen.add(final["shard"])
         assert shards_seen == {"shard-0", "shard-1"}
+        after = sharded_client.metrics()
+        assert after["router"]["jobs_routed"] - before["router"]["jobs_routed"] == 2
+        homes = [
+            now["jobs_home"] - was["jobs_home"]
+            for was, now in zip(before["shards"], after["shards"])
+        ]
+        assert homes == [1, 1]  # one job per shard, each at its home
 
     def test_metrics_exposes_router_and_per_shard_blocks(self, sharded_client):
         m = sharded_client.metrics()
@@ -377,6 +387,7 @@ class TestAdmissionOverHttp:
                 err = exc.value
                 assert err.retry_after_s > 0
                 assert err.queue_depth == 1 and err.queue_limit == 1
+                assert client.metrics()["router"]["queue_depth"] <= 1  # bounded by the limit
                 # mine() backs off on 429 and resubmits once space frees up
                 done = threading.Event()
                 mined = {}

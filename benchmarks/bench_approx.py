@@ -41,7 +41,7 @@ from repro.core.registry import MiningConfig
 from repro.core.yafim import Yafim
 from repro.datasets import chess_like, mushroom_like
 from repro.engine.context import Context
-from repro.serve import LocalClient, MiningService
+from repro.serve import MiningService
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_approx.json")
@@ -62,7 +62,7 @@ SEED = 7
 SAMPLE_FRACS = (0.05, 0.1, 0.2)
 
 #: serving closed loop: distinct supports -> distinct jobs (no memoization
-#: inside a leg), submitted one at a time through the in-process client.
+#: inside a leg), submitted one at a time to an embedded service.
 #: The band sits entirely inside the interactive-pain region around the
 #: paper's mushroom operating point — the jobs the planner routes to the
 #: fast tier; high-support jobs are cheap either way and would not be
@@ -170,7 +170,7 @@ def _served_config(support: float, approx: bool, sample_frac: float) -> MiningCo
 
 
 def _served_leg(transactions, supports, approx: bool, sample_frac: float) -> dict:
-    """Closed-loop latency through the in-process client: one job at a
+    """Closed-loop latency on an embedded service: one job at a
     time, a distinct support per job (so nothing memoizes inside the
     leg), a fresh service per leg (so the tiers share no cache).  One
     untimed warmup job (at a support outside the band) spawns the
@@ -180,14 +180,13 @@ def _served_leg(transactions, supports, approx: bool, sample_frac: float) -> dic
     latencies = []
     verified = 0
     with MiningService(n_workers=N_WORKERS) as svc:
-        client = LocalClient(svc)
-        warm = client.submit(transactions, _served_config(0.6, approx, sample_frac))
+        warm = svc.submit(transactions, _served_config(0.6, approx, sample_frac))
         warm.wait(600)
         assert warm.state.value == "done", warm.error
         for support in supports:
             config = _served_config(support, approx, sample_frac)
             t0 = time.perf_counter()
-            job = client.submit(transactions, config)
+            job = svc.submit(transactions, config)
             job.wait(600)
             latencies.append(time.perf_counter() - t0)
             assert job.state.value == "done", (support, job.error)

@@ -80,14 +80,22 @@ def _served_concurrent(txns) -> tuple[float, dict]:
             t.join()
         elapsed = time.perf_counter() - t0
 
-        # identical resubmission: result-cache hit
+        # identical resubmission: result-cache hit.  Timed on the service,
+        # where the memo's cost lives, then through the client, whose
+        # fetch also renders and re-parses every itemset of the answer
         cfg = _configs()[0]
         t0 = time.perf_counter()
-        cold_equal = client.mine(txns, cfg, timeout=300)
+        job = svc.submit(txns, cfg)
+        job.wait(300)
         memo_s = time.perf_counter() - t0
-        assert cold_equal.itemsets == results[cfg.min_support].itemsets
+        assert job.via == "memoized" and job.result.itemsets == results[cfg.min_support]
+        t0 = time.perf_counter()
+        assert client.mine(txns, cfg, timeout=300) == results[cfg.min_support]
+        memo_client_s = time.perf_counter() - t0
         stats = svc.metrics()
-    return elapsed, {"memo_s": memo_s, "results": results, "metrics": stats}
+    return elapsed, {
+        "memo_s": memo_s, "memo_client_s": memo_client_s, "results": results, "metrics": stats,
+    }
 
 
 def test_serve_throughput(benchmark):
@@ -112,6 +120,8 @@ def test_serve_throughput(benchmark):
          f"{(served_s / base_s - 1) * 100:+.0f}% wall vs one-shot"),
         ("memoized resubmit", 1, memo_s, "",
          f"{cold_per_job / max(memo_s, 1e-9):.0f}x vs cold job"),
+        ("memoized, via client", 1, extra["memo_client_s"], "",
+         f"{cold_per_job / max(extra['memo_client_s'], 1e-9):.0f}x vs cold job"),
     ]
     table = format_table(
         ["mode", "jobs", "wall (s)", "jobs/s", "speedup"],

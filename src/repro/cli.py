@@ -100,6 +100,27 @@ def _dataflow_options(args) -> dict:
     return {"paper_dataflow": True}
 
 
+def _config_from_args(args):
+    """The :class:`MiningConfig` the mining knobs of ``mine`` / ``submit`` spell."""
+    from repro.core.registry import MiningConfig
+
+    return MiningConfig(
+        min_support=args.support,
+        algorithm=args.algorithm,
+        max_length=args.max_length,
+        backend=args.backend,
+        parallelism=args.parallelism,
+        num_partitions=args.num_partitions,
+        candidate_store=args.candidate_store,
+        approx=args.approx,
+        approx_samples=args.approx_samples,
+        approx_ratio=args.approx_ratio,
+        sample_frac=args.sample_frac,
+        incremental=args.incremental,
+        options=_dataflow_options(args),
+    )
+
+
 def _print_top_itemsets(itemsets: dict, top: int) -> None:
     shown = sorted(itemsets.items(), key=lambda kv: (-kv[1], kv[0]))
     for itemset, count in shown[:top]:
@@ -170,29 +191,12 @@ def _mine_with_appends(args, txns) -> int:
 
 
 def cmd_mine(args) -> int:
-    from repro.core.api import MiningConfig, mine_frequent_itemsets
+    from repro.core.api import mine_frequent_itemsets
 
     name, txns = _load_transactions(args)
     if args.append_file:
         return _mine_with_appends(args, txns)
-    result = mine_frequent_itemsets(
-        txns,
-        config=MiningConfig(
-            min_support=args.support,
-            algorithm=args.algorithm,
-            max_length=args.max_length,
-            backend=args.backend,
-            parallelism=args.parallelism,
-            num_partitions=args.num_partitions,
-            candidate_store=args.candidate_store,
-            approx=args.approx,
-            approx_samples=args.approx_samples,
-            approx_ratio=args.approx_ratio,
-            sample_frac=args.sample_frac,
-            incremental=args.incremental,
-            options=_dataflow_options(args),
-        ),
-    )
+    result = mine_frequent_itemsets(txns, config=_config_from_args(args))
     print(result.summary())
     _print_top_itemsets(result.itemsets, args.top)
     if args.rules is not None:
@@ -274,7 +278,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    from repro.core.registry import MiningConfig
     from repro.serve.client import HttpClient
     from repro.serve.http import itemsets_from_payload
     from repro.serve.jobs import ApiError
@@ -282,21 +285,7 @@ def cmd_submit(args) -> int:
     if args.append and not args.dataset_id:
         raise ReproError("--append requires --dataset-id")
     client = HttpClient(args.url)
-    config = MiningConfig(
-        min_support=args.support,
-        algorithm=args.algorithm,
-        max_length=args.max_length,
-        backend=args.backend,
-        parallelism=args.parallelism,
-        num_partitions=args.num_partitions,
-        candidate_store=args.candidate_store,
-        approx=args.approx,
-        approx_samples=args.approx_samples,
-        approx_ratio=args.approx_ratio,
-        sample_frac=args.sample_frac,
-        incremental=args.incremental,
-        options=_dataflow_options(args),
-    )
+    config = _config_from_args(args)
     submit_kwargs = dict(
         priority=args.priority,
         timeout_s=args.timeout,
@@ -355,7 +344,6 @@ def cmd_submit(args) -> int:
               file=sys.stderr)
         return 2
     payload = client.result_detail(job_id)
-    itemsets = itemsets_from_payload(payload)
     print(
         f"{payload['algorithm']}: {payload['num_itemsets']} frequent itemsets "
         f"(minsup={payload['min_support']:g}, |D|={payload['n_transactions']}, "
@@ -372,11 +360,7 @@ def cmd_submit(args) -> int:
             f"at r={approx['ratio']:g}, {approx['candidates_verified']} "
             f"candidates verified -> {tag}"
         )
-    shown = sorted(itemsets.items(), key=lambda kv: (-kv[1], kv[0]))
-    for itemset, count in shown[: args.top]:
-        print(f"  {' '.join(map(str, itemset)):40s} {count}")
-    if len(shown) > args.top:
-        print(f"  ... and {len(shown) - args.top} more")
+    _print_top_itemsets(itemsets_from_payload(payload), args.top)
     return 0
 
 

@@ -7,9 +7,10 @@ table, a cross-job dataset cache, warm engine contexts, and result
 memoization — the same amortize-the-repeated-cost move the YAFIM paper
 makes for Apriori passes, applied across requests.  :class:`ShardRouter` spreads jobs over N >= 1
 of them; :class:`MiningServer` puts a router behind a stdlib JSON/HTTP
-front-end; :class:`LocalClient` / :class:`HttpClient` are the two
-transports.  The protocol they all speak is one table,
-:data:`repro.serve.api.OPERATIONS`.  See ``docs/serving.md``.
+front-end; :class:`LocalClient` / :class:`HttpClient` are one client on
+two transports (in-process dispatch, a socket).  The protocol they all
+speak is one table, :data:`repro.serve.api.OPERATIONS`.  See
+``docs/serving.md``.
 """
 
 from repro.serve.cache import (
@@ -37,7 +38,7 @@ from repro.serve.queue import TenantQueue
 from repro.serve.router import ShardRouter
 from repro.serve.runner import JobRunner
 from repro.serve.service import LatencyHistogram, MiningService
-from repro.serve.shard import HashRing, Shard
+from repro.serve.shard import HashRing
 
 __all__ = [
     "ApiError",
@@ -64,7 +65,6 @@ __all__ = [
     "RejectedError",
     "ResultCache",
     "ServeError",
-    "Shard",
     "ShardRouter",
     "TERMINAL_STATES",
     "TenantQueue",

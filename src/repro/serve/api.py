@@ -5,9 +5,10 @@ the HTTP method and path template (its ``{placeholders}`` are the path
 arguments), each other argument's place on the wire (JSON body key or
 query key) with its coercion and required/default, the success status,
 and how a :class:`~repro.serve.router.ShardRouter` finds the shard that
-owns it.  The HTTP handler, :class:`~repro.serve.client.HttpClient`, the
-router's forwarders, :class:`~repro.serve.client.LocalClient` and the
-dataset verbs of an embedded :class:`~repro.serve.service.MiningService`
+owns it.  The HTTP handler and the in-process dispatch it shares
+(:func:`repro.serve.http.dispatch`), the verbs of the one client behind
+both transports (:mod:`repro.serve.client`), the router's forwarders and
+the dataset verbs of an embedded :class:`~repro.serve.service.MiningService`
 are all derived from the rows; adding an argument to an operation is an
 edit to its row and to the method that implements it — on
 ``MiningService`` for the job rows, on
@@ -244,21 +245,24 @@ def encode_request(name: str, **kwargs) -> tuple[str, str, dict | None]:
     return op.method, path, sent[BODY] if op.wire_names[BODY] else None
 
 
-def _json_object(body: bytes) -> dict:
-    if not body:
+def _json_object(body) -> dict:
+    if body is None or body == b"":
         raise ServeError("request body required")
-    try:
-        payload = json.loads(body)
-    except json.JSONDecodeError as err:
-        raise ServeError(f"invalid JSON body: {err}") from err
-    if not isinstance(payload, dict):
+    if isinstance(body, bytes):
+        try:
+            body = json.loads(body)
+        except json.JSONDecodeError as err:
+            raise ServeError(f"invalid JSON body: {err}") from err
+    if not isinstance(body, dict):
         raise ServeError("request body must be a JSON object")
-    return payload
+    return body
 
 
-def decode_request(method: str, raw_path: str, body: bytes = b"") -> tuple[Operation, dict]:
+def decode_request(method: str, raw_path: str, body=b"") -> tuple[Operation, dict]:
     """The operation a request names and the keywords to call its
-    implementation with.
+    implementation with.  ``body`` is the request's bytes, or — from an
+    in-process caller — the payload itself, which goes through the same
+    checks minus the JSON parse.
 
     Raises :class:`ApiError` 404 ``unknown_route`` when nothing matches,
     and :class:`ServeError` (a 400) for a missing or malformed body, an

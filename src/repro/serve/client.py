@@ -1,26 +1,40 @@
-"""Clients for the mining service: in-process and over HTTP.
+"""The client of the mining service: one contract, two transports.
 
-:class:`LocalClient` talks to a :class:`~repro.serve.service.MiningService`
-directly (zero serialization — the embedded deployment); :class:`HttpClient`
-speaks the JSON protocol of :mod:`repro.serve.http` with nothing beyond
-``http.client``.  Both expose the operations of
-:data:`repro.serve.api.OPERATIONS` (``submit`` / ``status`` / ``result``
-/ ``wait`` / ``cancel`` and the dataset verbs) plus a blocking ``mine``
-convenience that round-trips one request, so tests and benchmarks can
-swap transports.
+:class:`Client` is the serve protocol as Python methods.  Its 1:1 verbs
+are generated from :data:`repro.serve.api.OPERATIONS` (one per row:
+path arguments, then the row's wire names), and its sugar — ``status``,
+``cancel`` → bool, ``wait``, ``result`` → ``{tuple: count}``, a blocking
+``mine`` that backs off on a 429 — and the refusal → exception mapping
+are written once over ``_request(method, path, payload) -> dict``.  What
+a subclass adds is only how one request reaches a server:
+
+* :class:`HttpClient` sends it down a kept-alive socket to a running
+  :class:`~repro.serve.http.MiningServer`;
+* :class:`LocalClient` hands it to :func:`repro.serve.http.dispatch` on a
+  router (or bare service) in this process — the handler's own decode →
+  call → render → error ladder, minus the socket and the JSON text.
+
+So both return the same dicts and raise the same :class:`ApiError` /
+:class:`RejectedError` for the same call, and a test or benchmark swaps
+one for the other.  The client *is* the wire contract: an embedded
+caller that wants live :class:`~repro.serve.jobs.Job` objects or the
+full ``MiningRunResult`` already holds the service or router —
+``svc.submit(...) -> Job``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import http.client
+import inspect
 import json
 import threading
 import time
 from urllib.parse import urlsplit
 
 from repro.core.registry import MiningConfig
-from repro.serve.api import OPERATIONS, encode_request
+from repro.serve.api import BY_DATASET, OPERATIONS, Operation, encode_request
+from repro.serve.http import MAX_BODY_BYTES, dispatch, itemsets_from_payload
 from repro.serve.jobs import (
     MAX_POLL_S,
     ApiError,
@@ -29,13 +43,9 @@ from repro.serve.jobs import (
     ServeError,
     TERMINAL_STATES,
 )
-from repro.serve.service import MiningService
 
 #: job states (as strings) in which polling should stop
 TERMINAL_STATE_VALUES = frozenset(s.value for s in TERMINAL_STATES)
-
-#: what ``LocalClient`` passes straight to its backend
-_BACKEND_CALLS = frozenset(op.call for op in OPERATIONS)
 
 #: connection-level failures worth retrying: the server is starting,
 #: restarting, or briefly shedding its listen backlog
@@ -46,47 +56,223 @@ _TRANSIENT_CONNECT_ERRORS = (
     ConnectionAbortedError,
 )
 
+#: the payload arguments: positional, in this order, on every verb
+#: whose row takes them
+_POSITIONAL = ("transactions", "config")
 
-class LocalClient:
-    """In-process client: thin sugar over a service (or router) you
-    already hold.  Only the verbs whose behaviour differs from the
-    backend's are spelled out; every other operation of the protocol
-    table is the backend's own method, arguments untouched."""
+#: a row's verb is named after the row, except the four whose answer the
+#: sugar dresses up (generated private, wrapped below) or renames
+_VERB_NAMES = {
+    "submit": "_submit", "wait": "_wait", "cancel": "_cancel", "result": "result_detail",
+}
 
-    def __init__(self, service: MiningService):
-        self.service = service
 
-    def __getattr__(self, name: str):
-        if name in _BACKEND_CALLS:
-            return getattr(self.service, name)
-        raise AttributeError(f"{type(self).__name__} has no attribute {name!r}")
+def _verb(op: Operation, name: str):
+    """The client method for one row of the protocol table: its path
+    arguments, then the payload arguments, then every other field
+    keyword-only under its *wire* name.  An argument not passed is not
+    sent, so the server's own default applies."""
+    keywords = {f.wire: f.name for f in op.fields}
+    leading = [*op.path_names, *(w for w in _POSITIONAL if w in keywords)]
+    param = inspect.Parameter
+    signature = inspect.Signature(
+        [param(n, param.POSITIONAL_OR_KEYWORD) for n in ("self", *leading)]
+        + [
+            param(f.wire, param.KEYWORD_ONLY, default=param.empty if f.required else None)
+            for f in op.fields
+            if f.wire not in leading
+        ]
+    )
+
+    def verb(self, *args, **kwargs) -> dict:
+        given = signature.bind(self, *args, **kwargs).arguments  # TypeError, as a def would
+        del given["self"]
+        return self._request(
+            *encode_request(op.name, **{keywords.get(w, w): v for w, v in given.items()})
+        )
+
+    owner = "DatasetRegistry" if op.route == BY_DATASET else "MiningService"
+    verb.__name__ = name
+    verb.__qualname__ = f"Client.{name}"
+    verb.__signature__ = signature
+    verb.__doc__ = (
+        f"``{op.method} {op.path}``: the answer's JSON payload.  Arguments "
+        f"as on ``{owner}.{op.call}``; one left out is left to the server."
+    )
+    return verb
+
+
+class Client:
+    """The serve protocol over ``_exchange`` (see the module docstring)."""
+
+    #: the floor between two status reads of :meth:`wait`
+    poll_interval_s = 0.05
+
+    # -- transport ---------------------------------------------------------
+    def _exchange(self, method: str, path: str, payload: dict | None):
+        """Carry one request to the server: ``(status, JSON payload,
+        response headers)`` — the one method a transport implements."""
+        raise NotImplementedError
+
+    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
+        """One request: the answer's payload, or the refusal raised."""
+        status, answer, headers = self._exchange(method, path, payload)
+        if status < 400:
+            return answer
+        summary = f"{method} {path} -> HTTP {status}: {answer.get('error', '')}"
+        if status == 429:
+            retry_after = answer.get("retry_after_s")
+            if retry_after is None:
+                try:
+                    retry_after = float(headers.get("Retry-After"))
+                except (TypeError, ValueError):
+                    retry_after = 1.0
+            raise RejectedError(
+                summary,
+                retry_after_s=float(retry_after),
+                scope=answer.get("scope", "server"),
+                shard=answer.get("shard"),
+                queue_depth=answer.get("queue_depth"),
+                queue_limit=answer.get("queue_limit"),
+            )
+        # structured client error: re-raise with the server's code
+        # so callers branch on ``err.code`` ("version_conflict",
+        # "unknown_dataset"...) instead of parsing message prose
+        raise ApiError(summary, status=status, code=answer.get("code", "error"))
+
+    # -- sugar over the generated verbs ------------------------------------
+    def submit(self, transactions, config: MiningConfig | dict, **fields) -> dict:
+        """``POST /jobs``; returns the server's job snapshot (``job_id`` etc.).
+
+        ``approx=True`` requests the sampling fast tier without touching
+        the config object (equivalent to ``config.approx = True``).
+        ``dataset`` names a registered dataset instead of shipping raw
+        ``transactions`` (pass ``transactions=None``): the job runs on
+        the dataset's current version, server-side.
+        ``pinned`` names default-valued knobs the server's planner must
+        leave alone (a no-op on a server started without ``--planner``).
+        Raises :class:`RejectedError` on a 429 (queue full / load shed);
+        its ``retry_after_s`` says how long to back off before retrying.
+        """
+        if fields.get("approx") and isinstance(config, MiningConfig) and not config.approx:
+            # flip the flag before serializing: canonical() only
+            # carries the sampling knobs on approx configs, so setting
+            # it server-side would lose any non-default knob values
+            config = dataclasses.replace(config, approx=True)
+        return self._submit(transactions, config, **fields)
 
     def status(self, job_id: str) -> dict:
-        return self.service.get(job_id).snapshot()
+        """``GET /jobs/<id>``: the job's snapshot, now.  ``job_id`` goes
+        into the path as given, so it may carry the route's query string
+        (:meth:`wait` asks for ``<id>?timeout_s=<s>``)."""
+        return self._wait(job_id)
 
-    def wait(self, job_id: str, timeout: float | None = None):
-        job = self.service.wait(job_id, timeout)
-        if not job.is_terminal:
-            raise ServeError(f"job {job_id} still {job.state.value} after {timeout}s")
-        return job
+    def cancel(self, job_id: str) -> bool:
+        return bool(self._cancel(job_id).get("cancelled"))
+
+    def wait(self, job_id: str, timeout: float | None = None) -> dict:
+        """Block until the job is terminal; returns the final snapshot.
+
+        Each status read long-polls (``GET /jobs/<id>?timeout_s=<s>``):
+        the server answers when the job turns terminal, or after the
+        time asked (it caps one wait at ``MAX_POLL_S``), so a finished
+        job is seen when it finishes and not at the next poll tick.
+        ``poll_interval_s`` is only the floor between two reads when a
+        non-terminal answer came back early.  A 429 on a read (a
+        rate-limited server) is not fatal: the loop honours the
+        ``Retry-After`` hint and keeps going until the deadline.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def poll() -> dict:
+            wait_s = MAX_POLL_S
+            if deadline is not None:
+                wait_s = min(wait_s, max(0.0, deadline - time.monotonic()))
+            # every poll is one ``status(<one argument>)`` call: the
+            # argument is what follows "/jobs/" in the encoded request
+            path = encode_request("wait", job_id=job_id, timeout=wait_s)[1]
+            return self.status(path.rpartition("/")[2])
+
+        while True:
+            asked = time.monotonic()
+            snapshot = self._past_429s(poll, deadline)
+            if snapshot["state"] in TERMINAL_STATE_VALUES:
+                return snapshot
+            if deadline is not None and time.monotonic() >= deadline:
+                raise ServeError(
+                    f"job {job_id} still {snapshot['state']} after {timeout}s"
+                )
+            early = self.poll_interval_s - (time.monotonic() - asked)
+            if early > 0:
+                time.sleep(early)
+
+    @staticmethod
+    def _past_429s(call, deadline: float | None):
+        """``call()``'s answer — asked again after the server's hint for
+        as long as it is refused with a 429 and ``deadline`` allows
+        (then the last :class:`RejectedError` propagates)."""
+        while True:
+            try:
+                return call()
+            except RejectedError as err:
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise
+                sleep_s = max(0.01, err.retry_after_s)
+                if deadline is not None:
+                    sleep_s = min(sleep_s, max(0.0, deadline - time.monotonic()))
+                time.sleep(sleep_s)
 
     def result(self, job_id: str) -> dict:
-        """The job's mined itemsets (raises unless DONE)."""
-        job = self.service.get(job_id)
-        if job.state is not JobState.DONE:
-            raise ServeError(f"job {job_id} is {job.state.value}, not done")
-        return dict(job.result.itemsets)
+        """The job's itemsets as ``{tuple(items): count}`` (raises unless DONE)."""
+        return itemsets_from_payload(self.result_detail(job_id))
 
-    def mine(self, transactions, config: MiningConfig, timeout: float | None = None):
-        """Submit, wait, and return the full :class:`MiningRunResult`."""
-        job = self.wait(self.submit(transactions, config).job_id, timeout)
-        if job.state is not JobState.DONE:
-            raise ServeError(f"job {job.job_id} ended {job.state.value}: {job.error}")
-        return job.result
+    def mine(
+        self,
+        transactions,
+        config: MiningConfig | dict,
+        timeout: float | None = None,
+        **submit_kwargs,
+    ) -> dict:
+        """Submit, poll to completion, return the itemsets mapping.
+
+        When admission control rejects the submit with a 429, back off
+        for the server's ``Retry-After`` and resubmit, until ``timeout``
+        runs out (then the last :class:`RejectedError` propagates).
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        snapshot = self._past_429s(
+            lambda: self.submit(transactions, config, **submit_kwargs), deadline
+        )
+        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+        final = self.wait(snapshot["job_id"], remaining)
+        if final["state"] != JobState.DONE.value:
+            raise ServeError(
+                f"job {final['job_id']} ended {final['state']}: {final.get('error')}"
+            )
+        return self.result(final["job_id"])
 
 
-class HttpClient:
-    """JSON-over-HTTP client for a running :class:`MiningServer`.
+for _op in OPERATIONS:
+    _name = _VERB_NAMES.get(_op.name, _op.name)
+    setattr(Client, _name, _verb(_op, _name))
+Client.submit.__signature__ = Client._submit.__signature__  # the row's, for help()
+
+
+class LocalClient(Client):
+    """The client with no socket: every request runs the HTTP handler's
+    own :func:`~repro.serve.http.dispatch` on ``service`` — a
+    :class:`~repro.serve.router.ShardRouter` or a bare
+    :class:`~repro.serve.service.MiningService` in this process."""
+
+    def __init__(self, service):
+        self.service = service
+
+    def _exchange(self, method: str, path: str, payload: dict | None):
+        return dispatch(self.service, method, path, payload)
+
+
+class HttpClient(Client):
+    """JSON-over-HTTP transport to a running :class:`MiningServer`.
 
     Transient connection failures (refused/reset while the server starts
     or restarts) are retried with capped exponential backoff
@@ -95,16 +281,13 @@ class HttpClient:
     connection open and sends every request down it: an op is three
     requests (submit, wait, result), and a connection per request costs
     the server an accept and a new handler thread each time — beside a
-    mining worker, several waits for the GIL.  A 429 rejection raises
-    :class:`~repro.serve.jobs.RejectedError` carrying the server's
-    ``Retry-After`` hint, which :meth:`mine` honours by backing off and
-    resubmitting until its deadline.
+    mining worker, several waits for the GIL.
     """
 
     def __init__(
         self,
         base_url: str,
-        poll_interval_s: float = 0.05,
+        poll_interval_s: float = Client.poll_interval_s,
         connect_retries: int = 4,
         retry_backoff_s: float = 0.1,
         max_backoff_s: float = 2.0,
@@ -123,9 +306,16 @@ class HttpClient:
         self._prefix = url.path
         self._local = threading.local()  # .connection: this thread's
 
-    # -- transport ---------------------------------------------------------
-    def _request(self, method: str, path: str, payload: dict | None = None) -> dict:
+    def _exchange(self, method: str, path: str, payload: dict | None):
         body = None if payload is None else json.dumps(payload).encode("utf-8")
+        if body and len(body) > MAX_BODY_BYTES:
+            # the server's own answer, given here: it refuses this length
+            # unread and hangs up, so a send that long dies of the reset
+            # and would be retried below as a server that is restarting
+            return 413, {
+                "error": f"request body of {len(body)} bytes exceeds {MAX_BODY_BYTES}",
+                "code": "payload_too_large",
+            }, {}
         headers = {"Content-Type": "application/json"} if body else {}
         attempt = 0
         while True:
@@ -153,247 +343,11 @@ class HttpClient:
                     continue
                 raise ServeError(f"cannot reach {self.base_url}: {err}") from err
             if response.status < 400:
-                return json.loads(data)
+                return response.status, json.loads(data), response.headers
             try:
-                detail_payload = json.loads(data)
-                detail = detail_payload.get("error", "")
-            except (ValueError, AttributeError):  # best-effort error body
-                detail_payload, detail = {}, ""
-            summary = f"{method} {path} -> HTTP {response.status}: {detail or response.reason}"
-            if response.status == 429:
-                retry_after = detail_payload.get("retry_after_s")
-                if retry_after is None:
-                    try:
-                        retry_after = float(response.getheader("Retry-After"))
-                    except (TypeError, ValueError):
-                        retry_after = 1.0
-                raise RejectedError(
-                    summary,
-                    retry_after_s=float(retry_after),
-                    scope=detail_payload.get("scope", "server"),
-                    shard=detail_payload.get("shard"),
-                    queue_depth=detail_payload.get("queue_depth"),
-                    queue_limit=detail_payload.get("queue_limit"),
-                )
-            # structured client error: re-raise with the server's code
-            # so callers branch on ``err.code`` ("version_conflict",
-            # "unknown_dataset"...) instead of parsing message prose
-            raise ApiError(
-                summary, status=response.status, code=detail_payload.get("code", "error")
-            )
-
-    # -- verbs -------------------------------------------------------------
-    def _call(self, operation: str, **kwargs) -> dict:
-        return self._request(*encode_request(operation, **kwargs))
-
-    def healthz(self) -> dict:
-        return self._call("healthz")
-
-    def metrics(self) -> dict:
-        return self._call("metrics")
-
-    def submit(
-        self,
-        transactions,
-        config: MiningConfig | dict,
-        *,
-        priority: int = 0,
-        timeout_s: float | None = None,
-        max_retries: int = 0,
-        retry_backoff_s: float | None = None,
-        tenant: str = "default",
-        pinned=(),
-        approx: bool = False,
-        dataset: str | None = None,
-    ) -> dict:
-        """POST the job; returns the server's job snapshot (``job_id`` etc.).
-
-        ``approx=True`` requests the sampling fast tier without touching
-        the config object (equivalent to ``config.approx = True``).
-        ``dataset`` names a registered dataset instead of shipping raw
-        ``transactions`` (pass ``transactions=None``): the job runs on
-        the dataset's current version, server-side.
-        ``pinned`` names default-valued knobs the server's planner must
-        leave alone (a no-op on a server started without ``--planner``).
-        Raises :class:`RejectedError` on a 429 (queue full / load shed);
-        its ``retry_after_s`` says how long to back off before retrying.
-        """
-        if approx and isinstance(config, MiningConfig) and not config.approx:
-            # flip the flag before serializing: canonical() only
-            # carries the sampling knobs on approx configs, so setting
-            # it server-side would lose any non-default knob values
-            config = dataclasses.replace(config, approx=True)
-        return self._call(
-            "submit", config=config, priority=priority, timeout_s=timeout_s,
-            max_retries=max_retries, retry_backoff_s=retry_backoff_s, tenant=tenant,
-            dataset_id=dataset, transactions=None if dataset is not None else transactions,
-            pinned=pinned or None, approx=approx or None,
-        )
-
-    def create_dataset(
-        self,
-        dataset_id: str,
-        transactions,
-        *,
-        replace: bool = False,
-        max_window: int | None = None,
-        max_age_s: float | None = None,
-        flush_rows: int | None = None,
-        flush_age_s: float | None = None,
-    ) -> dict:
-        """``POST /datasets/<id>``: register a named, versioned dataset.
-
-        ``max_window`` / ``max_age_s`` bound the window (oldest
-        transactions retire automatically); ``flush_rows`` /
-        ``flush_age_s`` enable the ingest buffer (small appends coalesce
-        into one delta update per flush).
-        """
-        return self._call(
-            "create_dataset", dataset_id=dataset_id, transactions=transactions,
-            replace=replace or None, max_window=max_window, max_age_s=max_age_s,
-            flush_rows=flush_rows, flush_age_s=flush_age_s,
-        )
-
-    def append_dataset(
-        self,
-        dataset_id: str,
-        transactions,
-        *,
-        expected_version: int | None = None,
-        flush: bool = False,
-    ) -> dict:
-        """``POST /datasets/<id>/append``: new version, stale caches dropped.
-
-        On a buffering dataset the delta may only be *staged* (the
-        response says ``flushed=false``); ``flush=True`` forces the
-        buffer through — with an empty/omitted delta it is a pure
-        "flush now".  Raises :class:`~repro.serve.jobs.ApiError` with
-        ``code="version_conflict"`` when ``expected_version`` no longer
-        matches, ``code="unknown_dataset"`` for an unregistered name, or
-        ``code="dataset_retired"`` after a same-name replace.
-        """
-        return self._call(
-            "append_dataset", dataset_id=dataset_id, transactions=transactions,
-            expected_version=expected_version, flush=flush or None,
-        )
-
-    def dataset_info(self, dataset_id: str) -> dict:
-        """``GET /datasets/<id>``: version, size, fingerprint, warm miners."""
-        return self._call("dataset_info", dataset_id=dataset_id)
-
-    def dataset_changes(
-        self,
-        dataset_id: str,
-        *,
-        since: int,
-        min_support: float,
-        max_length: int | None = None,
-        candidate_store: str | None = None,
-        timeout_s: float = 0.0,
-    ) -> dict:
-        """``GET /datasets/<id>/changes``: the family diff since ``since``.
-
-        Long-polls server-side up to ``timeout_s`` (capped at ~25s, below
-        the client's socket timeout) when ``since`` is already current.
-        The payload carries ``added`` / ``removed`` / ``changed`` itemset
-        lists, or ``reset=true`` with the full ``family`` when the change
-        log no longer covers ``since``.
-        """
-        return self._call(
-            "dataset_changes", dataset_id=dataset_id, since=int(since),
-            min_support=min_support, max_length=max_length,
-            candidate_store=candidate_store, timeout_s=timeout_s or None,
-        )
-
-    def status(self, job_id: str) -> dict:
-        """``GET /jobs/<id>``: the job's snapshot, now.  ``job_id`` goes
-        into the path as given, so it may carry the route's query string
-        (:meth:`wait` asks for ``<id>?timeout_s=<s>``)."""
-        return self._call("wait", job_id=job_id)
-
-    def cancel(self, job_id: str) -> bool:
-        return bool(self._call("cancel", job_id=job_id).get("cancelled"))
-
-    def wait(self, job_id: str, timeout: float | None = None) -> dict:
-        """Block until the job is terminal; returns the final snapshot.
-
-        Each status read long-polls (``GET /jobs/<id>?timeout_s=<s>``):
-        the server answers when the job turns terminal, or after the
-        time asked (it caps one wait at ``MAX_POLL_S``), so a finished
-        job is seen when it finishes and not at the next poll tick.
-        ``poll_interval_s`` is only the floor between two reads when a
-        non-terminal answer came back early.  A 429 on a read (a
-        rate-limited server) is not fatal: the loop honours the
-        ``Retry-After`` hint and keeps going until the deadline.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            asked = time.monotonic()
-            wait_s = MAX_POLL_S
-            if deadline is not None:
-                wait_s = min(wait_s, max(0.0, deadline - asked))
-            # every poll is one ``status(<one argument>)`` call: the
-            # argument is what follows "/jobs/" in the encoded request
-            path = encode_request("wait", job_id=job_id, timeout=wait_s)[1]
-            try:
-                snapshot = self.status(path.rpartition("/")[2])
-            except RejectedError as err:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-                time.sleep(self._bounded_sleep(err.retry_after_s, deadline))
-                continue
-            if snapshot["state"] in TERMINAL_STATE_VALUES:
-                return snapshot
-            if deadline is not None and time.monotonic() >= deadline:
-                raise ServeError(
-                    f"job {job_id} still {snapshot['state']} after {timeout}s"
-                )
-            early = self.poll_interval_s - (time.monotonic() - asked)
-            if early > 0:
-                time.sleep(early)
-
-    def _bounded_sleep(self, wanted_s: float, deadline: float | None) -> float:
-        sleep_s = max(0.01, wanted_s)
-        if deadline is not None:
-            sleep_s = min(sleep_s, max(0.0, deadline - time.monotonic()))
-        return sleep_s
-
-    def result_detail(self, job_id: str) -> dict:
-        """The raw ``GET /results/<id>`` payload (raises unless DONE)."""
-        return self._call("result", job_id=job_id)
-
-    def result(self, job_id: str) -> dict:
-        """The job's itemsets as ``{tuple(items): count}`` (raises unless DONE)."""
-        from repro.serve.http import itemsets_from_payload
-
-        return itemsets_from_payload(self.result_detail(job_id))
-
-    def mine(
-        self,
-        transactions,
-        config: MiningConfig | dict,
-        timeout: float | None = None,
-        **submit_kwargs,
-    ) -> dict:
-        """Submit, poll to completion, return the itemsets mapping.
-
-        When admission control rejects the submit with a 429, back off
-        for the server's ``Retry-After`` and resubmit, until ``timeout``
-        runs out (then the last :class:`RejectedError` propagates).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                snapshot = self.submit(transactions, config, **submit_kwargs)
-                break
-            except RejectedError as err:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
-                time.sleep(self._bounded_sleep(err.retry_after_s, deadline))
-        remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-        final = self.wait(snapshot["job_id"], remaining)
-        if final["state"] != JobState.DONE.value:
-            raise ServeError(
-                f"job {final['job_id']} ended {final['state']}: {final.get('error')}"
-            )
-        return self.result(final["job_id"])
+                answer = json.loads(data)
+            except ValueError:
+                answer = None
+            if not isinstance(answer, dict):  # not this server's body: best effort
+                answer = {"error": response.reason}
+            return response.status, answer, response.headers

@@ -3,9 +3,13 @@
 JSON over ``http.server`` — no third-party dependencies.  The routes,
 their arguments and the validation of both are one table,
 :data:`repro.serve.api.OPERATIONS` (argument by argument; semantics in
-``docs/serving.md``); this module matches a request to its row, calls
-the row's implementation on the server's
-:class:`~repro.serve.router.ShardRouter` and renders the answer:
+``docs/serving.md``); :func:`dispatch` matches a request to its row,
+calls the row's implementation on the backend (the server's
+:class:`~repro.serve.router.ShardRouter`) and renders the answer or the
+refusal — the one place a request becomes a call and an exception
+becomes a status.  The socket handler runs it on the bytes it read;
+:class:`~repro.serve.client.LocalClient` runs it on the payload it would
+have sent, so both transports answer alike by construction:
 
 ======================================  =====================================
 ``POST /jobs``                          submit ``transactions`` or a named
@@ -41,14 +45,14 @@ an id is data, whatever characters it holds.  Every error response
 carries a machine-usable ``code`` next to the human ``error`` message
 (``bad_request``, ``unknown_job``, ``job_expired``, ``unknown_dataset``,
 ``dataset_exists``, ``version_conflict``, ``dataset_retired``,
-``not_done``, ``rejected``, ``unknown_route``) —
-:class:`~repro.serve.client.HttpClient` re-raises them as
-:class:`~repro.serve.jobs.ApiError` so callers branch on the code, not
-on message prose.
+``not_done``, ``rejected``, ``unknown_route``, ``payload_too_large``) —
+the client (:mod:`repro.serve.client`, either transport) re-raises them
+as :class:`~repro.serve.jobs.ApiError` so callers branch on the code,
+not on message prose.  A request that declares a body over
+:data:`MAX_BODY_BYTES` is answered 413 without the body being read.
 
 ``MiningServer`` runs the whole stack in-process on an ephemeral port —
-the tests and the CI smoke step use it; ``repro serve`` keeps it in the
-foreground.
+the tests use it; ``repro serve`` keeps it in the foreground.
 """
 
 from __future__ import annotations
@@ -120,6 +124,44 @@ def _answer(op: Operation, kwargs: dict, out) -> tuple[int, dict]:
     return (200 if out.is_terminal else op.status), out.snapshot()
 
 
+#: the largest request body the handler reads, in bytes.  A full-scale
+#: T10I4D100K submit is ~6 MB of JSON; a body the size of a shard's whole
+#: default dataset-cache budget could never be kept warm anyway.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
+def dispatch(backend, method: str, raw_path: str, body) -> tuple[int, dict, dict]:
+    """One request against ``backend`` (a router, or a bare service):
+    decode it against the protocol table, call the operation, render —
+    under the one exception -> status ladder.  ``body`` is what
+    :func:`~repro.serve.api.decode_request` takes: the request's bytes,
+    or the payload itself from an in-process caller.  Returns ``(status,
+    JSON payload, extra response headers)``."""
+    headers: dict = {}
+    try:
+        op, kwargs = decode_request(method, raw_path, body)
+        out = getattr(backend, op.call)(**kwargs)
+        status, payload = _answer(op, kwargs, out)
+    except RejectedError as err:
+        # admission control / load shedding: structured 429 with a
+        # machine-usable backoff hint (integer seconds per RFC 9110,
+        # fractional seconds in the body)
+        status, payload = 429, {**err.payload(), "code": "rejected"}
+        headers["Retry-After"] = str(max(1, math.ceil(err.retry_after_s)))
+    except ApiError as err:
+        # refused with a specific status + code (unknown_route,
+        # unknown_job, unknown_dataset, version_conflict...)
+        status, payload = err.status, err.payload()
+    except (ServeError, MiningError, TypeError, ValueError) as err:
+        # TypeError/ValueError cover malformed-but-valid-JSON payloads
+        # the codec cannot see through: a string min_support tripping
+        # __post_init__'s comparison, a non-iterable transaction
+        # element hit during fingerprinting — all client errors, not
+        # server faults.
+        status, payload = 400, {"error": str(err), "code": "bad_request"}
+    return status, payload, headers
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
@@ -150,36 +192,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _dispatch(self) -> None:
-        """Every request: decode it against the protocol table, call the
-        operation on the router, render — under one error ladder."""
-        headers = None
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length > 0 else b""
-            op, kwargs = decode_request(self.command, self.path, body)
-            out = getattr(self.server.service, op.call)(**kwargs)  # type: ignore[attr-defined]
-            status, payload = _answer(op, kwargs, out)
-        except RejectedError as err:
-            # admission control / load shedding: structured 429 with a
-            # machine-usable backoff hint (integer seconds per RFC 9110,
-            # fractional seconds in the body)
-            status, payload = 429, {**err.payload(), "code": "rejected"}
-            headers = {"Retry-After": str(max(1, math.ceil(err.retry_after_s)))}
-        except ApiError as err:
-            # refused with a specific status + code (unknown_route,
-            # unknown_job, unknown_dataset, version_conflict...)
-            status, payload = err.status, err.payload()
-        except (ServeError, MiningError, TypeError, ValueError) as err:
-            # TypeError/ValueError cover malformed-but-valid-JSON payloads
-            # the codec cannot see through: a string min_support tripping
-            # __post_init__'s comparison, a non-iterable transaction
-            # element hit during fingerprinting — all client errors, not
-            # server faults.
-            status, payload = 400, {"error": str(err), "code": "bad_request"}
-        self._send_json(status, payload, headers)
+    def _handle(self) -> None:
+        """Every request: read the body the headers declare (refusing one
+        that is malformed or too large unread), then :func:`dispatch`."""
+        length = self.headers.get("Content-Length") or "0"
+        if not length.isdecimal():
+            answer = 400, {"error": f"bad Content-Length {length[:40]!r}", "code": "bad_request"}
+        elif len(length.lstrip("0")) > len(str(MAX_BODY_BYTES)) or int(length) > MAX_BODY_BYTES:
+            # by its digit count first: int() itself refuses a few thousand
+            answer = 413, {
+                "error": f"declared request body exceeds {MAX_BODY_BYTES} bytes",
+                "code": "payload_too_large",
+            }
+        else:
+            answer = dispatch(
+                self.server.service,  # type: ignore[attr-defined]
+                self.command, self.path, self.rfile.read(int(length)),
+            )
+        self._send_json(*answer)
 
-    do_GET = do_POST = do_DELETE = _dispatch  # the names http.server looks up
+    do_GET = do_POST = do_DELETE = _handle  # the names http.server looks up
 
 
 class MiningServer:

@@ -39,9 +39,12 @@ only.
 The router keeps **no per-job state**: a job's record lives in the table
 of the shard that accepted it, and its id (``job-<shard>-<n>``) names
 that shard, so ``wait`` / ``result`` / ``cancel`` reach it from the id
-alone.  What the router holds is fixed at construction (shards, ring)
-plus four counters; ``ShardRouter._lock`` guards those and the shutdown
-flag and is never held across a call into a shard.
+alone.  What the router holds is fixed at construction (``shards`` — the
+:class:`MiningService` instances themselves — and the ring) plus its
+counters: four totals and, per shard, how many jobs it accepted as their
+home (``jobs_home``) and for a saturated neighbour (``jobs_spilled_in``).
+``ShardRouter._lock`` guards the counters and the shutdown flag and is
+never held across a call into a shard.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from repro.serve.cache import dataset_fingerprint
 from repro.serve.jobs import ApiError, Job, RejectedError, ServeError, parse_job_id
 from repro.serve.planner import CostPlanner
 from repro.serve.service import MiningService
-from repro.serve.shard import HashRing, Shard
+from repro.serve.shard import HashRing
 
 
 class ShardRouter:
@@ -113,27 +116,28 @@ class ShardRouter:
         self.shed_at = shed_at
         self.queue_limit = queue_limit
         self.shards = [
-            Shard(
-                f"shard-{i}",
-                MiningService(
-                    n_workers=n_workers,
-                    queue_limit=queue_limit,
-                    name=f"shard-{i}",
-                    **service_kwargs,
-                ),
+            MiningService(
+                n_workers=n_workers,
+                queue_limit=queue_limit,
+                name=f"shard-{i}",
+                **service_kwargs,
             )
             for i in range(n_shards)
         ]
         for shard in self.shards:
-            shard.service.planner = planner
+            shard.planner = planner
         self._by_name = {s.name: s for s in self.shards}
-        self.ring = HashRing([s.name for s in self.shards], replicas=replicas)
+        self.ring = HashRing(list(self._by_name), replicas=replicas)
         self._lock = threading.Lock()
         self._shutdown = False
         self.jobs_routed = 0
         self.jobs_spilled = 0
         self.jobs_rejected = 0
         self.jobs_shed = 0
+        #: per shard name: accepted as the fingerprint's home shard /
+        #: accepted for a saturated neighbour
+        self.jobs_home = dict.fromkeys(self._by_name, 0)
+        self.jobs_spilled_in = dict.fromkeys(self._by_name, 0)
 
     # -- routing -----------------------------------------------------------
     def home_shard(self, transactions_or_fingerprint) -> str:
@@ -155,7 +159,7 @@ class ShardRouter:
         """
         return self.ring.node_for(f"dataset:{dataset_id}")
 
-    def _dataset_shard(self, dataset_id: str) -> Shard:
+    def _dataset_shard(self, dataset_id: str) -> MiningService:
         return self._by_name[self.dataset_home(dataset_id)]
 
     def _global_utilization(self) -> float:
@@ -191,8 +195,9 @@ class ShardRouter:
         with self._lock:
             if self._shutdown:
                 raise ServeError("router is shut down")
-        if dataset_id is not None:
-            # the home shard or nobody: no shedding, no spill
+        if dataset_id is not None or transactions is None:
+            # the home shard or nobody: no shedding, no spill (a submit
+            # with neither source lands here too — the shard refuses it)
             txns = transactions
             preference = [self.dataset_home(dataset_id)]
             job_kwargs["dataset_id"] = dataset_id
@@ -218,18 +223,20 @@ class ShardRouter:
 
         rejections: list[RejectedError] = []
         for rank, name in enumerate(preference):
-            shard = self._by_name[name]
             try:
-                job = shard.submit(
-                    txns, config, home=rank == 0, priority=priority, **job_kwargs
+                job = self._by_name[name].submit(
+                    txns, config, priority=priority, **job_kwargs
                 )
             except RejectedError as err:
                 rejections.append(err)
                 continue
             with self._lock:
                 self.jobs_routed += 1
-                if rank > 0:
+                if rank == 0:
+                    self.jobs_home[name] += 1
+                else:
                     self.jobs_spilled += 1
+                    self.jobs_spilled_in[name] += 1
             return job
 
         with self._lock:
@@ -246,7 +253,7 @@ class ShardRouter:
         )
 
     # -- queries -----------------------------------------------------------
-    def _shard_for_job(self, job_id: str) -> Shard:
+    def _shard_for_job(self, job_id: str) -> MiningService:
         """The shard the id names; whether that shard still holds, ever
         minted, or has let go of the job is its own answer."""
         shard = self._by_name.get(parse_job_id(job_id)[0])
@@ -261,7 +268,7 @@ class ShardRouter:
         return {
             "status": "ok",
             "shards": len(self.shards),
-            "workers": sum(len(s.service._workers) for s in self.shards),
+            "workers": sum(len(s._workers) for s in self.shards),
         }
 
     def metrics(self) -> dict:
@@ -281,11 +288,21 @@ class ShardRouter:
                 },
                 "ring": {"nodes": self.ring.nodes, "replicas": self.ring.replicas},
             }
+            home, spilled_in = dict(self.jobs_home), dict(self.jobs_spilled_in)
         # per-shard reads happen outside the router lock: it is never
         # held across a call into a shard
         out["router"]["queue_depth"] = self.queue_depth()
         out["shards"] = [
-            {**s.stats(), "service": s.service.metrics()} for s in self.shards
+            {
+                "name": s.name,
+                "jobs_home": home[s.name],
+                "jobs_spilled_in": spilled_in[s.name],
+                "jobs_rejected": s.jobs_rejected,  # its own admission refusals
+                "queue_depth": s.queue_depth(),
+                "queue_limit": s.queue_limit,
+                "service": s.metrics(),
+            }
+            for s in self.shards
         ]
         if self.planner is not None:
             out["planner"] = self.planner.stats()
@@ -298,7 +315,7 @@ class ShardRouter:
                 return
             self._shutdown = True
         for shard in self.shards:
-            shard.service.shutdown(wait=wait)
+            shard.shutdown(wait=wait)
 
     def __enter__(self) -> "ShardRouter":
         return self
@@ -311,7 +328,7 @@ def _forwarder(op):
     def forward(self, *args, **kwargs):
         key = args[0] if args else kwargs.get(op.path_names[0])
         shard = self._shard_for_job(key) if op.route == BY_JOB else self._dataset_shard(key)
-        return getattr(shard.service, op.call)(*args, **kwargs)
+        return getattr(shard, op.call)(*args, **kwargs)
 
     forward.__name__ = op.call
     forward.__doc__ = f"``MiningService.{op.call}`` on the shard that owns the {op.route}."

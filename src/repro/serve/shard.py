@@ -1,13 +1,14 @@
-"""Consistent-hash ring and the shard unit the router spreads load over.
+"""Consistent-hash ring: which shard a key belongs to.
 
-A :class:`Shard` is one named :class:`~repro.serve.service.MiningService`
-plus the router-side counters for it (accepted as home / spilled in).
-:class:`HashRing` maps dataset fingerprints to shards with virtual nodes,
-so cache affinity survives shard add/remove: each physical shard owns
-``replicas`` points on a 2^64 ring, a key belongs to the first point at
-or after its own hash, and removing a shard only reassigns the keys that
-shard owned — every other dataset keeps its warm
-``DatasetCache``/``ContextPool``/``ResultCache``.
+:class:`HashRing` maps dataset fingerprints (and ``dataset:<name>`` keys)
+to shard names with virtual nodes, so cache affinity survives shard
+add/remove: each physical shard owns ``replicas`` points on a 2^64 ring,
+a key belongs to the first point at or after its own hash, and removing
+a shard only reassigns the keys that shard owned — every other dataset
+keeps its warm ``DatasetCache``/``ContextPool``/``ResultCache``.  The
+shards themselves are plain :class:`~repro.serve.service.MiningService`
+instances held by the :class:`~repro.serve.router.ShardRouter`, which
+also keeps the per-shard placement counters.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 
-from repro.serve.jobs import Job, ServeError
-from repro.serve.service import MiningService
+from repro.serve.jobs import ServeError
 
 
 def _ring_hash(key: str) -> int:
@@ -91,36 +91,4 @@ class HashRing:
         return out
 
 
-class Shard:
-    """One service behind the router, with per-shard routing counters."""
-
-    def __init__(self, name: str, service: MiningService):
-        self.name = name
-        self.service = service
-        self.jobs_home = 0  # accepted as the fingerprint's home shard
-        self.jobs_spilled_in = 0  # accepted for a saturated neighbour
-
-    def submit(self, transactions, config, *, home: bool, **submit_kwargs) -> Job:
-        """Submit to this shard's service; tracks home/spill acceptance."""
-        job = self.service.submit(transactions, config, **submit_kwargs)
-        if home:
-            self.jobs_home += 1
-        else:
-            self.jobs_spilled_in += 1
-        return job
-
-    def queue_depth(self) -> int:
-        return self.service.queue_depth()
-
-    def stats(self) -> dict:
-        return {
-            "name": self.name,
-            "jobs_home": self.jobs_home,
-            "jobs_spilled_in": self.jobs_spilled_in,
-            "jobs_rejected": self.service.jobs_rejected,  # its own admission refusals
-            "queue_depth": self.queue_depth(),
-            "queue_limit": self.service.queue_limit,
-        }
-
-
-__all__ = ["HashRing", "Shard"]
+__all__ = ["HashRing"]

@@ -1,6 +1,11 @@
 """CLI tests (`python -m repro ...`)."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +109,45 @@ class TestParser:
             assert "parser_probe" in algorithm_names()
         finally:
             unregister_algorithm("parser_probe")
+
+
+class TestServe:
+    def test_cli_server_announces_its_url_serves_and_stops_on_sigterm(self):
+        """The path every ``repro serve`` user runs, and the banner the
+        perf ledger's ``server.py`` parses: the CLI server as a
+        subprocess with default sharding announces its bound URL, mines
+        over HTTP what the direct call mines, and exits promptly on
+        SIGTERM."""
+        import repro
+        from repro.core.api import mine_frequent_itemsets
+        from repro.core.registry import MiningConfig
+        from repro.datasets import mushroom_like
+        from repro.serve import HttpClient
+
+        txns = mushroom_like(scale=0.05, seed=1).transactions
+        config = MiningConfig(min_support=0.35, backend="serial")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet"],
+            stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            banner = proc.stdout.readline()
+            url = re.search(r"http://\S+", banner)
+            assert url is not None, f"no URL in the banner: {banner!r}"
+            client = HttpClient(url.group(0))
+            assert client.healthz() == {"status": "ok", "shards": 1, "workers": 4}
+            served = client.mine(txns, config, timeout=120)
+            assert served == mine_frequent_itemsets(txns, config=config).itemsets
+            assert client.metrics()["router"]["jobs_routed"] == 1
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            try:
+                proc.wait(timeout=10)
+            finally:
+                proc.kill()
+                proc.stdout.close()
+        assert proc.returncode == -signal.SIGTERM
 
 
 class TestMine:

@@ -2,10 +2,11 @@
 
 ``repro.serve.api.OPERATIONS`` is the one declaration of the serve
 protocol.  These tests fail first when a surface stops matching it: a
-field added to a ``MiningService`` method or an ``HttpClient`` verb but
-not to the row (or the reverse), a codec that no longer round-trips, a
-transport that answers differently from the other, an error that leaves
-the handler without a ``code``, a route missing from the docs.
+field added to a ``MiningService`` method but not to the row (or the
+reverse), a client verb that stops following its row, a codec that no
+longer round-trips, a transport that answers or refuses differently from
+the other, an error that leaves the dispatch without a ``code``, a route
+missing from the docs.
 """
 
 import http.client
@@ -32,6 +33,7 @@ from repro.serve import (
 )
 from repro.serve.api import BY_DATASET, BY_NAME, OPERATIONS, decode_request, encode_request
 from repro.serve.datasets import DatasetRegistry
+from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.jobs import MAX_POLL_S
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -64,15 +66,26 @@ def client(request, server, local_router):
     return HttpClient(server.url, poll_interval_s=0.01)
 
 
-def raw_request(server, method: str, path: str, body: bytes | None = None):
-    """One request with nothing of ``HttpClient`` in the way."""
+def raw_request(server, method: str, path: str, body: bytes | str | None = None):
+    """One request with nothing of ``HttpClient`` in the way.  A ``str``
+    body is sent as the ``Content-Length`` header, with no bytes behind it."""
+    headers = {}
+    if isinstance(body, str):
+        headers, body = {"Content-Length": body}, None
     conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
     try:
-        conn.request(method, path, body=body)
+        conn.request(method, path, body=body, headers=headers)
         response = conn.getresponse()
         return response.status, json.loads(response.read())
     finally:
         conn.close()
+
+
+def refusal(call) -> tuple:
+    """``(exception type, status, code)`` of the refusal ``call`` raises."""
+    with pytest.raises(ServeError) as err:
+        call()
+    return type(err.value), getattr(err.value, "status", None), getattr(err.value, "code", None)
 
 
 # -- one declaration, every surface ------------------------------------------
@@ -87,7 +100,7 @@ SHARD_PRIVATE = {"submit": {"fingerprint"}}
 #: ``config``)
 UPSTREAM = {"submit": {"approx": "codec"}}
 
-#: the ``HttpClient`` method for a row, where it is not the row's name
+#: the client method for a row, where it is not the row's name
 VERBS = {"wait": "status", "result": "result_detail"}
 
 
@@ -109,11 +122,29 @@ class TestSurfacesMatchTheTable:
         if op.name == "wait":
             # ``status`` takes "<id>[?timeout_s=<s>]" as one argument (see the row)
             declared -= {"timeout_s"}
-        assert parameters(getattr(HttpClient, VERBS.get(op.name, op.name))) == declared
+        verb = VERBS.get(op.name, op.name)
+        assert parameters(getattr(HttpClient, verb)) == declared
+        # one client, two transports: the verb is the same function on both
+        assert getattr(LocalClient, verb) is getattr(HttpClient, verb)
 
     def test_router_and_local_client_reach_the_implementation(self, op, local_router):
         assert callable(getattr(local_router, op.call))
-        assert callable(getattr(LocalClient(local_router), op.call))
+        assert callable(getattr(LocalClient(local_router), VERBS.get(op.name, op.name)))
+
+
+def test_generated_verbs_keep_the_positional_payload_order():
+    """Path arguments, then ``transactions`` / ``config``, the rest
+    keyword-only: what every existing call site writes."""
+    def positional(verb):
+        params = list(inspect.signature(verb).parameters.values())[1:]
+        return [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+
+    assert positional(HttpClient.submit) == ["transactions", "config"]
+    assert positional(HttpClient.create_dataset) == ["dataset_id", "transactions"]
+    assert positional(HttpClient.append_dataset) == ["dataset_id", "transactions"]
+    assert positional(HttpClient.dataset_changes) == ["dataset_id"]
+    with pytest.raises(TypeError, match="priorty"):
+        HttpClient("http://unused").submit(TXNS, CFG, priorty=3)
 
 
 def test_router_consumes_only_its_own_layer():
@@ -270,12 +301,8 @@ def run_script(client) -> list:
         client.dataset_info("parity"),
         client.dataset_changes("parity", since=1, min_support=0.4, max_length=2),
     ]
-    if isinstance(client, HttpClient):
-        submitted = client.submit(None, CFG, dataset="parity", priority=3, tenant="acme")
-        final = client.wait(submitted["job_id"], timeout=30.0)
-    else:
-        submitted = client.submit(None, CFG, dataset_id="parity", priority=3, tenant="acme")
-        final = client.wait(submitted.job_id, timeout=30.0).snapshot()
+    submitted = client.submit(None, CFG, dataset="parity", priority=3, tenant="acme")
+    final = client.wait(submitted["job_id"], timeout=30.0)
     out.append({key: final[key] for key in STABLE_SNAPSHOT_KEYS})
     out.append(sorted(client.result(final["job_id"]).items()))
     return wire_form(out)
@@ -292,13 +319,40 @@ def test_transports_return_the_same_dicts(server, local_router):
     assert over_http[-1] == wire_form(sorted(oracle.items()))
 
 
+#: single calls whose answer comes from a layer in front of the service —
+#: the codec's sugar and validation, the ladder's coding of an exception —
+#: as ``(call, refusal or None)``
+ONE_ANSWER = {
+    "approx-sugar": (lambda c: c.submit([[6, 7], [6]], CFG, approx=True), None),
+    "unknown-dataset": (
+        lambda c: c.submit(None, CFG, dataset="never"), (ApiError, 404, "unknown_dataset"),
+    ),
+    "non-bool-flag": (
+        lambda c: c.create_dataset("one-answer", TXNS, replace=1), (ApiError, 400, "bad_request"),
+    ),
+    "empty-tenant": (
+        lambda c: c.submit([[6, 7], [6]], CFG, tenant=""), (ApiError, 400, "bad_request"),
+    ),
+    "no-source": (lambda c: c.submit(None, CFG), (ApiError, 400, "bad_request")),
+}
+
+
+@pytest.mark.parametrize("case", ONE_ANSWER)
+def test_a_call_has_one_answer_on_both_transports(client, case):
+    call, refused = ONE_ANSWER[case]
+    if refused is None:
+        assert call(client)["state"] in ("pending", "running", "done")
+    else:
+        assert refusal(lambda: call(client)) == refused
+
+
 # -- submit keywords reach the shard on every surface ------------------------
 class TestSubmitKeywords:
     def test_retry_backoff_reaches_the_job(self, server, local_router):
         job = local_router.submit(TXNS, CFG, max_retries=1, retry_backoff_s=0.125)
         assert job.request.retry_backoff_s == 0.125
-        job = LocalClient(local_router).submit([[5, 6]], CFG, retry_backoff_s=0.25)
-        assert job.request.retry_backoff_s == 0.25
+        snap = LocalClient(local_router).submit([[5, 6]], CFG, retry_backoff_s=0.25)
+        assert local_router.get(snap["job_id"]).request.retry_backoff_s == 0.25
         snap = HttpClient(server.url).submit([[7, 8]], CFG, retry_backoff_s=0.5)
         assert server.service.get(snap["job_id"]).request.retry_backoff_s == 0.5
 
@@ -308,6 +362,26 @@ class TestSubmitKeywords:
             max_retries=0, retry_backoff_s=None, tenant="default",
         )
         assert set(payload) == {"config", "priority", "max_retries", "tenant", "transactions"}
+
+    def test_a_default_left_out_is_the_implementations(self):
+        """Spelling a default out (``priority: 0``, ``tenant: "default"``,
+        ``timeout_s=0.0``) and leaving it out are one call: the row
+        restates no default, the implementing method's own applies."""
+        def call(owner, method, path, payload=None):
+            op, kwargs = decode_request(*over_the_wire(method, path, payload))
+            bound = inspect.signature(getattr(owner, op.call)).bind(None, **kwargs)
+            bound.apply_defaults()
+            return bound.arguments
+
+        asked = {"transactions": TXNS, "config": CFG.canonical()}
+        spelt_out = {**asked, "priority": 0, "max_retries": 0, "tenant": "default"}
+        assert call(MiningService, "POST", "/jobs", asked) == call(
+            MiningService, "POST", "/jobs", spelt_out
+        )
+        changes = "/datasets/w/changes?since=1&min_support=0.4"
+        assert call(DatasetRegistry, "GET", changes) == call(
+            DatasetRegistry, "GET", changes + "&timeout_s=0.0"
+        )
 
     def test_pinned_is_accepted_with_and_without_a_planner(self, server):
         knobs = ["backend", "num_partitions", "candidate_store"]
@@ -440,7 +514,26 @@ LADDER = [
     ("GET", "/results/job-shard-0-999999", None, 404, "unknown_job"),
     ("DELETE", "/jobs/job-shard-0-999999", None, 404, "unknown_job"),
     ("GET", "/jobs/job-shard-0-0", None, 404, "unknown_job"),
+    # a declared length over the cap, or not a length, is refused with the
+    # body unread (a str body: see raw_request)
+    ("POST", "/jobs", str(MAX_BODY_BYTES + 1), 413, "payload_too_large"),
+    ("POST", "/jobs", "12x", 400, "bad_request"),
+    ("POST", "/jobs", "9" * 5000, 413, "payload_too_large"),  # more digits than int() takes
 ]
+
+
+RAW = object()
+
+
+def typed_payload(body):
+    """The payload a typed client sends to put ``body`` on the wire, or
+    ``RAW`` when none can: bytes that are not JSON, a lying header."""
+    if isinstance(body, str):
+        return RAW
+    try:
+        return json.loads(body) if body else None
+    except ValueError:
+        return RAW
 
 
 def test_wrong_values_cover_every_declared_field():
@@ -450,17 +543,24 @@ def test_wrong_values_cover_every_declared_field():
 
 class TestErrorLadder:
     @pytest.fixture(scope="class", autouse=True)
-    def ladder_dataset(self, server):
+    def ladder_dataset(self, server, local_router):
         HttpClient(server.url).create_dataset("ladder", TXNS, replace=True)
+        LocalClient(local_router).create_dataset("ladder", TXNS, replace=True)
 
     @pytest.mark.parametrize(
         "method, path, body, status, code", LADDER,
         ids=[f"{m} {p[:40]} #{i}" for i, (m, p, *_) in enumerate(LADDER)],
     )
-    def test_malformed_request(self, server, method, path, body, status, code):
+    def test_malformed_request(self, server, local_router, method, path, body, status, code):
         got_status, payload = raw_request(server, method, path, body)
         assert (got_status, payload.get("code")) == (status, code), payload
         assert payload["error"]
+        typed = typed_payload(body)
+        if typed is RAW:
+            return  # the socket is the only transport that can carry these bytes
+        for client in (HttpClient(server.url), LocalClient(local_router)):
+            raised = refusal(lambda: client._request(method, path, typed))
+            assert raised == (ApiError, status, code), type(client).__name__
 
     def test_refused_requests_changed_nothing(self, server):
         client = HttpClient(server.url)
@@ -475,6 +575,19 @@ class TestErrorLadder:
         status, payload = raw_request(server, "DELETE", f"/jobs/{job.job_id}?x=1")
         assert (status, payload["code"]) == (400, "bad_request")
         assert server.service.wait(job.job_id, 30.0).state is JobState.DONE
+
+    def test_an_oversized_body_is_the_same_413_through_the_http_client(self, server, monkeypatch):
+        """The server refuses it unread and hangs up, which a client still
+        sending 64 MiB sees as a reset and would retry as a restart: so
+        ``HttpClient`` gives the server's answer before it connects."""
+        client = HttpClient(server.url, connect_retries=0)
+        routed = server.service.jobs_routed
+        monkeypatch.setattr("repro.serve.client.MAX_BODY_BYTES", 64)
+        assert refusal(lambda: client.submit(TXNS, CFG)) == (ApiError, 413, "payload_too_large")
+        assert server.service.jobs_routed == routed
+        assert client.healthz()["status"] == "ok"  # no body, and the client still works
+        monkeypatch.undo()
+        assert client.submit(TXNS, CFG)["job_id"]
 
     def test_client_errors_carry_the_servers_code(self, server):
         client = HttpClient(server.url)

@@ -252,6 +252,9 @@ class TestHttpApprox:
         assert again["via"] == "memoized"
         detail = client.result_detail(again["job_id"])
         assert "approx" not in detail
+        assert detail["itemsets"] == client.result_detail(exact_snap["job_id"])["itemsets"]
+        (shard,) = client.metrics()["shards"]
+        assert shard["service"]["result_cache"]["upgrades"] >= 1
 
     def test_unknown_top_level_field_still_rejected(self, server):
         client = HttpClient(server.url)

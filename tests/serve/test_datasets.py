@@ -394,7 +394,7 @@ class TestRouterDatasets:
             # the dataset lives only on its home shard
             owners = [
                 s.name for s in router.shards
-                if len(s.service.dataset_registry)
+                if len(s.dataset_registry)
             ]
             assert owners == [home]
 
@@ -435,6 +435,8 @@ class TestHttpDatasets:
         assert first["state"] == "done"
         assert first["dataset_id"] == "http-w" and first["dataset_version"] == 1
         assert client.result(first["job_id"]) == oracle(BASE)
+        again = client.submit(None, CFG, dataset="http-w")  # same version: memoized
+        assert client.wait(again["job_id"], timeout=60)["via"] == "memoized"
 
         info = client.append_dataset("http-w", DELTA, expected_version=1)
         assert info["version"] == 2 and info["invalidated_results"] >= 1
@@ -445,6 +447,7 @@ class TestHttpDatasets:
             client.submit(None, CFG, dataset="http-w")["job_id"], timeout=60
         )
         assert post["via"] == "run"  # the stale cache entry is gone
+        assert post["state"] == "done" and post["dataset_version"] == 2
         assert client.result(post["job_id"]) == oracle(BASE + DELTA)
 
     def test_http_error_codes_are_structured(self, server):

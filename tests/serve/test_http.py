@@ -169,7 +169,7 @@ class TestJobLongPoll:
             return server.service.submit(None, self.INC, dataset_id=name).job_id
 
         (shard,) = server.service.shards
-        return submit, shard.service.dataset_registry.get(name)
+        return submit, shard.dataset_registry.get(name)
 
     def test_wait_returns_when_the_job_finishes_in_one_read(self, server, parked):
         submit, entry = parked
@@ -266,7 +266,7 @@ class TestPayloadHelpers:
             payload = result_payload(job)
             assert payload["num_itemsets"] == job.result.num_itemsets
             assert itemsets_from_payload(payload) == job.result.itemsets
-            LocalClient(svc).result(job.job_id)  # same itemsets via client
+            assert LocalClient(svc).result(job.job_id) == job.result.itemsets
 
 
 class TestShardedServer:
@@ -348,12 +348,14 @@ class TestShardedServer:
 
 class TestAdmissionOverHttp:
     def test_429_with_retry_after_and_mine_recovers(self):
+        """On both transports: the refusal carries the hint, and
+        ``mine`` backs off on it instead of raising."""
         import threading
         import time
 
         from repro.core.registry import register_algorithm, unregister_algorithm
         from repro.core.results import MiningRunResult
-        from repro.serve import RejectedError
+        from repro.serve import LocalClient, RejectedError
 
         release = threading.Event()
 
@@ -380,29 +382,34 @@ class TestAdmissionOverHttp:
                 fill_cfg = {"min_support": 0.4, "algorithm": "http_gate_algo",
                             "options": {"tag": "fill"}}
                 client.submit(TXNS, fill_cfg)
-                over_cfg = {"min_support": 0.4, "algorithm": "http_gate_algo",
-                            "options": {"tag": "over"}}
-                with pytest.raises(RejectedError) as exc:
-                    client.submit(TXNS, over_cfg)
-                err = exc.value
-                assert err.retry_after_s > 0
-                assert err.queue_depth == 1 and err.queue_limit == 1
+                clients = {"http": client, "local": LocalClient(srv.service)}
+                over = {
+                    name: {"min_support": 0.4, "algorithm": "http_gate_algo",
+                           "options": {"tag": f"over-{name}"}}
+                    for name in clients
+                }
+                for name, via in clients.items():
+                    with pytest.raises(RejectedError) as exc:
+                        via.submit(TXNS, over[name])
+                    err = exc.value
+                    assert err.retry_after_s > 0, name
+                    assert err.queue_depth == 1 and err.queue_limit == 1, name
                 assert client.metrics()["router"]["queue_depth"] <= 1  # bounded by the limit
                 # mine() backs off on 429 and resubmits once space frees up
-                done = threading.Event()
                 mined = {}
 
-                def mine_over():
-                    mined["itemsets"] = client.mine(TXNS, over_cfg, timeout=30.0)
-                    done.set()
+                def mine_over(name):
+                    mined[name] = clients[name].mine(TXNS, over[name], timeout=30.0)
 
-                t = threading.Thread(target=mine_over)
-                t.start()
-                time.sleep(0.2)  # let it hit at least one 429
+                threads = [threading.Thread(target=mine_over, args=(n,)) for n in clients]
+                for t in threads:
+                    t.start()
+                time.sleep(0.2)  # let each hit at least one 429
                 release.set()
-                assert done.wait(30.0), "mine() never recovered from 429"
-                t.join(5.0)
-                assert mined["itemsets"] == {(1,): 1}
+                for t in threads:
+                    t.join(30.0)
+                    assert not t.is_alive(), "mine() never recovered from 429"
+                assert mined == {"http": {(1,): 1}, "local": {(1,): 1}}
         finally:
             release.set()
             unregister_algorithm("http_gate_algo")

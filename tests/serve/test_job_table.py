@@ -183,7 +183,7 @@ class TestRefusedSubmitsTouchNothing:
                     assert job.shard == shard.name
                     if tag == "runs":
                         wait_running(job)
-            before = [footprint(s.service) for s in router.shards]
+            before = [footprint(s) for s in router.shards]
             for i in range(20):  # every shard in the chain is tried, and refuses
                 with pytest.raises(RejectedError) as err:
                     router.submit([[9000 + i], [i]], fast(i))
@@ -191,7 +191,7 @@ class TestRefusedSubmitsTouchNothing:
             for i in range(5):  # shed before any shard is asked
                 with pytest.raises(RejectedError, match="shed"):
                     router.submit([[8000 + i]], fast(i), priority=5)
-            assert [footprint(s.service) for s in router.shards] == before
+            assert [footprint(s) for s in router.shards] == before
             metrics = router.metrics()
             assert metrics["router"]["jobs_rejected"] == 20 and metrics["router"]["jobs_shed"] == 5
             assert [s["jobs_rejected"] for s in metrics["shards"]] == [20, 20, 20]
@@ -417,16 +417,16 @@ CLIENTS = 4
 
 
 def test_soak_ten_thousand_jobs_leave_nothing_behind(algos):
-    """10^4 jobs + 10^3 retiring appends through ``LocalClient(ShardRouter(2))``;
+    """10^4 jobs + 10^3 retiring appends on a ``ShardRouter(2)``, called as
+    ``dispatch`` calls it (the codec in front is test_api.py's subject);
     jobs 100..2000 come from more client threads than cores with thread
     switches forced often, the rest from one closed-loop client."""
     tracemalloc.start()
     try:
         with ShardRouter(n_shards=2, n_workers=1, result_cache_entries=CAP,
                          dataset_cache_bytes=4 * 1024) as router:
-            client = LocalClient(router)
-            client.create_dataset("feed", [[i, i + 1] for i in range(40)], max_window=48)
-            services = [s.service for s in router.shards]
+            router.create_dataset("feed", [[i, i + 1] for i in range(40)], max_window=48)
+            services = router.shards
             for svc in services:
                 # bounded at 2048 samples each; swapped for ones that are full
                 # by the first mark, or their fill (~240 KB) reads as growth
@@ -436,14 +436,14 @@ def test_soak_ten_thousand_jobs_leave_nothing_behind(algos):
             def one_job(i: int) -> None:
                 tenant = f"tenant-{i % 5}"
                 if i % 10 == 0:  # an append that retires, then a job on the window
-                    client.append_dataset("feed", [[i, i + 1], [i + 2]])
-                    job = client.submit(None, fast(), dataset_id="feed", tenant=tenant)
+                    router.append_dataset("feed", [[i, i + 1], [i + 2]])
+                    job = router.submit(None, fast(), dataset_id="feed", tenant=tenant)
                 elif i % 3 == 0:  # a repeat: memoized once its first run is in
-                    job = client.submit([[i % 24, 1], [2]], fast(), tenant=tenant)
+                    job = router.submit([[i % 24, 1], [2]], fast(), tenant=tenant)
                 else:
-                    job = client.submit([[i, i + 1], [i]], fast(), tenant=tenant)
-                final = client.wait(job.job_id, 30.0)
-                assert final.state is JobState.DONE and client.result(job.job_id)
+                    job = router.submit([[i, i + 1], [i]], fast(), tenant=tenant)
+                final = router.wait(job.job_id, 30.0)
+                assert final.state is JobState.DONE and router.get(job.job_id).result.itemsets
                 for svc in services:
                     assert len(svc._jobs) <= CAP + CLIENTS
 
@@ -498,7 +498,7 @@ def test_soak_ten_thousand_jobs_leave_nothing_behind(algos):
             assert late_cost <= 2 * early_cost + 2e-4, (early_cost, late_cost)
             assert late_bytes <= 1.10 * early_bytes, (early_bytes, late_bytes)
             assert sum(s.jobs_submitted for s in services) == 10_000
-            assert client.dataset_info("feed")["version"] == 1 + 1_000
+            assert router.dataset_info("feed")["version"] == 1 + 1_000
             for svc in services:  # quiescent: counters == a walk + what was let go
                 counts, table = svc.jobs_by_state(), walk(svc)
                 let_go = svc.jobs_submitted - len(svc._jobs)

@@ -62,15 +62,13 @@ class Tier:
 
     @property
     def entry(self):
-        return self.router.shards[0].service.dataset_registry.get(NAME)
+        return self.router.shards[0].dataset_registry.get(NAME)
 
     def warm_miners(self) -> int:
         return self.client.dataset_info(NAME)["warm_miners"]
 
     def submit(self) -> str:
-        if isinstance(self.client, HttpClient):
-            return self.client.submit(None, self.config, dataset=NAME)["job_id"]
-        return self.client.submit(None, self.config, dataset_id=NAME).job_id
+        return self.client.submit(None, self.config, dataset=NAME)["job_id"]
 
     def answer(self, job_id) -> tuple:
         """``(dataset_version, itemsets)`` of a job, once it is done."""
@@ -90,7 +88,7 @@ class Tier:
         the dataset on, and runs when the block ends."""
         gate = f"gate-{next(self._gates)}"
         self.router.create_dataset(gate, GATE)
-        gate_entry = self.router.shards[0].service.dataset_registry.get(gate)
+        gate_entry = self.router.shards[0].dataset_registry.get(gate)
         with gate_entry.lock:
             job = self.router.submit(None, self.config, dataset_id=gate)
             deadline = time.monotonic() + 10.0
@@ -230,9 +228,9 @@ def test_threaded_run_neither_deadlocks_nor_crosses_versions():
         def submitter(config):
             def body():
                 while not stop.is_set():
-                    job = client.wait(client.submit(None, config, dataset_id=NAME).job_id, 30.0)
-                    assert job.state is JobState.DONE, job.error
-                    answers.append((job.dataset_version, dict(job.result.itemsets)))
+                    job = client.wait(client.submit(None, config, dataset=NAME)["job_id"], 30.0)
+                    assert job["state"] == "done", job["error"]
+                    answers.append((job["dataset_version"], client.result(job["job_id"])))
             return body
 
         def watcher():

@@ -95,8 +95,7 @@ class TestRouting:
             client = LocalClient(router)
             buckets = datasets_by_home(router)
             for (txns,) in buckets.values():
-                result = client.mine(txns, CFG, timeout=30)
-                assert result.num_itemsets > 0
+                assert client.mine(txns, CFG, timeout=30)
 
     def test_constructor_validation(self):
         with pytest.raises(ServeError, match="n_shards"):
@@ -123,7 +122,10 @@ class TestSpill:
             # third dataset homed there must spill to the other shard
             spilled = router.submit(txns_list[2], CFG)
             assert spilled.shard != home_name
-            assert router.metrics()["router"]["jobs_spilled"] == 1
+            metrics = router.metrics()
+            assert metrics["router"]["jobs_spilled"] == 1
+            placed = {s["name"]: (s["jobs_home"], s["jobs_spilled_in"]) for s in metrics["shards"]}
+            assert placed == {home_name: (2, 0), spilled.shard: (0, 1)}
             release.set()
             for job in (running, queued, spilled):
                 assert router.wait(job.job_id, 30).is_terminal
@@ -213,6 +215,14 @@ class TestDelegation:
         with ShardRouter(n_shards=2, n_workers=1) as router:
             with pytest.raises(ServeError, match="unknown job"):
                 router.get("job-404")
+
+    def test_a_submit_with_no_source_is_the_shards_refusal(self):
+        """Bugfix: neither ``transactions`` nor ``dataset_id`` died in the
+        router's ``list(None)`` before any shard could say so."""
+        with ShardRouter(n_shards=2, n_workers=1) as router:
+            with pytest.raises(ServeError, match="requires transactions or a dataset_id"):
+                router.submit(None, CFG)
+            assert router.metrics()["router"]["jobs_routed"] == 0
 
     def test_shutdown_rejects_new_submits(self):
         router = ShardRouter(n_shards=2, n_workers=1)

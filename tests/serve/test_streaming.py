@@ -64,6 +64,13 @@ def apply_payload_diff(family, payload):
     return out
 
 
+def client_on(transport: str, server):
+    """The client under test, on the named transport of ``server``."""
+    if transport == "local":
+        return LocalClient(server.service)
+    return HttpClient(server.url, poll_interval_s=0.01)
+
+
 @pytest.fixture
 def service():
     with MiningService(n_workers=1, result_ttl_s=60.0) as svc:
@@ -446,23 +453,12 @@ class TestLifecycleBugfixes:
         good, poisoned = [["a", "b"]], [["a", "b"], 7]
         policy = {"flush_age_s": 0.05} if trigger == "flusher" else {}
         with MiningServer(port=0, n_workers=1) as server:
-            if transport == "http":
-                client = HttpClient(server.url, poll_interval_s=0.01)
-
-                def append_poisoned():  # the typed verb cannot even render it
-                    client._request(
-                        "POST", "/datasets/w/append", {"transactions": poisoned}
-                    )
-            else:
-                client = LocalClient(server.service)
-
-                def append_poisoned():
-                    client.append_dataset("w", poisoned)
-
+            client = client_on(transport, server)
             client.create_dataset("w", BASE, flush_rows=100, **policy)
             assert client.append_dataset("w", good)["buffered"] == 1
             with pytest.raises(ApiError, match="fingerprinted") as err:
-                append_poisoned()
+                # the typed verb cannot even render a non-list row
+                client._request("POST", "/datasets/w/append", {"transactions": poisoned})
             assert err.value.status == 400
             if trigger == "submit":
                 info = client.dataset_info("w")
@@ -606,8 +602,8 @@ class TestHttpStreaming:
             yield srv
 
     def test_streaming_lifecycle_over_http(self, server):
-        """The CI smoke shape: create with a policy, watch, append over
-        HTTP, long-poll /changes, check the diff against full results."""
+        """Create with a policy, watch, append over HTTP, long-poll
+        /changes, check the diff against full results."""
         client = HttpClient(server.url)
         info = client.create_dataset("stream-w", BASE, max_window=len(BASE) + 4)
         assert info["policy"]["max_window"] == len(BASE) + 4
@@ -636,11 +632,31 @@ class TestHttpStreaming:
         assert info["n_transactions"] == len(BASE) + 2 * len(DELTA)
 
     def test_explicit_flush_over_http(self, server):
+        """...and the flush wakes a ``/changes`` long-poll parked on
+        another connection with the diff of the one advance."""
         client = HttpClient(server.url)
-        client.create_dataset("flush-w", BASE, flush_rows=100)
-        client.append_dataset("flush-w", DELTA)
+        info = client.create_dataset("flush-w", BASE, flush_rows=100)
+        assert info["policy"]["flush_rows"] == 100
+        client.dataset_changes("flush-w", since=1, min_support=0.5)  # the watch
+        polled = {}
+
+        def poll():  # from this thread the client opens its own connection
+            polled.update(client.dataset_changes(
+                "flush-w", since=1, min_support=0.5, timeout_s=15.0
+            ))
+
+        t = threading.Thread(target=poll)
+        t.start()
+        staged = client.append_dataset("flush-w", DELTA)
         info = client.append_dataset("flush-w", None, flush=True)
         assert info["flushed"] is True and info["version"] == 2
+        t.join(30.0)
+        assert not t.is_alive(), "long-poll never woke"
+        # a watch reads its dataset's staged writes, so a poll that came in
+        # after the append folded the rows in itself: one advance either way
+        assert staged["version"] == 1 and polled["version"] == 2
+        assert polled["reset"] is False
+        assert apply_payload_diff(oracle(BASE), polled) == oracle(BASE + DELTA)
 
     def test_changes_rejects_bad_query(self, server):
         client = HttpClient(server.url)

@@ -253,6 +253,8 @@ def cmd_compare(args) -> int:
 def cmd_serve(args) -> int:
     from repro.serve.http import MiningServer
 
+    # nothing that starts a thread may come before this: the server forks
+    # its job workers while the process is single-threaded
     server = MiningServer(
         host=args.host,
         port=args.port,
@@ -521,7 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the mining service over HTTP")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080, help="0 = ephemeral")
-    serve.add_argument("--workers", type=int, default=4, help="worker threads per shard")
+    serve.add_argument(
+        "--workers", type=int, default=4,
+        help="concurrent running jobs per shard (a worker thread + its job-worker process each)",
+    )
     serve.add_argument(
         "--shards", type=int, default=1,
         help="mining-service shards behind a consistent-hash router "

@@ -38,6 +38,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import MiningError
@@ -374,35 +375,34 @@ def _run_one_phase(txns, config: MiningConfig) -> MiningRunResult:
     )
 
 
-def _make_oracle_runner(name: str) -> Callable:
-    def run_oracle(txns, config: MiningConfig) -> MiningRunResult:
-        import repro.algorithms as alg
-        from repro.engine.tracing import Tracer
+def _run_oracle(name: str, txns, config: MiningConfig) -> MiningRunResult:
+    """Runner of the sequential oracle ``repro.algorithms.<name>`` —
+    registered as ``partial(_run_oracle, name)``, which pickles by
+    reference (a served oracle job runs in a job-worker process)."""
+    import repro.algorithms as alg
+    from repro.engine.tracing import Tracer
 
-        fn = getattr(alg, name)
-        tracer = Tracer(label=name)
-        t0 = time.perf_counter()
-        with tracer.span(f"mine {name}", "driver", min_support=config.min_support):
-            itemsets = fn(
-                txns, config.min_support, max_length=config.max_length, **config.options
-            )
-        seconds = time.perf_counter() - t0
-        result = MiningRunResult(
-            algorithm=name,
-            min_support=config.min_support,
-            n_transactions=len(txns),
+    fn = getattr(alg, name)
+    tracer = Tracer(label=name)
+    t0 = time.perf_counter()
+    with tracer.span(f"mine {name}", "driver", min_support=config.min_support):
+        itemsets = fn(
+            txns, config.min_support, max_length=config.max_length, **config.options
         )
-        result.itemsets = itemsets
-        result.iterations = [
-            IterationStats(
-                k=0, seconds=seconds, n_candidates=-1, n_frequent=len(itemsets)
-            )
-        ]
-        result.trace = tracer
-        return result
-
-    run_oracle.__name__ = f"_run_{name}"
-    return run_oracle
+    seconds = time.perf_counter() - t0
+    result = MiningRunResult(
+        algorithm=name,
+        min_support=config.min_support,
+        n_transactions=len(txns),
+    )
+    result.itemsets = itemsets
+    result.iterations = [
+        IterationStats(
+            k=0, seconds=seconds, n_candidates=-1, n_frequent=len(itemsets)
+        )
+    ]
+    result.trace = tracer
+    return result
 
 
 def _register_builtins() -> None:
@@ -433,7 +433,7 @@ def _register_builtins() -> None:
     )
     for oracle in ("apriori", "eclat", "fpgrowth"):
         register_algorithm(
-            oracle, _make_oracle_runner(oracle),
+            oracle, partial(_run_oracle, oracle),
             description=f"sequential {oracle} oracle",
         )
 

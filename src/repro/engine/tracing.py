@@ -73,6 +73,19 @@ class Tracer:
         self.spans: list[Span] = []
         self.instants: list[InstantEvent] = []
 
+    # A tracer crosses process boundaries on the result it belongs to (a
+    # job worker's MiningRunResult): everything but the lock travels.
+    def __getstate__(self) -> dict:
+        with self._lock:
+            state = self.__dict__.copy()
+            state["spans"], state["instants"] = list(self.spans), list(self.instants)
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     # -- recording ---------------------------------------------------------
     def add_span(
         self,

@@ -15,7 +15,10 @@ worker half of that design (the driver half is
 * on a miss the worker **pulls** the block once from the driver over its
   IPC pipe (the driver also **pushes** blocks it knows the worker lacks,
   piggybacked on the task batch), after which every later task on the
-  worker hits the cache.
+  worker hits the cache;
+* a worker outlives tasks but never its driver: :func:`exit_with_parent`
+  (shared with the serve tier's job workers, which also reuse the store
+  and the pull half of this protocol for resident transaction rows).
 
 This mirrors Spark's Torrent broadcast + executor-side block manager
 (see PAPERS.md: Zaharia et al., NSDI'12): data moves by id, workers
@@ -168,10 +171,44 @@ def resolve_block(key: tuple) -> Any:
     return _runtime.resolve(key)
 
 
+def exit_with_parent(last_act=None) -> None:
+    """Called first thing in a worker process: from here on it dies when
+    its parent does, however the parent went (SIGKILL included) — after
+    ``last_act()``, if given (a worker removing its own temporary files).
+
+    A pipe's EOF cannot say so: a forked worker inherits the parent end of
+    its own pipe — and of every sibling's started before it — so
+    ``conn.recv()`` blocks forever on a dead driver.  The parent's
+    ``multiprocessing`` sentinel does fire; a daemon thread parks on it
+    (costing a task batch nothing) and ``os._exit``\ s, whether the worker
+    is waiting for work, mid-task, mid-pull or blocked sending a result
+    nobody will read.  Siblings holding each other's sentinels go in
+    reverse start order, each death releasing the next.
+    """
+    import multiprocessing
+    import os
+    import threading
+    from multiprocessing.connection import wait
+
+    parent = multiprocessing.parent_process()
+    if parent is None:  # not a multiprocessing child: nobody to follow
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        try:
+            if last_act is not None:
+                last_act()
+        finally:
+            os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
 def _worker_main(conn, slot: int, budget_bytes: int | None) -> None:
     """Persistent worker loop: receive task batches, resolve block refs
     through the local store (pulling misses from the driver), run tasks,
-    return the results.
+    return the results; gone with its driver (:func:`exit_with_parent`).
 
     Protocol (driver -> worker):
       ``("run", batch_blob, drops, push)`` — run a batch; ``drops`` are
@@ -190,6 +227,7 @@ def _worker_main(conn, slot: int, budget_bytes: int | None) -> None:
 
     import cloudpickle
 
+    exit_with_parent()
     store = WorkerBlockStore(budget_bytes)
     worker_id = f"worker-{slot}"
     runtime = WorkerRuntime(store, conn, worker_id)

@@ -2,9 +2,11 @@
 
 One :class:`MiningService` turns the one-shot mining API into a serving
 layer: a tenant-fair priority queue (:class:`TenantQueue`) over a bounded
-worker pool (each worker a :class:`JobRunner` call), a bounded job
-table, a cross-job dataset cache, warm engine contexts, and result
-memoization — the same amortize-the-repeated-cost move the YAFIM paper
+worker pool (each worker a :class:`JobRunner` call on a thread paired
+with a job-worker process, :mod:`repro.serve.jobworker`, where fresh
+mines run outside this interpreter), a bounded job table, a cross-job
+dataset cache, warm engine contexts, and result memoization — the same
+amortize-the-repeated-cost move the YAFIM paper
 makes for Apriori passes, applied across requests.  :class:`ShardRouter` spreads jobs over N >= 1
 of them; :class:`MiningServer` puts a router behind a stdlib JSON/HTTP
 front-end; :class:`LocalClient` / :class:`HttpClient` are one client on

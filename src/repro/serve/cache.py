@@ -11,7 +11,8 @@ pass.  The serving layer lifts the same idea one level up — across
   estimator).
 * :class:`ContextPool` keeps warm engine :class:`Context` instances —
   executor pools are the model-load analogue; spinning one up per job is
-  the repeated cost the pool amortizes.
+  the repeated cost the pool amortizes.  It lives where the job runs: in
+  each job-worker process, and in the server for the jobs that stay.
 * :class:`ResultCache` memoizes ``(dataset_fingerprint, config.cache_key())``
   → :class:`~repro.core.results.MiningRunResult` with TTL + LRU, so an
   identical resubmission returns without touching the engine at all.
@@ -387,6 +388,13 @@ class ContextPool:
     concurrent runs — an abandoned (timed-out) run keeps its context
     checked out until the stray thread actually finishes, then releases
     it from that thread's ``finally``.
+
+    A shard has one pool per place a job can run
+    (:func:`repro.serve.runner.run_with_pool` is their one user): one in
+    every job-worker process, whose contexts die with the process when a
+    job is killed, and the service's own for the jobs that stay in the
+    server.  ``/metrics`` ``context_pool`` is the key-wise sum of their
+    :meth:`stats`.
     """
 
     def __init__(self, max_idle_per_key: int = 2):

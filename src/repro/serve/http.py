@@ -248,6 +248,10 @@ class MiningServer:
         **service_kwargs,
     ):
         self._owns_service = service is None
+        # The router first, the socket after: every shard forks its job
+        # workers in its constructor, while this process has one thread,
+        # and a worker forked after the bind would hold the listening
+        # socket.  (Handler and worker threads only start with requests.)
         if service is None:
             if planner is True:
                 planner = CostPlanner()

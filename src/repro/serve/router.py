@@ -69,7 +69,10 @@ class ShardRouter:
         Number of :class:`MiningService` shards to create (each with its
         own queue, workers, and caches).
     n_workers:
-        Worker threads *per shard*.
+        Workers *per shard* (a thread and its job-worker process each).
+        Every shard's processes are forked here, before any shard has
+        started a thread — a shard starts its threads with its first
+        queued job — so build the router before anything multi-threaded.
     queue_limit:
         Bounded queue length per shard (admission control).  ``None``
         disables rejection — the router then never spills either, since

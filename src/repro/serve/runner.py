@@ -1,6 +1,6 @@
 """The job tier's runner: one RUNNING job to its outcome.
 
-:class:`JobRunner` owns "how a job executes": the attempt thread, the
+:class:`JobRunner` owns "how a job executes": where it runs, the
 deadline, client cancellation, bounded retry-with-backoff for transient
 engine faults, the engine-context checkout and the warm-miner answer for
 a named dataset.  It holds no reference to the service and takes none of
@@ -8,18 +8,22 @@ its locks — :meth:`JobRunner.run` is called by a worker holding nothing
 and *returns* the outcome; recording it (state, caches, followers) is
 the service's job.  Of the job it writes only ``attempts``.
 
-This is the seam a process-backed execution mode replaces: everything a
-run needs arrives through the three collaborators and the job.
+A job has two possible homes, and which one is a fact about the job
+(:func:`shipping_request` is the one place it is decided): the worker
+thread's :class:`~repro.serve.jobworker.JobWorker` process — outside this
+interpreter, killed on timeout or cancel — or, for what cannot leave, an
+attempt thread here that can only be abandoned.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import threading
 import time
 
 from repro.common.errors import EngineError
-from repro.core.registry import get_algorithm, run_algorithm
+from repro.core.registry import MiningConfig, get_algorithm, run_algorithm
 from repro.serve.jobs import ApiError, Job, JobState, ServeError
 
 #: exception types treated as transient (retried with backoff)
@@ -35,11 +39,76 @@ def _timed_out(job: Job) -> Outcome:
     return (JobState.TIMED_OUT, None, f"timed out after {job.request.timeout_s:g}s")
 
 
+def _abandoned(job: Job, deadline: float | None) -> Outcome | None:
+    """The outcome that ends a running attempt early, if one is due."""
+    if deadline is not None and time.monotonic() >= deadline:
+        return _timed_out(job)
+    if job.cancel_event.is_set():
+        return _CANCELLED
+    return None
+
+
+def _needs_context(config: MiningConfig) -> bool:
+    if config.incremental:
+        return False  # in-process tier: walks its own resident bitmaps
+    return config.approx or get_algorithm(config.algorithm).needs_engine
+
+
+def run_with_pool(contexts, transactions: list, config: MiningConfig, label: str):
+    """``run_algorithm`` as the one-shot API runs it, except that an
+    engine-backed run borrows a warm context from ``contexts`` (a
+    :class:`~repro.serve.cache.ContextPool`) — the one way a served job
+    mines, in the server's thread or in a job worker."""
+    ctx = None
+    if _needs_context(config):
+        ctx = contexts.acquire(config.backend, config.parallelism, label=label)
+    try:
+        return run_algorithm(transactions, config, ctx=ctx)
+    finally:
+        if ctx is not None:
+            contexts.release(ctx)
+
+
+def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
+    """The pickled request that runs ``job`` (``config``: as planned) in a
+    job-worker process, or ``None`` for a job that stays in the server.
+
+    Which jobs ship is decided here, from the job alone — never an option:
+
+    * an **incremental** job stays: the warm miner it is answered from
+      lives in the dataset tier, in this process;
+    * an engine-backed job on **``backend="processes"``** stays: a job
+      worker is a daemonic child and may not have children, and this
+      job's counting already runs outside the GIL, in the pooled
+      context's own workers;
+    * a job whose **runner or options exist only in this interpreter**
+      stays: stdlib ``pickle`` sends a function as its import path, so a
+      closure or lambda registered by an embedding caller (every gate
+      algorithm under ``tests/serve`` closes over a ``threading.Event``)
+      cannot be named to another process;
+    * everything else ships.  The request carries the algorithm's spec, so
+      the worker need not have seen the registration.
+    """
+    if config.incremental:
+        return None
+    if config.backend == "processes" and _needs_context(config):
+        return None
+    spec = get_algorithm(config.algorithm)
+    try:
+        return pickle.dumps(
+            (job.dataset_fingerprint, config, spec, job.job_id), pickle.HIGHEST_PROTOCOL
+        )
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return None
+
+
 class JobRunner:
     """Runs jobs against a shard's caches.
 
     ``datasets`` / ``contexts`` are the shard's
-    :class:`~repro.serve.cache.DatasetCache` and ``ContextPool``;
+    :class:`~repro.serve.cache.DatasetCache` (what a job worker's pull
+    for rows is answered from) and its in-server ``ContextPool`` (used
+    by the jobs that stay; a shipped job borrows from its worker's own);
     ``dataset_registry`` answers :meth:`warm_result` for jobs that
     snapshotted a named dataset.
     """
@@ -49,14 +118,17 @@ class JobRunner:
         self.contexts = contexts
         self.dataset_registry = dataset_registry
 
-    def run(self, job: Job) -> Outcome:
+    def run(self, job: Job, worker=None) -> Outcome:
         """Drive ``job`` (already RUNNING, ``started_s`` set) through its
-        attempts; returns ``(state, result, error)`` with a terminal state."""
+        attempts; returns ``(state, result, error)`` with a terminal state.
+        ``worker`` is the calling thread's
+        :class:`~repro.serve.jobworker.JobWorker`; without one every job
+        runs in this process."""
         timeout_s = job.request.timeout_s
         deadline = None if timeout_s is None else job.started_s + timeout_s
         while True:
             job.attempts += 1
-            outcome = self._attempt(job, deadline)
+            outcome = self._attempt(job, deadline, worker)
             if outcome is not None:
                 return outcome
             # transient failure with retry budget left: back off, then go
@@ -69,77 +141,82 @@ class JobRunner:
             if deadline is not None and time.monotonic() >= deadline:
                 return _timed_out(job)
 
-    def _attempt(self, job: Job, deadline: float | None) -> Outcome | None:
+    def _attempt(self, job: Job, deadline: float | None, worker) -> Outcome | None:
         """Run one attempt; ``None`` when it failed transiently and the
         retry budget allows another go."""
-        box: dict[str, object] = {}
-        thread = threading.Thread(
-            target=self._mine, args=(job, box), name=f"{job.job_id}-run", daemon=True
-        )
-        thread.start()
-        while thread.is_alive():
-            if deadline is not None and time.monotonic() >= deadline:
-                # abandon the attempt: the stray thread releases its context
-                # when it eventually finishes; its result is discarded
-                return _timed_out(job)
-            if job.cancel_event.is_set():
-                return _CANCELLED
-            thread.join(timeout=0.01)
-
-        error = box.get("error")
-        if error is None:
-            return (JobState.DONE, box["result"], None)
-        if isinstance(error, ApiError):
-            # dataset disappeared mid-run etc.: a client error, not a fault
-            return (JobState.FAILED, None, str(error))
-        transient = isinstance(error, TRANSIENT_ERRORS)
-        if transient and job.attempts <= job.request.max_retries:
-            return None
-        kind = "transient" if transient else "permanent"
-        return (
-            JobState.FAILED,
-            None,
-            f"{kind} failure after {job.attempts} attempt(s): {error!r}",
-        )
-
-    def _mine(self, job: Job, box: dict) -> None:
-        """The attempt thread's body: ``box`` gets ``result`` or ``error``."""
-        ctx = None
         try:
             # keyed as asked, run as planned: the planner's knobs apply here
             config = job.request.config
             if job.planned:
                 config = dataclasses.replace(config, **job.planned)
-            txns = self.datasets.get(job.dataset_fingerprint)
+            txns = self._rows(job)
+            request = None if worker is None else shipping_request(job, config)
+            if request is not None:
+                result, early = worker.run(request, txns, lambda: _abandoned(job, deadline))
+            else:
+                result, early = self._run_here(job, config, txns, deadline)
+            return early or (JobState.DONE, result, None)
+        except BaseException as error:  # noqa: BLE001 - reported to the client
+            # (whatever a runner raised, SystemExit included: a worker
+            # thread must outlive every job it runs)
+            if isinstance(error, ApiError):
+                # dataset disappeared mid-run etc.: a client error, not a fault
+                return (JobState.FAILED, None, str(error))
+            transient = isinstance(error, TRANSIENT_ERRORS)
+            if transient and job.attempts <= job.request.max_retries:
+                return None
+            kind = "transient" if transient else "permanent"
+            return (
+                JobState.FAILED,
+                None,
+                f"{kind} failure after {job.attempts} attempt(s): {error!r}",
+            )
+
+    def _rows(self, job: Job) -> list:
+        txns = self.datasets.get(job.dataset_fingerprint)
+        if txns is None:
+            # evicted while queued: run from the job's own pin and
+            # re-warm the cache for followers and repeat traffic
+            txns = job._txns
             if txns is None:
-                # evicted while queued: run from the job's own pin and
-                # re-warm the cache for followers and repeat traffic
-                txns = job._txns
-                if txns is None:
-                    raise ServeError(
-                        f"dataset {job.dataset_fingerprint[:12]} lost before run"
-                    )
-                self.datasets.add(txns, job.dataset_fingerprint)
-            result = None
-            if config.incremental:
-                # in-process tier: no engine context to check out, and
-                # a named dataset's warm miner answers when it can
-                if job._dataset_entry is not None:
+                raise ServeError(
+                    f"dataset {job.dataset_fingerprint[:12]} lost before run"
+                )
+            self.datasets.add(txns, job.dataset_fingerprint)
+        return txns
+
+    def _run_here(self, job: Job, config, txns: list, deadline: float | None):
+        """The home of what cannot ship (see :func:`shipping_request`): an
+        attempt thread of this interpreter.  A thread cannot be killed, so
+        on timeout or cancel it is abandoned — it finishes in the
+        background, releases its context then, and its result is dropped.
+        Returns ``(result, None)`` or ``(None, early outcome)``."""
+        box: dict[str, object] = {}
+
+        def mine() -> None:
+            try:
+                result = None
+                if config.incremental and job._dataset_entry is not None:
+                    # a named dataset's warm miner answers when it can
                     result = self.dataset_registry.warm_result(
                         job._dataset_entry, job.dataset_version, len(txns), config
                     )
-            elif config.approx or get_algorithm(config.algorithm).needs_engine:
-                ctx = self.contexts.acquire(
-                    config.backend, config.parallelism, label=job.job_id
-                )
-            if result is None:
-                result = run_algorithm(txns, config, ctx=ctx)
-            box["result"] = result
-        except BaseException as exc:  # noqa: BLE001 - reported to client
-            box["error"] = exc
-        finally:
-            if ctx is not None:
-                self.contexts.release(ctx)
+                if result is None:
+                    result = run_with_pool(self.contexts, txns, config, job.job_id)
+                box["result"] = result
+            except BaseException as exc:  # noqa: BLE001 - reported to client
+                box["error"] = exc
+
+        thread = threading.Thread(target=mine, name=f"{job.job_id}-run", daemon=True)
+        thread.start()
+        while thread.is_alive():
+            early = _abandoned(job, deadline)
+            if early is not None:
+                return None, early
+            thread.join(timeout=0.01)
+        if "error" in box:
+            raise box["error"]
+        return box["result"], None
 
 
-__all__ = ["JobRunner", "TRANSIENT_ERRORS"]
+__all__ = ["JobRunner", "TRANSIENT_ERRORS", "run_with_pool", "shipping_request"]

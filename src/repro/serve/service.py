@@ -1,20 +1,25 @@
 """The job tier of the mining service: admission, the job table, workers.
 
 :class:`MiningService` accepts mining jobs (any algorithm registered in
-:mod:`repro.core.registry`), runs them on a fixed pool of worker threads,
-and layers three amortizations over the one-shot API:
+:mod:`repro.core.registry`), runs them on a fixed pool of workers — each
+a thread of this process paired with a persistent job-worker process
+(:mod:`repro.serve.jobworker`) where every job that can leave this
+interpreter is mined — and layers three amortizations over the one-shot
+API:
 
 * identical resubmissions hit the :class:`~repro.serve.cache.ResultCache`
   and complete instantly (``via="memoized"``);
 * identical *concurrent* submissions coalesce — followers attach to the
   in-flight primary and share its result (``via="coalesced"``);
-* datasets and warm engine contexts persist across jobs in the
-  :class:`~repro.serve.cache.DatasetCache` / ``ContextPool``.
+* datasets and warm engine contexts persist across jobs: parsed rows in
+  the :class:`~repro.serve.cache.DatasetCache` and, where the counting
+  runs, in each job worker's own LRU; contexts in a ``ContextPool`` per
+  job worker plus this process's own for the jobs that stay.
 
 Every piece of job state has one owner.  *Is it queued, who runs next*:
-:class:`~repro.serve.queue.TenantQueue`.  *How it executes* (timeout,
-cancellation, retry-with-backoff for transient engine faults):
-:class:`~repro.serve.runner.JobRunner`, which takes none of this
+:class:`~repro.serve.queue.TenantQueue`.  *How it executes* (in which
+process, timeout, cancellation, retry-with-backoff for transient engine
+faults): :class:`~repro.serve.runner.JobRunner`, which takes none of this
 module's locks — a worker is pop → run → finish.  *Where its record is,
 what was planned for it*: the :class:`Job` in this service's **job
 table** — live jobs plus the most recent ``result_cache_entries``
@@ -53,6 +58,7 @@ from repro.core.registry import MiningConfig, get_algorithm
 from repro.serve.api import BY_DATASET, OPERATIONS
 from repro.serve.cache import ContextPool, DatasetCache, ResultCache, dataset_fingerprint
 from repro.serve.datasets import DatasetRegistry
+from repro.serve.jobworker import JobWorker
 from repro.serve.jobs import (
     ApiError,
     Job,
@@ -65,6 +71,11 @@ from repro.serve.jobs import (
 )
 from repro.serve.queue import TenantQueue
 from repro.serve.runner import JobRunner
+
+
+def _summed(stats: list[dict]) -> dict:
+    """Key-wise sum of same-shaped counter dicts."""
+    return {key: sum(s[key] for s in stats) for key in stats[0]}
 
 
 def _quantile(samples: list, q: float) -> float:
@@ -126,10 +137,13 @@ class MiningService:
     Parameters
     ----------
     n_workers:
-        Worker threads executing jobs (each holds at most one warm engine
-        context at a time).
+        Concurrent running jobs: worker threads, each paired with its own
+        job-worker process (forked here when this process is still
+        single-threaded; otherwise spawned by the first job that ships).
+        The threads start with the first queued job.
     dataset_cache_bytes:
-        Byte budget for parsed transaction lists shared across jobs.
+        Byte budget for parsed transaction lists shared across jobs —
+        and, separately, of each job worker's resident rows.
     result_cache_entries / result_ttl_s:
         LRU size and freshness window of the result memoizer; the job
         table also retains ``result_cache_entries`` terminal jobs (live
@@ -138,7 +152,8 @@ class MiningService:
         Timeout applied to jobs that do not specify their own; ``None``
         means no deadline.
     max_idle_contexts:
-        Warm engine contexts kept per ``(backend, parallelism)`` key.
+        Warm engine contexts kept per ``(backend, parallelism)`` key, in
+        this process's pool and in each job worker's.
     queue_limit:
         Admission control: maximum jobs waiting in the queue.  A submit
         that would exceed it raises :class:`RejectedError` (HTTP 429)
@@ -212,14 +227,22 @@ class MiningService:
         self.queue_wait_hist = LatencyHistogram()
         self.run_time_hist = LatencyHistogram()
         self._tenant_counts: dict[str, dict[str, int]] = {}
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop, name=f"repro-serve-{i}", daemon=True
-            )
+        # Processes first, threads at the first queued job: a job worker is
+        # forked only while this process has one thread (spawned otherwise,
+        # ~0.4 s to its first reply), so the shards of a router — and the
+        # HTTP front-end, which binds its socket after them — must all
+        # exist before any of them starts a thread.
+        self._job_workers = [
+            JobWorker(f"{name or 'serve'}-{i}", dataset_cache_bytes, max_idle_contexts)
             for i in range(n_workers)
         ]
-        for w in self._workers:
-            w.start()
+        self._workers = [
+            threading.Thread(
+                target=self._worker_loop, args=(worker,), name=f"repro-serve-{i}",
+                daemon=True,
+            )
+            for i, worker in enumerate(self._job_workers)
+        ]
 
     # -- submission --------------------------------------------------------
     def submit(
@@ -345,6 +368,9 @@ class MiningService:
             else:
                 self._inflight[key] = [job]
                 self._queue.push(job)
+                if self._workers[0].ident is None:  # the first queued job
+                    for w in self._workers:
+                        w.start()
                 self._queue_cond.notify()
         return job
 
@@ -377,8 +403,9 @@ class MiningService:
         """Cancel a job; True when the cancellation took effect.
 
         A queued job is cancelled immediately; a running job has its cancel
-        flag raised and transitions once the worker observes it (the
-        underlying computation is abandoned, its result discarded).
+        flag raised and transitions once the worker observes it (its
+        job-worker process is killed; a computation that runs in this
+        process is abandoned and its result discarded).
         Terminal jobs are left untouched (returns False).
         """
         job = self.get(job_id)
@@ -436,6 +463,9 @@ class MiningService:
             if trace is not None:
                 entry["trace_spans"] = len(trace.spans)
             recent.append(entry)
+        # warm contexts live where their jobs ran: this process's pool and
+        # each job worker's own
+        pools = [self.contexts.stats()] + [w.context_pool for w in self._job_workers]
         return {
             "name": self.name,
             "queue_depth": self.queue_depth(),
@@ -453,13 +483,16 @@ class MiningService:
             "dataset_cache": self.datasets.stats(),
             "dataset_registry": self.dataset_registry.stats(),
             "result_cache": self.results.stats(),
-            "context_pool": self.contexts.stats(),
+            "context_pool": _summed(pools),
+            "job_workers": _summed([w.stats() for w in self._job_workers]),
             "recent_jobs": recent,
         }
 
     # -- lifecycle ---------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work, cancel queued jobs, drain the workers."""
+        """Stop accepting work, cancel queued jobs, drain the workers
+        (``wait``: up to 10 s per worker thread), then kill the job-worker
+        processes — none is left, and a job still out on one fails."""
         with self._queue_cond:
             if self._shutdown:
                 return
@@ -467,11 +500,13 @@ class MiningService:
             for job in self._queue.drain():
                 self._finish_locked(job, JobState.CANCELLED, error="service shut down")
             self._queue_cond.notify_all()
-        if wait:
+        if wait and self._workers[0].ident is not None:
             for w in self._workers:
                 w.join(timeout=10.0)
         self.dataset_registry.close(wait)
         self.contexts.close()
+        for worker in self._job_workers:
+            worker.stop()
 
     def __enter__(self) -> "MiningService":
         return self
@@ -480,8 +515,9 @@ class MiningService:
         self.shutdown()
 
     # -- worker internals --------------------------------------------------
-    def _worker_loop(self) -> None:
-        """pop -> run -> finish; the run holds no service lock."""
+    def _worker_loop(self, worker: JobWorker) -> None:
+        """pop -> run -> finish; the run holds no service lock.  ``worker``
+        is this thread's own job-worker process."""
         while True:
             with self._queue_cond:
                 job = None
@@ -495,7 +531,7 @@ class MiningService:
                 self._set_state_locked(job, JobState.RUNNING)
                 job.started_s = time.monotonic()
                 self.queue_wait_hist.record(job.started_s - job.submitted_s)
-            state, result, error = self._runner.run(job)
+            state, result, error = self._runner.run(job, worker)
             with self._queue_cond:
                 self._finish_locked(job, state, result=result, error=error)
 

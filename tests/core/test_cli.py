@@ -1,11 +1,15 @@
 """CLI tests (`python -m repro ...`)."""
 
+import contextlib
+import glob
 import json
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
 
@@ -112,13 +116,43 @@ class TestParser:
 
 
 class TestServe:
+    @pytest.mark.parametrize("how", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"])
+    def test_no_descendant_outlives_a_server_stopped_mid_job(self, how):
+        """``repro serve`` catches no signal: its job workers (and whatever
+        they started) must notice the parent is gone on their own, also in
+        the middle of a mine — the perf ledger's ``Server.close()`` is a
+        SIGTERM, and a survivor holding its stderr hangs the harness."""
+        from repro.core.registry import MiningConfig
+        from repro.datasets import mushroom_like
+        from repro.serve import HttpClient
+        from tests.procs import descendants, gone_within
+
+        def worker_dirs() -> set:
+            return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-job-worker-*")))
+
+        before = worker_dirs()
+        with _cli_server("--workers", "2") as (proc, url):
+            client = HttpClient(url)
+            txns = mushroom_like(scale=0.5, seed=2).transactions
+            job = client.submit(txns, MiningConfig(min_support=0.25, backend="serial"))
+            deadline = time.monotonic() + 30.0
+            while client.status(job["job_id"])["state"] != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            kids = descendants(proc.pid)
+            assert len(kids) >= 2  # one job worker per service worker
+            proc.send_signal(how)
+            proc.wait(timeout=10)
+            assert proc.returncode == -how
+            assert gone_within(kids, 2.0) == []
+            assert worker_dirs() <= before  # each worker took its temporary files along
+
     def test_cli_server_announces_its_url_serves_and_stops_on_sigterm(self):
         """The path every ``repro serve`` user runs, and the banner the
         perf ledger's ``server.py`` parses: the CLI server as a
         subprocess with default sharding announces its bound URL, mines
         over HTTP what the direct call mines, and exits promptly on
         SIGTERM."""
-        import repro
         from repro.core.api import mine_frequent_itemsets
         from repro.core.registry import MiningConfig
         from repro.datasets import mushroom_like
@@ -126,28 +160,41 @@ class TestServe:
 
         txns = mushroom_like(scale=0.05, seed=1).transactions
         config = MiningConfig(min_support=0.35, backend="serial")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet"],
-            stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
-        )
-        try:
-            banner = proc.stdout.readline()
-            url = re.search(r"http://\S+", banner)
-            assert url is not None, f"no URL in the banner: {banner!r}"
-            client = HttpClient(url.group(0))
+        with _cli_server() as (proc, url):
+            client = HttpClient(url)
             assert client.healthz() == {"status": "ok", "shards": 1, "workers": 4}
             served = client.mine(txns, config, timeout=120)
             assert served == mine_frequent_itemsets(txns, config=config).itemsets
-            assert client.metrics()["router"]["jobs_routed"] == 1
-        finally:
+            metrics = client.metrics()
+            assert metrics["router"]["jobs_routed"] == 1
+            # it ran in one of the four job workers forked before the bind
+            workers = metrics["shards"][0]["service"]["job_workers"]
+            assert (workers["alive"], workers["started"], workers["jobs_run"]) == (4, 4, 1)
             proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=10)
-            finally:
-                proc.kill()
-                proc.stdout.close()
+            proc.wait(timeout=10)
         assert proc.returncode == -signal.SIGTERM
+
+
+@contextlib.contextmanager
+def _cli_server(*flags):
+    """``python -m repro serve --port 0 --quiet`` as a subprocess; yields
+    ``(process, url)`` and leaves nothing running."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet", *flags],
+        stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    try:
+        banner = proc.stdout.readline()
+        url = re.search(r"http://\S+", banner)
+        assert url is not None, f"no URL in the banner: {banner!r}"
+        yield proc, url.group(0)
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 class TestMine:

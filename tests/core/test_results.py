@@ -53,6 +53,26 @@ class TestMiningRunResult:
         assert "test" in text
 
 
+@pytest.mark.parametrize("options", [{}, {"approx": True}])
+def test_a_real_result_crosses_a_process_boundary(options):
+    """What a job worker sends back: every part of the result pickles
+    (the trace's lock is dropped and re-created)."""
+    import pickle
+
+    from repro.core.api import mine_frequent_itemsets
+    from repro.core.registry import MiningConfig
+    from repro.datasets import mushroom_like
+
+    txns = mushroom_like(scale=0.02, seed=1).transactions
+    config = MiningConfig(min_support=0.5, algorithm="yafim", backend="serial", **options)
+    result = mine_frequent_itemsets(txns, config=config)
+    clone = pickle.loads(pickle.dumps(result))
+    assert type(clone) is type(result) and clone.itemsets == result.itemsets
+    assert len(clone.trace.spans) == len(result.trace.spans) > 0
+    assert clone.engine_metrics.summary() == result.engine_metrics.summary()
+    assert clone.iterations == result.iterations
+
+
 class TestIterationStats:
     def test_defaults(self):
         it = IterationStats(k=3, seconds=1.0, n_candidates=10, n_frequent=4)

@@ -79,3 +79,43 @@ class TestProcessBackend:
     def test_sort_by(self, pctx):
         data = [5, 1, 4, 2, 3]
         assert pctx.parallelize(data, 3).sort_by(lambda x: x).collect() == sorted(data)
+
+
+DRIVER_THAT_KILLS_ITSELF = """
+import multiprocessing, os, signal
+from repro.engine import Context
+
+if __name__ == "__main__":
+    ctx = Context(backend="processes", parallelism=2)
+    assert ctx.parallelize(range(8), 4).map(lambda x: x + 1).collect() == list(range(1, 9))
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)  # no atexit, no finally, no stop()
+"""
+
+
+def test_workers_do_not_outlive_a_killed_driver(tmp_path):
+    """A forked worker holds the parent end of its own pipe, so EOF never
+    tells it the driver is gone; the parent's sentinel does."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+    from tests.procs import gone_within, pid_alive
+
+    script = tmp_path / "driver.py"
+    script.write_text(DRIVER_THAT_KILLS_ITSELF)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    driver = subprocess.run(
+        [sys.executable, str(script)], stdout=subprocess.PIPE, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert driver.returncode == -9
+    workers = [int(pid) for pid in driver.stdout.split()]
+    assert len(workers) == 2
+    try:
+        assert gone_within(workers, 2.0) == []
+    finally:
+        for pid in workers:
+            if pid_alive(pid):
+                os.kill(pid, 9)

@@ -30,6 +30,18 @@ class TestTracer:
         assert outer.start_s <= inner.start_s
         assert inner.end_s <= outer.end_s
 
+    def test_a_tracer_pickles_without_its_lock(self):
+        import pickle
+
+        tracer = Tracer(label="t")
+        with tracer.span("outer", "driver", answer=42):
+            tracer.instant("mark", "driver")
+        clone = pickle.loads(pickle.dumps(tracer))
+        assert (clone.label, clone.enabled, clone.origin_s) == ("t", True, tracer.origin_s)
+        assert clone.spans == tracer.spans and clone.instants == tracer.instants
+        clone.add_span("after", "driver", 0.0, 1.0)  # a working lock came back
+        assert len(clone) == 3 and len(tracer) == 2
+
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(enabled=False)
         with tracer.span("x", "driver"):

@@ -334,7 +334,8 @@ def leaves(names: str) -> dict:
 
 HISTOGRAM = leaves("count max_s mean_s p50_s p95_s p99_s")
 #: shape of the routed payload at the parent commit (PR 17) after the
-#: script below, recorded by running it there; lists hold one element shape
+#: script below, recorded by running it there; lists hold one element
+#: shape.  One block added since: ``job_workers`` (PR 20)
 PARENT_SHAPE = {
     "planner": leaves("observations plans stats_cached unit_cost_s"),
     "ring": leaves("nodes replicas"),
@@ -352,6 +353,9 @@ PARENT_SHAPE = {
             "dataset_registry": leaves(
                 "appends buffered creates datasets flushes retired_transactions warm_miners "
                 "watches"
+            ),
+            "job_workers": leaves(
+                "alive datasets_resident jobs_run killed restarts rows_shipped ship_bytes started"
             ),
             "jobs_by_state": leaves("cancelled done failed pending running timed_out"),
             "latency": {"queue_wait": HISTOGRAM, "run": HISTOGRAM},

@@ -1,0 +1,346 @@
+"""The two execution homes of a served job, and the kill.
+
+A job that can leave the server's interpreter runs in its worker
+thread's job-worker process (rows pulled once per fingerprint, killed on
+timeout or cancel, a dead worker is a transient fault); one that cannot
+— an incremental job, a ``backend="processes"`` engine job, a runner that
+exists only in this interpreter — runs on an attempt thread here.  The
+shippable runners live in :mod:`tests.serve._runners`.
+"""
+
+import os
+import signal
+import threading
+import time
+
+import pytest
+
+from repro.core.api import mine_frequent_itemsets
+from repro.core.registry import MiningConfig, register_algorithm, unregister_algorithm
+from repro.datasets import mushroom_like
+from repro.serve import HttpClient, JobState, LocalClient, MiningServer, MiningService
+from repro.serve.runner import shipping_request
+from tests.procs import gone_within, pid_alive
+from tests.serve import _runners
+
+ROWS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
+OTHER = [[4, 5], [4, 5, 6], [5, 6]]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def shippable():
+    names = ("fast", "sleepy", "spin", "die_once")
+    for name in names:
+        register_algorithm(f"ship_{name}", getattr(_runners, name), overwrite=True)
+    yield
+    for name in names:
+        unregister_algorithm(f"ship_{name}")
+
+
+def forked_service(**kwargs) -> MiningService:
+    """A service whose job workers are up before its first job: they are
+    forked only while this process has one thread, so wait out whatever an
+    earlier test left running (a gate algorithm's abandoned attempt lives
+    until its gate times out)."""
+    deadline = time.monotonic() + 20.0
+    while threading.active_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    service = MiningService(**kwargs)
+    assert all(w.pid is not None for w in service._job_workers), threading.enumerate()
+    return service
+
+
+@pytest.fixture
+def svc():
+    with forked_service(n_workers=1, result_ttl_s=60.0) as service:
+        yield service
+
+
+def cfg(name="fast", **options) -> MiningConfig:
+    return MiningConfig(min_support=0.4, algorithm=f"ship_{name}", options=options)
+
+
+def done(job, timeout=30.0):
+    assert job.wait(timeout), f"{job.job_id} still {job.state}"
+    assert job.state is JobState.DONE, job.error
+    return job.result
+
+
+def workers(service) -> dict:
+    return service.metrics()["job_workers"]
+
+
+def wait_for(path, timeout=10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path):
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.005)
+
+
+# -- (a) what ships, what stays ---------------------------------------------
+class TestWhatShips:
+    def test_a_built_in_job_runs_in_the_worker_and_answers_like_the_one_shot_api(self, svc):
+        txns = mushroom_like(scale=0.02, seed=3).transactions
+        config = MiningConfig(min_support=0.5, backend="serial")
+        result = done(svc.submit(txns, config))
+        assert result.itemsets == mine_frequent_itemsets(txns, config=config).itemsets
+        assert workers(svc) | {"ship_bytes": 0} == {
+            "alive": 1, "started": 1, "restarts": 0, "killed": 0, "jobs_run": 1,
+            "rows_shipped": len(txns), "ship_bytes": 0, "datasets_resident": 1,
+        }
+        # the crossing is one span of the job's own trace
+        (span,) = [s for s in result.trace.spans if s.name == "job_worker"]
+        assert span.category == "ship" and span.args["pid"] == svc._job_workers[0].pid
+        assert span.args["rows_shipped"] == len(txns)
+        assert 0 < span.args["worker_s"] <= span.duration_s
+        assert svc.contexts.created == 0  # the warm context is the worker's
+        assert svc.metrics()["context_pool"] == {"idle": 1, "created": 1, "reused": 0}
+
+    def test_rows_cross_once_per_fingerprint_and_again_after_the_lru_let_go(self):
+        big = [[i, i + 1, i + 2] for i in range(400)]
+        # the worker's LRU gets the shard's own dataset budget: ROWS fits
+        # beside nothing of big's size (the newest block always stays)
+        with forked_service(n_workers=1, dataset_cache_bytes=2048) as svc:
+            done(svc.submit(ROWS, cfg()))
+            assert workers(svc)["rows_shipped"] == len(ROWS)
+            done(svc.submit(ROWS, cfg(tag="same rows, another job")))
+            assert workers(svc)["rows_shipped"] == len(ROWS)  # 0 rows shipped
+            assert workers(svc)["jobs_run"] == 2
+            done(svc.submit(big, cfg()))
+            assert workers(svc)["datasets_resident"] == 1  # ROWS evicted
+            done(svc.submit(ROWS, cfg(tag="pulled again")))
+            assert workers(svc)["rows_shipped"] == 2 * len(ROWS) + len(big)
+
+    def test_a_module_level_runner_ships_and_the_oracles_do(self, svc):
+        assert _runners.ran_in(done(svc.submit(ROWS, cfg()))) == svc._job_workers[0].pid
+        oracle = MiningConfig(min_support=0.4, algorithm="fpgrowth")
+        assert done(svc.submit(ROWS, oracle)).itemsets == mine_frequent_itemsets(
+            ROWS, config=oracle
+        ).itemsets
+        assert workers(svc)["jobs_run"] == 2
+
+    def test_a_runner_of_this_interpreter_only_stays(self, svc):
+        seen = []
+        register_algorithm(
+            "ship_closure", lambda t, c: (seen.append(os.getpid()), _runners.fast(t, c))[1],
+            overwrite=True,
+        )
+        try:
+            result = done(svc.submit(ROWS, MiningConfig(min_support=0.4, algorithm="ship_closure")))
+        finally:
+            unregister_algorithm("ship_closure")
+        assert seen == [os.getpid()] and _runners.ran_in(result) == os.getpid()
+        assert workers(svc)["jobs_run"] == 0
+
+    def test_an_option_of_this_interpreter_only_stays(self, svc):
+        gate = threading.Event()  # does not pickle
+        gate.set()
+        result = done(svc.submit(ROWS, cfg(gate=gate)))
+        assert _runners.ran_in(result) == os.getpid()
+
+    def test_an_incremental_job_stays(self, svc):
+        config = MiningConfig(min_support=0.4, incremental=True)
+        svc.create_dataset("feed", ROWS)
+        result = done(svc.submit(None, config, dataset_id="feed"))
+        assert result.itemsets == mine_frequent_itemsets(ROWS, config=config).itemsets
+        assert workers(svc)["jobs_run"] == 0
+
+    def test_a_process_backend_engine_job_keeps_its_context_in_the_server(self, svc):
+        """A job worker is a daemonic child and may not have children."""
+        config = MiningConfig(min_support=0.4, backend="processes", parallelism=2)
+        result = done(svc.submit(ROWS, config), 120.0)
+        assert result.itemsets == mine_frequent_itemsets(
+            ROWS, config=MiningConfig(min_support=0.4, backend="serial")
+        ).itemsets
+        assert workers(svc)["jobs_run"] == 0 and svc.contexts.created == 1
+        # ... and for an oracle the field is inert: it ships
+        oracle = MiningConfig(min_support=0.4, algorithm="eclat", backend="processes")
+        done(svc.submit(ROWS, oracle))
+        assert workers(svc)["jobs_run"] == 1
+
+    def test_a_service_made_beside_live_threads_spawns_at_the_first_job_that_ships(self):
+        """Forking is for a single-threaded process; the 0.4 s spawn is
+        left to the first job that needs the worker."""
+        parked = threading.Event()
+        bystander = threading.Thread(target=parked.wait, daemon=True)
+        bystander.start()
+        try:
+            with MiningService(n_workers=2) as svc:
+                assert workers(svc) | {"jobs_run": 0} == dict.fromkeys(workers(svc), 0)
+                done(svc.submit(ROWS, MiningConfig(min_support=0.4, incremental=True)))
+                assert workers(svc)["started"] == 0  # a job that stays starts nothing
+                assert _runners.ran_in(done(svc.submit(ROWS, cfg()))) != os.getpid()
+                assert workers(svc)["started"] == workers(svc)["alive"] == 1
+        finally:
+            parked.set()
+            bystander.join(5.0)
+
+    def test_the_decision_reads_the_config_as_planned(self, svc):
+        job = svc.submit(ROWS, MiningConfig(min_support=0.4))
+        done(job)
+        planned = MiningConfig(min_support=0.4, backend="processes")
+        assert shipping_request(job, job.request.config) is not None
+        assert shipping_request(job, planned) is None
+
+    @pytest.mark.parametrize("transport", ["local", "http"])
+    def test_every_home_answers_like_the_one_shot_api_on_both_transports(self, transport):
+        txns = mushroom_like(scale=0.02, seed=5).transactions
+        with MiningServer(port=0, n_workers=1) as server:
+            client = HttpClient(server.url) if transport == "http" else LocalClient(server.service)
+            for config in (
+                MiningConfig(min_support=0.5),  # ships
+                MiningConfig(min_support=0.5, algorithm="apriori"),  # ships
+                MiningConfig(min_support=0.5, incremental=True),  # stays
+            ):
+                assert client.mine(txns, config, timeout=60) == mine_frequent_itemsets(
+                    txns, config=config
+                ).itemsets
+            # (another support: its exact twin above would answer it memoized)
+            approx = client.submit(txns, MiningConfig(min_support=0.55), approx=True)
+            assert client.wait(approx["job_id"], timeout=60)["state"] == "done"
+            ran = server.service.metrics()["shards"][0]["service"]["job_workers"]["jobs_run"]
+            assert ran == 3
+
+
+# -- (b) timeouts and cancels that kill ---------------------------------------
+class TestKill:
+    def test_a_timed_out_shipped_job_is_killed_and_the_next_runs_on_a_new_pid(self, svc):
+        old = svc._job_workers[0].pid
+        t0 = time.monotonic()
+        job = svc.submit(ROWS, cfg("sleepy", seconds=30.0), timeout_s=0.3)
+        assert job.wait(5.0) and job.state is JobState.TIMED_OUT
+        assert time.monotonic() - t0 < 0.3 + 0.5
+        assert not pid_alive(old)  # not abandoned: gone
+        result = done(svc.submit(ROWS, cfg()))
+        new = _runners.ran_in(result)
+        assert new == svc._job_workers[0].pid != old
+        assert workers(svc) | {"ship_bytes": 0} == {
+            "alive": 1, "started": 2, "restarts": 1, "killed": 1, "jobs_run": 1,
+            "rows_shipped": 2 * len(ROWS), "ship_bytes": 0, "datasets_resident": 1,
+        }
+
+    def test_a_cancelled_shipped_job_stops_consuming_cpu(self, svc, tmp_path):
+        old = svc._job_workers[0].pid
+        marker = str(tmp_path / "spinning")
+        job = svc.submit(ROWS, cfg("spin", seconds=30.0, marker=marker))
+        wait_for(marker)
+        t0 = time.monotonic()
+        assert svc.cancel(job.job_id)
+        assert job.wait(5.0) and job.state is JobState.CANCELLED
+        assert time.monotonic() - t0 < 0.5
+        assert not pid_alive(old)
+        assert _runners.ran_in(done(svc.submit(ROWS, cfg()))) not in (old, os.getpid())
+
+    def test_a_kill_keeps_the_context_counters_and_leaves_no_temporary_file(self, svc):
+        config = MiningConfig(min_support=0.4, backend="serial")
+        done(svc.submit(ROWS, config))
+        tmp = svc._job_workers[0]._tmp  # the worker's tempfile.tempdir
+        assert any(name.startswith("blockmgr_") for name in os.listdir(tmp))  # its warm context's
+        job = svc.submit(ROWS, cfg("sleepy", seconds=30.0), timeout_s=0.2)
+        assert job.wait(5.0) and job.state is JobState.TIMED_OUT
+        assert not os.path.exists(tmp)
+        done(svc.submit(OTHER, config))
+        # one context per process, none lost from the count with the kill
+        assert svc.metrics()["context_pool"] == {"idle": 1, "created": 2, "reused": 0}
+
+
+# -- (c) followers ------------------------------------------------------------
+class TestFollowersOfAShippedPrimary:
+    def promoted(self, svc, primary, follower, state):
+        assert follower.via == "coalesced"
+        assert primary.wait(10.0) and primary.state is state, primary.error
+        # promoted to a run of its own, exactly as beside an in-thread primary
+        result = done(follower)
+        assert follower.via == "run" and follower.coalesced_with is None
+        assert _runners.ran_in(result) == svc._job_workers[0].pid
+
+    def test_timed_out(self, svc, tmp_path):
+        config = cfg("sleepy", seconds=30.0, marker=str(tmp_path / "m"))
+        primary = svc.submit(ROWS, config, timeout_s=0.3)
+        self.promoted(svc, primary, svc.submit(ROWS, config), JobState.TIMED_OUT)
+
+    def test_cancelled(self, svc, tmp_path):
+        marker = str(tmp_path / "m")
+        config = cfg("sleepy", seconds=30.0, marker=marker)
+        primary, follower = svc.submit(ROWS, config), svc.submit(ROWS, config)
+        wait_for(marker)
+        assert svc.cancel(primary.job_id)
+        self.promoted(svc, primary, follower, JobState.CANCELLED)
+
+    def test_worker_died(self, svc, tmp_path):
+        config = cfg("die_once", marker=str(tmp_path / "m"))
+        primary, follower = svc.submit(ROWS, config), svc.submit(ROWS, config)
+        self.promoted(svc, primary, follower, JobState.FAILED)
+        assert "transient failure after 1 attempt(s)" in primary.error
+
+
+# -- fault drills -------------------------------------------------------------
+class TestFaultDrills:
+    def kill_nine_mid_job(self, svc, tmp_path, **request):
+        marker = str(tmp_path / "sleeping")
+        config = cfg("sleepy", seconds=30.0, marker=marker)
+        job = svc.submit(ROWS, config, **request)
+        wait_for(marker)
+        os.kill(svc._job_workers[0].pid, signal.SIGKILL)
+        assert job.wait(10.0)
+        return job, config
+
+    def test_kill_nine_with_a_retry_left_is_done_on_the_second_attempt(self, svc, tmp_path):
+        job, _ = self.kill_nine_mid_job(svc, tmp_path, max_retries=1, retry_backoff_s=0.01)
+        assert job.state is JobState.DONE and job.attempts == 2
+        assert svc.jobs_by_state() == {
+            "pending": 0, "running": 0, "done": 1, "failed": 0, "cancelled": 0, "timed_out": 0,
+        }
+        assert workers(svc)["restarts"] == 1 and workers(svc)["killed"] == 0
+
+    def test_kill_nine_without_a_retry_fails_and_caches_nothing(self, svc, tmp_path):
+        job, config = self.kill_nine_mid_job(svc, tmp_path)
+        assert job.state is JobState.FAILED and job.result is None
+        assert "transient failure after 1 attempt(s)" in job.error
+        assert "died mid-job" in job.error
+        assert svc.jobs_by_state()["failed"] == 1 and svc.jobs_by_state()["running"] == 0
+        assert len(svc.results) == 0  # no stale result
+        again = svc.submit(ROWS, config)  # not memoized: runs, on the new worker
+        assert again.via == "run" and done(again)
+
+    def test_a_worker_that_died_idle_costs_the_next_job_nothing(self, svc):
+        done(svc.submit(ROWS, cfg()))
+        worker = svc._job_workers[0]
+        old = worker.pid
+        os.kill(old, signal.SIGKILL)
+        deadline = time.monotonic() + 2.0
+        while worker.stats()["alive"]:  # (what /metrics reads: waitpid, not /proc)
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        job = svc.submit(OTHER, cfg())
+        assert _runners.ran_in(done(job)) != old and job.attempts == 1
+
+    def test_shutdown_drains_a_shipped_job_wakes_its_waiter_and_leaves_no_child(self):
+        svc = forked_service(n_workers=2)
+        pids = [w.pid for w in svc._job_workers]
+        job = svc.submit(ROWS, cfg("sleepy", seconds=0.5))
+        seen = []
+        waiter = threading.Thread(target=lambda: seen.append(svc.wait(job.job_id, 20.0).state))
+        waiter.start()
+        t0 = time.monotonic()
+        svc.shutdown()
+        assert time.monotonic() - t0 < 10.0  # the drain's own bound
+        waiter.join(5.0)
+        assert seen == [JobState.DONE]
+        assert gone_within(pids, 2.0) == []
+
+    def test_shutdown_without_waiting_abandons_the_shipped_job_and_leaves_no_child(self, tmp_path):
+        svc = forked_service(n_workers=1)
+        pids = [w.pid for w in svc._job_workers]
+        marker = str(tmp_path / "sleeping")
+        job = svc.submit(ROWS, cfg("sleepy", seconds=30.0, marker=marker))
+        wait_for(marker)
+        seen = []
+        waiter = threading.Thread(target=lambda: seen.append(svc.wait(job.job_id, 20.0).state))
+        waiter.start()
+        t0 = time.monotonic()
+        svc.shutdown(wait=False)
+        assert time.monotonic() - t0 < 2.0
+        waiter.join(5.0)
+        assert seen == [JobState.FAILED] and "stopped" in job.error
+        assert gone_within(pids, 2.0) == []

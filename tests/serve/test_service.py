@@ -16,6 +16,7 @@ from repro.core.results import MiningRunResult
 from repro.datasets import mushroom_like
 from repro.engine.faults import InjectedTaskFailure
 from repro.serve import JobState, LocalClient, MiningService, ServeError
+from repro.serve.runner import run_with_pool
 
 TXNS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
 CFG = MiningConfig(min_support=0.4, backend="serial")
@@ -83,7 +84,11 @@ class TestSubmitAndRun:
         job = service.submit([[1, 2], [2, 3], [1, 2]], cfg)
         job.wait(30.0)
         assert job.state is JobState.DONE
-        assert service.contexts.created == 1 and service.contexts.reused == 1
+        # the warm context lives where the jobs ran — the job worker's own
+        # pool; /metrics sums every pool of the shard
+        pool = service.metrics()["context_pool"]
+        assert pool["created"] == 1 and pool["reused"] == 1
+        assert service.contexts.created == 0
         # warm context still yields per-job observability
         assert job.result.engine_metrics is not None
         assert job.result.engine_metrics.n_jobs > 0
@@ -96,7 +101,12 @@ class TestSubmitAndRun:
             cfg = MiningConfig(min_support=support, algorithm="yafim", backend="serial")
             job = service.submit(TXNS, cfg)
             assert job.wait(30.0) and job.state is JobState.DONE
-        assert service.contexts.created == 1 and service.contexts.reused == 2
+        pool = service.metrics()["context_pool"]
+        assert pool["created"] == 1 and pool["reused"] == 2 and pool["idle"] == 1
+        # those contexts are the job worker's; the same run path on the
+        # shard's own pool (the home of a job that cannot ship) shows what
+        # a released context is left holding
+        run_with_pool(service.contexts, TXNS, cfg, "probe")
         idle = [c for pool in service.contexts._idle.values() for c in pool]
         assert idle
         assert all(c.block_manager.cached_block_count == 0 for c in idle)

@@ -19,17 +19,21 @@ backend — fast path vs. ``paper_dataflow=True`` — verifies identical
 output, then writes ``BENCH_fastpath.json`` at the repo root with
 per-pass wall-clock, shuffle bytes/records and allocated-pair counts.
 
-On top of that sits the candidate-store ablation grid (``--stores``):
-the same fast-path run repeated per registered store, reusing the
-hash-tree run as the PR-4 reference.  Every store must produce the
-identical itemset count; the bitmap store's Phase-II speedup over the
-hash tree is the headline number of the vertical counting kernel.
+On top of that sits the candidate-store ablation grid: the same
+fast-path run repeated per registered store (``store_names()``;
+``--stores`` narrows it), the hash-tree run being the reference.  Every
+store must produce the identical itemsets; the bitmap store's Phase-II
+speedup over the hash tree is the headline number of the vertical
+counting kernel, and its job count — passes + 1 — is what "laid out
+once" means on the engine.
 
-Run standalone (CI uses ``--smoke``)::
+The report checks itself: :func:`check_report` is the gate over a report
+(a fresh run, or the checked-in file) and ``--check`` runs it.
 
-    PYTHONPATH=src python benchmarks/bench_fastpath.py --smoke
-    PYTHONPATH=src python benchmarks/bench_fastpath.py \
-        --stores hashtree,trie,flatdict,bitmap
+Run standalone (CI uses ``--smoke --check``)::
+
+    PYTHONPATH=src python benchmarks/bench_fastpath.py --smoke --check
+    PYTHONPATH=src python benchmarks/bench_fastpath.py --check
 
 or under pytest-benchmark along with the other figures.
 """
@@ -39,9 +43,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
 
+from repro.core.candidatestore import get_store, store_names
 from repro.core.yafim import Yafim
 from repro.datasets import chess_like, mushroom_like
 from repro.engine.context import Context
@@ -55,7 +62,11 @@ N_PARTITIONS = 6
 
 BASELINE_KNOBS = dict(paper_dataflow=True)
 
-DEFAULT_STORES = ["hashtree", "trie", "flatdict", "bitmap"]
+#: the fast path's Phase II vs the paper dataflow's, best dataset
+MIN_FASTPATH_SPEEDUP = 2.0
+#: the vertical kernel's Phase II vs the hash tree's, every dataset (the
+#: reference box reads 9-15x at full size and 4-6x on --smoke)
+MIN_BITMAP_SPEEDUP = 2.0
 
 
 def _mine(
@@ -82,6 +93,7 @@ def _mine(
     record = {
         "wall_seconds": round(wall, 4),
         "n_itemsets": result.num_itemsets,
+        "engine_jobs": result.engine_metrics.n_jobs,
         # phase-II cost includes encode/compact work the fast path spends
         # outside the per-pass windows — charged here so the comparison
         # against the baseline's pure pass time stays honest
@@ -182,6 +194,8 @@ def _store_grid(
             "allocated_pairs_total": record["allocated_pairs_total"],
             "shuffle_records_total": record["shuffle_records_total"],
             "n_itemsets": record["n_itemsets"],
+            "n_passes": len(record["passes"]),
+            "engine_jobs": record["engine_jobs"],
             "phase2_speedup_vs_hashtree": round(
                 ht_record["phase2_seconds"] / max(record["phase2_seconds"], 1e-9),
                 2,
@@ -200,11 +214,14 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
         "chess": (chess_like(scale=0.5 if smoke else 1.0, seed=7), 0.85, 0.6),
     }
 
-    stores = list(stores) if stores else list(DEFAULT_STORES)
+    stores = list(stores) if stores else store_names()
 
     report = {
         "benchmark": "fastpath",
         "smoke": smoke,
+        "git_sha": _git_sha(),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
         "backend": BACKEND,
         "n_workers": N_WORKERS,
         "n_partitions": N_PARTITIONS,
@@ -218,63 +235,68 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
         entry["stores_min_support"] = grid_support
         entry["stores"] = _store_grid(ds.name, ds.transactions, grid_support, stores)
         report["datasets"][name] = entry
-
-    # Headline claim: >= 2x Phase-II wall-clock on at least one dense
-    # seed dataset, with the wire volume strictly reduced (asserted
-    # per-pass above).
-    best = max(e["phase2_speedup"] for e in report["datasets"].values())
-    report["best_phase2_speedup"] = best
-    assert best >= 2.0, f"fast path phase-II speedup {best}x < 2x"
-
-    # Store-grid claim: on every dense dataset the best new store beats
-    # the PR-4 hash tree's Phase-II wall-clock, and the bitmap store's
-    # vertical kernel delivers a clear (>= 1.5x) win on at least one.
-    # Correctness (identical itemsets per store) is asserted
-    # unconditionally in _store_grid; timing is only meaningful on the
-    # full-size datasets, so --smoke records the grid without gating.
-    new_stores = [s for s in stores if s != "hashtree"]
-    if new_stores:
-        report["bitmap_phase2_speedup_vs_hashtree"] = {
-            name: e["stores"]["bitmap"]["phase2_speedup_vs_hashtree"]
-            for name, e in report["datasets"].items()
-            if "bitmap" in e["stores"]
-        }
-        report["best_new_store"] = {
-            name: max(
-                ((s, e["stores"][s]["phase2_speedup_vs_hashtree"]) for s in new_stores),
-                key=lambda kv: kv[1],
-            )
-            for name, e in report["datasets"].items()
-        }
-        if not smoke:
-            for name, (store, speedup) in report["best_new_store"].items():
-                assert speedup > 1.0, (
-                    f"{name}: best new store {store} at {speedup}x — "
-                    "no store beat the hash tree"
-                )
-            if "bitmap" in stores:
-                for name, speedup in report[
-                    "bitmap_phase2_speedup_vs_hashtree"
-                ].items():
-                    assert speedup > 1.0, (
-                        f"{name}: bitmap phase-II {speedup}x vs hashtree — "
-                        "vertical kernel did not win"
-                    )
-                best_bitmap = max(
-                    report["bitmap_phase2_speedup_vs_hashtree"].values()
-                )
-                assert best_bitmap >= 1.5, (
-                    f"bitmap best phase-II speedup {best_bitmap}x < 1.5x — "
-                    "vertical kernel did not deliver"
-                )
-
+    report["best_phase2_speedup"] = max(
+        e["phase2_speedup"] for e in report["datasets"].values()
+    )
+    report["bitmap_phase2_speedup_vs_hashtree"] = {
+        name: e["stores"]["bitmap"]["phase2_speedup_vs_hashtree"]
+        for name, e in report["datasets"].items()
+        if "bitmap" in e["stores"]
+    }
     with open(REPORT_PATH, "w") as f:
         json.dump(report, f, indent=2)
     return report
 
 
+def _git_sha() -> str | None:
+    """The checkout's commit, ``-dirty`` when the tree has uncommitted
+    changes (a report regenerated for a PR is measured before its commit
+    exists); ``None`` outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=REPO_ROOT, capture_output=True, text=True,
+        )
+    except OSError:
+        return None
+    return out.stdout.strip() or None
+
+
+def check_report(report: dict) -> None:
+    """The gate over a report (a fresh run, or the checked-in file).
+
+    Equality of the itemsets — fast path vs paper dataflow, store vs
+    store — is asserted while the legs run.  This checks what the report
+    says about them: counts and host-independent ratios, declared next to
+    the legs that produce them.
+    """
+    for name, entry in report["datasets"].items():
+        fast = entry["fastpath"]["shuffle_records_total"]
+        base = entry["baseline"]["shuffle_records_total"]
+        assert fast == 0 < base, f"{name}: fastpath shuffled {fast} records, baseline {base}"
+        counts = {s: rec["n_itemsets"] for s, rec in entry["stores"].items()}
+        assert len(set(counts.values())) == 1, f"{name}: stores disagree: {counts}"
+        bitmap = entry["stores"].get("bitmap")
+        if bitmap is not None:
+            # laid out once: Phase I, the encode round, then a job per pass
+            assert bitmap["engine_jobs"] == bitmap["n_passes"] + 1, (
+                f"{name}: bitmap ran {bitmap['engine_jobs']} engine jobs "
+                f"for {bitmap['n_passes']} passes"
+            )
+            speedup = bitmap["phase2_speedup_vs_hashtree"]
+            assert speedup >= MIN_BITMAP_SPEEDUP, (
+                f"{name}: bitmap phase II {speedup}x the hash tree's, "
+                f"floor {MIN_BITMAP_SPEEDUP}x"
+            )
+    best = report["best_phase2_speedup"]
+    assert best >= MIN_FASTPATH_SPEEDUP, (
+        f"fast path phase-II speedup {best}x < {MIN_FASTPATH_SPEEDUP}x"
+    )
+
+
 def test_fastpath(benchmark):
     report = benchmark.pedantic(run_fastpath_bench, rounds=1, iterations=1)
+    check_report(report)
     benchmark.extra_info["best_phase2_speedup"] = report["best_phase2_speedup"]
 
 
@@ -287,13 +309,16 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--stores",
-        default=",".join(DEFAULT_STORES),
+        default=",".join(store_names()),
         help="comma-separated candidate stores for the ablation grid "
-        f"(default: {','.join(DEFAULT_STORES)})",
+        "(default: every registered store)",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="gate the report just written with check_report()",
     )
     args = parser.parse_args(argv)
-    from repro.core.candidatestore import get_store
-
     stores = [s.strip() for s in args.stores.split(",") if s.strip()]
     for s in stores:
         get_store(s)  # unknown store names fail before any mining
@@ -314,8 +339,11 @@ def main(argv=None) -> int:
                 f"  store {store:>9} @ sup={entry['stores_min_support']}: "
                 f"phase2 {rec['phase2_seconds']}s "
                 f"({rec['phase2_speedup_vs_hashtree']}x vs hashtree), "
+                f"{rec['engine_jobs']} jobs / {rec['n_passes']} passes, "
                 f"{rec['n_itemsets']} itemsets"
             )
+    if args.check:
+        check_report(report)
     print(f"fastpath ok: report -> {REPORT_PATH}")
     return 0
 

@@ -6,9 +6,7 @@ from repro.core.candidates import apriori_gen, join_step, prune_step
 from repro.core.candidatestore import (
     BitmapStore,
     CandidateStore,
-    FlatDictStore,
     LinearStore,
-    TrieStore,
     make_store,
     register_store,
     store_names,
@@ -53,12 +51,10 @@ __all__ = [
     "CandidateStore",
     "CompactionStats",
     "DistEclat",
-    "FlatDictStore",
     "HashTree",
     "IncrementalMiner",
     "IncrementalUpdate",
     "LinearStore",
-    "TrieStore",
     "IterationStats",
     "MRApriori",
     "MiningConfig",

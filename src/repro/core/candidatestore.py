@@ -2,29 +2,40 @@
 
 YAFIM's Phase II cost is dominated by candidate support counting, and the
 right data structure depends on the data: "A Data Structure Perspective
-to the RDD-based Apriori" (PAPERS.md) shows tries and hash tables of
-itemsets beating the classic hash tree on Spark, and "RDD-Eclat" shows
-tid-bitmap intersection as the core Eclat-style speedup.  This module
-turns the counting structure into an interface so every such experiment
-is a ~100-line store instead of a miner rewrite.
+to the RDD-based Apriori" (PAPERS.md) shows the structure, not the
+framework, setting RDD-Apriori's runtime, and "RDD-Eclat" shows tid-bitmap
+intersection as the core Eclat-style speedup.  This module turns the
+counting structure into an interface so every such experiment is a
+~100-line store instead of a miner rewrite.
 
 The interface (:class:`CandidateStore`)::
 
     insert(candidate)                  # add one k-itemset (idempotent)
     count_into(counts, txn, weight=1)  # += weight per contained candidate
     count_partition(partition, weighted=False) -> dict   # batch kernel
+    layout                             # class-level: the partition layout
     subset(txn) -> list                # contained candidates
     candidate_index() -> dict          # candidate -> insertion position
     stats() -> dict                    # structure diagnostics
     len(store), iter(store)
+
+**The layout contract.**  A store counts the partition layout its
+*class* declares, and whoever owns the rows lays them out ONCE
+(:func:`lay_out`) and hands every pass the same block:
+``CandidateStore.layout`` is ``None`` for a store that counts the
+(weighted) rows as they are, or a function ``(rows, weighted) -> block``
+— :class:`BitmapStore` declares :func:`build_tid_bitmaps`.
+``count_partition`` given a block of its class's layout counts it without
+rebuilding anything; given plain rows it lays them out first (the
+contract's row entry point, for callers with one store and one pass).
 
 **Signed multiplicities.**  A weighted partition holds ``(transaction,
 multiplicity)`` pairs and a multiplicity may be negative — a row leaving
 a sliding window.  ``count_partition(rows, weighted=True)`` then returns
 *net* counts: what the positive rows support minus what the negative
 rows support, a row present with both signs counting on both sides.
-``count_into`` stores get this for free (``+= weight``); the bitmap
-kernel carries a mask of the negative tid runs.  A candidate whose net
+``count_into`` stores get this for free (``+= weight``); the vertical
+layout carries a mask of the negative tid runs.  A candidate whose net
 count is zero may be absent from the result.
 
 **The at-most-once contract.**  ``count_into`` adds ``weight`` to each
@@ -45,24 +56,18 @@ can validate its ``candidate_store`` knob and the CLI can derive
     store = make_store("bitmap", candidates)
     register_store("mystore", MyStore)   # third-party plug-in
 
-Built-ins:
+Built-ins — three, each with a reason to exist:
 
 ``hashtree``
     The paper's structure (:class:`~repro.core.hashtree.HashTree`) —
-    the default.
-``trie``
-    Prefix trie over sorted candidate tuples; counting walks the
-    transaction's (deduplicated, sorted) items once per reachable node.
-``flatdict``
-    Hash table of itemsets with per-transaction k-subset enumeration,
-    falling back to a candidate scan when C(|t|, k) outgrows |C_k|.
+    the default, and what ``paper_dataflow=True`` reproduces.
 ``bitmap``
-    The vertical kernel: per partition, per-item tid-bitmaps (Python
-    big-ints) over dict-encoded transactions; every candidate support is
-    one bitmap AND chain + ``int.bit_count()``.  Weighted (compacted)
-    transactions occupy one tid *run* of length ``weight``, so a single
-    popcount still yields the exact weighted support.  A negative
-    multiplicity marks its run in a mask and counts down.
+    The fast kernel: the partition laid out vertically — one tid-bitmap
+    (a Python big-int) per item — and every candidate support one bitmap
+    AND chain + ``int.bit_count()``.  Weighted (compacted) transactions
+    occupy one tid *run* of length ``weight``, so a single popcount still
+    yields the exact weighted support.  A negative multiplicity marks its
+    run in a mask and counts down.
 ``linear``
     Flat list scan (ablation A3: ``candidate_store="linear"``).
 """
@@ -70,9 +75,6 @@ Built-ins:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import combinations
-from math import comb
-
 from repro.common.itemset import Itemset
 
 
@@ -84,6 +86,13 @@ class CandidateStore(ABC):
     tracking (``candidate_index``/``__iter__``/``__len__``) and the
     default ``subset``/``count_partition``/``stats`` implementations.
     """
+
+    #: The partition layout this class counts.  ``None``: the (weighted)
+    #: rows as they are — a miner may rewrite them between passes.
+    #: Otherwise a function ``(rows, weighted=False) -> block`` whose
+    #: result ``count_partition`` reads as it stands: the owner of the
+    #: rows applies it once (:func:`lay_out`) however many passes follow.
+    layout = None
 
     def __init__(self, candidates=()):
         self.k: int | None = None
@@ -128,8 +137,8 @@ class CandidateStore(ABC):
         ``weighted`` partitions hold ``(transaction, multiplicity)`` pairs
         (the compaction representation); a negative multiplicity counts
         down, so the result is the net count.  The default streams
-        :meth:`count_into`; batch kernels (:class:`BitmapStore`) override
-        this with a vertical pass over the materialized partition.
+        :meth:`count_into` over the rows; a class that declares a
+        :attr:`layout` overrides this to count a block of that layout.
         """
         counts: dict = {}
         count_into = self.count_into
@@ -198,137 +207,39 @@ class LinearStore(CandidateStore):
         return [c for c, s in zip(self._order, self._sets) if issuperset(s)]
 
 
-class TrieStore(CandidateStore):
-    """Prefix trie over sorted candidate tuples.
-
-    Interior nodes are plain dicts ``item -> child``; at depth k-1 the
-    child *is* the stored candidate tuple, so a terminal hit needs no
-    extra leaf object.  Counting walks the transaction's sorted,
-    de-duplicated items; each candidate is reachable through exactly one
-    item combination, so the at-most-once contract holds by construction.
-    """
-
-    def __init__(self, candidates=()):
-        self._root: dict = {}
-        super().__init__(candidates)
-
-    def insert(self, candidate) -> None:
-        cand = self._register_candidate(candidate)
-        if cand is None:
-            return
-        node = self._root
-        for item in cand[:-1]:
-            node = node.setdefault(item, {})
-        node[cand[-1]] = cand
-
-    def count_into(self, counts: dict, transaction, weight: int = 1) -> None:
-        k = self.k
-        if k is None or len(transaction) < k:
-            return
-        items = sorted(set(transaction))
-        n = len(items)
-        if n < k:
-            return
-        get = counts.get
-
-        def walk(node: dict, start: int, depth: int) -> None:
-            last = n - (k - depth)  # deeper levels still need k-depth-1 items
-            if depth == k - 1:
-                for i in range(start, last + 1):
-                    cand = node.get(items[i])
-                    if cand is not None:
-                        counts[cand] = get(cand, 0) + weight
-                return
-            for i in range(start, last + 1):
-                child = node.get(items[i])
-                if child is not None:
-                    walk(child, i + 1, depth + 1)
-
-        walk(self._root, 0, 0)
-
-    def stats(self) -> dict:
-        nodes = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            nodes += 1
-            for child in node.values():
-                if isinstance(child, dict):
-                    stack.append(child)
-        return {**super().stats(), "nodes": nodes}
-
-
-class FlatDictStore(CandidateStore):
-    """Hash table of itemsets with k-subset enumeration per transaction.
-
-    The counting strategy from the data-structure-perspective paper:
-    enumerate the transaction's k-subsets and probe a hash set.  When
-    ``C(|t|, k)`` outgrows the candidate count the probe direction flips
-    to a candidate scan, so dense transactions never pay an exponential
-    enumeration.
-    """
-
-    #: enumeration runs while C(|t|, k) <= this multiple of |candidates|
-    ENUMERATION_FACTOR = 2
-
-    def insert(self, candidate) -> None:
-        self._register_candidate(candidate)
-
-    def count_into(self, counts: dict, transaction, weight: int = 1) -> None:
-        k = self.k
-        if k is None or len(transaction) < k:
-            return
-        items = tuple(sorted(set(transaction)))
-        n = len(items)
-        if n < k:
-            return
-        get = counts.get
-        if comb(n, k) <= self.ENUMERATION_FACTOR * len(self._order):
-            seen = self._seen
-            # items are sorted + unique, so each enumerated subset is a
-            # canonical tuple and appears exactly once
-            for sub in combinations(items, k):
-                if sub in seen:
-                    counts[sub] = get(sub, 0) + weight
-        else:
-            issuperset = frozenset(items).issuperset
-            for cand in self._order:
-                if issuperset(cand):
-                    counts[cand] = get(cand, 0) + weight
-
-
 class TidBitmaps(dict):
-    """``item -> tid-bitmap`` plus :attr:`negative`, the mask of the tid
-    runs whose record carried a negative multiplicity (0 when none did):
-    an intersection ``bm`` supports ``popcount(bm) - 2 * popcount(bm &
-    negative)`` net transactions."""
+    """The vertical layout of one partition: ``item -> tid-bitmap`` plus
+    :attr:`negative`, the mask of the tid runs whose record carried a
+    negative multiplicity (0 when none did).  Written by
+    :func:`build_tid_bitmaps`, read by :func:`count_bitmaps`; the bit
+    order and the run encoding are theirs alone."""
 
     negative = 0
 
 
-def build_tid_bitmaps(
-    partition, relevant: set, *, min_items: int = 1, weighted: bool = False
-) -> TidBitmaps:
-    """Vertical build: item -> tid-bitmap int over ``partition``.
+def build_tid_bitmaps(partition, weighted: bool = False, *, min_items: int = 1) -> TidBitmaps:
+    """Vertical build: item -> tid-bitmap int over ``partition``, for
+    every item its rows hold.
 
     One bit per logical transaction, the first transaction in the most
     significant bit: a bit of ``bitmaps[item]`` is set when that
     transaction contains ``item``; a weighted ``(txn, weight)`` record
     occupies a run of ``|weight|`` consecutive tid positions, also set in
-    the result's ``negative`` mask when ``weight < 0``.  Rows with
-    fewer than ``min_items`` relevant items get no tid run — they cannot
-    support any candidate of that many items, so skipping them keeps the
-    bitmaps short without changing any intersection count.
+    the result's ``negative`` mask when ``weight < 0``, so one popcount
+    of an intersection is already the exact weighted support — at 1/8
+    byte per logical transaction per distinct item.  Rows with fewer
+    than ``min_items`` items get no tid run (an empty row supports
+    nothing, and skipping it keeps the bitmaps short).
 
     Each item's bits are appended as ``b"0"`` / ``b"1"`` bytes (zeros up
     to the row's position, then the run) and parsed once with
     ``int(buf, 2)``: every per-row step is a C-level ``bytearray``
-    append, at one transient byte per tid per relevant item.
+    append, at one transient byte per tid per item.
 
-    A function of its own so stores counting the same rows — several
-    per-length stores (:func:`repro.core.counting.count_stores`), or one
-    level after another — can share ONE build and read it through
-    :meth:`BitmapStore.count_bitmaps`.
+    This is the one O(rows) step of vertical counting, which is why the
+    owner of the rows runs it once (:func:`lay_out`) and every pass —
+    one level after another, or several per-length stores at once —
+    reads the same block through :func:`count_bitmaps`.
     """
     buffers: dict = {}
     negative = bytearray()
@@ -338,7 +249,7 @@ def build_tid_bitmaps(
             txn, weight = record
         else:
             txn, weight = record, 1
-        items = relevant.intersection(txn)
+        items = set(txn)
         if len(items) < min_items:
             continue  # supports no candidate: assign it no tid run
         if weight < 0:
@@ -362,31 +273,52 @@ def build_tid_bitmaps(
     return bitmaps
 
 
+def count_bitmaps(bitmaps, candidates) -> dict:
+    """Net support of ``candidates`` — same-length itemsets in
+    lexicographic order — in a vertical block: a :class:`TidBitmaps`, or
+    any ``item -> tid-bitmap`` mapping kept current some other way (no
+    mask: nothing negative).  The one intersector.
+
+    A candidate's support is ``(bm[i1] & ... & bm[ik]).bit_count()``,
+    less twice its overlap with the negative mask; Python big-int ``&``
+    runs over machine words in C, so the cost per candidate is ``(k-1) *
+    n_tids / 64`` word ops instead of a per-transaction walk.  Candidates
+    are walked with a stack of shared-prefix intersections, so siblings
+    (same k-1 prefix — the bulk of ``apriori_gen`` output) re-intersect
+    nothing but their last item.  Zero counts are left out.
+    """
+    if not candidates or not bitmaps:
+        return {}
+    k = len(candidates[0])
+    negative = getattr(bitmaps, "negative", 0)
+    counts: dict = {}
+    prefix_items: list = []
+    prefix_bms: list = []
+    for cand in candidates:
+        depth = 0
+        while depth < len(prefix_items) and prefix_items[depth] == cand[depth]:
+            depth += 1
+        del prefix_items[depth:]
+        del prefix_bms[depth:]
+        bm = prefix_bms[-1] if prefix_bms else None
+        for j in range(depth, k):
+            item_bm = bitmaps.get(cand[j], 0)
+            bm = item_bm if bm is None else bm & item_bm
+            if j < k - 1:
+                prefix_items.append(cand[j])
+                prefix_bms.append(bm)
+        support = bm.bit_count()
+        if negative:
+            support -= 2 * (bm & negative).bit_count()
+        if support:
+            counts[cand] = support
+    return counts
+
+
 class BitmapStore(CandidateStore):
-    """Vertical tid-bitmap counting kernel (the RDD-Eclat speedup).
-
-    :meth:`count_partition` builds one bitmap per candidate item over the
-    partition's transactions — bit ``t`` set when transaction ``t``
-    contains the item — then computes every candidate's support as
-    ``(bm[i1] & bm[i2] & ... & bm[ik]).bit_count()``.  Python big-int
-    ``&`` runs over machine words in C, so the per-candidate cost is
-    ``(k-1) * n_tids / 64`` word ops instead of a per-transaction walk.
-
-    **Weighted layout.**  A compacted pair ``(txn, weight)`` occupies a
-    *run* of ``weight`` consecutive tid positions, all set in each of the
-    transaction's item bitmaps, so one ``bit_count()`` of the
-    intersection is already the exact weighted support — no per-weight
-    bucketing.  Total bitmap length is the partition's logical
-    transaction count in *bits*, so the run encoding costs 1/8 byte per
-    logical transaction per distinct item.  A negative weight's run is
-    also set in the build's ``negative`` mask, and a candidate's net
-    support is ``popcount(bm) - 2 * popcount(bm & negative)`` — still one
-    build and one prefix walk for a signed delta.
-
-    **Prefix caching.**  Candidates are intersected in lexicographic
-    order with a stack of shared-prefix intersections, so sibling
-    candidates (same k-1 prefix — the bulk of ``apriori_gen`` output)
-    re-intersect nothing but their last item.
+    """The vertical counting kernel (the RDD-Eclat speedup): declares the
+    :func:`build_tid_bitmaps` layout and counts a block of it with
+    :func:`count_bitmaps` — no per-row work in a pass at all.
 
     The per-transaction :meth:`count_into` path (interface contract) is a
     plain candidate scan; miners hit the vertical kernel through
@@ -394,18 +326,16 @@ class BitmapStore(CandidateStore):
     """
 
     def __init__(self, candidates=()):
-        #: distinct items across the candidates — what a tid-bitmap build
-        #: over this store must cover
-        self.items: set = set()
-        self._sorted: list[Itemset] | None = None
+        self._sorted: list[Itemset] | None = None  # the intersector's order
         super().__init__(candidates)
 
+    @staticmethod
+    def layout(rows, weighted: bool = False) -> TidBitmaps:
+        return build_tid_bitmaps(rows, weighted)
+
     def insert(self, candidate) -> None:
-        cand = self._register_candidate(candidate)
-        if cand is None:
-            return
-        self.items.update(cand)
-        self._sorted = None
+        if self._register_candidate(candidate) is not None:
+            self._sorted = None
 
     def count_into(self, counts: dict, transaction, weight: int = 1) -> None:
         if self.k is None or len(transaction) < self.k:
@@ -417,50 +347,23 @@ class BitmapStore(CandidateStore):
                 counts[cand] = get(cand, 0) + weight
 
     def count_partition(self, partition, weighted: bool = False) -> dict:
-        if self.k is None or not self._order:
-            return {}
-        return self.count_bitmaps(
-            build_tid_bitmaps(partition, self.items, min_items=self.k, weighted=weighted)
-        )
-
-    def count_bitmaps(self, bitmaps: dict) -> dict:
-        """Counts from a prebuilt :func:`build_tid_bitmaps` result (or any
-        ``item -> tid-bitmap`` mapping kept current some other way), which
-        must cover this store's items: the build is the per-row part of a
-        counting pass, and callers counting several stores over the same
-        rows pay it once."""
-        k = self.k
-        if k is None or not bitmaps:
-            return {}
-        negative = getattr(bitmaps, "negative", 0)
-        # ---- intersect candidates, sharing prefixes via a stack ----------
+        if not isinstance(partition, TidBitmaps):  # the row entry point
+            partition = self.layout(partition, weighted)
         if self._sorted is None:
             self._sorted = sorted(self._order)
-        counts: dict = {}
-        prefix_items: list = []
-        prefix_bms: list = []
-        for cand in self._sorted:
-            depth = 0
-            while depth < len(prefix_items) and prefix_items[depth] == cand[depth]:
-                depth += 1
-            del prefix_items[depth:]
-            del prefix_bms[depth:]
-            bm = prefix_bms[-1] if prefix_bms else None
-            for j in range(depth, k):
-                item_bm = bitmaps.get(cand[j], 0)
-                bm = item_bm if bm is None else bm & item_bm
-                if j < k - 1:
-                    prefix_items.append(cand[j])
-                    prefix_bms.append(bm)
-            support = bm.bit_count()
-            if negative:
-                support -= 2 * (bm & negative).bit_count()
-            if support:
-                counts[cand] = support
-        return counts
+        return count_bitmaps(partition, self._sorted)
 
     def stats(self) -> dict:
-        return {**super().stats(), "items": len(self.items)}
+        items = {item for cand in self._order for item in cand}
+        return {**super().stats(), "items": len(items)}
+
+
+def lay_out(store, rows, weighted: bool = False):
+    """``rows`` in the layout ``store`` (a store or a store class)
+    counts: the one call an owner of rows makes, once, before handing
+    the block to every ``count_partition`` that reads those rows."""
+    layout = store.layout
+    return rows if layout is None else layout(rows, weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -517,20 +420,18 @@ def make_store(name: str, candidates=(), **opts) -> CandidateStore:
     return get_store(name)(candidates, **opts)
 
 
-register_store("trie", TrieStore)
-register_store("flatdict", FlatDictStore)
 register_store("bitmap", BitmapStore)
 register_store("linear", LinearStore)
 
 __all__ = [
     "BitmapStore",
     "CandidateStore",
-    "FlatDictStore",
     "LinearStore",
     "TidBitmaps",
-    "TrieStore",
     "build_tid_bitmaps",
+    "count_bitmaps",
     "get_store",
+    "lay_out",
     "make_store",
     "register_store",
     "store_names",

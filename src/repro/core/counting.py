@@ -3,16 +3,21 @@
 Every miner's Phase II is "build a candidate store, count it against
 every transaction, threshold"; this module owns the *count* step for all
 of them.  The store contract (:class:`~repro.core.candidatestore.
-CandidateStore`) supplies ``count_partition``; everything here is a thin,
-picklable shell around that one call:
+CandidateStore`) supplies ``count_partition`` and declares the partition
+layout it reads; everything here is a thin, picklable shell around those
+two facts:
 
+* :class:`TransactionEncoder` / :class:`TransactionCompactor` /
+  :class:`PartitionLayout` — the working set: rows rewritten after
+  Phase I and between passes, then laid out ONCE for a store class that
+  declares a layout of its own, so the cached partition is the block
+  every later pass counts;
 * :class:`CandidateCounter` — YAFIM's ``map_partitions`` kernel, one
   ``(candidate_index, partial_count)`` record per distinct candidate per
   partition (int keys into the driver's ``apriori_gen`` order keep the
   partials small; the driver decodes after merging);
 * :func:`count_stores` / :class:`StoreCounter` — several per-length
-  stores over one partition, in-process or as a ``run_job`` kernel
-  (the bitmap stores among them share one build);
+  stores over one partition, in-process or as a ``run_job`` kernel;
 * :func:`collect_partials` / :func:`merge_counts` — a partition's
   ``(key, partial)`` records back to the driver as one dict, and the
   driver-side sum of those dicts (every miner's merge: no shuffle);
@@ -33,7 +38,7 @@ from collections import defaultdict
 from itertools import combinations
 
 from repro.common.sizeof import estimate_size
-from repro.core.candidatestore import BitmapStore, build_tid_bitmaps, make_store
+from repro.core.candidatestore import lay_out, make_store
 
 
 def _resolve(bc, direct):
@@ -133,21 +138,49 @@ class TransactionCompactor:
         yield from counts.items()
 
 
-class PartitionSummarizer:
-    """``run_job`` kernel: ``(rows, items, est_bytes, weight)`` of a
-    weighted working partition.
+def summarize_rows(rows: list) -> tuple:
+    """``(rows, items, est_bytes, weight)`` of a weighted working
+    partition; ``weight`` is the logical transaction count the rows
+    represent (the sum of their multiplicities).  Feeds
+    :class:`~repro.core.results.CompactionStats`."""
+    items = sum(len(txn) for txn, _w in rows)
+    weight = sum(w for _txn, w in rows)
+    return len(rows), items, estimate_size(rows), weight
 
-    ``weight`` is the logical transaction count the rows represent (the
-    sum of their multiplicities).  Feeds
-    :class:`~repro.core.results.CompactionStats`; running it against a
-    freshly cached RDD also materializes the cache.
-    """
+
+class PartitionSummarizer:
+    """``run_job`` kernel: :func:`summarize_rows` of a weighted working
+    partition; running it against a freshly cached RDD also materializes
+    the cache."""
 
     def __call__(self, _task_ctx, partition):
-        data = list(partition)
-        items = sum(len(txn) for txn, _w in data)
-        weight = sum(w for _txn, w in data)
-        return len(data), items, estimate_size(data), weight
+        return summarize_rows(list(partition))
+
+
+class PartitionLayout:
+    """The last step of a working-set round whose next pass is counted by
+    a store class with a layout of its own: the partition becomes ONE
+    record, ``(summary, block)`` — the rows' :func:`summarize_rows`,
+    taken while they are still in hand, and ``layout(rows,
+    weighted=True)``, which is what gets cached and what every later
+    :class:`CandidateCounter` pass reads.  A partition left with no rows
+    yields an empty block.
+    """
+
+    def __init__(self, layout):
+        self._layout = layout
+
+    def __call__(self, partition):
+        rows = list(partition)
+        yield summarize_rows(rows), self._layout(rows, True)
+
+
+def laid_out_summary(_task_ctx, partition):
+    """``run_job`` function: the summary a :class:`PartitionLayout`
+    record carries (and, like :class:`PartitionSummarizer`, the job that
+    materializes the cache)."""
+    ((summary, _block),) = partition
+    return summary
 
 
 # -- Phase II --------------------------------------------------------------
@@ -169,6 +202,8 @@ class CandidateCounter:
 
     def __call__(self, partition):
         store = _resolve(self._bc, self._matcher)
+        if store.layout is not None:  # the one PartitionLayout record
+            ((_summary, partition),) = partition
         counts = store.count_partition(partition, weighted=self._weighted)
         index = store.candidate_index()
         for cand, n in counts.items():
@@ -227,26 +262,18 @@ def count_stores(stores, rows) -> dict:
     """Merged exact counts of every store's candidates over one partition.
 
     Stores hold same-length candidates, so a mixed-length candidate set
-    is one store per length over the same rows.  Two or more
-    :class:`~repro.core.candidatestore.BitmapStore` among them read ONE
-    vertical build (each would otherwise re-scan the rows); every other
-    store counts through its own ``count_partition``.
+    is one store per length over the same rows: the rows are laid out
+    once per distinct layout among the stores and each store counts the
+    block of its class.
     """
     rows = rows if isinstance(rows, list) else list(rows)
-    sharing = [s for s in stores if isinstance(s, BitmapStore) and len(s)]
-    bitmaps = None
-    if len(sharing) > 1:
-        bitmaps = build_tid_bitmaps(
-            rows,
-            set().union(*(s.items for s in sharing)),
-            min_items=min(s.k for s in sharing),
-        )
+    blocks: dict = {}
     counts: dict = {}
     for store in stores:
-        if bitmaps is not None and isinstance(store, BitmapStore):
-            counts.update(store.count_bitmaps(bitmaps))
-        else:
-            counts.update(store.count_partition(rows))
+        layout = store.layout
+        if layout not in blocks:
+            blocks[layout] = lay_out(store, rows)
+        counts.update(store.count_partition(blocks[layout]))
     return counts
 
 

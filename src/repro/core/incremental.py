@@ -27,13 +27,14 @@ places:
 
 * **Counting.**  The appended rows and the retired rows form a *signed*
   delta — ``(row, +n)`` / ``(row, -n)``, a row on both sides cancels —
-  and each level takes ONE ``count_partition(signed, weighted=True)``
-  pass returning net counts; each frequent family is re-derived against
-  the **final** threshold.  A window advance must be a ``slide``, not an
-  ``append`` then a ``retire``: the window in between is the largest of
-  the three, its threshold the highest, and itemsets at the threshold
-  fall out only to come back — every level they touch re-mined twice for
-  a state nobody can observe.
+  laid out once per advance in the layout the configured store's class
+  counts, and each level takes ONE ``count_partition(delta,
+  weighted=True)`` pass over it returning net counts; each frequent
+  family is re-derived against the **final** threshold.  A window
+  advance must be a ``slide``, not an ``append`` then a ``retire``: the
+  window in between is the largest of the three, its threshold the
+  highest, and itemsets at the threshold fall out only to come back —
+  every level they touch re-mined twice for a state nobody can observe.
 * **Candidates.**  The tracked set of level ``k`` always equals
   ``apriori_gen`` of level ``k-1``'s frequent family, and is *kept* so,
   not re-derived: when that family gains and loses a few itemsets (a
@@ -46,7 +47,8 @@ places:
   when so much crossed that generating the level whole is the cheaper
   way to the same set.
 * **The window.**  Only those genuinely new candidates need the whole
-  window, and they read the maintained bitmaps: one prefix walk, no
+  window, and they read the maintained bitmaps through
+  :func:`~repro.core.candidatestore.count_bitmaps`: one prefix walk, no
   build, whatever the configured store (the store counts the delta
   passes only).
 
@@ -81,7 +83,13 @@ from repro.common.encoding import ItemDictionary
 from repro.common.errors import MiningError
 from repro.common.itemset import canonical_transaction, min_support_count
 from repro.core.candidates import apriori_gen, candidates_delta
-from repro.core.candidatestore import BitmapStore, build_tid_bitmaps, make_store
+from repro.core.candidatestore import (
+    build_tid_bitmaps,
+    count_bitmaps,
+    get_store,
+    lay_out,
+    make_store,
+)
 from repro.core.results import IterationStats, MiningRunResult
 from repro.engine.tracing import Tracer
 
@@ -458,14 +466,11 @@ class IncrementalMiner:
     def _make_store(self, candidates=()):
         return make_store(self.candidate_store, candidates)
 
-    def _count_window(self, candidates, store=None) -> dict:
+    def _count_window(self, candidates) -> dict:
         """Exact full-window counts for ``candidates`` (zero-filled): one
         prefix walk over the maintained tid-bitmaps — no build, whatever
-        ``candidate_store`` is.  ``store``, if given, already holds
-        ``candidates``."""
-        if not isinstance(store, BitmapStore):
-            store = BitmapStore(candidates)
-        counts = store.count_bitmaps(self._tids)
+        ``candidate_store`` is."""
+        counts = count_bitmaps(self._tids, sorted(candidates))
         return {c: counts.get(c, 0) for c in candidates}
 
     def _rebuild(self, update: IncrementalUpdate) -> None:
@@ -485,8 +490,7 @@ class IncrementalMiner:
         # first record lands in the top bit) and every row gets a bit.
         encode = self._dictionary.encode_transaction
         self._tids = build_tid_bitmaps(
-            [encode(txn) for txn in reversed(self._window)],
-            set(range(len(self._dictionary))), min_items=0,
+            [encode(txn) for txn in reversed(self._window)], min_items=0
         )
         phases["window"] += clock() - t0
         self._frequent1 = {(self._dictionary.code(i),) for i in frequent_items}
@@ -500,7 +504,7 @@ class IncrementalMiner:
                 break
             store = self._make_store(candidates)
             t1 = clock()
-            counts = self._count_window(candidates, store)
+            counts = self._count_window(candidates)
             frequent = {c for c in candidates if counts[c] >= self._threshold}
             t2 = clock()
             phases["generate"] += t1 - t0
@@ -523,7 +527,13 @@ class IncrementalMiner:
         """Bring the vertical window up to date: one bit per appended row
         (``encoded``, in order) above the rows it held, then the
         ``n_oldest`` oldest rows shifted out of every bitmap.  Called with
-        ``_window`` already advanced."""
+        ``_window`` already advanced.
+
+        The one place outside :mod:`repro.core.candidatestore` that
+        touches a tid-bitmap's bits: the window is *maintained*, and an
+        8-row advance must not pay a 3 000-row build — so this method
+        knows the bit order ``_rebuild`` asked the builder for (row ``i``
+        in bit ``i``) and nothing else of the format."""
         n_before = len(self._window) - len(encoded) + n_oldest
         tids = self._tids
         for i, enc in enumerate(encoded, n_before):
@@ -595,6 +605,11 @@ class IncrementalMiner:
         self._frequent1 = new_f1
         phases["diff"] += clock() - t1
 
+        # the signed delta, laid out once for every level's pass
+        t0 = clock()
+        delta = lay_out(get_store(self.candidate_store), signed, weighted=True)
+        phases["delta"] += clock() - t0
+
         items = sorted(code for (code,) in old_f1 | new_f1)
         prev = new_f1
         li = 0
@@ -623,7 +638,7 @@ class IncrementalMiner:
             # ONE signed pass over the delta for the candidates that stay
             moved: dict = {}
             if signed and counts:
-                moved = lvl.store.count_partition(signed, weighted=True)
+                moved = lvl.store.count_partition(delta, weighted=True)
                 _fold(counts, moved, changed_counts, was, threshold, decode)
             t2 = clock()
             n_kept = len(counts)

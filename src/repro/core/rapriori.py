@@ -17,7 +17,10 @@ all inherited.  On the fast path the working RDD is already projected
 onto frequent items, so pass 2 ships *nothing* — not even the
 frequent-item set — and the pair kernel aggregates per partition and
 merges on the driver like every other pass
-(:meth:`Yafim._count_level`); under ``paper_dataflow`` it ships the
+(:meth:`Yafim._count_level`); it reads rows, so the working set stays
+rows through pass 2 whatever the store (``first_store_pass``: on the
+sparse data this miner is for, emitting a row's own pairs beats
+intersecting C(m, 2) candidates).  Under ``paper_dataflow`` it ships the
 frequent-item set, filters the raw transactions and shuffles.  The
 ablation benchmark quantifies the pass-2 saving on the sparse dataset
 family where m (and hence C(m, 2)) is large.
@@ -39,6 +42,9 @@ class RApriori(Yafim):
     """
 
     algorithm_name = "rapriori"
+    #: pass 2 counts pairs straight off the rows, so a store class with a
+    #: layout of its own gets them laid out by the round after it
+    first_store_pass = 3
 
     def _level_pass(self, k, enc_level, working, threshold):
         if k != 2:

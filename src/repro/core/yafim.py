@@ -36,6 +36,13 @@ one global merge):
   dense-int dictionary ordered by descending support
   (:class:`~repro.common.encoding.ItemDictionary`), infrequent items
   dropped and identical rows deduplicated into ``(txn, multiplicity)``;
+* a store counts the partition layout its class declares
+  (:attr:`~repro.core.candidatestore.CandidateStore.layout`), and the
+  miner — the owner of the rows — lays them out once, in the round before
+  the first pass the store counts: the row-wise stores read the weighted
+  rows as they are, ``bitmap`` reads per-item tid-bitmaps, and either way
+  that is the cached working RDD (resident in the workers' block stores
+  on ``processes``);
 * each Phase II pass is one ``map_partitions`` kernel
   (:class:`~repro.core.counting.CandidateCounter`) that counts the whole
   partition inside the candidate store; one ``run_job`` brings each
@@ -43,17 +50,18 @@ one global merge):
   and the driver sums the ≤ ``num_partitions`` dicts
   (:func:`~repro.core.counting.merge_counts`), thresholds and decodes
   (:meth:`Yafim._count_level`) — the same merge Phase I and the
-  approximate miner's verify pass use;
-* between passes the working RDD drops transactions shorter than k+1
-  and projects out items in no frequent k-itemset, re-caching the
-  shrunk RDD and unpersisting the old one.  Every shrink is measured as
-  a :class:`~repro.core.results.CompactionStats` on the pass it follows.
+  approximate miner's verify pass use.  On a laid-out block that is the
+  whole pass: nothing per row happens after the encode round;
+* while the working RDD still holds rows, each pass is followed by a
+  compaction round that drops transactions shorter than k+1 and projects
+  out items in no frequent k-itemset, re-caching the shrunk RDD and
+  unpersisting the old one — a row-layout optimisation, measured as a
+  :class:`~repro.core.results.CompactionStats` on the pass it follows.
 
 The candidate structure itself is pluggable: ``candidate_store``
 selects any :mod:`repro.core.candidatestore` registration (hash tree by
-default; ``bitmap`` swaps the per-transaction walk for the vertical
-tid-bitmap kernel) — every store yields identical itemsets by the
-at-most-once counting contract.
+default; ``bitmap`` is the vertical tid-bitmap kernel) — every store
+yields identical itemsets by the at-most-once counting contract.
 """
 
 from __future__ import annotations
@@ -70,11 +78,13 @@ from repro.core.candidatestore import get_store, make_store
 from repro.core.counting import (
     CandidateCounter,
     CandidateEmitter,
+    PartitionLayout,
     PartitionSummarizer,
     Phase1PartitionCounter,
     TransactionCompactor,
     TransactionEncoder,
     collect_partials,
+    laid_out_summary,
     merge_counts,
 )
 from repro.core.results import (
@@ -111,7 +121,8 @@ class Yafim:
     cache_transactions:
         Cache the transaction RDD in memory (paper behaviour).  ``False``
         recomputes/re-reads it every iteration (ablation A2); the fast
-        path's encoded/compacted RDDs are then never cached either.
+        path's working RDD — rows or laid-out block — is then never
+        cached either.
     paper_dataflow:
         Run the paper's literal Fig. 1–2 dataflow — ``count()`` plus an
         item-count shuffle for Phase I, ``flatMap(subset).map((c, 1))
@@ -120,15 +131,17 @@ class Yafim:
         docstring).  The structural-fidelity reference; same itemsets.
     candidate_store:
         Name of a registered :mod:`repro.core.candidatestore` store
-        (``hashtree``/``trie``/``flatdict``/``bitmap``/``linear``) for
-        Phase II counting; ``linear`` is ablation A3.  Unknown names fail
-        fast on the driver.
+        (``hashtree``/``bitmap``/``linear``) for Phase II counting;
+        ``linear`` is ablation A3.  Unknown names fail fast on the driver.
     store_options:
         Keyword arguments for the store constructor (e.g. the hash
         tree's ``fanout``/``max_leaf_size``).
     """
 
     algorithm_name = "yafim"
+    #: the first pass counted through the candidate store — the pass a
+    #: store class with a layout of its own gets the rows laid out for
+    first_store_pass = 2
 
     def __init__(
         self,
@@ -262,11 +275,12 @@ class Yafim:
         run_bcs: list = []  # broadcasts that must outlive working-RDD recomputes
         if self.paper_dataflow:
             # the raw cached RDD flows straight into Phase II
-            working, dictionary, last_summary = transactions, None, None
+            working, dictionary, row_summary = transactions, None, None
             enc_level = level
         else:
-            working, dictionary, last_summary = self._encode_working(
-                transactions, item_level, summary, result, run_bcs
+            dictionary = ItemDictionary.from_counts(item_level)
+            working, row_summary = self._working_round(
+                "encode", 1, transactions, dictionary, summary, result, run_bcs
             )
             enc_level = {dictionary.encode_itemset(i): c for i, c in level.items()}
         k = 2
@@ -299,13 +313,17 @@ class Yafim:
             if bc is not None:
                 bc.destroy()
             self.ctx.clear_shuffle_outputs()
+            # compaction is a rewrite of rows: the paper dataflow (never
+            # encoded) and a laid-out block (a dead item's bitmap is
+            # simply never read) have no row summary and nothing to compact
             if (
-                not self.paper_dataflow
+                row_summary is not None
                 and enc_level
                 and (max_length is None or k + 1 <= max_length)
             ):
-                working, last_summary = self._compact_between(
-                    working, enc_level, k, last_summary, result, run_bcs
+                keep = frozenset(item for itemset in enc_level for item in itemset)
+                working, row_summary = self._working_round(
+                    "compact", k, working, keep, row_summary, result, run_bcs
                 )
             k += 1
         for bc in run_bcs:
@@ -370,76 +388,61 @@ class Yafim:
         return {decode[i]: c for i, c in merged.items() if c >= threshold}
 
     # -- working-set management ------------------------------------------------
-    def _encode_working(self, transactions, item_level, before, result, run_bcs):
-        """Dict-encode, project and dedupe the transaction RDD after Phase I.
+    def _working_round(self, kind, k, source, shipped, before, result, run_bcs):
+        """The working-set round after pass ``k``: rewrite the rows, and
+        lay them out if the store that counts pass ``k + 1`` reads a
+        layout of its own.
 
-        ``before`` is Phase I's ``(rows, items, est_bytes)`` of the raw
-        RDD.  Returns ``(working_rdd, dictionary, after_summary)``; the
-        working RDD holds weighted ``(encoded_txn, multiplicity)`` rows.
+        ``kind="encode"`` (after Phase I) dict-encodes, projects and
+        dedupes the raw transactions over ``shipped``, the item
+        dictionary; ``kind="compact"`` drops the rows too short for a
+        (k+1)-candidate and the items outside ``shipped``, the items of
+        L_k.  Either way the result holds weighted ``(encoded_txn,
+        multiplicity)`` rows — until the first store-counted pass is next
+        and the store class declares a layout: then the same tasks end in
+        :class:`~repro.core.counting.PartitionLayout` and what is cached
+        is the block, built once, which every later pass only counts.
+
+        ``before`` is the ``(rows, items, est_bytes[, weight])`` summary
+        of ``source``.  Returns ``(working_rdd, summary)``; ``summary``
+        is ``None`` once the rows are laid out (nothing left to rewrite).
         """
         t0 = time.perf_counter()
-        dictionary = ItemDictionary.from_counts(item_level)
         ship_bc = None
         if self.use_broadcast:
-            ship_bc = self.ctx.broadcast(dictionary)
+            ship_bc = self.ctx.broadcast(shipped)
             run_bcs.append(ship_bc)
-        kernel = TransactionEncoder(
-            bc=ship_bc, dictionary=dictionary if ship_bc is None else None
-        )
-        working = transactions.map_partitions(kernel)
+        direct = shipped if ship_bc is None else None
+        if kind == "encode":
+            kernel = TransactionEncoder(bc=ship_bc, dictionary=direct)
+        else:
+            kernel = TransactionCompactor(keep_bc=ship_bc, keep=direct, min_len=k + 1)
+        working = source.map_partitions(kernel)
+        layout = get_store(self.candidate_store).layout
+        laid_out = layout is not None and k + 1 >= self.first_store_pass
+        if laid_out:
+            working = working.map_partitions(PartitionLayout(layout))
         if self.cache_transactions:
             working = working.cache()
-        after = self._summarize(working)
+        # one job: the rows' summary, and the cache materialized
+        summarize = laid_out_summary if laid_out else PartitionSummarizer()
+        after = tuple(map(sum, zip(*self.ctx.run_job(working, summarize))))
         stats = CompactionStats(
-            kind="encode",
-            seconds=time.perf_counter() - t0,
-            txns_before=before[0], txns_after=after[0],
-            items_before=before[1], items_after=after[1],
-            bytes_before=before[2], bytes_after=after[2],
-            weight_after=after[3],
-            dict_items=len(dictionary),
-            dict_broadcast_bytes=ship_bc.size_bytes if ship_bc is not None else 0,
-        )
-        result.iterations[-1].compaction = stats
-        self._record_compaction_span(stats, t0, label="encode k=1")
-        if self.cache_transactions:
-            transactions.unpersist()  # superseded by the encoded working set
-        return working, dictionary, after
-
-    def _compact_between(self, working, enc_level, k, before, result, run_bcs):
-        """Shrink the weighted working RDD after pass k (fast path only)."""
-        t0 = time.perf_counter()
-        keep = frozenset(item for itemset in enc_level for item in itemset)
-        keep_bc = None
-        if self.use_broadcast:
-            keep_bc = self.ctx.broadcast(keep)
-            run_bcs.append(keep_bc)
-        kernel = TransactionCompactor(
-            keep_bc=keep_bc, keep=keep if keep_bc is None else None, min_len=k + 1
-        )
-        shrunk = working.map_partitions(kernel)
-        if self.cache_transactions:
-            shrunk = shrunk.cache()
-        after = self._summarize(shrunk)
-        stats = CompactionStats(
-            kind="compact",
+            kind=kind,
             seconds=time.perf_counter() - t0,
             txns_before=before[0], txns_after=after[0],
             items_before=before[1], items_after=after[1],
             bytes_before=before[2], bytes_after=after[2],
             weight_after=after[3],
         )
+        if kind == "encode":
+            stats.dict_items = len(shipped)
+            stats.dict_broadcast_bytes = ship_bc.size_bytes if ship_bc is not None else 0
         result.iterations[-1].compaction = stats
-        self._record_compaction_span(stats, t0, label=f"compact k={k}")
+        self._record_compaction_span(stats, t0, label=f"{kind} k={k}")
         if self.cache_transactions:
-            working.unpersist()
-        return shrunk, after
-
-    def _summarize(self, working):
-        """(rows, items, est_bytes, weight) of a weighted working RDD;
-        materializes its cache."""
-        parts = self.ctx.run_job(working, PartitionSummarizer())
-        return tuple(map(sum, zip(*parts)))
+            source.unpersist()  # superseded by the round's working set
+        return working, None if laid_out else after
 
     def _record_compaction_span(self, stats: CompactionStats, t0: float, label: str):
         self.ctx.tracer.add_span(

@@ -126,8 +126,37 @@ def _is(kind: type, what: str, empty_ok: bool = True) -> Callable:
     return check
 
 
-_rows = _is(list, "a non-empty list of lists", empty_ok=False)
-_delta = _is(list, "a list of lists")
+def _minable(check: Callable) -> Callable:
+    """``check``, then every row is a list a miner can canonicalise: its
+    items hash and sort against one another (``[1, "a"]`` does not).
+    Refused here, at the door: a fingerprint only renders items, so on a
+    named dataset a warm miner would meet the row after the version had
+    moved and fail every later job."""
+
+    def rows(value):
+        for row in check(value):
+            if not isinstance(row, list):
+                raise TypeError(f"every row must be a list of items, got {type(row).__name__}")
+            try:
+                # one sort, as cheap as the repeat path it guards: items
+                # that sort are of one kind (strings, numbers, or lists
+                # again), so if the first hashes they all do
+                sorted(row)
+                if row:
+                    hash(row[0])
+            except TypeError as err:
+                raise ApiError(
+                    f"transactions: row {row!r:.60} cannot be mined: {err}",
+                    code="unminable_row",
+                ) from None
+        return value
+
+    return rows
+
+
+_list = _is(list, "a list")
+_rows = _minable(_is(list, "a non-empty list of lists", empty_ok=False))
+_delta = _minable(_is(list, "a list of lists"))
 _text = _is(str, "a non-empty string", empty_ok=False)
 _flag = _is(bool, "true or false")
 
@@ -137,7 +166,7 @@ def _row_lists(transactions) -> list:
 
 
 def _names(value) -> frozenset:
-    return frozenset(_text(v) for v in _delta(value))
+    return frozenset(_text(v) for v in _list(value))
 
 
 def _poll_s(value) -> float:

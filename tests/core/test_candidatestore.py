@@ -12,18 +12,22 @@ Two properties carry the whole redesign:
 """
 
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+from repro.core import candidatestore
 from repro.core.candidatestore import (
     BitmapStore,
     CandidateStore,
-    FlatDictStore,
     LinearStore,
-    TrieStore,
+    TidBitmaps,
     build_tid_bitmaps,
+    count_bitmaps,
     get_store,
+    lay_out,
     make_store,
     register_store,
     store_names,
@@ -31,6 +35,8 @@ from repro.core.candidatestore import (
 )
 from repro.core.hashtree import HashTree
 
+BUILTINS = ["bitmap", "hashtree", "linear"]
+#: plus the suite's third-party row-wise stores (tests/plugin_stores.py)
 ALL_STORES = ["hashtree", "trie", "flatdict", "bitmap", "linear"]
 
 CANDIDATES = [
@@ -73,6 +79,13 @@ def random_case(seed, n_txns=60, n_items=12, k=3, n_cands=25):
 class TestRegistry:
     def test_builtins_registered(self):
         assert set(ALL_STORES) <= set(store_names())
+        # the package itself ships three; the rest came through register_store
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.core.candidatestore import store_names; print(store_names())"],
+            capture_output=True, text=True, check=True,
+        )
+        assert fresh.stdout.strip() == repr(BUILTINS)
 
     def test_store_names_sorted(self):
         assert store_names() == sorted(store_names())
@@ -109,7 +122,7 @@ class TestRegistry:
         assert CandidateStore in HashTree.__mro__  # real, not virtual, subclass
         assert isinstance(tree, CandidateStore)
         assert list(tree) == CANDIDATES  # insertion order, not tree order
-        assert isinstance(make_store("trie", CANDIDATES), CandidateStore)
+        assert isinstance(make_store("linear", CANDIDATES), CandidateStore)
 
     def test_unknown_store_option_is_type_error(self):
         # make_store forwards opts verbatim: no aliased spellings
@@ -255,33 +268,41 @@ class TestBitmapStore:
         # one bit per logical transaction, first row in the top bit; a
         # weighted row is a run; a row short of min_items gets no tid
         part = [((1, 2), 3), ((2, 9), 1), ((1,), 2), ((1, 2, 3), 1)]
-        got = build_tid_bitmaps(part, {1, 2, 3}, weighted=True)
-        assert got == {1: 0b1110111, 2: 0b1111001, 3: 0b0000001}
-        assert build_tid_bitmaps(part, {1, 2, 3}, min_items=2, weighted=True) == {
-            1: 0b1111, 2: 0b1111, 3: 0b0001,
+        got = build_tid_bitmaps(part, weighted=True)
+        assert got == {1: 0b1110111, 2: 0b1111001, 3: 0b0000001, 9: 0b0001000}
+        assert build_tid_bitmaps(part, weighted=True, min_items=2) == {
+            1: 0b11101, 2: 0b11111, 3: 0b00001, 9: 0b00010,
         }
-        assert build_tid_bitmaps([(5,), (1, 5), (1,)], {1}) == {1: 0b011}
-        assert build_tid_bitmaps([(5,)], {1}) == {}
+        assert build_tid_bitmaps([(5,), (1, 5), (), (1,)]) == {5: 0b110, 1: 0b011}
+        assert build_tid_bitmaps([(), ()]) == {}
+        assert build_tid_bitmaps([(), (4,)], min_items=0) == {4: 0b01}
         assert got.negative == 0
+        assert BitmapStore.layout(part, weighted=True) == got
 
     def test_negative_runs_are_masked(self):
         # a negative weight is a run of |weight| tids, marked in the mask
         part = [((1, 2), 2), ((1,), -3), ((2, 9), 1), ((1, 2), -1)]
-        got = build_tid_bitmaps(part, {1, 2}, weighted=True)
-        assert got == {1: 0b1111101, 2: 0b1100011}
+        got = build_tid_bitmaps(part, weighted=True)
+        assert got == {1: 0b1111101, 2: 0b1100011, 9: 0b0000010}
         assert got.negative == 0b0011101
-        store = BitmapStore([(1, 2)])
-        assert store.count_bitmaps(got) == {(1, 2): 1}
-        assert store.count_bitmaps(dict(got)) == {(1, 2): 3}  # a plain mapping has no mask
+        assert count_bitmaps(got, [(1, 2)]) == {(1, 2): 1}
+        assert count_bitmaps(dict(got), [(1, 2)]) == {(1, 2): 3}  # a plain mapping has no mask
 
-    def test_count_bitmaps_reads_a_shared_build(self):
-        # a build over a superset of the store's items (what several
-        # stores over the same rows share) counts like the store's own
+    def test_count_bitmaps_reads_a_shared_build(self, monkeypatch):
+        # a block laid out once counts like the store's own row entry
+        # point, for as many stores and passes as read it — and counting
+        # a block builds nothing
         cands, txns = random_case(5, k=3, n_cands=30, n_items=12)
         store = BitmapStore(cands)
-        shared = build_tid_bitmaps(txns, set(range(12)), min_items=2)
-        assert store.count_bitmaps(shared) == store.count_partition(txns)
-        assert store.count_bitmaps({}) == {}
+        want = store.count_partition(txns)
+        shared = lay_out(store, txns)
+        assert isinstance(shared, TidBitmaps)
+        monkeypatch.setattr(candidatestore, "build_tid_bitmaps", None)  # a build would raise
+        assert store.count_partition(shared) == want == brute_counts(cands, txns)
+        assert count_bitmaps(shared, sorted(cands)) == want
+        assert BitmapStore(cands[:7]).count_partition(shared) == brute_counts(cands[:7], txns)
+        assert count_bitmaps({}, cands) == count_bitmaps(shared, []) == {}
+        assert store.count_partition(TidBitmaps()) == {}
 
     def test_weighted_run_encoding_is_exact(self):
         # compaction multiplicities: (txn, w) occupies a run of w tids, so
@@ -318,22 +339,44 @@ class TestBitmapStore:
         assert BitmapStore(CANDIDATES).stats()["items"] == 7
 
 
-class TestTrieStore:
-    def test_stats_nodes(self):
-        stats = TrieStore(CANDIDATES).stats()
-        assert stats["nodes"] >= 1
-        assert stats["candidates"] == len(CANDIDATES)
+# ---------------------------------------------------------------------------
+# The layout contract
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("name", ALL_STORES)
+class TestLayoutContract:
+    def test_row_wise_classes_declare_no_layout(self, name):
+        rows = [((1, 2), 1)]
+        if name == "bitmap":
+            assert get_store(name).layout is not None
+        else:  # the default serves a third party's store as it serves ours
+            assert get_store(name).layout is None
+            assert lay_out(get_store(name), rows, weighted=True) is rows
 
+    def test_a_laid_out_block_counts_like_the_rows(self, name):
+        cands, txns = random_case(2)
+        store = make_store(name, cands)
+        block = lay_out(get_store(name), txns)
+        assert store.count_partition(block) == brute_counts(cands, txns)
+        assert store.count_partition(block) == brute_counts(cands, txns)  # and again
 
-class TestFlatDictStore:
-    def test_dense_transaction_falls_back_to_scan(self):
-        # C(|t|, k) >> |C| flips the probe direction; counts are identical
-        cands = [(0, 1, 2)]
-        store = FlatDictStore(cands)
-        txn = tuple(range(40))
-        counts = {}
-        store.count_into(counts, txn)
-        assert counts == {(0, 1, 2): 1}
+    def test_signed_block_gives_the_same_net_counts(self, name):
+        # a signed delta laid out ONCE serves several stores of the class
+        # (one per level) and returns what the rows themselves would
+        rng = random.Random(9)
+        cands, txns = random_case(3)
+        signed = [(t, rng.choice((1, 3, -1, -2))) for t in txns]
+        want = {}
+        for txn, w in signed:
+            for cand in cands:
+                if set(txn).issuperset(cand):
+                    want[cand] = want.get(cand, 0) + w
+        want = {c: n for c, n in want.items() if n}
+        block = lay_out(get_store(name), signed, weighted=True)
+        for level in (cands[:10], cands[10:]):
+            got = make_store(name, level).count_partition(block, weighted=True)
+            assert {c: n for c, n in got.items() if n} == {
+                c: n for c, n in want.items() if c in level
+            }
 
 
 class TestHashTreeContract:

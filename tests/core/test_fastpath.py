@@ -224,6 +224,79 @@ class TestCompactionStats:
         assert "compaction" in cats
 
 
+# ---------------------------------------------------------------------------
+# Laid out once: what a run builds, and how many jobs it takes
+# ---------------------------------------------------------------------------
+class TestLaidOutOnce:
+    """Host-independent structure of a fast-path run: a store class with
+    a layout of its own gets the rows laid out once per partition, in the
+    round before the first pass it counts; after that a pass is a job
+    and nothing else."""
+
+    def rounds(self, result):
+        return [
+            it.compaction.kind if it.compaction is not None else None
+            for it in result.iterations
+        ]
+
+    def test_bitmap_tid_bitmap_builds_once_per_partition_and_never_compacts(self, ctx, tid_bitmap_builds):
+        txns = random_transactions(n_items=8)  # six levels deep at 0.2
+        result = Yafim(ctx, num_partitions=4, candidate_store="bitmap").run(txns, 0.2)
+        assert len(result.iterations) >= 4  # several passes read the one block
+        assert len(tid_bitmap_builds) == 4
+        assert self.rounds(result) == ["encode"] + [None] * (len(result.iterations) - 1)
+        # Phase I + the encode round + one job per pass
+        assert result.engine_metrics.n_jobs == len(result.iterations) + 1
+        assert result.engine_metrics.compaction_rounds == 1
+        # the encode round still reports the rows it laid out
+        encode = result.iterations[0].compaction
+        assert sum(tid_bitmap_builds) == encode.txns_after > 0
+        assert encode.weight_after == len(txns) and encode.bytes_after > 0
+        assert encode.items_after > 2 * encode.txns_after
+
+    def test_hashtree_keeps_its_rows_and_its_rounds(self, ctx, tid_bitmap_builds):
+        txns = random_transactions(n_items=8)  # six levels deep at 0.2
+        result = Yafim(ctx, num_partitions=4).run(txns, 0.2)
+        n = len(result.iterations)
+        assert not tid_bitmap_builds
+        # a row rewrite (and its job) after every pass that found anything
+        rounds = self.rounds(result)
+        assert rounds[:-1] == ["encode"] + ["compact"] * (n - 2)
+        assert result.engine_metrics.n_jobs == n + len(list(filter(None, rounds)))
+        same = Yafim(ctx, num_partitions=4, candidate_store="bitmap").run(txns, 0.2)
+        assert same.itemsets == result.itemsets
+
+    def test_rapriori_lays_out_after_its_pair_pass(self, ctx, tid_bitmap_builds):
+        txns = random_transactions(n_items=8)  # six levels deep at 0.2
+        result = RApriori(ctx, num_partitions=4, candidate_store="bitmap").run(txns, 0.2)
+        n = len(result.iterations)
+        assert n >= 4 and len(tid_bitmap_builds) == 4
+        # pass 2 reads rows; the round after it compacts them and lays out
+        assert self.rounds(result) == ["encode", "compact"] + [None] * (n - 2)
+        assert sum(tid_bitmap_builds) == result.iterations[1].compaction.txns_after
+        assert result.engine_metrics.n_jobs == n + 2
+        capped = RApriori(ctx, num_partitions=4, candidate_store="bitmap").run(
+            txns, 0.2, max_length=2
+        )
+        assert len(tid_bitmap_builds) == 4  # no store-counted pass: never laid out
+
+    def test_uncached_block_is_recomputed_per_pass(self, ctx, tid_bitmap_builds):
+        txns = random_transactions(n_items=8)  # six levels deep at 0.2
+        result = Yafim(
+            ctx, num_partitions=4, candidate_store="bitmap", cache_transactions=False
+        ).run(txns, 0.2)
+        # A2: nothing is resident — the encode round's job and every pass
+        # after it rebuild the block, exactly as uncached rows are re-encoded
+        assert len(tid_bitmap_builds) == 4 * len(result.iterations)
+        assert result.itemsets == apriori(txns, 0.2)
+
+    def test_paper_dataflow_never_lays_out(self, ctx, tid_bitmap_builds):
+        result = Yafim(ctx, num_partitions=4, candidate_store="bitmap", **PAPER_SHAPE).run(
+            TXNS, 0.3
+        )
+        assert not tid_bitmap_builds and result.itemsets == apriori(TXNS, 0.3)
+
+
 class TestShuffleAccounting:
     def test_fastpath_ships_fewer_records_and_bytes(self, ctx):
         fast = Yafim(ctx, num_partitions=4).run(TXNS, 0.3)

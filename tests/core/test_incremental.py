@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.algorithms import fpgrowth
 from repro.common.errors import MiningError
 from repro.core.candidates import apriori_gen
-from repro.core.candidatestore import BitmapStore, build_tid_bitmaps
+from repro.core.candidatestore import build_tid_bitmaps, count_bitmaps
 from repro.core.incremental import (
     PHASES, FamilyDiff, IncrementalMiner, run_incremental,
 )
@@ -252,11 +252,11 @@ class TestResultAndRegistry:
         window = sparse_pool[:60]
         cfg = MiningConfig(
             min_support=0.1, incremental=True,
-            options={"candidate_store": "trie"},
+            options={"candidate_store": "linear"},
         )
         assert run_incremental(window, cfg).itemsets == oracle(window, 0.1)
         cfg2 = MiningConfig(
-            min_support=0.1, incremental=True, candidate_store="flatdict"
+            min_support=0.1, incremental=True, candidate_store="linear"
         )
         assert run_incremental(window, cfg2).itemsets == oracle(window, 0.1)
 
@@ -377,11 +377,11 @@ def assert_vertical_window_is_current(miner):
     same support for every tracked candidate, and no bit past the end."""
     encode = miner._dictionary.encode_transaction
     rows = [encode(txn) for txn in miner._window]
-    fresh = build_tid_bitmaps(rows, {c for r in rows for c in r}, min_items=0)
+    fresh = build_tid_bitmaps(rows, min_items=0)
     for lvl in miner._levels:
-        store = BitmapStore(lvl.counts)
-        assert store.count_bitmaps(miner._tids) == store.count_bitmaps(fresh)
-        assert store.count_bitmaps(fresh) == {c: n for c, n in lvl.counts.items() if n}
+        cands = sorted(lvl.counts)
+        assert count_bitmaps(miner._tids, cands) == count_bitmaps(fresh, cands)
+        assert count_bitmaps(fresh, cands) == {c: n for c, n in lvl.counts.items() if n}
     for code, bitmap in miner._tids.items():
         assert bitmap.bit_length() <= len(rows)
         assert bitmap.bit_count() == fresh.get(code, 0).bit_count()
@@ -504,24 +504,14 @@ class TestFusedSlide:
         assert miner.slide([("c", "d")] * 30, 1).full_rebuild
         assert miner.last_update.family_diff is None
 
-    def test_an_advance_builds_nothing_over_the_window(self, sparse_pool, monkeypatch):
+    def test_an_advance_builds_nothing_over_the_window(self, sparse_pool, tid_bitmap_builds):
         """However many levels an update re-mines, its fresh candidates
-        read the maintained vertical window: the only builds an advance
-        makes are the delta's."""
-        import repro.core.candidatestore as candidatestore
-        import repro.core.incremental as incremental
-
-        builds = []
-        real = candidatestore.build_tid_bitmaps
-
-        def counted(rows, *args, **kwargs):
-            builds.append(len(rows))
-            return real(rows, *args, **kwargs)
-
+        read the maintained vertical window, and however many levels it
+        touches, their delta passes read ONE layout of the signed delta:
+        an advance makes one build, and it is the delta's."""
+        builds = tid_bitmap_builds
         window = list(sparse_pool[:120])
         miner = IncrementalMiner(window, 0.05)
-        for module in (candidatestore, incremental):
-            monkeypatch.setattr(module, "build_tid_bitmaps", counted)
         levels_with_fresh = 0
         for start in range(120, 200, 20):
             del builds[:]
@@ -529,7 +519,8 @@ class TestFusedSlide:
             window = window[20:] + list(sparse_pool[start:start + 20])
             fresh = [lvl for lvl in upd.per_level if lvl["full_candidates"]]
             levels_with_fresh = max(levels_with_fresh, len(fresh))
-            assert builds and max(builds) <= upd.delta_rows <= 40
+            assert builds == [upd.delta_rows] and upd.delta_rows <= 40
+            assert len(upd.per_level) >= 2
             assert miner.itemsets() == oracle(window, 0.05)
         assert levels_with_fresh >= 2  # the case the vertical window exists for
 

@@ -148,8 +148,8 @@ class TestMiningConfig:
         assert len(keys) == len(store_names())
 
     def test_cache_key_stable_for_same_store(self):
-        a = MiningConfig(min_support=0.4, candidate_store="trie")
-        b = MiningConfig(min_support=0.4, candidate_store="trie")
+        a = MiningConfig(min_support=0.4, candidate_store="linear")
+        b = MiningConfig(min_support=0.4, candidate_store="linear")
         assert a.cache_key() == b.cache_key()
 
     def test_options_store_overrides_the_config_field(self, monkeypatch):

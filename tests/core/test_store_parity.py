@@ -7,13 +7,26 @@ against fpgrowth/eclat elsewhere).
 
 ``max_length=3`` everywhere so the candidate-free one-phase miner (whose
 subset enumeration *requires* a cap) mines exactly the same space as the
-reference.
+reference.  ``trie`` / ``flatdict`` are the suite's third-party plug-ins
+(``tests/plugin_stores.py``): every grid here also proves that a store
+class declaring no layout is served rows by every miner.
 """
+
+from itertools import product
 
 import pytest
 
+from repro.algorithms import apriori
+from repro.core import RApriori, Yafim
+from repro.core.candidatestore import (
+    CandidateStore,
+    register_store,
+    store_names,
+    unregister_store,
+)
 from repro.core.registry import MiningConfig, run_algorithm
 from repro.datasets import mushroom_like, quest_generator
+from repro.engine import Context
 
 STORES = ["hashtree", "trie", "flatdict", "bitmap"]
 MAX_LEN = 3
@@ -103,3 +116,110 @@ class TestProcessBackendSpotChecks:
         want = oracle(mushroom, 0.4)
         got = mine(mushroom, 0.4, "yafim", store, "processes")
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# The layout contract on the engine: every store x every ablation switch
+# ---------------------------------------------------------------------------
+def _layout_inputs():
+    """``name -> (rows, min_support, max_length)``: the shapes that bit, or
+    could bite, a working set that is laid out once."""
+    dense = [tuple(t) for t in mushroom_like(scale=0.01, seed=5).transactions]
+    sparse = [
+        tuple(t) for t in quest_generator(
+            n_transactions=90, n_items=25, avg_transaction_size=5.0,
+            n_patterns=10, seed=3,
+        ).transactions
+    ]
+    basket = [
+        ("bread", "milk"), ("bread", "diaper", "beer", "eggs"),
+        ("milk", "diaper", "beer", "cola"), ("bread", "milk", "diaper", "beer"),
+        ("bread", "milk", "diaper", "cola"),
+    ]
+    # 3 partitions of 12 rows; the first holds one frequent item per row
+    # at most, so its encoded rows all fall below two items and vanish
+    hollow = (
+        [("a",)] * 4 + [("b",)] * 4 + [(f"rare{i}", "a") for i in range(4)]
+        + [("a", "b", "c"), ("a", "b", "c"), ("a", "b"), ("b", "c", "d")] * 6
+    )
+    return {
+        "dense": (dense, 0.5, None),
+        "sparse": (sparse, 0.08, None),
+        "duplicates": (basket * 9, 0.3, None),
+        "hollow_partition": (hollow, 0.3, None),
+        "max_length_2": (dense, 0.5, 2),
+    }
+
+
+LAYOUT_INPUTS = _layout_inputs()
+
+
+class TestLayoutGrid:
+    """{yafim, rapriori} x every registered store x {serial, processes} x
+    use_broadcast / cache_transactions on and off, against the sequential
+    Apriori oracle: whichever layout the store's class declares, whenever
+    the miner lays the rows out, whether the block is cached or recomputed
+    per pass, the itemsets are the oracle's."""
+
+    @pytest.fixture(scope="class")
+    def oracles(self):
+        out = {}
+        for name, (rows, support, max_length) in LAYOUT_INPUTS.items():
+            full = apriori(rows, support)
+            out[name] = {
+                i: c for i, c in full.items()
+                if max_length is None or len(i) <= max_length
+            }
+            assert max(map(len, out[name])) >= 2, name  # Phase II has work
+        return out
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    @pytest.mark.parametrize("store", store_names())
+    @pytest.mark.parametrize("miner_cls", [Yafim, RApriori], ids=["yafim", "rapriori"])
+    def test_every_switch_on_every_input(self, miner_cls, store, backend, oracles):
+        with Context(backend=backend, parallelism=2) as ctx:
+            for use_broadcast, cache in product((True, False), repeat=2):
+                miner = miner_cls(
+                    ctx, num_partitions=3, use_broadcast=use_broadcast,
+                    cache_transactions=cache, candidate_store=store,
+                )
+                for name, (rows, support, max_length) in LAYOUT_INPUTS.items():
+                    got = miner.run(rows, support, max_length=max_length)
+                    assert got.itemsets == oracles[name], (name, use_broadcast, cache)
+
+    def test_the_hollow_partition_really_is_hollow(self):
+        rows, support, _ = LAYOUT_INPUTS["hollow_partition"]
+        with Context(backend="serial") as ctx:
+            result = Yafim(ctx, num_partitions=3, candidate_store="bitmap").run(rows, support)
+        encode = result.iterations[0].compaction
+        assert encode.weight_after == 24 < len(rows) == 36  # a third of the rows gone
+
+    def test_a_third_party_row_wise_store_is_served_rows(self):
+        """A plug-in that knows nothing of layouts: the default serves it."""
+        counted = []
+
+        class Toy(CandidateStore):
+            def insert(self, candidate):
+                self._register_candidate(candidate)
+
+            def count_into(self, counts, transaction, weight=1):
+                items = set(transaction)
+                for cand in self._order:
+                    if items.issuperset(cand):
+                        counts[cand] = counts.get(cand, 0) + weight
+
+            def count_partition(self, partition, weighted=False):
+                partition = list(partition)
+                counted.append(all(len(r) == 2 and isinstance(r[1], int) for r in partition))
+                return super().count_partition(partition, weighted)
+
+        rows, support, _ = LAYOUT_INPUTS["duplicates"]
+        register_store("toy", Toy)
+        try:
+            with Context(backend="serial") as ctx:
+                result = Yafim(ctx, num_partitions=2, candidate_store="toy").run(rows, support)
+        finally:
+            unregister_store("toy")
+        assert result.itemsets == apriori(rows, support)
+        assert counted and all(counted)  # weighted rows, as they are
+        assert any(it.compaction.kind == "compact" for it in result.iterations[1:-1])

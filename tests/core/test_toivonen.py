@@ -42,6 +42,14 @@ class TestCountExact:
             txns, candidates
         )
 
+    def test_three_lengths_on_bitmap_build_once(self, tid_bitmap_builds):
+        # one store per candidate length, ONE layout of the rows for all
+        txns = [tuple(sorted(set(t))) for t in TXNS]
+        candidates = [("a",), ("d",), ("a", "b"), ("x", "y"), ("a", "b", "c")]
+        got = count_exact(txns, candidates, candidate_store="bitmap")
+        assert tid_bitmap_builds == [len(txns)]
+        assert got == count_exact(txns, candidates)
+
     def test_store_options_forwarded(self):
         counts = count_exact(
             [("a", "b")], [("a", "b")],

@@ -302,7 +302,7 @@ class TestChangeFeed:
         assert apply_payload_diff(oracle(BASE), payload) == oracle(BASE + DELTA)
         assert list(entry.miners.values()) == [miner] and miner.version == 2
         # a store this tier honours as asked is a different miner
-        service.dataset_changes("w", since=2, min_support=0.5, candidate_store="trie")
+        service.dataset_changes("w", since=2, min_support=0.5, candidate_store="linear")
         assert len(entry.miners) == 2
 
     def test_payloads_list_shorter_itemsets_first_then_item_order(self):
@@ -445,18 +445,19 @@ class TestLifecycleBugfixes:
     @pytest.mark.parametrize("transport", ["local", "http"])
     @pytest.mark.parametrize("trigger", ["submit", "flusher"])
     def test_poisoned_append_is_refused(self, transport, trigger):
-        """Bugfix: a delta is validated where it is staged.  The poisoned
-        call answers 400 itself; the rows other callers staged stay
-        staged, and the next flush trigger — an unrelated submit, or the
-        flusher thread — folds them in instead of failing and dropping
-        them."""
+        """Bugfix: a delta is validated before it is staged (on the wire
+        by the protocol's row check, for an embedded caller by
+        ``buffer_add``).  The poisoned call answers 400 itself; the rows
+        other callers staged stay staged, and the next flush trigger — an
+        unrelated submit, or the flusher thread — folds them in instead
+        of failing and dropping them."""
         good, poisoned = [["a", "b"]], [["a", "b"], 7]
         policy = {"flush_age_s": 0.05} if trigger == "flusher" else {}
         with MiningServer(port=0, n_workers=1) as server:
             client = client_on(transport, server)
             client.create_dataset("w", BASE, flush_rows=100, **policy)
             assert client.append_dataset("w", good)["buffered"] == 1
-            with pytest.raises(ApiError, match="fingerprinted") as err:
+            with pytest.raises(ApiError, match="every row must be a list") as err:
                 # the typed verb cannot even render a non-list row
                 client._request("POST", "/datasets/w/append", {"transactions": poisoned})
             assert err.value.status == 400
@@ -471,6 +472,40 @@ class TestLifecycleBugfixes:
             assert (info["version"], info["buffered"]) == (2, 0)
             assert info["n_transactions"] == len(BASE) + len(good)
             assert info["fingerprint"] == dataset_fingerprint(BASE + good)
+
+    @pytest.mark.parametrize("transport", ["local", "http"])
+    def test_a_row_that_does_not_sort_never_reaches_a_warm_miner(self, transport):
+        """Bugfix: ``[1, "a"]`` renders, so it used to pass the fingerprint,
+        advance the dataset, and blow up in ``canonical_transaction``
+        inside the warm miner — every later job on the dataset failed.
+        It is refused at the door on every verb that takes rows, before
+        the chain, the ingest buffer or the version moves."""
+        with MiningServer(port=0, n_workers=1) as server:
+            client = client_on(transport, server)
+            client.create_dataset("d", BASE)
+            assert client.mine(None, INC, timeout=30.0, dataset="d") == oracle(BASE)
+            before = client.dataset_info("d")
+            for rows in ([[1, "a"]], [["a", "b"], [{"x": 1}]], [[["a"], ["b"]]]):
+                for call in (
+                    lambda: client.append_dataset("d", rows, flush=True),
+                    lambda: client.create_dataset("d", rows, replace=True),
+                    lambda: client.create_dataset("fresh", rows),
+                    lambda: client.submit(rows, CFG),
+                ):
+                    with pytest.raises(ApiError) as err:
+                        call()
+                    assert (err.value.status, err.value.code) == (400, "unminable_row")
+            assert client.dataset_info("d") == before
+            with pytest.raises(ApiError, match="unknown dataset"):
+                client.dataset_info("fresh")
+            # rows of one kind are still rows, whatever the kind
+            client.append_dataset("d", [["a", "b", "c"], []], flush=True)
+            assert client.mine(None, INC, timeout=30.0, dataset="d") == oracle(
+                BASE + [("a", "b", "c"), ()]
+            )
+            assert client.mine([[1, 2.5, True], [2.5]], CFG, timeout=30.0) == {
+                (1,): 1, (2.5,): 2, (1, 2.5): 1,
+            }
 
     def test_a_flush_that_raises_keeps_the_staged_rows(self):
         """Rows leave the buffer only once the advance that folds them in
@@ -554,7 +589,7 @@ class TestRandomizedStreamOracle:
 
     ITEMS = ["a", "b", "c", "d", "e", "f"]
 
-    @pytest.mark.parametrize("store", ["bitmap", "trie", "flatdict"])
+    @pytest.mark.parametrize("store", ["bitmap", "trie", "flatdict", "linear"])
     def test_stream_matches_full_remine(self, store):
         rng = random.Random(42 + len(store))
         feed = [

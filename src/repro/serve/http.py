@@ -45,11 +45,19 @@ an id is data, whatever characters it holds.  Every error response
 carries a machine-usable ``code`` next to the human ``error`` message
 (``bad_request``, ``unknown_job``, ``job_expired``, ``unknown_dataset``,
 ``dataset_exists``, ``version_conflict``, ``dataset_retired``,
-``not_done``, ``rejected``, ``unknown_route``, ``payload_too_large``) —
+``not_done``, ``rejected``, ``unknown_route``, ``payload_too_large``,
+``incomplete_body``) —
 the client (:mod:`repro.serve.client`, either transport) re-raises them
 as :class:`~repro.serve.jobs.ApiError` so callers branch on the code,
 not on message prose.  A request that declares a body over
-:data:`MAX_BODY_BYTES` is answered 413 without the body being read.
+:data:`MAX_BODY_BYTES` is answered 413 without the body being read; one
+whose body stops short of the length it declared — the client hung up,
+or stalled past the handler's read timeout — is answered 400 / 408
+``incomplete_body`` and its connection closed.
+
+A byte-identical resubmission is recognised by the digest of its body
+and an answer served again is sent as first rendered: what the socket
+transport already holds, :class:`RepeatMemo`.
 
 ``MiningServer`` runs the whole stack in-process on an ephemeral port —
 the tests use it; ``repro serve`` keeps it in the foreground.
@@ -57,24 +65,40 @@ the tests use it; ``repro serve`` keeps it in the foreground.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import threading
+import weakref
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.common.errors import MiningError
-from repro.serve.api import Operation, config_from_dict, decode_request
-from repro.serve.jobs import ApiError, Job, JobState, RejectedError, ServeError
+from repro.serve.api import BY_NAME, Operation, config_from_dict, decode_request
+from repro.serve.jobs import (
+    ApiError,
+    Job,
+    JobState,
+    RejectedError,
+    RowsNotResident,
+    ServeError,
+)
 from repro.serve.planner import CostPlanner
 from repro.serve.router import ShardRouter
 
 
-def result_payload(job) -> dict:
+def _wire_itemsets(result) -> list:
+    return [[list(itemset), count] for itemset, count in result.itemsets.items()]
+
+
+def result_payload(job, itemsets=None) -> dict:
     """JSON form of a DONE job's :class:`MiningRunResult`.
 
     Approximate results (``repro.core.approx``) carry an extra
     ``approx`` provenance block; its *absence* on a result served for an
     approx submission means the cache answered from the exact twin.
+    ``itemsets`` stands in for the rendered ``itemsets`` field (what
+    :meth:`RepeatMemo.result_text` splices its kept text over).
     """
     result = job.result
     payload = {
@@ -85,7 +109,7 @@ def result_payload(job) -> dict:
         "num_itemsets": result.num_itemsets,
         "total_seconds": result.total_seconds,
         "via": job.via,
-        "itemsets": [[list(itemset), count] for itemset, count in result.itemsets.items()],
+        "itemsets": _wire_itemsets(result) if itemsets is None else itemsets,
     }
     if hasattr(result, "verified_exact"):
         payload["approx"] = {
@@ -106,14 +130,134 @@ def itemsets_from_payload(payload: dict) -> dict:
     return {tuple(itemset): count for itemset, count in payload["itemsets"]}
 
 
-def _answer(op: Operation, kwargs: dict, out) -> tuple[int, dict]:
+_SUBMIT = BY_NAME["submit"]
+
+#: request bodies a :class:`RepeatMemo` recognises (least recently seen
+#: out first).  An entry is a digest, a config and a few scalars — well
+#: under 1 KiB — and never the rows
+REMEMBERED_BODIES = 1024
+
+
+class RepeatMemo:
+    """What the socket transport already holds for a repeat, so that it
+    is neither decoded nor rendered again.
+
+    *Request bodies.*  ``sha256(body)`` of an accepted ``POST /jobs`` maps
+    to the keywords :func:`~repro.serve.api.decode_request` made of it —
+    **minus ``transactions``** — plus the fingerprint the job was placed
+    by.  :func:`dispatch` submits a recognised body as ``transactions=None,
+    fingerprint=...`` ("the rows you already hold"), down the same ladder:
+    no JSON parse, no row check, no fingerprint.  The rows stay with their
+    one owner, the shard's ``DatasetCache``; this holds none.  A body is
+    remembered only once the full path accepted it — never a refused one,
+    never a ``dataset=`` submit (its rows are the dataset's current
+    version, not the body's).
+
+    *Rendered answers.*  The ``itemsets`` field of a result served again
+    (a job answered ``memoized`` or ``coalesced``) is rendered to JSON
+    text once per result object and spliced into each later
+    ``GET /results/{id}`` body; the text is dropped when the result is (no
+    job and no ``ResultCache`` entry holds it any more).  A result
+    fetched for the job that ran it is rendered and forgotten as before.
+
+    Only the socket transport has bytes to digest and text to send, so
+    only :class:`MiningServer` makes one; ``/metrics`` reports
+    :meth:`stats` as ``router.http``.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()  # the bodies' LRU order and the counters
+        self._bodies: OrderedDict[bytes, tuple[dict, str]] = OrderedDict()
+        #: id(result) -> (weak reference to it, its rendered itemsets).
+        #: Touched only by single dict operations: a reference's callback
+        #: runs wherever the collector does, a lock held or not
+        self._renderings: dict[int, tuple[weakref.ref, str]] = {}
+        self.bodies_recognised = 0
+        self.bodies_remembered = 0
+        self.fallbacks_not_resident = 0
+        self.renderings_reused = 0
+
+    def recall(self, method: str, raw_path: str, body) -> dict | None:
+        """The submit keywords of a body seen before, else ``None``."""
+        if method != _SUBMIT.method or raw_path != _SUBMIT.path:
+            return None
+        digest = hashlib.sha256(body).digest()
+        with self._lock:
+            known = self._bodies.get(digest)
+            if known is None:
+                return None
+            self._bodies.move_to_end(digest)
+            self.bodies_recognised += 1
+        kwargs, fingerprint = known
+        return {**kwargs, "transactions": None, "fingerprint": fingerprint}
+
+    def remember(self, body: bytes, kwargs: dict, job: Job) -> None:
+        """``body`` was decoded to ``kwargs`` and accepted as ``job``."""
+        if kwargs.get("transactions") is None:
+            return  # a named dataset's job
+        kept = {k: v for k, v in kwargs.items() if k != "transactions"}
+        with self._lock:
+            self._bodies[hashlib.sha256(body).digest()] = kept, job.dataset_fingerprint
+            self.bodies_remembered += 1
+            while len(self._bodies) > REMEMBERED_BODIES:
+                self._bodies.popitem(last=False)
+
+    def clear(self) -> None:
+        """Forget every body and rendering (the counters stay): the next
+        request is decoded and rendered in full."""
+        with self._lock:
+            self._bodies.clear()
+        self._renderings.clear()
+
+    def fell_back(self) -> None:
+        with self._lock:
+            self.fallbacks_not_resident += 1
+
+    def result_text(self, job: Job) -> str:
+        """``json.dumps(result_payload(job))``, byte for byte, around the
+        kept rendering of the result's itemsets."""
+        result, renderings = job.result, self._renderings
+        key = id(result)
+        kept = renderings.get(key)
+        if kept is not None and kept[0]() is result:
+            itemsets = kept[1]
+            with self._lock:
+                self.renderings_reused += 1
+        else:
+            itemsets = json.dumps(_wire_itemsets(result))
+
+            def dropped(ref):
+                if renderings.get(key, (None,))[0] is ref:
+                    del renderings[key]
+
+            renderings[key] = weakref.ref(result, dropped), itemsets
+        head = json.dumps(result_payload(job, itemsets=[]))
+        # the first '"itemsets": []' is the key: quotes inside the string
+        # values before it are escaped
+        return head.replace('"itemsets": []', '"itemsets": ' + itemsets, 1)
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {
+                "bodies_recognised": self.bodies_recognised,
+                "bodies_remembered": self.bodies_remembered,
+                "fallbacks_not_resident": self.fallbacks_not_resident,
+                "renderings_reused": self.renderings_reused,
+            }
+
+
+def _answer(op: Operation, kwargs: dict, out, memo: RepeatMemo | None):
     """``(status, JSON body)`` for what ``op``'s implementation returned."""
     if op.name == "cancel":
         return op.status, {"job_id": kwargs["job_id"], "cancelled": out}
     if not isinstance(out, Job):
+        if memo is not None and op.name == "metrics":
+            out["router"]["http"] = memo.stats()
         return op.status, out
     if op.name == "result":
         if out.state is JobState.DONE:
+            if memo is not None and out.via != "run":
+                return op.status, memo.result_text(out)
             return op.status, result_payload(out)
         return 409, {
             "error": f"job is {out.state.value}, not done",
@@ -130,18 +274,37 @@ def _answer(op: Operation, kwargs: dict, out) -> tuple[int, dict]:
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
-def dispatch(backend, method: str, raw_path: str, body) -> tuple[int, dict, dict]:
+def dispatch(
+    backend, method: str, raw_path: str, body, memo: RepeatMemo | None = None
+) -> tuple[int, dict | str, dict]:
     """One request against ``backend`` (a router, or a bare service):
     decode it against the protocol table, call the operation, render —
     under the one exception -> status ladder.  ``body`` is what
     :func:`~repro.serve.api.decode_request` takes: the request's bytes,
     or the payload itself from an in-process caller.  Returns ``(status,
-    JSON payload, extra response headers)``."""
+    JSON payload, extra response headers)``.
+
+    ``memo`` is the socket transport's :class:`RepeatMemo` (``body`` is
+    bytes then): a submit body it recognises is submitted without being
+    decoded — and decoded after all when the shard no longer holds its
+    rows — an accepted one is remembered, and a result served again comes
+    back as the payload's JSON text, ready to send."""
     headers: dict = {}
     try:
-        op, kwargs = decode_request(method, raw_path, body)
-        out = getattr(backend, op.call)(**kwargs)
-        status, payload = _answer(op, kwargs, out)
+        out = None
+        kwargs = memo.recall(method, raw_path, body) if memo is not None else None
+        if kwargs is not None:
+            op = _SUBMIT
+            try:
+                out = backend.submit(**kwargs)
+            except RowsNotResident:
+                memo.fell_back()
+        if out is None:
+            op, kwargs = decode_request(method, raw_path, body)
+            out = getattr(backend, op.call)(**kwargs)
+            if memo is not None and op is _SUBMIT:
+                memo.remember(body, kwargs, out)
+        status, payload = _answer(op, kwargs, out, memo)
     except RejectedError as err:
         # admission control / load shedding: structured 429 with a
         # machine-usable backoff hint (integer seconds per RFC 9110,
@@ -171,15 +334,22 @@ class _Handler(BaseHTTPRequestHandler):
     #: kept-alive connection the second waits for the client's delayed ACK
     wbufsize = 1 << 20
     disable_nagle_algorithm = True  # same, for a body the buffer cannot hold
+    #: seconds one read or write on the connection may block: a client
+    #: that stalls mid-request (or sits on an idle kept-alive connection)
+    #: gives its handler thread back.  Above the client's own 30 s; a
+    #: long-poll blocks in the service, not on the socket
+    timeout = 60.0
 
     def log_message(self, fmt, *args):  # noqa: A003 - stdlib signature
         if not self.server.quiet:  # type: ignore[attr-defined]
             super().log_message(fmt, *args)
 
     def _send_json(
-        self, status: int, payload: dict, headers: dict | None = None
+        self, status: int, payload: dict | str, headers: dict | None = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """``payload``, or the JSON text :func:`dispatch` already made of it."""
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        body = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -205,10 +375,25 @@ class _Handler(BaseHTTPRequestHandler):
                 "code": "payload_too_large",
             }
         else:
-            answer = dispatch(
-                self.server.service,  # type: ignore[attr-defined]
-                self.command, self.path, self.rfile.read(int(length)),
-            )
+            declared = int(length)
+            try:
+                body = self.rfile.read(declared)
+            except OSError:  # the read timed out, or the connection broke
+                body = None
+            if body is None or len(body) < declared:
+                # stalled (408) or hung up (400) mid-body: nothing was decoded,
+                # digested or remembered, and whatever else arrives on this
+                # connection is not a request
+                answer = (408 if body is None else 400), {
+                    "error": f"request body ended before the {declared} bytes declared",
+                    "code": "incomplete_body",
+                }
+            else:
+                answer = dispatch(
+                    self.server.service,  # type: ignore[attr-defined]
+                    self.command, self.path, body,
+                    self.server.memo,  # type: ignore[attr-defined]
+                )
         self._send_json(*answer)
 
     do_GET = do_POST = do_DELETE = _handle  # the names http.server looks up
@@ -263,6 +448,7 @@ class MiningServer:
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.service = self.service  # type: ignore[attr-defined]
+        self.memo = self._httpd.memo = RepeatMemo()  # type: ignore[attr-defined]
         self._httpd.quiet = quiet  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
         self._serving = False
@@ -321,6 +507,7 @@ class MiningServer:
 
 __all__ = [
     "MiningServer",
+    "RepeatMemo",
     "config_from_dict",
     "itemsets_from_payload",
     "result_payload",

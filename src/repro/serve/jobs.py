@@ -103,6 +103,13 @@ class RejectedError(ServeError):
         }
 
 
+class RowsNotResident(ServeError):
+    """A submit that named its rows by fingerprint alone ("the rows you
+    already hold") needs them to run, and the shard's ``DatasetCache`` no
+    longer has them: the caller still holds the request and decodes it in
+    full.  Raised before the job table, tenant counters or queue change."""
+
+
 class JobState(str, Enum):
     PENDING = "pending"
     RUNNING = "running"
@@ -185,6 +192,9 @@ class Job:
     #: transaction submissions
     dataset_id: str | None = None
     dataset_version: int | None = None
+    #: submitted by fingerprint alone ("the rows you already hold"): what
+    #: it runs on came from the shard's DatasetCache, not from the request
+    rows_resident: bool = False
     cancel_event: threading.Event = field(default_factory=threading.Event, repr=False)
     done_event: threading.Event = field(default_factory=threading.Event, repr=False)
     #: the submitted transactions, pinned until the job is terminal so

@@ -191,6 +191,12 @@ class ShardRouter:
         entry, and warm incremental state live) and never spills — cold
         state on a neighbour would defeat the point of the append tier.
 
+        ``fingerprint=`` with ``transactions=None`` is
+        :meth:`MiningService.submit`'s "the rows you already hold": the
+        job is shed, placed and spilled by that fingerprint exactly as if
+        the rows had come along; a shard that needs them and does not hold
+        them raises :class:`~repro.serve.jobs.RowsNotResident` through.
+
         Raises :class:`RejectedError` when shedding fires or every shard
         in the preference chain refused admission; the error carries the
         smallest ``retry_after_s`` any shard suggested.
@@ -198,15 +204,19 @@ class ShardRouter:
         with self._lock:
             if self._shutdown:
                 raise ServeError("router is shut down")
-        if dataset_id is not None or transactions is None:
+        txns = transactions
+        fp = job_kwargs.get("fingerprint") if txns is None else None
+        if dataset_id is not None or (txns is None and fp is None):
             # the home shard or nobody: no shedding, no spill (a submit
             # with neither source lands here too — the shard refuses it)
-            txns = transactions
             preference = [self.dataset_home(dataset_id)]
             job_kwargs["dataset_id"] = dataset_id
         else:
-            txns = transactions if isinstance(transactions, list) else list(transactions)
-            fp = job_kwargs["fingerprint"] = dataset_fingerprint(txns)
+            # placed by its rows' fingerprint: computed here, or — with no
+            # rows — the one a submit of the same request was placed by
+            if txns is not None:
+                txns = txns if isinstance(txns, list) else list(txns)
+                fp = job_kwargs["fingerprint"] = dataset_fingerprint(txns)
             if (
                 self.shed_priority is not None
                 and priority > self.shed_priority

@@ -155,6 +155,11 @@ class JobRunner:
                 result, early = worker.run(request, txns, lambda: _abandoned(job, deadline))
             else:
                 result, early = self._run_here(job, config, txns, deadline)
+            if job.rows_resident and getattr(result, "trace", None) is not None:
+                # the run's own trace says why its submit was cheap
+                result.trace.instant(
+                    "rows_resident", "serve", fingerprint=job.dataset_fingerprint[:12]
+                )
             return early or (JobState.DONE, result, None)
         except BaseException as error:  # noqa: BLE001 - reported to the client
             # (whatever a runner raised, SystemExit included: a worker

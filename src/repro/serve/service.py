@@ -52,7 +52,7 @@ import dataclasses
 import itertools
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 
 from repro.core.registry import MiningConfig, get_algorithm
 from repro.serve.api import BY_DATASET, OPERATIONS
@@ -65,12 +65,20 @@ from repro.serve.jobs import (
     JobRequest,
     JobState,
     RejectedError,
+    RowsNotResident,
     ServeError,
     mint_job_id,
     parse_job_id,
 )
 from repro.serve.queue import TenantQueue
 from repro.serve.runner import JobRunner
+
+
+#: tenant names ``/metrics`` counts one by one.  A name is client-supplied:
+#: past this many, the one that submitted longest ago folds into the
+#: ``OTHER_TENANTS`` bucket, so no string a client sends grows the shard
+MAX_TENANT_NAMES = 256
+OTHER_TENANTS = "other"
 
 
 def _summed(stats: list[dict]) -> dict:
@@ -226,7 +234,9 @@ class MiningService:
         #: (queue wait) and running->terminal (run time)
         self.queue_wait_hist = LatencyHistogram()
         self.run_time_hist = LatencyHistogram()
-        self._tenant_counts: dict[str, dict[str, int]] = {}
+        #: tenant -> {"submitted": n, <terminal state>: n...}, least
+        #: recently submitting first; at most ``MAX_TENANT_NAMES`` names
+        self._tenant_counts: OrderedDict[str, dict[str, int]] = OrderedDict()
         # Processes first, threads at the first queued job: a job worker is
         # forked only while this process has one thread (spawned otherwise,
         # ~0.4 s to its first reply), so the shards of a router — and the
@@ -271,6 +281,16 @@ class MiningService:
         change what this job answers for, and a result cached for a
         pre-append version can never answer it.
 
+        ``fingerprint`` with no ``transactions`` (and no ``dataset_id``)
+        says "the rows you already hold": the submit of a request whose
+        rows this shard was sent before (the socket transport recognises
+        such a body by its digest, :class:`repro.serve.http.RepeatMemo`).
+        Everything below runs as for any submit; only what *reads* rows —
+        the planner, a job that must actually run — takes them from the
+        :class:`~repro.serve.cache.DatasetCache`, and when they are no
+        longer there raises :class:`RowsNotResident` with nothing changed,
+        for the caller to submit again with the rows.
+
         With a ``planner`` set, a raw-transaction job is keyed as asked
         and run as planned: the knobs the planner chose (none of those
         named in ``pinned``) ride on the job as ``planned`` and never
@@ -291,11 +311,15 @@ class MiningService:
             dataset_entry, dataset_version, fingerprint, transactions = (
                 self.dataset_registry.snapshot(dataset_id)
             )
-        elif transactions is None:
+        elif transactions is None and fingerprint is None:
             raise ServeError("submit requires transactions or a dataset_id")
-        txns = transactions if isinstance(transactions, list) else list(transactions)
+        txns = transactions
+        if txns is not None and not isinstance(txns, list):
+            txns = list(txns)
         fingerprint = fingerprint or dataset_fingerprint(txns)
         if self.planner is not None and dataset_id is None:
+            if txns is None:
+                txns = self._resident_rows(fingerprint)  # the planner reads them
             _, decision = self.planner.plan(
                 txns, config, pinned=pinned, fingerprint=fingerprint, priority=priority
             )
@@ -341,6 +365,8 @@ class MiningService:
                     queue_depth=depth,
                     queue_limit=self.queue_limit,
                 )
+            if txns is None and needs_slot:
+                txns = self._resident_rows(fingerprint)  # the run reads them
             self.jobs_submitted += 1
             job = Job(
                 request=request,
@@ -350,14 +376,15 @@ class MiningService:
                 decision=decision,
                 dataset_id=dataset_id,
                 dataset_version=dataset_version,
+                rows_resident=transactions is None and dataset_id is None,
                 _txns=txns,  # released in _finish_locked
                 _dataset_entry=dataset_entry,
             )
             self._jobs[job.job_id] = job
             self._state_counts[job.state.value] += 1
-            counts = self._tenant_counts.setdefault(tenant, {"submitted": 0})
-            counts["submitted"] += 1
-            self.datasets.add(txns, fingerprint)
+            self._tenant_counts_locked(tenant, submitting=True)["submitted"] += 1
+            if txns is not None:
+                self.datasets.add(txns, fingerprint)
             if memoized is not None:
                 self._finish_locked(job, JobState.DONE, result=memoized, via="memoized")
             elif group is not None:
@@ -373,6 +400,31 @@ class MiningService:
                         w.start()
                 self._queue_cond.notify()
         return job
+
+    def _resident_rows(self, fingerprint: str) -> list:
+        txns = self.datasets.get(fingerprint)
+        if txns is None:
+            raise RowsNotResident(f"dataset {fingerprint[:12]} is not resident")
+        return txns
+
+    def _tenant_counts_locked(self, tenant: str, submitting: bool = False) -> dict:
+        """``tenant``'s counters.  A submit makes the name the most recent
+        one, folding the least recent into ``OTHER_TENANTS`` when that
+        would be one name too many; a job that finishes after its name was
+        folded counts where its submit went."""
+        counts = self._tenant_counts
+        if tenant in counts:
+            if submitting:
+                counts.move_to_end(tenant)
+            return counts[tenant]
+        if not submitting:
+            return counts[OTHER_TENANTS]
+        while len(counts) >= MAX_TENANT_NAMES:
+            folded = counts.pop(next(name for name in counts if name != OTHER_TENANTS))
+            other = counts.setdefault(OTHER_TENANTS, {"submitted": 0})
+            for key, n in folded.items():
+                other[key] = other.get(key, 0) + n
+        return counts.setdefault(tenant, {"submitted": 0})
 
     # -- queries -----------------------------------------------------------
     def get(self, job_id: str) -> Job:
@@ -434,14 +486,17 @@ class MiningService:
         SLO weight — the router's balance decisions, observable."""
         with self._lock:
             pending = self._queue.pending()
-            return {
+            stats = {
                 tenant: {
                     **counts,
-                    "pending": pending.get(tenant, 0),
+                    "pending": pending.pop(tenant, 0),
                     "weight": self.tenant_weights.get(tenant, 1.0),
                 }
                 for tenant, counts in self._tenant_counts.items()
             }
+            if pending:  # queued under names since folded
+                stats[OTHER_TENANTS]["pending"] += sum(pending.values())
+            return stats
 
     def healthz(self) -> dict:
         """The ``GET /healthz`` payload."""
@@ -562,7 +617,7 @@ class MiningService:
         job.finished_s = time.monotonic()
         if job.started_s is not None:
             self.run_time_hist.record(job.finished_s - job.started_s)
-        counts = self._tenant_counts[job.request.tenant]
+        counts = self._tenant_counts_locked(job.request.tenant)
         counts[state.value] = counts.get(state.value, 0) + 1
         if via is not None:
             job.via = via

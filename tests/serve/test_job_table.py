@@ -131,6 +131,31 @@ class TestBoundedTable:
             assert sum(svc.jobs_by_state().values()) == svc.jobs_submitted == 14
 
 
+# -- no client-named state ---------------------------------------------------------
+def test_tenant_names_past_the_cap_fold_into_other(algos, monkeypatch):
+    monkeypatch.setattr("repro.serve.service.MAX_TENANT_NAMES", 4)
+    with MiningService(n_workers=1) as svc:
+        assert svc.submit(TXNS, fast()).wait(30.0)  # tenant "default"; later ones memoize
+        running = svc.submit(TXNS, gate(), tenant="a")
+        wait_running(running)
+        queued = svc.submit(TXNS, gate("queued"), tenant="b")
+        for i in range(40):  # each name a client's to choose
+            assert svc.submit(TXNS, fast(), tenant=f"name-{i}").via == "memoized"
+            assert len(svc._tenant_counts) <= 4
+        stats = svc.tenant_stats()
+        assert sorted(stats) == ["name-37", "name-38", "name-39", "other"]
+        # "a" and "b" were folded with their jobs live: one running, one still queued
+        assert stats["other"] == {"submitted": 40, "done": 38, "pending": 1, "weight": 1.0}
+        assert stats["name-39"] == {"submitted": 1, "done": 1, "pending": 0, "weight": 1.0}
+        algos.set()
+        assert running.wait(30.0) and queued.wait(30.0)  # they finish where they were counted
+        stats = svc.tenant_stats()
+        assert stats["other"] == {"submitted": 40, "done": 40, "pending": 0, "weight": 1.0}
+        assert sum(t["submitted"] for t in stats.values()) == svc.jobs_submitted == 43
+        assert svc.submit(TXNS, fast(), tenant="other").via == "memoized"  # shares the bucket
+        assert svc.tenant_stats()["other"]["submitted"] == 41
+
+
 # -- admit first ---------------------------------------------------------------
 def footprint(svc) -> dict:
     """Everything a refused submit must leave as it found it."""
@@ -160,6 +185,7 @@ class TestRefusedSubmitsTouchNothing:
             assert footprint(svc) == before
             assert svc.jobs_rejected == 50
             assert before["dataset_cache"]["entries"] == 1
+            algos.set()  # or shutdown waits out the gate
 
     def test_a_shut_down_service_adds_nothing(self, algos):
         svc = MiningService(n_workers=1)
@@ -195,6 +221,7 @@ class TestRefusedSubmitsTouchNothing:
             metrics = router.metrics()
             assert metrics["router"]["jobs_rejected"] == 20 and metrics["router"]["jobs_shed"] == 5
             assert [s["jobs_rejected"] for s in metrics["shards"]] == [20, 20, 20]
+            algos.set()  # or each shard's shutdown waits out its gate
 
 
 # -- the planner is the service's collaborator -----------------------------------
@@ -420,11 +447,15 @@ CAP = 64  # result_cache_entries: small, so retention is exercised from job ~130
 CLIENTS = 4
 
 
-def test_soak_ten_thousand_jobs_leave_nothing_behind(algos):
-    """10^4 jobs + 10^3 retiring appends on a ``ShardRouter(2)``, called as
+def test_soak_four_thousand_jobs_leave_nothing_behind(algos):
+    """4 000 jobs + 400 retiring appends on a ``ShardRouter(2)``, called as
     ``dispatch`` calls it (the codec in front is test_api.py's subject);
-    jobs 100..2000 come from more client threads than cores with thread
-    switches forced often, the rest from one closed-loop client."""
+    jobs 100..800 come from more client threads than cores with thread
+    switches forced often, the rest from one closed-loop client.  Sized by
+    what it compares: every bounded container is full by the early mark
+    (``CAP`` retained jobs and results, 256 histogram samples, a 4 KiB
+    dataset cache), and the late mark has five times the jobs behind it —
+    under ``tracemalloc``, which makes a job six times its price."""
     tracemalloc.start()
     try:
         with ShardRouter(n_shards=2, n_workers=1, result_cache_entries=CAP,
@@ -491,18 +522,18 @@ def test_soak_ten_thousand_jobs_leave_nothing_behind(algos):
                 return tracemalloc.get_traced_memory()[0], sizes
 
             early_cost = metrics_cost(0)
-            stress(100, 2_000)
+            stress(100, 800)
             early_bytes, early_sizes = held()
-            for i in range(2_000, 9_900):
+            for i in range(800, 3_900):
                 one_job(i)
-            late_cost = metrics_cost(9_900)
+            late_cost = metrics_cost(3_900)
             late_bytes, late_sizes = held()
 
             assert late_sizes == early_sizes  # the router holds nothing that grew
             assert late_cost <= 2 * early_cost + 2e-4, (early_cost, late_cost)
             assert late_bytes <= 1.10 * early_bytes, (early_bytes, late_bytes)
-            assert sum(s.jobs_submitted for s in services) == 10_000
-            assert router.dataset_info("feed")["version"] == 1 + 1_000
+            assert sum(s.jobs_submitted for s in services) == 4_000
+            assert router.dataset_info("feed")["version"] == 1 + 400
             for svc in services:  # quiescent: counters == a walk + what was let go
                 counts, table = svc.jobs_by_state(), walk(svc)
                 let_go = svc.jobs_submitted - len(svc._jobs)

@@ -18,11 +18,11 @@ The sweep mines each dataset exactly once (the oracle) and then at a
 grid of sample sizes, recording wall-clock, recall/precision against
 the oracle, and the provenance the miner reports (sample sizes, border
 violations, verified flag).  ``BENCH_approx.json`` lands at the repo
-root.
+root; :func:`check_report` is the gate over it and ``--check`` runs it.
 
-Run standalone (CI uses ``--smoke``)::
+Run standalone (CI uses ``--smoke --check``)::
 
-    PYTHONPATH=src python benchmarks/bench_approx.py --smoke
+    PYTHONPATH=src python benchmarks/bench_approx.py --smoke --check
     PYTHONPATH=src python benchmarks/bench_approx.py
 
 or under pytest-benchmark along with the other figures.
@@ -36,6 +36,8 @@ import os
 import sys
 import time
 
+from _envelope import REPO_ROOT, envelope
+
 from repro.core.approx import ApproxMiner
 from repro.core.registry import MiningConfig
 from repro.core.yafim import Yafim
@@ -43,7 +45,6 @@ from repro.datasets import chess_like, mushroom_like
 from repro.engine.context import Context
 from repro.serve import MiningService
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_approx.json")
 
 BACKEND = "processes"
@@ -210,8 +211,7 @@ def run_approx_bench(smoke: bool = False) -> dict:
         "chess": (chess_like(scale=0.3 if smoke else 1.0, seed=7), 0.85),
     }
     report = {
-        "benchmark": "approx",
-        "smoke": smoke,
+        **envelope("approx", smoke),
         "backend": BACKEND,
         "n_workers": N_WORKERS,
         "n_partitions": N_PARTITIONS,
@@ -270,8 +270,23 @@ def run_approx_bench(smoke: bool = False) -> dict:
     return report
 
 
+def check_report(report: dict) -> None:
+    """The gate over a report (a fresh run, or the checked-in file).  The
+    legs assert these while they run; this is what the report must say of
+    them: everything reported is truly frequent, a verified run missed
+    nothing, and both served tiers finished the same jobs."""
+    for name, entry in report["datasets"].items():
+        for leg in entry["approx"]:
+            assert leg["precision"] == 1.0, (name, leg)
+            if leg["verified_exact"]:
+                assert leg["recall"] == 1.0, (name, leg)
+    served = report["served"]
+    assert served["fast"]["jobs"] == served["batch"]["jobs"] > 0, served
+
+
 def test_approx(benchmark):
     report = benchmark.pedantic(run_approx_bench, rounds=1, iterations=1)
+    check_report(report)
     benchmark.extra_info["mushroom_best_verified_speedup"] = report[
         "mushroom_best_verified_speedup"
     ]
@@ -283,6 +298,10 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="small datasets; assert correctness invariants and exit",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="gate the report just written with check_report()",
     )
     args = parser.parse_args(argv)
     report = run_approx_bench(smoke=args.smoke)
@@ -307,6 +326,8 @@ def main(argv=None) -> int:
         f"fast p50={served['fast']['p50_s']}s p95={served['fast']['p95_s']}s | "
         f"batch p50={served['batch']['p50_s']}s p95={served['batch']['p95_s']}s"
     )
+    if args.check:
+        check_report(report)
     print(f"approx ok: report -> {REPORT_PATH}")
     return 0
 

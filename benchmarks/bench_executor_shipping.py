@@ -33,12 +33,13 @@ import pickle
 import sys
 import time
 
+from _envelope import REPO_ROOT, envelope
+
 from repro.core.yafim import Yafim
 from repro.datasets import mushroom_like
 from repro.engine.context import Context
 from repro.engine.executors import BACKENDS
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_executor_shipping.json")
 
 N_WORKERS = 2
@@ -143,8 +144,7 @@ def run_shipping_bench(smoke: bool = False) -> dict:
     )
 
     report = {
-        "benchmark": "executor_shipping",
-        "smoke": smoke,
+        **envelope("executor_shipping", smoke),
         "n_workers": N_WORKERS,
         "n_partitions": N_PARTITIONS,
         "dataset": f"mushroom_like(scale={scale})",

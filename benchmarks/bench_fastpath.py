@@ -43,17 +43,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
-import subprocess
 import sys
 import time
+
+from _envelope import REPO_ROOT, envelope
 
 from repro.core.candidatestore import get_store, store_names
 from repro.core.yafim import Yafim
 from repro.datasets import chess_like, mushroom_like
 from repro.engine.context import Context
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_fastpath.json")
 
 BACKEND = "processes"
@@ -217,11 +216,7 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
     stores = list(stores) if stores else store_names()
 
     report = {
-        "benchmark": "fastpath",
-        "smoke": smoke,
-        "git_sha": _git_sha(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        **envelope("fastpath", smoke),
         "backend": BACKEND,
         "n_workers": N_WORKERS,
         "n_partitions": N_PARTITIONS,
@@ -246,20 +241,6 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
     with open(REPORT_PATH, "w") as f:
         json.dump(report, f, indent=2)
     return report
-
-
-def _git_sha() -> str | None:
-    """The checkout's commit, ``-dirty`` when the tree has uncommitted
-    changes (a report regenerated for a PR is measured before its commit
-    exists); ``None`` outside a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=REPO_ROOT, capture_output=True, text=True,
-        )
-    except OSError:
-        return None
-    return out.stdout.strip() or None
 
 
 def check_report(report: dict) -> None:

@@ -20,12 +20,13 @@ a guess (PR 10 tripled the update pass by building the diff from two
 full-family snapshots and nothing noticed).  A sliding leg (one fused
 ``slide``: append + retire of the same size) is recorded for the
 steady-state window-slide cost.  ``BENCH_incremental.json`` lands at the
-repo root; :func:`check_floors` is the gate CI runs over it.
+repo root; :func:`check_floors` is the gate over it (a fresh run, or the
+checked-in file) and ``--check`` runs it.
 
-Run standalone (CI uses ``--smoke``)::
+Run standalone (CI uses ``--smoke --streaming --check``)::
 
-    PYTHONPATH=src python benchmarks/bench_incremental.py --smoke
-    PYTHONPATH=src python benchmarks/bench_incremental.py
+    PYTHONPATH=src python benchmarks/bench_incremental.py --smoke --streaming --check
+    PYTHONPATH=src python benchmarks/bench_incremental.py --streaming --check
 
 or under pytest-benchmark along with the other figures.
 """
@@ -38,10 +39,11 @@ import json
 import os
 import time
 
+from _envelope import REPO_ROOT, envelope
+
 from repro.core.incremental import IncrementalMiner
 from repro.datasets import mushroom_like
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_incremental.json")
 
 SUPPORT = 0.35
@@ -279,8 +281,7 @@ def run_incremental_bench(smoke: bool = False, streaming: bool = False) -> dict:
     pool = mushroom_like(scale=scale, seed=SEED + 4).transactions
 
     report = {
-        "benchmark": "incremental",
-        "smoke": smoke,
+        **envelope("incremental", smoke),
         "dataset": "mushroom",
         "min_support": SUPPORT,
         "candidate_store": STORE,
@@ -310,7 +311,6 @@ def run_incremental_bench(smoke: bool = False, streaming: bool = False) -> dict:
     # on the full-size window, where the re-mine has real work to amortize.
     with open(REPORT_PATH, "w") as f:
         json.dump(report, f, indent=2)
-    check_floors(report)
     if not smoke:
         assert best >= 5.0, (
             f"incremental update {best}x < 5x over full re-mine on "
@@ -344,10 +344,18 @@ def check_floors(report: dict) -> None:
             for leg in report["appends"]
         )
     )
+    if "streaming" in report:
+        # coalescing K tiny appends into one update must beat K individual
+        # passes, and the window policy must hold
+        stream = report["streaming"]
+        assert stream["coalesce_speedup"] > 1.0, stream
+        policy = stream["policy"]
+        assert policy["peak_window"] <= policy["max_window"], policy
 
 
 def test_incremental(benchmark):
     report = benchmark.pedantic(run_incremental_bench, rounds=1, iterations=1)
+    check_floors(report)
     benchmark.extra_info["best_append_speedup"] = report["best_append_speedup"]
 
 
@@ -363,6 +371,10 @@ def main(argv=None) -> int:
         action="store_true",
         help="also run the streaming-ingest leg: coalesced vs individual "
         "appends, plus the max_window policy invariant",
+    )
+    parser.add_argument(
+        "--check", action="store_true",
+        help="gate the report just written with check_floors()",
     )
     args = parser.parse_args(argv)
     report = run_incremental_bench(smoke=args.smoke, streaming=args.streaming)
@@ -404,6 +416,8 @@ def main(argv=None) -> int:
         f"best append speedup: {report['best_append_speedup']}x; family diff "
         f"costs {report['diff_cost_ratio']}x a diff-less update"
     )
+    if args.check:
+        check_floors(report)
     print(f"wrote {REPORT_PATH}")
     return 0
 

@@ -53,13 +53,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
 import sys
 import threading
 import time
 
-from bench_fastpath import _git_sha
+from _envelope import REPO_ROOT, envelope
 
 from repro.bench.reporting import format_table
 from repro.core.api import mine_frequent_itemsets
@@ -74,7 +73,6 @@ from repro.serve import (
     ShardRouter,
 )
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_serve_shards.json")
 
 #: distinct supports -> distinct jobs (no memoization inside the sweep)
@@ -462,11 +460,7 @@ def run_shard_bench(shards: int = 4, smoke: bool = False) -> dict:
     datasets = _shard_datasets(smoke)
     jobs_per_client = 6 if smoke else 24
     report = {
-        "benchmark": "serve_shards",
-        "smoke": smoke,
-        "git_sha": _git_sha(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
+        **envelope("serve_shards", smoke),
         "k_datasets": K_DATASETS,
         "result_cache_entries_per_shard": RESULT_CACHE_ENTRIES,
         "workers_total": WORKERS_TOTAL,

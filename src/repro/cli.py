@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     # this file, and a typo fails at parse time with the valid choices.
     from repro.core.candidatestore import store_names
     from repro.core.registry import algorithm_names
-    from repro.engine.executors import BACKENDS
+    from repro.engine.executors import BACKENDS, DEFAULT_BACKEND
 
     def counting_knobs(p):
         p.add_argument(
@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--support", type=float, required=True)
         p.add_argument("--algorithm", default="yafim", choices=algorithm_names())
         p.add_argument("--max-length", type=int, default=None)
-        p.add_argument("--backend", default="threads", choices=BACKENDS)
+        p.add_argument("--backend", default=DEFAULT_BACKEND, choices=BACKENDS)
         p.add_argument("--parallelism", type=int, default=None)
         counting_knobs(p)
         p.add_argument(

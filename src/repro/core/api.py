@@ -9,12 +9,14 @@ by construction — asserted by the integration tests):
 algorithm  implementation
 ========== ==========================================================
 yafim      paper's algorithm on the RDD engine (default)
+rapriori   YAFIM with R-Apriori's candidate-free second pass
 dist_eclat prefix-distributed parallel Eclat on the same engine
 pfp        Parallel FP-Growth (Li et al.) on the same engine
 apriori    sequential oracle
 eclat      vertical tid-set oracle
 fpgrowth   pattern-growth oracle
 mrapriori  MapReduce baseline (spins up an ephemeral mini-DFS)
+one_phase  one-phase MapReduce FIM (subset enumeration, length-capped)
 ========== ==========================================================
 
 Dispatch is entirely registry-driven — there is no per-algorithm branch
@@ -38,6 +40,7 @@ from collections.abc import Iterable, Sequence
 from repro.common.errors import MiningError
 from repro.core.registry import MiningConfig, run_algorithm
 from repro.core.results import MiningRunResult
+from repro.engine.executors import DEFAULT_BACKEND
 
 #: Result alias kept for the public API surface.
 MiningResult = MiningRunResult
@@ -50,7 +53,7 @@ def mine_frequent_itemsets(
     config: MiningConfig | None = None,
     algorithm: str = "yafim",
     max_length: int | None = None,
-    backend: str = "threads",
+    backend: str = DEFAULT_BACKEND,
     parallelism: int | None = None,
     num_partitions: int | None = None,
     **options,
@@ -68,9 +71,8 @@ def mine_frequent_itemsets(
         Mutually exclusive with ``min_support`` and the individual knobs.
     algorithm:
         Any name registered with
-        :func:`repro.core.registry.register_algorithm` (built-ins:
-        ``"yafim"`` (default), ``"dist_eclat"``, ``"pfp"``,
-        ``"apriori"``, ``"eclat"``, ``"fpgrowth"``, ``"mrapriori"``).
+        :func:`repro.core.registry.register_algorithm` (the built-ins are
+        the table above; :func:`repro.core.registry.algorithm_names`).
     max_length:
         Optional cap on mined itemset length.
     backend / parallelism / num_partitions:

@@ -37,12 +37,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import MiningError
 from repro.core.results import IterationStats, MiningRunResult
+from repro.engine.executors import DEFAULT_BACKEND
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class MiningConfig:
     min_support: float
     algorithm: str = "yafim"
     max_length: int | None = None
-    backend: str = "threads"
+    backend: str = DEFAULT_BACKEND
     parallelism: int | None = None
     num_partitions: int | None = None
     candidate_store: str = "hashtree"
@@ -267,15 +269,12 @@ def run_algorithm(
     from repro.engine.context import Context
     from repro.engine.tracing import collect_engine_metrics
 
-    if ctx is not None:
-        result = runner(ctx, txns, config)
-        if result.trace is None:
-            result.trace = ctx.tracer
-        if result.engine_metrics is None:
-            result.engine_metrics = collect_engine_metrics(ctx)
-        return result
-
-    with Context(backend=config.backend, parallelism=config.parallelism) as ctx:
+    # the caller's context stays the caller's to stop; ours ends with the run
+    scope = (
+        nullcontext(ctx) if ctx is not None
+        else Context(backend=config.backend, parallelism=config.parallelism)
+    )
+    with scope as ctx:
         result = runner(ctx, txns, config)
         if result.trace is None:
             result.trace = ctx.tracer

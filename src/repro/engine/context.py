@@ -23,7 +23,7 @@ from repro.engine.accumulator import (
 )
 from repro.engine.broadcast import Broadcast, BroadcastManager
 from repro.engine.dag import DAGScheduler
-from repro.engine.executors import make_executor
+from repro.engine.executors import DEFAULT_BACKEND, make_executor
 from repro.engine.faults import FaultInjector
 from repro.engine.metrics import EventLog
 from repro.engine.rdd import RDD, ParallelCollectionRDD, TextFileRDD
@@ -38,9 +38,9 @@ class Context:
     Parameters
     ----------
     backend:
-        ``"serial"`` (deterministic, used by benchmarks), ``"threads"``
-        (default; concurrent I/O) or ``"processes"`` (true CPU parallelism
-        via cloudpickled tasks).
+        ``"serial"`` (default; deterministic), ``"threads"`` (concurrent
+        I/O) or ``"processes"`` (true CPU parallelism via cloudpickled
+        tasks).
     parallelism:
         Worker count for the chosen backend.
     memory_limit_bytes:
@@ -56,7 +56,7 @@ class Context:
 
     def __init__(
         self,
-        backend: str = "threads",
+        backend: str = DEFAULT_BACKEND,
         parallelism: int | None = None,
         memory_limit_bytes: int | None = None,
         max_task_failures: int = 4,

@@ -172,11 +172,10 @@ class ThreadExecutor(Executor):
 
 @dataclass
 class _WorkerHandle:
-    """Driver-side view of one persistent worker process."""
+    """One pool slot: its process and what the driver believes it holds."""
 
     slot: int
-    proc: Any
-    conn: Any
+    process: Any = None  # the slot's WorkerProcess
     known: set = field(default_factory=set)  # keys believed resident
     pending_drops: list = field(default_factory=list)
 
@@ -193,7 +192,8 @@ class ProcessExecutor(Executor):
     each batch as one cloudpickle blob with broadcasts reduced to ids,
     and pushes only the block payloads the target worker does not
     already hold.  Worker-side misses (LRU evictions, restarts) fall
-    back to a pull over the pipe.
+    back to a pull over the pipe.  How a worker starts, dies and ends is
+    :class:`~repro.engine.workerstore.WorkerProcess`'s.
     """
 
     needs_preload = True
@@ -207,7 +207,6 @@ class ProcessExecutor(Executor):
         )
         self._handles: list[_WorkerHandle] | None = None
         self._dispatch: ThreadPoolExecutor | None = None
-        self._mpctx = None
         self._lock = threading.Lock()
         self._driver_blocks: dict[tuple, Any] = {}  # key -> payload object
         self._blob_cache: dict[tuple, bytes] = {}  # key -> serialized payload
@@ -281,46 +280,28 @@ class ProcessExecutor(Executor):
     def _ensure_started(self) -> None:
         if self._handles is not None:
             return
-        import multiprocessing as mp
-
-        # Fork is cheap (workers inherit the driver's imports), but forking
-        # a multi-threaded process can deadlock the child on locks held by
-        # other threads at fork time (and is deprecated on Python 3.12+).
-        # Under repro.serve the first batch arrives on a thread of the
-        # multi-threaded HTTP server, so fall back to spawn whenever other
-        # threads are already alive.
-        methods = mp.get_all_start_methods()
-        use_fork = "fork" in methods and threading.active_count() == 1
-        self._mpctx = mp.get_context("fork" if use_fork else "spawn")
-        self._handles = [self._spawn(slot) for slot in range(self._n)]
+        # on the calling thread, before the dispatch threads exist: a
+        # single-threaded driver forks its pool
+        self._handles = [self._start_slot(slot) for slot in range(self._n)]
         self._dispatch = ThreadPoolExecutor(
             max_workers=self._n, thread_name_prefix="repro-ship"
         )
 
-    def _spawn(self, slot: int) -> _WorkerHandle:
-        from repro.engine.workerstore import _worker_main
+    def _start_slot(self, slot: int) -> _WorkerHandle:
+        from repro.engine.workerstore import WorkerProcess, _worker_main
 
-        parent_conn, child_conn = self._mpctx.Pipe()
-        proc = self._mpctx.Process(
-            target=_worker_main,
-            args=(child_conn, slot, self._store_budget),
-            daemon=True,
-            name=f"repro-worker-{slot}",
+        handle = _WorkerHandle(slot)
+
+        def forget() -> None:  # a replacement holds nothing
+            with self._lock:
+                handle.known.clear()
+                handle.pending_drops.clear()
+
+        handle.process = WorkerProcess(
+            f"repro-worker-{slot}", _worker_main, lambda: (slot, self._store_budget), forget
         )
-        proc.start()
-        child_conn.close()
-        return _WorkerHandle(slot=slot, proc=proc, conn=parent_conn)
-
-    def _respawn(self, slot: int) -> None:
-        handle = self._handles[slot]
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        if handle.proc.is_alive():
-            handle.proc.terminate()
-        handle.proc.join(timeout=5)
-        self._handles[slot] = self._spawn(slot)
+        handle.process.start()
+        return handle
 
     # -- execution ---------------------------------------------------------
     def run_tasks(self, tasks):
@@ -398,28 +379,24 @@ class ProcessExecutor(Executor):
         with self._lock:
             drops, handle.pending_drops = handle.pending_drops, []
 
+        def pulled(key: tuple) -> bytes | None:
+            blob = self._payload_blob(key)
+            if blob is not None:
+                with self._lock:
+                    handle.known.add(key)
+                    ms.blocks_pulled += 1
+                    ms.block_bytes_pulled += len(blob)
+                    if key[0] == "bc":
+                        self._record_broadcast_shipment(key, handle, len(blob))
+            return blob
+
         try:
-            handle.conn.send(("run", batch_blob, drops, push))
-            while True:
-                msg = handle.conn.recv()
-                if msg[0] == "pull":
-                    key = msg[1]
-                    blob = self._payload_blob(key)
-                    handle.conn.send(("block", key, blob))
-                    if blob is not None:
-                        with self._lock:
-                            handle.known.add(key)
-                            ms.blocks_pulled += 1
-                            ms.block_bytes_pulled += len(blob)
-                            if key[0] == "bc":
-                                self._record_broadcast_shipment(key, handle, len(blob))
-                    continue
-                _tag, results_blob, stored_keys, stats = msg
-                break
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            self._respawn(slot)
-            err = EngineError(f"worker-{slot} died mid-batch: {exc!r}")
+            reply, _ = handle.process.exchange(
+                pickle.dumps(("run", batch_blob, drops, push), pickle.HIGHEST_PROTOCOL), pulled
+            )
+        except EngineError as err:  # the worker died; its replacement is up
             return [(task, err) for task in batch]
+        _tag, results_blob, stored_keys, stats = reply
 
         with self._lock:
             handle.known.update(stored_keys)
@@ -434,7 +411,7 @@ class ProcessExecutor(Executor):
             # zip() would silently drop tasks; a worker that miscounts its
             # batch cannot be trusted — restart it and fail the whole batch
             # as retryable so the scheduler re-runs every task.
-            self._respawn(slot)
+            handle.process.start()
             err = EngineError(
                 f"worker-{slot} returned {len(outcomes)} outcomes for a "
                 f"batch of {len(batch)} tasks"
@@ -464,18 +441,7 @@ class ProcessExecutor(Executor):
     def shutdown(self) -> None:
         if self._handles is not None:
             for handle in self._handles:
-                try:
-                    handle.conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
-                try:
-                    handle.conn.close()
-                except OSError:
-                    pass
-            for handle in self._handles:
-                handle.proc.join(timeout=5)
-                if handle.proc.is_alive():
-                    handle.proc.terminate()
+                handle.process.kill()
             self._handles = None
         if self._dispatch is not None:
             self._dispatch.shutdown(wait=True)
@@ -486,6 +452,11 @@ class ProcessExecutor(Executor):
 #: ``--backend`` choices from this tuple so typos fail at argument parsing
 #: instead of deep inside the engine.
 BACKENDS = ("serial", "threads", "processes")
+
+#: The backend of a caller who names none (``MiningConfig``, the one-shot
+#: API, ``Context`` and the CLI read it): every kernel is pure Python under
+#: one GIL, so ``threads`` is ``serial`` plus a pool and never wins.
+DEFAULT_BACKEND = "serial"
 
 
 def make_executor(

@@ -1,24 +1,27 @@
-"""Worker-resident block store for the persistent process-pool backend.
+"""Persistent worker processes: one lifecycle, and the block store a
+worker keeps.
 
 The paper's §IV-C economics — ship the candidate hash tree once per node
 per iteration, keep the transaction data resident — only hold if workers
-outlive tasks and remember what they were sent.  This module is the
-worker half of that design (the driver half is
-:class:`~repro.engine.executors.ProcessExecutor`):
+outlive tasks and remember what they were sent.  This module is that
+machinery, once, for the engine's
+:class:`~repro.engine.executors.ProcessExecutor` pool and the serve
+tier's :class:`~repro.serve.jobworker.JobWorker`:
 
-* a task arrives as a small closure blob plus *references* to named data
-  blocks — ``("bc", broadcast_id)``, ``("rdd", rdd_id, partition)`` (a
-  cached partition or a parallelized collection's slice) or
-  ``("shuf", shuffle_id, partition)``;
-* each worker process owns one :class:`WorkerBlockStore`, an LRU cache
-  with a byte budget, that resolves those references;
-* on a miss the worker **pulls** the block once from the driver over its
-  IPC pipe (the driver also **pushes** blocks it knows the worker lacks,
-  piggybacked on the task batch), after which every later task on the
-  worker hits the cache;
-* a worker outlives tasks but never its driver: :func:`exit_with_parent`
-  (shared with the serve tier's job workers, which also reuse the store
-  and the pull half of this protocol for resident transaction rows).
+* :class:`WorkerProcess`, the driver's handle on one child: fork or spawn
+  decided at every start (:func:`start_method`), one
+  :meth:`~WorkerProcess.exchange` that serves the child's pulls until its
+  reply arrives, a dead child replaced and reported as ``EngineError``,
+  :meth:`~WorkerProcess.kill` to end one;
+* :func:`worker_loop`, the child: gone with its parent
+  (:func:`exit_with_parent`), deaf to SIGINT, one :class:`WorkerBlockStore`
+  (a byte-budgeted LRU), then receive → handle → reply;
+* what a worker is sent names data by *reference* — ``("bc", id)``,
+  ``("rdd", rdd_id, partition)`` (a cached partition or a parallelized
+  slice), ``("shuf", shuffle_id, partition)``, a job worker's ``("rows",
+  fingerprint)`` — and on a miss the worker **pulls** the block once over
+  its pipe (the engine's driver also **pushes** blocks it knows the worker
+  lacks, piggybacked on the task batch); every later request hits the cache.
 
 This mirrors Spark's Torrent broadcast + executor-side block manager
 (see PAPERS.md: Zaharia et al., NSDI'12): data moves by id, workers
@@ -27,6 +30,7 @@ cache it, and the driver ships each payload at most once per worker.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Any
 
@@ -49,10 +53,6 @@ def rdd_block_key(rdd_id: int, partition: int) -> tuple:
     return ("rdd", rdd_id, partition)
 
 
-def shuffle_block_key(shuffle_id: int, partition: int) -> tuple:
-    return ("shuf", shuffle_id, partition)
-
-
 class WorkerBlockStore:
     """Process-local LRU cache of resolved blocks, byte-budgeted.
 
@@ -67,24 +67,16 @@ class WorkerBlockStore:
         self._blocks: OrderedDict[tuple, tuple[Any, int]] = OrderedDict()
         self.total_bytes = 0
         self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def get(self, key: tuple) -> Any:
-        """The cached value, or the :data:`_MISS` sentinel (checked via
-        :meth:`lookup` by callers outside this module)."""
+        """The cached value, or the :data:`_MISS` sentinel."""
         entry = self._blocks.get(key)
         if entry is None:
-            self.misses += 1
             return _MISS
         self._blocks.move_to_end(key)
         self.hits += 1
         return entry[0]
-
-    def lookup(self, key: tuple) -> tuple[bool, Any]:
-        """(hit, value) — the miss-sentinel-free public accessor."""
-        value = self.get(key)
-        return (value is not _MISS, None if value is _MISS else value)
 
     def put(self, key: tuple, value: Any, nbytes: int) -> None:
         old = self._blocks.pop(key, None)
@@ -108,9 +100,6 @@ class WorkerBlockStore:
             return True
         return False
 
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._blocks
-
     def __len__(self) -> int:
         return len(self._blocks)
 
@@ -122,10 +111,6 @@ class WorkerRuntime:
         self.store = store
         self.conn = conn
         self.worker_id = worker_id
-        # Per-batch accounting, reset by the worker loop:
-        self.pulled = 0
-        self.pulled_bytes = 0
-        self.local_hits = 0
 
     def resolve(self, key: tuple) -> Any:
         """Resolve a block reference: local cache first, pull on a miss."""
@@ -133,7 +118,6 @@ class WorkerRuntime:
 
         value = self.store.get(key)
         if value is not _MISS:
-            self.local_hits += 1
             return value
         self.conn.send(("pull", key))
         tag, rkey, blob = self.conn.recv()
@@ -143,21 +127,10 @@ class WorkerRuntime:
             raise EngineError(f"driver has no payload for block {key}")
         value = pickle.loads(blob)
         self.store.put(key, value, len(blob))
-        self.pulled += 1
-        self.pulled_bytes += len(blob)
         return value
 
 
-_runtime: WorkerRuntime | None = None
-
-
-def set_worker_runtime(runtime: WorkerRuntime | None) -> None:
-    global _runtime
-    _runtime = runtime
-
-
-def current_worker_runtime() -> WorkerRuntime | None:
-    return _runtime
+_runtime: WorkerRuntime | None = None  # this process's, set by worker_loop
 
 
 def resolve_block(key: tuple) -> Any:
@@ -187,7 +160,6 @@ def exit_with_parent(last_act=None) -> None:
     """
     import multiprocessing
     import os
-    import threading
     from multiprocessing.connection import wait
 
     parent = multiprocessing.parent_process()
@@ -205,83 +177,200 @@ def exit_with_parent(last_act=None) -> None:
     threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
+#: how often a :meth:`WorkerProcess.exchange` that may be abandoned asks
+#: whether it is (the reply itself wakes it at once)
+POLL_S = 0.01
+
+
+def start_method() -> str:
+    """How a worker started *now* is started.  Fork is cheap (6 ms, the
+    driver's imports inherited), but a child forked beside other threads
+    can deadlock on a lock one of them held (deprecated on Python 3.12+):
+    there a worker is spawned (~0.4 s of imports)."""
+    import multiprocessing as mp
+
+    forkable = "fork" in mp.get_all_start_methods() and threading.active_count() == 1
+    return "fork" if forkable else "spawn"
+
+
+class WorkerProcess:
+    """Driver-side handle on one persistent child process.
+
+    ``main(conn, *args())`` is the child's entry point (module-level, so a
+    spawned child can import it; it ends in :func:`worker_loop`), ``args``
+    is evaluated at every start, ``on_gone`` is called after a child was
+    discarded — the owner forgets what only that process held.  One thread
+    owns a handle; :meth:`kill` and :attr:`alive` may be called from any.
+    """
+
+    def __init__(self, name: str, main, args, on_gone):
+        self.name = name
+        self._main, self._args, self._on_gone = main, args, on_gone
+        self._lock = threading.Lock()  # start / replace vs. kill()
+        self._ended = False
+        self.proc = self.conn = None
+        self.started = 0  # children started, replacements included
+        self.started_by: str | None = None  # "fork" or "spawn": the current child
+
+    def start(self) -> None:
+        """Start a child — in place of the current one, if there is one.
+        Fork or spawn is decided at every start: a pool forked by a
+        single-threaded driver spawns its replacements beside the threads
+        that driver has grown since."""
+        import multiprocessing as mp
+
+        with self._lock:
+            if self._ended:
+                raise EngineError(f"worker process {self.name} is stopped")
+            self._discard()
+            self.started_by = start_method()
+            ctx = mp.get_context(self.started_by)
+            self.conn, child_conn = ctx.Pipe()
+            self.proc = ctx.Process(
+                target=self._main, args=(child_conn, *self._args()), name=self.name, daemon=True
+            )
+            self.proc.start()
+            child_conn.close()
+            self.started += 1
+
+    def _discard(self) -> None:
+        """SIGKILL the child (no handler to run, nothing of its to save)
+        and reap it.  Caller holds the lock."""
+        if self.proc is None:
+            return
+        self.proc.kill()
+        self.proc.join(timeout=5.0)
+        self.conn.close()
+        self.proc = None
+        self._on_gone()
+
+    def kill(self) -> None:
+        """Final, and the one way a worker is ended (nothing it holds is
+        worth a stop handshake): no other is started, and an
+        :meth:`exchange` still out on it raises :class:`EngineError`."""
+        with self._lock:
+            self._ended = True
+            self._discard()
+
+    @property
+    def alive(self) -> bool:
+        proc = self.proc
+        return proc is not None and proc.is_alive()
+
+    @property
+    def pid(self) -> int | None:
+        proc = self.proc
+        return None if proc is None else proc.pid
+
+    def exchange(self, message: bytes, payload_for, abandoned=None) -> tuple:
+        """Send one pickled ``message`` and wait for the reply, answering
+        each ``("pull", key)`` the child sends meanwhile with ``("block",
+        key, payload_for(key))``.  Returns ``(reply, None)`` — or ``(None,
+        early)`` once the polled ``abandoned()`` returns an ``early`` other
+        than ``None``: the child, mid-request, is replaced.
+
+        A child that is not there (never started, died idle) is started
+        first: nobody's failure.  One that dies under the request is
+        replaced and :class:`EngineError` raised — the caller's to retry.
+        """
+        if not self.alive:
+            self.start()
+        conn = self.conn
+        try:
+            conn.send_bytes(message)
+            while True:
+                while abandoned is not None and not conn.poll(POLL_S):
+                    early = abandoned()
+                    if early is not None:
+                        self.start()
+                        return None, early
+                reply = conn.recv()
+                if reply[0] != "pull":
+                    return reply, None
+                conn.send(("block", reply[1], payload_for(reply[1])))
+        except (EOFError, OSError) as exc:
+            self.start()
+            raise EngineError(f"worker process {self.name} died mid-job: {exc!r}") from None
+
+
+def worker_loop(conn, store_bytes: int | None, handle, worker_id: str, last_act=None) -> None:
+    """What every worker's ``main`` ends in.  The process follows its
+    parent into death (:func:`exit_with_parent`, after ``last_act()``),
+    ignores SIGINT — Ctrl-C reaches the whole foreground group; stopping a
+    worker is its driver's call — and keeps one :class:`WorkerBlockStore`
+    of ``store_bytes``; then, until it is killed: receive a message, send
+    ``handle(runtime, message)``.  What the work raised goes *into* the
+    reply (:func:`picklable_exception`); an exception that escapes
+    ``handle`` is a death like any other.
+    """
+    import signal
+
+    exit_with_parent(last_act)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    global _runtime
+    _runtime = runtime = WorkerRuntime(WorkerBlockStore(store_bytes), conn, worker_id)
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            return
+        conn.send(handle(runtime, message))
+
+
 def _worker_main(conn, slot: int, budget_bytes: int | None) -> None:
-    """Persistent worker loop: receive task batches, resolve block refs
-    through the local store (pulling misses from the driver), run tasks,
-    return the results; gone with its driver (:func:`exit_with_parent`).
+    worker_loop(conn, budget_bytes, _run_batch, f"worker-{slot}")
 
-    Protocol (driver -> worker):
-      ``("run", batch_blob, drops, push)`` — run a batch; ``drops`` are
-      keys to forget (destroyed broadcasts), ``push`` maps keys to
-      serialized payloads the driver believes this worker lacks.
-      ``("stop",)`` — exit the loop.
 
-    Worker -> driver:
-      ``("pull", key)`` — mid-batch block request (replied with
-      ``("block", key, blob)``).
-      ``("done", results_blob, stored_keys, stats)`` — batch finished;
-      ``stored_keys`` are blocks the worker now additionally holds (from
-      cache-backs), so the driver can skip pushing them later.
+def _run_batch(runtime: WorkerRuntime, message: tuple) -> tuple:
+    """An engine worker's ``handle``: resolve the batch's block refs through
+    the local store (pulling misses from the driver) and run its tasks.
+
+    Driver -> worker: ``("run", batch_blob, drops, push)`` — ``drops`` are
+    keys to forget (destroyed broadcasts), ``push`` maps keys to
+    serialized payloads the driver believes this worker lacks.
+    Worker -> driver: ``("done", results_blob, stored_keys, stats)`` —
+    ``stored_keys`` are blocks the worker now additionally holds (from
+    cache-backs), so the driver can skip pushing them later.
     """
     import pickle
 
     import cloudpickle
 
-    exit_with_parent()
-    store = WorkerBlockStore(budget_bytes)
-    worker_id = f"worker-{slot}"
-    runtime = WorkerRuntime(store, conn, worker_id)
-    set_worker_runtime(runtime)
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg[0] == "stop":
-                break
-            _tag, batch_blob, drops, push = msg
-            for key in drops:
-                store.remove(key)
-            for key, blob in push.items():
-                store.put(key, pickle.loads(blob), len(blob))
-            runtime.pulled = 0
-            runtime.pulled_bytes = 0
-            runtime.local_hits = 0
-            evictions_before = store.evictions
-            stored_keys: list[tuple] = []
-            tasks = pickle.loads(batch_blob)
-            outcomes = []
-            for task in tasks:
-                try:
-                    task.resolve_refs(runtime.resolve)
-                    result = task.run(worker_id=worker_id)
-                    for (rdd_id, part), data in result.cache_back.items():
-                        key = rdd_block_key(rdd_id, part)
-                        from repro.common.sizeof import estimate_size
+    from repro.common.sizeof import estimate_size
 
-                        store.put(key, data, estimate_size(data))
-                        stored_keys.append(key)
-                    # The driver reattaches its own Task object by batch
-                    # order; shipping the graph back would undo the
-                    # closure-splitting savings.
-                    result.task = None
-                    outcomes.append((True, result))
-                except BaseException as exc:  # noqa: BLE001 - scheduler decides
-                    outcomes.append((False, _picklable_exception(exc)))
-            stats = {
-                "evictions": store.evictions - evictions_before,
-                "store_hits": runtime.local_hits,
-                "store_blocks": len(store),
-                "store_bytes": store.total_bytes,
-            }
-            conn.send(("done", cloudpickle.dumps(outcomes), stored_keys, stats))
-    finally:
-        set_worker_runtime(None)
-        conn.close()
+    store, worker_id = runtime.store, runtime.worker_id
+    _tag, batch_blob, drops, push = message
+    for key in drops:
+        store.remove(key)
+    for key, blob in push.items():
+        store.put(key, pickle.loads(blob), len(blob))
+    hits_before, evictions_before = store.hits, store.evictions
+    stored_keys: list[tuple] = []
+    outcomes = []
+    for task in pickle.loads(batch_blob):
+        try:
+            task.resolve_refs(runtime.resolve)
+            result = task.run(worker_id=worker_id)
+            for (rdd_id, part), data in result.cache_back.items():
+                key = rdd_block_key(rdd_id, part)
+                store.put(key, data, estimate_size(data))
+                stored_keys.append(key)
+            # The driver reattaches its own Task object by batch order;
+            # shipping the graph back would undo the closure-splitting savings.
+            result.task = None
+            outcomes.append((True, result))
+        except BaseException as exc:  # noqa: BLE001 - scheduler decides
+            outcomes.append((False, picklable_exception(exc)))
+    stats = {
+        "evictions": store.evictions - evictions_before,
+        "store_hits": store.hits - hits_before,
+        "store_blocks": len(store),
+        "store_bytes": store.total_bytes,
+    }
+    return ("done", cloudpickle.dumps(outcomes), stored_keys, stats)
 
 
-def _picklable_exception(exc: BaseException) -> BaseException:
+def picklable_exception(exc: BaseException) -> BaseException:
     """Exceptions cross the pipe by pickle; fall back to a summary when
     the original carries unpicklable state."""
     import pickle

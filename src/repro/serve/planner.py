@@ -32,7 +32,7 @@ import math
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.cluster.model import ClusterSpec
 from repro.core.registry import MiningConfig, get_algorithm
@@ -56,12 +56,7 @@ PLANNABLE_FIELDS = ("backend", "num_partitions", "candidate_store", "approx")
 #: Config defaults used to infer pinning: a caller who set a field away
 #: from its default has expressed intent, and the planner must not
 #: override it.
-_DEFAULTS = {
-    "backend": "threads",
-    "num_partitions": None,
-    "candidate_store": "hashtree",
-    "approx": False,
-}
+_DEFAULTS = {f.name: f.default for f in fields(MiningConfig) if f.name in PLANNABLE_FIELDS}
 
 
 @dataclass(frozen=True)

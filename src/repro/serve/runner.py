@@ -75,8 +75,10 @@ def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
 
     Which jobs ship is decided here, from the job alone — never an option:
 
-    * an **incremental** job stays: the warm miner it is answered from
-      lives in the dataset tier, in this process;
+    * an **incremental** job **on a named dataset** stays: the warm miner
+      it is answered from lives in the dataset tier, in this process (on
+      raw rows there is nothing warm to stay for — a cold build, shipped
+      like any other job);
     * an engine-backed job on **``backend="processes"``** stays: a job
       worker is a daemonic child and may not have children, and this
       job's counting already runs outside the GIL, in the pooled
@@ -89,7 +91,7 @@ def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
     * everything else ships.  The request carries the algorithm's spec, so
       the worker need not have seen the registration.
     """
-    if config.incremental:
+    if config.incremental and job._dataset_entry is not None:
         return None
     if config.backend == "processes" and _needs_context(config):
         return None

@@ -11,6 +11,7 @@ the fallback paths (LRU eviction -> re-pull, worker crash -> respawn).
 from __future__ import annotations
 
 import os
+import signal
 import time
 
 import pytest
@@ -22,6 +23,7 @@ from repro.engine.workerstore import (
     broadcast_key,
     rdd_block_key,
 )
+from tests.procs import gone_within, pid_alive, wait_until_single_threaded
 
 
 @pytest.fixture()
@@ -271,10 +273,59 @@ class TestStartMethod:
             with Context(backend="processes", parallelism=1) as ctx:
                 got = ctx.parallelize([1, 2, 3], 1).map(lambda x: x + 1).collect()
                 assert got == [2, 3, 4]
-                assert ctx.executor._mpctx.get_start_method() == "spawn"
+                assert ctx.executor._handles[0].process.started_by == "spawn"
         finally:
             release.set()
             t.join()
+
+    def test_a_forked_pool_spawns_the_replacement_of_a_worker_killed_mid_batch(self, tmp_path):
+        # The rule is applied at every start: by the time a worker has to be
+        # replaced the driver has grown its dispatch threads.
+        wait_until_single_threaded()
+        marker = str(tmp_path / "killed-once")
+
+        def die_once(x, marker=marker):
+            if x == 3 and not os.path.exists(marker):
+                open(marker, "w").close()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x * 10
+
+        with Context(backend="processes", parallelism=2) as ctx:
+            bc = ctx.broadcast({"add": 1})
+            assert ctx.parallelize(range(4), 2).map(lambda x, b=bc: x + b.value["add"]).sum() == 10
+            processes = [handle.process for handle in ctx.executor._handles]
+            assert [p.started_by for p in processes] == ["fork", "fork"]
+            first = [p.pid for p in processes]
+            got = sorted(ctx.parallelize(range(6), 3).map(die_once).collect())
+            assert got == [0, 10, 20, 30, 40, 50]  # the batch was retried
+            assert sorted(p.started_by for p in processes) == ["fork", "spawn"]
+            assert sorted(p.started for p in processes) == [1, 2]
+            (replaced,) = [p for p in processes if p.started_by == "spawn"]
+            assert replaced.alive and replaced.pid not in first
+            assert gone_within(set(first) - {p.pid for p in processes}, 2.0) == []
+            # the replacement holds nothing, and the driver knows it
+            assert ctx.parallelize(range(8), 4).map(lambda x, b=bc: x + b.value["add"]).sum() == 36
+            m = ctx.executor.shipping_metrics
+            assert m.broadcast_blocks_shipped == 3 and m.blocks_pulled == 0  # pushed, not missed
+
+
+class TestSigint:
+    def test_an_engine_worker_survives_sigint_and_serves_the_next_batch(self, pctx):
+        # Ctrl-C reaches the whole foreground group; stopping the pool is
+        # the driver's call.
+        def pids():
+            return sorted(set(pctx.run_job(
+                pctx.parallelize(range(4), 4), lambda tc, it: os.getpid()
+            )))
+
+        before = pids()
+        assert len(before) == 2
+        for pid in before:
+            os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)  # a worker that heard it is dead by now
+        assert [pid_alive(pid) for pid in before] == [True, True]
+        assert pids() == before
+        assert [h.process.started for h in pctx.executor._handles] == [1, 1]
 
 
 class TestServeComposition:

@@ -1,6 +1,7 @@
 """Process bookkeeping for the tests that assert nothing outlives its
-parent (Linux ``/proc``)."""
+parent (Linux ``/proc``), or that fork / spawn was chosen as it should."""
 
+import threading
 import time
 from pathlib import Path
 
@@ -38,3 +39,13 @@ def gone_within(pids, seconds: float) -> list[int]:
         if not alive or time.monotonic() >= deadline:
             return alive
         time.sleep(0.02)
+
+
+def wait_until_single_threaded(seconds: float = 20.0) -> None:
+    """A worker is forked only while its driver has one thread: wait out
+    whatever an earlier test left running (a gate algorithm's abandoned
+    attempt lives until its gate times out)."""
+    deadline = time.monotonic() + seconds
+    while threading.active_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == 1, threading.enumerate()

@@ -3,8 +3,9 @@
 A job that can leave the server's interpreter runs in its worker
 thread's job-worker process (rows pulled once per fingerprint, killed on
 timeout or cancel, a dead worker is a transient fault); one that cannot
-— an incremental job, a ``backend="processes"`` engine job, a runner that
-exists only in this interpreter — runs on an attempt thread here.  The
+— an incremental job on a named dataset, a ``backend="processes"`` engine
+job, a runner that exists only in this interpreter — runs on an attempt
+thread here.  The
 shippable runners live in :mod:`tests.serve._runners`.
 """
 
@@ -15,12 +16,13 @@ import time
 
 import pytest
 
+from repro.algorithms import apriori
 from repro.core.api import mine_frequent_itemsets
 from repro.core.registry import MiningConfig, register_algorithm, unregister_algorithm
 from repro.datasets import mushroom_like
-from repro.serve import HttpClient, JobState, LocalClient, MiningServer, MiningService
+from repro.serve import ApiError, HttpClient, JobState, LocalClient, MiningServer, MiningService
 from repro.serve.runner import shipping_request
-from tests.procs import gone_within, pid_alive
+from tests.procs import gone_within, pid_alive, wait_until_single_threaded
 from tests.serve import _runners
 
 ROWS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
@@ -39,14 +41,10 @@ def shippable():
 
 def forked_service(**kwargs) -> MiningService:
     """A service whose job workers are up before its first job: they are
-    forked only while this process has one thread, so wait out whatever an
-    earlier test left running (a gate algorithm's abandoned attempt lives
-    until its gate times out)."""
-    deadline = time.monotonic() + 20.0
-    while threading.active_count() > 1 and time.monotonic() < deadline:
-        time.sleep(0.01)
+    forked only while this process has one thread."""
+    wait_until_single_threaded()
     service = MiningService(**kwargs)
-    assert all(w.pid is not None for w in service._job_workers), threading.enumerate()
+    assert all(w.pid is not None for w in service._job_workers)
     return service
 
 
@@ -139,11 +137,24 @@ class TestWhatShips:
         assert _runners.ran_in(result) == os.getpid()
 
     def test_an_incremental_job_stays(self, svc):
+        """... on a named dataset: its warm miner lives in the server."""
         config = MiningConfig(min_support=0.4, incremental=True)
         svc.create_dataset("feed", ROWS)
         result = done(svc.submit(None, config, dataset_id="feed"))
         assert result.itemsets == mine_frequent_itemsets(ROWS, config=config).itemsets
         assert workers(svc)["jobs_run"] == 0
+
+    def test_an_incremental_job_on_raw_rows_ships(self, svc):
+        """Nothing warm to stay for: a cold build, out of the server's GIL."""
+        txns = mushroom_like(scale=0.02, seed=3).transactions
+        config = MiningConfig(min_support=0.5, incremental=True)
+        result = done(svc.submit(txns, config))
+        assert result.itemsets == apriori(txns, 0.5)
+        (span,) = [s for s in result.trace.spans if s.name == "job_worker"]
+        assert span.args["pid"] == svc._job_workers[0].pid
+        assert span.args["rows_shipped"] == len(txns)
+        assert workers(svc)["jobs_run"] == 1
+        assert svc.metrics()["context_pool"]["created"] == 0  # no engine context, there either
 
     def test_a_process_backend_engine_job_keeps_its_context_in_the_server(self, svc):
         """A job worker is a daemonic child and may not have children."""
@@ -167,7 +178,9 @@ class TestWhatShips:
         try:
             with MiningService(n_workers=2) as svc:
                 assert workers(svc) | {"jobs_run": 0} == dict.fromkeys(workers(svc), 0)
-                done(svc.submit(ROWS, MiningConfig(min_support=0.4, incremental=True)))
+                svc.create_dataset("feed", ROWS)
+                stays = MiningConfig(min_support=0.4, incremental=True)
+                done(svc.submit(None, stays, dataset_id="feed"))
                 assert workers(svc)["started"] == 0  # a job that stays starts nothing
                 assert _runners.ran_in(done(svc.submit(ROWS, cfg()))) != os.getpid()
                 assert workers(svc)["started"] == workers(svc)["alive"] == 1
@@ -190,7 +203,7 @@ class TestWhatShips:
             for config in (
                 MiningConfig(min_support=0.5),  # ships
                 MiningConfig(min_support=0.5, algorithm="apriori"),  # ships
-                MiningConfig(min_support=0.5, incremental=True),  # stays
+                MiningConfig(min_support=0.5, incremental=True),  # ships: raw rows
             ):
                 assert client.mine(txns, config, timeout=60) == mine_frequent_itemsets(
                     txns, config=config
@@ -199,7 +212,7 @@ class TestWhatShips:
             approx = client.submit(txns, MiningConfig(min_support=0.55), approx=True)
             assert client.wait(approx["job_id"], timeout=60)["state"] == "done"
             ran = server.service.metrics()["shards"][0]["service"]["job_workers"]["jobs_run"]
-            assert ran == 3
+            assert ran == 4
 
 
 # -- (b) timeouts and cancels that kill ---------------------------------------
@@ -344,3 +357,74 @@ class TestFaultDrills:
         waiter.join(5.0)
         assert seen == [JobState.FAILED] and "stopped" in job.error
         assert gone_within(pids, 2.0) == []
+
+
+class TestAnEngineWorkerDiesUnderAServedJob:
+    """A ``backend="processes"`` job keeps its context — and that context's
+    pool of engine workers — in the server: the pool's own death rule
+    (replace, fail the batch as retryable) is what the job sees."""
+
+    CONFIG = {"min_support": 0.4, "backend": "processes", "parallelism": 2}
+
+    @pytest.fixture(autouse=True)
+    def engine_kill(self):
+        """yafim, after one job in which the task of partition 1 SIGKILLs
+        the engine worker it runs in — ``options["kills"]`` times."""
+        from repro.core.registry import _run_yafim
+
+        def runner(ctx, txns, config):
+            marker, kills = config.options["marker"], config.options["kills"]
+
+            def die(x):
+                for n in range(kills if x == 1 else 0):
+                    try:
+                        os.close(os.open(f"{marker}.{n}", os.O_CREAT | os.O_EXCL))
+                    except FileExistsError:
+                        continue
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return x
+
+            assert ctx.parallelize(range(4), 2).map(die).sum() == 6
+            return _run_yafim(ctx, txns, MiningConfig(**self.CONFIG))
+
+        register_algorithm("engine_kill", runner, needs_engine=True, overwrite=True)
+        yield
+        unregister_algorithm("engine_kill")
+
+    def submit(self, svc, tmp_path, kills, **request):
+        config = MiningConfig(
+            **self.CONFIG, algorithm="engine_kill",
+            options={"marker": str(tmp_path / "kill"), "kills": kills},
+        )
+        job = svc.submit(ROWS, config, **request)
+        assert job.wait(60.0), f"{job.job_id} hangs in {job.state}"
+        return job
+
+    def the_next_job_runs_on_the_same_context(self, svc):
+        result = done(svc.submit(ROWS, MiningConfig(**self.CONFIG)), 60.0)
+        assert result.itemsets == apriori(ROWS, 0.4)
+        assert workers(svc)["jobs_run"] == 0  # all of it stayed in the server
+        assert svc.metrics()["context_pool"] == {"idle": 1, "created": 1, "reused": 1}
+
+    def test_once_is_retried_by_the_engine_and_the_job_is_done(self, svc, tmp_path):
+        job = self.submit(svc, tmp_path, kills=1)
+        assert job.state is JobState.DONE and job.attempts == 1, job.error
+        assert job.result.itemsets == apriori(ROWS, 0.4)
+        self.the_next_job_runs_on_the_same_context(svc)
+        assert svc.jobs_by_state() | {"done": 0} == dict.fromkeys(svc.jobs_by_state(), 0)
+
+    def test_past_the_task_retry_budget_the_job_fails_with_a_code(self, svc, tmp_path):
+        job = self.submit(svc, tmp_path, kills=4)  # Context's max_task_failures
+        assert job.state is JobState.FAILED and job.result is None
+        assert "transient failure after 1 attempt(s)" in job.error and "died mid-job" in job.error
+        with pytest.raises(ApiError) as refused:
+            LocalClient(svc).result(job.job_id)
+        assert (refused.value.status, refused.value.code) == (409, "not_done")
+        assert len(svc.results) == 0  # no stale result
+        self.the_next_job_runs_on_the_same_context(svc)
+        assert svc.jobs_by_state()["failed"] == 1 and svc.jobs_by_state()["running"] == 0
+
+    def test_a_serve_level_retry_outlives_it(self, svc, tmp_path):
+        job = self.submit(svc, tmp_path, kills=4, max_retries=1, retry_backoff_s=0.01)
+        assert job.state is JobState.DONE and job.attempts == 2, job.error
+        assert job.result.itemsets == apriori(ROWS, 0.4)

@@ -207,14 +207,14 @@ def test_engine_job_runs_as_planned_on_a_checked_out_context(rig, algo):
     asked = MiningConfig(min_support=0.4, algorithm=name)
     job = running_job(asked)
     job.decision = SimpleNamespace(
-        chosen={"backend": "serial", "num_partitions": 1}, routed_fast=False
+        chosen={"backend": "threads", "num_partitions": 1}, routed_fast=False
     )
     state, _, _ = rig.runner.run(job)
     assert state is JobState.DONE
-    assert (seen["backend"], seen["partitions"]) == ("serial", 1)
-    assert rig.contexts.acquired == [("serial", None, "job-1")]
+    assert (seen["backend"], seen["partitions"]) == ("threads", 1)
+    assert rig.contexts.acquired == [("threads", None, "job-1")]
     assert rig.contexts.released == [seen["ctx"]]
-    assert job.request.config is asked and asked.backend == "threads"
+    assert job.request.config is asked and asked.backend == "serial"
 
 
 def test_incremental_job_takes_the_warm_answer_and_no_context(rig):

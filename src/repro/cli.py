@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from repro.common.errors import ReproError
 
@@ -101,24 +102,16 @@ def _dataflow_options(args) -> dict:
 
 
 def _config_from_args(args):
-    """The :class:`MiningConfig` the mining knobs of ``mine`` / ``submit`` spell."""
+    """The :class:`MiningConfig` the mining knobs of ``mine`` / ``submit``
+    spell: every field but two is the flag of the same name."""
     from repro.core.registry import MiningConfig
 
-    return MiningConfig(
-        min_support=args.support,
-        algorithm=args.algorithm,
-        max_length=args.max_length,
-        backend=args.backend,
-        parallelism=args.parallelism,
-        num_partitions=args.num_partitions,
-        candidate_store=args.candidate_store,
-        approx=args.approx,
-        approx_samples=args.approx_samples,
-        approx_ratio=args.approx_ratio,
-        sample_frac=args.sample_frac,
-        incremental=args.incremental,
-        options=_dataflow_options(args),
-    )
+    knobs = {
+        f.name: getattr(args, f.name)
+        for f in fields(MiningConfig)
+        if f.name not in ("min_support", "options")
+    }
+    return MiningConfig(min_support=args.support, options=_dataflow_options(args), **knobs)
 
 
 def _print_top_itemsets(itemsets: dict, top: int) -> None:
@@ -432,8 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     # `register_store` plug new names into the flags without touching
     # this file, and a typo fails at parse time with the valid choices.
     from repro.core.candidatestore import store_names
-    from repro.core.registry import algorithm_names
-    from repro.engine.executors import BACKENDS, DEFAULT_BACKEND
+    from repro.core.registry import MiningConfig, algorithm_names
+    from repro.engine.executors import BACKENDS
+
+    # ... and every mining flag's default is the dataclass's, spelled there
+    defaults = {f.name: f.default for f in fields(MiningConfig)}
 
     def counting_knobs(p):
         p.add_argument(
@@ -442,16 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
             "counting fast path (YAFIM/R-Apriori; same itemsets)",
         )
         p.add_argument(
-            "--candidate-store", default="hashtree", choices=store_names(),
+            "--candidate-store", default=defaults["candidate_store"], choices=store_names(),
             help="candidate store for Phase-II counting "
             "(bitmap = vertical tid-bitmap kernel)",
         )
 
     def mining_knobs(p):
         p.add_argument("--support", type=float, required=True)
-        p.add_argument("--algorithm", default="yafim", choices=algorithm_names())
+        p.add_argument("--algorithm", default=defaults["algorithm"], choices=algorithm_names())
         p.add_argument("--max-length", type=int, default=None)
-        p.add_argument("--backend", default=DEFAULT_BACKEND, choices=BACKENDS)
+        p.add_argument("--backend", default=defaults["backend"], choices=BACKENDS)
         p.add_argument("--parallelism", type=int, default=None)
         counting_knobs(p)
         p.add_argument(
@@ -464,15 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
             "parallel, verify candidates in one exact full-data pass",
         )
         p.add_argument(
-            "--approx-samples", type=int, default=4,
+            "--approx-samples", type=int, default=defaults["approx_samples"],
             help="independent samples the fast tier mines (n_p)",
         )
         p.add_argument(
-            "--approx-ratio", type=float, default=0.8,
+            "--approx-ratio", type=float, default=defaults["approx_ratio"],
             help="threshold relaxation r: samples mine at r * support",
         )
         p.add_argument(
-            "--sample-frac", type=float, default=0.1,
+            "--sample-frac", type=float, default=defaults["sample_frac"],
             help="fraction of the database each sample draws",
         )
         p.add_argument(

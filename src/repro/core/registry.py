@@ -18,13 +18,20 @@ Runner contracts
 ----------------
 ``needs_engine=True``
     ``runner(ctx, transactions, config) -> MiningRunResult``.  The
-    dispatcher creates an ephemeral engine :class:`Context` from the
-    config (backend/parallelism), runs the runner inside it, and
+    dispatcher builds an engine :class:`Context` from the config
+    (backend/parallelism) for this one run, runs the runner inside it,
     attaches ``result.trace`` / ``result.engine_metrics`` if the runner
-    did not do so itself.
+    did not do so itself, and stops the context.  No caller can hand a
+    context in: a run inherits nothing from the run before it, in the
+    one-shot API and in the serving tier alike.
 ``needs_engine=False``
     ``runner(transactions, config) -> MiningRunResult``.  The runner
     owns its whole substrate (sequential oracles, MapReduce).
+
+Whether a *config* runs on the engine is more than its algorithm's flag
+(``approx`` always does, ``incremental`` never does):
+:func:`runs_on_engine` is the one place that is decided, and the
+dispatcher, the serve tier's shipping rule and its planner all ask it.
 
 The built-in algorithms (yafim, rapriori, dist_eclat, pfp, mrapriori,
 one_phase, apriori, eclat, fpgrowth) are registered at import time;
@@ -37,7 +44,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -226,55 +232,56 @@ def algorithm_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def runs_on_engine(config: MiningConfig) -> bool:
+    """Whether a run of ``config`` executes on an engine :class:`Context`.
+
+    The approximate fast tier always does, whatever ``algorithm`` names;
+    the incremental tier never does (it walks its own resident bitmaps in
+    the calling thread — ``backend`` is inert there); otherwise it is the
+    registered algorithm's ``needs_engine``.
+    """
+    if config.incremental:
+        return False
+    return config.approx or get_algorithm(config.algorithm).needs_engine
+
+
 def run_algorithm(
-    transactions: Iterable[Sequence],
-    config: MiningConfig,
-    *,
-    ctx=None,
+    transactions: Iterable[Sequence], config: MiningConfig
 ) -> MiningRunResult:
     """Dispatch one mining run through the registry.
 
-    ``ctx`` optionally supplies a live engine :class:`Context` for
-    engine-backed algorithms, instead of the default ephemeral one — the
-    serving layer passes a warm context here so executor-pool startup is
-    paid once per worker, not once per job.  The caller owns the context's
-    lifecycle (and should :meth:`~repro.engine.context.Context.renew_run`
-    it between runs if per-run metrics matter); non-engine algorithms
-    ignore ``ctx``.
+    An engine-backed run (:func:`runs_on_engine`) gets a
+    :class:`~repro.engine.context.Context` built from ``config`` and
+    stopped when the run ends (0.3 ms on ``serial`` / ``threads``; a
+    ``processes`` pool starts per run).
     """
     spec = get_algorithm(config.algorithm)
     txns = transactions if isinstance(transactions, list) else list(transactions)
+    if not runs_on_engine(config):
+        if config.incremental:
+            # The incremental tier replaces the configured algorithm: a
+            # one-shot run is a cold build of the delta-maintainable window
+            # state (identical itemsets); the serving tier keeps that state
+            # warm so dataset appends become delta updates.
+            from repro.core.incremental import run_incremental
+
+            return run_incremental(txns, config)
+        return spec.runner(txns, config)
+
+    runner = spec.runner
     if config.approx:
-        # The approximate fast tier is engine-backed and replaces the
-        # configured algorithm wholesale (repro.core.approx); the
-        # algorithm name still shapes the cache key, tying this run to
-        # its exact twin for memoization upgrades.
+        # The approximate fast tier likewise replaces the configured
+        # algorithm wholesale (repro.core.approx); the algorithm name
+        # still shapes the cache key, tying this run to its exact twin
+        # for memoization upgrades.
         from repro.core.approx import run_approx
 
         runner = run_approx
-    elif config.incremental:
-        # The incremental tier likewise replaces the configured algorithm:
-        # a one-shot run is a cold build of the delta-maintainable window
-        # state (identical itemsets); the serving tier keeps that state
-        # warm so dataset appends become delta updates.  It walks its own
-        # resident bitmaps in this thread — no engine, ``backend`` inert.
-        from repro.core.incremental import run_incremental
-
-        return run_incremental(txns, config)
-    elif not spec.needs_engine:
-        return spec.runner(txns, config)
-    else:
-        runner = spec.runner
 
     from repro.engine.context import Context
     from repro.engine.tracing import collect_engine_metrics
 
-    # the caller's context stays the caller's to stop; ours ends with the run
-    scope = (
-        nullcontext(ctx) if ctx is not None
-        else Context(backend=config.backend, parallelism=config.parallelism)
-    )
-    with scope as ctx:
+    with Context(backend=config.backend, parallelism=config.parallelism) as ctx:
         result = runner(ctx, txns, config)
         if result.trace is None:
             result.trace = ctx.tracer
@@ -447,5 +454,6 @@ __all__ = [
     "get_algorithm",
     "register_algorithm",
     "run_algorithm",
+    "runs_on_engine",
     "unregister_algorithm",
 ]

@@ -173,19 +173,6 @@ class BroadcastManager:
         if self.on_unregister is not None:
             self.on_unregister(bc)
 
-    def reset(self) -> None:
-        """Drop all live broadcasts and zero the transfer counters (used by
-        :meth:`~repro.engine.context.Context.renew_run` between served jobs)."""
-        with self._lock:
-            live = list(self._live.values())
-            self._live.clear()
-            self._seen.clear()
-            self.transfers = 0
-            self.transfer_bytes = 0
-        if self.on_unregister is not None:
-            for bc in live:
-                self.on_unregister(bc)
-
     @property
     def live_count(self) -> int:
         return len(self._live)

@@ -145,40 +145,6 @@ class Context:
         return self._rdd_levels.get(rdd_id)
 
     # -- housekeeping ------------------------------------------------------
-    def renew_run(self, label: str | None = None) -> None:
-        """Reset per-run observability state so this context can host a new,
-        independently measured run (the serving layer reuses one warm context
-        across jobs to amortize executor-pool startup, exactly as an inference
-        server amortizes model load).
-
-        Keeps the expensive parts — the executor pool and its workers — and
-        discards everything a fresh :class:`Context` would start without:
-        retained shuffle outputs, cached RDD blocks, the event log, the
-        tracer, per-run metric counters, fault-injection rules and
-        cached-level snapshots.
-
-        Cached blocks must be dropped here: RDD ids never repeat, so blocks
-        cached by a previous run are unreachable from the new run's lineage
-        and would otherwise accumulate until the context stops — one
-        dataset's worth of memory leaked per served job.
-        """
-        self._check_alive()
-        self.clear_shuffle_outputs()
-        self.block_manager.clear()
-        self.tracer = Tracer(enabled=self.tracer.enabled, label=label or self.tracer.label)
-        for manager in (self.block_manager, self.shuffle_manager, self.broadcast_manager):
-            manager.tracer = self.tracer
-        self.event_log = EventLog()
-        self.fault_injector.clear()
-        self._rdd_levels.clear()
-        from repro.engine.shuffle import ShuffleMetrics
-        from repro.engine.storage import StorageMetrics
-
-        self.block_manager.metrics = StorageMetrics()
-        self.shuffle_manager.metrics = ShuffleMetrics()
-        self.broadcast_manager.reset()
-        self.executor.reset_shipping()
-
     def clear_shuffle_outputs(self) -> None:
         """Drop all retained map outputs (iterative jobs call this between
         iterations to bound driver memory)."""

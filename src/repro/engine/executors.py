@@ -96,10 +96,6 @@ class Executor:
         ``("rdd",)`` when the block manager is cleared.  Iterative jobs
         rely on this to keep driver and worker memory bounded."""
 
-    def reset_shipping(self) -> None:
-        """Zero shipping counters and forget driver-side payloads (used by
-        ``Context.renew_run`` between served jobs)."""
-
     def shipped_bytes_total(self) -> int:
         return 0
 
@@ -243,17 +239,6 @@ class ProcessExecutor(Executor):
                     if dropped:
                         handle.known.difference_update(dropped)
                         handle.pending_drops.extend(dropped)
-
-    def reset_shipping(self) -> None:
-        with self._lock:
-            self._driver_blocks.clear()
-            self._blob_cache.clear()
-            self._bc_payloads.clear()
-            if self._handles:
-                for handle in self._handles:
-                    handle.pending_drops.extend(handle.known)
-                    handle.known.clear()
-            self.shipping_metrics = ShippingMetrics()
 
     def shipped_bytes_total(self) -> int:
         return self.shipping_metrics.total_shipped_bytes

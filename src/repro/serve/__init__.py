@@ -5,7 +5,7 @@ layer: a tenant-fair priority queue (:class:`TenantQueue`) over a bounded
 worker pool (each worker a :class:`JobRunner` call on a thread paired
 with a job-worker process, :mod:`repro.serve.jobworker`, where fresh
 mines run outside this interpreter), a bounded job table, a cross-job
-dataset cache, warm engine contexts, and result memoization — the same
+dataset cache and result memoization — the same
 amortize-the-repeated-cost move the YAFIM paper
 makes for Apriori passes, applied across requests.  :class:`ShardRouter` spreads jobs over N >= 1
 of them; :class:`MiningServer` puts a router behind a stdlib JSON/HTTP
@@ -16,7 +16,6 @@ speak is one table, :data:`repro.serve.api.OPERATIONS`.  See
 """
 
 from repro.serve.cache import (
-    ContextPool,
     DatasetCache,
     FingerprintChain,
     LruByteCache,
@@ -45,7 +44,6 @@ from repro.serve.shard import HashRing
 __all__ = [
     "ApiError",
     "AppendResult",
-    "ContextPool",
     "CostPlanner",
     "DatasetCache",
     "DatasetRegistry",

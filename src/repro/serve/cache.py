@@ -1,4 +1,4 @@
-"""Cross-job caches: parsed datasets, warm engine contexts, memoized results.
+"""Cross-job caches: parsed datasets, memoized results.
 
 The YAFIM paper's core win is keeping the transaction data resident in
 memory across Apriori passes instead of re-reading it from HDFS each
@@ -9,15 +9,11 @@ pass.  The serving layer lifts the same idea one level up — across
   content fingerprint, LRU-evicted against a byte budget (sizes come from
   :func:`repro.common.sizeof.estimate_size`, the block manager's own
   estimator).
-* :class:`ContextPool` keeps warm engine :class:`Context` instances —
-  executor pools are the model-load analogue; spinning one up per job is
-  the repeated cost the pool amortizes.  It lives where the job runs: in
-  each job-worker process, and in the server for the jobs that stay.
 * :class:`ResultCache` memoizes ``(dataset_fingerprint, config.cache_key())``
   → :class:`~repro.core.results.MiningRunResult` with TTL + LRU, so an
   identical resubmission returns without touching the engine at all.
 
-All three are thread-safe; workers and the HTTP front-end hit them
+Both are thread-safe; workers and the HTTP front-end hit them
 concurrently.
 """
 
@@ -376,82 +372,4 @@ class ResultCache:
                 "invalidations": self.invalidations,
                 "approx_indexed": sum(len(v) for v in self._approx_for.values()),
                 "hit_rate": round(self.hit_rate, 4),
-            }
-
-
-class ContextPool:
-    """Warm engine contexts keyed by ``(backend, parallelism)``.
-
-    ``acquire`` hands out an idle context (renewed, so its tracer/metrics
-    are per-job) or creates one; ``release`` returns it to the idle pool
-    or stops it when the pool is full.  A context is never shared by two
-    concurrent runs — an abandoned (timed-out) run keeps its context
-    checked out until the stray thread actually finishes, then releases
-    it from that thread's ``finally``.
-
-    A shard has one pool per place a job can run
-    (:func:`repro.serve.runner.run_with_pool` is their one user): one in
-    every job-worker process, whose contexts die with the process when a
-    job is killed, and the service's own for the jobs that stay in the
-    server.  ``/metrics`` ``context_pool`` is the key-wise sum of their
-    :meth:`stats`.
-    """
-
-    def __init__(self, max_idle_per_key: int = 2):
-        self.max_idle_per_key = max_idle_per_key
-        self._lock = threading.Lock()
-        self._idle: dict[tuple, list] = {}
-        self.created = 0
-        self.reused = 0
-        self._closed = False
-
-    def acquire(self, backend: str, parallelism: int | None, *, label: str = "engine"):
-        from repro.engine.context import Context
-
-        key = (backend, parallelism)
-        with self._lock:
-            idle = self._idle.get(key)
-            ctx = idle.pop() if idle else None
-            if ctx is not None:
-                self.reused += 1
-        if ctx is not None:
-            ctx.renew_run(label=label)
-            return ctx
-        with self._lock:
-            self.created += 1
-        ctx = Context(backend=backend, parallelism=parallelism)
-        ctx._pool_key = key
-        return ctx
-
-    def release(self, ctx) -> None:
-        key = getattr(ctx, "_pool_key", (ctx.backend, None))
-        # Drop the finished job's cached RDD blocks now rather than at the
-        # next acquire: an idle context must not pin a dataset's worth of
-        # memory while it waits (renew_run clears again, as a backstop).
-        # reset_shipping covers the process backend, whose executor pins
-        # its own copies (driver block registry + worker-resident stores).
-        ctx.block_manager.clear()
-        ctx.executor.reset_shipping()
-        with self._lock:
-            if not self._closed:
-                idle = self._idle.setdefault(key, [])
-                if len(idle) < self.max_idle_per_key:
-                    idle.append(ctx)
-                    return
-        ctx.stop()
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            contexts = [c for pool in self._idle.values() for c in pool]
-            self._idle.clear()
-        for ctx in contexts:
-            ctx.stop()
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "idle": sum(len(v) for v in self._idle.values()),
-                "created": self.created,
-                "reused": self.reused,
             }

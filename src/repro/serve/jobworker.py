@@ -5,21 +5,17 @@ Every service worker thread is paired with one persistent child process
 (:class:`JobWorker` is the thread's handle on it).  The thread keeps
 owning the job — attempts, deadline, cancel, retry, all in
 :class:`~repro.serve.runner.JobRunner` — and sends the process ``(dataset
-fingerprint, config as planned, algorithm spec, trace label)``; the
-process answers with the pickled
-:class:`~repro.core.results.MiningRunResult`.  What makes a process
-worth keeping lives in it, §IV-B of the paper one level up:
-
-* **rows, by fingerprint** — a byte-budgeted LRU
-  (:class:`~repro.engine.workerstore.WorkerBlockStore`).  A request never
-  carries rows: the worker pulls the ones it does not hold over the pipe
-  (:meth:`~repro.engine.workerstore.WorkerRuntime.resolve`, the engine
-  pool's own miss path), so a dataset crosses once per worker until the
-  LRU lets it go;
-* **warm engine contexts** — its own
-  :class:`~repro.serve.cache.ContextPool`; the counters ride back on every
-  reply so ``/metrics`` ``context_pool`` stays the sum over every pool of
-  the shard.
+fingerprint, config as planned, algorithm spec)``; the process answers
+with the pickled :class:`~repro.core.results.MiningRunResult`.  What
+makes a process worth keeping lives in it, §IV-B of the paper one level
+up: **rows, by fingerprint** — a byte-budgeted LRU
+(:class:`~repro.engine.workerstore.WorkerBlockStore`).  A request never
+carries rows: the worker pulls the ones it does not hold over the pipe
+(:meth:`~repro.engine.workerstore.WorkerRuntime.resolve`, the engine
+pool's own miss path), so a dataset crosses once per worker until the
+LRU lets it go.  Nothing else outlives a job: the mine is
+``run_algorithm(rows, config)``, which builds its engine context and
+stops it, as the one-shot API does.
 
 A timed-out or cancelled job is **killed**: the process is SIGKILLed and
 its replacement started.  A worker that dies on its own is replaced the
@@ -54,22 +50,17 @@ from repro.engine.workerstore import (
 class JobWorker:
     """One service worker thread's handle on its job-worker process.
 
-    ``store_bytes`` budgets the process's resident rows,
-    ``max_idle_contexts`` its context pool — the shard's own
-    ``dataset_cache_bytes`` / ``max_idle_contexts``.
+    ``store_bytes`` budgets the process's resident rows — the shard's
+    own ``dataset_cache_bytes``.
     """
 
-    def __init__(self, name: str, store_bytes: int, max_idle_contexts: int):
-        self._child_args = (store_bytes, max_idle_contexts)
+    def __init__(self, name: str, store_bytes: int):
+        self._store_bytes = store_bytes
         self.killed = 0  # replacements this handle forced (timeout, cancel)
         self.jobs_run = 0
         self.rows_shipped = 0
         self.ship_bytes = 0
         self.datasets_resident = 0
-        # context-pool counters: of the processes that are gone, and as
-        # last reported by the live one
-        self._pool_gone = {"idle": 0, "created": 0, "reused": 0}
-        self._pool_live = dict(self._pool_gone)
         self._process = WorkerProcess(
             f"repro-job-worker-{name}", _job_worker_main, self._new_child, self._child_gone
         )
@@ -84,14 +75,11 @@ class JobWorker:
     def _new_child(self) -> tuple:
         """A process's arguments: each gets a ``tempfile.tempdir`` of its own."""
         self._tmp = tempfile.mkdtemp(prefix="repro-job-worker-")
-        return (self._tmp, *self._child_args)
+        return (self._tmp, self._store_bytes)
 
     def _child_gone(self) -> None:
         """Fold away what died with a process."""
         shutil.rmtree(self._tmp, ignore_errors=True)
-        for key in ("created", "reused"):
-            self._pool_gone[key] += self._pool_live[key]
-        self._pool_live = dict.fromkeys(self._pool_live, 0)
         self.datasets_resident = 0
 
     def stop(self) -> None:
@@ -135,7 +123,6 @@ class JobWorker:
             return None, early
         tag, payload, stats = message
         self.jobs_run += 1
-        self._pool_live = stats["context_pool"]
         self.datasets_resident = stats["datasets_resident"]
         if tag == "error":
             raise payload
@@ -150,11 +137,6 @@ class JobWorker:
         return result, None
 
     # -- observability -----------------------------------------------------
-    @property
-    def context_pool(self) -> dict:
-        """This worker's share of the shard's ``context_pool`` block."""
-        return {k: self._pool_gone[k] + self._pool_live[k] for k in self._pool_gone}
-
     def stats(self) -> dict:
         return {
             "alive": int(self._process.alive),
@@ -168,23 +150,20 @@ class JobWorker:
         }
 
 
-def _job_worker_main(conn, tmp_dir: str, store_bytes: int, max_idle_contexts: int) -> None:
+def _job_worker_main(conn, tmp_dir: str, store_bytes: int) -> None:
     """The job-worker process: ``run_algorithm`` per request, exactly as
-    the one-shot API runs it, over resident rows and warm contexts.
+    the one-shot API runs it, over resident rows.
 
-    Parent -> worker: ``(fingerprint, config, spec, label)``; worker ->
+    Parent -> worker: ``(fingerprint, config, spec)``; worker ->
     parent: ``("pull", key)`` answered by ``("block", key, blob)``, then
     ``("done", pickled result, stats)`` or ``("error", exception, stats)``.
     """
-    from repro.core.registry import register_algorithm
-    from repro.serve.cache import ContextPool
-    from repro.serve.runner import run_with_pool
+    from repro.core.registry import register_algorithm, run_algorithm
 
     tempfile.tempdir = tmp_dir
-    contexts = ContextPool(max_idle_contexts)
 
     def run_job(runtime, message: tuple) -> tuple:
-        fingerprint, config, spec, label = message
+        fingerprint, config, spec = message
         t0 = time.perf_counter()
         try:
             rows = runtime.resolve(("rows", fingerprint))
@@ -193,13 +172,12 @@ def _job_worker_main(conn, tmp_dir: str, store_bytes: int, max_idle_contexts: in
             register_algorithm(
                 spec.name, spec.runner, needs_engine=spec.needs_engine, overwrite=True
             )
-            result = run_with_pool(contexts, rows, config, label)
+            result = run_algorithm(rows, config)
             reply = ("done", pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
         except BaseException as exc:  # noqa: BLE001 - the client's to read
             reply = ("error", picklable_exception(exc))
         stats = {
             "seconds": time.perf_counter() - t0,
-            "context_pool": contexts.stats(),
             "datasets_resident": len(runtime.store),
         }
         return (*reply, stats)

@@ -35,7 +35,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 
 from repro.cluster.model import ClusterSpec
-from repro.core.registry import MiningConfig, get_algorithm
+from repro.core.registry import MiningConfig, runs_on_engine
 from repro.serve.cache import dataset_fingerprint
 
 #: The serving host modeled as a one-node cluster: all "shuffle" traffic
@@ -260,10 +260,12 @@ class CostPlanner:
 
         A knob is pinned — left exactly as the caller set it — when it is
         named in ``pinned`` or when its value differs from the
-        :class:`MiningConfig` default (an explicit choice).  Non-engine
-        algorithms (the sequential oracles, the MapReduce baselines) pass
-        through unplanned — their ``backend`` means something else —
-        unless ``approx`` is set, which always runs on the engine.
+        :class:`MiningConfig` default (an explicit choice).  A config that
+        does not run on the engine
+        (:func:`~repro.core.registry.runs_on_engine`: the sequential
+        oracles, the MapReduce baselines, the incremental tier) passes
+        through unplanned — ``backend`` means something else there, or
+        nothing.
         ``priority`` feeds fast-tier routing (interactive jobs only).
         """
         fp = fingerprint or dataset_fingerprint(transactions)
@@ -273,12 +275,12 @@ class CostPlanner:
             if getattr(config, field_name) != default:
                 pinned_set.add(field_name)
 
-        engine_backed = config.approx or get_algorithm(config.algorithm).needs_engine
-        if not engine_backed:
+        if not runs_on_engine(config):
+            tier = "the incremental tier" if config.incremental else config.algorithm
             decision = PlanDecision(
                 fingerprint=fp, stats=stats, work_units=0.0, estimated_seconds=0.0,
                 chosen={}, pinned=tuple(sorted(pinned_set)),
-                reason=f"{config.algorithm} does not run on the engine",
+                reason=f"{tier} does not run on the engine",
             )
             return config, decision
 
@@ -292,7 +294,6 @@ class CostPlanner:
             and self.approx_cutoff_s is not None
             and priority <= self.interactive_priority
             and est >= self.approx_cutoff_s
-            and get_algorithm(config.algorithm).needs_engine
         ):
             # interactive + expensive: route to the sampling fast tier
             # and re-estimate the now-cheaper job for the knobs below

@@ -7,10 +7,10 @@ in-process :class:`~repro.serve.service.MiningService` shards.
 * **Cache affinity.**  Jobs route by consistent-hashed
   ``dataset_fingerprint`` (:class:`~repro.serve.shard.HashRing`, virtual
   nodes), so every dataset has one *home shard* that keeps its
-  ``DatasetCache`` / ``ContextPool`` / ``ResultCache`` warm — the ~110x
-  memoization win and the warm-context win only exist when repeat
-  traffic for a dataset lands on the same shard.  Routing is
-  deterministic: same fingerprint, same home shard, across restarts.
+  ``DatasetCache`` / ``ResultCache`` warm — the ~110x memoization win
+  only exists when repeat traffic for a dataset lands on the same
+  shard.  Routing is deterministic: same fingerprint, same home shard,
+  across restarts.
 * **Spill.**  When the home shard's queue is full, the job walks the
   ring (next distinct shards in ring order) and runs cold on the first
   shard with room — latency over rejection, but affinity first.

@@ -2,11 +2,13 @@
 
 :class:`JobRunner` owns "how a job executes": where it runs, the
 deadline, client cancellation, bounded retry-with-backoff for transient
-engine faults, the engine-context checkout and the warm-miner answer for
-a named dataset.  It holds no reference to the service and takes none of
-its locks — :meth:`JobRunner.run` is called by a worker holding nothing
-and *returns* the outcome; recording it (state, caches, followers) is
-the service's job.  Of the job it writes only ``attempts``.
+engine faults and the warm-miner answer for a named dataset.  The mine
+itself is the one-shot call — ``run_algorithm(rows, config)``, in either
+home — so a served job has no engine-facing path the one-shot API lacks.
+It holds no reference to the service and takes none of its locks —
+:meth:`JobRunner.run` is called by a worker holding nothing and
+*returns* the outcome; recording it (state, caches, followers) is the
+service's job.  Of the job it writes only ``attempts``.
 
 A job has two possible homes, and which one is a fact about the job
 (:func:`shipping_request` is the one place it is decided): the worker
@@ -23,7 +25,7 @@ import threading
 import time
 
 from repro.common.errors import EngineError
-from repro.core.registry import MiningConfig, get_algorithm, run_algorithm
+from repro.core.registry import MiningConfig, get_algorithm, run_algorithm, runs_on_engine
 from repro.serve.jobs import ApiError, Job, JobState, ServeError
 
 #: exception types treated as transient (retried with backoff)
@@ -48,27 +50,6 @@ def _abandoned(job: Job, deadline: float | None) -> Outcome | None:
     return None
 
 
-def _needs_context(config: MiningConfig) -> bool:
-    if config.incremental:
-        return False  # in-process tier: walks its own resident bitmaps
-    return config.approx or get_algorithm(config.algorithm).needs_engine
-
-
-def run_with_pool(contexts, transactions: list, config: MiningConfig, label: str):
-    """``run_algorithm`` as the one-shot API runs it, except that an
-    engine-backed run borrows a warm context from ``contexts`` (a
-    :class:`~repro.serve.cache.ContextPool`) — the one way a served job
-    mines, in the server's thread or in a job worker."""
-    ctx = None
-    if _needs_context(config):
-        ctx = contexts.acquire(config.backend, config.parallelism, label=label)
-    try:
-        return run_algorithm(transactions, config, ctx=ctx)
-    finally:
-        if ctx is not None:
-            contexts.release(ctx)
-
-
 def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
     """The pickled request that runs ``job`` (``config``: as planned) in a
     job-worker process, or ``None`` for a job that stays in the server.
@@ -81,8 +62,8 @@ def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
       like any other job);
     * an engine-backed job on **``backend="processes"``** stays: a job
       worker is a daemonic child and may not have children, and this
-      job's counting already runs outside the GIL, in the pooled
-      context's own workers;
+      job's counting already runs outside the GIL, in its context's own
+      workers;
     * a job whose **runner or options exist only in this interpreter**
       stays: stdlib ``pickle`` sends a function as its import path, so a
       closure or lambda registered by an embedding caller (every gate
@@ -93,13 +74,11 @@ def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
     """
     if config.incremental and job._dataset_entry is not None:
         return None
-    if config.backend == "processes" and _needs_context(config):
+    if config.backend == "processes" and runs_on_engine(config):
         return None
     spec = get_algorithm(config.algorithm)
     try:
-        return pickle.dumps(
-            (job.dataset_fingerprint, config, spec, job.job_id), pickle.HIGHEST_PROTOCOL
-        )
+        return pickle.dumps((job.dataset_fingerprint, config, spec), pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, AttributeError, TypeError):
         return None
 
@@ -107,17 +86,14 @@ def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
 class JobRunner:
     """Runs jobs against a shard's caches.
 
-    ``datasets`` / ``contexts`` are the shard's
-    :class:`~repro.serve.cache.DatasetCache` (what a job worker's pull
-    for rows is answered from) and its in-server ``ContextPool`` (used
-    by the jobs that stay; a shipped job borrows from its worker's own);
+    ``datasets`` is the shard's :class:`~repro.serve.cache.DatasetCache`
+    (what a job worker's pull for rows is answered from);
     ``dataset_registry`` answers :meth:`warm_result` for jobs that
     snapshotted a named dataset.
     """
 
-    def __init__(self, datasets, contexts, dataset_registry):
+    def __init__(self, datasets, dataset_registry):
         self.datasets = datasets
-        self.contexts = contexts
         self.dataset_registry = dataset_registry
 
     def run(self, job: Job, worker=None) -> Outcome:
@@ -196,7 +172,8 @@ class JobRunner:
         """The home of what cannot ship (see :func:`shipping_request`): an
         attempt thread of this interpreter.  A thread cannot be killed, so
         on timeout or cancel it is abandoned — it finishes in the
-        background, releases its context then, and its result is dropped.
+        background (``run_algorithm`` stops the engine context it built
+        on the way out), and its result is dropped.
         Returns ``(result, None)`` or ``(None, early outcome)``."""
         box: dict[str, object] = {}
 
@@ -209,7 +186,7 @@ class JobRunner:
                         job._dataset_entry, job.dataset_version, len(txns), config
                     )
                 if result is None:
-                    result = run_with_pool(self.contexts, txns, config, job.job_id)
+                    result = run_algorithm(txns, config)
                 box["result"] = result
             except BaseException as exc:  # noqa: BLE001 - reported to client
                 box["error"] = exc
@@ -226,4 +203,4 @@ class JobRunner:
         return box["result"], None
 
 
-__all__ = ["JobRunner", "TRANSIENT_ERRORS", "run_with_pool", "shipping_request"]
+__all__ = ["JobRunner", "TRANSIENT_ERRORS", "shipping_request"]

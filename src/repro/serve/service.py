@@ -11,10 +11,13 @@ API:
   and complete instantly (``via="memoized"``);
 * identical *concurrent* submissions coalesce — followers attach to the
   in-flight primary and share its result (``via="coalesced"``);
-* datasets and warm engine contexts persist across jobs: parsed rows in
-  the :class:`~repro.serve.cache.DatasetCache` and, where the counting
-  runs, in each job worker's own LRU; contexts in a ``ContextPool`` per
-  job worker plus this process's own for the jobs that stay.
+* datasets persist across jobs: parsed rows in the
+  :class:`~repro.serve.cache.DatasetCache` and, where the counting runs,
+  in each job worker's own LRU.
+
+The mine itself is not layered over: a job that runs is
+``run_algorithm(rows, config)`` — the one-shot call, engine context built
+and stopped per job — in a job worker or, for what cannot leave, here.
 
 Every piece of job state has one owner.  *Is it queued, who runs next*:
 :class:`~repro.serve.queue.TenantQueue`.  *How it executes* (in which
@@ -56,7 +59,7 @@ from collections import OrderedDict, deque
 
 from repro.core.registry import MiningConfig, get_algorithm
 from repro.serve.api import BY_DATASET, OPERATIONS
-from repro.serve.cache import ContextPool, DatasetCache, ResultCache, dataset_fingerprint
+from repro.serve.cache import DatasetCache, ResultCache, dataset_fingerprint
 from repro.serve.datasets import DatasetRegistry
 from repro.serve.jobworker import JobWorker
 from repro.serve.jobs import (
@@ -159,9 +162,6 @@ class MiningService:
     default_timeout_s:
         Timeout applied to jobs that do not specify their own; ``None``
         means no deadline.
-    max_idle_contexts:
-        Warm engine contexts kept per ``(backend, parallelism)`` key, in
-        this process's pool and in each job worker's.
     queue_limit:
         Admission control: maximum jobs waiting in the queue.  A submit
         that would exceed it raises :class:`RejectedError` (HTTP 429)
@@ -192,7 +192,6 @@ class MiningService:
         result_cache_entries: int = 256,
         result_ttl_s: float = 300.0,
         default_timeout_s: float | None = None,
-        max_idle_contexts: int = 2,
         queue_limit: int | None = None,
         tenant_weights: dict[str, float] | None = None,
         name: str | None = None,
@@ -206,7 +205,6 @@ class MiningService:
                 raise ServeError(f"tenant weight must be > 0, got {tenant}={weight}")
         self.datasets = DatasetCache(dataset_cache_bytes)
         self.results = ResultCache(result_cache_entries, result_ttl_s)
-        self.contexts = ContextPool(max_idle_contexts)
         self.dataset_registry = DatasetRegistry(self.datasets, self.results)
         self.default_timeout_s = default_timeout_s
         self.queue_limit = queue_limit
@@ -216,7 +214,7 @@ class MiningService:
         self._lock = threading.Lock()
         self._queue_cond = threading.Condition(self._lock)
         self._queue = TenantQueue(self.tenant_weights)
-        self._runner = JobRunner(self.datasets, self.contexts, self.dataset_registry)
+        self._runner = JobRunner(self.datasets, self.dataset_registry)
         #: the job table, in submission order: every live job, plus the
         #: terminal ones whose ids are in ``_finished`` (oldest first)
         self._jobs: dict[str, Job] = {}
@@ -243,8 +241,7 @@ class MiningService:
         # HTTP front-end, which binds its socket after them — must all
         # exist before any of them starts a thread.
         self._job_workers = [
-            JobWorker(f"{name or 'serve'}-{i}", dataset_cache_bytes, max_idle_contexts)
-            for i in range(n_workers)
+            JobWorker(f"{name or 'serve'}-{i}", dataset_cache_bytes) for i in range(n_workers)
         ]
         self._workers = [
             threading.Thread(
@@ -518,9 +515,6 @@ class MiningService:
             if trace is not None:
                 entry["trace_spans"] = len(trace.spans)
             recent.append(entry)
-        # warm contexts live where their jobs ran: this process's pool and
-        # each job worker's own
-        pools = [self.contexts.stats()] + [w.context_pool for w in self._job_workers]
         return {
             "name": self.name,
             "queue_depth": self.queue_depth(),
@@ -538,7 +532,9 @@ class MiningService:
             "dataset_cache": self.datasets.stats(),
             "dataset_registry": self.dataset_registry.stats(),
             "result_cache": self.results.stats(),
-            "context_pool": _summed(pools),
+            # constant: no context outlives a job.  Kept for its one reader,
+            # the frozen benchmarks/ledger/client.py:128 (goes with ROADMAP item 1)
+            "context_pool": {"idle": 0, "created": 0, "reused": 0},
             "job_workers": _summed([w.stats() for w in self._job_workers]),
             "recent_jobs": recent,
         }
@@ -559,7 +555,6 @@ class MiningService:
             for w in self._workers:
                 w.join(timeout=10.0)
         self.dataset_registry.close(wait)
-        self.contexts.close()
         for worker in self._job_workers:
             worker.stop()
 

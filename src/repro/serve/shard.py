@@ -5,7 +5,7 @@ to shard names with virtual nodes, so cache affinity survives shard
 add/remove: each physical shard owns ``replicas`` points on a 2^64 ring,
 a key belongs to the first point at or after its own hash, and removing
 a shard only reassigns the keys that shard owned — every other dataset
-keeps its warm ``DatasetCache``/``ContextPool``/``ResultCache``.  The
+keeps its warm ``DatasetCache``/``ResultCache``.  The
 shards themselves are plain :class:`~repro.serve.service.MiningService`
 instances held by the :class:`~repro.serve.router.ShardRouter`, which
 also keeps the per-shard placement counters.

@@ -65,6 +65,15 @@ class TestParser:
                 args = build_parser().parse_args(cmd + ["--candidate-store", name])
                 assert args.candidate_store == name
 
+    @pytest.mark.parametrize("command", ["mine", "submit"])
+    def test_mining_flag_defaults_are_the_dataclass_s(self, command):
+        """Spelled once, in ``MiningConfig``: no flags, the default config."""
+        from repro.cli import _config_from_args
+        from repro.core.registry import MiningConfig
+
+        args = build_parser().parse_args([command, "--support", "0.5"])
+        assert _config_from_args(args) == MiningConfig(min_support=0.5)
+
     def test_serve_parser_defaults(self):
         args = build_parser().parse_args(["serve", "--port", "0"])
         assert args.port == 0 and args.workers == 4

@@ -234,25 +234,82 @@ class TestNoDispatchChain:
 
 
 class TestRunAlgorithmWithContext:
-    def test_caller_supplied_context_is_used_and_left_open(self):
-        from repro.core.registry import MiningConfig, run_algorithm
+    """The context of a run is ``run_algorithm``'s own: built per run,
+    stopped with it, never handed in."""
+
+    def test_signature_is_rows_and_config(self):
+        import inspect
+
+        from repro.core.registry import run_algorithm
+
+        assert list(inspect.signature(run_algorithm).parameters) == ["transactions", "config"]
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every engine ``Context`` constructed while the test runs."""
         from repro.engine.context import Context
 
-        cfg = MiningConfig(min_support=0.4, algorithm="yafim", backend="serial")
-        with Context(backend="serial") as ctx:
-            first = run_algorithm(TXNS, cfg, ctx=ctx)
-            assert first.itemsets == ORACLE
-            # context survives the run and can host another, renewed
-            ctx.renew_run(label="second")
-            assert not ctx.event_log.tasks
-            second = run_algorithm(TXNS, cfg, ctx=ctx)
-            assert second.itemsets == ORACLE
-            assert second.engine_metrics.n_jobs > 0
+        contexts = []
+        init = Context.__init__
 
-    def test_non_engine_algorithms_ignore_ctx(self):
+        def recording(self, *args, **kwargs):
+            contexts.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Context, "__init__", recording)
+        return contexts
+
+    def test_context_is_built_and_stopped_per_run(self, built):
+        """Two runs, two contexts, both stopped: nothing is inherited."""
         from repro.core.registry import MiningConfig, run_algorithm
 
-        got = run_algorithm(
-            TXNS, MiningConfig(min_support=0.4, algorithm="eclat"), ctx=None
-        )
-        assert got.itemsets == ORACLE
+        cfg = MiningConfig(min_support=0.4, algorithm="yafim", backend="threads")
+        first, second = run_algorithm(TXNS, cfg), run_algorithm(TXNS, cfg)
+        assert first.itemsets == second.itemsets == ORACLE
+        assert first.engine_metrics.n_jobs == second.engine_metrics.n_jobs > 0
+        assert first.trace is not second.trace and first.trace.label == "engine"
+        assert len(built) == 2 and built[0] is not built[1]
+        assert all(ctx._stopped and ctx.backend == "threads" for ctx in built)
+        assert all(ctx.block_manager.cached_block_count == 0 for ctx in built)
+
+    def test_non_engine_algorithms_ignore_ctx(self, built):
+        """... there is none to ignore: an oracle and the incremental tier
+        build no context, whatever ``backend`` says."""
+        from repro.core.registry import MiningConfig, run_algorithm
+
+        for knobs in ({"algorithm": "eclat"}, {"incremental": True}):
+            cfg = MiningConfig(min_support=0.4, backend="threads", **knobs)
+            assert run_algorithm(TXNS, cfg).itemsets == ORACLE
+        assert built == []
+
+
+class TestRunsOnEngine:
+    """One answer, read by the dispatcher, the serve tier's shipping rule
+    and its planner."""
+
+    @pytest.mark.parametrize(
+        "knobs, expected",
+        [
+            ({"algorithm": "yafim"}, True),
+            ({"algorithm": "pfp"}, True),
+            ({"algorithm": "eclat"}, False),
+            ({"algorithm": "mrapriori"}, False),
+            ({"algorithm": "eclat", "approx": True}, True),  # the fast tier is engine-backed
+            ({"algorithm": "yafim", "incremental": True}, False),  # in-process tier
+        ],
+    )
+    def test_table(self, knobs, expected):
+        from repro.core.registry import MiningConfig, runs_on_engine
+
+        assert runs_on_engine(MiningConfig(min_support=0.4, **knobs)) is expected
+
+    def test_the_three_readers_call_it_and_nothing_rederives_it(self):
+        import inspect
+
+        from repro.core import registry
+        from repro.serve import planner, runner
+
+        for reader in (registry.run_algorithm, runner.shipping_request, planner.CostPlanner.plan):
+            source = inspect.getsource(reader)
+            assert "runs_on_engine(config)" in source
+            assert "needs_engine" not in source

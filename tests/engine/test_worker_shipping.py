@@ -343,8 +343,7 @@ class TestServeComposition:
         direct_b = mine_frequent_itemsets(ds.transactions, config=cfg_b)
 
         with MiningService(n_workers=1) as service:
-            # Two jobs through ONE warm context: the second exercises
-            # renew_run on a live stateful worker pool.
+            # Two in-server jobs, each on a process pool of its own.
             job_a = service.submit(ds.transactions, cfg_a)
             assert service.wait(job_a.job_id, timeout=120).state.value == "done"
             job_b = service.submit(ds.transactions, cfg_b)

@@ -62,3 +62,27 @@ def die_once(txns, config) -> MiningRunResult:
     if _first_call(config):
         os._exit(1)
     return fast(txns, config)
+
+
+def engine_sleepy(ctx, txns, config) -> MiningRunResult:
+    """:func:`sleepy` inside an engine run: its context is live (spill
+    directory and all) while it sleeps.  Register with ``needs_engine``."""
+    assert ctx.parallelize(txns, 2).cache().count() == len(txns)
+    return sleepy(txns, config)
+
+
+def engine_leftovers(txns, config) -> MiningRunResult:
+    """What earlier engine runs left behind in this process: contexts
+    not stopped, cached RDD blocks still held (``{("contexts_alive",):
+    n, ("cached_blocks",): n}`` beside :func:`fast`'s answer)."""
+    import gc
+
+    from repro.engine.context import Context
+
+    contexts = [obj for obj in gc.get_objects() if isinstance(obj, Context)]
+    out = fast(txns, config)
+    out.itemsets[("contexts_alive",)] = sum(not ctx._stopped for ctx in contexts)
+    out.itemsets[("cached_blocks",)] = sum(
+        ctx.block_manager.cached_block_count for ctx in contexts
+    )
+    return out

@@ -1,4 +1,4 @@
-"""Cross-job cache behaviour: fingerprints, LRU byte budget, TTL, contexts."""
+"""Cross-job cache behaviour: fingerprints, LRU byte budget, TTL."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.registry import MiningConfig
 from repro.serve.cache import (
-    ContextPool,
     DatasetCache,
     FingerprintChain,
     LruByteCache,
@@ -174,92 +173,6 @@ class TestResultCache:
     def test_stats_shape(self):
         stats = ResultCache().stats()
         assert {"entries", "hits", "misses", "hit_rate", "ttl_s"} <= set(stats)
-
-
-class TestContextPool:
-    def test_reuses_released_context(self):
-        pool = ContextPool()
-        try:
-            ctx = pool.acquire("serial", None)
-            pool.release(ctx)
-            again = pool.acquire("serial", None)
-            assert again is ctx
-            assert pool.created == 1 and pool.reused == 1
-            pool.release(again)
-        finally:
-            pool.close()
-
-    def test_renewed_context_has_fresh_observability(self):
-        pool = ContextPool()
-        try:
-            ctx = pool.acquire("serial", None, label="first")
-            ctx.parallelize(range(10), 2).map(lambda x: x + 1).collect()
-            assert ctx.event_log.tasks
-            pool.release(ctx)
-            ctx = pool.acquire("serial", None, label="second")
-            assert not ctx.event_log.tasks
-            assert not ctx.tracer.spans
-            assert ctx.tracer.label == "second"
-            assert ctx.shuffle_manager.metrics.bytes_written == 0
-            pool.release(ctx)
-        finally:
-            pool.close()
-
-    def test_release_drops_cached_blocks(self):
-        # RDD ids never repeat, so blocks cached by a finished run are
-        # unreachable from the next run — pooling them would leak one
-        # dataset's worth of memory per served job
-        pool = ContextPool()
-        try:
-            ctx = pool.acquire("serial", None)
-            ctx.parallelize(range(100), 4).cache().count()
-            assert ctx.block_manager.cached_block_count == 4
-            pool.release(ctx)
-            assert ctx.block_manager.cached_block_count == 0
-            again = pool.acquire("serial", None)
-            assert again is ctx
-            assert again.block_manager.cached_block_count == 0
-            assert again.block_manager.metrics.memory_bytes == 0
-            pool.release(again)
-        finally:
-            pool.close()
-
-    def test_release_resets_process_executor_shipping(self):
-        # The block manager is not the only thing pinning a dataset: on
-        # the processes backend the executor keeps its own driver-side
-        # payload registry and the workers keep resident stores — an idle
-        # pooled context must shed those too.
-        pool = ContextPool()
-        try:
-            ctx = pool.acquire("processes", 2)
-            bc = ctx.broadcast(list(range(500)))
-            got = ctx.parallelize(range(4), 4).map(lambda x, b=bc: b.value[x]).collect()
-            assert got == [0, 1, 2, 3]
-            assert ctx.executor._bc_payloads or ctx.executor._driver_blocks
-            pool.release(ctx)
-            assert not ctx.executor._driver_blocks
-            assert not ctx.executor._blob_cache
-            assert not ctx.executor._bc_payloads
-            assert ctx.executor.shipping_metrics.total_shipped_bytes == 0
-            for handle in ctx.executor._handles:
-                assert not handle.known
-        finally:
-            pool.close()
-
-    def test_close_stops_idle_contexts(self):
-        pool = ContextPool()
-        ctx = pool.acquire("serial", None)
-        pool.release(ctx)
-        pool.close()
-        with pytest.raises(RuntimeError):
-            ctx.parallelize([1])
-        # releasing after close stops, not pools
-        late = ContextPool()
-        c2 = late.acquire("serial", None)
-        late.close()
-        late.release(c2)
-        with pytest.raises(RuntimeError):
-            c2.parallelize([1])
 
 
 class TestMiningConfigCacheKey:

@@ -366,9 +366,8 @@ class TestServiceDatasets:
         assert miner.n_transactions == len(BASE) + len(DELTA)
         assert miner.last_update.kind == "append"
         assert not miner.last_update.full_rebuild
-        # an in-process tier: no job of it ever checked out an engine context
-        pool = service.metrics()["context_pool"]
-        assert pool["created"] == pool["reused"] == 0
+        # an in-process tier: no job of it ever ran on an engine context
+        assert first.result.engine_metrics is None and second.result.engine_metrics is None
 
     def test_warm_miner_survives_memoized_hits(self, service):
         service.create_dataset("w", BASE)

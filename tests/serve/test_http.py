@@ -137,8 +137,9 @@ class TestEndpoints:
 @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
 def test_incremental_job_checks_out_no_context_on_any_backend(backend):
     """``POST /jobs`` with ``incremental=True``: the oracle's map whatever
-    ``backend`` says — the tier runs in the worker's own thread, so the
-    field is inert and the context pool never hears of the job."""
+    ``backend`` says — the tier walks its own bitmaps, so the field is
+    inert (even ``processes`` ships: raw rows, a cold build in the job
+    worker) and no engine context is built for the job."""
     rows = TXNS + [[backend]]  # its own fingerprint: no memoized answer
     config = MiningConfig(min_support=0.4, backend=backend, incremental=True)
     with MiningServer(port=0, n_workers=1) as srv:
@@ -147,8 +148,9 @@ def test_incremental_job_checks_out_no_context_on_any_backend(backend):
             mine_frequent_itemsets(rows, config=CFG).itemsets
         )
         (shard,) = client.metrics()["shards"]
-        pool = shard["service"]["context_pool"]
-        assert pool["created"] == pool["reused"] == 0
+        assert shard["service"]["job_workers"]["jobs_run"] == 1
+        (ran,) = shard["service"]["recent_jobs"]
+        assert ran["via"] == "run" and "engine_metrics" not in ran  # no engine ran
 
 
 class TestJobLongPoll:

@@ -22,7 +22,7 @@ from repro.core.registry import MiningConfig, register_algorithm, unregister_alg
 from repro.datasets import mushroom_like
 from repro.serve import ApiError, HttpClient, JobState, LocalClient, MiningServer, MiningService
 from repro.serve.runner import shipping_request
-from tests.procs import gone_within, pid_alive, wait_until_single_threaded
+from tests.procs import descendants, gone_within, pid_alive, wait_until_single_threaded
 from tests.serve import _runners
 
 ROWS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
@@ -31,9 +31,12 @@ OTHER = [[4, 5], [4, 5, 6], [5, 6]]
 
 @pytest.fixture(scope="module", autouse=True)
 def shippable():
-    names = ("fast", "sleepy", "spin", "die_once")
+    names = ("fast", "sleepy", "spin", "die_once", "engine_sleepy", "engine_leftovers")
     for name in names:
-        register_algorithm(f"ship_{name}", getattr(_runners, name), overwrite=True)
+        register_algorithm(
+            f"ship_{name}", getattr(_runners, name), overwrite=True,
+            needs_engine=name == "engine_sleepy",
+        )
     yield
     for name in names:
         unregister_algorithm(f"ship_{name}")
@@ -81,7 +84,9 @@ class TestWhatShips:
         txns = mushroom_like(scale=0.02, seed=3).transactions
         config = MiningConfig(min_support=0.5, backend="serial")
         result = done(svc.submit(txns, config))
-        assert result.itemsets == mine_frequent_itemsets(txns, config=config).itemsets
+        one_shot = mine_frequent_itemsets(txns, config=config)
+        assert result.itemsets == one_shot.itemsets
+        assert result.engine_metrics.n_jobs == one_shot.engine_metrics.n_jobs > 0
         assert workers(svc) | {"ship_bytes": 0} == {
             "alive": 1, "started": 1, "restarts": 0, "killed": 0, "jobs_run": 1,
             "rows_shipped": len(txns), "ship_bytes": 0, "datasets_resident": 1,
@@ -91,8 +96,6 @@ class TestWhatShips:
         assert span.category == "ship" and span.args["pid"] == svc._job_workers[0].pid
         assert span.args["rows_shipped"] == len(txns)
         assert 0 < span.args["worker_s"] <= span.duration_s
-        assert svc.contexts.created == 0  # the warm context is the worker's
-        assert svc.metrics()["context_pool"] == {"idle": 1, "created": 1, "reused": 0}
 
     def test_rows_cross_once_per_fingerprint_and_again_after_the_lru_let_go(self):
         big = [[i, i + 1, i + 2] for i in range(400)]
@@ -154,7 +157,7 @@ class TestWhatShips:
         assert span.args["pid"] == svc._job_workers[0].pid
         assert span.args["rows_shipped"] == len(txns)
         assert workers(svc)["jobs_run"] == 1
-        assert svc.metrics()["context_pool"]["created"] == 0  # no engine context, there either
+        assert result.engine_metrics is None  # no engine context, there either
 
     def test_a_process_backend_engine_job_keeps_its_context_in_the_server(self, svc):
         """A job worker is a daemonic child and may not have children."""
@@ -163,7 +166,8 @@ class TestWhatShips:
         assert result.itemsets == mine_frequent_itemsets(
             ROWS, config=MiningConfig(min_support=0.4, backend="serial")
         ).itemsets
-        assert workers(svc)["jobs_run"] == 0 and svc.contexts.created == 1
+        assert workers(svc)["jobs_run"] == 0 and result.engine_metrics.n_jobs > 0
+        assert not any(s.name == "job_worker" for s in result.trace.spans)
         # ... and for an oracle the field is inert: it ships
         oracle = MiningConfig(min_support=0.4, algorithm="eclat", backend="processes")
         done(svc.submit(ROWS, oracle))
@@ -215,6 +219,86 @@ class TestWhatShips:
             assert ran == 4
 
 
+# -- (a') either home runs the one-shot call ----------------------------------
+class TestServedIsOneShot:
+    """``run_algorithm(rows, config)``, context built and stopped per job,
+    in the job worker and in the server: same answer, same engine jobs,
+    and nothing of the engine left behind for the next job."""
+
+    PROCESSES = {"backend": "processes", "parallelism": 2}  # stays in the server
+
+    @pytest.mark.parametrize("home", [{"backend": "serial"}, PROCESSES], ids=["ships", "stays"])
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"algorithm": name} for name in ("yafim", "rapriori", "dist_eclat", "pfp")]
+        + [{"approx": True}],
+        ids=["yafim", "rapriori", "dist_eclat", "pfp", "approx"],
+    )
+    def test_equals_one_shot(self, svc, knobs, home):
+        """Shipped or kept in the server: the one-shot API's itemsets, its
+        engine job count, its trace label."""
+        txns = mushroom_like(scale=0.02, seed=3).transactions
+        config = MiningConfig(min_support=0.5, **knobs, **home)
+        served = done(svc.submit(txns, config), 120.0)
+        one_shot = mine_frequent_itemsets(txns, config=config)
+        assert served.itemsets == one_shot.itemsets
+        assert served.engine_metrics.n_jobs == one_shot.engine_metrics.n_jobs > 0
+        assert served.trace.label == one_shot.trace.label == "engine"
+        assert workers(svc)["jobs_run"] == (home is not self.PROCESSES)
+
+    def test_job_worker_keeps_no_context_and_no_block(self, svc):
+        """Three jobs on one process leave nothing of the engine in it."""
+        for support in (0.3, 0.4, 0.5):  # distinct: each really runs
+            done(svc.submit(ROWS, MiningConfig(min_support=support)))
+            assert os.listdir(svc._job_workers[0]._tmp) == []  # no spill directory either
+        left = done(svc.submit(ROWS, cfg("engine_leftovers"))).itemsets
+        assert (left[("contexts_alive",)], left[("cached_blocks",)]) == (0, 0)
+        assert workers(svc) | {"ship_bytes": 0, "rows_shipped": 0} == {
+            "alive": 1, "started": 1, "restarts": 0, "killed": 0, "jobs_run": 4,
+            "rows_shipped": 0, "ship_bytes": 0, "datasets_resident": 1,
+        }  # one process ran all four
+
+    def test_in_server_jobs_leave_no_engine_child(self, svc):
+        """A ``processes`` job's pool of engine workers ends with the job."""
+        ours = set(descendants(os.getpid()))  # the job worker
+        for support in (0.3, 0.4, 0.5):
+            done(svc.submit(ROWS, MiningConfig(min_support=support, **self.PROCESSES)), 120.0)
+            assert gone_within(set(descendants(os.getpid())) - ours, 2.0) == []
+        assert workers(svc)["jobs_run"] == 0
+
+    @pytest.mark.parametrize("end", ["timed_out", "cancelled"])
+    def test_abandoned_job_stops_its_pool(self, svc, end):
+        """... once its attempt thread finishes: it cannot be killed."""
+        pool_up, gate = threading.Event(), threading.Event()
+
+        def runner(ctx, txns, config):
+            assert ctx.parallelize(range(4), 2).sum() == 6
+            pool_up.set()
+            gate.wait(30.0)
+            return _runners.fast(txns, config)
+
+        register_algorithm("engine_gate", runner, needs_engine=True, overwrite=True)
+        try:
+            ours = set(descendants(os.getpid()))
+            config = MiningConfig(min_support=0.4, algorithm="engine_gate", **self.PROCESSES)
+            if end == "timed_out":
+                job = svc.submit(ROWS, config, timeout_s=0.1)
+            else:
+                job = svc.submit(ROWS, config)
+                assert pool_up.wait(60.0) and svc.cancel(job.job_id)
+            assert job.wait(10.0) and job.state.value == end
+            # abandoned, not killed: the attempt thread still holds its pool
+            assert pool_up.wait(60.0)
+            pool = set(descendants(os.getpid())) - ours
+            assert len(pool) == 2
+            gate.set()
+            assert gone_within(pool, 5.0) == []
+        finally:
+            gate.set()
+            unregister_algorithm("engine_gate")
+        assert done(svc.submit(ROWS, MiningConfig(min_support=0.4, **self.PROCESSES)), 120.0)
+
+
 # -- (b) timeouts and cancels that kill ---------------------------------------
 class TestKill:
     def test_a_timed_out_shipped_job_is_killed_and_the_next_runs_on_a_new_pid(self, svc):
@@ -244,17 +328,24 @@ class TestKill:
         assert not pid_alive(old)
         assert _runners.ran_in(done(svc.submit(ROWS, cfg()))) not in (old, os.getpid())
 
-    def test_a_kill_keeps_the_context_counters_and_leaves_no_temporary_file(self, svc):
-        config = MiningConfig(min_support=0.4, backend="serial")
-        done(svc.submit(ROWS, config))
-        tmp = svc._job_workers[0]._tmp  # the worker's tempfile.tempdir
-        assert any(name.startswith("blockmgr_") for name in os.listdir(tmp))  # its warm context's
-        job = svc.submit(ROWS, cfg("sleepy", seconds=30.0), timeout_s=0.2)
-        assert job.wait(5.0) and job.state is JobState.TIMED_OUT
+    def test_a_kill_keeps_the_context_counters_and_leaves_no_temporary_file(self, svc, tmp_path):
+        """A finished job's context removes its own spill directory; a job
+        killed inside its engine run cannot, and the worker's
+        ``tempfile.tempdir`` goes with the process instead.  The
+        ``context_pool`` block counts nothing, before or after."""
+        tmp = svc._job_workers[0]._tmp
+        done(svc.submit(ROWS, MiningConfig(min_support=0.4, backend="serial")))
+        assert os.listdir(tmp) == []
+        marker = str(tmp_path / "sleeping")
+        job = svc.submit(ROWS, cfg("engine_sleepy", seconds=30.0, marker=marker))
+        wait_for(marker)
+        assert any(name.startswith("blockmgr_") for name in os.listdir(tmp))  # its live context's
+        assert svc.cancel(job.job_id)
+        assert job.wait(5.0) and job.state is JobState.CANCELLED
         assert not os.path.exists(tmp)
-        done(svc.submit(OTHER, config))
-        # one context per process, none lost from the count with the kill
-        assert svc.metrics()["context_pool"] == {"idle": 1, "created": 2, "reused": 0}
+        done(svc.submit(OTHER, MiningConfig(min_support=0.4, backend="serial")))
+        assert os.listdir(svc._job_workers[0]._tmp) == []
+        assert svc.metrics()["context_pool"] == {"idle": 0, "created": 0, "reused": 0}
 
 
 # -- (c) followers ------------------------------------------------------------
@@ -360,7 +451,7 @@ class TestFaultDrills:
 
 
 class TestAnEngineWorkerDiesUnderAServedJob:
-    """A ``backend="processes"`` job keeps its context — and that context's
+    """A ``backend="processes"`` job builds its context — and that context's
     pool of engine workers — in the server: the pool's own death rule
     (replace, fail the batch as retryable) is what the job sees."""
 
@@ -400,17 +491,18 @@ class TestAnEngineWorkerDiesUnderAServedJob:
         assert job.wait(60.0), f"{job.job_id} hangs in {job.state}"
         return job
 
-    def the_next_job_runs_on_the_same_context(self, svc):
+    def the_next_job_runs_and_is_right(self, svc):
+        """... on a context and a pool of its own: nothing of the job
+        before it is there to be inherited."""
         result = done(svc.submit(ROWS, MiningConfig(**self.CONFIG)), 60.0)
         assert result.itemsets == apriori(ROWS, 0.4)
         assert workers(svc)["jobs_run"] == 0  # all of it stayed in the server
-        assert svc.metrics()["context_pool"] == {"idle": 1, "created": 1, "reused": 1}
 
     def test_once_is_retried_by_the_engine_and_the_job_is_done(self, svc, tmp_path):
         job = self.submit(svc, tmp_path, kills=1)
         assert job.state is JobState.DONE and job.attempts == 1, job.error
         assert job.result.itemsets == apriori(ROWS, 0.4)
-        self.the_next_job_runs_on_the_same_context(svc)
+        self.the_next_job_runs_and_is_right(svc)
         assert svc.jobs_by_state() | {"done": 0} == dict.fromkeys(svc.jobs_by_state(), 0)
 
     def test_past_the_task_retry_budget_the_job_fails_with_a_code(self, svc, tmp_path):
@@ -421,7 +513,7 @@ class TestAnEngineWorkerDiesUnderAServedJob:
             LocalClient(svc).result(job.job_id)
         assert (refused.value.status, refused.value.code) == (409, "not_done")
         assert len(svc.results) == 0  # no stale result
-        self.the_next_job_runs_on_the_same_context(svc)
+        self.the_next_job_runs_and_is_right(svc)
         assert svc.jobs_by_state()["failed"] == 1 and svc.jobs_by_state()["running"] == 0
 
     def test_a_serve_level_retry_outlives_it(self, svc, tmp_path):

@@ -149,6 +149,29 @@ class TestPlanning:
         assert decision.chosen == {}
         assert "does not run on the engine" in decision.reason
 
+    @pytest.mark.parametrize("cutoff", [None, 0.0])
+    def test_incremental_config_passes_through(self, cutoff):
+        """The tier runs on no engine: nothing to plan, and above all no
+        fast-tier reroute (``approx`` + ``incremental`` is not a config)."""
+        planner = CostPlanner(approx_cutoff_s=cutoff)
+        cfg_in = MiningConfig(min_support=0.4, incremental=True)
+        cfg, decision = planner.plan(DENSE, cfg_in)
+        assert cfg is cfg_in
+        assert decision.chosen == {} and not decision.routed_fast
+        assert "incremental tier does not run on the engine" in decision.reason
+
+    def test_incremental_submit_is_accepted_by_a_service_whose_planner_has_a_cutoff(self):
+        from repro.algorithms import apriori
+        from repro.serve import JobState, MiningService
+
+        with MiningService(n_workers=1) as service:
+            service.planner = CostPlanner(approx_cutoff_s=0.0)
+            config = MiningConfig(min_support=0.4, incremental=True, max_length=2)
+            job = service.submit(DENSE, config)
+            assert job.wait(30.0) and job.state is JobState.DONE, job.error
+            assert job.planned == {} and not job.request.config.approx
+            assert job.result.itemsets == apriori(DENSE, 0.4, max_length=2)
+
     def test_decision_snapshot_shape(self):
         planner = CostPlanner()
         _, decision = planner.plan(SPARSE, MiningConfig(min_support=0.4))

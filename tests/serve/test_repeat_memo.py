@@ -102,9 +102,12 @@ def submit_payloads(draw):
 
 @pytest.fixture(scope="module")
 def planned_pair():
-    """The same server twice: behind a socket, and in this process."""
-    with MiningServer(port=0, shards=2, n_workers=1, planner=True) as server:
-        with ShardRouter(n_shards=2, n_workers=1, planner=CostPlanner()) as router:
+    """The same server twice: behind a socket, and in this process.  Their
+    planners do not calibrate: what each measured (a slow worker spawn on
+    a loaded box) must not decide whether the two plan alike."""
+    still = {"calibration_alpha": 0.0}
+    with MiningServer(port=0, shards=2, n_workers=1, planner=CostPlanner(**still)) as server:
+        with ShardRouter(n_shards=2, n_workers=1, planner=CostPlanner(**still)) as router:
             yield server, LocalClient(router)
 
 

@@ -1,8 +1,8 @@
 """JobRunner: one RUNNING job to its outcome, against fake collaborators.
 
 No ``MiningService`` is constructed here: the runner gets a dataset
-cache, a context pool and a dataset registry that record what was asked
-of them, and a hand-built RUNNING :class:`Job`.
+cache, a dataset registry that records what was asked of it, and a
+hand-built RUNNING :class:`Job`.
 """
 
 import threading
@@ -25,18 +25,6 @@ def _result(txns, config) -> MiningRunResult:
     )
     out.itemsets = {(1,): len(txns)}
     return out
-
-
-class FakeContexts:
-    def __init__(self):
-        self.acquired, self.released = [], []
-
-    def acquire(self, backend, parallelism, *, label):
-        self.acquired.append((backend, parallelism, label))
-        return SimpleNamespace(backend=backend)
-
-    def release(self, ctx):
-        self.released.append(ctx)
 
 
 class FakeRegistry:
@@ -66,10 +54,9 @@ def algo():
 def rig():
     datasets = DatasetCache(1 << 20)
     datasets.add(ROWS, "fp")
-    contexts, registry = FakeContexts(), FakeRegistry()
+    registry = FakeRegistry()
     return SimpleNamespace(
-        runner=JobRunner(datasets, contexts, registry),
-        datasets=datasets, contexts=contexts, registry=registry,
+        runner=JobRunner(datasets, registry), datasets=datasets, registry=registry
     )
 
 
@@ -87,7 +74,6 @@ def test_done(rig, algo):
     state, result, error = rig.runner.run(job)
     assert (state, error) == (JobState.DONE, None)
     assert result.itemsets == {(1,): 3} and job.attempts == 1
-    assert rig.contexts.acquired == []  # not engine-backed: no checkout
     assert job.state is JobState.RUNNING  # recording the outcome is the service's job
 
 
@@ -194,14 +180,13 @@ def test_dataset_gone_and_no_pin_is_a_failure_not_a_crash(rig, algo):
 
 def test_engine_job_runs_as_planned_on_a_checked_out_context(rig, algo):
     """Keyed as asked, run as planned: the planner's knobs reach the
-    algorithm and the context checkout; the job's own config is untouched."""
+    algorithm and the context built for this run; the job's own config is
+    untouched."""
     seen = {}
 
     def engine_algo(ctx, txns, config):
         seen.update(backend=config.backend, partitions=config.num_partitions, ctx=ctx)
-        out = _result(txns, config)
-        out.trace = out.engine_metrics = object()  # nothing to collect from a fake ctx
-        return out
+        return _result(txns, config)
 
     name = algo(engine_algo, "run_engine", needs_engine=True)
     asked = MiningConfig(min_support=0.4, algorithm=name)
@@ -212,8 +197,7 @@ def test_engine_job_runs_as_planned_on_a_checked_out_context(rig, algo):
     state, _, _ = rig.runner.run(job)
     assert state is JobState.DONE
     assert (seen["backend"], seen["partitions"]) == ("threads", 1)
-    assert rig.contexts.acquired == [("threads", None, "job-1")]
-    assert rig.contexts.released == [seen["ctx"]]
+    assert seen["ctx"].backend == "threads" and seen["ctx"]._stopped
     assert job.request.config is asked and asked.backend == "serial"
 
 
@@ -225,7 +209,6 @@ def test_incremental_job_takes_the_warm_answer_and_no_context(rig):
     state, result, _ = rig.runner.run(job)
     assert state is JobState.DONE and result is warm
     assert rig.registry.asked == [("entry", 7, len(ROWS))]
-    assert rig.contexts.acquired == []
 
 
 def test_incremental_job_mines_cold_when_warm_state_cannot_answer(rig):
@@ -233,4 +216,4 @@ def test_incremental_job_mines_cold_when_warm_state_cannot_answer(rig):
     job._dataset_entry, job.dataset_version = "entry", 7
     state, result, _ = rig.runner.run(job)  # FakeRegistry answers None
     assert state is JobState.DONE and result.num_itemsets > 0
-    assert rig.contexts.acquired == []
+    assert result.engine_metrics is None  # a cold build in this thread, no engine

@@ -16,7 +16,6 @@ from repro.core.results import MiningRunResult
 from repro.datasets import mushroom_like
 from repro.engine.faults import InjectedTaskFailure
 from repro.serve import JobState, LocalClient, MiningService, ServeError
-from repro.serve.runner import run_with_pool
 
 TXNS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
 CFG = MiningConfig(min_support=0.4, backend="serial")
@@ -77,39 +76,6 @@ class TestSubmitAndRun:
         assert again.state is JobState.DONE and again.via == "memoized"
         assert again.result.itemsets == first.result.itemsets
         assert service.results.hits == 1
-
-    def test_engine_backed_algorithm_reuses_warm_context(self, service):
-        cfg = MiningConfig(min_support=0.4, algorithm="yafim", backend="serial")
-        service.submit(TXNS, cfg).wait(30.0)
-        job = service.submit([[1, 2], [2, 3], [1, 2]], cfg)
-        job.wait(30.0)
-        assert job.state is JobState.DONE
-        # the warm context lives where the jobs ran — the job worker's own
-        # pool; /metrics sums every pool of the shard
-        pool = service.metrics()["context_pool"]
-        assert pool["created"] == 1 and pool["reused"] == 1
-        assert service.contexts.created == 0
-        # warm context still yields per-job observability
-        assert job.result.engine_metrics is not None
-        assert job.result.engine_metrics.n_jobs > 0
-
-    def test_warm_context_does_not_accumulate_cached_blocks(self, service):
-        # distinct supports defeat the result cache, so each job really
-        # runs on the (reused) engine context; its cached transaction
-        # partitions must not pile up across jobs
-        for support in (0.3, 0.4, 0.5):
-            cfg = MiningConfig(min_support=support, algorithm="yafim", backend="serial")
-            job = service.submit(TXNS, cfg)
-            assert job.wait(30.0) and job.state is JobState.DONE
-        pool = service.metrics()["context_pool"]
-        assert pool["created"] == 1 and pool["reused"] == 2 and pool["idle"] == 1
-        # those contexts are the job worker's; the same run path on the
-        # shard's own pool (the home of a job that cannot ship) shows what
-        # a released context is left holding
-        run_with_pool(service.contexts, TXNS, cfg, "probe")
-        idle = [c for pool in service.contexts._idle.values() for c in pool]
-        assert idle
-        assert all(c.block_manager.cached_block_count == 0 for c in idle)
 
     def test_priority_orders_queued_jobs(self, service, algo):
         release = threading.Event()
@@ -429,6 +395,8 @@ class TestShutdown:
         assert {"queue_depth", "workers", "jobs_by_state", "dataset_cache",
                 "result_cache", "context_pool", "recent_jobs"} <= set(m)
         assert m["jobs_by_state"]["done"] == 1
+        # an engine job ran, and the block stays what the frozen ledger reads
+        assert m["context_pool"] == {"idle": 0, "created": 0, "reused": 0}
         assert 0.0 <= m["dataset_cache"]["hit_rate"] <= 1.0
         snap = m["recent_jobs"][0]
         assert snap["state"] == "done" and snap["num_itemsets"] > 0

@@ -534,8 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--planner", action="store_true",
-        help="choose backend/partitions/candidate-store per job from "
-        "dataset stats, calibrated by completed runs",
+        help="run each job the caller left unpinned on the bitmap store "
+        "(one partition on serial); never picks a backend",
     )
     serve.add_argument(
         "--dataset-cache-bytes", type=int, default=64 * 1024 * 1024,

@@ -52,8 +52,8 @@ as :class:`~repro.serve.jobs.ApiError` so callers branch on the code,
 not on message prose.  A request that declares a body over
 :data:`MAX_BODY_BYTES` is answered 413 without the body being read; one
 whose body stops short of the length it declared — the client hung up,
-or stalled past the handler's read timeout — is answered 400 / 408
-``incomplete_body`` and its connection closed.
+or had not sent it all by the handler's deadline for the body — is
+answered 400 / 408 ``incomplete_body`` and its connection closed.
 
 A byte-identical resubmission is recognised by the digest of its body
 and an answer served again is sent as first rendered: what the socket
@@ -69,6 +69,7 @@ import hashlib
 import json
 import math
 import threading
+import time
 import weakref
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -334,10 +335,11 @@ class _Handler(BaseHTTPRequestHandler):
     #: kept-alive connection the second waits for the client's delayed ACK
     wbufsize = 1 << 20
     disable_nagle_algorithm = True  # same, for a body the buffer cannot hold
-    #: seconds one read or write on the connection may block: a client
-    #: that stalls mid-request (or sits on an idle kept-alive connection)
-    #: gives its handler thread back.  Above the client's own 30 s; a
-    #: long-poll blocks in the service, not on the socket
+    #: seconds a request body may take to arrive, all of it, and one
+    #: other read or write on the connection may block: a client that
+    #: stalls or trickles mid-body (or sits on an idle kept-alive
+    #: connection) gives its handler thread back.  Above the client's own
+    #: 30 s; a long-poll blocks in the service, not on the socket
     timeout = 60.0
 
     def log_message(self, fmt, *args):  # noqa: A003 - stdlib signature
@@ -376,10 +378,7 @@ class _Handler(BaseHTTPRequestHandler):
             }
         else:
             declared = int(length)
-            try:
-                body = self.rfile.read(declared)
-            except OSError:  # the read timed out, or the connection broke
-                body = None
+            body = self._read_body(declared)
             if body is None or len(body) < declared:
                 # stalled (408) or hung up (400) mid-body: nothing was decoded,
                 # digested or remembered, and whatever else arrives on this
@@ -395,6 +394,30 @@ class _Handler(BaseHTTPRequestHandler):
                     self.server.memo,  # type: ignore[attr-defined]
                 )
         self._send_json(*answer)
+
+    def _read_body(self, declared: int) -> bytes | None:
+        """The body, against one :attr:`timeout` for the whole of it — a
+        client that trickles a byte per read is cut off like one that
+        stalls.  None when the deadline passed (or the connection broke);
+        short when the client hung up."""
+        deadline = time.monotonic() + self.timeout
+        chunks, got = [], 0
+        try:
+            while got < declared:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    return None
+                self.connection.settimeout(left)
+                chunk = self.rfile.read1(declared - got)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+                got += len(chunk)
+        except OSError:  # the read timed out, or the connection broke
+            return None
+        finally:
+            self.connection.settimeout(self.timeout)
+        return b"".join(chunks)
 
     do_GET = do_POST = do_DELETE = _handle  # the names http.server looks up
 
@@ -412,8 +435,7 @@ class MiningServer:
     shards (default 1) behind consistent-hash routing by dataset
     fingerprint, each with ``n_workers`` workers and a queue bounded at
     ``queue_limit`` (default 32, ``None`` = unbounded) that answers 429
-    when full, spill-over between shards, and optional cost-based
-    planning::
+    when full, spill-over between shards, and an optional planner::
 
         with MiningServer(port=0, shards=4, queue_limit=16, planner=True):
             ...

@@ -214,9 +214,9 @@ class Job:
 
     @property
     def planned(self) -> dict | None:
-        """Execution knobs the planner chose, e.g. ``{"backend": "serial",
-        "num_partitions": 1}`` — applied when the job runs, never part of
-        its key (None = unplanned)."""
+        """Execution knobs the planner chose, e.g. ``{"candidate_store":
+        "bitmap", "num_partitions": 1}`` — applied when the job runs, never
+        part of its key (None = unplanned)."""
         return None if self.decision is None else self.decision.chosen
 
     @property

@@ -1,62 +1,43 @@
-"""Cost-based planner: pick engine knobs per job from dataset statistics.
+"""Serve-tier planner: two fixed rules for the knobs a caller left alone,
+and the opt-in fast-tier reroute.
 
-Aouad et al.'s study of distributed Apriori variants (PAPERS.md) shows
-job cost swinging by orders of magnitude with dataset shape and support
-threshold — which is why ``backend`` / ``num_partitions`` /
-``candidate_store`` should be chosen *per job*, not fixed at deploy
-time.  :class:`CostPlanner` does exactly that:
+Measured on every generator in the tree, the ``bitmap`` store beats the
+hash tree, one serial partition beats the default split, and no executor
+backend beats ``serial`` (``docs/serving.md`` "Cost-based planning").
+So :class:`CostPlanner` sets ``candidate_store="bitmap"``, and
+``num_partitions=1`` when the backend is ``serial``, on every knob the
+caller did not pin — and never chooses a ``backend``.
 
-1. summarize the dataset once per fingerprint (:class:`DatasetStats`:
-   transaction count, average width, distinct items);
-2. estimate the job's work from an Apriori-shaped model — passes grow
-   with ``log2(1/min_support)``, candidate pressure with
-   ``density / min_support`` — and convert work to seconds through a
-   :class:`~repro.cluster.model.ClusterSpec` replay of the serving
-   host (task overheads + byte costs), scaled by a **calibrated**
-   per-unit cost;
-3. choose knobs the caller did not pin: ``serial`` below the executor
-   break-even point, ``threads`` above it, ``processes`` only for jobs
-   long enough to amortize worker spin-up; partitions sized to a target
-   per-partition runtime; the bitmap store on dense datasets (where the
-   vertical kernel wins, per ``BENCH_fastpath.json``).
-
-Calibration closes the loop: the router reports each completed job's
-measured runtime via :meth:`CostPlanner.observe`, and the planner EWMA-
-blends ``actual / estimated_units`` into its per-unit cost, so estimates
-track the actual host instead of a guessed constant.
+The cost estimate feeds only the fast-tier reroute: work units from the
+dataset's :class:`DatasetStats` (memoized per fingerprint) times a
+per-unit cost that :meth:`CostPlanner.observe` calibrates — an EWMA of
+``actual / estimated_units`` over the jobs that ran.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 
-from repro.cluster.model import ClusterSpec
 from repro.core.registry import MiningConfig, runs_on_engine
 from repro.serve.cache import dataset_fingerprint
 
-#: The serving host modeled as a one-node cluster: all "shuffle" traffic
-#: is in-process (charged at loopback-ish bandwidth), and task overhead
-#: is the engine's per-task scheduling cost, not a JVM launch.
-LOCAL_CLUSTER = ClusterSpec(
-    nodes=1,
-    cores_per_node=max(2, os.cpu_count() or 2),
-    disk_read_mbps=500.0,
-    disk_write_mbps=400.0,
-    network_mbps=4000.0,
-    spark_task_overhead_s=0.002,
-)
-
 #: MiningConfig fields the planner is allowed to choose.
-PLANNABLE_FIELDS = ("backend", "num_partitions", "candidate_store", "approx")
+PLANNABLE_FIELDS = ("num_partitions", "candidate_store", "approx")
 
 #: Config defaults used to infer pinning: a caller who set a field away
 #: from its default has expressed intent, and the planner must not
 #: override it.
 _DEFAULTS = {f.name: f.default for f in fields(MiningConfig) if f.name in PLANNABLE_FIELDS}
+
+#: a submit at this priority or below is interactive: the only kind the
+#: fast tier may take
+INTERACTIVE_PRIORITY = 0
+
+#: datasets whose statistics the planner keeps, least recently planned out first
+STATS_CACHE_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -74,8 +55,8 @@ class DatasetStats:
     @property
     def density(self) -> float:
         """Average fraction of the item vocabulary present per transaction
-        — the knob that separates chess/mushroom (dense, bitmap-friendly)
-        from retail-like sparse data."""
+        — the knob that separates chess/mushroom (dense) from retail-like
+        sparse data."""
         if self.distinct_items <= 0:
             return 0.0
         return min(1.0, self.avg_width / self.distinct_items)
@@ -96,7 +77,7 @@ class DatasetStats:
 
 @dataclass(frozen=True)
 class PlanDecision:
-    """One planning outcome: the estimate and what was chosen because of it."""
+    """One planning outcome: the estimate and what was chosen."""
 
     fingerprint: str
     stats: DatasetStats
@@ -119,68 +100,49 @@ class PlanDecision:
         }
 
 
+def _passes(config: MiningConfig) -> float:
+    """Level-wise passes the model expects: deeper lattices at lower support."""
+    passes = min(8.0, 2.0 + math.log2(1.0 / max(config.min_support, 1e-6)))
+    if config.max_length is not None:
+        passes = min(passes, float(config.max_length))
+    return passes
+
+
 class CostPlanner:
-    """Estimate job cost and fill unpinned engine knobs accordingly.
+    """Fill unpinned engine knobs by two fixed rules; estimate job cost for
+    the fast-tier reroute.
 
     Parameters
     ----------
-    spec:
-        Hardware model used to convert estimated work into seconds
-        (defaults to :data:`LOCAL_CLUSTER`, a one-node view of the host).
     unit_cost_s:
         Seconds per abstract work unit before any calibration; refined by
         :meth:`observe` as jobs complete.
-    serial_cutoff_s / processes_cutoff_s:
-        Backend break-even points: below the first an executor pool costs
-        more than it saves (-> ``serial``); above the second the job is
-        long enough to amortize process workers (-> ``processes``).
-    target_partition_s:
-        Desired per-partition runtime; partition count is estimated
-        seconds over this, clamped to ``[1, 4 * cores]``.
-    dense_store_threshold:
-        Density at or above which the bitmap candidate store is chosen.
-    approx_cutoff_s / interactive_priority:
-        Fast-tier routing: an *interactive* job (``priority <=
-        interactive_priority``) whose exact estimate is at least
-        ``approx_cutoff_s`` runs approximately (``approx=True``) unless
-        the caller pinned the knob — sampling trades the k level-wise
-        passes for one verification pass, which is exactly the trade an
-        interactive caller wants.  ``approx_cutoff_s=None`` (the
-        default) disables fast-tier routing: approximate answers can
-        drop itemsets (``verified_exact=False``), so silently rerouting
-        callers who never asked for approximation is an *operator*
-        decision, opted into by setting a cutoff.  A reroute is stamped
-        on the decision as ``routed_fast`` (and in the job snapshot's
-        ``fast_tier`` field), not buried in provenance.
+    approx_cutoff_s:
+        Fast-tier routing: an *interactive* job (``priority <=``
+        :data:`INTERACTIVE_PRIORITY`) whose exact estimate is at least
+        this runs approximately (``approx=True``) unless the caller
+        pinned the knob.  ``None`` (the default) disables it: an
+        approximate answer can drop itemsets, so rerouting callers who
+        never asked for one is an operator's opt-in.  A reroute is
+        stamped on the decision as ``routed_fast`` (and on the job
+        snapshot as ``fast_tier``).
+    calibration_alpha:
+        EWMA weight of one observed runtime in the per-unit cost.
     """
 
     def __init__(
         self,
-        spec: ClusterSpec = LOCAL_CLUSTER,
         *,
         unit_cost_s: float = 2e-7,
-        serial_cutoff_s: float = 0.25,
-        processes_cutoff_s: float = 30.0,
-        target_partition_s: float = 0.2,
-        dense_store_threshold: float = 0.25,
         approx_cutoff_s: float | None = None,
-        interactive_priority: int = 0,
         calibration_alpha: float = 0.3,
-        stats_cache_entries: int = 1024,
     ):
-        self.spec = spec
-        self.serial_cutoff_s = serial_cutoff_s
-        self.processes_cutoff_s = processes_cutoff_s
-        self.target_partition_s = target_partition_s
-        self.dense_store_threshold = dense_store_threshold
         self.approx_cutoff_s = approx_cutoff_s
-        self.interactive_priority = interactive_priority
         self.calibration_alpha = calibration_alpha
         self._lock = threading.Lock()
         self._unit_cost_s = unit_cost_s
         self._observations = 0
         self._stats: OrderedDict[str, DatasetStats] = OrderedDict()
-        self._stats_cache_entries = stats_cache_entries
         self.plans = 0
 
     # -- statistics --------------------------------------------------------
@@ -205,45 +167,30 @@ class CostPlanner:
         stats = DatasetStats.from_transactions(transactions)
         with self._lock:
             self._stats[fp] = stats
-            while len(self._stats) > self._stats_cache_entries:
+            while len(self._stats) > STATS_CACHE_ENTRIES:
                 self._stats.popitem(last=False)
         return stats
 
     # -- cost model --------------------------------------------------------
     def work_units(self, stats: DatasetStats, config: MiningConfig) -> float:
         """Abstract work for one run: items scanned x passes x candidate
-        pressure.  Passes grow with ``log2(1/minsup)`` (deeper lattices at
-        lower support); pressure with ``density / minsup`` (denser data
-        and lower thresholds both blow up the candidate count)."""
+        pressure (``density / minsup``: denser data and lower thresholds
+        both blow up the candidate count)."""
         if stats.n_transactions == 0:
             return 0.0
-        minsup = max(config.min_support, 1e-6)
-        passes = min(8.0, 2.0 + math.log2(1.0 / minsup))
-        if config.max_length is not None:
-            passes = min(passes, float(config.max_length))
-        pressure = min(100.0, stats.density / minsup)
-        return stats.total_items * passes * (1.0 + pressure)
+        pressure = min(100.0, stats.density / max(config.min_support, 1e-6))
+        return stats.total_items * _passes(config) * (1.0 + pressure)
 
     def estimate_seconds(self, stats: DatasetStats, config: MiningConfig) -> float:
-        """Calibrated runtime estimate: CPU work plus the cluster-model
-        replay of per-pass data movement and task overheads."""
-        units = self.work_units(stats, config)
-        if units == 0.0:
-            return 0.0
-        minsup = max(config.min_support, 1e-6)
-        passes = min(8.0, 2.0 + math.log2(1.0 / minsup))
-        nbytes = stats.total_items * 8  # dict-encoded ints
-        seconds = units * self.unit_cost_s
-        seconds += passes * self.spec.network_seconds(nbytes)
-        partitions = config.num_partitions or self.spec.total_cores
-        seconds += passes * partitions * self.spec.spark_task_overhead_s
+        """Calibrated runtime estimate: work units x the per-unit cost."""
+        seconds = self.work_units(stats, config) * self.unit_cost_s
         if config.approx:
             # The fast tier mines n_samples databases of sample_frac the
             # size (full lattice depth, tiny data) and makes ONE full
             # pass instead of `passes` — scale the exact estimate by the
             # fraction of full-data scans that remain.
             scanned = config.approx_samples * config.sample_frac + 1.0
-            seconds *= min(1.0, scanned / passes)
+            seconds *= min(1.0, scanned / _passes(config))
         return seconds
 
     # -- planning ----------------------------------------------------------
@@ -260,13 +207,14 @@ class CostPlanner:
 
         A knob is pinned — left exactly as the caller set it — when it is
         named in ``pinned`` or when its value differs from the
-        :class:`MiningConfig` default (an explicit choice).  A config that
-        does not run on the engine
+        :class:`MiningConfig` default (an explicit choice); a name the
+        planner never chooses (``backend`` among them) is ignored.  A
+        config that does not run on the engine
         (:func:`~repro.core.registry.runs_on_engine`: the sequential
         oracles, the MapReduce baselines, the incremental tier) passes
-        through unplanned — ``backend`` means something else there, or
-        nothing.
-        ``priority`` feeds fast-tier routing (interactive jobs only).
+        through unplanned — the knobs mean something else there, or
+        nothing.  ``priority`` feeds fast-tier routing (interactive jobs
+        only).
         """
         fp = fingerprint or dataset_fingerprint(transactions)
         stats = self.stats_for(transactions, fp)
@@ -287,38 +235,21 @@ class CostPlanner:
         units = self.work_units(stats, config)
         est = self.estimate_seconds(stats, config)
         chosen: dict = {}
-
-        routed_fast = False
-        if (
+        routed_fast = (
             "approx" not in pinned_set
             and self.approx_cutoff_s is not None
-            and priority <= self.interactive_priority
+            and priority <= INTERACTIVE_PRIORITY
             and est >= self.approx_cutoff_s
-        ):
-            # interactive + expensive: route to the sampling fast tier
-            # and re-estimate the now-cheaper job for the knobs below
+        )
+        if routed_fast:
+            # interactive + expensive: the sampling fast tier, re-estimated
             chosen["approx"] = True
             config = replace(config, approx=True)
             est = self.estimate_seconds(stats, config)
-            routed_fast = True
-
-        if "backend" not in pinned_set:
-            if est < self.serial_cutoff_s:
-                chosen["backend"] = "serial"
-            elif est < self.processes_cutoff_s:
-                chosen["backend"] = "threads"
-            else:
-                chosen["backend"] = "processes"
-        if "num_partitions" not in pinned_set:
-            backend = chosen.get("backend", config.backend)
-            if backend == "serial":
-                chosen["num_partitions"] = 1
-            else:
-                want = math.ceil(est / self.target_partition_s)
-                chosen["num_partitions"] = max(1, min(want, 4 * self.spec.total_cores))
         if "candidate_store" not in pinned_set:
-            if stats.density >= self.dense_store_threshold:
-                chosen["candidate_store"] = "bitmap"
+            chosen["candidate_store"] = "bitmap"
+        if "num_partitions" not in pinned_set and config.backend == "serial":
+            chosen["num_partitions"] = 1
 
         planned = replace(config, **chosen) if chosen else config
         with self._lock:
@@ -331,8 +262,7 @@ class CostPlanner:
             chosen=chosen,
             pinned=tuple(sorted(pinned_set)),
             reason=(
-                f"est {est:.3g}s over {stats.n_transactions} txns "
-                f"(width {stats.avg_width:.1f}, density {stats.density:.2f})"
+                f"est {est:.3g}s over {stats.n_transactions} txns"
                 + (" -> approx fast tier" if routed_fast else "")
             ),
             routed_fast=routed_fast,
@@ -363,7 +293,7 @@ class CostPlanner:
 __all__ = [
     "CostPlanner",
     "DatasetStats",
-    "LOCAL_CLUSTER",
+    "INTERACTIVE_PRIORITY",
     "PLANNABLE_FIELDS",
     "PlanDecision",
 ]

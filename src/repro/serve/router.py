@@ -22,10 +22,11 @@ in-process :class:`~repro.serve.service.MiningService` shards.
 * **Load shedding.**  Above ``shed_at`` global queue utilization,
   low-priority jobs (``priority > shed_priority``) are rejected
   immediately, preserving the remaining slots for important traffic.
-* **Cost-based planning.**  An optional
-  :class:`~repro.serve.planner.CostPlanner` is handed to every shard;
-  the shard that accepts a job plans it and calibrates the one shared
-  model with the run's measured time.
+* **Planning.**  An optional :class:`~repro.serve.planner.CostPlanner`
+  is handed to every shard; the shard that accepts a job plans it (e.g.
+  ``{"candidate_store": "bitmap", "num_partitions": 1}`` for knobs the
+  caller left alone) and calibrates the one shared fast-tier estimate
+  with the run's measured time.
 
 The router is what :class:`~repro.serve.http.MiningServer` always
 fronts (an unsharded server is ``n_shards=1``).  It implements placement
@@ -79,8 +80,8 @@ class ShardRouter:
         no shard ever reports itself full.
     planner:
         A :class:`CostPlanner` (or ``None``).  When set, every shard
-        plans with it: unpinned knobs are chosen per submit and completed
-        runs calibrate the model.
+        plans with it: unpinned knobs are filled per submit and completed
+        runs calibrate its estimate.
     replicas:
         Virtual nodes per shard on the hash ring.
     spill:

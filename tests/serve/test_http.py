@@ -299,7 +299,7 @@ class TestShardedServer:
             [[7, 8, 9], [7, 8], [8, 9]], MiningConfig(min_support=0.4)
         )
         final = sharded_client.wait(snap["job_id"], timeout=30.0)
-        assert final["planned"] and "backend" in final["planned"]
+        assert final["planned"] == {"candidate_store": "bitmap", "num_partitions": 1}
 
     def test_pinned_freezes_default_valued_knob(self, sharded_client):
         snap = sharded_client.submit(

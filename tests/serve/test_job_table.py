@@ -232,26 +232,28 @@ class TestKeyedAsAskedRunAsPlanned:
         _, probe = planner.plan(TXNS, cfg)
         fed = 0
 
-        def flip_to(backend):
+        def flip_to(estimate_s):
             nonlocal fed
-            # est ~ 1 s -> threads; est ~ 1 us -> serial (cutoff 0.25 s)
-            planner.observe(probe, 1.0 if backend == "threads" else 1e-6)
+            planner.observe(probe, estimate_s)  # the next plan estimates this
             fed += 1
 
         with MiningService(n_workers=1) as svc:  # embedded, no router: it plans too
             svc.planner = planner
             jobs = []
             for i in range(20):
-                flip_to("threads" if i % 2 else "serial")
+                flip_to(1.0 if i % 2 else 1e-6)
                 jobs.append(svc.submit(TXNS, cfg))
             assert all(j.wait(60.0) for j in jobs)
             first, repeats = jobs[0], jobs[1:]
             assert first.via == "run" and first.state is JobState.DONE
             assert {j.via for j in repeats} <= {"memoized", "coalesced"}
-            # the plan did flip under them, and each job reports its own
-            assert [j.planned["backend"] for j in jobs] == ["serial", "threads"] * 10
+            # the estimate did flip under them, and each job reports its own
+            # plan — the same knobs: calibration moves no rule
+            estimates = [j.decision.estimated_seconds for j in jobs]
+            assert [round(e, 6) for e in estimates] == [1e-6, 1.0] * 10
+            assert all(j.planned == first.planned for j in jobs)
             assert first.snapshot()["planned"] == {
-                "backend": "serial", "num_partitions": 1, "candidate_store": "bitmap",
+                "num_partitions": 1, "candidate_store": "bitmap",
             }
             assert first.snapshot()["fast_tier"] is False
             # keyed as asked: the caller's config, untouched
@@ -398,7 +400,8 @@ PARENT_SHAPE = {
                     "num_itemsets priority queued_seconds run_seconds shard state tenant "
                     "trace_spans via"
                 ),
-                "planned": leaves("backend candidate_store num_partitions"),
+                # the planner chooses no backend: two knobs, not three
+                "planned": leaves("candidate_store num_partitions"),
             }],
         },
     }],

@@ -11,6 +11,7 @@ truncated, invalid, oversized).
 import gc
 import http.client
 import json
+import select
 import socket
 import threading
 import time
@@ -102,12 +103,9 @@ def submit_payloads(draw):
 
 @pytest.fixture(scope="module")
 def planned_pair():
-    """The same server twice: behind a socket, and in this process.  Their
-    planners do not calibrate: what each measured (a slow worker spawn on
-    a loaded box) must not decide whether the two plan alike."""
-    still = {"calibration_alpha": 0.0}
-    with MiningServer(port=0, shards=2, n_workers=1, planner=CostPlanner(**still)) as server:
-        with ShardRouter(n_shards=2, n_workers=1, planner=CostPlanner(**still)) as router:
+    """The same server twice: behind a socket, and in this process."""
+    with MiningServer(port=0, shards=2, n_workers=1, planner=CostPlanner()) as server:
+        with ShardRouter(n_shards=2, n_workers=1, planner=CostPlanner()) as router:
             yield server, LocalClient(router)
 
 
@@ -414,11 +412,19 @@ def read_response(sock) -> tuple[int, dict, bytes]:
     return status, headers, body
 
 
+def handlers() -> list:
+    return [t for t in threading.enumerate() if "process_request" in t.name]
+
+
+def no_handler_left(within_s: float = 5.0) -> None:
+    deadline = time.monotonic() + within_s
+    while handlers():
+        assert time.monotonic() < deadline, "a handler thread is still parked"
+        time.sleep(0.01)
+
+
 def test_a_stalled_body_gives_its_thread_back(monkeypatch):
     monkeypatch.setattr(_Handler, "timeout", 0.3)
-
-    def handlers() -> list:
-        return [t for t in threading.enumerate() if "process_request" in t.name]
 
     with MiningServer(port=0, n_workers=1) as srv:
         before = srv.memo.stats()
@@ -435,16 +441,38 @@ def test_a_stalled_body_gives_its_thread_back(monkeypatch):
         assert client.healthz()["status"] == "ok"
         time.sleep(0.5)
         assert client.healthz()["status"] == "ok"
-        deadline = time.monotonic() + 5.0
-        while handlers():
-            assert time.monotonic() < deadline, "a handler thread is still parked"
-            time.sleep(0.01)
+        no_handler_left()
         assert srv.memo.stats() == before
         parked = connect(srv)  # stalls across the shutdown
         parked.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: 4000\r\n\r\n")
         t0 = time.monotonic()
     assert time.monotonic() - t0 < 5.0, "close() waited for a stalled client"
     parked.close()
+
+
+def test_a_trickled_body_is_cut_off_at_one_deadline_for_all_of_it(monkeypatch):
+    """One byte every 0.3 s keeps every single read inside a 0.5 s timeout;
+    the body as a whole is still due 0.5 s after its first read."""
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    with MiningServer(port=0, n_workers=1) as srv:
+        before = srv.memo.stats()
+        trickle = connect(srv)
+        try:
+            trickle.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: 4000\r\n\r\n")
+            t0 = time.monotonic()
+            while time.monotonic() - t0 < 5.0:
+                trickle.sendall(b" ")
+                if select.select([trickle], [], [], 0.3)[0]:  # the answer is in
+                    break
+            status, headers, body = read_response(trickle)
+            elapsed = time.monotonic() - t0
+        finally:
+            trickle.close()
+        assert (status, json.loads(body)["code"]) == (408, "incomplete_body")
+        assert headers["connection"] == "close"
+        assert elapsed < 1.2, f"answered after {elapsed:.2f} s"
+        no_handler_left()
+        assert srv.memo.stats() == before
 
 
 @pytest.mark.parametrize(

@@ -262,7 +262,7 @@ class TestPlannerWiring:
             job = router.submit(ds, MiningConfig(min_support=0.4))
             final = router.wait(job.job_id, 30)
             assert final.state is JobState.DONE
-            assert final.planned is not None and "backend" in final.planned
+            assert final.planned == {"candidate_store": "bitmap", "num_partitions": 1}
             deadline = time.monotonic() + 5.0
             while planner.observations == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)

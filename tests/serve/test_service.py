@@ -15,7 +15,8 @@ from repro.core.registry import (
 from repro.core.results import MiningRunResult
 from repro.datasets import mushroom_like
 from repro.engine.faults import InjectedTaskFailure
-from repro.serve import JobState, LocalClient, MiningService, ServeError
+from repro.serve import HttpClient, JobState, LocalClient, MiningServer, MiningService, ServeError
+from repro.serve.http import _Handler
 
 TXNS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
 CFG = MiningConfig(min_support=0.4, backend="serial")
@@ -388,6 +389,59 @@ class TestShutdown:
         finally:
             release.set()
             svc.shutdown()
+
+    def test_a_long_poll_on_a_queued_follower_returns_at_shutdown(self, algo, monkeypatch):
+        """A gated job runs; a primary is queued behind it with a follower
+        coalesced onto it, and a client long-polls the follower over the
+        socket.  ``shutdown(wait=False)`` cancels both queued jobs and the
+        poll comes back with that snapshot at once."""
+        # an idle kept-alive connection gives its handler thread back in 0.5 s
+        monkeypatch.setattr(_Handler, "timeout", 0.5)
+        started, release = threading.Event(), threading.Event()
+
+        def gated(txns, config):
+            started.set()
+            release.wait(15.0)
+            return _result(txns, config)
+
+        name = algo(gated, "parked_algo")
+        threads_before = set(threading.enumerate())
+        with MiningServer(port=0, n_workers=1) as server:
+            client = HttpClient(server.url)
+            try:
+                running = client.submit(TXNS, MiningConfig(min_support=0.4, algorithm=name))
+                assert started.wait(10.0)
+                primary = client.submit(TXNS, CFG)
+                follower = client.submit(TXNS, CFG)
+                assert primary["state"] == "pending"
+                assert (follower["via"], follower["coalesced_with"]) == (
+                    "coalesced", primary["job_id"])
+                answer = {}
+                poll = threading.Thread(target=lambda: answer.update(
+                    HttpClient(server.url).wait(follower["job_id"], timeout=20.0)))
+                poll.start()
+                time.sleep(0.2)  # the poll is parked in the service
+                assert poll.is_alive()
+                t0 = time.monotonic()
+                server.service.shutdown(wait=False)
+                poll.join(1.0)
+                assert not poll.is_alive(), "the long-poll outlived the shutdown"
+                assert time.monotonic() - t0 < 1.0
+                for snapshot in (answer, client.status(primary["job_id"])):
+                    assert (snapshot["state"], snapshot["error"]) == (
+                        "cancelled", "service shut down")
+                assert client.status(running["job_id"])["state"] == "running"
+            finally:
+                release.set()
+            assert client.wait(running["job_id"], timeout=10.0)["state"] == "done"
+            shard = client.metrics()["shards"][0]["service"]
+            assert shard["jobs_submitted"] == 3
+            assert {k: v for k, v in shard["jobs_by_state"].items() if v} == {
+                "done": 1, "cancelled": 2}
+        deadline = time.monotonic() + 5.0
+        while left := [t for t in threading.enumerate() if t not in threads_before]:
+            assert time.monotonic() < deadline, f"threads left behind: {left}"
+            time.sleep(0.01)
 
     def test_metrics_shape(self, service):
         service.submit(TXNS, CFG).wait(30.0)

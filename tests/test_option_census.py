@@ -27,7 +27,7 @@ PINNED = {
     "MiningService": 8,
     "ShardRouter": 8,
     "MiningServer": 7,
-    "CostPlanner": 10,
+    "CostPlanner": 3,
     "Context": 6,
     "JobWorker": 2,
     "run_algorithm": 2,

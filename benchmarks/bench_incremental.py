@@ -19,7 +19,12 @@ timed twice — with the family diff the update emits and with
 a guess (PR 10 tripled the update pass by building the diff from two
 full-family snapshots and nothing noticed).  A sliding leg (one fused
 ``slide``: append + retire of the same size) is recorded for the
-steady-state window-slide cost.  ``BENCH_incremental.json`` lands at the
+steady-state window-slide cost.  ``--streaming`` adds the ingest-buffer
+and window-policy legs and the *advance* leg, the perf ledger's
+``stream_window`` feed in process (a 3 000-row window, 8 rows in and 8
+out, diff tracking on): per advance, the slide, the change feed's
+rendering and the warm result's, each gated as a ratio to a cold build
+of the window.  ``BENCH_incremental.json`` lands at the
 repo root; :func:`check_floors` is the gate over it (a fresh run, or the
 checked-in file) and ``--check`` runs it.
 
@@ -37,6 +42,7 @@ import argparse
 import gc
 import json
 import os
+import statistics
 import time
 
 from _envelope import REPO_ROOT, envelope
@@ -73,6 +79,14 @@ FLOORS = {
     False: {"smallest_append": 7.0, "slide": 3.6},
 }
 DIFF_COST_CEILING = 1.25
+#: The advance leg's gate (``--streaming``): a cold build of the window
+#: over each phase of one advance, floors at half of what the reference
+#: box measures since the sibling-grouped intersector and the tuple rows
+#: (smoke 2.8-3.0 / 5.7 / 6.9-7.4; full 9.9 / 12.7 / 15.1).
+ADVANCE_FLOORS = {
+    True: {"slide": 1.4, "diff_render": 2.8, "result_render": 3.4},
+    False: {"slide": 5.0, "diff_render": 6.4, "result_render": 7.5},
+}
 
 
 def _cold_build(window: list, **options) -> tuple[float, IncrementalMiner]:
@@ -273,6 +287,57 @@ def _policy_leg(base: list, pool: list) -> dict:
     }
 
 
+#: advance leg: the ledger's stream_window feed, in process — window rows,
+#: rows in and out per advance, advances timed
+ADVANCE_WINDOW = {True: 300, False: 3000}
+ADVANCE_DELTA = 8
+ADVANCES = {True: 16, False: 60}
+
+
+def _advance_leg(base: list, pool: list, smoke: bool) -> dict:
+    """What one window advance costs the server of a watched dataset, per
+    phase: the slide, the change feed's rendering (rows + ``json.dumps``)
+    and the warm result's (``result()`` + payload + ``json.dumps``) —
+    medians over the advances, each also as a cold build of the same
+    window over it, so the host cancels out."""
+    from types import SimpleNamespace
+
+    from repro.serve.datasets import _diff_rows
+    from repro.serve.http import result_payload
+
+    window = list(base[: ADVANCE_WINDOW[smoke]])
+    cold_wall, _ = _cold_remine(window)
+    miner = IncrementalMiner(window, SUPPORT, candidate_store=STORE)
+    miner.itemsets()
+    phases: dict = {"slide": [], "diff_render": [], "result_render": []}
+    clock = time.perf_counter
+    for i in range(ADVANCES[smoke]):
+        delta = pool[i * ADVANCE_DELTA : (i + 1) * ADVANCE_DELTA]
+        t0 = clock()
+        update = miner.slide(delta, len(delta))
+        t1 = clock()
+        json.dumps({"reset": False, **_diff_rows(update.family_diff)})
+        t2 = clock()
+        json.dumps(result_payload(SimpleNamespace(job_id="job", via="run", result=miner.result())))
+        t3 = clock()
+        for phase, seconds in zip(phases, (t1 - t0, t2 - t1, t3 - t2)):
+            phases[phase].append(seconds)
+        window = window[len(delta):] + list(delta)
+    _, cold = _cold_build(window)
+    assert miner.itemsets() == cold.itemsets(), "the advances diverged from a cold build"
+    report = {
+        "window": len(window),
+        "n_delta": ADVANCE_DELTA,
+        "advances": ADVANCES[smoke],
+        "cold_build_ms": round(cold_wall * 1e3, 3),
+    }
+    for phase, samples in phases.items():
+        median = statistics.median(samples)
+        report[f"{phase}_ms"] = round(median * 1e3, 3)
+        report[f"cold_over_{phase}"] = round(cold_wall / max(median, 1e-9), 2)
+    return report
+
+
 def run_incremental_bench(smoke: bool = False, streaming: bool = False) -> dict:
     scale = 0.1 if smoke else 0.8
     base = mushroom_like(scale=scale, seed=SEED).transactions
@@ -297,8 +362,9 @@ def run_incremental_bench(smoke: bool = False, streaming: bool = False) -> dict:
     if streaming:
         report["streaming"] = _streaming_leg(base, pool, smoke)
         report["streaming"]["policy"] = _policy_leg(base, pool)
+        report["streaming"]["advance"] = _advance_leg(base, pool, smoke)
 
-    best = max(leg["speedup_vs_remine"] for leg in report["appends"])
+    best =max(leg["speedup_vs_remine"] for leg in report["appends"])
     report["best_append_speedup"] = best
     report["diff_cost_ratio"] = round(
         sum(leg["update_wall_s"] for leg in report["appends"])
@@ -351,6 +417,13 @@ def check_floors(report: dict) -> None:
         assert stream["coalesce_speedup"] > 1.0, stream
         policy = stream["policy"]
         assert policy["peak_window"] <= policy["max_window"], policy
+        advance = stream["advance"]
+        for phase, floor in ADVANCE_FLOORS[report["smoke"]].items():
+            assert advance[f"cold_over_{phase}"] >= floor, (
+                f"an advance's {phase} is {advance[f'{phase}_ms']} ms, a cold build "
+                f"{advance['cold_build_ms']} ms: {advance[f'cold_over_{phase}']}x, "
+                f"floor {floor}x"
+            )
 
 
 def test_incremental(benchmark):
@@ -369,8 +442,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--streaming",
         action="store_true",
-        help="also run the streaming-ingest leg: coalesced vs individual "
-        "appends, plus the max_window policy invariant",
+        help="also run the streaming legs: coalesced vs individual appends, "
+        "the max_window policy invariant, and the per-phase cost of a window "
+        "advance",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -411,6 +485,13 @@ def main(argv=None) -> int:
             f"  policy max_window={policy['max_window']}: peak "
             f"{policy['peak_window']}, retired "
             f"{policy['retired_transactions']} (warm == cold re-mine)"
+        )
+        advance = stream["advance"]
+        print(
+            f"  advance +/-{advance['n_delta']} rows on {advance['window']}: slide "
+            f"{advance['slide_ms']} ms, diff render {advance['diff_render_ms']} ms, "
+            f"result render {advance['result_render_ms']} ms "
+            f"(cold build {advance['cold_build_ms']} ms)"
         )
     print(
         f"best append speedup: {report['best_append_speedup']}x; family diff "

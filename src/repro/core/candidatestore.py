@@ -11,6 +11,7 @@ counting structure into an interface so every such experiment is a
 The interface (:class:`CandidateStore`)::
 
     insert(candidate)                  # add one k-itemset (idempotent)
+    without(candidates) -> store       # the store less some candidates
     count_into(counts, txn, weight=1)  # += weight per contained candidate
     count_partition(partition, weighted=False) -> dict   # batch kernel
     layout                             # class-level: the partition layout
@@ -75,6 +76,9 @@ Built-ins — three, each with a reason to exist:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import compress, repeat
+from operator import itemgetter
+
 from repro.common.itemset import Itemset
 
 
@@ -121,9 +125,26 @@ class CandidateStore(ABC):
         self._index = None
         return candidate
 
+    def _forget(self, candidates) -> set:
+        """Drop ``candidates`` from the bookkeeping; returns those that
+        were there."""
+        gone = self._seen.intersection(candidates)
+        if gone:
+            self._seen -= gone
+            self._order = [cand for cand in self._order if cand not in gone]
+            self._index = None
+        return gone
+
     @abstractmethod
     def insert(self, candidate: Itemset) -> None:
         """Add one candidate (idempotent on duplicates)."""
+
+    def without(self, candidates) -> "CandidateStore":
+        """This store less ``candidates``.  By default a new store of the
+        same class over the candidates that stay; a store that can forget
+        in place does so and returns itself."""
+        gone = set(candidates)
+        return type(self)([cand for cand in self._order if cand not in gone])
 
     # -- counting -----------------------------------------------------------
     @abstractmethod
@@ -273,45 +294,110 @@ def build_tid_bitmaps(partition, weighted: bool = False, *, min_items: int = 1) 
     return bitmaps
 
 
+class SiblingGroups:
+    """Same-length candidates as :func:`count_bitmaps` walks them: grouped
+    by their (k-1)-prefix (k = 1: one group, the empty prefix), each
+    group its last items and its candidates.
+
+    Iterating yields one ``(shared, tail, last items, candidates)`` per
+    group, prefixes in lexicographic order: a group's prefix is the
+    first ``shared`` items of the one before it, then ``tail`` — so its
+    intersection extends one already made by the items of ``tail``
+    alone.  Grouping costs a pass over the candidates, which is why a
+    store keeps its own, edited in place as candidates come and go, and
+    never regroups per count: :meth:`add` and :meth:`discard` touch one
+    group, and only a prefix that appears or empties re-sorts the
+    prefixes (not the candidates) at the next walk."""
+
+    def __init__(self, candidates=()):
+        #: prefix -> (last items, candidates): the lists the walk holds
+        self._groups: dict = {}
+        self._walk: list | None = None
+        for cand in candidates:
+            self.add(cand)
+
+    def add(self, cand) -> None:
+        group = self._groups.get(cand[:-1])
+        if group is None:
+            self._groups[cand[:-1]] = ([cand[-1]], [cand])
+            self._walk = None
+        else:
+            group[0].append(cand[-1])
+            group[1].append(cand)
+
+    def discard(self, cand) -> None:
+        lasts, cands = self._groups[cand[:-1]]
+        at = cands.index(cand)
+        del lasts[at], cands[at]
+        if not cands:
+            del self._groups[cand[:-1]]
+            self._walk = None
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __iter__(self):
+        walk = self._walk
+        if walk is None:  # built whole, then published: tasks on threads share a store
+            walk = []
+            before: tuple = ()
+            for prefix, (lasts, cands) in sorted(self._groups.items(), key=itemgetter(0)):
+                shared = 0
+                for a, b in zip(before, prefix):
+                    if a != b:
+                        break
+                    shared += 1
+                walk.append((shared, prefix[shared:], lasts, cands))
+                before = prefix
+            self._walk = walk
+        return iter(walk)
+
+
 def count_bitmaps(bitmaps, candidates) -> dict:
-    """Net support of ``candidates`` — same-length itemsets in
-    lexicographic order — in a vertical block: a :class:`TidBitmaps`, or
-    any ``item -> tid-bitmap`` mapping kept current some other way (no
-    mask: nothing negative).  The one intersector.
+    """Net support of ``candidates`` — same-length itemsets in any order,
+    or the :class:`SiblingGroups` a store keeps of them — in a vertical
+    block: a :class:`TidBitmaps`, or any ``item -> tid-bitmap`` mapping
+    kept current some other way (no mask: nothing negative).  The one
+    intersector.
 
     A candidate's support is ``(bm[i1] & ... & bm[ik]).bit_count()``,
     less twice its overlap with the negative mask; Python big-int ``&``
-    runs over machine words in C, so the cost per candidate is ``(k-1) *
-    n_tids / 64`` word ops instead of a per-transaction walk.  Candidates
-    are walked with a stack of shared-prefix intersections, so siblings
-    (same k-1 prefix — the bulk of ``apriori_gen`` output) re-intersect
-    nothing but their last item.  Zero counts are left out.
+    runs over machine words in C, so the cost per candidate is a few
+    word ops per 64 tids instead of a per-transaction walk.  Siblings —
+    candidates sharing their first k-1 items, the bulk of ``apriori_gen``
+    output — share one prefix intersection, itself extended from the
+    previous group's by the items that differ; each sibling then costs
+    one ``&`` and one popcount, all of a group's in one comprehension.  A
+    group whose prefix intersects to nothing (an item missing from the
+    block) is skipped whole.  Zero counts are left out.
     """
     if not candidates or not bitmaps:
         return {}
-    k = len(candidates[0])
+    if not isinstance(candidates, SiblingGroups):
+        candidates = SiblingGroups(candidates)
     negative = getattr(bitmaps, "negative", 0)
+    positive = ~negative
+    get = bitmaps.get
+    absent = repeat(0)
     counts: dict = {}
-    prefix_items: list = []
-    prefix_bms: list = []
-    for cand in candidates:
-        depth = 0
-        while depth < len(prefix_items) and prefix_items[depth] == cand[depth]:
-            depth += 1
-        del prefix_items[depth:]
-        del prefix_bms[depth:]
-        bm = prefix_bms[-1] if prefix_bms else None
-        for j in range(depth, k):
-            item_bm = bitmaps.get(cand[j], 0)
-            bm = item_bm if bm is None else bm & item_bm
-            if j < k - 1:
-                prefix_items.append(cand[j])
-                prefix_bms.append(bm)
-        support = bm.bit_count()
+    path: list = []  # running intersections of the previous group's prefix
+    for shared, tail, lasts, cands in candidates:
+        del path[shared:]
+        bm = path[-1] if path else -1  # -1: every tid
+        for item in tail:
+            bm &= get(item, 0)
+            path.append(bm)
+        if not bm:
+            continue
         if negative:
-            support -= 2 * (bm & negative).bit_count()
-        if support:
-            counts[cand] = support
+            up, down = bm & positive, bm & negative
+            supports = [
+                (up & b).bit_count() - (down & b).bit_count()
+                for b in map(get, lasts, absent)
+            ]
+        else:
+            supports = [(bm & b).bit_count() for b in map(get, lasts, absent)]
+        counts.update(zip(compress(cands, supports), filter(None, supports)))
     return counts
 
 
@@ -326,7 +412,10 @@ class BitmapStore(CandidateStore):
     """
 
     def __init__(self, candidates=()):
-        self._sorted: list[Itemset] | None = None  # the intersector's order
+        #: the intersector's grouping of the candidates: made by the first
+        #: count (a store shipped uncounted carries none), then kept
+        #: current by every insert and removal
+        self._groups: SiblingGroups | None = None
         super().__init__(candidates)
 
     @staticmethod
@@ -334,8 +423,18 @@ class BitmapStore(CandidateStore):
         return build_tid_bitmaps(rows, weighted)
 
     def insert(self, candidate) -> None:
-        if self._register_candidate(candidate) is not None:
-            self._sorted = None
+        cand = self._register_candidate(candidate)
+        if cand is not None and self._groups is not None:
+            self._groups.add(cand)
+
+    def without(self, candidates) -> "BitmapStore":
+        """Forgets ``candidates`` in place: the thousands that stay are
+        neither registered nor grouped again."""
+        gone = self._forget(candidates)
+        if self._groups is not None:
+            for cand in gone:
+                self._groups.discard(cand)
+        return self
 
     def count_into(self, counts: dict, transaction, weight: int = 1) -> None:
         if self.k is None or len(transaction) < self.k:
@@ -349,9 +448,9 @@ class BitmapStore(CandidateStore):
     def count_partition(self, partition, weighted: bool = False) -> dict:
         if not isinstance(partition, TidBitmaps):  # the row entry point
             partition = self.layout(partition, weighted)
-        if self._sorted is None:
-            self._sorted = sorted(self._order)
-        return count_bitmaps(partition, self._sorted)
+        if self._groups is None:
+            self._groups = SiblingGroups(self._order)
+        return count_bitmaps(partition, self._groups)
 
     def stats(self) -> dict:
         items = {item for cand in self._order for item in cand}
@@ -427,6 +526,7 @@ __all__ = [
     "BitmapStore",
     "CandidateStore",
     "LinearStore",
+    "SiblingGroups",
     "TidBitmaps",
     "build_tid_bitmaps",
     "count_bitmaps",

@@ -99,6 +99,10 @@ from repro.engine.tracing import Tracer
 #: and the family diff
 PHASES = ("generate", "delta", "window", "diff")
 
+#: updates whose diffs a decoded family may fall behind by before it is
+#: dropped (decoding afresh costs about as much as applying this many)
+FAMILY_BEHIND = 4
+
 
 @dataclass
 class FamilyDiff:
@@ -283,6 +287,10 @@ class IncrementalMiner:
                 self._item_counts[item] = self._item_counts.get(item, 0) + 1
         self.version = 1
         self.full_rebuilds = 0
+        #: the family itemsets() last decoded, and the exact diffs of the
+        #: updates since: applied when asked for, off the writer's path
+        self._family: dict | None = None
+        self._family_behind: list = []
         t0 = time.perf_counter()
         update = IncrementalUpdate(kind="build", n_delta=len(self._window))
         self._rebuild(update)
@@ -339,16 +347,21 @@ class IncrementalMiner:
 
     def itemsets(self) -> dict:
         """Current frequent itemsets (decoded) with exact counts."""
-        threshold = self._threshold
-        out = {}
-        for item, count in self._item_counts.items():
-            if count >= threshold:
-                out[(item,)] = count
-        decode = self._decode
-        for lvl in self._levels:
-            for cand in lvl.frequent:
-                out[decode(cand)] = lvl.counts[cand]
-        return out
+        family = self._family
+        if family is None:
+            threshold = self._threshold
+            family = {}
+            for item, count in self._item_counts.items():
+                if count >= threshold:
+                    family[(item,)] = count
+            decode = self._decode
+            for lvl in self._levels:
+                for cand in lvl.frequent:
+                    family[decode(cand)] = lvl.counts[cand]
+        for diff in self._family_behind:
+            family = diff.apply(family)
+        self._family, self._family_behind = family, []
+        return dict(family)
 
     def result(self) -> MiningRunResult:
         """A :class:`MiningRunResult` for the current window, carrying the
@@ -453,12 +466,17 @@ class IncrementalMiner:
             update.rebuild_reason = f"new frequent singleton {newcomers[0]!r}"
             self.full_rebuilds += 1
             self._rebuild(update)
+            self._family, self._family_behind = None, []
             if before is not None:
                 t_diff = time.perf_counter()
                 update.family_diff = FamilyDiff.between(before, self.itemsets())
                 update.phase_seconds["diff"] += time.perf_counter() - t_diff
         else:
             self._apply_delta(appended, retired, item_delta, threshold, update)
+            if update.family_diff is None or len(self._family_behind) >= FAMILY_BEHIND:
+                self._family, self._family_behind = None, []
+            elif self._family is not None:
+                self._family_behind.append(update.family_diff)
         self.version += 1
         self.last_update = update
         return self._finish(update, t0)
@@ -470,7 +488,7 @@ class IncrementalMiner:
         """Exact full-window counts for ``candidates`` (zero-filled): one
         prefix walk over the maintained tid-bitmaps — no build, whatever
         ``candidate_store`` is."""
-        counts = count_bitmaps(self._tids, sorted(candidates))
+        counts = count_bitmaps(self._tids, candidates)
         return {c: counts.get(c, 0) for c in candidates}
 
     def _rebuild(self, update: IncrementalUpdate) -> None:
@@ -627,37 +645,40 @@ class IncrementalMiner:
                 # below, and comes when an arrival completes its subsets
                 fresh, stale = candidates_delta(counts, prev, arrived, left, items)
                 dropped = {cand: counts.pop(cand) for cand in stale}
-                if dropped:
-                    lvl.store = self._make_store(counts)
+                if dropped:  # the store stays warm: only these leave it
+                    lvl.store = lvl.store.without(dropped)
             if lvl is None:  # no such level before
                 if not fresh:
                     break
                 lvl = _Level(k=k, counts=counts, frequent=set(), store=self._make_store())
                 self._levels.append(lvl)
             t1 = clock()
-            # ONE signed pass over the delta for the candidates that stay
-            moved: dict = {}
-            if signed and counts:
-                moved = lvl.store.count_partition(delta, weighted=True)
-                _fold(counts, moved, changed_counts, was, threshold, decode)
+            # ONE signed pass over the delta for the candidates that stay,
+            # folded in by the sweep that also moves the family
+            moved = (
+                lvl.store.count_partition(delta, weighted=True)
+                if signed and counts else {}
+            )
+            arrived, left = _sweep(lvl, moved, was, threshold, changed_counts, decode)
             t2 = clock()
             n_kept = len(counts)
             if fresh:  # counted over the whole window, delta included
                 counts.update(self._count_window(fresh))
                 for cand in fresh:
                     lvl.store.insert(cand)
+                    if counts[cand] >= threshold:
+                        arrived.append(cand)
+                        lvl.frequent.add(cand)
             t3 = clock()
-            old_frequent = lvl.frequent
-            lvl.frequent = {c for c, v in counts.items() if v >= threshold}
-            arrived, left = lvl.frequent - old_frequent, old_frequent - lvl.frequent
+            for cand, last in dropped.items():
+                if cand in lvl.frequent:
+                    lvl.frequent.discard(cand)
+                    left[cand] = last
             if diff is not None:
                 for cand in arrived:
                     diff.added[decode(cand)] = counts[cand]
-                for cand in left:
-                    diff.removed[decode(cand)] = (
-                        dropped[cand] if cand in dropped
-                        else counts[cand] - moved.get(cand, 0)
-                    )
+                for cand, last in left.items():
+                    diff.removed[decode(cand)] = last
             t4 = clock()
             phases["generate"] += t1 - t0
             phases["delta"] += t2 - t1
@@ -689,24 +710,42 @@ class IncrementalMiner:
         update.family_diff = diff
 
 
-def _fold(counts: dict, moved: dict, changed, was: int, bar: int, decode) -> None:
-    """Add the net delta counts ``moved`` into ``counts``.
+def _sweep(lvl: _Level, moved: dict, was: int, bar: int, changed, decode):
+    """Fold the net delta counts ``moved`` into ``lvl.counts`` and move
+    ``lvl.frequent`` with them, from frequent at ``was`` to frequent at
+    ``bar``: one pass over what the delta touched, where each ``(old,
+    new)`` pair is in hand.  Returns ``(arrived, left)`` — the candidates
+    that entered the family and ``{candidate: last count}`` of those that
+    fell out — and notes in ``changed`` (a :class:`FamilyDiff`'s, or
+    ``None``) every itemset whose count moved while it stayed frequent.
 
-    Given a ``changed`` map (a :class:`FamilyDiff`'s), note on the way
-    every itemset whose count moved while it stayed frequent — at least
-    ``was`` before, at least ``bar`` now: this loop is where the ``(old,
-    new)`` pair is in hand, so the diff costs it no second lookup.
+    Only when the threshold itself moved (an append or a retire alone;
+    a slide keeps the window's size) can an untouched candidate cross,
+    and only then are the others looked at.
     """
-    if changed is None:
-        for cand, d in moved.items():
-            counts[cand] += d
-        return
+    counts, frequent = lvl.counts, lvl.frequent
+    arrived: list = []
+    left: dict = {}
     for cand, d in moved.items():
-        if d:
-            old = counts[cand]
-            counts[cand] = new = old + d
-            if old >= was and new >= bar:
+        old = counts[cand]
+        counts[cand] = new = old + d
+        if new >= bar:
+            if old < was:
+                arrived.append(cand)
+            elif d and changed is not None:
                 changed[decode(cand)] = (old, new)
+        elif old >= was:
+            left[cand] = old
+    if was != bar:
+        for cand, n in counts.items():
+            if (n >= bar) != (n >= was) and cand not in moved:
+                if n >= bar:
+                    arrived.append(cand)
+                else:
+                    left[cand] = n
+    frequent.difference_update(left)
+    frequent.update(arrived)
+    return arrived, left
 
 
 def incremental_store(asked) -> str:

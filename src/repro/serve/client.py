@@ -262,13 +262,17 @@ class LocalClient(Client):
     """The client with no socket: every request runs the HTTP handler's
     own :func:`~repro.serve.http.dispatch` on ``service`` — a
     :class:`~repro.serve.router.ShardRouter` or a bare
-    :class:`~repro.serve.service.MiningService` in this process."""
+    :class:`~repro.serve.service.MiningService` in this process.  The
+    answer goes through the JSON codec as it would on the wire: a payload
+    rendered for the encoder (tuples, say) comes back as the socket
+    transport decodes it."""
 
     def __init__(self, service):
         self.service = service
 
     def _exchange(self, method: str, path: str, payload: dict | None):
-        return dispatch(self.service, method, path, payload)
+        status, answer, headers = dispatch(self.service, method, path, payload)
+        return status, json.loads(json.dumps(answer)), headers
 
 
 class HttpClient(Client):

@@ -66,6 +66,7 @@ the tests use it; ``repro serve`` keeps it in the foreground.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import threading
@@ -89,7 +90,10 @@ from repro.serve.router import ShardRouter
 
 
 def _wire_itemsets(result) -> list:
-    return [[list(itemset), count] for itemset, count in result.itemsets.items()]
+    """The ``itemsets`` rows as the encoder takes them: ``(itemset,
+    count)`` tuples, no copy of an itemset — ``json.dumps`` writes a
+    tuple as an array, so the bytes are those of ``[[items], count]``."""
+    return list(result.itemsets.items())
 
 
 def result_payload(job, itemsets=None) -> dict:
@@ -335,10 +339,10 @@ class _Handler(BaseHTTPRequestHandler):
     #: kept-alive connection the second waits for the client's delayed ACK
     wbufsize = 1 << 20
     disable_nagle_algorithm = True  # same, for a body the buffer cannot hold
-    #: seconds a request body may take to arrive, all of it, and one
-    #: other read or write on the connection may block: a client that
-    #: stalls or trickles mid-body (or sits on an idle kept-alive
-    #: connection) gives its handler thread back.  Above the client's own
+    #: seconds a request may take to arrive, all of it from its first
+    #: byte (:class:`_RequestReader`), and a write or an idle kept-alive
+    #: connection may block: a client that stalls or trickles anywhere in
+    #: a request gives its handler thread back.  Above the client's own
     #: 30 s; a long-poll blocks in the service, not on the socket
     timeout = 60.0
 
@@ -396,30 +400,57 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(*answer)
 
     def _read_body(self, declared: int) -> bytes | None:
-        """The body, against one :attr:`timeout` for the whole of it — a
-        client that trickles a byte per read is cut off like one that
-        stalls.  None when the deadline passed (or the connection broke);
-        short when the client hung up."""
-        deadline = time.monotonic() + self.timeout
-        chunks, got = [], 0
+        """The body, by the request's deadline.  None when the deadline
+        passed (or the connection broke); short when the client hung up."""
         try:
-            while got < declared:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    return None
-                self.connection.settimeout(left)
-                chunk = self.rfile.read1(declared - got)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                got += len(chunk)
-        except OSError:  # the read timed out, or the connection broke
+            return self.rfile.read(declared)
+        except OSError:  # the deadline passed, or the connection broke
             return None
-        finally:
-            self.connection.settimeout(self.timeout)
-        return b"".join(chunks)
+
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()
+        self._requests = _RequestReader(self.connection, self.timeout)
+        self.rfile = io.BufferedReader(self._requests)
+
+    def handle_one_request(self) -> None:
+        self._requests.deadline = None  # this request's clock starts at its first byte
+        super().handle_one_request()
 
     do_GET = do_POST = do_DELETE = _handle  # the names http.server looks up
+
+
+class _RequestReader(io.RawIOBase):
+    """A handler's socket as its request reader sees it: every read of
+    one request — request line, headers and body alike — is due by one
+    deadline, ``timeout`` seconds after the request's first byte.  A
+    client that trickles a byte per read is cut off like one that
+    stalls (``TimeoutError``: http.server drops the connection while
+    reading the head, the handler answers 408 for the body), and a
+    kept-alive connection still waits ``timeout`` for its next request.
+    """
+
+    def __init__(self, sock, timeout: float):
+        self._sock = sock
+        self._timeout = timeout
+        self.deadline: float | None = None
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        if self.deadline is not None:
+            left = self.deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("request not received by its deadline")
+            self._sock.settimeout(left)
+        try:
+            got = self._sock.recv_into(buffer)
+        finally:
+            self._sock.settimeout(self._timeout)  # writes keep the per-call timeout
+        if self.deadline is None and got:
+            self.deadline = time.monotonic() + self._timeout
+        return got
 
 
 class MiningServer:

@@ -61,7 +61,10 @@ class TestDispatch:
 def test_mining_and_serving_import_neither_numpy_nor_networkx():
     """Both cost ~20 MiB and ~0.15 s to import and neither is touched by
     mining or serving: ``repro.common.rng`` and ``repro.engine.lineage``
-    load them inside the functions that use them."""
+    load them inside the functions that use them.  Every kind of bitmap
+    count runs too — a ``bitmap`` mine, a window slide with its diff, an
+    approx verification pass (k = 1 included) — so an intersector that
+    reached for numpy lazily would show here."""
     import os
     import subprocess
     import sys
@@ -72,9 +75,17 @@ def test_mining_and_serving_import_neither_numpy_nor_networkx():
         "import sys\n"
         "import repro.core.api, repro.cli, repro.serve.service\n"
         "import repro.serve.http, repro.serve.router\n"
-        "from repro import mine_frequent_itemsets\n"
+        "from repro import MiningConfig, mine_frequent_itemsets\n"
+        "from repro.core.counting import count_exact\n"
+        "from repro.core.incremental import IncrementalMiner\n"
+        "rows = [[1, 2], [1, 2], [2, 3], [1, 2, 3]] * 4\n"
         "got = mine_frequent_itemsets([[1, 2], [1, 2], [2, 3]], 0.5, backend='serial')\n"
         "assert got.itemsets\n"
+        "cfg = MiningConfig(min_support=0.5, backend='serial', candidate_store='bitmap')\n"
+        "assert mine_frequent_itemsets(rows, config=cfg).itemsets\n"
+        "miner = IncrementalMiner(rows, 0.5, track_family_diff=True)\n"
+        "assert miner.slide([[1, 3], [1, 3], [1, 3]], 3).family_diff is not None\n"
+        "assert count_exact(rows, [(1,), (3,), (1, 2), (1, 2, 3)], 'bitmap')[(1,)] == 12\n"
         "print(sorted({'numpy', 'networkx'} & set(sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

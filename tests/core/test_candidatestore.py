@@ -17,6 +17,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import candidatestore
 from repro.core.candidatestore import (
@@ -171,6 +173,16 @@ class TestStoreContract:
         store.count_into(counts, (1, 2, 3, 4))
         assert counts == {(1, 2, 3): 1, (2, 3, 4): 1}
         assert sorted(store.candidate_index().values()) == [0, 1]
+
+    def test_a_store_without_some_candidates_counts_the_rest(self, name):
+        cands, txns = random_case(6)
+        store = make_store(name, cands)
+        store.count_partition(lay_out(store, txns))  # counted before the drop
+        rest = store.without(cands[::3])
+        assert sorted(rest) == sorted(cands[1::3] + cands[2::3])
+        assert rest.count_partition(lay_out(rest, txns)) == brute_counts(list(rest), txns)
+        rest.insert(cands[0])
+        assert rest.count_partition(lay_out(rest, txns)) == brute_counts(list(rest), txns)
 
     def test_weighted_counting(self, name):
         store = make_store(name, CANDIDATES)
@@ -337,6 +349,82 @@ class TestBitmapStore:
 
     def test_stats_items(self):
         assert BitmapStore(CANDIDATES).stats()["items"] == 7
+
+
+# ---------------------------------------------------------------------------
+# The intersector: grouped by sibling prefix == one popcount per candidate
+# ---------------------------------------------------------------------------
+def naive_popcounts(block, candidates) -> dict:
+    """One AND chain and popcount per candidate, the mask subtracted: what
+    the grouped walk must reproduce."""
+    negative = getattr(block, "negative", 0)
+    counts = {}
+    for cand in candidates:
+        bm = -1
+        for item in cand:
+            bm &= block.get(item, 0)
+        support = bm.bit_count() - 2 * (bm & negative).bit_count()
+        if support:
+            counts[cand] = support
+    return counts
+
+
+#: items 0-7 occur in rows; 8 and 9 never do (missing from every block)
+signed_rows_st = st.lists(
+    st.tuples(
+        st.lists(st.integers(0, 7), max_size=6, unique=True).map(lambda xs: tuple(sorted(xs))),
+        st.sampled_from([1, 2, 3, -1, -2]),
+    ),
+    max_size=12,
+)
+
+
+def candidates_st(k):
+    return st.lists(
+        st.lists(st.integers(0, 9), min_size=k, max_size=k, unique=True).map(
+            lambda xs: tuple(sorted(xs))
+        ),
+        max_size=30,
+        unique=True,
+    )
+
+
+class TestIntersectorGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=signed_rows_st, k=st.integers(1, 5), data=st.data())
+    def test_grouped_count_is_a_naive_popcount(self, rows, k, data):
+        """k = 1..5, negative runs, items missing from the block, empty
+        blocks (no rows, or only empty ones): the grouped walk, fed the
+        candidates in any order, counts what one popcount per candidate
+        does — and so does a store's cached grouping."""
+        block = build_tid_bitmaps(rows, weighted=True)
+        cands = data.draw(candidates_st(k))
+        want = naive_popcounts(block, cands)
+        assert count_bitmaps(block, cands) == want
+        assert count_bitmaps(block, cands[::-1]) == want
+        assert BitmapStore(cands).count_partition(block) == want
+        assert count_bitmaps(dict(block), cands) == naive_popcounts(dict(block), cands)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=signed_rows_st, k=st.integers(1, 4), data=st.data())
+    def test_a_store_counts_its_current_candidates(self, rows, k, data):
+        """The grouping a store keeps follows every insert and removal
+        between counts: never a stale walk."""
+        block = build_tid_bitmaps(rows, weighted=True)
+        first = data.draw(candidates_st(k))
+        store = BitmapStore(first)
+        assert store.count_partition(block) == naive_popcounts(block, first)
+        held = list(first)
+        for _ in range(data.draw(st.integers(1, 4))):
+            gone = data.draw(st.lists(st.sampled_from(held), unique=True)) if held else []
+            came = data.draw(candidates_st(k))
+            assert store.without(gone) is store
+            for cand in came:
+                store.insert(cand)
+            kept = [c for c in held if c not in gone]
+            held = kept + [c for c in came if c not in kept]
+            assert set(store) == set(held)
+            assert store.count_partition(block) == naive_popcounts(block, held)
 
 
 # ---------------------------------------------------------------------------

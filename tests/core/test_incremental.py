@@ -25,6 +25,7 @@ from repro.core.incremental import (
 from repro.core.api import mine_frequent_itemsets
 from repro.core.registry import MiningConfig, run_algorithm
 from repro.datasets import mushroom_like, quest_generator
+from tests.core.test_store_parity import DEGENERATE_INPUTS
 
 STORES = ["hashtree", "trie", "flatdict", "bitmap", "linear"]
 
@@ -201,6 +202,30 @@ class TestRandomizedOracleParity:
                 del window[:n]
                 miner.retire(n)
             assert miner.itemsets() == oracle(window, 0.08)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_INPUTS))
+    @pytest.mark.parametrize("store", STORES)
+    def test_inputs_a_vertical_build_must_survive(self, store, name):
+        """The layout grid's degenerate inputs, fed through a window: a
+        slide per quarter of the rows, then a retire and an append (the
+        threshold moves), each version against the oracle."""
+        rows, support, _ = DEGENERATE_INPUTS[name]
+        step = max(1, len(rows) // 4)
+        window = list(rows)
+        miner = IncrementalMiner(window, support, candidate_store=store)
+        assert miner.itemsets() == oracle(window, support)
+        for start in range(0, len(rows), step):
+            delta = rows[start:start + step]
+            miner.slide(delta, len(delta))
+            window = window[len(delta):] + delta
+            assert miner.itemsets() == oracle(window, support)
+        if len(window) > step:
+            miner.retire(step)
+            window = window[step:]
+            assert miner.itemsets() == oracle(window, support)
+        miner.append(rows[:step])
+        window += rows[:step]
+        assert miner.itemsets() == oracle(window, support)
 
     def test_dense_dataset_parity(self):
         ds = mushroom_like(scale=0.02, seed=11)
@@ -556,6 +581,35 @@ class TestCandidateMaintenance:
             assert_tracked_is_apriori_gen(miner)
             assert_vertical_window_is_current(miner)
         assert miner.full_rebuilds >= 1
+
+    @pytest.mark.parametrize("store", STORES)
+    def test_slides_that_drop_and_readd_the_same_candidates(self, store):
+        """Every slide moves a and b (and with them ab and abc) across the
+        threshold, one way then back, so levels 2 and 3 lose and regain
+        the same candidates each time while cd stays: a store kept warm
+        across the crossings must count like a cold re-mine at every
+        version, and the diffs must compose to the two-snapshot diff."""
+        abc, c = ("a", "b", "c", "d"), ("c", "d")
+        base = [abc, abc, c, c] * 4  # a = b = ab = abc = 8 of 16: threshold 8
+        miner = IncrementalMiner(base, 0.5, candidate_store=store)
+        first, window, diffs = miner.itemsets(), list(base), []
+        dropped = added = 0
+        for i in range(7):
+            delta = [c, c] if i % 2 == 0 else [abc, abc]  # the oldest two are abc then c
+            upd = miner.slide(delta, 2)
+            window = window[2:] + delta
+            assert miner.itemsets() == oracle(window, 0.5)
+            assert_tracked_is_apriori_gen(miner)
+            assert_vertical_window_is_current(miner)
+            diffs.append(upd.family_diff)
+            dropped += ("a", "b", "c") in upd.family_diff.removed
+            added += ("a", "b", "c") in upd.family_diff.added
+        assert dropped == 4 and added == 3
+        composed = FamilyDiff.compose(diffs)
+        want = FamilyDiff.between(first, miner.itemsets())
+        assert (composed.added, composed.removed, composed.changed) == (
+            want.added, want.removed, want.changed
+        )
 
     def test_levels_vanish_and_return(self):
         """(a, b) falling out takes level 3 with it — its family reported

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.api import mine_frequent_itemsets
 from repro.core.registry import MiningConfig, register_algorithm, unregister_algorithm
 from repro.core.results import MiningRunResult
+from repro.datasets import mushroom_like
 from repro.serve import CostPlanner, HttpClient, LocalClient, MiningServer, ShardRouter
 from repro.serve.http import (
     REMEMBERED_BODIES,
@@ -373,6 +374,36 @@ def test_a_result_served_again_is_sent_as_first_rendered(approx):
         assert LocalClient(srv.service).result_detail(repeat["job_id"]) == json.loads(sent)
 
 
+def list_shaped(payload: dict) -> dict:
+    """``payload`` with its rows as lists: the reference whose ``json.dumps``
+    the bytes on the wire must be."""
+    return {**payload, "itemsets": [[list(items), count] for items, count in payload["itemsets"]]}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["rows", "named-dataset"])
+def test_result_bodies_are_the_list_shaped_payload_byte_for_byte(warm):
+    """Result rows go to the encoder as ``(itemset, count)`` tuples; the
+    bytes sent — for the job that ran, a repeat answered from the cache,
+    and a warm miner's answer — are those of the list-shaped payload."""
+    rows = [list(t) for t in mushroom_like(scale=0.02, seed=3).transactions]
+    config = {"min_support": 0.4, "backend": "serial"}
+    if warm:
+        payload = {"dataset": "feed", "config": {**config, "incremental": True}}
+    else:
+        payload = {"transactions": rows, "config": config}
+    with MiningServer(port=0, n_workers=1) as srv:
+        if warm:
+            HttpClient(srv.url).create_dataset("feed", rows)
+        for via in ("run", "memoized"):
+            done = post_job(srv, as_body(payload))
+            assert done["via"] == via
+            body = send(srv, "GET", f"/results/{done['job_id']}")[2]
+            job = srv.service.get(done["job_id"])
+            assert len(job.result.itemsets) > 50
+            assert body == as_body(list_shaped(result_payload(job)))
+            assert LocalClient(srv.service).result_detail(done["job_id"]) == json.loads(body)
+
+
 def test_a_rendering_is_dropped_with_its_result():
     memo = RepeatMemo()
 
@@ -473,6 +504,33 @@ def test_a_trickled_body_is_cut_off_at_one_deadline_for_all_of_it(monkeypatch):
         assert elapsed < 1.2, f"answered after {elapsed:.2f} s"
         no_handler_left()
         assert srv.memo.stats() == before
+
+
+def test_a_trickled_head_is_cut_off_by_the_same_deadline(monkeypatch):
+    """The request line and headers are due by the deadline the body is:
+    a header byte every 0.3 s never lets one read reach 0.5 s, but the
+    connection is dropped 0.5 s after the first byte, thread and all."""
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    head = b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"x" * 64 + b"\r\n\r\n"
+    with MiningServer(port=0, n_workers=1) as srv:
+        trickle = connect(srv)
+        t0 = time.monotonic()
+        try:
+            for byte in head:
+                if time.monotonic() - t0 > 3.0:
+                    break
+                trickle.sendall(bytes([byte]))
+                if select.select([trickle], [], [], 0.3)[0]:  # dropped (or answered)
+                    break
+            dropped = trickle.recv(1) == b""
+        except ConnectionError:  # dropped while a byte was on its way
+            dropped = True
+        finally:
+            elapsed = time.monotonic() - t0
+            trickle.close()
+        assert dropped, "the trickled head was answered"
+        assert elapsed < 1.2, f"dropped after {elapsed:.2f} s"
+        no_handler_left()
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,8 @@ The two invariants pinned here end-to-end:
   of the last — the subscription surface never drifts from the oracle.
 """
 
+import http.client
+import json
 import random
 import threading
 import time
@@ -19,6 +21,7 @@ import pytest
 from repro.core.api import mine_frequent_itemsets
 from repro.core.incremental import FamilyDiff
 from repro.core.registry import MiningConfig
+from repro.datasets import mushroom_like
 from repro.serve import (
     ApiError,
     DatasetCache,
@@ -248,7 +251,7 @@ class TestChangeFeed:
         final = oracle(BASE + DELTA + [("b", "c")] * 8)
         assert apply_payload_diff(oracle(BASE), payload) == final
 
-    @pytest.mark.parametrize("since, renderer", [(1, "_diff_payload"), (0, "_family_payload")])
+    @pytest.mark.parametrize("since, renderer", [(1, "_diff_rows"), (0, "_family_rows")])
     def test_answer_is_rendered_outside_the_dataset_lock(
         self, service, monkeypatch, since, renderer
     ):
@@ -321,6 +324,36 @@ class TestChangeFeed:
             "added": [[["a"], 1], [["b"], 2]], "removed": [],
             "changed": [[["c"], 4, 5], [["c", "d"], 1, 2]],
         }
+
+    def test_bodies_are_the_list_shaped_payloads_byte_for_byte(self):
+        """The feed renders ``(itemset, ...)`` tuples for the encoder; the
+        bytes sent are ``json.dumps`` of the list-shaped reference payload,
+        diff and reset alike, and LocalClient answers what they decode to."""
+        from repro.serve.datasets import _diff_payload, _family_payload, _mining_key
+
+        rows = [tuple(t) for t in mushroom_like(scale=0.02, seed=3).transactions]
+        with MiningServer(port=0, n_workers=1) as srv:
+            client = HttpClient(srv.url)
+            client.create_dataset("w", rows[:120], max_window=120)
+            client.dataset_changes("w", since=1, min_support=0.4)  # the watch
+            client.append_dataset("w", rows[120:128])
+            entry = srv.service.shards[0].dataset_registry.get("w")
+            key = _mining_key(0.4, None, None)
+            diff = entry.changes_since(key, 1)
+            assert len(diff.changed) > 10
+            answers = {
+                1: {"reset": False, **_diff_payload(diff)},
+                0: {"reset": True, "family": _family_payload(entry.miners[key].itemsets())},
+            }
+            for since, answer in answers.items():
+                conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
+                conn.request("GET", f"/datasets/w/changes?since={since}&min_support=0.4")
+                body = conn.getresponse().read()
+                conn.close()
+                header = {"dataset_id": "w", "since": since, "version": 2, "n_transactions": 120}
+                assert body == json.dumps({**header, **answer}).encode()
+                local = LocalClient(srv.service).dataset_changes("w", since=since, min_support=0.4)
+                assert local == json.loads(body)
 
     def test_uncovered_since_ships_reset_with_full_family(self, service):
         service.create_dataset("w", BASE)

@@ -1,5 +1,6 @@
 """The envelope every hand-rolled ``BENCH_*.json`` writer opens its report
-with: which benchmark, at which size, of which commit, on what."""
+with — which benchmark, at which size, of which commit, on what — and
+where the report goes."""
 
 from __future__ import annotations
 
@@ -8,6 +9,18 @@ import platform
 import subprocess
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: where a ``--smoke`` report goes (git-ignored): only a full-size run
+#: writes the report checked in at the repo root
+SMOKE_DIR = os.path.join(REPO_ROOT, "benchmarks", "out")
+
+
+def report_path(filename: str, smoke: bool) -> str:
+    """Where a run of this size writes ``filename`` (``BENCH_<name>.json``);
+    the directory exists on return."""
+    directory = SMOKE_DIR if smoke else REPO_ROOT
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, filename)
 
 
 def git_sha() -> str | None:

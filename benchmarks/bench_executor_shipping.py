@@ -15,7 +15,8 @@ the same YAFIM workload on every backend and records:
   job every closure must stay below one partition's pickled size — data
   ships as blocks, once per worker, never inside a task batch,
 
-then writes ``BENCH_executor_shipping.json`` at the repo root.
+then writes ``BENCH_executor_shipping.json`` at the repo root (a
+``--smoke`` run: under the git-ignored ``benchmarks/out/``).
 
 Run standalone (CI uses ``--smoke``)::
 
@@ -28,19 +29,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pickle
 import sys
 import time
 
-from _envelope import REPO_ROOT, envelope
+from _envelope import envelope, report_path
 
 from repro.core.yafim import Yafim
 from repro.datasets import mushroom_like
 from repro.engine.context import Context
 from repro.engine.executors import BACKENDS
 
-REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_executor_shipping.json")
+REPORT = "BENCH_executor_shipping.json"
 
 N_WORKERS = 2
 N_PARTITIONS = 6  # > workers, so per-task shipping would multiply bytes
@@ -156,7 +156,7 @@ def run_shipping_bench(smoke: bool = False) -> dict:
             ship["naive_block_bytes"] / max(1, actual_block_bytes), 2
         ),
     }
-    with open(REPORT_PATH, "w") as f:
+    with open(report_path(REPORT, smoke), "w") as f:
         json.dump(report, f, indent=2)
     return report
 
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
         f"executor shipping ok: saved {report['bytes_saved_vs_per_task']}B "
         f"({report['ship_reduction_factor']}x less than per-task embedding), "
         f"dedup_hit_rate={procs['shipping']['dedup_hit_rate']}, "
-        f"report -> {REPORT_PATH}"
+        f"report -> {report_path(REPORT, args.smoke)}"
     )
     return 0
 

@@ -16,8 +16,9 @@ cross-pass compaction) attacks three costs the seed paid every pass:
 
 This benchmark mines the dense seed datasets twice on the process
 backend — fast path vs. ``paper_dataflow=True`` — verifies identical
-output, then writes ``BENCH_fastpath.json`` at the repo root with
-per-pass wall-clock, shuffle bytes/records and allocated-pair counts.
+output, then writes ``BENCH_fastpath.json`` at the repo root (a
+``--smoke`` run: under the git-ignored ``benchmarks/out/``) with per-pass
+wall-clock, shuffle bytes/records and allocated-pair counts.
 
 On top of that sits the candidate-store ablation grid: the same
 fast-path run repeated per registered store (``store_names()``;
@@ -42,18 +43,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
-from _envelope import REPO_ROOT, envelope
+from _envelope import envelope, report_path
 
 from repro.core.candidatestore import get_store, store_names
 from repro.core.yafim import Yafim
 from repro.datasets import chess_like, mushroom_like
 from repro.engine.context import Context
 
-REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_fastpath.json")
+REPORT = "BENCH_fastpath.json"
 
 BACKEND = "processes"
 N_WORKERS = 2
@@ -238,7 +238,7 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
         for name, e in report["datasets"].items()
         if "bitmap" in e["stores"]
     }
-    with open(REPORT_PATH, "w") as f:
+    with open(report_path(REPORT, smoke), "w") as f:
         json.dump(report, f, indent=2)
     return report
 
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
             )
     if args.check:
         check_report(report)
-    print(f"fastpath ok: report -> {REPORT_PATH}")
+    print(f"fastpath ok: report -> {report_path(REPORT, args.smoke)}")
     return 0
 
 

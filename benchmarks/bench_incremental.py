@@ -25,8 +25,9 @@ and window-policy legs and the *advance* leg, the perf ledger's
 out, diff tracking on): per advance, the slide, the change feed's
 rendering and the warm result's, each gated as a ratio to a cold build
 of the window.  ``BENCH_incremental.json`` lands at the
-repo root; :func:`check_floors` is the gate over it (a fresh run, or the
-checked-in file) and ``--check`` runs it.
+repo root (a ``--smoke`` run: under the git-ignored ``benchmarks/out/``);
+:func:`check_floors` is the gate over it (a fresh run, or the checked-in
+file) and ``--check`` runs it.
 
 Run standalone (CI uses ``--smoke --streaming --check``)::
 
@@ -41,16 +42,15 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import statistics
 import time
 
-from _envelope import REPO_ROOT, envelope
+from _envelope import envelope, report_path
 
 from repro.core.incremental import IncrementalMiner
 from repro.datasets import mushroom_like
 
-REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_incremental.json")
+REPORT = "BENCH_incremental.json"
 
 SUPPORT = 0.35
 STORE = "bitmap"
@@ -375,7 +375,7 @@ def run_incremental_bench(smoke: bool = False, streaming: bool = False) -> dict:
     # Every leg already asserted incremental == cold re-mine above; the
     # timing gate is check_floors.  The >= 5x headline is only meaningful
     # on the full-size window, where the re-mine has real work to amortize.
-    with open(REPORT_PATH, "w") as f:
+    with open(report_path(REPORT, smoke), "w") as f:
         json.dump(report, f, indent=2)
     if not smoke:
         assert best >= 5.0, (
@@ -499,7 +499,7 @@ def main(argv=None) -> int:
     )
     if args.check:
         check_floors(report)
-    print(f"wrote {REPORT_PATH}")
+    print(f"wrote {report_path(REPORT, args.smoke)}")
     return 0
 
 

@@ -14,7 +14,8 @@ measurements back it:
   cache's whole value proposition, and where the >=5x acceptance bar sits.
 
 On top sits the **sharded-router bench** (``main()`` /
-``BENCH_serve_shards.json``): a closed-loop multi-client workload of K
+``BENCH_serve_shards.json``; a ``--smoke`` run writes it under the
+git-ignored ``benchmarks/out/``): a closed-loop multi-client workload of K
 distinct datasets resubmitted round-robin, run against a 1-shard and an
 N-shard :class:`~repro.serve.router.ShardRouter` with the *same total
 worker count* and a per-shard result cache smaller than K.  One shard
@@ -58,7 +59,7 @@ import sys
 import threading
 import time
 
-from _envelope import REPO_ROOT, envelope
+from _envelope import envelope, report_path
 
 from repro.bench.reporting import format_table
 from repro.core.api import mine_frequent_itemsets
@@ -73,7 +74,7 @@ from repro.serve import (
     ShardRouter,
 )
 
-REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_serve_shards.json")
+REPORT = "BENCH_serve_shards.json"
 
 #: distinct supports -> distinct jobs (no memoization inside the sweep)
 SUPPORTS = (0.40, 0.45, 0.50, 0.55, 0.60, 0.65, 0.70, 0.75)
@@ -494,7 +495,7 @@ def run_shard_bench(shards: int = 4, smoke: bool = False) -> dict:
             f"{shards}-shard throughput only "
             f"{report['throughput_speedup']}x of 1 shard"
         )
-    with open(REPORT_PATH, "w") as f:
+    with open(report_path(REPORT, smoke), "w") as f:
         json.dump(report, f, indent=2)
     check_floors(report)
     return report
@@ -548,7 +549,7 @@ def main(argv=None) -> int:
         f"{repeat['recognised_p50_s'] * 1e3:.2f} ms = {repeat['recognised_vs_decoded']}x "
         f"(ceiling {REPEAT_CEILING}x)"
     )
-    print(f"serve shards ok: report -> {REPORT_PATH}")
+    print(f"serve shards ok: report -> {report_path(REPORT, args.smoke)}")
     return 0
 
 

@@ -344,17 +344,6 @@ def cmd_submit(args) -> int:
         f"(minsup={payload['min_support']:g}, |D|={payload['n_transactions']}, "
         f"via={payload['via']}, run={final.get('run_seconds')}s)"
     )
-    approx = payload.get("approx")
-    if approx:
-        tag = (
-            "verified exact" if approx["verified_exact"]
-            else f"{len(approx['border_violations'])} border violation(s)"
-        )
-        print(
-            f"  approx: {approx['n_samples']} samples x {approx['sample_frac']:g} "
-            f"at r={approx['ratio']:g}, {approx['candidates_verified']} "
-            f"candidates verified -> {tag}"
-        )
     _print_top_itemsets(itemsets_from_payload(payload), args.top)
     return 0
 
@@ -453,23 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--num-partitions", type=int, default=None,
             help="partitions for the transaction RDD and shuffles",
-        )
-        p.add_argument(
-            "--approx", action="store_true",
-            help="sampling fast tier: mine relaxed-threshold samples in "
-            "parallel, verify candidates in one exact full-data pass",
-        )
-        p.add_argument(
-            "--approx-samples", type=int, default=defaults["approx_samples"],
-            help="independent samples the fast tier mines (n_p)",
-        )
-        p.add_argument(
-            "--approx-ratio", type=float, default=defaults["approx_ratio"],
-            help="threshold relaxation r: samples mine at r * support",
-        )
-        p.add_argument(
-            "--sample-frac", type=float, default=defaults["sample_frac"],
-            help="fraction of the database each sample draws",
         )
         p.add_argument(
             "--incremental", action="store_true",

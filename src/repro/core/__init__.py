@@ -1,7 +1,6 @@
 """The paper's contribution: YAFIM, its baselines, and post-processing."""
 
 from repro.core.api import MiningConfig, MiningResult, mine_frequent_itemsets
-from repro.core.approx import ApproxMiner, ApproxResult, run_approx
 from repro.core.candidates import apriori_gen, join_step, prune_step
 from repro.core.candidatestore import (
     BitmapStore,
@@ -44,8 +43,6 @@ __all__ = [
     "FPC",
     "SPC",
     "AlgorithmSpec",
-    "ApproxMiner",
-    "ApproxResult",
     "AssociationRule",
     "BitmapStore",
     "CandidateStore",
@@ -85,7 +82,6 @@ __all__ = [
     "negative_border",
     "prune_step",
     "register_store",
-    "run_approx",
     "run_incremental",
     "spc_strategy",
     "store_names",

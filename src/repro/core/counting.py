@@ -16,13 +16,11 @@ two facts:
   ``(candidate_index, partial_count)`` record per distinct candidate per
   partition (int keys into the driver's ``apriori_gen`` order keep the
   partials small; the driver decodes after merging);
-* :func:`count_stores` / :class:`StoreCounter` — several per-length
-  stores over one partition, in-process or as a ``run_job`` kernel;
 * :func:`collect_partials` / :func:`merge_counts` — a partition's
   ``(key, partial)`` records back to the driver as one dict, and the
   driver-side sum of those dicts (every miner's merge: no shuffle);
 * :func:`count_exact` — the whole pass over arbitrary-length candidates,
-  on the engine or in-process, for the approximate and Toivonen miners.
+  in-process, for Toivonen's miner.
 
 Every class is a top-level callable so the process backend can
 cloudpickle it inside a task closure.  Each of YAFIM's kernels resolves
@@ -38,7 +36,7 @@ from collections import defaultdict
 from itertools import combinations
 
 from repro.common.sizeof import estimate_size
-from repro.core.candidatestore import lay_out, make_store
+from repro.core.candidatestore import get_store, lay_out, make_store
 
 
 def _resolve(bc, direct):
@@ -257,68 +255,27 @@ class PairCounter:
         yield from counts.items()
 
 
-# -- several stores, one pass --------------------------------------------------
-def count_stores(stores, rows) -> dict:
-    """Merged exact counts of every store's candidates over one partition.
-
-    Stores hold same-length candidates, so a mixed-length candidate set
-    is one store per length over the same rows: the rows are laid out
-    once per distinct layout among the stores and each store counts the
-    block of its class.
-    """
-    rows = rows if isinstance(rows, list) else list(rows)
-    blocks: dict = {}
-    counts: dict = {}
-    for store in stores:
-        layout = store.layout
-        if layout not in blocks:
-            blocks[layout] = lay_out(store, rows)
-        counts.update(store.count_partition(blocks[layout]))
-    return counts
-
-
-class StoreCounter:
-    """``run_job`` kernel: :func:`count_stores` of the broadcast stores
-    over one partition."""
-
-    def __init__(self, bc):
-        self._bc = bc
-
-    def __call__(self, _task_ctx, partition):
-        return count_stores(self._bc.value, partition)
-
-
+# -- several lengths, one pass -------------------------------------------------
 def count_exact(
     rows, candidates, candidate_store: str = "hashtree",
-    store_options: dict | None = None, *, ctx=None,
-    num_partitions: int | None = None, broadcasts: list | None = None,
+    store_options: dict | None = None,
 ) -> dict:
     """Exact support of arbitrary-length ``candidates`` in ONE pass.
 
-    Groups the candidates by length, builds one ``candidate_store`` per
-    length, counts ``rows`` and zero-fills, so every candidate — seen or
-    not — gets an entry.  In-process without ``ctx``; with an engine
-    context the rows spread over ``num_partitions`` and one job counts
-    them, the driver merging the partials — the stores ship as one
-    broadcast variable, appended to ``broadcasts`` for the caller to
-    account and destroy.
+    A store holds same-length candidates, so the candidates are grouped
+    by length into one ``candidate_store`` each; the rows are laid out
+    once, in that store class's layout, and every store counts the same
+    block.  Zero-filled: every candidate — seen or not — gets an entry.
     """
     candidates = list(candidates)
     by_len: dict[int, list] = defaultdict(list)
     for cand in candidates:
         by_len[len(cand)].append(cand)
-    stores = [
-        make_store(candidate_store, cands, **(store_options or {}))
-        for _, cands in sorted(by_len.items())
-    ]
-    if not stores:
-        counts = {}
-    elif ctx is None:
-        counts = count_stores(stores, rows)
-    else:
-        bc = ctx.broadcast(stores)
-        broadcasts.append(bc)
-        counts = merge_counts(
-            ctx.run_job(ctx.parallelize(rows, num_partitions), StoreCounter(bc))
-        )
+    counts: dict = {}
+    if by_len:
+        rows = rows if isinstance(rows, list) else list(rows)
+        block = lay_out(get_store(candidate_store), rows)
+        for _, cands in sorted(by_len.items()):
+            store = make_store(candidate_store, cands, **(store_options or {}))
+            counts.update(store.count_partition(block))
     return {cand: counts.get(cand, 0) for cand in candidates}

@@ -29,9 +29,9 @@ Runner contracts
     owns its whole substrate (sequential oracles, MapReduce).
 
 Whether a *config* runs on the engine is more than its algorithm's flag
-(``approx`` always does, ``incremental`` never does):
-:func:`runs_on_engine` is the one place that is decided, and the
-dispatcher, the serve tier's shipping rule and its planner all ask it.
+(``incremental`` never does): :func:`runs_on_engine` is the one place
+that is decided, and the dispatcher, the serve tier's shipping rule and
+its planner all ask it.
 
 The built-in algorithms (yafim, rapriori, dist_eclat, pfp, mrapriori,
 one_phase, apriori, eclat, fpgrowth) are registered at import time;
@@ -44,7 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
@@ -69,13 +69,6 @@ class MiningConfig:
     parallelism: int | None = None
     num_partitions: int | None = None
     candidate_store: str = "hashtree"
-    #: approximate fast tier (repro.core.approx): when True the run is
-    #: dispatched to the multi-sample miner instead of ``algorithm``;
-    #: the three knobs below shape it (samples, relaxation r, sample size)
-    approx: bool = False
-    approx_samples: int = 4
-    approx_ratio: float = 0.8
-    sample_frac: float = 0.1
     #: incremental tier (repro.core.incremental): the run builds (or, in
     #: the serving tier, reuses) delta-maintainable sliding-window state
     #: instead of dispatching ``algorithm``; results are exact.  The tier
@@ -89,24 +82,13 @@ class MiningConfig:
             raise MiningError(
                 f"min_support must be in (0, 1], got {self.min_support}"
             )
-        if self.approx_samples < 1:
-            raise MiningError(
-                f"approx_samples must be >= 1, got {self.approx_samples}"
-            )
-        if not 0.0 < self.approx_ratio <= 1.0:
-            raise MiningError(
-                f"approx_ratio must be in (0, 1], got {self.approx_ratio}"
-            )
-        if not 0.0 < self.sample_frac <= 1.0:
-            raise MiningError(
-                f"sample_frac must be in (0, 1], got {self.sample_frac}"
-            )
-        if self.approx and self.incremental:
-            raise MiningError(
-                "approx and incremental are mutually exclusive: the sampling "
-                "tier is probabilistic, the incremental tier maintains exact "
-                "counts"
-            )
+        # None means "unset"; a number below 1 is never a smaller setting
+        # (max_length=0 would still return the 1-itemsets, a partition or
+        # worker count of 0 would silently run as unset)
+        for name in ("max_length", "parallelism", "num_partitions"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise MiningError(f"{name} must be >= 1, got {value}")
         # Mirror make_executor's named-backends pattern: an unknown store
         # name fails at config construction with the registered choices,
         # not deep inside a worker task.
@@ -120,15 +102,8 @@ class MiningConfig:
 
     def canonical(self) -> dict:
         """JSON-safe dict with deterministic ordering — the serialized form
-        used by :meth:`cache_key`, the serving API, and bench reports.
-
-        The sampling knobs only appear when ``approx=True`` — they are
-        inert on an exact run, so an exact config keys identically no
-        matter what leftover approx knobs it carries.  That invariance is
-        what makes :meth:`exact_twin` keys line up with plain exact
-        submissions in the result cache.
-        """
-        data = {
+        used by :meth:`cache_key`, the serving API, and bench reports."""
+        return {
             "min_support": self.min_support,
             "algorithm": self.algorithm,
             "max_length": self.max_length,
@@ -136,15 +111,9 @@ class MiningConfig:
             "parallelism": self.parallelism,
             "num_partitions": self.num_partitions,
             "candidate_store": self.candidate_store,
-            "approx": self.approx,
             "incremental": self.incremental,
             "options": {str(k): self.options[k] for k in sorted(self.options, key=str)},
         }
-        if self.approx:
-            data["approx_samples"] = self.approx_samples
-            data["approx_ratio"] = self.approx_ratio
-            data["sample_frac"] = self.sample_frac
-        return data
 
     def cache_key(self) -> str:
         """Stable content hash of this config (hex sha256).
@@ -159,19 +128,6 @@ class MiningConfig:
             self.canonical(), sort_keys=True, separators=(",", ":"), default=repr
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def exact_twin(self) -> "MiningConfig":
-        """This config with the approximate tier stripped.
-
-        Because :meth:`canonical` omits the sampling knobs on exact
-        configs, the twin's :meth:`cache_key` equals the key of a plain
-        exact submission — that equality is what lets the result cache
-        answer an approx request from an exact entry and upgrade approx
-        entries when the exact run lands.
-        """
-        sampling = ("approx", "approx_samples", "approx_ratio", "sample_frac")
-        defaults = {f.name: f.default for f in fields(self) if f.name in sampling}
-        return replace(self, **defaults)
 
 
 @dataclass(frozen=True)
@@ -235,14 +191,13 @@ def algorithm_names() -> list[str]:
 def runs_on_engine(config: MiningConfig) -> bool:
     """Whether a run of ``config`` executes on an engine :class:`Context`.
 
-    The approximate fast tier always does, whatever ``algorithm`` names;
-    the incremental tier never does (it walks its own resident bitmaps in
+    The incremental tier never does (it walks its own resident bitmaps in
     the calling thread — ``backend`` is inert there); otherwise it is the
     registered algorithm's ``needs_engine``.
     """
     if config.incremental:
         return False
-    return config.approx or get_algorithm(config.algorithm).needs_engine
+    return get_algorithm(config.algorithm).needs_engine
 
 
 def run_algorithm(
@@ -268,21 +223,11 @@ def run_algorithm(
             return run_incremental(txns, config)
         return spec.runner(txns, config)
 
-    runner = spec.runner
-    if config.approx:
-        # The approximate fast tier likewise replaces the configured
-        # algorithm wholesale (repro.core.approx); the algorithm name
-        # still shapes the cache key, tying this run to its exact twin
-        # for memoization upgrades.
-        from repro.core.approx import run_approx
-
-        runner = run_approx
-
     from repro.engine.context import Context
     from repro.engine.tracing import collect_engine_metrics
 
     with Context(backend=config.backend, parallelism=config.parallelism) as ctx:
-        result = runner(ctx, txns, config)
+        result = spec.runner(ctx, txns, config)
         if result.trace is None:
             result.trace = ctx.tracer
         if result.engine_metrics is None:

@@ -49,8 +49,8 @@ one global merge):
   partition's int-keyed ``candidate_index -> partial_count`` dict back,
   and the driver sums the ≤ ``num_partitions`` dicts
   (:func:`~repro.core.counting.merge_counts`), thresholds and decodes
-  (:meth:`Yafim._count_level`) — the same merge Phase I and the
-  approximate miner's verify pass use.  On a laid-out block that is the
+  (:meth:`Yafim._count_level`) — the same merge Phase I uses.  On a
+  laid-out block that is the
   whole pass: nothing per row happens after the encode round;
 * while the working RDD still holds rows, each pass is followed by a
   compaction round that drops transactions shorter than k+1 and projects

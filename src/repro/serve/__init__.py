@@ -34,7 +34,7 @@ from repro.serve.jobs import (
     ServeError,
     TERMINAL_STATES,
 )
-from repro.serve.planner import CostPlanner, DatasetStats, PlanDecision
+from repro.serve.planner import CostPlanner, PlanDecision
 from repro.serve.queue import TenantQueue
 from repro.serve.router import ShardRouter
 from repro.serve.runner import JobRunner
@@ -47,7 +47,6 @@ __all__ = [
     "CostPlanner",
     "DatasetCache",
     "DatasetRegistry",
-    "DatasetStats",
     "FingerprintChain",
     "HashRing",
     "HttpClient",

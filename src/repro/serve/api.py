@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -97,10 +98,17 @@ class Operation:
 # -- coercions ---------------------------------------------------------------
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(MiningConfig)}
 
+#: the most partitions a request may ask for: each is a task per pass, so
+#: a 5-row job at 50 000 partitions took 7.7 s and 472 MiB
+MAX_NUM_PARTITIONS = 4096
+
 
 def config_from_dict(payload: dict) -> MiningConfig:
     """Build a :class:`MiningConfig` from a JSON object, rejecting unknown
-    keys with a clear error instead of a ``TypeError`` deep in dataclasses."""
+    keys with a clear error instead of a ``TypeError`` deep in dataclasses,
+    and the engine knobs past what one request may ask of the host:
+    ``parallelism`` (worker processes, on ``processes``) above its CPU
+    count, ``num_partitions`` above :data:`MAX_NUM_PARTITIONS`."""
     if not isinstance(payload, dict):
         raise ServeError(f"config must be an object, got {type(payload).__name__}")
     unknown = set(payload) - _CONFIG_FIELDS
@@ -110,7 +118,14 @@ def config_from_dict(payload: dict) -> MiningConfig:
         )
     if "min_support" not in payload:
         raise ServeError("config.min_support is required")
-    return MiningConfig(**payload)
+    config = MiningConfig(**payload)
+    for name, limit in (
+        ("parallelism", os.cpu_count() or 1), ("num_partitions", MAX_NUM_PARTITIONS),
+    ):
+        value = getattr(config, name)
+        if value is not None and value > limit:
+            raise ServeError(f"config.{name} must be <= {limit} on this server, got {value}")
+    return config
 
 
 def _config_payload(config) -> dict:
@@ -182,10 +197,6 @@ _BY_ANNOTATION = {"int": int, "float": float, "float | None": float, "str": _tex
 def _finish_submit(kwargs: dict) -> None:
     if (kwargs["transactions"] is None) == ("dataset_id" not in kwargs):
         raise ServeError("pass transactions or dataset: one of them, not both")
-    if kwargs.pop("approx", False):
-        # top-level sugar for the fast tier: flips the config knob
-        # without the caller rebuilding the config object
-        kwargs["config"] = dataclasses.replace(kwargs["config"], approx=True)
 
 
 OPERATIONS: tuple[Operation, ...] = (
@@ -202,8 +213,6 @@ OPERATIONS: tuple[Operation, ...] = (
             Field("transactions", BODY, _rows, default=None, render=_row_lists),
             # knobs the shard's planner must leave alone (inert without one)
             Field("pinned", BODY, _names, render=sorted),
-            # read by ``_finish_submit``: never reaches the implementation
-            Field("approx", BODY, _flag),
         ),
     ),
     # ``HttpClient.status`` takes "<id>[?timeout_s=<s>]" as its one

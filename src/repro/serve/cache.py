@@ -206,14 +206,7 @@ class DatasetCache(LruByteCache):
 
 
 class ResultCache:
-    """``(dataset_fingerprint, config_key)`` → result, with TTL + LRU.
-
-    Approximate results are second-class citizens: :meth:`put_approx`
-    stores one under its own key *and* indexes it under its exact twin's
-    key, so when the exact run completes, :meth:`put` drops every approx
-    entry it supersedes — an exact completion upgrades the cached answer,
-    and an approx entry can never shadow an exact one.
-    """
+    """``(dataset_fingerprint, config_key)`` → result, with TTL + LRU."""
 
     def __init__(self, max_entries: int = 256, ttl_s: float = 300.0):
         if max_entries <= 0:
@@ -224,37 +217,11 @@ class ResultCache:
         self.ttl_s = ttl_s
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, tuple[object, float]] = OrderedDict()
-        #: exact key -> approx keys whose entries it supersedes on arrival;
-        #: rows are dropped the moment their last approx entry leaves the
-        #: cache (eviction, expiration, or supersession), so the index
-        #: stays bounded by the live entry count
-        self._approx_for: dict[tuple, set[tuple]] = {}
-        #: approx key -> the exact key it is indexed under (reverse map,
-        #: so entry removal can prune its index row in O(1))
-        self._exact_of: dict[tuple, tuple] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.expirations = 0
-        self.upgrades = 0
         self.invalidations = 0
-
-    def _forget_approx_locked(self, key: tuple) -> None:
-        """Entry ``key`` left the cache: drop its approx-index row (both
-        directions), removing the exact key's set once it empties."""
-        exact_key = self._exact_of.pop(key, None)
-        if exact_key is not None:
-            keys = self._approx_for.get(exact_key)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._approx_for[exact_key]
-
-    def _evict_over_budget_locked(self) -> None:
-        while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._forget_approx_locked(evicted)
-            self.evictions += 1
 
     def get(self, key: tuple, now: float | None = None):
         now = time.monotonic() if now is None else now
@@ -266,7 +233,6 @@ class ResultCache:
             value, expires_s = entry
             if now >= expires_s:
                 del self._entries[key]
-                self._forget_approx_locked(key)
                 self.expirations += 1
                 self.misses += 1
                 return None
@@ -274,78 +240,24 @@ class ResultCache:
             self.hits += 1
             return value
 
-    def get_first(self, keys: Iterable[tuple], now: float | None = None):
-        """First live entry among ``keys`` (tried in order), or ``None``.
-
-        One logical lookup: records exactly one hit (some key answered)
-        or one miss (none did), however many keys were tried — the
-        serving layer's exact-twin-then-own-key probe must not inflate
-        the miss count on every approx submission.
-        """
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            for key in keys:
-                entry = self._entries.get(key)
-                if entry is None:
-                    continue
-                value, expires_s = entry
-                if now >= expires_s:
-                    del self._entries[key]
-                    self._forget_approx_locked(key)
-                    self.expirations += 1
-                    continue
-                self._entries.move_to_end(key)
-                self.hits += 1
-                return value
-            self.misses += 1
-            return None
-
     def put(self, key: tuple, value: object, now: float | None = None) -> None:
-        """Cache an exact result; supersedes any approx entries indexed
-        under this key (counted as ``upgrades``)."""
         now = time.monotonic() if now is None else now
         with self._lock:
-            for approx_key in self._approx_for.pop(key, ()):
-                self._exact_of.pop(approx_key, None)
-                if self._entries.pop(approx_key, None) is not None:
-                    self.upgrades += 1
-            if self._entries.pop(key, None) is not None:
-                self._forget_approx_locked(key)
+            self._entries.pop(key, None)
             self._entries[key] = (value, now + self.ttl_s)
-            self._evict_over_budget_locked()
-
-    def put_approx(
-        self, key: tuple, value: object, *, exact_key: tuple,
-        now: float | None = None,
-    ) -> None:
-        """Cache an approximate result under ``key``, indexed against the
-        ``exact_key`` whose arrival will supersede it."""
-        now = time.monotonic() if now is None else now
-        with self._lock:
-            if self._entries.pop(key, None) is not None:
-                self._forget_approx_locked(key)  # may re-index under a new twin
-            self._entries[key] = (value, now + self.ttl_s)
-            self._approx_for.setdefault(exact_key, set()).add(key)
-            self._exact_of[key] = exact_key
-            self._evict_over_budget_locked()
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self.evictions += 1
 
     def invalidate_dataset(self, fingerprint: str) -> int:
         """Drop every entry cached for ``fingerprint`` (the dataset was
         mutated — a stale version must be invalidated, never served).
-
-        Prunes the approx exact-twin index both ways: a removed approx
-        entry leaves its index row, and a removed exact entry's pending
-        approx keys are forgotten so a later :meth:`put` under a reused
-        key cannot "upgrade" entries of a window that no longer exists.
         Returns the number of entries removed (``invalidations`` stat).
         """
         with self._lock:
             stale = [key for key in self._entries if key[0] == fingerprint]
             for key in stale:
                 del self._entries[key]
-                self._forget_approx_locked(key)
-                for approx_key in self._approx_for.pop(key, ()):
-                    self._exact_of.pop(approx_key, None)
             self.invalidations += len(stale)
             return len(stale)
 
@@ -368,8 +280,6 @@ class ResultCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "expirations": self.expirations,
-                "upgrades": self.upgrades,
                 "invalidations": self.invalidations,
-                "approx_indexed": sum(len(v) for v in self._approx_for.values()),
                 "hit_rate": round(self.hit_rate, 4),
             }

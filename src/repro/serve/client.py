@@ -24,7 +24,6 @@ full ``MiningRunResult`` already holds the service or router —
 
 from __future__ import annotations
 
-import dataclasses
 import http.client
 import inspect
 import json
@@ -60,11 +59,9 @@ _TRANSIENT_CONNECT_ERRORS = (
 #: whose row takes them
 _POSITIONAL = ("transactions", "config")
 
-#: a row's verb is named after the row, except the four whose answer the
+#: a row's verb is named after the row, except the three whose answer the
 #: sugar dresses up (generated private, wrapped below) or renames
-_VERB_NAMES = {
-    "submit": "_submit", "wait": "_wait", "cancel": "_cancel", "result": "result_detail",
-}
+_VERB_NAMES = {"wait": "_wait", "cancel": "_cancel", "result": "result_detail"}
 
 
 def _verb(op: Operation, name: str):
@@ -141,26 +138,6 @@ class Client:
         raise ApiError(summary, status=status, code=answer.get("code", "error"))
 
     # -- sugar over the generated verbs ------------------------------------
-    def submit(self, transactions, config: MiningConfig | dict, **fields) -> dict:
-        """``POST /jobs``; returns the server's job snapshot (``job_id`` etc.).
-
-        ``approx=True`` requests the sampling fast tier without touching
-        the config object (equivalent to ``config.approx = True``).
-        ``dataset`` names a registered dataset instead of shipping raw
-        ``transactions`` (pass ``transactions=None``): the job runs on
-        the dataset's current version, server-side.
-        ``pinned`` names default-valued knobs the server's planner must
-        leave alone (a no-op on a server started without ``--planner``).
-        Raises :class:`RejectedError` on a 429 (queue full / load shed);
-        its ``retry_after_s`` says how long to back off before retrying.
-        """
-        if fields.get("approx") and isinstance(config, MiningConfig) and not config.approx:
-            # flip the flag before serializing: canonical() only
-            # carries the sampling knobs on approx configs, so setting
-            # it server-side would lose any non-default knob values
-            config = dataclasses.replace(config, approx=True)
-        return self._submit(transactions, config, **fields)
-
     def status(self, job_id: str) -> dict:
         """``GET /jobs/<id>``: the job's snapshot, now.  ``job_id`` goes
         into the path as given, so it may carry the route's query string
@@ -255,7 +232,6 @@ class Client:
 for _op in OPERATIONS:
     _name = _VERB_NAMES.get(_op.name, _op.name)
     setattr(Client, _name, _verb(_op, _name))
-Client.submit.__signature__ = Client._submit.__signature__  # the row's, for help()
 
 
 class LocalClient(Client):

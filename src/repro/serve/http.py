@@ -99,14 +99,11 @@ def _wire_itemsets(result) -> list:
 def result_payload(job, itemsets=None) -> dict:
     """JSON form of a DONE job's :class:`MiningRunResult`.
 
-    Approximate results (``repro.core.approx``) carry an extra
-    ``approx`` provenance block; its *absence* on a result served for an
-    approx submission means the cache answered from the exact twin.
     ``itemsets`` stands in for the rendered ``itemsets`` field (what
     :meth:`RepeatMemo.result_text` splices its kept text over).
     """
     result = job.result
-    payload = {
+    return {
         "job_id": job.job_id,
         "algorithm": result.algorithm,
         "min_support": result.min_support,
@@ -116,18 +113,6 @@ def result_payload(job, itemsets=None) -> dict:
         "via": job.via,
         "itemsets": _wire_itemsets(result) if itemsets is None else itemsets,
     }
-    if hasattr(result, "verified_exact"):
-        payload["approx"] = {
-            "n_samples": result.n_samples,
-            "sample_frac": result.sample_frac,
-            "ratio": result.ratio,
-            "seed": result.seed,
-            "sample_sizes": list(result.sample_sizes),
-            "candidates_verified": result.candidates_verified,
-            "border_violations": [list(v) for v in result.border_violations],
-            "verified_exact": result.verified_exact,
-        }
-    return payload
 
 
 def itemsets_from_payload(payload: dict) -> dict:

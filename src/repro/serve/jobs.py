@@ -184,8 +184,7 @@ class Job:
     shard: str | None = None
     #: the service's planner's :class:`~repro.serve.planner.PlanDecision`
     #: for this submission (None = no planner, or a named-dataset job);
-    #: ``planned`` / ``fast_tier`` read it, the runner applies it, and the
-    #: service feeds it back to the planner with the measured runtime
+    #: ``planned`` reads it and the runner applies it
     decision: object | None = field(default=None, repr=False)
     #: named-dataset provenance: which managed dataset (and which version
     #: of it) the job's transaction snapshot came from; None for raw
@@ -220,14 +219,6 @@ class Job:
         return None if self.decision is None else self.decision.chosen
 
     @property
-    def fast_tier(self) -> bool:
-        """True when the planner rerouted an exact submission onto the
-        approximate fast tier — surfaced top-level so a caller who never
-        asked for approximation sees the substitution in every snapshot,
-        not only in the result's provenance block."""
-        return self.decision is not None and self.decision.routed_fast
-
-    @property
     def is_terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
@@ -254,7 +245,6 @@ class Job:
             "dataset_id": self.dataset_id,
             "dataset_version": self.dataset_version,
             "planned": self.planned,
-            "fast_tier": self.fast_tier,
             "queued_seconds": round(
                 (self.started_s or self.finished_s or now) - self.submitted_s, 6
             ),

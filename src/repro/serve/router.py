@@ -23,10 +23,9 @@ in-process :class:`~repro.serve.service.MiningService` shards.
   low-priority jobs (``priority > shed_priority``) are rejected
   immediately, preserving the remaining slots for important traffic.
 * **Planning.**  An optional :class:`~repro.serve.planner.CostPlanner`
-  is handed to every shard; the shard that accepts a job plans it (e.g.
-  ``{"candidate_store": "bitmap", "num_partitions": 1}`` for knobs the
-  caller left alone) and calibrates the one shared fast-tier estimate
-  with the run's measured time.
+  is handed to every shard; the shard that accepts a job plans it
+  (``{"candidate_store": "bitmap", "num_partitions": 1}`` for knobs the
+  caller left alone).
 
 The router is what :class:`~repro.serve.http.MiningServer` always
 fronts (an unsharded server is ``n_shards=1``).  It implements placement
@@ -80,8 +79,7 @@ class ShardRouter:
         no shard ever reports itself full.
     planner:
         A :class:`CostPlanner` (or ``None``).  When set, every shard
-        plans with it: unpinned knobs are filled per submit and completed
-        runs calibrate its estimate.
+        plans with it: unpinned knobs are filled per submit.
     replicas:
         Virtual nodes per shard on the hash ring.
     spill:

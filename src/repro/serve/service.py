@@ -35,7 +35,7 @@ snapshot at submit, a warm answer at run — and the service's four
 dataset verbs are the registry's own methods, forwarded per the protocol
 table's routing column.  ``MiningService._lock`` guards the queue, the
 job table and every job's state; under it only leaf locks are taken (the
-caches', the histograms', the planner's), and it is never held together
+caches', the histograms'), and it is never held together
 with a dataset's lock, in either order.
 
 Use it embedded::
@@ -51,7 +51,6 @@ or behind the HTTP front-end in :mod:`repro.serve.http`.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import itertools
 import threading
 import time
@@ -182,7 +181,7 @@ class MiningService:
     ``planner`` is an attribute: assign a
     :class:`~repro.serve.planner.CostPlanner` (the router hands every
     shard its one instance) and the service plans each raw-transaction
-    submit and feeds the runtime of every planned run back to it.
+    submit.
     """
 
     def __init__(
@@ -282,8 +281,8 @@ class MiningService:
         says "the rows you already hold": the submit of a request whose
         rows this shard was sent before (the socket transport recognises
         such a body by its digest, :class:`repro.serve.http.RepeatMemo`).
-        Everything below runs as for any submit; only what *reads* rows —
-        the planner, a job that must actually run — takes them from the
+        Everything below runs as for any submit; only a job that must
+        actually run reads rows — it takes them from the
         :class:`~repro.serve.cache.DatasetCache`, and when they are no
         longer there raises :class:`RowsNotResident` with nothing changed,
         for the caller to submit again with the rows.
@@ -291,8 +290,7 @@ class MiningService:
         With a ``planner`` set, a raw-transaction job is keyed as asked
         and run as planned: the knobs the planner chose (none of those
         named in ``pinned``) ride on the job as ``planned`` and never
-        enter its memoization key; only a fast-tier reroute changes the
-        question, and that flips ``approx`` in the job's own config.
+        enter its memoization key.
 
         Raises :class:`RejectedError` when ``queue_limit`` is set and the
         queue is full — except for memoized hits and coalesced followers,
@@ -315,13 +313,7 @@ class MiningService:
             txns = list(txns)
         fingerprint = fingerprint or dataset_fingerprint(txns)
         if self.planner is not None and dataset_id is None:
-            if txns is None:
-                txns = self._resident_rows(fingerprint)  # the planner reads them
-            _, decision = self.planner.plan(
-                txns, config, pinned=pinned, fingerprint=fingerprint, priority=priority
-            )
-            if decision.routed_fast:
-                config = dataclasses.replace(config, approx=True)
+            _, decision = self.planner.plan(txns, config, pinned=pinned, fingerprint=fingerprint)
         request = JobRequest(
             config=config,
             priority=priority,
@@ -331,15 +323,7 @@ class MiningService:
             tenant=tenant,
         )
         key = (fingerprint, config.cache_key())
-
-        # An approx request is answered by its exact twin's entry first —
-        # the exact result is strictly better, and the approx entry must
-        # never shadow it.  One get_first probe = one hit/miss recorded,
-        # so the twin lookup cannot inflate the miss count.
-        lookup = [key]
-        if config.approx:
-            lookup.insert(0, (fingerprint, config.exact_twin().cache_key()))
-        memoized = self.results.get_first(lookup)
+        memoized = self.results.get(key)
         with self._queue_cond:
             # admit first: nothing below this block runs for a refused submit
             if self._shutdown:
@@ -619,16 +603,6 @@ class MiningService:
         self._finished.append(job.job_id)
         if len(self._finished) > self.results.max_entries:
             del self._jobs[self._finished.popleft()]
-        if (
-            self.planner is not None
-            and job.decision is not None
-            and state is JobState.DONE
-            and job.via == "run"
-            and job.started_s is not None
-        ):
-            # calibration: a planned job that actually ran (the planner's
-            # lock is a leaf; it never calls back)
-            self.planner.observe(job.decision, job.finished_s - job.started_s)
         key = job.result_key
         group = self._inflight.get(key)
         followers: list[Job] = []
@@ -636,14 +610,7 @@ class MiningService:
             del self._inflight[key]
             followers = group[1:]
         if state is JobState.DONE and via is None:
-            config = job.request.config
-            if config.approx:
-                self.results.put_approx(
-                    key, result,
-                    exact_key=(job.dataset_fingerprint, config.exact_twin().cache_key()),
-                )
-            else:
-                self.results.put(key, result)
+            self.results.put(key, result)
         job.done_event.set()
         if state is JobState.DONE:
             for follower in followers:

@@ -62,8 +62,8 @@ def test_mining_and_serving_import_neither_numpy_nor_networkx():
     """Both cost ~20 MiB and ~0.15 s to import and neither is touched by
     mining or serving: ``repro.common.rng`` and ``repro.engine.lineage``
     load them inside the functions that use them.  Every kind of bitmap
-    count runs too — a ``bitmap`` mine, a window slide with its diff, an
-    approx verification pass (k = 1 included) — so an intersector that
+    count runs too — a ``bitmap`` mine, a window slide with its diff,
+    Toivonen's exact counting pass (k = 1 included) — so an intersector that
     reached for numpy lazily would show here."""
     import os
     import subprocess

@@ -104,6 +104,16 @@ class TestMiningConfig:
         with pytest.raises(MiningError):
             MiningConfig(min_support=1.5)
 
+    @pytest.mark.parametrize("knob", ["max_length", "parallelism", "num_partitions"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_machine_knobs_below_one_are_refused(self, knob, value):
+        """``None`` is "unset"; 0 or below is no smaller setting of it:
+        ``max_length=0`` returned the 1-itemsets, a partition or worker
+        count of 0 ran as unset."""
+        with pytest.raises(MiningError, match=f"{knob} must be >= 1"):
+            MiningConfig(min_support=0.4, **{knob: value})
+        assert getattr(MiningConfig(min_support=0.4, **{knob: 1}), knob) == 1
+
     def test_config_overload_matches_keywords(self):
         via_config = mine_frequent_itemsets(
             TXNS,
@@ -194,10 +204,9 @@ class TestEmptyRows:
             dict(algorithm="rapriori"),
             dict(algorithm="dist_eclat"),
             dict(algorithm="pfp"),
-            dict(approx=True, sample_frac=1.0),
             dict(incremental=True),
         ],
-        ids=["yafim", "rapriori", "dist_eclat", "pfp", "approx", "incremental"],
+        ids=["yafim", "rapriori", "dist_eclat", "pfp", "incremental"],
     )
     def test_matches_oracle(self, path):
         config = MiningConfig(min_support=0.3, backend="serial", **path)
@@ -294,7 +303,7 @@ class TestRunsOnEngine:
             ({"algorithm": "pfp"}, True),
             ({"algorithm": "eclat"}, False),
             ({"algorithm": "mrapriori"}, False),
-            ({"algorithm": "eclat", "approx": True}, True),  # the fast tier is engine-backed
+            ({"algorithm": "dist_eclat"}, True),
             ({"algorithm": "yafim", "incremental": True}, False),  # in-process tier
         ],
     )

@@ -53,7 +53,7 @@ class TestMiningRunResult:
         assert "test" in text
 
 
-@pytest.mark.parametrize("options", [{}, {"approx": True}])
+@pytest.mark.parametrize("options", [{}, {"candidate_store": "bitmap"}])
 def test_a_real_result_crosses_a_process_boundary(options):
     """What a job worker sends back: every part of the result pickles
     (the trace's lock is dropped and re-created)."""

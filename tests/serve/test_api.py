@@ -96,10 +96,6 @@ def parameters(func) -> set:
 #: keywords the router adds when it calls a shard — not part of the protocol
 SHARD_PRIVATE = {"submit": {"fingerprint"}}
 
-#: submit fields read in front of the service: by the codec (folded into
-#: ``config``)
-UPSTREAM = {"submit": {"approx": "codec"}}
-
 #: the client method for a row, where it is not the row's name
 VERBS = {"wait": "status", "result": "result_detail"}
 
@@ -110,7 +106,7 @@ class TestSurfacesMatchTheTable:
         """The routing column says which tier implements a row: the
         dataset tier for ``BY_DATASET``, the job tier for the rest — and
         the job tier's own dataset verbs only forward."""
-        declared = set(op.path_names) | set(op.by_name) - set(UPSTREAM.get(op.name, ()))
+        declared = set(op.path_names) | set(op.by_name)
         owner = DatasetRegistry if op.route == BY_DATASET else MiningService
         implemented = parameters(getattr(owner, op.call))
         assert implemented - SHARD_PRIVATE.get(op.name, set()) == declared
@@ -214,8 +210,6 @@ def calls(draw):
     job_ids = ids if op.quote_path else st.integers(1).map("job-{}".format)
     kwargs = {name: draw(job_ids if name == "job_id" else ids) for name in op.path_names}
     for field in op.fields:
-        if UPSTREAM.get(op.name, {}).get(field.name) == "codec":
-            continue  # folded into another keyword: see test_approx_sugar
         if field.required or draw(st.booleans()):
             kwargs[field.name] = draw(VALUES[field.name])
     if op.name == "submit":  # exactly one source
@@ -242,14 +236,7 @@ def test_decode_inverts_encode(call):
 
 def test_every_declared_argument_has_a_strategy():
     declared = {name for op in OPERATIONS for name in (*op.path_names, *op.by_name)}
-    assert declared - {"approx"} == set(VALUES)
-
-
-def test_approx_sugar_folds_into_the_config():
-    wire = over_the_wire(*encode_request("submit", transactions=TXNS, config=CFG, approx=True))
-    assert json.loads(wire[2])["approx"] is True
-    op, kwargs = decode_request(*wire)
-    assert "approx" not in kwargs and kwargs["config"].approx is True
+    assert declared == set(VALUES)
 
 
 def test_encode_refuses_what_the_row_does_not_declare():
@@ -319,21 +306,47 @@ def test_transports_return_the_same_dicts(server, local_router):
     assert over_http[-1] == wire_form(sorted(oracle.items()))
 
 
+def submitting(config: dict, **top_level):
+    """A submit of ``config`` as sent, with no client-side check in the way."""
+    payload = {"transactions": [[6, 7], [6]], "config": {"min_support": 0.4, **config}}
+    return lambda c: c._request("POST", "/jobs", {**payload, **top_level})
+
+
+BAD_REQUEST = (ApiError, 400, "bad_request")
+
 #: single calls whose answer comes from a layer in front of the service —
-#: the codec's sugar and validation, the ladder's coding of an exception —
-#: as ``(call, refusal or None)``
+#: the codec's validation, the ladder's coding of an exception — as
+#: ``(call, None)`` for an accepted one, ``(call, (*refusal, what the
+#: message names))`` for a refused one
 ONE_ANSWER = {
-    "approx-sugar": (lambda c: c.submit([[6, 7], [6]], CFG, approx=True), None),
+    "accepted": (submitting({}), None),
     "unknown-dataset": (
-        lambda c: c.submit(None, CFG, dataset="never"), (ApiError, 404, "unknown_dataset"),
+        lambda c: c.submit(None, CFG, dataset="never"), (ApiError, 404, "unknown_dataset", "never"),
     ),
     "non-bool-flag": (
-        lambda c: c.create_dataset("one-answer", TXNS, replace=1), (ApiError, 400, "bad_request"),
+        lambda c: c.create_dataset("one-answer", TXNS, replace=1), (*BAD_REQUEST, "replace"),
     ),
     "empty-tenant": (
-        lambda c: c.submit([[6, 7], [6]], CFG, tenant=""), (ApiError, 400, "bad_request"),
+        lambda c: c.submit([[6, 7], [6]], CFG, tenant=""), (*BAD_REQUEST, "tenant"),
     ),
-    "no-source": (lambda c: c.submit(None, CFG), (ApiError, 400, "bad_request")),
+    "no-source": (lambda c: c.submit(None, CFG), (*BAD_REQUEST, "transactions")),
+    # the approximate tier's names are gone from the wire — its top-level
+    # sugar and its config fields alike: refused, never run exactly in silence
+    "approx-sugar": (submitting({}, approx=True), (*BAD_REQUEST, "approx")),
+    **{
+        f"retired-config-{name}": (submitting({name: value}), (*BAD_REQUEST, name))
+        for name, value in (
+            ("approx", True), ("approx_samples", 2), ("approx_ratio", 0.5), ("sample_frac", 0.5),
+        )
+    },
+    # the machine knobs: below 1 is no setting, above the host is no request
+    **{
+        f"{name}-{value}": (submitting({name: value}), (*BAD_REQUEST, name))
+        for name, value in (
+            ("max_length", 0), ("max_length", -1), ("num_partitions", 0),
+            ("num_partitions", 50_000), ("parallelism", 0), ("parallelism", 10**6),
+        )
+    },
 }
 
 
@@ -342,8 +355,12 @@ def test_a_call_has_one_answer_on_both_transports(client, case):
     call, refused = ONE_ANSWER[case]
     if refused is None:
         assert call(client)["state"] in ("pending", "running", "done")
-    else:
-        assert refusal(lambda: call(client)) == refused
+        return
+    with pytest.raises(ServeError) as err:
+        call(client)
+    *kind, named = refused
+    assert (type(err.value), err.value.status, err.value.code) == tuple(kind)
+    assert named in str(err.value)
 
 
 # -- submit keywords reach the shard on every surface ------------------------
@@ -426,7 +443,7 @@ WRONG = {
     ("submit", "dataset"): 5,
     ("submit", "transactions"): "abc",
     ("submit", "pinned"): 5,
-    ("submit", "approx"): "yes",
+    ("submit", "approx"): "yes",  # retired: refused as an undeclared key
     ("create_dataset", "transactions"): "abc",
     ("create_dataset", "replace"): "yes",
     ("create_dataset", "max_window"): "big",
@@ -536,9 +553,14 @@ def typed_payload(body):
         return RAW
 
 
+#: wire names the table no longer declares, kept in the ladder: still a 400
+RETIRED = {("submit", "approx")}
+
+
 def test_wrong_values_cover_every_declared_field():
     declared = {(op.name, f.wire) for op in OPERATIONS for f in op.fields}
-    assert declared == set(WRONG)
+    assert declared == set(WRONG) - RETIRED
+    assert not declared & RETIRED
 
 
 class TestErrorLadder:

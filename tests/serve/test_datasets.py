@@ -1,7 +1,7 @@
 """Named datasets: versioned fingerprints, stale-result invalidation,
 warm incremental miners, and name-stable routing.
 
-The load-bearing invariant (pinned here in exact, approx, and HTTP
+The load-bearing invariant (pinned here in exact and HTTP
 flavours): once a dataset is appended to, no job submitted afterwards is
 ever answered from a result memoized before the append.
 """
@@ -101,26 +101,6 @@ class TestResultCacheInvalidation:
         assert cache.get(("fp1", "cfgA")) is None
         assert cache.get(("fp2", "cfgA")) == "a2"
         assert cache.stats()["invalidations"] == 2
-
-    def test_prunes_approx_twin_index(self):
-        """An invalidated approx entry must leave the exact-twin index,
-        and a later exact put under the reused key must not 'upgrade'
-        entries of a window that no longer exists."""
-        cache = ResultCache(max_entries=16, ttl_s=60.0)
-        cache.put_approx(("fp1", "approxK"), "approx", exact_key=("fp1", "exactK"))
-        assert cache.stats()["approx_indexed"] == 1
-        assert cache.invalidate_dataset("fp1") == 1
-        assert cache.stats()["approx_indexed"] == 0
-        cache.put(("fp1", "exactK"), "exact")
-        assert cache.stats()["upgrades"] == 0
-
-    def test_invalidating_exact_forgets_pending_approx_keys(self):
-        cache = ResultCache(max_entries=16, ttl_s=60.0)
-        cache.put_approx(("fp1", "approxK"), "approx", exact_key=("fp1", "exactK"))
-        cache.put(("fp1", "exactK"), "exact")  # upgrades the approx entry
-        assert cache.stats()["upgrades"] == 1
-        assert cache.invalidate_dataset("fp1") == 1
-        assert len(cache) == 0 and cache.stats()["approx_indexed"] == 0
 
 
 class TestDatasetRegistry:
@@ -286,21 +266,6 @@ class TestServiceDatasets:
         assert post.dataset_version == 2
         assert post.result.itemsets == oracle(BASE + DELTA)
         assert post.result.itemsets != pre.result.itemsets
-
-    def test_append_never_serves_stale_approx_result(self, service):
-        """Same invariant through the approx tier, whose entries are
-        additionally indexed under their exact twin's key."""
-        approx = MiningConfig(
-            min_support=0.5, backend="serial", approx=True,
-            approx_samples=2, sample_frac=0.5,
-        )
-        service.create_dataset("w", BASE)
-        assert service.submit(None, approx, dataset_id="w").wait(30.0)
-        assert service.submit(None, approx, dataset_id="w").via == "memoized"
-        service.append_dataset("w", DELTA)
-        post = service.submit(None, approx, dataset_id="w")
-        assert post.wait(30.0)
-        assert post.via == "run"
 
     def test_job_pinned_before_a_retire_answers_its_own_snapshot(self, service):
         """A retire moves the prefix guard past every older version, so a

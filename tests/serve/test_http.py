@@ -1,14 +1,17 @@
 """HTTP front-end: endpoints, error codes, client round-trips, CLI wiring."""
 
+import os
 import threading
 import time
 
 import pytest
 
+from repro.common.errors import MiningError
 from repro.core.api import mine_frequent_itemsets
 from repro.core.registry import MiningConfig
 from repro.datasets import mushroom_like
 from repro.serve import HttpClient, MiningServer, ServeError
+from repro.serve.api import MAX_NUM_PARTITIONS
 from repro.serve.http import config_from_dict, itemsets_from_payload, result_payload
 
 TXNS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
@@ -42,6 +45,28 @@ class TestConfigFromDict:
     def test_rejects_non_object(self):
         with pytest.raises(ServeError, match="must be an object"):
             config_from_dict([1, 2])
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("max_length", 0), ("max_length", -1),
+            ("num_partitions", 0), ("num_partitions", MAX_NUM_PARTITIONS + 1),
+            ("num_partitions", 10**6),
+            ("parallelism", 0), ("parallelism", (os.cpu_count() or 1) + 1),
+        ],
+    )
+    def test_bounds_the_machine_knobs(self, knob, value):
+        """Below 1 is refused by ``MiningConfig`` itself; above what one
+        request may ask of the host, by the door."""
+        with pytest.raises((ServeError, MiningError), match=knob):
+            config_from_dict({"min_support": 0.3, knob: value})
+
+    def test_accepts_the_machine_knobs_at_their_limits(self):
+        cpus = os.cpu_count() or 1
+        cfg = config_from_dict(
+            {"min_support": 0.3, "num_partitions": MAX_NUM_PARTITIONS, "parallelism": cpus}
+        )
+        assert (cfg.num_partitions, cfg.parallelism) == (MAX_NUM_PARTITIONS, cpus)
 
 
 class TestEndpoints:

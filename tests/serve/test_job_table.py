@@ -227,68 +227,46 @@ class TestRefusedSubmitsTouchNothing:
 # -- the planner is the service's collaborator -----------------------------------
 class TestKeyedAsAskedRunAsPlanned:
     def test_a_flipping_plan_never_defeats_the_memo(self):
-        planner = CostPlanner(calibration_alpha=1.0)  # one observe sets the unit cost
         cfg = MiningConfig(min_support=0.4)  # every engine knob left to the planner
-        _, probe = planner.plan(TXNS, cfg)
-        fed = 0
-
-        def flip_to(estimate_s):
-            nonlocal fed
-            planner.observe(probe, estimate_s)  # the next plan estimates this
-            fed += 1
-
         with MiningService(n_workers=1) as svc:  # embedded, no router: it plans too
-            svc.planner = planner
-            jobs = []
-            for i in range(20):
-                flip_to(1.0 if i % 2 else 1e-6)
-                jobs.append(svc.submit(TXNS, cfg))
+            svc.planner = CostPlanner()
+            # every other submit pins the partitions at their default: the
+            # plan flips under the same question
+            jobs = [
+                svc.submit(TXNS, cfg, pinned=("num_partitions",) if i % 2 else ())
+                for i in range(20)
+            ]
             assert all(j.wait(60.0) for j in jobs)
             first, repeats = jobs[0], jobs[1:]
             assert first.via == "run" and first.state is JobState.DONE
             assert {j.via for j in repeats} <= {"memoized", "coalesced"}
-            # the estimate did flip under them, and each job reports its own
-            # plan — the same knobs: calibration moves no rule
-            estimates = [j.decision.estimated_seconds for j in jobs]
-            assert [round(e, 6) for e in estimates] == [1e-6, 1.0] * 10
-            assert all(j.planned == first.planned for j in jobs)
-            assert first.snapshot()["planned"] == {
-                "num_partitions": 1, "candidate_store": "bitmap",
-            }
-            assert first.snapshot()["fast_tier"] is False
+            # each job reports its own plan
+            plans = [j.snapshot()["planned"] for j in jobs]
+            assert plans == [
+                {"num_partitions": 1, "candidate_store": "bitmap"},
+                {"candidate_store": "bitmap"},
+            ] * 10
             # keyed as asked: the caller's config, untouched
             assert all(j.request.config == cfg for j in jobs)
             assert len({j.result_key for j in jobs}) == 1
-            # calibration: fed once by the one run, never by a memoized job
-            assert planner.observations == fed + 1
             assert svc.results.stats()["entries"] == 1
-
-    def test_fast_tier_reroute_changes_the_question_and_says_so(self):
-        planner = CostPlanner(unit_cost_s=1.0, approx_cutoff_s=1.0)
-        rows = [["a", "b", "c"], ["a", "b"], ["b", "c"], ["a", "c"], ["d"]] * 20
-        with MiningService(n_workers=1) as svc:
-            svc.planner = planner
-            job = svc.submit(rows, MiningConfig(min_support=0.3, backend="serial"))
-            assert job.wait(60.0) and job.state is JobState.DONE, job.error
-            assert job.fast_tier and job.planned["approx"] is True
-            assert job.request.config.approx is True  # in the key, as fast_tier says
-            assert job.request.config.backend == "serial"  # pinned by the caller
 
     def test_named_dataset_jobs_and_unplanned_services_carry_no_plan(self, algos):
         with MiningService(n_workers=1) as svc:
             plain = svc.submit(TXNS, fast(), pinned=("backend",))  # inert without a planner
-            assert plain.wait(30.0) and plain.planned is None and plain.fast_tier is False
+            assert plain.wait(30.0) and plain.planned is None
             svc.planner = CostPlanner()
             svc.create_dataset("w", TXNS)
             named = svc.submit(None, MiningConfig(min_support=0.4), dataset_id="w")
             assert named.wait(30.0) and named.planned is None
             assert svc.planner.stats()["plans"] == 0
 
-    def test_promoted_follower_calibrates_with_its_own_decision(self):
-        planner = CostPlanner()
+    def test_promoted_follower_runs_with_its_own_plan(self):
         started = threading.Event()
+        stores = []
 
         def slow(ctx, txns, config):
+            stores.append(config.candidate_store)
             started.set()
             time.sleep(0.3)
             out = _result(txns, config)
@@ -297,16 +275,17 @@ class TestKeyedAsAskedRunAsPlanned:
 
         register_algorithm("table_engine", slow, needs_engine=True, overwrite=True)
         try:
-            with ShardRouter(n_shards=1, n_workers=1, planner=planner) as router:
+            with ShardRouter(n_shards=1, n_workers=1, planner=CostPlanner()) as router:
                 cfg = MiningConfig(min_support=0.4, algorithm="table_engine", backend="serial")
                 primary = router.submit(TXNS, cfg)
                 assert started.wait(10.0)
-                follower = router.submit(TXNS, cfg)
+                follower = router.submit(TXNS, cfg, pinned=("candidate_store",))
                 assert follower.via == "coalesced"
                 assert router.cancel(primary.job_id)
                 assert follower.wait(30.0) and (follower.state, follower.via) == (
                     JobState.DONE, "run")
-                assert planner.observations == 1  # the follower's run, not the cancelled one
+                # the follower's run, on the follower's plan
+                assert stores == ["bitmap", "hashtree"]
         finally:
             unregister_algorithm("table_engine")
 
@@ -364,9 +343,11 @@ def leaves(names: str) -> dict:
 HISTOGRAM = leaves("count max_s mean_s p50_s p95_s p99_s")
 #: shape of the routed payload at the parent commit (PR 17) after the
 #: script below, recorded by running it there; lists hold one element
-#: shape.  One block added since: ``job_workers`` (PR 20)
+#: shape.  One block added since: ``job_workers``.  Gone with the
+#: approximate tier and the cost model: ``planner``'s estimate counters,
+#: ``result_cache``'s ``approx_indexed`` / ``upgrades``, a job's ``fast_tier``
 PARENT_SHAPE = {
-    "planner": leaves("observations plans stats_cached unit_cost_s"),
+    "planner": leaves("plans"),
     "ring": leaves("nodes replicas"),
     "router": leaves(
         "jobs_rejected jobs_routed jobs_shed jobs_spilled queue_depth queue_limit_per_shard "
@@ -389,14 +370,14 @@ PARENT_SHAPE = {
             "jobs_by_state": leaves("cancelled done failed pending running timed_out"),
             "latency": {"queue_wait": HISTOGRAM, "run": HISTOGRAM},
             "result_cache": leaves(
-                "approx_indexed entries evictions expirations hit_rate hits invalidations "
-                "max_entries misses ttl_s upgrades"
+                "entries evictions expirations hit_rate hits invalidations max_entries misses "
+                "ttl_s"
             ),
             "tenants": {"default": leaves("cancelled done pending submitted weight")},
             "recent_jobs": [{
                 **leaves(
                     "algorithm attempts coalesced_with dataset_fingerprint dataset_id "
-                    "dataset_version engine_metrics error fast_tier job_id min_support "
+                    "dataset_version engine_metrics error job_id min_support "
                     "num_itemsets priority queued_seconds run_seconds shard state tenant "
                     "trace_spans via"
                 ),

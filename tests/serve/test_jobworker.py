@@ -212,9 +212,9 @@ class TestWhatShips:
                 assert client.mine(txns, config, timeout=60) == mine_frequent_itemsets(
                     txns, config=config
                 ).itemsets
-            # (another support: its exact twin above would answer it memoized)
-            approx = client.submit(txns, MiningConfig(min_support=0.55), approx=True)
-            assert client.wait(approx["job_id"], timeout=60)["state"] == "done"
+            bitmap = MiningConfig(min_support=0.5, candidate_store="bitmap")  # ships
+            snapshot = client.submit(txns, bitmap)
+            assert client.wait(snapshot["job_id"], timeout=60)["state"] == "done"
             ran = server.service.metrics()["shards"][0]["service"]["job_workers"]["jobs_run"]
             assert ran == 4
 
@@ -230,9 +230,8 @@ class TestServedIsOneShot:
     @pytest.mark.parametrize("home", [{"backend": "serial"}, PROCESSES], ids=["ships", "stays"])
     @pytest.mark.parametrize(
         "knobs",
-        [{"algorithm": name} for name in ("yafim", "rapriori", "dist_eclat", "pfp")]
-        + [{"approx": True}],
-        ids=["yafim", "rapriori", "dist_eclat", "pfp", "approx"],
+        [{"algorithm": name} for name in ("yafim", "rapriori", "dist_eclat", "pfp")],
+        ids=["yafim", "rapriori", "dist_eclat", "pfp"],
     )
     def test_equals_one_shot(self, svc, knobs, home):
         """Shipped or kept in the server: the one-shot API's itemsets, its

@@ -1,5 +1,5 @@
-"""The serve-tier planner: stats, cost model shape, the two knob rules,
-calibration."""
+"""The serve-tier planner: the two knob rules, pinning, and a plan that
+reads no rows."""
 
 import functools
 import random
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import repro.datasets as datasets
 from repro.core.api import mine_frequent_itemsets
 from repro.core.registry import MiningConfig
-from repro.serve import CostPlanner, DatasetStats, HttpClient, MiningServer
+from repro.serve import CostPlanner, HttpClient, MiningServer
 from repro.serve.planner import PLANNABLE_FIELDS
 
 
@@ -47,68 +47,6 @@ def generator_rows(name: str) -> tuple[list, float]:
     return make().transactions, support
 
 
-class TestDatasetStats:
-    def test_from_transactions(self):
-        stats = DatasetStats.from_transactions([[1, 2, 3], [1, 2], [4]])
-        assert stats.n_transactions == 3
-        assert stats.avg_width == pytest.approx(2.0)
-        assert stats.distinct_items == 4
-        assert stats.total_items == 6
-
-    def test_density_dense_vs_sparse(self):
-        dense = DatasetStats.from_transactions(DENSE)
-        sparse = DatasetStats.from_transactions(SPARSE)
-        assert dense.density == pytest.approx(1.0)
-        assert sparse.density < 0.1
-
-    def test_empty_dataset(self):
-        stats = DatasetStats.from_transactions([])
-        assert stats.n_transactions == 0 and stats.density == 0.0
-
-    def test_sample_cap_bounds_vocab_scan(self):
-        txns = [[i] for i in range(100)]
-        stats = DatasetStats.from_transactions(txns, sample_cap=10)
-        assert stats.n_transactions == 100
-        assert stats.distinct_items == 10  # prefix sample only
-
-
-class TestCostModel:
-    def test_lower_support_costs_more(self):
-        planner = CostPlanner()
-        stats = DatasetStats.from_transactions(SPARSE)
-        hi = planner.work_units(stats, MiningConfig(min_support=0.5))
-        lo = planner.work_units(stats, MiningConfig(min_support=0.01))
-        assert lo > hi
-
-    def test_more_data_costs_more(self):
-        planner = CostPlanner()
-        small = DatasetStats(100, 5.0, 50)
-        big = DatasetStats(10_000, 5.0, 50)
-        cfg = MiningConfig(min_support=0.1)
-        assert planner.work_units(big, cfg) > planner.work_units(small, cfg)
-
-    def test_denser_data_costs_more(self):
-        planner = CostPlanner()
-        cfg = MiningConfig(min_support=0.1)
-        sparse = DatasetStats(1000, 5.0, 500)
-        dense = DatasetStats(1000, 5.0, 10)
-        assert planner.work_units(dense, cfg) > planner.work_units(sparse, cfg)
-
-    def test_estimate_seconds_positive_and_monotone(self):
-        planner = CostPlanner()
-        stats = DatasetStats.from_transactions(SPARSE)
-        est_hi = planner.estimate_seconds(stats, MiningConfig(min_support=0.5))
-        est_lo = planner.estimate_seconds(stats, MiningConfig(min_support=0.01))
-        assert 0 < est_hi < est_lo
-
-    def test_stats_memoized_by_fingerprint(self):
-        planner = CostPlanner()
-        s1 = planner.stats_for(SPARSE)
-        s2 = planner.stats_for(SPARSE)
-        assert s1 is s2
-        assert planner.stats()["stats_cached"] == 1
-
-
 class TestPlanning:
     """Two fixed rules for what the caller did not pin — ``bitmap``, and
     one partition on ``serial`` — and never a backend."""
@@ -118,24 +56,6 @@ class TestPlanning:
         cfg, decision = planner.plan([[1, 2], [1, 3]], MiningConfig(min_support=0.5))
         assert cfg.backend == "serial"  # the default, not a choice
         assert cfg.num_partitions == 1
-        assert decision.chosen == PLANNED
-
-    def test_large_job_keeps_the_default_backend(self):
-        planner = CostPlanner(unit_cost_s=1.0)  # any dataset looks expensive
-        cfg, decision = planner.plan(SPARSE, MiningConfig(min_support=0.05))
-        assert decision.estimated_seconds > 30.0
-        assert cfg.backend == "serial" and cfg.num_partitions == 1
-        assert decision.chosen == PLANNED
-
-    def test_huge_estimate_picks_no_backend(self):
-        planner = CostPlanner()
-        stats = DatasetStats(5_000_000, 40.0, 50)
-        planner._stats["fp"] = stats  # seed the memo; txns never scanned
-        cfg, decision = planner.plan(
-            [[1]], MiningConfig(min_support=0.001), fingerprint="fp"
-        )
-        assert decision.estimated_seconds > 30.0
-        assert cfg.backend == "serial"
         assert decision.chosen == PLANNED
 
     def test_dense_dataset_gets_bitmap_store(self):
@@ -191,20 +111,30 @@ class TestPlanning:
         support=st.sampled_from([0.001, 0.05, 0.3, 0.9]),
         backend=st.sampled_from(["serial", "threads", "processes"]),
         pinned=st.lists(st.sampled_from(["backend", *PLANNABLE_FIELDS]), unique=True),
-        unit_cost_s=st.sampled_from([1e-9, 2e-7, 1.0]),
-        cutoff=st.sampled_from([None, 0.0, 1.0]),
-        priority=st.integers(-2, 2),
     )
-    def test_backend_is_never_chosen(
-        self, rows, support, backend, pinned, unit_cost_s, cutoff, priority
-    ):
-        planner = CostPlanner(unit_cost_s=unit_cost_s, approx_cutoff_s=cutoff)
-        cfg, decision = planner.plan(
-            rows, MiningConfig(min_support=support, backend=backend),
-            pinned=pinned, priority=priority,
+    def test_backend_is_never_chosen(self, rows, support, backend, pinned):
+        cfg, decision = CostPlanner().plan(
+            rows, MiningConfig(min_support=support, backend=backend), pinned=pinned
         )
         assert "backend" not in decision.chosen
         assert cfg.backend == backend
+
+    def test_a_plan_reads_no_rows(self):
+        """The same plan whatever the rows — none, or ones that refuse to
+        be read — and whatever the fingerprint."""
+        class Unreadable(list):
+            def __iter__(self, *_):
+                raise AssertionError("the planner read the rows")
+
+            __len__ = __getitem__ = __bool__ = __iter__
+
+        cfg = MiningConfig(min_support=0.4)
+        plans = [
+            CostPlanner().plan(rows, cfg, fingerprint=fp)
+            for rows, fp in ((DENSE, None), (None, "f" * 64), (Unreadable(), None))
+        ]
+        assert all(plan == plans[0] for plan in plans)
+        assert plans[0][1].chosen == PLANNED
 
     def test_explicit_pin_freezes_default_value(self):
         planner = CostPlanner()
@@ -231,34 +161,25 @@ class TestPlanning:
         assert decision.chosen == {}
         assert "does not run on the engine" in decision.reason
 
-    @pytest.mark.parametrize("cutoff", [None, 0.0])
-    def test_incremental_config_passes_through(self, cutoff):
-        """The tier runs on no engine: nothing to plan, and above all no
-        fast-tier reroute (``approx`` + ``incremental`` is not a config)."""
-        planner = CostPlanner(approx_cutoff_s=cutoff)
+    def test_incremental_config_passes_through(self):
+        """The tier runs on no engine: nothing to plan."""
         cfg_in = MiningConfig(min_support=0.4, incremental=True)
-        cfg, decision = planner.plan(DENSE, cfg_in)
+        cfg, decision = CostPlanner().plan(DENSE, cfg_in)
         assert cfg is cfg_in
-        assert decision.chosen == {} and not decision.routed_fast
+        assert decision.chosen == {}
         assert "incremental tier does not run on the engine" in decision.reason
 
-    def test_incremental_submit_is_accepted_by_a_service_whose_planner_has_a_cutoff(self):
+    def test_incremental_submit_is_accepted_by_a_planning_service(self):
         from repro.algorithms import apriori
         from repro.serve import JobState, MiningService
 
         with MiningService(n_workers=1) as service:
-            service.planner = CostPlanner(approx_cutoff_s=0.0)
+            service.planner = CostPlanner()
             config = MiningConfig(min_support=0.4, incremental=True, max_length=2)
             job = service.submit(DENSE, config)
             assert job.wait(30.0) and job.state is JobState.DONE, job.error
-            assert job.planned == {} and not job.request.config.approx
+            assert job.planned == {} and job.request.config is config
             assert job.result.itemsets == apriori(DENSE, 0.4, max_length=2)
-
-    def test_decision_snapshot_shape(self):
-        planner = CostPlanner()
-        _, decision = planner.plan(SPARSE, MiningConfig(min_support=0.4))
-        snap = decision.snapshot()
-        assert {"estimated_seconds", "chosen", "pinned", "reason"} <= set(snap)
 
 
 @pytest.fixture(scope="module")
@@ -282,31 +203,3 @@ def test_a_planning_server_runs_every_generator_as_planned(planning_server, gene
         rows, config=MiningConfig(min_support=support, algorithm="fpgrowth")
     )
     assert client.result(snapshot["job_id"]) == oracle.itemsets
-
-
-class TestCalibration:
-    def test_observe_moves_unit_cost_toward_actual(self):
-        planner = CostPlanner(unit_cost_s=1e-9)
-        _, decision = planner.plan(SPARSE, MiningConfig(min_support=0.1))
-        assert decision.work_units > 0
-        slow_unit = 1e-3
-        before = planner.unit_cost_s
-        planner.observe(decision, decision.work_units * slow_unit)
-        after = planner.unit_cost_s
-        assert before < after < slow_unit  # EWMA: moved toward, not jumped to
-        assert planner.observations == 1
-
-    def test_observe_converges(self):
-        planner = CostPlanner(unit_cost_s=1e-9)
-        _, decision = planner.plan(SPARSE, MiningConfig(min_support=0.1))
-        true_unit = 5e-6
-        for _ in range(40):
-            planner.observe(decision, decision.work_units * true_unit)
-        assert planner.unit_cost_s == pytest.approx(true_unit, rel=0.05)
-
-    def test_observe_ignores_degenerate_samples(self):
-        planner = CostPlanner()
-        _, decision = planner.plan(SPARSE, MiningConfig(min_support=0.1))
-        planner.observe(decision, 0.0)
-        planner.observe(decision, -1.0)
-        assert planner.observations == 0

@@ -90,7 +90,6 @@ def submit_payloads(draw):
         },
     }
     optional = {
-        "approx": st.booleans(),
         "pinned": st.lists(st.sampled_from(["backend", "num_partitions"]), unique=True),
         "priority": st.integers(-3, 3),
         "tenant": st.sampled_from(["default", "acme", "zürich"]),
@@ -263,7 +262,11 @@ def test_result_gone_rows_resident_runs_on_the_rows_the_shard_holds():
         assert sorted([sorted(i), c] for i, c in answer) == oracle(dataset(10), 0.3)
 
 
-def test_a_planner_reads_the_resident_rows_or_the_body_is_decoded():
+def test_a_planner_reads_no_rows_so_a_cached_result_answers_without_them():
+    """The shard's ``DatasetCache`` has let the rows go but its result
+    cache still holds the answer: a recognised repeat is planned and
+    answered ``memoized`` without the rows, and its body is not decoded a
+    second time."""
     with MiningServer(
         port=0, n_workers=1, planner=True, dataset_cache_bytes=1024
     ) as srv:
@@ -272,11 +275,16 @@ def test_a_planner_reads_the_resident_rows_or_the_body_is_decoded():
             for seed in (10, 20)
         )
         assert post_job(srv, first)["via"] == "run"
-        assert post_job(srv, first)["via"] == "memoized"  # planned from resident rows
         assert post_job(srv, other)["via"] == "run"  # evicts the first rows
-        assert post_job(srv, first)["via"] == "memoized"
-        assert srv.memo.stats()["bodies_recognised"] == 2
-        assert srv.memo.stats()["fallbacks_not_resident"] == 1
+        service = srv.service.shards[0]
+        fingerprint = service.get("job-shard-0-1").dataset_fingerprint
+        assert fingerprint not in service.datasets and len(service.results) == 2
+        repeat = post_job(srv, first)
+        assert (repeat["via"], repeat["planned"]) == (
+            "memoized", {"candidate_store": "bitmap", "num_partitions": 1},
+        )
+        assert srv.memo.stats()["bodies_recognised"] == 1
+        assert HttpClient(srv.url).metrics()["router"]["http"]["fallbacks_not_resident"] == 0
 
 
 # -- (d) one byte apart is another body --------------------------------------------
@@ -349,18 +357,14 @@ def test_only_an_exact_post_to_jobs_is_looked_up():
 
 
 # -- (f) the spliced answer ----------------------------------------------------------
-@pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
-def test_a_result_served_again_is_sent_as_first_rendered(approx):
+def test_a_result_served_again_is_sent_as_first_rendered():
     rows = [["a", "b", 'q"uote'], ["a", "b"], ["b", "c"], ["a", "c"], ["d"]] * 20
     payload = {"transactions": rows, "config": {"min_support": 0.3, "backend": "serial"}}
-    if approx:
-        payload["approx"] = True
     with MiningServer(port=0, n_workers=1) as srv:
         ran = post_job(srv, as_body(payload))
         assert ran["via"] == "run"
         first_fetch = send(srv, "GET", f"/results/{ran['job_id']}")[2]
         assert first_fetch == as_body(result_payload(srv.service.get(ran["job_id"])))
-        assert ("approx" in json.loads(first_fetch)) == approx
         assert not srv.memo._renderings  # fetched by the job that ran it: nothing kept
 
         for reused in (0, 1, 2):

@@ -191,9 +191,7 @@ def test_engine_job_runs_as_planned_on_a_checked_out_context(rig, algo):
     name = algo(engine_algo, "run_engine", needs_engine=True)
     asked = MiningConfig(min_support=0.4, algorithm=name)
     job = running_job(asked)
-    job.decision = SimpleNamespace(
-        chosen={"backend": "threads", "num_partitions": 1}, routed_fast=False
-    )
+    job.decision = SimpleNamespace(chosen={"backend": "threads", "num_partitions": 1})
     state, _, _ = rig.runner.run(job)
     assert state is JobState.DONE
     assert (seen["backend"], seen["partitions"]) == ("threads", 1)

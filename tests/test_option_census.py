@@ -23,19 +23,19 @@ from repro.serve import CostPlanner, MiningServer, MiningService, ShardRouter
 from repro.serve.jobworker import JobWorker
 
 PINNED = {
-    "MiningConfig": 13,
+    "MiningConfig": 9,
     "MiningService": 8,
     "ShardRouter": 8,
     "MiningServer": 7,
-    "CostPlanner": 3,
+    "CostPlanner": 0,
     "Context": 6,
     "JobWorker": 2,
     "run_algorithm": 2,
-    "repro mine": 21,
+    "repro mine": 17,
     "repro generate": 4,
     "repro compare": 9,
     "repro serve": 11,
-    "repro submit": 32,
+    "repro submit": 28,
     "repro watch": 9,
 }
 

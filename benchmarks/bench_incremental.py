@@ -297,13 +297,14 @@ ADVANCES = {True: 16, False: 60}
 def _advance_leg(base: list, pool: list, smoke: bool) -> dict:
     """What one window advance costs the server of a watched dataset, per
     phase: the slide, the change feed's rendering (rows + ``json.dumps``)
-    and the warm result's (``result()`` + payload + ``json.dumps``) —
+    and the warm result's (``result()``, kept as its JSON, sent once) —
     medians over the advances, each also as a cold build of the same
     window over it, so the host cancels out."""
     from types import SimpleNamespace
 
     from repro.serve.datasets import _diff_rows
-    from repro.serve.http import result_payload
+    from repro.serve.http import result_text
+    from repro.serve.jobs import kept
 
     window = list(base[: ADVANCE_WINDOW[smoke]])
     cold_wall, _ = _cold_remine(window)
@@ -318,7 +319,7 @@ def _advance_leg(base: list, pool: list, smoke: bool) -> dict:
         t1 = clock()
         json.dumps({"reset": False, **_diff_rows(update.family_diff)})
         t2 = clock()
-        json.dumps(result_payload(SimpleNamespace(job_id="job", via="run", result=miner.result())))
+        result_text(SimpleNamespace(job_id="job", via="run", result=kept(miner.result())))
         t3 = clock()
         for phase, seconds in zip(phases, (t1 - t0, t2 - t1, t3 - t2)):
             phases[phase].append(seconds)

@@ -39,10 +39,16 @@ only where there are two cores to run on).
 The **repeat leg** is the wire path of a request the server has answered
 before: one closed-loop client re-sending one completed request over
 HTTP, each send once with the server's ``RepeatMemo`` emptied first (the
-body is parsed, row-checked and fingerprinted, the answer rendered) and
-once recognised (none of that).  Both sends hit the result cache, so the
-ratio is the decode + render share of a repeat and nothing else;
+body is parsed, row-checked and fingerprinted) and once recognised (none
+of that).  Both sends hit the result cache and fetch the text the result
+keeps, so the ratio is the decode share of a repeat and nothing else;
 :func:`check_floors` holds it under ``REPEAT_CEILING``.
+
+The **kept-answer leg** is memory: the bytes one finished answer of the
+ledger's ``serve_mix`` size leaves in the server (``tracemalloc``, job
+record and result-cache entry included), held by :func:`check_floors`
+under ``KEPT_CEILING`` x what it was when the service kept the
+``{itemset: count}`` dict.
 
 Run standalone (CI uses ``--smoke``)::
 
@@ -52,12 +58,15 @@ Run standalone (CI uses ``--smoke``)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
+import random
 import statistics
 import sys
 import threading
 import time
+import tracemalloc
 
 from _envelope import envelope, report_path
 
@@ -423,7 +432,10 @@ def run_repeat_bench(smoke: bool) -> dict:
                 laps[leg].append(time.perf_counter() - t0)
                 assert answer == expected
         counters = server.memo.stats()
-    assert counters["bodies_recognised"] == counters["renderings_reused"] == sends, counters
+    # every recognised send skipped the decode; every fetch (the first
+    # answer's too) sent the text its result keeps
+    assert counters["bodies_recognised"] == sends, counters
+    assert counters["results_sent"] == 2 * sends + 1, counters
     p50 = {leg: statistics.median(values) for leg, values in laps.items()}
     return {
         "rows": len(rows),
@@ -436,12 +448,70 @@ def run_repeat_bench(smoke: bool) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# Kept-answer leg: the bytes a finished answer holds in the server
+# ---------------------------------------------------------------------------
+
+#: bytes one answer of the ledger's serve_mix size (~1 250 mushroom rows,
+#: ~1 800 itemsets) retained by this leg when the service kept the
+#: ``{itemset: count}`` dict rather than the JSON it is sent as
+DICT_KEPT_BYTES = 284_000
+#: retained bytes per answer / DICT_KEPT_BYTES; the reference box reads 0.27
+KEPT_CEILING = 0.4
+KEPT_ANSWERS = 40
+
+
+def run_kept_bench() -> dict:
+    """``KEPT_ANSWERS`` distinct answers of serve_mix size (one dataset,
+    one support each) in an in-process service: what each leaves in the
+    server's memory (``tracemalloc``), job record and cache entry
+    included.  The same at smoke size: the figure is per answer."""
+    pool = mushroom_like(scale=0.17, seed=7).transactions
+    rows = random.Random(7).sample(pool, int(len(pool) * 0.9))
+
+    def config(support: float) -> MiningConfig:
+        return MiningConfig(min_support=support, candidate_store="bitmap", num_partitions=1)
+
+    with MiningService(n_workers=1) as svc:
+        warm = svc.submit(rows, config(0.3995))  # worker up, rows resident
+        warm.wait(300)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(KEPT_ANSWERS):
+                job = svc.submit(rows, config(round(0.40 + 0.0005 * i, 6)))
+                job.wait(300)
+                assert job.state.value == "done", job.error
+            itemsets = job.result.num_itemsets
+            del job
+            gc.collect()
+            retained = (tracemalloc.get_traced_memory()[0] - before) / KEPT_ANSWERS
+        finally:
+            tracemalloc.stop()
+    return {
+        "rows": len(rows),
+        "answers": KEPT_ANSWERS,
+        "itemsets_last": itemsets,
+        "retained_bytes_per_answer": round(retained),
+        "dict_bytes_per_answer": DICT_KEPT_BYTES,
+        "vs_dict": round(retained / DICT_KEPT_BYTES, 3),
+    }
+
+
 def check_floors(report: dict) -> None:
     """The gate over a report (a fresh run, or the checked-in file), all
     ratios: two fresh clients must get ``FRESH_FLOOR`` x one client's
     jobs/s with a cold result cache — wherever the run had two cores to
-    use — and a recognised repeat must cost at most ``REPEAT_CEILING`` x
-    the same repeat decoded and rendered in full."""
+    use — a recognised repeat must cost at most ``REPEAT_CEILING`` x
+    the same repeat decoded in full, and a kept answer must hold at most
+    ``KEPT_CEILING`` x the bytes a kept dict held."""
+    kept = report["kept_answer"]
+    assert kept["vs_dict"] <= KEPT_CEILING, (
+        f"a kept answer retains {kept['retained_bytes_per_answer']} bytes, "
+        f"{kept['vs_dict']}x the dict's (ceiling {KEPT_CEILING}x): answers "
+        "are held fatter than the JSON they are sent as"
+    )
     repeat = report["repeat"]
     assert repeat["recognised_vs_decoded"] <= REPEAT_CEILING, (
         f"a recognised repeat costs {repeat['recognised_vs_decoded']}x a decoded one "
@@ -479,12 +549,15 @@ def run_shard_bench(shards: int = 4, smoke: bool = False) -> dict:
     report["overload"] = _overload_leg(datasets)
     report["cold_cache"] = run_fresh_bench(smoke)
     report["repeat"] = run_repeat_bench(smoke)
+    report["kept_answer"] = run_kept_bench()
     report["notes"] = (
         "throughput_speedup (1 shard vs N at equal total workers) is result-cache "
         "hit rate — the per-shard LRU stops thrashing — not parallel mining; "
         "cold_cache.two_clients_vs_one is parallel mining: fresh-only clients, "
-        "result cache useless; repeat.recognised_vs_decoded is the decode + render "
-        "share of a repeat over HTTP: both sends are result-cache hits"
+        "result cache useless; repeat.recognised_vs_decoded is the decode "
+        "share of a repeat over HTTP: both sends are result-cache hits; "
+        "kept_answer.vs_dict is the server memory one finished answer holds, "
+        "against the dict it held before answers were kept as their JSON"
     )
 
     # acceptance: affinity must buy >= 2x jobs/s on the repeat-dataset
@@ -548,6 +621,12 @@ def main(argv=None) -> int:
         f"decoded {repeat['decoded_p50_s'] * 1e3:.2f} ms, recognised "
         f"{repeat['recognised_p50_s'] * 1e3:.2f} ms = {repeat['recognised_vs_decoded']}x "
         f"(ceiling {REPEAT_CEILING}x)"
+    )
+    kept = report["kept_answer"]
+    print(
+        f"kept answer ({kept['rows']} rows, {kept['itemsets_last']} itemsets): "
+        f"{kept['retained_bytes_per_answer'] / 1024:.1f} KiB retained = {kept['vs_dict']}x "
+        f"the dict's {DICT_KEPT_BYTES / 1024:.1f} KiB (ceiling {KEPT_CEILING}x)"
     )
     print(f"serve shards ok: report -> {report_path(REPORT, args.smoke)}")
     return 0

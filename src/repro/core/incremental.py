@@ -69,7 +69,8 @@ simply drop out of level 1.
 Correctness contract (pinned by the oracle tests): after any sequence of
 appends and retires the mined itemsets equal a cold re-mine of the
 current window.  Every update is traced as an ``incremental_update`` span
-carrying its per-phase seconds (:data:`PHASES`) and reported as
+carrying its per-phase seconds (:data:`PHASES`) — the miner's trace holds
+the last update's span alone, so it stays one span long — and reported as
 :class:`IncrementalUpdate` delta-pass stats, which also ride on the
 result's :class:`~repro.core.results.IterationStats`.
 """
@@ -277,7 +278,6 @@ class IncrementalMiner:
         self.max_length = max_length
         self.candidate_store = candidate_store
         self.track_family_diff = track_family_diff
-        self._trace = Tracer(label="incremental")
         self._window: list = [canonical_transaction(t) for t in transactions]
         if not self._window:
             raise MiningError("cannot build incremental state over an empty window")
@@ -408,8 +408,13 @@ class IncrementalMiner:
         return update
 
     def _finish(self, update: IncrementalUpdate, t0: float) -> IncrementalUpdate:
-        """Stamp ``update``, close its clock and trace it, phases included."""
+        """Stamp ``update``, close its clock and trace it, phases included.
+        The trace is this update's alone: a warm miner lives for thousands
+        of updates, and a result carries the trace of the one that brought
+        its window current."""
         update.seconds = time.perf_counter() - t0
+        self._trace = Tracer(label="incremental")
+        self._trace.origin_s = t0  # its one span starts the timeline
         self._trace.add_span(
             "incremental_update", "driver", t0, update.seconds,
             kind=update.kind, n_delta=update.n_delta,

@@ -239,16 +239,17 @@ class LocalClient(Client):
     own :func:`~repro.serve.http.dispatch` on ``service`` — a
     :class:`~repro.serve.router.ShardRouter` or a bare
     :class:`~repro.serve.service.MiningService` in this process.  The
-    answer goes through the JSON codec as it would on the wire: a payload
-    rendered for the encoder (tuples, say) comes back as the socket
-    transport decodes it."""
+    answer is decoded from the JSON text it would be sent as: a payload
+    rendered for the encoder (tuples, say), or a result's kept text, comes
+    back as the socket transport decodes it."""
 
     def __init__(self, service):
         self.service = service
 
     def _exchange(self, method: str, path: str, payload: dict | None):
         status, answer, headers = dispatch(self.service, method, path, payload)
-        return status, json.loads(json.dumps(answer)), headers
+        text = answer if isinstance(answer, str) else json.dumps(answer)
+        return status, json.loads(text), headers
 
 
 class HttpClient(Client):

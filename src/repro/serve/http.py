@@ -56,8 +56,9 @@ or had not sent it all by the handler's deadline for the body — is
 answered 400 / 408 ``incomplete_body`` and its connection closed.
 
 A byte-identical resubmission is recognised by the digest of its body
-and an answer served again is sent as first rendered: what the socket
-transport already holds, :class:`RepeatMemo`.
+(:class:`RepeatMemo`, the socket transport's), and every answer is sent
+as the JSON text its result was rendered to when it was produced
+(:func:`result_text`).
 
 ``MiningServer`` runs the whole stack in-process on an ephemeral port —
 the tests use it; ``repro serve`` keeps it in the foreground.
@@ -71,7 +72,6 @@ import json
 import math
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -89,21 +89,13 @@ from repro.serve.planner import CostPlanner
 from repro.serve.router import ShardRouter
 
 
-def _wire_itemsets(result) -> list:
-    """The ``itemsets`` rows as the encoder takes them: ``(itemset,
-    count)`` tuples, no copy of an itemset — ``json.dumps`` writes a
-    tuple as an array, so the bytes are those of ``[[items], count]``."""
-    return list(result.itemsets.items())
-
-
-def result_payload(job, itemsets=None) -> dict:
-    """JSON form of a DONE job's :class:`MiningRunResult`.
-
-    ``itemsets`` stands in for the rendered ``itemsets`` field (what
-    :meth:`RepeatMemo.result_text` splices its kept text over).
-    """
+def result_text(job) -> str:
+    """The ``GET /results/{id}`` body of a DONE job: the payload's head
+    and, as its last field, the ``itemsets`` text the result keeps
+    (:class:`~repro.serve.jobs.KeptItemsets`) — ``json.dumps`` of the
+    whole payload, byte for byte, with nothing rendered or decoded here."""
     result = job.result
-    return {
+    head = json.dumps({
         "job_id": job.job_id,
         "algorithm": result.algorithm,
         "min_support": result.min_support,
@@ -111,12 +103,12 @@ def result_payload(job, itemsets=None) -> dict:
         "num_itemsets": result.num_itemsets,
         "total_seconds": result.total_seconds,
         "via": job.via,
-        "itemsets": _wire_itemsets(result) if itemsets is None else itemsets,
-    }
+    })
+    return f'{head[:-1]}, "itemsets": {result.itemsets.text}}}'
 
 
 def itemsets_from_payload(payload: dict) -> dict:
-    """Inverse of :func:`result_payload` for the ``itemsets`` field."""
+    """``{tuple(items): count}`` of a decoded :func:`result_text`."""
     return {tuple(itemset): count for itemset, count in payload["itemsets"]}
 
 
@@ -129,10 +121,10 @@ REMEMBERED_BODIES = 1024
 
 
 class RepeatMemo:
-    """What the socket transport already holds for a repeat, so that it
-    is neither decoded nor rendered again.
+    """The request bodies the socket transport has decoded, so that a
+    repeat is not decoded again.
 
-    *Request bodies.*  ``sha256(body)`` of an accepted ``POST /jobs`` maps
+    ``sha256(body)`` of an accepted ``POST /jobs`` maps
     to the keywords :func:`~repro.serve.api.decode_request` made of it —
     **minus ``transactions``** — plus the fingerprint the job was placed
     by.  :func:`dispatch` submits a recognised body as ``transactions=None,
@@ -143,29 +135,20 @@ class RepeatMemo:
     never a ``dataset=`` submit (its rows are the dataset's current
     version, not the body's).
 
-    *Rendered answers.*  The ``itemsets`` field of a result served again
-    (a job answered ``memoized`` or ``coalesced``) is rendered to JSON
-    text once per result object and spliced into each later
-    ``GET /results/{id}`` body; the text is dropped when the result is (no
-    job and no ``ResultCache`` entry holds it any more).  A result
-    fetched for the job that ran it is rendered and forgotten as before.
-
-    Only the socket transport has bytes to digest and text to send, so
-    only :class:`MiningServer` makes one; ``/metrics`` reports
-    :meth:`stats` as ``router.http``.
+    Answers need no memo: a result holds its itemsets as the text it is
+    sent as, whoever fetches it (:func:`result_text`).  Only the socket
+    transport has bytes to digest, so only :class:`MiningServer` makes
+    one; ``/metrics`` reports :meth:`stats` — with ``results_sent``, the
+    results it answered — as ``router.http``.
     """
 
     def __init__(self):
         self._lock = threading.Lock()  # the bodies' LRU order and the counters
         self._bodies: OrderedDict[bytes, tuple[dict, str]] = OrderedDict()
-        #: id(result) -> (weak reference to it, its rendered itemsets).
-        #: Touched only by single dict operations: a reference's callback
-        #: runs wherever the collector does, a lock held or not
-        self._renderings: dict[int, tuple[weakref.ref, str]] = {}
         self.bodies_recognised = 0
         self.bodies_remembered = 0
         self.fallbacks_not_resident = 0
-        self.renderings_reused = 0
+        self.results_sent = 0
 
     def recall(self, method: str, raw_path: str, body) -> dict | None:
         """The submit keywords of a body seen before, else ``None``."""
@@ -193,38 +176,18 @@ class RepeatMemo:
                 self._bodies.popitem(last=False)
 
     def clear(self) -> None:
-        """Forget every body and rendering (the counters stay): the next
-        request is decoded and rendered in full."""
+        """Forget every body (the counters stay): the next request is
+        decoded in full."""
         with self._lock:
             self._bodies.clear()
-        self._renderings.clear()
 
     def fell_back(self) -> None:
         with self._lock:
             self.fallbacks_not_resident += 1
 
-    def result_text(self, job: Job) -> str:
-        """``json.dumps(result_payload(job))``, byte for byte, around the
-        kept rendering of the result's itemsets."""
-        result, renderings = job.result, self._renderings
-        key = id(result)
-        kept = renderings.get(key)
-        if kept is not None and kept[0]() is result:
-            itemsets = kept[1]
-            with self._lock:
-                self.renderings_reused += 1
-        else:
-            itemsets = json.dumps(_wire_itemsets(result))
-
-            def dropped(ref):
-                if renderings.get(key, (None,))[0] is ref:
-                    del renderings[key]
-
-            renderings[key] = weakref.ref(result, dropped), itemsets
-        head = json.dumps(result_payload(job, itemsets=[]))
-        # the first '"itemsets": []' is the key: quotes inside the string
-        # values before it are escaped
-        return head.replace('"itemsets": []', '"itemsets": ' + itemsets, 1)
+    def sent_result(self) -> None:
+        with self._lock:
+            self.results_sent += 1
 
     def stats(self) -> dict:
         with self._lock:
@@ -232,7 +195,7 @@ class RepeatMemo:
                 "bodies_recognised": self.bodies_recognised,
                 "bodies_remembered": self.bodies_remembered,
                 "fallbacks_not_resident": self.fallbacks_not_resident,
-                "renderings_reused": self.renderings_reused,
+                "results_sent": self.results_sent,
             }
 
 
@@ -246,9 +209,9 @@ def _answer(op: Operation, kwargs: dict, out, memo: RepeatMemo | None):
         return op.status, out
     if op.name == "result":
         if out.state is JobState.DONE:
-            if memo is not None and out.via != "run":
-                return op.status, memo.result_text(out)
-            return op.status, result_payload(out)
+            if memo is not None:
+                memo.sent_result()
+            return op.status, result_text(out)
         return 409, {
             "error": f"job is {out.state.value}, not done",
             "code": "not_done",
@@ -274,11 +237,12 @@ def dispatch(
     or the payload itself from an in-process caller.  Returns ``(status,
     JSON payload, extra response headers)``.
 
-    ``memo`` is the socket transport's :class:`RepeatMemo` (``body`` is
-    bytes then): a submit body it recognises is submitted without being
-    decoded — and decoded after all when the shard no longer holds its
-    rows — an accepted one is remembered, and a result served again comes
-    back as the payload's JSON text, ready to send."""
+    A DONE job's result comes back as the payload's JSON text, ready to
+    send (:func:`result_text`).  ``memo`` is the socket transport's
+    :class:`RepeatMemo` (``body`` is bytes then): a submit body it
+    recognises is submitted without being decoded — and decoded after
+    all when the shard no longer holds its rows — and an accepted one is
+    remembered."""
     headers: dict = {}
     try:
         out = None
@@ -548,5 +512,5 @@ __all__ = [
     "RepeatMemo",
     "config_from_dict",
     "itemsets_from_payload",
-    "result_payload",
+    "result_text",
 ]

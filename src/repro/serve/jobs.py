@@ -10,6 +10,10 @@ through::
        │           ├──────▶ TIMED_OUT   (deadline fired mid-run)
        └───────────┴──────▶ CANCELLED   (client cancel, queued or running)
 
+A DONE job's result is held as it is sent: :func:`kept` renders the
+itemsets to their JSON text once, where the answer is produced, and the
+result's ``itemsets`` becomes a :class:`KeptItemsets` over that text.
+
 A job's record has one owner: the :class:`Job` in the table of the
 shard that accepted it.  State is only ever mutated under that service's
 lock (``attempts`` by the runner of the one worker that holds the job);
@@ -24,9 +28,11 @@ comparing ``n`` with its own counter.
 
 from __future__ import annotations
 
+import json
 import re
 import threading
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -110,6 +116,77 @@ class RowsNotResident(ServeError):
     full.  Raised before the job table, tenant counters or queue change."""
 
 
+def _tupled(value):
+    """A decoded JSON value with every array a tuple, as it was mined."""
+    return tuple(map(_tupled, value)) if type(value) is list else value
+
+
+def _unsendable(item):
+    raise ServeError(f"the answer holds {item!r} ({type(item).__name__}), which JSON cannot carry")
+
+
+#: one decode at a time: a kept answer is decoded at most once
+_DECODING = threading.Lock()
+
+
+class KeptItemsets(Mapping):
+    """A finished answer's ``{itemset: count}`` as the service holds it:
+    the JSON text of the ``itemsets`` field it is sent as (``[[items],
+    count]`` rows, in the order mined) and its length.
+
+    ``GET /results`` sends :attr:`text` as it is and never decodes it.
+    For an embedded caller it is the read-only mapping it stands for: the
+    first read that needs the itemsets decodes the text, once, with every
+    array a tuple; ``len`` needs no decode.
+    """
+
+    __slots__ = ("text", "_n", "_decoded")
+
+    def __init__(self, text: str, n: int):
+        self.text = text
+        self._n = n
+        self._decoded: dict | None = None
+
+    @property
+    def decoded(self) -> bool:
+        """Whether a read in this process has decoded the text."""
+        return self._decoded is not None
+
+    def _family(self) -> dict:
+        if self._decoded is None:
+            with _DECODING:
+                if self._decoded is None:
+                    self._decoded = {
+                        _tupled(itemset): count for itemset, count in json.loads(self.text)
+                    }
+        return self._decoded
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, itemset):
+        return self._family()[itemset]
+
+    def __iter__(self):
+        return iter(self._family())
+
+    def __repr__(self) -> str:
+        return f"<KeptItemsets: {self._n} itemsets in {len(self.text)} characters of JSON>"
+
+
+def kept(result):
+    """``result`` with its itemsets rendered, once, to the JSON text they
+    are sent as, and its dict dropped for a :class:`KeptItemsets` over
+    that text (a result already kept is returned as it is).  Raises
+    :class:`ServeError` naming an item that JSON cannot carry — no client
+    could be sent such an answer."""
+    itemsets = result.itemsets
+    if not isinstance(itemsets, KeptItemsets):
+        text = json.dumps(list(itemsets.items()), default=_unsendable)
+        result.itemsets = KeptItemsets(text, len(itemsets))
+    return result
+
+
 class JobState(str, Enum):
     PENDING = "pending"
     RUNNING = "running"
@@ -175,7 +252,7 @@ class Job:
     finished_s: float | None = None
     attempts: int = 0
     error: str | None = None
-    result: object | None = None  # MiningRunResult when DONE
+    result: object | None = None  # MiningRunResult when DONE, its itemsets kept()
     #: how the result was produced: "run", "memoized" (result-cache hit at
     #: submit time) or "coalesced" (attached to an identical in-flight job)
     via: str = "run"

@@ -6,7 +6,9 @@ Every service worker thread is paired with one persistent child process
 owning the job — attempts, deadline, cancel, retry, all in
 :class:`~repro.serve.runner.JobRunner` — and sends the process ``(dataset
 fingerprint, config as planned, algorithm spec)``; the process answers
-with the pickled :class:`~repro.core.results.MiningRunResult`.  What
+with the pickled :class:`~repro.core.results.MiningRunResult`, its
+itemsets already rendered to the JSON text they are sent as
+(:func:`~repro.serve.jobs.kept`).  What
 makes a process worth keeping lives in it, §IV-B of the paper one level
 up: **rows, by fingerprint** — a byte-budgeted LRU
 (:class:`~repro.engine.workerstore.WorkerBlockStore`).  A request never
@@ -159,6 +161,7 @@ def _job_worker_main(conn, tmp_dir: str, store_bytes: int) -> None:
     ``("done", pickled result, stats)`` or ``("error", exception, stats)``.
     """
     from repro.core.registry import register_algorithm, run_algorithm
+    from repro.serve.jobs import kept
 
     tempfile.tempdir = tmp_dir
 
@@ -172,7 +175,8 @@ def _job_worker_main(conn, tmp_dir: str, store_bytes: int) -> None:
             register_algorithm(
                 spec.name, spec.runner, needs_engine=spec.needs_engine, overwrite=True
             )
-            result = run_algorithm(rows, config)
+            # rendered here, once: the server unpickles one string
+            result = kept(run_algorithm(rows, config))
             reply = ("done", pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
         except BaseException as exc:  # noqa: BLE001 - the client's to read
             reply = ("error", picklable_exception(exc))

@@ -14,7 +14,10 @@ A job has two possible homes, and which one is a fact about the job
 (:func:`shipping_request` is the one place it is decided): the worker
 thread's :class:`~repro.serve.jobworker.JobWorker` process — outside this
 interpreter, killed on timeout or cancel — or, for what cannot leave, an
-attempt thread here that can only be abandoned.
+attempt thread here that can only be abandoned.  Either home hands back
+its answer already rendered to the JSON it is sent as
+(:func:`~repro.serve.jobs.kept`), so the service keeps that text and
+never the dict.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import time
 
 from repro.common.errors import EngineError
 from repro.core.registry import MiningConfig, get_algorithm, run_algorithm, runs_on_engine
-from repro.serve.jobs import ApiError, Job, JobState, ServeError
+from repro.serve.jobs import ApiError, Job, JobState, ServeError, kept
 
 #: exception types treated as transient (retried with backoff)
 TRANSIENT_ERRORS = (EngineError,)
@@ -187,7 +190,8 @@ class JobRunner:
                     )
                 if result is None:
                     result = run_algorithm(txns, config)
-                box["result"] = result
+                # rendered as a job worker renders it, holding no lock
+                box["result"] = kept(result)
             except BaseException as exc:  # noqa: BLE001 - reported to client
                 box["error"] = exc
 

@@ -9,7 +9,9 @@ since a miner that silently full-rebuilds on every append would pass
 parity while defeating the point.
 """
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -655,3 +657,32 @@ class TestCandidateMaintenance:
         assert [it.candidates_dropped for it in miner.result().iterations] == [0, 3, 1]
         assert upd.family_diff.removed[("a", "b", "d")] == 6
         assert_tracked_is_apriori_gen(miner)
+
+    def test_a_warm_miner_keeps_one_span_however_long_it_lives(self):
+        """A served miner takes an update per version for weeks: its trace
+        is the last update's span alone, a result keeps the trace of the
+        update that brought its window current, and after warm-up a slide
+        leaves no memory behind."""
+        block = mushroom_like(0.01, 7).transactions[:8]
+        miner = IncrementalMiner(block * 10, 0.3, track_family_diff=False)
+
+        def slide():  # the same rows in as out: only what a slide keeps can grow
+            miner.slide([list(row) for row in block], len(block))
+
+        first = miner.result()
+        for _ in range(400):
+            slide()
+        assert len(first.trace.spans) == 1 and first.trace.spans[0].args["kind"] == "build"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(600):
+                slide()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        spans = miner.result().trace.spans
+        assert [(s.name, s.args["kind"]) for s in spans] == [("incremental_update", "slide")]
+        assert grown / 600 < 64, f"{grown / 600:.0f} bytes retained per slide"

@@ -1,5 +1,6 @@
 """HTTP front-end: endpoints, error codes, client round-trips, CLI wiring."""
 
+import json
 import os
 import threading
 import time
@@ -12,7 +13,7 @@ from repro.core.registry import MiningConfig
 from repro.datasets import mushroom_like
 from repro.serve import HttpClient, MiningServer, ServeError
 from repro.serve.api import MAX_NUM_PARTITIONS
-from repro.serve.http import config_from_dict, itemsets_from_payload, result_payload
+from repro.serve.http import config_from_dict, itemsets_from_payload, result_text
 
 TXNS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
 CFG = MiningConfig(min_support=0.4, backend="serial")
@@ -290,7 +291,7 @@ class TestPayloadHelpers:
         with MiningService(n_workers=1) as svc:
             job = svc.submit(TXNS, CFG)
             job.wait(30.0)
-            payload = result_payload(job)
+            payload = json.loads(result_text(job))
             assert payload["num_itemsets"] == job.result.num_itemsets
             assert itemsets_from_payload(payload) == job.result.itemsets
             assert LocalClient(svc).result(job.job_id) == job.result.itemsets

@@ -1,11 +1,11 @@
-"""A repeat is answered from what the socket transport already holds.
+"""A repeat is answered from what the server already holds.
 
 ``repro.serve.http.RepeatMemo``: a request body it has decoded is
-recognised by its digest and submitted as "the rows you already hold",
-an answer served again is sent as first rendered — and neither changes
-any answer: every case here reads the same with the memo emptied.  Plus
-the raw-socket drills of the handler that reads those bodies (stalled,
-truncated, invalid, oversized).
+recognised by its digest and submitted as "the rows you already hold" —
+which changes no answer: every case here reads the same with the memo
+emptied.  Every answer is sent as the JSON text its result keeps, whoever
+fetches it.  Plus the raw-socket drills of the handler that reads those
+bodies (stalled, truncated, invalid, oversized).
 """
 
 import gc
@@ -15,6 +15,7 @@ import select
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +32,9 @@ from repro.serve.http import (
     _Handler,
     dispatch,
     itemsets_from_payload,
-    result_payload,
 )
-from repro.serve.jobs import Job, JobRequest, JobState
+from repro.serve.jobs import Job, JobRequest, JobState, KeptItemsets, kept
+from tests.serve import _runners
 
 ROWS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3], [4]]
 
@@ -230,7 +231,7 @@ def test_rows_and_result_gone_fall_back_to_the_body_in_hand():
         assert (final["state"], final["via"]) == ("done", "run")
         assert srv.memo.stats() == {
             "bodies_recognised": 1, "bodies_remembered": 4,
-            "fallbacks_not_resident": 1, "renderings_reused": 0,
+            "fallbacks_not_resident": 1, "results_sent": 0,
         }
         assert not service.get(final["job_id"]).rows_resident
         answer = fetch(srv, final["job_id"])["itemsets"]
@@ -352,43 +353,53 @@ def test_only_an_exact_post_to_jobs_is_looked_up():
     dispatch(backend, "POST", "/jobs", named, memo)
     assert memo.stats() == {
         "bodies_recognised": 0, "bodies_remembered": 2,
-        "fallbacks_not_resident": 0, "renderings_reused": 0,
+        "fallbacks_not_resident": 0, "results_sent": 0,
     }
 
 
-# -- (f) the spliced answer ----------------------------------------------------------
-def test_a_result_served_again_is_sent_as_first_rendered():
+# -- (f) the kept answer -------------------------------------------------------------
+def reference(job) -> bytes:
+    """The body for ``job`` as ``json.dumps`` of the list-shaped payload,
+    rendered here from the decoded result: what the wire always carried."""
+    result = job.result
+    return as_body({
+        "job_id": job.job_id,
+        "algorithm": result.algorithm,
+        "min_support": result.min_support,
+        "n_transactions": result.n_transactions,
+        "num_itemsets": result.num_itemsets,
+        "total_seconds": result.total_seconds,
+        "via": job.via,
+        "itemsets": [[list(items), count] for items, count in result.itemsets.items()],
+    })
+
+
+def test_every_fetch_sends_the_text_its_result_keeps():
+    """The answer is rendered once, where it was produced: the job that ran
+    it and every repeat answered from the cache send that one text, and no
+    fetch decodes it."""
     rows = [["a", "b", 'q"uote'], ["a", "b"], ["b", "c"], ["a", "c"], ["d"]] * 20
     payload = {"transactions": rows, "config": {"min_support": 0.3, "backend": "serial"}}
     with MiningServer(port=0, n_workers=1) as srv:
-        ran = post_job(srv, as_body(payload))
-        assert ran["via"] == "run"
-        first_fetch = send(srv, "GET", f"/results/{ran['job_id']}")[2]
-        assert first_fetch == as_body(result_payload(srv.service.get(ran["job_id"])))
-        assert not srv.memo._renderings  # fetched by the job that ran it: nothing kept
-
-        for reused in (0, 1, 2):
-            repeat = post_job(srv, as_body(payload))
-            assert repeat["via"] == "memoized"
-            sent = send(srv, "GET", f"/results/{repeat['job_id']}")[2]
-            assert sent == as_body(result_payload(srv.service.get(repeat["job_id"])))
-            assert srv.memo.stats()["renderings_reused"] == reused
-            assert len(srv.memo._renderings) == 1
-        assert json.loads(sent)["itemsets"] == json.loads(first_fetch)["itemsets"]
-        assert LocalClient(srv.service).result_detail(repeat["job_id"]) == json.loads(sent)
-
-
-def list_shaped(payload: dict) -> dict:
-    """``payload`` with its rows as lists: the reference whose ``json.dumps``
-    the bytes on the wire must be."""
-    return {**payload, "itemsets": [[list(items), count] for items, count in payload["itemsets"]]}
+        ids = [post_job(srv, as_body(payload))["job_id"] for _ in range(4)]
+        bodies = [send(srv, "GET", f"/results/{job_id}")[2] for job_id in ids]
+        jobs = [srv.service.get(job_id) for job_id in ids]
+        assert [job.via for job in jobs] == ["run", "memoized", "memoized", "memoized"]
+        itemsets = jobs[0].result.itemsets
+        assert isinstance(itemsets, KeptItemsets)
+        assert all(job.result.itemsets is itemsets for job in jobs)
+        assert not itemsets.decoded
+        assert srv.memo.stats()["results_sent"] == 4
+        for job, body in zip(jobs, bodies):
+            assert LocalClient(srv.service).result_detail(job.job_id) == json.loads(body)
+            assert body == reference(job)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["rows", "named-dataset"])
 def test_result_bodies_are_the_list_shaped_payload_byte_for_byte(warm):
-    """Result rows go to the encoder as ``(itemset, count)`` tuples; the
-    bytes sent — for the job that ran, a repeat answered from the cache,
-    and a warm miner's answer — are those of the list-shaped payload."""
+    """The bytes sent — for the job that ran, a repeat answered from the
+    cache, and a warm miner's answer — are those of the list-shaped
+    payload."""
     rows = [list(t) for t in mushroom_like(scale=0.02, seed=3).transactions]
     config = {"min_support": 0.4, "backend": "serial"}
     if warm:
@@ -404,27 +415,84 @@ def test_result_bodies_are_the_list_shaped_payload_byte_for_byte(warm):
             body = send(srv, "GET", f"/results/{done['job_id']}")[2]
             job = srv.service.get(done["job_id"])
             assert len(job.result.itemsets) > 50
-            assert body == as_body(list_shaped(result_payload(job)))
             assert LocalClient(srv.service).result_detail(done["job_id"]) == json.loads(body)
+            assert body == reference(job)
 
 
-def test_a_rendering_is_dropped_with_its_result():
-    memo = RepeatMemo()
+@pytest.fixture
+def homes():
+    """``memo_blocker`` ships and holds the one worker; ``memo_closure``
+    cannot ship (a lambda), so it runs in the server."""
+    register_algorithm("memo_blocker", _runners.sleepy, overwrite=True)
+    register_algorithm("memo_closure", lambda txns, cfg: _runners.fast(txns, cfg), overwrite=True)
+    yield
+    unregister_algorithm("memo_blocker")
+    unregister_algorithm("memo_closure")
 
-    def served_again(result) -> Job:
-        return Job(JobRequest(MiningConfig(min_support=0.5)), "f" * 64, "job-2",
-                   state=JobState.DONE, result=result, via="memoized")
 
-    results = [MiningRunResult("yafim", 0.5, 3, itemsets={(i,): 3}) for i in range(50)]
-    for result in results:
-        job = served_again(result)
-        assert memo.result_text(job) == json.dumps(result_payload(job))
-    assert len(memo._renderings) == 50
-    del results[10:], result, job
+@pytest.mark.parametrize("home", ["job-worker", "named-dataset", "in-server"])
+def test_every_via_from_every_home_sends_the_list_shaped_bytes(homes, home):
+    """A job that ran, one coalesced onto it and one memoized, for each of
+    the three places an answer is produced: a job worker, a named
+    dataset's warm miner, and the server's own interpreter."""
+    rows = [list(t) for t in mushroom_like(scale=0.02, seed=3).transactions]
+    config = {"min_support": 0.4, "backend": "serial"}
+    payload = {
+        "job-worker": {"transactions": rows, "config": config},
+        "named-dataset": {"dataset": "feed", "config": {**config, "incremental": True}},
+        "in-server": {"transactions": rows, "config": {**config, "algorithm": "memo_closure"}},
+    }[home]
+    blocker = {"transactions": ROWS, "config": {
+        "min_support": 0.5, "algorithm": "memo_blocker", "options": {"seconds": 0.5}}}
+    with MiningServer(port=0, n_workers=1) as srv:
+        HttpClient(srv.url).create_dataset("feed", rows)
+        assert send(srv, "POST", "/jobs", as_body(blocker))[0] == 202
+        queued = [json.loads(send(srv, "POST", "/jobs", as_body(payload))[2]) for _ in range(2)]
+        assert [snapshot["state"] for snapshot in queued] == ["pending", "pending"]
+        for snapshot in queued:
+            send(srv, "GET", f"/jobs/{snapshot['job_id']}?timeout_s=20")
+        ids = [snapshot["job_id"] for snapshot in queued]
+        ids.append(post_job(srv, as_body(payload))["job_id"])
+        jobs = [srv.service.get(job_id) for job_id in ids]
+        assert [job.via for job in jobs] == ["run", "coalesced", "memoized"]
+        assert len({id(job.result) for job in jobs}) == 1
+        shipped = srv.service.metrics()["shards"][0]["service"]["job_workers"]["jobs_run"]
+        assert shipped == (2 if home == "job-worker" else 1)  # the blocker always ships
+        for job in jobs:
+            body = send(srv, "GET", f"/results/{job.job_id}")[2]
+            assert LocalClient(srv.service).result_detail(job.job_id) == json.loads(body)
+            assert body == reference(job)
+
+
+def test_an_answer_sent_is_held_by_its_result_alone():
+    """Sending an answer leaves nothing of it with the transport: the
+    text goes when its result does."""
+
+    class Finished:
+        """A backend of finished jobs: what :func:`dispatch` needs for a fetch."""
+
+        def __init__(self, jobs):
+            self.jobs = {job.job_id: job for job in jobs}
+
+        def get(self, job_id: str) -> Job:
+            return self.jobs[job_id]
+
+    results = [kept(MiningRunResult("yafim", 0.5, 3, itemsets={(i, "x"): 3})) for i in range(50)]
+    results.append(kept(MiningRunResult("yafim", 0.5, 3)))  # no itemsets at all
+    jobs = [
+        Job(JobRequest(MiningConfig(min_support=0.5)), "f" * 64, f"job-{i}",
+            state=JobState.DONE, result=result, via="memoized")
+        for i, result in enumerate(results)
+    ]
+    memo, backend = RepeatMemo(), Finished(jobs)
+    for job in jobs:
+        status, text, _ = dispatch(backend, "GET", f"/results/{job.job_id}", None, memo)
+        assert status == 200 and text.encode("utf-8") == reference(job)
+    assert memo.stats()["results_sent"] == len(jobs)
+    held = [weakref.ref(result) for result in results]
+    del results, jobs, job, backend
     gc.collect()
-    assert len(memo._renderings) == 10
-    empty = served_again(MiningRunResult("yafim", 0.5, 3))
-    assert memo.result_text(empty) == json.dumps(result_payload(empty))
+    assert not any(ref() is not None for ref in held)
 
 
 # -- the handler that reads the bodies -------------------------------------------------
@@ -582,7 +650,6 @@ def test_metrics_report_the_memo_in_the_router_block_of_the_socket_transport(ser
     over_http = HttpClient(server.url).metrics()
     assert over_http["router"]["http"] == server.memo.stats()
     assert set(over_http["router"]["http"]) == {
-        "bodies_recognised", "bodies_remembered", "fallbacks_not_resident",
-        "renderings_reused",
+        "bodies_recognised", "bodies_remembered", "fallbacks_not_resident", "results_sent",
     }
     assert "http" not in LocalClient(server.service).metrics()["router"]

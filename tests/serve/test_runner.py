@@ -15,6 +15,7 @@ from repro.core.registry import MiningConfig, register_algorithm, unregister_alg
 from repro.core.results import MiningRunResult
 from repro.engine.faults import InjectedTaskFailure
 from repro.serve import DatasetCache, Job, JobRequest, JobRunner, JobState
+from repro.serve.jobs import KeptItemsets
 
 ROWS = [[1, 2, 3], [1, 2], [2, 3]]
 
@@ -200,12 +201,14 @@ def test_engine_job_runs_as_planned_on_a_checked_out_context(rig, algo):
 
 
 def test_incremental_job_takes_the_warm_answer_and_no_context(rig):
-    warm = object()
+    warm = _result(ROWS, MiningConfig(min_support=0.4))
     rig.registry.answer = warm
     job = running_job(MiningConfig(min_support=0.4, incremental=True))
     job._dataset_entry, job.dataset_version = "entry", 7
     state, result, _ = rig.runner.run(job)
     assert state is JobState.DONE and result is warm
+    # rendered here, once, as a job worker renders its answer
+    assert isinstance(result.itemsets, KeptItemsets) and result.itemsets.text == "[[[1], 3]]"
     assert rig.registry.asked == [("entry", 7, len(ROWS))]
 
 

@@ -24,7 +24,11 @@ and window-policy legs and the *advance* leg, the perf ledger's
 ``stream_window`` feed in process (a 3 000-row window, 8 rows in and 8
 out, diff tracking on): per advance, the slide, the change feed's
 rendering and the warm result's, each gated as a ratio to a cold build
-of the window.  ``BENCH_incremental.json`` lands at the
+of the window — and the *watch-log* leg, the same feed through the serve
+tier's change feed: what a read 64-entry change log retains against the
+same log left as diffs, renders per version with four watchers, and a
+63-version span's answer against composing the diffs, each gated.
+``BENCH_incremental.json`` lands at the
 repo root (a ``--smoke`` run: under the git-ignored ``benchmarks/out/``);
 :func:`check_floors` is the gate over it (a fresh run, or the checked-in
 file) and ``--check`` runs it.
@@ -339,6 +343,141 @@ def _advance_leg(base: list, pool: list, smoke: bool) -> dict:
     return report
 
 
+#: watch-log leg: the change log of one watch at its bound (the serve
+#: tier's ``changelog_limit``), one entry per advance of the advance
+#: leg's feed, read by this many watchers
+LOG_ENTRIES = 64
+WATCHERS = 4
+#: its gate: a log read once per version holds its entries as the text
+#: they are sent as (measured 0.24x), and a version is rendered once
+#: however many watchers read it (1.0)
+LOG_BYTES_CEILING = 0.35
+RENDERS_PER_VERSION_CEILING = 1.25
+
+
+def _watch_log_leg(pool: list) -> dict:
+    """The perf ledger's feed (the full-size advance leg's: 3 000 window
+    rows, 8 in and 8 out, in smoke mode too — the log's shape, not the
+    host, sets the figures) through the serve tier's dataset registry,
+    one watch on it, ``LOG_ENTRIES`` advances: what the log retains and
+    what reading it costs.
+
+    * the bytes the log retains once every version was read, against the
+      same log left as the diffs it logged (``tracemalloc``: what each
+      form frees when dropped);
+    * renders per version with ``WATCHERS`` watchers reading every
+      version;
+    * the answer to a reader ``LOG_ENTRIES - 1`` versions behind, against
+      composing the log's diffs and rendering that, which is how the
+      feed answered it while the log held diffs (fastest of 3 each).
+    """
+    import threading
+    import tracemalloc
+
+    import repro.serve.datasets as datasets
+    from repro.core.incremental import FamilyDiff
+    from repro.serve import DatasetCache, DatasetRegistry, ResultCache
+
+    window = mushroom_like(scale=0.8, seed=SEED).transactions[: ADVANCE_WINDOW[False]]
+    deltas = [pool[i * ADVANCE_DELTA : (i + 1) * ADVANCE_DELTA] for i in range(LOG_ENTRIES)]
+    key = datasets._mining_key(SUPPORT, None, STORE)
+
+    def watched():
+        registry = DatasetRegistry(DatasetCache(1 << 26), ResultCache(16, 60.0))
+        registry.create_dataset("feed", window, max_window=len(window))
+        registry.dataset_changes("feed", since=1, min_support=SUPPORT)
+        return registry, registry.get("feed")
+
+    # what the log retains, read once per version and left as diffs (the
+    # build is not traced: nothing it allocates is freed below)
+    registry, entry = watched()
+    log = entry.watches[key].log
+    tracemalloc.start()
+    try:
+        diffs = []
+        for version, delta in enumerate(deltas, start=1):
+            registry.append_dataset("feed", delta)
+            diffs.append(entry.miners[key].last_update.family_diff)
+            registry.dataset_changes("feed", since=version, min_support=SUPPORT)
+        assert all(isinstance(step.body, str) for step in log), "a read entry is not text"
+        retained = {}
+        for name, held in (("text", log), ("diffs", diffs)):
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            held.clear()
+            gc.collect()
+            retained[name] = before - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del registry, entry, log, diffs
+
+    # renders per version, every version read by every watcher
+    registry, entry = watched()
+    renders = []
+    render = datasets._diff_rows
+    datasets._diff_rows = lambda diff: renders.append(1) or render(diff)
+    read = threading.Barrier(WATCHERS + 1)
+
+    def watcher():
+        since = 1
+        read.wait(30.0)
+        while since <= LOG_ENTRIES:
+            answer = registry.dataset_changes(
+                "feed", since=since, min_support=SUPPORT, timeout_s=30.0
+            )
+            since = answer["version"]
+            read.wait(30.0)
+
+    threads = [threading.Thread(target=watcher) for _ in range(WATCHERS)]
+    diffs = []
+    try:
+        for t in threads:
+            t.start()
+        read.wait(30.0)
+        for delta in deltas:
+            registry.append_dataset("feed", delta)
+            diffs.append(entry.miners[key].last_update.family_diff)
+            read.wait(30.0)
+        for t in threads:
+            t.join(30.0)
+    finally:
+        datasets._diff_rows = render
+
+    # a reader LOG_ENTRIES - 1 versions behind
+    since = entry.version - (LOG_ENTRIES - 1)
+    head = {"dataset_id": "feed", "since": since, "version": entry.version,
+            "n_transactions": len(window), "reset": False}
+    span_s, dict_span_s = [], []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        answer = registry.dataset_changes("feed", since=since, min_support=SUPPORT)
+        answer.text  # noqa: B018 - what the handler sends
+        span_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        composed = FamilyDiff.compose(diffs[1:])
+        json.dumps({**head, **render(composed)})
+        dict_span_s.append(time.perf_counter() - t0)
+    family = entry.miners[key].itemsets()
+    if answer["reset"]:
+        assert answer["family"] == datasets._family_rows(family), "the reset is not the family"
+    else:
+        assert dict(answer) == {**head, **render(composed)}, "the span is not the composed diff"
+    return {
+        "entries": LOG_ENTRIES,
+        "text_bytes": retained["text"],
+        "diff_bytes": retained["diffs"],
+        "bytes_ratio": round(retained["text"] / retained["diffs"], 3),
+        "watchers": WATCHERS,
+        "renders": len(renders),
+        "renders_per_version": round(len(renders) / LOG_ENTRIES, 3),
+        "span_versions": LOG_ENTRIES - 1,
+        "span_reset": answer["reset"],
+        "span_answer_ms": round(min(span_s) * 1e3, 3),
+        "dict_span_answer_ms": round(min(dict_span_s) * 1e3, 3),
+        "n_itemsets": len(family),
+    }
+
+
 def run_incremental_bench(smoke: bool = False, streaming: bool = False) -> dict:
     scale = 0.1 if smoke else 0.8
     base = mushroom_like(scale=scale, seed=SEED).transactions
@@ -364,6 +503,7 @@ def run_incremental_bench(smoke: bool = False, streaming: bool = False) -> dict:
         report["streaming"] = _streaming_leg(base, pool, smoke)
         report["streaming"]["policy"] = _policy_leg(base, pool)
         report["streaming"]["advance"] = _advance_leg(base, pool, smoke)
+        report["streaming"]["watch_log"] = _watch_log_leg(pool)
 
     best =max(leg["speedup_vs_remine"] for leg in report["appends"])
     report["best_append_speedup"] = best
@@ -425,6 +565,20 @@ def check_floors(report: dict) -> None:
                 f"{advance['cold_build_ms']} ms: {advance[f'cold_over_{phase}']}x, "
                 f"floor {floor}x"
             )
+        log = stream["watch_log"]
+        assert log["bytes_ratio"] <= LOG_BYTES_CEILING, (
+            f"a read {log['entries']}-entry change log retains {log['text_bytes']} B, "
+            f"{log['bytes_ratio']}x the {log['diff_bytes']} B of its diffs, "
+            f"ceiling {LOG_BYTES_CEILING}x"
+        )
+        assert log["renders_per_version"] <= RENDERS_PER_VERSION_CEILING, (
+            f"{log['watchers']} watchers rendered each version "
+            f"{log['renders_per_version']} times, ceiling {RENDERS_PER_VERSION_CEILING}"
+        )
+        assert log["span_answer_ms"] <= log["dict_span_answer_ms"], (
+            f"a {log['span_versions']}-version span took {log['span_answer_ms']} ms, "
+            f"composing the diffs {log['dict_span_answer_ms']} ms"
+        )
 
 
 def test_incremental(benchmark):
@@ -444,8 +598,8 @@ def main(argv=None) -> int:
         "--streaming",
         action="store_true",
         help="also run the streaming legs: coalesced vs individual appends, "
-        "the max_window policy invariant, and the per-phase cost of a window "
-        "advance",
+        "the max_window policy invariant, the per-phase cost of a window "
+        "advance, and the change feed's watch log",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -493,6 +647,15 @@ def main(argv=None) -> int:
             f"{advance['slide_ms']} ms, diff render {advance['diff_render_ms']} ms, "
             f"result render {advance['result_render_ms']} ms "
             f"(cold build {advance['cold_build_ms']} ms)"
+        )
+        log = stream["watch_log"]
+        print(
+            f"  watch log of {log['entries']}: read {log['text_bytes']} B vs "
+            f"{log['diff_bytes']} B of diffs = {log['bytes_ratio']}x; "
+            f"{log['renders_per_version']} renders/version with {log['watchers']} "
+            f"watchers; {log['span_versions']}-version span {log['span_answer_ms']} ms "
+            f"({'reset' if log['span_reset'] else 'composed'}) vs "
+            f"{log['dict_span_answer_ms']} ms composing diffs"
         )
     print(
         f"best append speedup: {report['best_append_speedup']}x; family diff "

@@ -21,9 +21,15 @@ when the window does —
   :class:`~repro.core.incremental.IncrementalMiner` per mining key, built
   and caught up in one place (:meth:`ManagedDataset.miner_for`) for jobs
   and watches alike and advanced by :meth:`ManagedDataset.append` itself;
-* per-mining-key **watches** holding a bounded change log of
-  :class:`~repro.core.incremental.FamilyDiff` transitions, feeding the
-  ``GET /datasets/<id>/changes`` long-poll.
+* per-mining-key **watches** holding a bounded change log of version
+  transitions — a :class:`~repro.core.incremental.FamilyDiff` until the
+  first reader renders it, the JSON text it is sent as after — feeding
+  the ``GET /datasets/<id>/changes`` long-poll.
+
+Warm state lives as long as someone uses it: a watch no reader has
+polled, and a miner no job or watch has used, for ``changelog_limit``
+versions is dropped (a returning reader is answered with a reset, a
+returning job rebuilds the miner cold).
 
 :class:`DatasetRegistry` is the tier's front: the name map, the four
 ``BY_DATASET`` operations of :data:`repro.serve.api.OPERATIONS`, the
@@ -46,17 +52,25 @@ never nest (``docs/serving.md``, "Architecture").
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.common.errors import MiningError
 from repro.core.incremental import FamilyDiff, IncrementalMiner, incremental_store
 from repro.serve.cache import DatasetCache, FingerprintChain, ResultCache
-from repro.serve.jobs import MAX_POLL_S, ApiError, ServeError
+from repro.serve.jobs import (
+    _DECODING,
+    MAX_POLL_S,
+    ApiError,
+    ServeError,
+    _tupled,
+    _unsendable,
+)
 
 
 @dataclass
@@ -78,20 +92,49 @@ class AppendResult:
     pre_trim_window: list
 
 
+class _Transition:
+    """One logged version transition, ``from_version`` to the next.
+    ``body`` is its :class:`~repro.core.incremental.FamilyDiff` until the
+    first reader renders it (:func:`_rendered`), then the JSON text of its
+    rows — the only form kept after.  ``n_rows`` counts its rows either
+    way."""
+
+    __slots__ = ("from_version", "n_rows", "body")
+
+    def __init__(self, from_version: int, diff: FamilyDiff):
+        self.from_version = from_version
+        self.n_rows = len(diff.added) + len(diff.removed) + len(diff.changed)
+        self.body: FamilyDiff | str = diff
+
+    def diff(self) -> FamilyDiff:
+        """The transition as a diff, decoded from its text once rendered."""
+        body = self.body
+        if isinstance(body, FamilyDiff):
+            return body
+        rows = _decoded_rows(body)
+        return FamilyDiff(
+            added=dict(rows["added"]),
+            removed=dict(rows["removed"]),
+            changed={row[0]: row[1:] for row in rows["changed"]},
+        )
+
+
 @dataclass
 class _Watch:
     """Change-feed state for one mining key.
 
-    ``log`` holds contiguous ``(from_version, to_version, FamilyDiff)``
-    transitions; the deque bound drops the oldest, and a ``since`` older
-    than coverage answers with a full-family reset instead.
+    ``log`` holds contiguous :class:`_Transition` s; the deque bound drops
+    the oldest, and a ``since`` older than coverage answers with a
+    full-family reset instead.  ``polled`` is the version a reader last
+    asked at: a watch nobody polls for ``changelog_limit`` versions goes.
     """
 
     start_version: int | None = None
     log: deque = field(default_factory=lambda: deque(maxlen=64))
+    polled: int = 0
 
-    def record(self, from_version: int, to_version: int, diff: FamilyDiff) -> None:
-        self.log.append((from_version, to_version, diff))
+    def record(self, from_version: int, diff: FamilyDiff) -> None:
+        self.log.append(_Transition(from_version, diff))
 
     def reset(self) -> None:
         self.start_version = None
@@ -185,6 +228,93 @@ def _diff_payload(diff) -> dict:
     }
 
 
+def _rows_text(rows: dict) -> str:
+    """``rows`` (field name -> rows, as :func:`_diff_rows` makes them) as
+    the JSON text of those fields, braces stripped — ``"added": [...],
+    ...`` — ready to follow an answer's head.  Raises :class:`ServeError`
+    naming an item JSON cannot carry."""
+    return json.dumps(rows, default=_unsendable)[1:-1]
+
+
+def _decoded_rows(text: str) -> dict:
+    """:func:`_rows_text` read back: field name -> rows, every array a
+    tuple, as :func:`_diff_rows` made them."""
+    return {name: list(map(_tupled, rows)) for name, rows in json.loads(f"{{{text}}}").items()}
+
+
+#: the rows of an answer at the current version: nothing moved
+_NO_CHANGE = _rows_text(_diff_rows(FamilyDiff()))
+
+#: one render at a time: a transition many readers ask for at once is
+#: rendered by the first, and the rest are sent what it kept
+_RENDERING = threading.Lock()
+
+
+def _rendered(step: _Transition) -> str:
+    """``step``'s rows as the JSON text they are sent as: rendered by its
+    first reader, outside the dataset lock, and kept in place of the
+    diff, so every later reader is sent the same text."""
+    body = step.body
+    if isinstance(body, str):
+        return body
+    with _RENDERING:
+        if isinstance(step.body, FamilyDiff):
+            step.body = _rows_text(_diff_rows(step.body))
+        return step.body
+
+
+class FeedAnswer(Mapping):
+    """One change-feed answer as it is sent: ``head`` — ``dataset_id``,
+    ``since``, ``version``, ``n_transactions``, ``reset`` — and ``rows``,
+    the JSON text of its row arrays (``added`` / ``removed`` /
+    ``changed``, or a reset's ``family``).
+
+    The HTTP handler sends :attr:`text` as it is.  For an embedded caller
+    it is the read-only mapping of today's keys: the first read of a row
+    field decodes the text, once, with every array a tuple — the
+    ``(itemset, count)`` and ``(itemset, old, new)`` rows the feed
+    rendered; the head needs no decode.
+    """
+
+    __slots__ = ("head", "rows", "_decoded")
+
+    def __init__(self, head: dict, rows: str):
+        self.head = head
+        self.rows = rows
+        self._decoded: dict | None = None
+
+    @property
+    def text(self) -> str:
+        """The answer's JSON, byte for byte ``json.dumps`` of the payload."""
+        return f"{json.dumps(self.head)[:-1]}, {self.rows}}}"
+
+    @property
+    def decoded(self) -> bool:
+        """Whether a read in this process has decoded the rows."""
+        return self._decoded is not None
+
+    def _fields(self) -> tuple:
+        return ("family",) if self.head["reset"] else ("added", "removed", "changed")
+
+    def __getitem__(self, key):
+        if key in self.head:
+            return self.head[key]
+        if key not in self._fields():
+            raise KeyError(key)
+        if self._decoded is None:
+            with _DECODING:
+                if self._decoded is None:
+                    self._decoded = _decoded_rows(self.rows)
+        return self._decoded[key]
+
+    def __iter__(self):
+        yield from self.head
+        yield from self._fields()
+
+    def __len__(self) -> int:
+        return len(self.head) + len(self._fields())
+
+
 class ManagedDataset:
     """One named dataset: window, version, fingerprint chain, policies,
     ingest buffer, warm miners, and the change-feed watches."""
@@ -237,6 +367,8 @@ class ManagedDataset:
         self.changed = threading.Condition(self.lock)
         #: (min_support, max_length, candidate_store) -> IncrementalMiner
         self.miners: dict[tuple, object] = {}
+        #: mining key -> the version a job or a watch last used its miner
+        self.last_used: dict[tuple, int] = {}
         #: mining key -> _Watch (change-feed subscribers)
         self.watches: dict[tuple, _Watch] = {}
         #: True once replaced via ``create(replace=True)`` — appends to
@@ -378,6 +510,7 @@ class ManagedDataset:
         them.  The one place a miner is built or caught up, for jobs
         (``n_rows`` of their snapshot, a version ``>= prefix_since``) and
         watches (the whole window) alike; caller holds :attr:`lock`."""
+        self.last_used[key] = self.version
         miner = self.miners.get(key)
         if miner is None:
             min_support, max_length, store = key
@@ -405,9 +538,23 @@ class ManagedDataset:
         the window now, so every miner must retire now or its window
         stops being a prefix of ours.  A miner that cannot follow (e.g.
         the retire would empty it) is dropped and rebuilt on demand.
+
+        First, what nobody uses goes: a watch no reader has polled for
+        :attr:`changelog_limit` versions — its log no longer covers the
+        last poll, so a returning reader is owed a reset anyway — and a
+        miner no job or watch has used for as long.
         """
+        stale = self.version - self.changelog_limit
+        for key, watch in list(self.watches.items()):
+            if watch.polled < stale:
+                del self.watches[key]
+                if key in self.miners:
+                    self.miners[key].track_family_diff = False
         for key, miner in list(self.miners.items()):
             watch = self.watches.get(key)
+            if watch is None and self.last_used[key] < stale:
+                del self.miners[key], self.last_used[key]
+                continue
             if watch is None and res.n_retired == 0:
                 continue
             try:
@@ -417,24 +564,23 @@ class ManagedDataset:
                     res.pre_trim_window[miner.n_transactions :], res.n_retired
                 )
             except MiningError:
-                del self.miners[key]
+                del self.miners[key], self.last_used[key]
                 if watch is not None:
                     watch.reset()
                 continue
             if watch is not None and watch.start_version is not None:
-                watch.record(
-                    res.old_version, res.new_version, update.family_diff or FamilyDiff()
-                )
+                watch.record(res.old_version, update.family_diff or FamilyDiff())
 
     # -- change feed -------------------------------------------------------
     def watch(self, key: tuple) -> _Watch:
         """The change-feed watch on mining ``key``, established on first
         use: its warm miner is brought to the current window and from
-        here on emits the diffs :meth:`append` logs (caller holds
-        :attr:`lock`)."""
+        here on emits the diffs :meth:`append` logs.  Every call is a
+        poll that keeps the watch (caller holds :attr:`lock`)."""
         watch = self.watches.get(key)
         if watch is None:
             watch = self.watches[key] = _Watch(log=deque(maxlen=self.changelog_limit))
+        watch.polled = self.version
         self.miner_for(key, len(self.transactions)).track_family_diff = True
         if watch.start_version is None:
             # transitions the miner folded lazily just now predate this
@@ -443,26 +589,21 @@ class ManagedDataset:
             watch.log.clear()
         return watch
 
-    def changes_since(self, mining_key: tuple, since: int) -> FamilyDiff | None:
-        """The composed diff taking version ``since`` to the current
-        version, or ``None`` when the log no longer covers ``since``
-        (watch created later, log overflowed, or a reset) — the caller
-        then ships the full family instead.
+    def changes_since(self, mining_key: tuple, since: int) -> list | None:
+        """The logged :class:`_Transition` s taking version ``since`` to
+        the current version (none when ``since`` is current), or ``None``
+        when the log no longer covers ``since`` (watch created later, log
+        overflowed, or a reset) — the caller then ships the full family
+        instead.
         """
         watch = self.watches.get(mining_key)
         if watch is None or watch.start_version is None:
             return None
         if since == self.version:
-            return FamilyDiff()
+            return []
         log = list(watch.log)
-        start = next(
-            (i for i, (from_v, _, _) in enumerate(log) if from_v == since), None
-        )
-        if start is None:
-            return None
-        if start == len(log) - 1:
-            return log[start][2]  # one transition: logged diffs are never mutated
-        return FamilyDiff.compose(diff for _, _, diff in log[start:])
+        start = next((i for i, step in enumerate(log) if step.from_version == since), None)
+        return None if start is None else log[start:]
 
     def info(self) -> dict:
         """JSON-safe summary (the ``GET /datasets/<id>`` payload)."""
@@ -704,7 +845,14 @@ class DatasetRegistry:
         transition.  When ``since`` is the current version the call
         long-polls up to ``timeout_s`` (capped server-side) for the next
         advance.  A ``since`` older than the log covers answers
-        ``reset=true`` with the full current family instead of a diff.
+        ``reset=true`` with the full current family instead of a diff, and
+        so does a span of versions whose logged rows outnumber the
+        family's itemsets: the family is the smaller answer, and it needs
+        no decode.
+
+        Returns a :class:`FeedAnswer`: the head and the rows' JSON text.
+        A one-version diff is rendered by its first reader and kept in the
+        log as that text, which every later reader is sent.
         """
         entry = self.get(dataset_id)
         key = _mining_key(min_support, max_length, candidate_store)
@@ -724,21 +872,31 @@ class DatasetRegistry:
                     break
                 entry.changed.wait(remaining)
             entry.check_live()
-            header = {
+            entry.watch(key)  # the version answered is the one polled at
+            head = {
                 "dataset_id": entry.dataset_id,
                 "since": since,
                 "version": entry.version,
                 "n_transactions": len(entry.transactions),
             }
-            diff = entry.changes_since(key, since)
-            # the log no longer covers ``since``: the full family instead
-            family = entry.miners[key].itemsets() if diff is None else None
-        # Sorting and rendering every changed itemset is the slow part of
-        # an answer, and nothing in it needs the dataset any more: the
-        # writer's next append or submit must not queue behind it.
-        if diff is None:
-            return {**header, "reset": True, "family": _family_rows(family)}
-        return {**header, "reset": False, **_diff_rows(diff)}
+            steps = entry.changes_since(key, since)
+            family = None
+            if steps is None or len(steps) > 1:
+                family = entry.miners[key].itemsets()
+                if steps is not None and sum(step.n_rows for step in steps) <= len(family):
+                    family = None
+        # Sorting, rendering and composing are the slow part of an answer,
+        # and nothing in them needs the dataset any more: the writer's
+        # next append or submit must not queue behind them.
+        if family is not None:
+            return FeedAnswer({**head, "reset": True}, _rows_text({"family": _family_rows(family)}))
+        if not steps:
+            rows = _NO_CHANGE
+        elif len(steps) == 1:
+            rows = _rendered(steps[0])
+        else:
+            rows = _rows_text(_diff_rows(FamilyDiff.compose(step.diff() for step in steps)))
+        return FeedAnswer({**head, "reset": False}, rows)
 
     # -- what the job tier asks --------------------------------------------
     def snapshot(self, dataset_id: str) -> tuple:
@@ -823,4 +981,4 @@ class DatasetRegistry:
             flusher.join(timeout=5.0)
 
 
-__all__ = ["AppendResult", "DatasetRegistry", "ManagedDataset", "POLICY_FIELDS"]
+__all__ = ["AppendResult", "DatasetRegistry", "FeedAnswer", "ManagedDataset", "POLICY_FIELDS"]

@@ -58,7 +58,8 @@ answered 400 / 408 ``incomplete_body`` and its connection closed.
 A byte-identical resubmission is recognised by the digest of its body
 (:class:`RepeatMemo`, the socket transport's), and every answer is sent
 as the JSON text its result was rendered to when it was produced
-(:func:`result_text`).
+(:func:`result_text`) — a change-feed diff as the text its first reader
+rendered (:class:`~repro.serve.datasets.FeedAnswer`).
 
 ``MiningServer`` runs the whole stack in-process on an ephemeral port —
 the tests use it; ``repro serve`` keeps it in the foreground.
@@ -77,6 +78,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.common.errors import MiningError
 from repro.serve.api import BY_NAME, Operation, config_from_dict, decode_request
+from repro.serve.datasets import FeedAnswer
 from repro.serve.jobs import (
     ApiError,
     Job,
@@ -203,6 +205,8 @@ def _answer(op: Operation, kwargs: dict, out, memo: RepeatMemo | None):
     """``(status, JSON body)`` for what ``op``'s implementation returned."""
     if op.name == "cancel":
         return op.status, {"job_id": kwargs["job_id"], "cancelled": out}
+    if isinstance(out, FeedAnswer):
+        return op.status, out.text  # the head, then the rows as the feed keeps them
     if not isinstance(out, Job):
         if memo is not None and op.name == "metrics":
             out["router"]["http"] = memo.stats()
@@ -237,8 +241,8 @@ def dispatch(
     or the payload itself from an in-process caller.  Returns ``(status,
     JSON payload, extra response headers)``.
 
-    A DONE job's result comes back as the payload's JSON text, ready to
-    send (:func:`result_text`).  ``memo`` is the socket transport's
+    A DONE job's result and a change-feed answer come back as the
+    payload's JSON text, ready to send.  ``memo`` is the socket transport's
     :class:`RepeatMemo` (``body`` is bytes then): a submit body it
     recognises is submitted without being decoded — and decoded after
     all when the shard no longer holds its rows — and an accepted one is

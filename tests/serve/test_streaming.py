@@ -13,6 +13,7 @@ The two invariants pinned here end-to-end:
 import http.client
 import json
 import random
+import sys
 import threading
 import time
 
@@ -242,14 +243,38 @@ class TestChangeFeed:
         assert apply_payload_diff(old, payload) == new
 
     def test_multi_version_span_composes(self, service):
+        """A span whose logged rows do not outnumber the family is the
+        composed diff (here one version's entry already rendered to text,
+        the next still a diff)."""
+        base = [("a", "b", "c", "d")] * 6 + [("a", "c")] * 3 + [("b", "d")] * 3 + [("e",)] * 3
+        deltas = [[("a", "c", "e")] * 2, [("d", "e")]]
+        service.create_dataset("w", base)
+        service.dataset_changes("w", since=1, min_support=0.25)
+        service.append_dataset("w", deltas[0])
+        assert service.dataset_changes("w", since=1, min_support=0.25)["version"] == 2
+        service.append_dataset("w", deltas[1])
+        payload = service.dataset_changes("w", since=1, min_support=0.25)
+        assert payload["version"] == 3 and payload["reset"] is False
+        assert payload["added"] and payload["changed"]
+        final = oracle(base + deltas[0] + deltas[1], 0.25)
+        assert apply_payload_diff(oracle(base, 0.25), payload) == final
+
+    def test_a_span_longer_than_the_family_is_a_reset(self, service):
+        """Composing a span means decoding every entry in it; when they
+        hold more rows than the family has itemsets, the family is the
+        cheaper answer, and it is the oracle's."""
         service.create_dataset("w", BASE)
         service.dataset_changes("w", since=1, min_support=0.5)
-        service.append_dataset("w", DELTA)
-        service.append_dataset("w", [("b", "c")] * 8)
+        service.append_dataset("w", DELTA)  # 7 rows
+        service.append_dataset("w", [("b", "c")] * 8)  # 5 rows; the family has 5
         payload = service.dataset_changes("w", since=1, min_support=0.5)
-        assert payload["version"] == 3
+        assert payload["version"] == 3 and payload["reset"] is True
         final = oracle(BASE + DELTA + [("b", "c")] * 8)
-        assert apply_payload_diff(oracle(BASE), payload) == final
+        assert payload_to_family(payload["family"]) == final
+        # one version back is still a diff
+        payload = service.dataset_changes("w", since=2, min_support=0.5)
+        assert payload["reset"] is False
+        assert apply_payload_diff(oracle(BASE + DELTA), payload) == final
 
     @pytest.mark.parametrize("since, renderer", [(1, "_diff_rows"), (0, "_family_rows")])
     def test_answer_is_rendered_outside_the_dataset_lock(
@@ -326,34 +351,175 @@ class TestChangeFeed:
         }
 
     def test_bodies_are_the_list_shaped_payloads_byte_for_byte(self):
-        """The feed renders ``(itemset, ...)`` tuples for the encoder; the
-        bytes sent are ``json.dumps`` of the list-shaped reference payload,
-        diff and reset alike, and LocalClient answers what they decode to."""
+        """The feed renders ``(itemset, ...)`` tuples for the encoder and
+        keeps a version's rows as the text its first reader rendered; the
+        bytes sent are ``json.dumps`` of the list-shaped reference payload
+        — first read, re-read, a composed span, ``since == version``, a
+        span over the rule and an uncovered ``since`` alike — on both
+        transports, and LocalClient answers what they decode to."""
         from repro.serve.datasets import _diff_payload, _family_payload, _mining_key
+        from repro.serve.http import dispatch
 
         rows = [tuple(t) for t in mushroom_like(scale=0.02, seed=3).transactions]
         with MiningServer(port=0, n_workers=1) as srv:
             client = HttpClient(srv.url)
-            client.create_dataset("w", rows[:120], max_window=120)
+            client.create_dataset("w", rows[:120])
             client.dataset_changes("w", since=1, min_support=0.4)  # the watch
-            client.append_dataset("w", rows[120:128])
             entry = srv.service.shards[0].dataset_registry.get("w")
             key = _mining_key(0.4, None, None)
-            diff = entry.changes_since(key, 1)
-            assert len(diff.changed) > 10
-            answers = {
-                1: {"reset": False, **_diff_payload(diff)},
-                0: {"reset": True, "family": _family_payload(entry.miners[key].itemsets())},
-            }
-            for since, answer in answers.items():
+            diffs = {}
+
+            def advance(delta):
+                client.append_dataset("w", delta)
+                diffs[entry.version] = entry.watches[key].log[-1].body  # unread: the diff
+
+            def expect(since, version, answer):
+                path = f"/datasets/w/changes?since={since}&min_support=0.4"
+                header = {
+                    "dataset_id": "w", "since": since, "version": version,
+                    "n_transactions": len(entry.transactions),
+                }
+                sent = json.dumps({**header, **answer}).encode()
                 conn = http.client.HTTPConnection(srv.host, srv.port, timeout=30)
-                conn.request("GET", f"/datasets/w/changes?since={since}&min_support=0.4")
-                body = conn.getresponse().read()
+                conn.request("GET", path)
+                assert conn.getresponse().read() == sent
                 conn.close()
-                header = {"dataset_id": "w", "since": since, "version": 2, "n_transactions": 120}
-                assert body == json.dumps({**header, **answer}).encode()
+                # LocalClient's transport: the text it decodes
+                assert dispatch(srv.service, "GET", path, None)[1].encode() == sent
                 local = LocalClient(srv.service).dataset_changes("w", since=since, min_support=0.4)
-                assert local == json.loads(body)
+                assert local == json.loads(sent)
+
+            advance(rows[120:128])
+            assert len(diffs[2].changed) > 10
+            one = {"reset": False, **_diff_payload(diffs[2])}
+            expect(1, 2, one)  # first read: rendered, and kept as text
+            assert isinstance(entry.watches[key].log[-1].body, str)
+            expect(1, 2, one)  # re-read: the kept text
+            advance([rows[128][:4]])
+            expect(2, 3, {"reset": False, **_diff_payload(diffs[3])})
+            advance([rows[129][:4]])
+            composed = FamilyDiff.compose([diffs[3], diffs[4]])  # one entry text, one a diff
+            assert composed.changed
+            expect(2, 4, {"reset": False, **_diff_payload(composed)})
+            expect(4, 4, {"reset": False, "added": [], "removed": [], "changed": []})
+            family = entry.miners[key].itemsets()
+            assert family == oracle(entry.transactions, 0.4)
+            reset = {"reset": True, "family": _family_payload(family)}
+            expect(1, 4, reset)  # 3 versions hold more rows than the family
+            expect(0, 4, reset)  # not covered at all
+
+    def test_a_version_is_rendered_once_for_every_watcher(self, service, monkeypatch):
+        """Three watchers on one key: each version's rows are rendered by
+        one of them, and the others are sent the text it kept."""
+        import repro.serve.datasets as datasets_module
+
+        rows = [tuple(t) for t in mushroom_like(scale=0.03, seed=5).transactions]
+        service.create_dataset("w", rows[:100], max_window=100)
+        renders = []
+        real = datasets_module._diff_rows
+
+        def counting(diff):
+            renders.append(diff)
+            return real(diff)
+
+        monkeypatch.setattr(datasets_module, "_diff_rows", counting)
+        versions = 8
+        answers: dict = {}  # version -> the watchers' answers
+        seen = threading.Barrier(4)
+
+        def watcher():
+            since = 1
+            service.dataset_changes("w", since=1, min_support=0.4)
+            seen.wait(10.0)
+            while since < 1 + versions:
+                answer = service.dataset_changes("w", since=since, min_support=0.4, timeout_s=10.0)
+                assert answer["reset"] is False
+                answers.setdefault(answer["version"], []).append(answer)
+                since = answer["version"]
+                seen.wait(10.0)
+
+        threads = [threading.Thread(target=watcher) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # readers interleave between check and swap
+        try:
+            for t in threads:
+                t.start()
+            seen.wait(10.0)  # all three watch
+            for i in range(versions):
+                service.append_dataset("w", rows[100 + 8 * i: 108 + 8 * i])
+                seen.wait(10.0)  # all three have read it
+            for t in threads:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(renders) == versions
+        for version, read in answers.items():
+            assert len(read) == 3
+            assert read[0].rows is read[1].rows is read[2].rows  # one text, sent thrice
+
+    def test_a_read_log_is_held_as_its_text(self):
+        """A 64-entry log read once per version retains at most 0.35x the
+        bytes of the same log left as diffs (measured 0.2x here, 0.24x on
+        the perf ledger's 3 000-row feed)."""
+        import gc
+        import tracemalloc
+
+        from repro.serve.datasets import _mining_key
+
+        rows = [tuple(t) for t in mushroom_like(scale=0.1, seed=7).transactions]
+        feed = [tuple(t) for t in mushroom_like(scale=0.1, seed=11).transactions]
+        tracemalloc.start()
+        try:
+            reg = registry()
+            reg.create_dataset("w", rows[:800], max_window=800)
+            reg.dataset_changes("w", since=1, min_support=0.5)
+            log = reg.get("w").watches[_mining_key(0.5, None, None)].log
+            diffs = []  # the same log, left as the diffs it logged
+            for i in range(64):
+                reg.append_dataset("w", feed[2 * i: 2 * i + 2])
+                diffs.append(log[-1].body)
+                reg.dataset_changes("w", since=1 + i, min_support=0.5)
+            assert len(log) == 64 and all(isinstance(step.body, str) for step in log)
+            retained = {}
+            for name, held in (("text", log), ("diffs", diffs)):
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                held.clear()
+                gc.collect()
+                retained[name] = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained["text"] <= 0.35 * retained["diffs"], retained
+
+    def test_embedded_rows_are_the_rendered_tuples_decoded_once(self, service):
+        """``DatasetRegistry.dataset_changes`` answers a read-only mapping
+        of today's keys whose rows are the ``(itemset, count)`` and
+        ``(itemset, old, new)`` tuples the feed rendered, decoded from the
+        kept text on the first read of a row field, and only then."""
+        from repro.serve.datasets import FeedAnswer, _diff_rows, _family_rows, _mining_key
+
+        service.create_dataset("w", BASE)
+        service.dataset_changes("w", since=1, min_support=0.5)
+        service.append_dataset("w", DELTA)
+        entry = service.dataset_registry.get("w")
+        diff = entry.watches[_mining_key(0.5, None, None)].log[-1].body
+        answer = service.dataset_changes("w", since=1, min_support=0.5)
+        assert isinstance(answer, FeedAnswer)
+        assert list(answer) == [
+            "dataset_id", "since", "version", "n_transactions", "reset",
+            "added", "removed", "changed",
+        ]
+        assert answer["version"] == 2 and not answer.decoded
+        assert "family" not in answer and not answer.decoded
+        assert {name: answer[name] for name in ("added", "removed", "changed")} == _diff_rows(diff)
+        assert answer.decoded and answer["changed"] is answer["changed"]
+        assert all(type(row) is tuple and type(row[0]) is tuple for row in answer["changed"])
+        reset = service.dataset_changes("w", since=0, min_support=0.5)
+        assert list(reset)[-2:] == ["reset", "family"] and reset["reset"] is True
+        assert reset["family"] == _family_rows(oracle(BASE + DELTA))
+        with pytest.raises(KeyError):
+            reset["added"]
 
     def test_uncovered_since_ships_reset_with_full_family(self, service):
         service.create_dataset("w", BASE)
@@ -569,17 +735,75 @@ class TestLifecycleBugfixes:
                 if hasattr(value, "__len__") and name not in ("transactions", "arrivals")
             }
 
-        for _ in range(entry.changelog_limit):  # fill what is bounded by design
+        def advance():  # a live reader keeps its watch
             service.append_dataset("w", [("a", "c")])
+            service.dataset_changes("w", since=entry.version, min_support=0.5)
+
+        for _ in range(entry.changelog_limit):  # fill what is bounded by design
+            advance()
         (watch,) = entry.watches.values()
         before, log_before = sizes(), len(watch.log)
         jobs = []
         for _ in range(50):
-            service.append_dataset("w", [("a", "c")])
+            advance()
             jobs.append(service.submit(None, INC, dataset_id="w"))
         assert all(job.wait(30.0) for job in jobs)
         assert sizes() == before and len(watch.log) == log_before
         assert entry.version == 51 + entry.changelog_limit
+
+    def test_warm_state_nobody_uses_goes(self, service):
+        """Bugfix: every support a client ever sent kept a miner, slid on
+        every retiring advance for as long as the dataset lived, and every
+        watch kept logging.  A watch no reader polled and a miner no job or
+        watch used for ``changelog_limit`` versions are dropped; what is
+        in use stays."""
+        service.create_dataset("w", BASE, max_window=len(BASE))
+        entry = service.dataset_registry.get("w")
+        for i in range(100):
+            service.dataset_changes("w", since=1, min_support=0.3 + i / 500)
+        assert service.submit(None, INC, dataset_id="w").wait(30.0)  # another key
+        assert len(entry.miners) == 101 and len(entry.watches) == 100
+        for _ in range(entry.changelog_limit + 1):
+            service.append_dataset("w", [("a", "b", "c")])
+            payload = service.dataset_changes("w", since=entry.version, min_support=0.3)
+        assert set(entry.miners) == set(entry.watches) == set(entry.last_used) == {
+            (0.3, None, "bitmap")
+        }
+        assert payload["reset"] is False
+        # a returning job rebuilds cold, a returning reader gets the family
+        window = list(entry.transactions)
+        job = service.submit(None, INC, dataset_id="w")
+        assert job.wait(30.0) and job.result.itemsets == oracle(window)
+        payload = service.dataset_changes("w", since=1, min_support=0.3 + 1 / 500)
+        assert payload["reset"] is True
+        assert payload_to_family(payload["family"]) == oracle(window, 0.3 + 1 / 500)
+
+    def test_a_reader_every_changelog_limit_versions_is_never_reset(self, service):
+        """A reader that polls at least once per ``changelog_limit``
+        versions keeps its watch and is answered with diffs; one that
+        stays away a version longer is answered with the oracle family."""
+        base = [tuple("abcdefg")] * 20  # 127 itemsets; the feed moves one
+        service.create_dataset("w", base)
+        entry = service.dataset_registry.get("w")
+        limit = entry.changelog_limit
+        window, family, since = list(base), oracle(base, 0.1), 1
+        service.dataset_changes("w", since=1, min_support=0.1)
+        for _ in range(2):
+            for _ in range(limit):
+                service.append_dataset("w", [("z",)])
+                window.append(("z",))
+            payload = service.dataset_changes("w", since=since, min_support=0.1)
+            assert payload["reset"] is False and payload["version"] == since + limit
+            family = apply_payload_diff(family, payload)
+            assert family == oracle(window, 0.1)
+            since = payload["version"]
+        for _ in range(limit + 1):
+            service.append_dataset("w", [("z",)])
+            window.append(("z",))
+        assert not entry.watches and not entry.miners  # nobody used them
+        payload = service.dataset_changes("w", since=since, min_support=0.1)
+        assert payload["reset"] is True
+        assert payload_to_family(payload["family"]) == oracle(window, 0.1)
 
     def test_pinned_version_survives_until_job_finishes(self, service):
         """What a job pins is its own snapshot — the rows, and the entry

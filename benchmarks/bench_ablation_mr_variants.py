@@ -27,7 +27,7 @@ def _run_variants():
             ("FPC(3)", lambda r: FPC(r, passes=3)),
             ("DPC", lambda r: DPC(r, candidate_budget=20_000)),
         ):
-            runner = JobRunner(dfs, backend="serial")
+            runner = JobRunner(dfs)
             result = factory(runner).run("/t.txt", 0.35)
             out[label] = (result, runner.jobs_run)
     return out

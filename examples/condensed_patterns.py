@@ -30,7 +30,7 @@ print(f"  {dataset.stats()}")
 
 MINSUP = 0.03
 
-with Context(backend="threads", parallelism=4) as ctx:
+with Context(backend="serial") as ctx:
     yafim = Yafim(ctx, num_partitions=8).run(dataset.transactions, MINSUP)
     dist_eclat = DistEclat(ctx, num_partitions=8).run(dataset.transactions, MINSUP)
     assert yafim.itemsets == dist_eclat.itemsets, "miners must agree"

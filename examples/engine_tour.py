@@ -11,7 +11,7 @@ Run:  python examples/engine_tour.py
 from repro.engine import Context, StorageLevel, debug_string
 from repro.hdfs import MiniDfs
 
-with Context(backend="threads", parallelism=4) as ctx:
+with Context(backend="processes", parallelism=2) as ctx:
     # --- transformations are lazy, actions execute -----------------------
     words = ctx.parallelize(
         "the quick brown fox jumps over the lazy dog the end".split(), 4
@@ -38,7 +38,7 @@ with Context(backend="threads", parallelism=4) as ctx:
     stopwords = ctx.broadcast({"the", "over"})
     kept = words.filter(lambda w, b=stopwords: w not in b.value).distinct().collect()
     print(f"Broadcast filter kept: {sorted(kept)}")
-    print(f"Broadcast transfers: {ctx.broadcast_manager.transfers} (<= 4 workers)")
+    print(f"Broadcast transfers: {ctx.broadcast_manager.transfers} (<= 2 workers)")
 
     # --- accumulators ------------------------------------------------------
     chars = ctx.accumulator(0)

@@ -83,7 +83,7 @@ def run_comparison(
                 dfs, "/transactions.txt", min_support, max_length=max_length
             )
 
-        runner = JobRunner(dfs, backend="serial")
+        runner = JobRunner(dfs)
         mr = MRApriori(runner, num_reducers=mr_reducers, **(mr_kwargs or {}))
         mr_result = mr.run("/transactions.txt", min_support, max_length=max_length)
 

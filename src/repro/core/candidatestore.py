@@ -338,7 +338,7 @@ class SiblingGroups:
 
     def __iter__(self):
         walk = self._walk
-        if walk is None:  # built whole, then published: tasks on threads share a store
+        if walk is None:  # built whole, then published: no reader sees half a walk
             walk = []
             before: tuple = ()
             for prefix, (lasts, cands) in sorted(self._groups.items(), key=itemgetter(0)):

@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.common.errors import MiningError
 from repro.core.results import IterationStats, MiningRunResult
-from repro.engine.executors import DEFAULT_BACKEND
+from repro.engine.executors import BACKENDS, DEFAULT_BACKEND
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,10 @@ class MiningConfig:
     Parameters mirror :func:`repro.core.api.mine_frequent_itemsets`;
     ``options`` carries algorithm-specific keyword arguments handed to
     the miner's constructor (e.g. YAFIM's ``paper_dataflow=True``).
+    ``backend`` / ``parallelism`` configure the engine context, so they
+    are inert on the algorithms that build none: the MapReduce ones
+    (``mrapriori``, ``one_phase``, whose map and reduce tasks run in
+    order) and the sequential oracles.
     """
 
     min_support: float
@@ -89,11 +93,15 @@ class MiningConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise MiningError(f"{name} must be >= 1, got {value}")
-        # Mirror make_executor's named-backends pattern: an unknown store
-        # name fails at config construction with the registered choices,
-        # not deep inside a worker task.
+        # An unknown backend or store name fails at config construction
+        # with the valid choices — on every algorithm, also those it is
+        # inert on — not deep inside a worker task or never.
         from repro.core.candidatestore import store_names
 
+        if self.backend not in BACKENDS:
+            raise MiningError(
+                f"unknown backend {self.backend!r}; valid backends: {', '.join(BACKENDS)}"
+            )
         if self.candidate_store not in store_names():
             raise MiningError(
                 f"unknown candidate store {self.candidate_store!r}; "
@@ -207,7 +215,7 @@ def run_algorithm(
 
     An engine-backed run (:func:`runs_on_engine`) gets a
     :class:`~repro.engine.context.Context` built from ``config`` and
-    stopped when the run ends (0.3 ms on ``serial`` / ``threads``; a
+    stopped when the run ends (0.3 ms on ``serial``; a
     ``processes`` pool starts per run).
     """
     spec = get_algorithm(config.algorithm)
@@ -274,7 +282,7 @@ def _run_pfp(ctx, txns, config: MiningConfig) -> MiningRunResult:
     return miner.run(txns, config.min_support, max_length=config.max_length)
 
 
-def _run_on_minidfs(txns, config: MiningConfig, mine) -> MiningRunResult:
+def _run_on_minidfs(txns, mine) -> MiningRunResult:
     """Stage ``txns`` as a text file on an ephemeral mini-DFS, run
     ``mine(job_runner, path)`` against it, and undo the text round-trip
     (items come back as strings; plain-int datasets get their ints back)."""
@@ -286,12 +294,7 @@ def _run_on_minidfs(txns, config: MiningConfig, mine) -> MiningRunResult:
             "/transactions.txt",
             (" ".join(str(i) for i in sorted(set(t))) for t in txns),
         )
-        runner = JobRunner(
-            dfs,
-            backend="threads" if config.backend == "threads" else "serial",
-            parallelism=config.parallelism or 4,
-        )
-        result = mine(runner, "/transactions.txt")
+        result = mine(JobRunner(dfs), "/transactions.txt")
     if txns and all(isinstance(i, int) for t in txns for i in t):
         result.itemsets = {
             tuple(sorted(int(i) for i in k)): v for k, v in result.itemsets.items()
@@ -303,7 +306,7 @@ def _run_mrapriori(txns, config: MiningConfig) -> MiningRunResult:
     from repro.core.mrapriori import MRApriori
 
     return _run_on_minidfs(
-        txns, config,
+        txns,
         lambda runner, path: MRApriori(runner, **_with_store(config)).run(
             path, config.min_support, max_length=config.max_length
         ),
@@ -319,7 +322,7 @@ def _run_one_phase(txns, config: MiningConfig) -> MiningRunResult:
     if config.max_length is not None:
         options.setdefault("max_length", config.max_length)
     return _run_on_minidfs(
-        txns, config,
+        txns,
         lambda runner, path: OnePhaseMR(runner, **options).run(
             path, config.min_support
         ),

@@ -4,7 +4,7 @@ Public surface::
 
     from repro.engine import Context, StorageLevel
 
-    with Context(backend="threads", parallelism=4) as ctx:
+    with Context(backend="processes", parallelism=2) as ctx:
         counts = (
             ctx.parallelize(words, 8)
             .map(lambda w: (w, 1))

@@ -4,7 +4,7 @@ Owns every driver-side service: block manager, shuffle manager, broadcast
 manager, accumulator registry, event log, fault injector, executor and DAG
 scheduler.  Create one per application::
 
-    with Context(backend="threads", parallelism=4) as ctx:
+    with Context(backend="processes", parallelism=2) as ctx:
         rdd = ctx.parallelize(range(100), 4).map(lambda x: x * x)
         print(rdd.sum())
 """
@@ -38,11 +38,11 @@ class Context:
     Parameters
     ----------
     backend:
-        ``"serial"`` (default; deterministic), ``"threads"`` (concurrent
-        I/O) or ``"processes"`` (true CPU parallelism via cloudpickled
+        ``"serial"`` (default; deterministic, every task on the driver
+        thread) or ``"processes"`` (true CPU parallelism via cloudpickled
         tasks).
     parallelism:
-        Worker count for the chosen backend.
+        Worker processes on ``"processes"``; ignored by ``"serial"``.
     memory_limit_bytes:
         Block-manager budget; ``None`` = unbounded.
     max_task_failures:
@@ -50,7 +50,7 @@ class Context:
     worker_store_bytes:
         Byte budget for each process-pool worker's resident block cache
         (broadcast payloads, cached partitions, shuffle segments);
-        ignored by the in-driver backends.  ``None`` = the default
+        ignored by ``"serial"``.  ``None`` = the default
         budget in :mod:`repro.engine.workerstore`.
     """
 

@@ -1,4 +1,4 @@
-"""Executor backends: serial, thread pool, persistent process pool.
+"""Executor backends: serial, persistent process pool.
 
 The scheduler hands an executor a batch of :class:`~repro.engine.stage.Task`
 objects; the executor returns ``(task, result_or_exception)`` pairs.
@@ -19,7 +19,6 @@ and every shipped byte is accounted in :class:`ShippingMetrics`.
 from __future__ import annotations
 
 import collections
-import itertools
 import os
 import threading
 import weakref
@@ -119,51 +118,6 @@ class SerialExecutor(Executor):
             except BaseException as exc:  # noqa: BLE001 - scheduler decides
                 out.append((task, exc))
         return out
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool backend: shared memory, concurrent I/O.
-
-    Worker ids come from the *executing* thread (assigned once per pool
-    thread by the initializer), not from the submission index — so
-    broadcast-transfer accounting and straggler attribution name the
-    worker that really ran the task.
-    """
-
-    def __init__(self, n_threads: int):
-        if n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        self._n = n_threads
-        self._slot_counter = itertools.count()
-        self._slots = threading.local()
-        self._pool = ThreadPoolExecutor(
-            max_workers=n_threads,
-            thread_name_prefix="repro-exec",
-            initializer=self._assign_slot,
-        )
-
-    def _assign_slot(self) -> None:
-        self._slots.worker_id = f"worker-{next(self._slot_counter)}"
-
-    @property
-    def parallelism(self) -> int:
-        return self._n
-
-    def run_tasks(self, tasks):
-        def run_one(task):
-            return task.run(worker_id=self._slots.worker_id)
-
-        futures = [(task, self._pool.submit(run_one, task)) for task in tasks]
-        out = []
-        for task, fut in futures:
-            try:
-                out.append((task, fut.result()))
-            except BaseException as exc:  # noqa: BLE001
-                out.append((task, exc))
-        return out
-
-    def shutdown(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 @dataclass
@@ -436,11 +390,12 @@ class ProcessExecutor(Executor):
 #: Valid ``backend=`` names, in documentation order.  The CLI derives its
 #: ``--backend`` choices from this tuple so typos fail at argument parsing
 #: instead of deep inside the engine.
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
 
 #: The backend of a caller who names none (``MiningConfig``, the one-shot
-#: API, ``Context`` and the CLI read it): every kernel is pure Python under
-#: one GIL, so ``threads`` is ``serial`` plus a pool and never wins.
+#: API, ``Context`` and the CLI read it): every kernel is pure Python, so
+#: only separate processes run two at once, and they pay only on inputs
+#: large enough to amortise the pool's start (docs/engine.md).
 DEFAULT_BACKEND = "serial"
 
 
@@ -449,15 +404,13 @@ def make_executor(
     parallelism: int | None = None,
     worker_store_bytes: int | None = None,
 ) -> Executor:
-    """Factory: ``"serial"``, ``"threads"`` or ``"processes"``.
+    """Factory: ``"serial"`` or ``"processes"``.
 
     ``worker_store_bytes`` budgets each process-pool worker's resident
-    block cache (ignored by the in-driver backends).
+    block cache (ignored by ``serial``).
     """
     if backend == "serial":
         return SerialExecutor()
-    if backend == "threads":
-        return ThreadExecutor(parallelism or max(2, (os.cpu_count() or 2)))
     if backend == "processes":
         return ProcessExecutor(parallelism, worker_store_bytes=worker_store_bytes)
     raise ValueError(

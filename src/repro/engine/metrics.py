@@ -51,7 +51,7 @@ class StageSummary:
     shuffle_write_bytes: int
     input_bytes: int
     #: Bytes the executor physically shipped to workers while running this
-    #: stage (closure blobs + pushed/pulled blocks); 0 for in-driver backends.
+    #: stage (closure blobs + pushed/pulled blocks); 0 on ``serial``.
     shipped_bytes: int = 0
 
 

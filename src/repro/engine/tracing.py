@@ -262,7 +262,7 @@ class EngineMetrics:
     cache_misses: int = 0
     cache_evictions: int = 0
     cache_spills: int = 0
-    # task-shipping economics (process backend; zero for in-driver backends)
+    # task-shipping economics (process backend; zero on serial)
     shipped_task_bytes: int = 0
     shipped_block_bytes_pushed: int = 0
     shipped_block_bytes_pulled: int = 0

@@ -24,7 +24,6 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.common.errors import MapReduceError
@@ -69,34 +68,22 @@ class JobResult:
 
 
 class JobRunner:
-    """Executes jobs against a mini-DFS.
+    """Executes jobs against a mini-DFS, one task at a time: map tasks in
+    split order, then reduce tasks in partition order, so every task's
+    measured duration is free of interference (the cluster replay reads
+    them).
 
     Parameters
     ----------
     dfs:
         The mini-DFS holding inputs and receiving outputs.
-    backend:
-        ``"serial"`` (used by benchmarks for clean per-task timings) or
-        ``"threads"``.
-    parallelism:
-        Worker threads for the threaded backend.
     tracer:
         Optional shared :class:`~repro.engine.tracing.Tracer`; the runner
         creates its own when not given, so every job is always traced.
     """
 
-    def __init__(
-        self,
-        dfs: MiniDfs,
-        backend: str = "serial",
-        parallelism: int = 4,
-        tracer: Tracer | None = None,
-    ):
-        if backend not in ("serial", "threads"):
-            raise MapReduceError(f"unknown backend {backend!r}")
+    def __init__(self, dfs: MiniDfs, tracer: Tracer | None = None):
         self.dfs = dfs
-        self.backend = backend
-        self.parallelism = parallelism
         self.jobs_run = 0
         self.tracer = tracer if tracer is not None else Tracer(label="mapreduce")
 
@@ -164,7 +151,7 @@ class JobRunner:
             )
             return duration, task_counters, shuffle_bytes
 
-        results = self._run_tasks(map_task, list(enumerate(splits)))
+        results = [map_task(item) for item in enumerate(splits)]
         for dur, task_counters, shuffle_bytes in results:
             metrics.map_task_durations.append(dur)
             metrics.shuffle_bytes += shuffle_bytes
@@ -240,7 +227,7 @@ class JobRunner:
             )
             return duration, task_counters
 
-        results = self._run_tasks(reduce_task, list(range(spec.num_reducers)))
+        results = [reduce_task(r) for r in range(spec.num_reducers)]
         for dur, task_counters in results:
             metrics.reduce_task_durations.append(dur)
             counters.merge(task_counters)
@@ -250,12 +237,6 @@ class JobRunner:
         config = dict(spec.config)
         config["__cache__"] = spec.distributed_cache
         return config
-
-    def _run_tasks(self, fn, items):
-        if self.backend == "serial" or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            return list(pool.map(fn, items))
 
 
 def read_job_output(dfs: MiniDfs, output_path: str) -> list[str]:

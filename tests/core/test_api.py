@@ -47,8 +47,8 @@ class TestDispatch:
         got = mine_frequent_itemsets(TXNS, 0.4, algorithm="apriori")
         assert got.num_itemsets == len(ORACLE)
 
-    def test_threads_backend(self):
-        got = mine_frequent_itemsets(TXNS, 0.4, backend="threads", parallelism=3)
+    def test_processes_backend(self):
+        got = mine_frequent_itemsets(TXNS, 0.4, backend="processes", parallelism=2)
         assert got.itemsets == ORACLE
 
     def test_package_level_reexport(self):

@@ -256,7 +256,7 @@ class TestMine:
         )
         assert rc == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_mine_incremental_is_the_oracle_on_every_backend(
         self, tmp_path, capsys, backend
     ):

@@ -73,8 +73,8 @@ class TestParallelStructure:
         }
         assert len(shuffle_stages) == 1
 
-    def test_threads_backend(self):
-        with Context(backend="threads", parallelism=4) as ctx:
+    def test_processes_backend(self):
+        with Context(backend="processes", parallelism=2) as ctx:
             got = DistEclat(ctx).run(TXNS, 0.4).itemsets
         assert got == apriori(TXNS, 0.4)
 

@@ -257,7 +257,7 @@ class TestResultAndRegistry:
         got = run_algorithm(window, cfg).itemsets
         assert got == oracle(window, 0.08)
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_one_shot_ignores_backend(self, sparse_pool, backend, monkeypatch):
         """``backend`` is inert for this tier: the one-shot run answers
         the oracle's map from the calling thread, whatever it says."""

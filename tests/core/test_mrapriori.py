@@ -74,10 +74,6 @@ class TestMRApriori:
         got = MRApriori(runner, num_reducers=5).run("/t.txt", 0.4)
         assert got.itemsets == ORACLE
 
-    def test_threaded_runner_agrees(self, dfs):
-        got = MRApriori(JobRunner(dfs, backend="threads", parallelism=3)).run("/t.txt", 0.4)
-        assert got.itemsets == ORACLE
-
 
 class TestVariants:
     def test_spc_equals_mrapriori_jobs(self, runner):

@@ -45,9 +45,9 @@ class TestParallelRules:
     def test_no_multi_itemsets(self, ctx):
         assert generate_rules_parallel(ctx, {("a",): 5}, 10) == []
 
-    def test_threads_backend(self):
+    def test_processes_backend(self):
         itemsets = apriori(TXNS, 0.4)
-        with Context(backend="threads", parallelism=4) as ctx:
+        with Context(backend="processes", parallelism=2) as ctx:
             par = generate_rules_parallel(ctx, itemsets, len(TXNS), min_confidence=0.5)
         assert par == generate_rules(itemsets, len(TXNS), min_confidence=0.5)
 

@@ -100,8 +100,8 @@ class TestParallelStructure:
         pfp = PFP(ctx, n_groups=4).run(ds.transactions, 0.08).itemsets
         assert pfp == ya
 
-    def test_threads_backend(self):
-        with Context(backend="threads", parallelism=4) as ctx:
+    def test_processes_backend(self):
+        with Context(backend="processes", parallelism=2) as ctx:
             got = PFP(ctx).run(TXNS, 0.4).itemsets
         assert got == apriori(TXNS, 0.4)
 

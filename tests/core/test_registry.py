@@ -114,6 +114,20 @@ class TestMiningConfig:
             MiningConfig(min_support=0.4, **{knob: value})
         assert getattr(MiningConfig(min_support=0.4, **{knob: 1}), knob) == 1
 
+    @pytest.mark.parametrize("backend", ["threads", "bogus"])
+    @pytest.mark.parametrize(
+        "knobs", [{}, {"incremental": True}, {"algorithm": "apriori"}],
+        ids=["engine", "incremental", "oracle"],
+    )
+    def test_an_unknown_backend_is_refused_on_every_algorithm(self, knobs, backend):
+        """Also where the backend is inert, so a served config naming one
+        is refused at the door, never run in silence or failed later as a
+        job.  ``threads`` is a retired name."""
+        with pytest.raises(MiningError, match=f"unknown backend '{backend}'") as err:
+            MiningConfig(min_support=0.5, backend=backend, **knobs)
+        assert "serial, processes" in str(err.value)
+        assert MiningConfig(min_support=0.5, backend="processes", **knobs).backend == "processes"
+
     def test_config_overload_matches_keywords(self):
         via_config = mine_frequent_itemsets(
             TXNS,
@@ -272,13 +286,13 @@ class TestRunAlgorithmWithContext:
         """Two runs, two contexts, both stopped: nothing is inherited."""
         from repro.core.registry import MiningConfig, run_algorithm
 
-        cfg = MiningConfig(min_support=0.4, algorithm="yafim", backend="threads")
+        cfg = MiningConfig(min_support=0.4, algorithm="yafim", backend="processes")
         first, second = run_algorithm(TXNS, cfg), run_algorithm(TXNS, cfg)
         assert first.itemsets == second.itemsets == ORACLE
         assert first.engine_metrics.n_jobs == second.engine_metrics.n_jobs > 0
         assert first.trace is not second.trace and first.trace.label == "engine"
         assert len(built) == 2 and built[0] is not built[1]
-        assert all(ctx._stopped and ctx.backend == "threads" for ctx in built)
+        assert all(ctx._stopped and ctx.backend == "processes" for ctx in built)
         assert all(ctx.block_manager.cached_block_count == 0 for ctx in built)
 
     def test_non_engine_algorithms_ignore_ctx(self, built):
@@ -287,7 +301,7 @@ class TestRunAlgorithmWithContext:
         from repro.core.registry import MiningConfig, run_algorithm
 
         for knobs in ({"algorithm": "eclat"}, {"incremental": True}):
-            cfg = MiningConfig(min_support=0.4, backend="threads", **knobs)
+            cfg = MiningConfig(min_support=0.4, backend="processes", **knobs)
             assert run_algorithm(TXNS, cfg).itemsets == ORACLE
         assert built == []
 

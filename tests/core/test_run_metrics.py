@@ -29,7 +29,7 @@ def _run_mrapriori():
         dfs.write_lines(
             "/t.txt", (" ".join(str(i) for i in sorted(set(t))) for t in TXNS)
         )
-        return MRApriori(JobRunner(dfs, backend="serial")).run("/t.txt", 0.4)
+        return MRApriori(JobRunner(dfs)).run("/t.txt", 0.4)
 
 
 @pytest.fixture(scope="module")

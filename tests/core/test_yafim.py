@@ -88,7 +88,7 @@ class TestConfigurations:
         got = Yafim(ctx, **kwargs).run(TXNS, 0.4)
         assert got.itemsets == want
 
-    @pytest.mark.parametrize("backend,par", [("threads", 4), ("processes", 2)])
+    @pytest.mark.parametrize("backend,par", [("processes", 2)])
     def test_parallel_backends_agree(self, backend, par):
         want = apriori(TXNS, 0.4)
         with Context(backend=backend, parallelism=par) as ctx:

@@ -7,9 +7,3 @@ from repro.engine import Context
 def ctx():
     with Context(backend="serial") as c:
         yield c
-
-
-@pytest.fixture()
-def tctx():
-    with Context(backend="threads", parallelism=4) as c:
-        yield c

@@ -141,11 +141,10 @@ PIPELINES = {
 }
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 @pytest.mark.parametrize("name", sorted(PIPELINES))
 def test_backends_agree(backend, name):
-    parallelism = 2 if backend == "processes" else 4
-    with Context(backend=backend, parallelism=parallelism) as ctx:
+    with Context(backend=backend, parallelism=2) as ctx:
         got = PIPELINES[name](ctx)
     with Context(backend="serial") as ctx:
         want = PIPELINES[name](ctx)
@@ -192,8 +191,8 @@ class TestMakeExecutor:
     def test_backends_tuple_covers_factory(self):
         from repro.engine.executors import BACKENDS, make_executor
 
-        assert BACKENDS == ("serial", "threads", "processes")
-        for backend in ("serial", "threads"):
+        assert BACKENDS == ("serial", "processes")
+        for backend in BACKENDS:
             executor = make_executor(backend, 2)
             executor.shutdown()
 

@@ -174,28 +174,6 @@ class TestTaskBatching:
 
 
 class TestStableWorkerIds:
-    def test_thread_worker_id_reflects_executing_thread(self):
-        from repro.engine.task import current_task_context
-
-        def tag(tc, it):
-            data = list(it)
-            if data and data[0] == 0:
-                time.sleep(0.8)  # pin one thread on partition 0
-            return (current_task_context().worker_id, data and data[0])
-
-        with Context(backend="threads", parallelism=2) as ctx:
-            rdd = ctx.parallelize(range(6), 6)
-            out = ctx.run_job(rdd, tag)
-        ids = {wid for wid, _first in out}
-        assert ids <= {"worker-0", "worker-1"}
-        # While partition 0 blocks one thread, the other thread drains the
-        # remaining 5 tasks — they must all report the SAME worker id (the
-        # old submission-index scheme would alternate ids regardless of
-        # which thread actually ran the task).
-        fast_ids = {wid for wid, first in out if first != 0}
-        assert len(fast_ids) == 1
-        assert {wid for wid, first in out if first == 0} != fast_ids
-
     def test_process_worker_ids_are_stable_slots(self, pctx):
         from repro.engine.task import current_task_context
 

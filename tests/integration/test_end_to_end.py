@@ -69,7 +69,7 @@ class TestAllMinersAgree:
 
 
 class TestCrossBackendYafim:
-    @pytest.mark.parametrize("backend,par", [("threads", 4), ("processes", 2)])
+    @pytest.mark.parametrize("backend,par", [("processes", 2)])
     def test_backends_match_serial(self, backend, par):
         ds = medical_cases(n_cases=300, seed=11)
         with Context(backend="serial") as ctx:

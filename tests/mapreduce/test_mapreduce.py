@@ -79,12 +79,6 @@ class TestWordCount:
         got = self.parse(read_job_output(dfs, "/out2"))
         assert got == self.expected()
 
-    def test_threaded_backend_same_answer(self, dfs):
-        dfs.write_lines("/in.txt", TEXT)
-        runner = JobRunner(dfs, backend="threads", parallelism=3)
-        runner.run(wordcount_spec(output="/out3"))
-        assert self.parse(read_job_output(dfs, "/out3")) == self.expected()
-
     def test_one_part_file_per_reducer(self, dfs):
         dfs.write_lines("/in.txt", TEXT)
         JobRunner(dfs).run(wordcount_spec(reducers=4))
@@ -145,10 +139,6 @@ class TestJobValidation:
         spec = wordcount_spec(reducers=0)
         with pytest.raises(JobConfigError):
             spec.validate()
-
-    def test_unknown_backend(self, dfs):
-        with pytest.raises(MapReduceError):
-            JobRunner(dfs, backend="gpu")
 
 
 class TestDistributedCacheAndConfig:

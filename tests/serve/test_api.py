@@ -347,7 +347,26 @@ ONE_ANSWER = {
             ("num_partitions", 50_000), ("parallelism", 0), ("parallelism", 10**6),
         )
     },
+    # an unknown backend, the retired ``threads`` included, is refused at
+    # the door on every algorithm — not failed later as a job
+    **{
+        f"backend-{value}-{algorithm}": (
+            submitting({"backend": value, **knobs}), (*BAD_REQUEST, "backend"),
+        )
+        for value in ("threads", "bogus")
+        for algorithm, knobs in (
+            ("yafim", {}),
+            ("incremental", {"incremental": True}),
+            ("apriori", {"algorithm": "apriori"}),
+        )
+    },
 }
+
+
+def jobs_made(client) -> int:
+    return sum(
+        sum(shard["service"]["jobs_by_state"].values()) for shard in client.metrics()["shards"]
+    )
 
 
 @pytest.mark.parametrize("case", ONE_ANSWER)
@@ -356,11 +375,13 @@ def test_a_call_has_one_answer_on_both_transports(client, case):
     if refused is None:
         assert call(client)["state"] in ("pending", "running", "done")
         return
+    before = jobs_made(client)
     with pytest.raises(ServeError) as err:
         call(client)
     *kind, named = refused
     assert (type(err.value), err.value.status, err.value.code) == tuple(kind)
     assert named in str(err.value)
+    assert jobs_made(client) == before  # refused: no job was made
 
 
 # -- submit keywords reach the shard on every surface ------------------------

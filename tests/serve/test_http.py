@@ -62,6 +62,12 @@ class TestConfigFromDict:
         with pytest.raises((ServeError, MiningError), match=knob):
             config_from_dict({"min_support": 0.3, knob: value})
 
+    @pytest.mark.parametrize("backend", ["threads", "bogus"])
+    def test_rejects_an_unknown_backend(self, backend):
+        """``threads`` is a retired name: refused like any other typo."""
+        with pytest.raises(MiningError, match="backend"):
+            config_from_dict({"min_support": 0.3, "backend": backend})
+
     def test_accepts_the_machine_knobs_at_their_limits(self):
         cpus = os.cpu_count() or 1
         cfg = config_from_dict(
@@ -160,7 +166,7 @@ class TestEndpoints:
         assert snapshot["state"] == "done" and snapshot["via"] == "memoized"
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_incremental_job_checks_out_no_context_on_any_backend(backend):
     """``POST /jobs`` with ``incremental=True``: the oracle's map whatever
     ``backend`` says — the tier walks its own bitmaps, so the field is

@@ -89,13 +89,12 @@ class TestPlanning:
     @pytest.mark.parametrize(
         "asked, pinned, kept",
         [
-            ({"backend": "threads"}, (), {"backend": "threads", "num_partitions": None}),
             ({"backend": "processes"}, (), {"backend": "processes", "num_partitions": None}),
             ({"num_partitions": 3}, (), {"num_partitions": 3}),
             ({"candidate_store": "linear"}, (), {"candidate_store": "linear"}),
             ({}, ("num_partitions",), {"num_partitions": None}),
         ],
-        ids=["threads", "processes", "partitions", "store", "pin-partitions"],
+        ids=["processes", "partitions", "store", "pin-partitions"],
     )
     def test_pinned_knobs_survive(self, asked, pinned, kept):
         cfg, decision = CostPlanner().plan(
@@ -109,7 +108,7 @@ class TestPlanning:
     @given(
         rows=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6), min_size=1, max_size=30),
         support=st.sampled_from([0.001, 0.05, 0.3, 0.9]),
-        backend=st.sampled_from(["serial", "threads", "processes"]),
+        backend=st.sampled_from(["serial", "processes"]),
         pinned=st.lists(st.sampled_from(["backend", *PLANNABLE_FIELDS]), unique=True),
     )
     def test_backend_is_never_chosen(self, rows, support, backend, pinned):

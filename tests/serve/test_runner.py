@@ -192,11 +192,11 @@ def test_engine_job_runs_as_planned_on_a_checked_out_context(rig, algo):
     name = algo(engine_algo, "run_engine", needs_engine=True)
     asked = MiningConfig(min_support=0.4, algorithm=name)
     job = running_job(asked)
-    job.decision = SimpleNamespace(chosen={"backend": "threads", "num_partitions": 1})
+    job.decision = SimpleNamespace(chosen={"backend": "processes", "num_partitions": 1})
     state, _, _ = rig.runner.run(job)
     assert state is JobState.DONE
-    assert (seen["backend"], seen["partitions"]) == ("threads", 1)
-    assert seen["ctx"].backend == "threads" and seen["ctx"]._stopped
+    assert (seen["backend"], seen["partitions"]) == ("processes", 1)
+    assert seen["ctx"].backend == "processes" and seen["ctx"]._stopped
     assert job.request.config is asked and asked.backend == "serial"
 
 

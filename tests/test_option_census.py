@@ -19,6 +19,7 @@ import inspect
 from repro.cli import build_parser
 from repro.core.registry import MiningConfig, run_algorithm
 from repro.engine.context import Context
+from repro.mapreduce.runner import JobRunner
 from repro.serve import CostPlanner, MiningServer, MiningService, ShardRouter
 from repro.serve.jobworker import JobWorker
 
@@ -30,6 +31,7 @@ PINNED = {
     "CostPlanner": 0,
     "Context": 6,
     "JobWorker": 2,
+    "JobRunner": 2,  # the MapReduce runner: dfs, tracer
     "run_algorithm": 2,
     "repro mine": 17,
     "repro generate": 4,
@@ -48,7 +50,8 @@ def _parameters(func) -> int:
 
 def census() -> dict[str, int]:
     counts = {"MiningConfig": len(dataclasses.fields(MiningConfig))}
-    for cls in (MiningService, ShardRouter, MiningServer, CostPlanner, Context, JobWorker):
+    surfaces = (MiningService, ShardRouter, MiningServer, CostPlanner, Context, JobWorker, JobRunner)
+    for cls in surfaces:
         counts[cls.__name__] = _parameters(cls.__init__)
     counts["run_algorithm"] = _parameters(run_algorithm)
     (commands,) = (

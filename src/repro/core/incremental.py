@@ -305,6 +305,11 @@ class IncrementalMiner:
     def threshold(self) -> int:
         return self._threshold
 
+    @property
+    def n_frequent(self) -> int:
+        """``len(itemsets())``, without decoding the family."""
+        return len(self._frequent1) + sum(len(lvl.frequent) for lvl in self._levels)
+
     def negative_border(self, k: int) -> set:
         """The tracked negative border at level ``k`` (encoded itemsets
         for ``k >= 2``; raw infrequent-singleton items for ``k == 1``)."""

@@ -5,7 +5,7 @@ Every service worker thread is paired with one persistent child process
 (:class:`JobWorker` is the thread's handle on it).  The thread keeps
 owning the job — attempts, deadline, cancel, retry, all in
 :class:`~repro.serve.runner.JobRunner` — and sends the process ``(dataset
-fingerprint, config as planned, algorithm spec)``; the process answers
+fingerprint, config as planned, algorithm spec, candidate store)``; the process answers
 with the pickled :class:`~repro.core.results.MiningRunResult`, its
 itemsets already rendered to the JSON text they are sent as
 (:func:`~repro.serve.jobs.kept`).  What
@@ -156,25 +156,28 @@ def _job_worker_main(conn, tmp_dir: str, store_bytes: int) -> None:
     """The job-worker process: ``run_algorithm`` per request, exactly as
     the one-shot API runs it, over resident rows.
 
-    Parent -> worker: ``(fingerprint, config, spec)``; worker ->
+    Parent -> worker: ``(fingerprint, config, spec, store name, store
+    class)``; worker ->
     parent: ``("pull", key)`` answered by ``("block", key, blob)``, then
     ``("done", pickled result, stats)`` or ``("error", exception, stats)``.
     """
+    from repro.core.candidatestore import register_store
     from repro.core.registry import register_algorithm, run_algorithm
     from repro.serve.jobs import kept
 
     tempfile.tempdir = tmp_dir
 
     def run_job(runtime, message: tuple) -> tuple:
-        fingerprint, config, spec = message
+        fingerprint, config, spec, store, store_cls = message
         t0 = time.perf_counter()
         try:
             rows = runtime.resolve(("rows", fingerprint))
-            # the registry is this process's own: an algorithm registered
-            # (or replaced) after the fork arrives with its first job
+            # the registries are this process's own: an algorithm or store
+            # registered (or replaced) after the fork arrives with its first job
             register_algorithm(
                 spec.name, spec.runner, needs_engine=spec.needs_engine, overwrite=True
             )
+            register_store(store, store_cls, overwrite=True)
             # rendered here, once: the server unpickles one string
             result = kept(run_algorithm(rows, config))
             reply = ("done", pickle.dumps(result, pickle.HIGHEST_PROTOCOL))

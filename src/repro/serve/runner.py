@@ -2,9 +2,11 @@
 
 :class:`JobRunner` owns "how a job executes": where it runs, the
 deadline, client cancellation, bounded retry-with-backoff for transient
-engine faults and the warm-miner answer for a named dataset.  The mine
-itself is the one-shot call — ``run_algorithm(rows, config)``, in either
-home — so a served job has no engine-facing path the one-shot API lacks.
+engine faults and the warm-miner answer for a named dataset (asked of
+the shard's dataset owner, :mod:`repro.serve.owner`, the worker thread
+waiting with the GIL released).  Any other mine is the one-shot call —
+``run_algorithm(rows, config)``, in either home — so a served job has no
+engine-facing path the one-shot API lacks.
 It holds no reference to the service and takes none of its locks —
 :meth:`JobRunner.run` is called by a worker holding nothing and
 *returns* the outcome; recording it (state, caches, followers) is the
@@ -28,6 +30,7 @@ import threading
 import time
 
 from repro.common.errors import EngineError
+from repro.core.candidatestore import get_store
 from repro.core.registry import MiningConfig, get_algorithm, run_algorithm, runs_on_engine
 from repro.serve.jobs import ApiError, Job, JobState, ServeError, kept
 
@@ -57,12 +60,10 @@ def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
     """The pickled request that runs ``job`` (``config``: as planned) in a
     job-worker process, or ``None`` for a job that stays in the server.
 
-    Which jobs ship is decided here, from the job alone — never an option:
+    Which jobs ship is decided here, from the job alone — never an option
+    (an incremental job on a named dataset gets here only when its warm
+    miner could not answer: its cold run ships like any other):
 
-    * an **incremental** job **on a named dataset** stays: the warm miner
-      it is answered from lives in the dataset tier, in this process (on
-      raw rows there is nothing warm to stay for — a cold build, shipped
-      like any other job);
     * an engine-backed job on **``backend="processes"``** stays: a job
       worker is a daemonic child and may not have children, and this
       job's counting already runs outside the GIL, in its context's own
@@ -72,16 +73,19 @@ def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
       closure or lambda registered by an embedding caller (every gate
       algorithm under ``tests/serve`` closes over a ``threading.Event``)
       cannot be named to another process;
-    * everything else ships.  The request carries the algorithm's spec, so
-      the worker need not have seen the registration.
+    * everything else ships.  The request carries the algorithm's spec and
+      its candidate store's class, so the worker need not have seen either
+      registration.
     """
-    if config.incremental and job._dataset_entry is not None:
-        return None
     if config.backend == "processes" and runs_on_engine(config):
         return None
     spec = get_algorithm(config.algorithm)
+    store = config.options.get("candidate_store", config.candidate_store)
     try:
-        return pickle.dumps((job.dataset_fingerprint, config, spec), pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(
+            (job.dataset_fingerprint, config, spec, store, get_store(store)),
+            pickle.HIGHEST_PROTOCOL,
+        )
     except (pickle.PicklingError, AttributeError, TypeError):
         return None
 
@@ -91,7 +95,7 @@ class JobRunner:
 
     ``datasets`` is the shard's :class:`~repro.serve.cache.DatasetCache`
     (what a job worker's pull for rows is answered from);
-    ``dataset_registry`` answers :meth:`warm_result` for jobs that
+    ``dataset_registry`` answers ``warm_result`` for jobs that
     snapshotted a named dataset.
     """
 
@@ -131,17 +135,26 @@ class JobRunner:
             if job.planned:
                 config = dataclasses.replace(config, **job.planned)
             txns = self._rows(job)
-            request = None if worker is None else shipping_request(job, config)
-            if request is not None:
-                result, early = worker.run(request, txns, lambda: _abandoned(job, deadline))
-            else:
-                result, early = self._run_here(job, config, txns, deadline)
+            result = early = None
+            if config.incremental and job._dataset_entry is not None:
+                # a named dataset's warm miner answers when it can
+                result = self.dataset_registry.warm_result(
+                    job._dataset_entry, job.dataset_version, len(txns), config,
+                    abandoned=lambda: _abandoned(job, deadline),
+                )
+                early = None if result is not None else _abandoned(job, deadline)
+            if result is None and early is None:
+                request = None if worker is None else shipping_request(job, config)
+                if request is not None:
+                    result, early = worker.run(request, txns, lambda: _abandoned(job, deadline))
+                else:
+                    result, early = self._run_here(job, config, txns, deadline)
             if job.rows_resident and getattr(result, "trace", None) is not None:
                 # the run's own trace says why its submit was cheap
                 result.trace.instant(
                     "rows_resident", "serve", fingerprint=job.dataset_fingerprint[:12]
                 )
-            return early or (JobState.DONE, result, None)
+            return early or (JobState.DONE, kept(result), None)
         except BaseException as error:  # noqa: BLE001 - reported to the client
             # (whatever a runner raised, SystemExit included: a worker
             # thread must outlive every job it runs)
@@ -182,16 +195,8 @@ class JobRunner:
 
         def mine() -> None:
             try:
-                result = None
-                if config.incremental and job._dataset_entry is not None:
-                    # a named dataset's warm miner answers when it can
-                    result = self.dataset_registry.warm_result(
-                        job._dataset_entry, job.dataset_version, len(txns), config
-                    )
-                if result is None:
-                    result = run_algorithm(txns, config)
                 # rendered as a job worker renders it, holding no lock
-                box["result"] = kept(result)
+                box["result"] = kept(run_algorithm(txns, config))
             except BaseException as exc:  # noqa: BLE001 - reported to client
                 box["error"] = exc
 

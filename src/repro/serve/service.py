@@ -72,6 +72,7 @@ from repro.serve.jobs import (
     mint_job_id,
     parse_job_id,
 )
+from repro.serve.owner import DatasetOwner
 from repro.serve.queue import TenantQueue
 from repro.serve.runner import JobRunner
 
@@ -204,7 +205,6 @@ class MiningService:
                 raise ServeError(f"tenant weight must be > 0, got {tenant}={weight}")
         self.datasets = DatasetCache(dataset_cache_bytes)
         self.results = ResultCache(result_cache_entries, result_ttl_s)
-        self.dataset_registry = DatasetRegistry(self.datasets, self.results)
         self.default_timeout_s = default_timeout_s
         self.queue_limit = queue_limit
         self.tenant_weights = dict(tenant_weights or {})
@@ -213,7 +213,6 @@ class MiningService:
         self._lock = threading.Lock()
         self._queue_cond = threading.Condition(self._lock)
         self._queue = TenantQueue(self.tenant_weights)
-        self._runner = JobRunner(self.datasets, self.dataset_registry)
         #: the job table, in submission order: every live job, plus the
         #: terminal ones whose ids are in ``_finished`` (oldest first)
         self._jobs: dict[str, Job] = {}
@@ -234,11 +233,15 @@ class MiningService:
         #: tenant -> {"submitted": n, <terminal state>: n...}, least
         #: recently submitting first; at most ``MAX_TENANT_NAMES`` names
         self._tenant_counts: OrderedDict[str, dict[str, int]] = OrderedDict()
-        # Processes first, threads at the first queued job: a job worker is
-        # forked only while this process has one thread (spawned otherwise,
-        # ~0.4 s to its first reply), so the shards of a router — and the
-        # HTTP front-end, which binds its socket after them — must all
-        # exist before any of them starts a thread.
+        # Processes first, threads at the first queued job (or dataset): a
+        # job worker or dataset owner is forked only while this process
+        # has one thread (spawned otherwise, ~0.4 s to its first reply),
+        # so the shards of a router — and the HTTP front-end, which binds
+        # its socket after them — must all exist before any of them
+        # starts a thread.
+        self.dataset_registry = DatasetRegistry(
+            self.datasets, self.results, DatasetOwner(name or "serve")
+        )
         self._job_workers = [
             JobWorker(f"{name or 'serve'}-{i}", dataset_cache_bytes) for i in range(n_workers)
         ]
@@ -249,6 +252,7 @@ class MiningService:
             )
             for i, worker in enumerate(self._job_workers)
         ]
+        self._runner = JobRunner(self.datasets, self.dataset_registry)
 
     # -- submission --------------------------------------------------------
     def submit(
@@ -520,6 +524,7 @@ class MiningService:
             # the frozen benchmarks/ledger/client.py:128 (goes with ROADMAP item 1)
             "context_pool": {"idle": 0, "created": 0, "reused": 0},
             "job_workers": _summed([w.stats() for w in self._job_workers]),
+            "dataset_owner": self.dataset_registry.owner.stats(),
             "recent_jobs": recent,
         }
 

@@ -343,7 +343,7 @@ def leaves(names: str) -> dict:
 HISTOGRAM = leaves("count max_s mean_s p50_s p95_s p99_s")
 #: shape of the routed payload at the parent commit (PR 17) after the
 #: script below, recorded by running it there; lists hold one element
-#: shape.  One block added since: ``job_workers``.  Gone with the
+#: shape.  Two blocks added since: ``job_workers``, ``dataset_owner``.  Gone with the
 #: approximate tier and the cost model: ``planner``'s estimate counters,
 #: ``result_cache``'s ``approx_indexed`` / ``upgrades``, a job's ``fast_tier``
 PARENT_SHAPE = {
@@ -366,6 +366,9 @@ PARENT_SHAPE = {
             ),
             "job_workers": leaves(
                 "alive datasets_resident jobs_run killed restarts rows_shipped ship_bytes started"
+            ),
+            "dataset_owner": leaves(
+                "datasets pid requests respawns started versions_applied vm_hwm_kb"
             ),
             "jobs_by_state": leaves("cancelled done failed pending running timed_out"),
             "latency": {"queue_wait": HISTOGRAM, "run": HISTOGRAM},

@@ -1,7 +1,7 @@
 """One warm-miner path: jobs and watches of a named dataset share the
-miner ``ManagedDataset.miner_for`` builds and catches up, on every store
-and both transports; a job whose snapshot the window has left behind is
-answered from its own rows, cold, and the miner is none the wiser.
+miner its dataset owner builds and catches up, on every store and both
+transports; a job whose snapshot the window has left behind is answered
+from its own rows, cold, and the miner is none the wiser.
 
 Every answer is checked against a cold re-mine of the rows its
 ``dataset_version`` held, and ``warm_miners`` never passes one per mining
@@ -50,7 +50,7 @@ def apply_diff(family, payload):
 class Tier:
     """A one-shard, one-worker router, a client on the transport under
     test, and the two things only a test needs: a look at the dataset's
-    entry, and a way to keep the worker busy."""
+    warm state in its owner, and a way to keep the worker busy."""
 
     def __init__(self, router, client, store):
         self.router, self.client = router, client
@@ -64,6 +64,17 @@ class Tier:
     def entry(self):
         return self.router.shards[0].dataset_registry.get(NAME)
 
+    def miners(self, entry=None) -> dict:
+        """The owner's warm miners of ``entry`` (the dataset's), by mining
+        key: ``ident`` (one per miner object), ``version``,
+        ``n_transactions``..."""
+        state = self.router.shards[0].dataset_registry.owner.inspect(entry or self.entry)
+        return {} if state is None else state["miners"]
+
+    def miner(self) -> dict:
+        (miner,) = self.miners().values()
+        return miner
+
     def warm_miners(self) -> int:
         return self.client.dataset_info(NAME)["warm_miners"]
 
@@ -74,7 +85,7 @@ class Tier:
         """``(dataset_version, itemsets)`` of a job, once it is done."""
         self.client.wait(job_id, 30.0)
         snapshot = self.client.status(job_id)
-        assert snapshot["state"] == "done", snapshot
+        assert snapshot["state"] == "done", snapshot["error"]
         return snapshot["dataset_version"], self.client.result(job_id)
 
     def mine(self) -> tuple:
@@ -118,56 +129,57 @@ class TestGrid:
     def test_job_then_watch(self, tier):
         tier.client.create_dataset(NAME, BASE)
         assert tier.mine() == (1, oracle(BASE)) and tier.warm_miners() == 1
-        (miner,) = tier.entry.miners.values()
+        miner = tier.miner()
         assert tier.client.dataset_changes(NAME, since=1, **tier.watch)["version"] == 1
         assert tier.warm_miners() == 1
         tier.client.append_dataset(NAME, DELTA)
         changes = tier.client.dataset_changes(NAME, since=1, **tier.watch)
         assert apply_diff(oracle(BASE), changes) == oracle(BASE + DELTA)
         assert tier.mine() == (2, oracle(BASE + DELTA))
-        assert list(tier.entry.miners.values()) == [miner] and miner.version == 2
+        assert tier.miner()["ident"] == miner["ident"] and tier.miner()["version"] == 2
 
     def test_watch_then_job(self, tier):
         tier.client.create_dataset(NAME, BASE)
         assert tier.client.dataset_changes(NAME, since=1, **tier.watch)["version"] == 1
-        (miner,) = tier.entry.miners.values()
+        miner = tier.miner()
         assert tier.mine() == (1, oracle(BASE)) and tier.warm_miners() == 1
         tier.client.append_dataset(NAME, DELTA)
         assert tier.mine() == (2, oracle(BASE + DELTA))
         changes = tier.client.dataset_changes(NAME, since=1, **tier.watch)
         assert apply_diff(oracle(BASE), changes) == oracle(BASE + DELTA)
-        assert list(tier.entry.miners.values()) == [miner] and miner.version == 2
+        assert tier.miner()["ident"] == miner["ident"] and tier.miner()["version"] == 2
 
     def test_predates_append(self, tier):
         """Still a prefix of the window: the warm miner answers, caught
         up to the snapshot's rows and no further."""
         tier.client.create_dataset(NAME, BASE)
         assert tier.mine() == (1, oracle(BASE))
-        (miner,) = tier.entry.miners.values()
+        miner = tier.miner()
         with tier.worker_held():
             tier.client.append_dataset(NAME, [("x",)])
             stale = tier.submit()
             tier.client.append_dataset(NAME, DELTA)
         assert tier.answer(stale) == (2, oracle(BASE + [("x",)]))
-        assert miner.n_transactions == len(BASE) + 1  # answered it; lazily behind v3
+        # answered it; lazily behind v3
+        assert tier.miner()["n_transactions"] == len(BASE) + 1
         assert tier.mine() == (3, oracle(BASE + [("x",)] + DELTA))
-        assert list(tier.entry.miners.values()) == [miner] and tier.warm_miners() == 1
+        assert tier.miner()["ident"] == miner["ident"] and tier.warm_miners() == 1
 
     def test_predates_retire(self, tier):
         """Rows of the snapshot have left the window: answered cold."""
         tier.client.create_dataset(NAME, BASE, max_window=len(BASE) + 1)
         assert tier.mine() == (1, oracle(BASE))
-        (miner,) = tier.entry.miners.values()
+        miner = tier.miner()
         with tier.worker_held():
             tier.client.append_dataset(NAME, [("x",)])
             stale = tier.submit()
             tier.client.append_dataset(NAME, DELTA)  # retires; the miner slides now
-            moved_on = miner.version
+            moved_on = tier.miner()["version"]
         assert tier.answer(stale) == (2, oracle(BASE + [("x",)]))
-        assert miner.version == moved_on  # the cold path never touched it
+        assert tier.miner()["version"] == moved_on  # the cold path never touched it
         window = (BASE + [("x",)] + DELTA)[len(DELTA):]
         assert tier.mine() == (3, oracle(window))
-        assert list(tier.entry.miners.values()) == [miner] and tier.warm_miners() == 1
+        assert tier.miner()["ident"] == miner["ident"] and tier.warm_miners() == 1
 
     def test_predates_replace(self, tier):
         """The entry it snapshotted is no longer the one under the name:
@@ -175,14 +187,15 @@ class TestGrid:
         tier.client.create_dataset(NAME, BASE)
         assert tier.mine() == (1, oracle(BASE))
         old = tier.entry
-        (miner,) = old.miners.values()
         with tier.worker_held():
             tier.client.append_dataset(NAME, [("x",)])
             stale = tier.submit()
+            # the miner never sees the row the snapshot added ...
+            assert tier.miner()["n_transactions"] == len(BASE)
             tier.client.create_dataset(NAME, OTHER, replace=True)
         assert tier.answer(stale) == (2, oracle(BASE + [("x",)]))
-        # the retired entry's miner never saw the row the snapshot added
-        assert list(old.miners.values()) == [miner] and miner.n_transactions == len(BASE)
+        # ... and went with the entry it belonged to
+        assert tier.miners(old) == {}
         assert tier.entry is not old and tier.warm_miners() == 0
         assert tier.mine() == (1, oracle(OTHER)) and tier.warm_miners() == 1
 

@@ -32,7 +32,7 @@ class FakeRegistry:
     def __init__(self, answer=None):
         self.answer, self.asked = answer, []
 
-    def warm_result(self, entry, version, n_rows, config):
+    def warm_result(self, entry, version, n_rows, config, abandoned=None):
         self.asked.append((entry, version, n_rows))
         return self.answer
 

@@ -21,10 +21,10 @@ full-family snapshots and nothing noticed).  A sliding leg (one fused
 ``slide``: append + retire of the same size) is recorded for the
 steady-state window-slide cost.  ``--streaming`` adds the ingest-buffer
 and window-policy legs and the *advance* leg, the perf ledger's
-``stream_window`` feed in process (a 3 000-row window, 8 rows in and 8
-out, diff tracking on): per advance, the slide, the change feed's
-rendering and the warm result's, each gated as a ratio to a cold build
-of the window — and the *watch-log* leg, the same feed through the serve
+``stream_window`` feed through a dataset owner in process (a 3 000-row
+window, 8 rows in and 8 out, one watched key): per advance, the slide,
+the diff's text and the family's text, each gated as a ratio to a cold
+build of the window — and the *watch-log* leg, the same feed through the serve
 tier's change feed: what a read 64-entry change log retains against the
 same log held as diffs, renders per version with four watchers, and a
 63-version span's answer against composing the diffs, each gated — and
@@ -86,12 +86,16 @@ FLOORS = {
 }
 DIFF_COST_CEILING = 1.25
 #: The advance leg's gate (``--streaming``): a cold build of the window
-#: over each phase of one advance, floors at half of what the reference
-#: box measures since the sibling-grouped intersector and the tuple rows
-#: (smoke 2.8-3.0 / 5.7 / 6.9-7.4; full 9.9 / 12.7 / 15.1).
+#: over each phase of one advance in the dataset owner.  The slide floors
+#: are half of what the reference box measured since the sibling-grouped
+#: intersector (smoke 2.8-3.0, full 9.9; now 2.2-2.8 and 7.5-8.9).  The
+#: text floors are about half of what it measures since the owner keeps
+#: each watched family in payload order with one row template per
+#: itemset (diff / family text: smoke 18.6-22.3 / 20.6-25.6, full
+#: 46-50 / 45-50, and 25 / 28 once on a loaded box).
 ADVANCE_FLOORS = {
-    True: {"slide": 1.4, "diff_render": 2.8, "result_render": 3.4},
-    False: {"slide": 5.0, "diff_render": 6.4, "result_render": 7.5},
+    True: {"slide": 1.4, "diff_text": 9.0, "family_text": 10.0},
+    False: {"slide": 5.0, "diff_text": 20.0, "family_text": 20.0},
 }
 
 
@@ -301,37 +305,44 @@ ADVANCES = {True: 16, False: 60}
 
 
 def _advance_leg(base: list, pool: list, smoke: bool) -> dict:
-    """What one window advance costs the server of a watched dataset, per
-    phase: the slide, the change feed's rendering (rows + ``json.dumps``)
-    and the warm result's (``result()``, kept as its JSON, sent once) —
-    medians over the advances, each also as a cold build of the same
-    window over it, so the host cancels out."""
-    from types import SimpleNamespace
+    """What one window advance of a watched dataset costs its owner, per
+    phase — driven through the owner's own messages in this process
+    (``serve.owner._Owner``, its pipe a stand-in that keeps nothing):
+    the slide (the miners and the watched key's kept order), the diff's
+    text (the feed push) and the family's text (the warm job's answer,
+    ``result()`` included) — medians over the advances, each also as a
+    cold build of the same window over it, so the host cancels out."""
+    from repro.core.candidatestore import get_store
+    from repro.serve.owner import _Owner
 
-    from repro.serve.datasets import _diff_rows
-    from repro.serve.http import result_text
-    from repro.serve.jobs import kept
+    class Pipe:
+        def send(self, message):
+            pass
 
     window = list(base[: ADVANCE_WINDOW[smoke]])
     cold_wall, _ = _cold_remine(window)
-    miner = IncrementalMiner(window, SUPPORT, candidate_store=STORE)
-    miner.itemsets()
-    phases: dict = {"slide": [], "diff_render": [], "result_render": []}
+    owner, key, store = _Owner(Pipe()), (SUPPORT, None, STORE), get_store(STORE)
+    owner.handle(("load", 1, window, 1, 64))
+    owner.handle(("watch", 1, key, store))
+    owned = owner.datasets[1]
+    phases: dict = {"slide": [], "diff_text": [], "family_text": []}
     clock = time.perf_counter
     for i in range(ADVANCES[smoke]):
         delta = pool[i * ADVANCE_DELTA : (i + 1) * ADVANCE_DELTA]
         t0 = clock()
-        update = miner.slide(delta, len(delta))
+        diffs = owned.advance(delta, len(delta), i + 2, [])
         t1 = clock()
-        json.dumps({"reset": False, **_diff_rows(update.family_diff)})
+        owner.push(1, owned, i + 2, diffs)
         t2 = clock()
-        result_text(SimpleNamespace(job_id="job", via="run", result=kept(miner.result())))
+        owner._job(owned, len(owned.window), key, store)
         t3 = clock()
         for phase, seconds in zip(phases, (t1 - t0, t2 - t1, t3 - t2)):
             phases[phase].append(seconds)
         window = window[len(delta):] + list(delta)
     _, cold = _cold_build(window)
-    assert miner.itemsets() == cold.itemsets(), "the advances diverged from a cold build"
+    assert owned.miners[key].itemsets() == cold.itemsets(), (
+        "the advances diverged from a cold build"
+    )
     report = {
         "window": len(window),
         "n_delta": ADVANCE_DELTA,
@@ -744,8 +755,8 @@ def main(argv=None) -> int:
         advance = stream["advance"]
         print(
             f"  advance +/-{advance['n_delta']} rows on {advance['window']}: slide "
-            f"{advance['slide_ms']} ms, diff render {advance['diff_render_ms']} ms, "
-            f"result render {advance['result_render_ms']} ms "
+            f"{advance['slide_ms']} ms, diff text {advance['diff_text_ms']} ms, "
+            f"family text {advance['family_text_ms']} ms "
             f"(cold build {advance['cold_build_ms']} ms)"
         )
         log = stream["watch_log"]

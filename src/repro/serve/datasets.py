@@ -63,10 +63,11 @@ import itertools
 import json
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 from repro.common.errors import MiningError
 from repro.core.candidatestore import get_store
@@ -227,29 +228,145 @@ def _diff_payload(diff) -> dict:
     }
 
 
-def _array_text(rows: list, fragments=None) -> str:
-    """``rows`` — all ``(itemset, count)`` or all ``(itemset, old,
-    new)`` tuples — as the JSON array ``json.dumps`` makes of them.
-    Given ``fragments`` (itemset -> its JSON text, made on a miss: the
-    dataset owner's memo), the same bytes, joined from the kept texts.
-    Raises :class:`ServeError` naming an item JSON cannot carry."""
-    if fragments is None:
-        return json.dumps(rows, default=_unsendable)
-    if rows and len(rows[0]) == 3:
-        body = [f"[{fragments[itemset]}, {old}, {new}]" for itemset, old, new in rows]
-    else:
-        body = [f"[{fragments[itemset]}, {count}]" for itemset, count in rows]
-    return "[" + ", ".join(body) + "]"
-
-
-def _rows_text(rows: dict, fragments=None) -> str:
+def _rows_text(rows: dict) -> str:
     """``rows`` (field name -> rows, as :func:`_diff_rows` makes them, or
     ``{"family": _family_rows(...)}``) as the JSON text of those fields,
     braces stripped — ``"added": [...], ...`` — ready to follow an
-    answer's head: byte for byte ``json.dumps(rows)[1:-1]``.  The one
-    renderer of feed rows, the owner's (``fragments``: see
-    :func:`_array_text`) and the server's alike."""
-    return ", ".join([f'"{name}": {_array_text(value, fragments)}' for name, value in rows.items()])
+    answer's head.  Raises :class:`ServeError` naming an item JSON cannot
+    carry."""
+    return json.dumps(rows, default=_unsendable)[1:-1]
+
+
+def _diff_text(diff) -> str:
+    """A diff as the feed sends it, each field sorted into payload order
+    here: what the server renders for a composed span, and the owner for
+    a dataset whose items are not all of one type."""
+    return _rows_text(_diff_rows(diff))
+
+
+# -- the owner's renderer ------------------------------------------------------
+# The owner (``serve.owner``) keeps every itemset's row as a ``%`` template
+# and each watched key's family in payload order; a field is one ``%``
+# over joined templates — byte for byte what ``json.dumps`` makes of the
+# same rows, ``%`` in an item doubled.
+
+#: itemsets whose row template a dataset's owner keeps (emptied when
+#: full): many times the ledger's 3 300-itemset family, well under 10 MB
+TEMPLATE_LIMIT = 1 << 16
+
+
+class RowTemplates(dict):
+    """One dataset's itemset -> its row template, ``[<the itemset's
+    JSON>, %d]``, made the first time the itemset is rendered.  A
+    family's itemsets move version after version, their counts changing
+    and the itemsets not: kept for the life of the owner, each is encoded
+    once.  The owner keeps them only while every item of the dataset is
+    of one type (``str`` or ``int``): equal items of two types (``1``,
+    ``True``, ``1.0``) render differently, and the text of one must never
+    answer for the other.  Raises :class:`ServeError` for an item JSON
+    cannot carry."""
+
+    def __missing__(self, itemset) -> str:
+        if len(self) >= TEMPLATE_LIMIT:
+            self.clear()
+        text = json.dumps(itemset, default=_unsendable).replace("%", "%%")
+        template = self[itemset] = f"[{text}, %d]"
+        return template
+
+
+def _array(templates) -> str:
+    """The JSON array of row ``templates``, their fields still open."""
+    return "[" + ", ".join(templates) + "]"
+
+
+def _filled(by_itemset: dict, templates: RowTemplates) -> str:
+    """``by_itemset`` (itemset -> count) as its JSON rows in payload
+    order."""
+    keys = _in_payload_order(by_itemset)
+    return _array(map(templates.__getitem__, keys)) % tuple(map(by_itemset.__getitem__, keys))
+
+
+def _rank(itemset: tuple) -> tuple:
+    """Where ``itemset`` sits in payload order (items of one type)."""
+    return len(itemset), itemset
+
+
+class KeptFamily:
+    """A watched key's family in payload order, as its owner keeps it
+    between versions: ``order``, the itemsets; ``rows`` and ``twins``,
+    their row templates (``[<JSON>, %d]`` and ``[<JSON>, %d, %d]``);
+    ``text``, the family's array of templates, joined when first asked
+    for after its membership moved; ``version``, the miner version the
+    order is current at.
+
+    An advance adds or removes a handful of a few thousand itemsets and
+    moves the counts of most: the order is edited by the diff's
+    membership (a bisect each), a diff's ``changed`` is the order
+    filtered by membership, and a family is one ``%`` over the kept
+    text.  Without templates (items of more than one type) it is
+    ``json.dumps`` over the same order, re-sorted whenever membership
+    moves: such itemsets need not compare."""
+
+    __slots__ = ("order", "rows", "twins", "text", "version")
+
+    def __init__(self, family, templates: RowTemplates | None, version: int):
+        self.order = _in_payload_order(family)
+        self.version = version
+        self.text = None
+        self.rows = self.twins = None
+        if templates is not None:
+            self.rows = [templates[itemset] for itemset in self.order]
+            self.twins = [row[:-1] + ", %d]" for row in self.rows]
+
+    def untemplated(self) -> None:
+        """The dataset's items stopped being of one type."""
+        self.rows = self.twins = self.text = None
+
+    def move(self, diff: FamilyDiff, templates: RowTemplates | None, version: int) -> None:
+        """Follow ``diff``, the one-version diff that took the miner to
+        ``version``."""
+        self.version = version
+        if not (diff.added or diff.removed):
+            return
+        self.text = None
+        if templates is None:
+            members = set(self.order).difference(diff.removed)
+            self.order = _in_payload_order(members.union(diff.added))
+            return
+        order, rows, twins = self.order, self.rows, self.twins
+        for itemset in diff.removed:
+            at = bisect_left(order, _rank(itemset), key=_rank)
+            del order[at], rows[at], twins[at]
+        for itemset in diff.added:
+            at = bisect_left(order, _rank(itemset), key=_rank)
+            row = templates[itemset]
+            order.insert(at, itemset)
+            rows.insert(at, row)
+            twins.insert(at, row[:-1] + ", %d]")
+
+    def diff_text(self, diff: FamilyDiff, templates: RowTemplates | None) -> str:
+        """``diff`` — the one this order last moved by — as the feed
+        sends it (:func:`_rows_text`'s layout): ``added`` / ``removed``
+        (a handful) sorted, ``changed`` the kept order filtered by
+        membership."""
+        if self.rows is None:
+            return _diff_text(diff)
+        moved = list(map(diff.changed.get, self.order))
+        olds_news = tuple(chain.from_iterable(filter(None, moved)))
+        changed = _array(compress(self.twins, moved)) % olds_news
+        return '"added": %s, "removed": %s, "changed": %s' % (
+            _filled(diff.added, templates), _filled(diff.removed, templates), changed,
+        )
+
+    def family_text(self, family: dict) -> str:
+        """``family`` (the itemsets of this order, with their counts) as
+        its JSON rows."""
+        if self.rows is None:
+            return json.dumps([(itemset, family[itemset]) for itemset in self.order],
+                              default=_unsendable)
+        if self.text is None:
+            self.text = _array(self.rows)
+        return self.text % tuple(map(family.__getitem__, self.order))
 
 
 def _decoded_rows(text: str) -> dict:
@@ -259,7 +376,8 @@ def _decoded_rows(text: str) -> dict:
 
 
 #: the rows of an answer at the current version: nothing moved
-_NO_CHANGE = _rows_text(_diff_rows(FamilyDiff()))
+_NO_CHANGE = _diff_text(FamilyDiff())
+
 
 class FeedAnswer(Mapping):
     """One change-feed answer as it is sent: ``head`` — ``dataset_id``,
@@ -898,7 +1016,7 @@ class DatasetRegistry:
         elif len(steps) == 1:
             rows = steps[0].text
         else:
-            rows = _rows_text(_diff_rows(FamilyDiff.compose(step.diff() for step in steps)))
+            rows = _diff_text(FamilyDiff.compose(step.diff() for step in steps))
         return FeedAnswer(head, rows)
 
     def _reset(self, entry: ManagedDataset, key: tuple, since: int) -> FeedAnswer:

@@ -132,7 +132,8 @@ _DECODING = threading.Lock()
 class KeptItemsets(Mapping):
     """A finished answer's ``{itemset: count}`` as the service holds it:
     the JSON text of the ``itemsets`` field it is sent as (``[[items],
-    count]`` rows, in the order mined) and its length.
+    count]`` rows — a named dataset's warm answer in payload order, as a
+    reset's family is; any other in the order mined) and its length.
 
     ``GET /results`` sends :attr:`text` as it is and never decodes it.
     For an embedded caller it is the read-only mapping it stands for: the

@@ -57,7 +57,6 @@ pipe fails at once.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 import threading
 import weakref
@@ -71,7 +70,7 @@ from repro.engine.workerstore import (
     picklable_exception,
     start_method,
 )
-from repro.serve.jobs import ServeError, _unsendable
+from repro.serve.jobs import ServeError
 
 #: what a reply is when the owner died (or was stopped) before answering
 GONE = object()
@@ -318,9 +317,12 @@ def _vm_hwm_kb(pid: int | None) -> int:
 # -- the owner process ---------------------------------------------------------
 class _Owned:
     """One named dataset as its owner holds it: a mirror of the window,
-    the warm miners by mining key, and which of them are watched."""
+    the warm miners by mining key, which of them are watched, and each
+    watched key's family in payload order."""
 
     def __init__(self, rows: list, version: int, changelog_limit: int):
+        from repro.serve.datasets import RowTemplates
+
         self.window = list(rows)
         self.version = version
         self.changelog_limit = changelog_limit
@@ -329,10 +331,12 @@ class _Owned:
         #: mining key -> the version a job or a watch last used its miner
         self.last_used: dict = {}
         self.watched: set = set()
+        #: watched mining key -> its family in payload order (KeptFamily)
+        self.kept: dict = {}
         self.renders = 0
-        #: the one type every item is, while there is one (see _Fragments)
+        #: the one type every item is, while there is one (see _item_type)
         self.item_type = _item_type(self.window)
-        self.fragments = None if self.item_type is None else _Fragments()
+        self.templates = None if self.item_type is None else RowTemplates()
 
     def report(self) -> tuple:
         """``(warm miners, watches)``: what ``GET /datasets/{id}`` says."""
@@ -363,9 +367,30 @@ class _Owned:
         return miner
 
     def watch(self, key: tuple) -> None:
-        """From here on, every advance emits ``key``'s diff."""
+        """From here on, every advance emits ``key``'s diff; its family is
+        put in payload order here, once, and edited by each diff."""
+        from repro.serve.datasets import KeptFamily
+
         self.watched.add(key)
-        self.miner_for(key, len(self.window)).track_family_diff = True
+        miner = self.miner_for(key, len(self.window))
+        miner.track_family_diff = True
+        self.kept[key] = KeptFamily(miner.itemsets(), self.templates, miner.version)
+
+    def unwatch(self, key: tuple) -> None:
+        """``key``'s diffs are no longer emitted, nor its order kept."""
+        self.watched.discard(key)
+        self.kept.pop(key, None)
+
+    def family_text(self, key: tuple, miner, family: dict) -> str:
+        """``family`` — ``miner``'s, as it stands — as its JSON rows in
+        payload order: a watched key's from its kept order, any other's
+        sorted for this answer."""
+        from repro.serve.datasets import KeptFamily
+
+        kept = self.kept.get(key)
+        if kept is None or kept.version != miner.version:
+            kept = KeptFamily(family, self.templates, miner.version)
+        return kept.family_text(family)
 
     def advance(self, delta: list, n_retired: int, version: int, unwatched) -> list:
         """Bring the mirror and the miners along one window advance;
@@ -378,11 +403,12 @@ class _Owned:
         that cannot follow is dropped (its watch with it) and rebuilt on
         demand.  First, what nobody uses goes: the watches the server let
         go, and a miner no job or watch has used for ``changelog_limit``
-        versions."""
-        from repro.core.incremental import FamilyDiff
-
-        if self.item_type is not None and _item_type(delta) not in (None, self.item_type):
-            self.item_type = self.fragments = None
+        versions.  A watched key's kept order moves here, with its miner,
+        whether or not its diff can be rendered after."""
+        if self.item_type is not None and _item_types(delta) - {self.item_type}:
+            self.item_type = self.templates = None
+            for kept in self.kept.values():
+                kept.untemplated()
         self.window.extend(delta)
         pre_trim = self.window
         if n_retired:
@@ -390,7 +416,7 @@ class _Owned:
             del self.window[:n_retired]
         self.version = version
         for key in unwatched:
-            self.watched.discard(key)
+            self.unwatch(key)
             if key in self.miners:
                 self.miners[key].track_family_diff = False
         stale = version - self.changelog_limit
@@ -408,10 +434,12 @@ class _Owned:
                 update = miner.slide(pre_trim[miner.n_transactions :], n_retired)
             except MiningError:
                 del self.miners[key], self.last_used[key]
-                self.watched.discard(key)
+                self.unwatch(key)
                 continue
             if watched:
-                out.append((key, update.family_diff or FamilyDiff(), miner.n_frequent))
+                diff = update.family_diff
+                self.kept[key].move(diff, self.templates, miner.version)
+                out.append((key, diff, miner.n_frequent))
         return out
 
     def inspect(self) -> dict:
@@ -429,6 +457,7 @@ class _Owned:
             },
             "last_used": dict(self.last_used),
             "watched": sorted(self.watched, key=repr),
+            "kept": {key: list(kept.order) for key, kept in self.kept.items()},
             "renders": self.renders,
             "n_transactions": len(self.window),
         }
@@ -458,7 +487,7 @@ class _Owner:
                 try:
                     owned.watch(_known(*args[1:]))
                 except Exception:  # noqa: BLE001 - no miner: the server's watch restarts
-                    owned.watched.discard(args[1])
+                    owned.unwatch(args[1])
                 return
             delta, n_retired, version, unwatched = args[1:]
             diffs = owned.advance(delta, n_retired, version, unwatched)
@@ -479,12 +508,10 @@ class _Owner:
         version, diffs or none, so the server's feed moves with it.  A
         diff that cannot be sent (an item JSON cannot carry) is left out:
         its watch restarts, and the reset that follows says why."""
-        from repro.serve.datasets import _diff_rows, _rows_text
-
         steps = []
         for key, diff, n_family in diffs:
             try:
-                text = _rows_text(_diff_rows(diff), owned.fragments)
+                text = owned.kept[key].diff_text(diff, owned.templates)
             except ServeError:
                 continue
             n_rows = len(diff.added) + len(diff.removed) + len(diff.changed)
@@ -495,7 +522,6 @@ class _Owner:
     # -- the answered requests ---------------------------------------------
     @staticmethod
     def _job(owned: _Owned, n_rows: int, key: tuple, store: type):
-        from repro.serve.datasets import _array_text
         from repro.serve.jobs import KeptItemsets
 
         miner = owned.miner_for(_known(key, store), n_rows)
@@ -504,51 +530,31 @@ class _Owner:
         # rendered here, once, as ``kept`` renders: the server unpickles one string
         result = miner.result()
         itemsets = result.itemsets
-        result.itemsets = KeptItemsets(
-            _array_text(list(itemsets.items()), owned.fragments), len(itemsets)
-        )
+        result.itemsets = KeptItemsets(owned.family_text(key, miner, itemsets), len(itemsets))
         return result
 
     @staticmethod
     def _family(owned: _Owned, key: tuple, store: type) -> str:
-        from repro.serve.datasets import _family_rows, _rows_text
-
-        family = owned.miner_for(_known(key, store), len(owned.window)).itemsets()
-        return _rows_text({"family": _family_rows(family)}, owned.fragments)
+        miner = owned.miner_for(_known(key, store), len(owned.window))
+        return '"family": ' + owned.family_text(key, miner, miner.itemsets())
 
     @staticmethod
     def _inspect(owned: _Owned) -> dict:
         return owned.inspect()
 
 
-#: itemsets whose JSON text a dataset's owner keeps (emptied when full):
-#: many times the ledger's 3 300-itemset family, well under 10 MB
-FRAGMENT_LIMIT = 1 << 16
+def _item_types(rows) -> set:
+    """The types of the items of ``rows``."""
+    return {type(item) for row in rows for item in row}
 
 
 def _item_type(rows) -> type | None:
     """``str`` or ``int`` when every item of ``rows`` is one (a ``bool``
-    is not an ``int`` here), else ``None``."""
-    kinds = {type(item) for row in rows for item in row}
+    is not an ``int`` here), else ``None``: while there is one, the
+    dataset's rows are rendered from kept templates
+    (:class:`repro.serve.datasets.RowTemplates`)."""
+    kinds = _item_types(rows)
     return kinds.pop() if len(kinds) == 1 and kinds <= {str, int} else None
-
-
-class _Fragments(dict):
-    """One dataset's itemset -> its JSON text, made the first time it is
-    rendered — the memo :func:`repro.serve.datasets._rows_text` renders
-    with.  A family's itemsets move version after version, their counts
-    changing and the itemsets not: kept for the life of the owner, each
-    is encoded once, and a render is a join — byte for byte what
-    ``json.dumps`` makes of the same rows.  Kept only while every item
-    of the dataset is of one type (``_Owned.item_type``): equal items of
-    two types (``1``, ``True``, ``1.0``) render differently, and the
-    text of one must never answer for the other."""
-
-    def __missing__(self, itemset) -> str:
-        if len(self) >= FRAGMENT_LIMIT:
-            self.clear()
-        text = self[itemset] = json.dumps(itemset, default=_unsendable)
-        return text
 
 
 def _known(key: tuple, store: type) -> tuple:

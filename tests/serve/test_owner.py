@@ -22,15 +22,20 @@ import signal
 import threading
 import time
 
+from fractions import Fraction
+
 import pytest
 
 from repro.algorithms import fpgrowth
 from repro.core import incremental
+from repro.core.candidatestore import BitmapStore
 from repro.core.incremental import FamilyDiff
 from repro.core.registry import MiningConfig
 from repro.datasets import mushroom_like
 from repro.serve import HttpClient, LocalClient, MiningServer, MiningService
-from repro.serve.datasets import _diff_payload, _family_payload
+from repro.serve import datasets as datasets_module
+from repro.serve import owner as owner_module
+from repro.serve.datasets import _diff_payload, _family_payload, _in_payload_order
 from repro.serve.http import dispatch
 from tests.procs import gone_within
 
@@ -172,8 +177,8 @@ ITEMS = list("abcdefgh")
 MAX_WINDOW, AGE_S = 24, 0.6
 
 
-def random_rows(rng, n):
-    return [tuple(sorted(rng.sample(ITEMS, rng.randint(1, 5)))) for _ in range(n)]
+def random_rows(rng, n, items=ITEMS):
+    return [tuple(sorted(rng.sample(items, rng.randint(1, 5)))) for _ in range(n)]
 
 
 @pytest.fixture
@@ -194,7 +199,8 @@ def no_miner_built_here(monkeypatch):
 @pytest.mark.parametrize("transport", ["local", "http"])
 def test_parity_grid_across_the_move(transport, no_miner_built_here):
     """Every version's answer is the cold re-mine of its window, every
-    feed body the reference payload, on both transports."""
+    feed body the reference payload, on both transports; after every
+    step the owner's kept order is its family's payload order."""
     rng = random.Random(31 if transport == "local" else 32)
     with MiningServer(port=0, n_workers=1) as server:
         client = (LocalClient(server.service) if transport == "local"
@@ -226,6 +232,17 @@ def test_parity_grid_across_the_move(transport, no_miner_built_here):
 
         def oracle(version):
             return fpgrowth(windows[version], SUPPORT)
+
+        def kept_in_order():
+            """The owner's kept order of each watched key is its family's
+            payload order, at whatever version the owner has reached."""
+            (shard,) = server.service.shards
+            registry = shard.dataset_registry
+            state = registry.owner.inspect(registry.get("p"))
+            if state is not None:
+                window = stream[len(stream) - state["n_transactions"]:]
+                for key, order in state["kept"].items():
+                    assert order == _in_payload_order(fpgrowth(window, key[0])), key
 
         def changes():
             nonlocal since
@@ -268,7 +285,9 @@ def test_parity_grid_across_the_move(transport, no_miner_built_here):
                 assert client.result(job["job_id"]) == oracle(final["dataset_version"])
             else:
                 changes()
+            kept_in_order()
         changes()
+        kept_in_order()
         assert replaced and len(windows) > 5
     assert no_miner_built_here == []  # no incremental miner was made in the server
 
@@ -306,25 +325,186 @@ def test_a_large_delta_beside_large_pushes_returns():
             assert not answer["added"] and not answer["removed"]
 
 
+# -- the owner's renderer, in process -----------------------------------------
+class Pipe:
+    """The owner's end of its pipe: keeps what the owner sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+class Tagged(str):
+    """An item of another type than ``str`` that JSON writes as one."""
+
+
+#: per item type: the items rows are drawn from, a new item that arrives
+#: frequent (the miner re-encodes its window), and an item of another type
+AWKWARD = {
+    str: (["a%d", 'b"q', "c\\", "d\u00e9", "%%", "f%s", "g", "\u65e5"], "z%", Tagged("t")),
+    int: (list(range(9, 17)), 99, 12.5),
+}
+
+
+class Driven:
+    """A dataset's owner, driven in this process through its messages:
+    a window of ``WINDOW`` rows slid ``len(delta)`` in and out per
+    version, and each watched key checked at every version against the
+    cold oracle and ``json.dumps`` of the list-shaped payloads."""
+
+    WINDOW = 30
+
+    def __init__(self, rows):
+        self.pipe, self.stream, self.version = Pipe(), list(rows), 1
+        self.owner = owner_module._Owner(self.pipe)
+        self.families: dict = {}  # watched key -> its family at the last check
+        self.load()
+
+    @property
+    def window(self) -> list:
+        return self.stream[-self.WINDOW:]
+
+    @property
+    def owned(self):
+        return self.owner.datasets[1]
+
+    def load(self):
+        """What the server sends a new (or respawned) owner."""
+        self.owner.handle(("load", 1, self.window, self.version, 64))
+        self.families = {}
+
+    def watch(self, support: float):
+        key = (support, None, "bitmap")
+        self.owner.handle(("watch", 1, key, BitmapStore))
+        self.families[key] = fpgrowth(self.window, support)
+        return key
+
+    def ask(self, kind: str, *args):
+        self.owner.handle((kind, 7, 1, *args))
+        _, rid, ok, value, _, _ = self.pipe.sent[-1]
+        assert rid == 7 and ok, value
+        return value
+
+    def slide(self, delta: list) -> dict:
+        """One version; returns the feed's steps by key."""
+        self.stream.extend(delta)
+        self.version += 1
+        self.owner.handle(("advance", 1, delta, len(delta), self.version, []))
+        feed, uid, version, n_rows, steps, _ = self.pipe.sent[-1]
+        assert (feed, uid, version, n_rows) == ("feed", 1, self.version, self.WINDOW)
+        steps = {step[0]: step[1] for step in steps}
+        for key, old in self.families.items():
+            new = self.families[key] = fpgrowth(self.window, key[0])
+            miner = self.owned.miners[key]
+            assert miner.itemsets() == new
+            assert self.owned.kept[key].order == _in_payload_order(new)
+            diff = FamilyDiff.between(old, new)
+            assert steps[key] == json.dumps(_diff_payload(diff))[1:-1]
+            job = self.ask("job", self.WINDOW, key, BitmapStore)
+            assert job.itemsets.text == json.dumps(_family_payload(new))
+            assert job.itemsets == new
+            family = self.ask("family", key, BitmapStore)
+            assert family == json.dumps({"family": _family_payload(new)})[1:-1]
+        return steps
+
+
 @pytest.mark.parametrize("kind", [str, int])
 def test_the_owners_memo_renders_the_bytes_of_json_dumps(kind):
-    """The owner keeps each itemset's JSON text across versions; a render
-    from it is byte for byte the plain render, also in the versions where
-    itemsets it never saw arrive."""
-    from repro.serve.datasets import _diff_rows, _family_rows, _rows_text
-    from repro.serve.owner import _Fragments
-
+    """The owner keeps each itemset's row template across versions; a
+    diff, a job's answer and a reset's family filled from them are byte
+    for byte ``json.dumps`` of the list-shaped payload — items holding
+    ``%``, ``"``, ``\\`` and non-ASCII text included — also in the
+    versions where itemsets it never saw arrive."""
+    items = AWKWARD[kind][0]
     rng = random.Random(5)
-    items = list(range(8, 20)) if kind is int else list("abcdefghijkl")
-    rows = [tuple(sorted(rng.sample(items, rng.randint(1, 6)))) for _ in range(90)]
-    miner = incremental.IncrementalMiner(rows[:30], 0.2, track_family_diff=True)
-    memo = _Fragments()
+    driven = Driven(random_rows(rng, 30, items))
+    driven.watch(0.2)
     known = []
-    for start in range(30, 90, 4):
-        diff = miner.slide(rows[start: start + 4], 4).family_diff
-        assert _rows_text(_diff_rows(diff), memo) == _rows_text(_diff_rows(diff))
-        family = miner.itemsets()
-        assert (_rows_text({"family": _family_rows(family)}, memo)
-                == json.dumps({"family": _family_rows(family)})[1:-1])
-        known.append(len(memo))
+    for _ in range(12):
+        driven.slide(random_rows(rng, 4, items))
+        known.append(len(driven.owned.templates))
     assert known[0] < known[-1]  # itemsets it had not seen did arrive
+
+
+@pytest.mark.parametrize("kind", [str, int])
+def test_the_kept_order_follows_every_version(kind, monkeypatch):
+    """A watched key's family is kept in payload order and edited by each
+    version's diff: at every version it is the order of the miner's
+    family, and every render is the oracle's bytes — across a full
+    rebuild (a new frequent item), a watch started mid-stream, a respawn
+    reload, the template memo emptying, and a switch to items of two
+    types (rendered by ``json.dumps`` from then on)."""
+    monkeypatch.setattr(datasets_module, "TEMPLATE_LIMIT", 25)  # empties every few versions
+    items, newcomer, other = AWKWARD[kind]
+    rng = random.Random(17)
+    driven = Driven(random_rows(rng, 30, items))
+    first = driven.watch(0.3)
+    for _ in range(3):
+        driven.slide(random_rows(rng, 3, items))
+    # a full rebuild: the miner's alphabet gains an item
+    driven.slide([(newcomer, *row) for row in random_rows(rng, 12, items)])
+    assert driven.owned.miners[first].last_update.full_rebuild
+    second = driven.watch(0.5)  # mid-stream
+    for _ in range(3):
+        steps = driven.slide(random_rows(rng, 3, items))
+        assert set(steps) == {first, second}
+    # a respawned owner is sent the window again, and the watches again
+    driven.load()
+    driven.watch(0.3)
+    driven.watch(0.5)
+    for _ in range(3):
+        driven.slide(random_rows(rng, 3, items))
+    assert len(driven.owned.templates) <= datasets_module.TEMPLATE_LIMIT
+    # an item of another type: no templates from here on, the same bytes
+    driven.slide([(*row, other) for row in random_rows(rng, 10, items)])
+    assert driven.owned.templates is None
+    for _ in range(3):
+        driven.slide(random_rows(rng, 3, items))
+    assert driven.owned.renders == 2 * 7  # since the reload: two keys, seven versions
+
+
+def test_the_kept_order_moves_when_a_diff_cannot_be_rendered():
+    """A version whose diff cannot be sent (an item JSON cannot carry)
+    is left out of the feed and its watch restarts, but its key's kept
+    order has moved with the miner all the same: a job on another watched
+    key, and once the item has left a job on the first key and its
+    re-watch (a reset), answer the cold oracle."""
+    rng = random.Random(3)
+    items = list(range(8))
+    stream = [(0, 1, *row) for row in random_rows(rng, 30, items[2:])]
+    low, high = MiningConfig(min_support=0.2, incremental=True), MiningConfig(
+        min_support=0.8, incremental=True)
+    with MiningService(n_workers=1) as service:
+        service.create_dataset("f", stream, max_window=30)
+        for config in (low, high):
+            service.dataset_changes("f", since=1, min_support=config.min_support)
+        # 10 of the window's 30 rows hold 1/2: frequent under `low` only
+        delta = [(0, 1, Fraction(1, 2))] * 10
+        stream.extend(delta)
+        assert service.append_dataset("f", delta)["version"] == 2
+        answer = service.dataset_changes("f", since=1, min_support=high.min_support)
+        assert answer["version"] == 2 and not answer["reset"]
+        entry = service.dataset_registry.get("f")
+        assert entry.watches[(low.min_support, None, "bitmap")].start_version is None
+
+        def answered(config):
+            job = service.submit(None, config, dataset_id="f")
+            assert job.wait(30.0) and job.error is None, job.error
+            return job.result.itemsets
+
+        assert answered(high) == fpgrowth(stream[-30:], high.min_support)
+        # the rows holding 1/2 leave, three versions of rows without it
+        for version in (3, 4, 5):
+            delta = [(0, 1, *row) for row in random_rows(rng, 10, items[2:])]
+            stream.extend(delta)
+            assert service.append_dataset("f", delta)["version"] == version
+        # the owner still slides the first key: its order came along
+        assert answered(low) == fpgrowth(stream[-30:], low.min_support)
+        reset = service.dataset_changes("f", since=1, min_support=low.min_support)
+        assert reset["reset"] and reset["version"] == 5
+        assert dict(reset["family"]) == fpgrowth(stream[-30:], low.min_support)
+        kept = service.dataset_registry.owner.inspect(entry)["kept"]
+        for key in ((low.min_support, None, "bitmap"), (high.min_support, None, "bitmap")):
+            assert kept[key] == _in_payload_order(fpgrowth(stream[-30:], key[0]))

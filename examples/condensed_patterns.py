@@ -36,7 +36,7 @@ with Context(backend="serial") as ctx:
     assert yafim.itemsets == dist_eclat.itemsets, "miners must agree"
     print(
         f"\nYAFIM ({yafim.total_seconds:.2f}s, {len(yafim.iterations)} passes) and "
-        f"DistEclat ({dist_eclat.total_seconds:.2f}s, 1 shuffle) agree: "
+        f"DistEclat ({dist_eclat.total_seconds:.2f}s, no shuffle) agree: "
         f"{yafim.num_itemsets} frequent itemsets ✔"
     )
 

@@ -22,7 +22,6 @@ from repro.core.dist_eclat import DistEclat
 from repro.core.hashtree import HashTree
 from repro.core.incremental import IncrementalMiner, IncrementalUpdate, run_incremental
 from repro.core.one_phase import OnePhaseMR
-from repro.core.pfp import PFP
 from repro.core.rapriori import RApriori
 from repro.core.toivonen import ToivonenResult, toivonen
 from repro.core.topk import TopKResult, mine_top_k
@@ -56,7 +55,6 @@ __all__ = [
     "MRApriori",
     "MiningConfig",
     "MiningResult",
-    "PFP",
     "RApriori",
     "MiningRunResult",
     "OnePhaseMR",

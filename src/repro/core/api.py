@@ -11,7 +11,6 @@ algorithm  implementation
 yafim      paper's algorithm on the RDD engine (default)
 rapriori   YAFIM with R-Apriori's candidate-free second pass
 dist_eclat prefix-distributed parallel Eclat on the same engine
-pfp        Parallel FP-Growth (Li et al.) on the same engine
 apriori    sequential oracle
 eclat      vertical tid-set oracle
 fpgrowth   pattern-growth oracle
@@ -25,7 +24,7 @@ miners into this function and the CLI alike.  Prefer passing a
 :class:`MiningConfig` for anything beyond the basics::
 
     result = mine_frequent_itemsets(
-        txns, config=MiningConfig(min_support=0.3, algorithm="pfp")
+        txns, config=MiningConfig(min_support=0.3, algorithm="dist_eclat")
     )
 
 Every result carries the run's observability trail: ``result.trace`` (a

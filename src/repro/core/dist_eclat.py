@@ -5,30 +5,30 @@ Data 2013): distribute frequent *prefixes* over workers, then let each
 worker mine its prefix's conditional database depth-first over vertical
 tid-sets.  This module implements that scheme on the same engine YAFIM
 runs on, giving the library a second parallel miner with a completely
-different traversal (depth-first, candidate-free) — useful both as a
-performance alternative for low-support workloads and as yet another
-cross-check of YAFIM's output.
+different traversal (depth-first, candidate-free) — measured fastest on
+small dense inputs (DESIGN.md choice 25) and yet another cross-check of
+YAFIM's output.
 
 Algorithm:
 
-1. one shuffle builds the vertical layout ``item -> tid-bitmap`` and
-   keeps the frequent items (this is Dist-Eclat's "find frequent
-   singletons" step, expressed as ``flatMap -> groupByKey``),
+1. the driver, which already holds every canonical row, lays them out
+   vertically with :func:`~repro.core.candidatestore.build_tid_bitmaps`
+   (``item -> tid-bitmap``) and keeps the frequent items — Dist-Eclat's
+   "find frequent singletons" step, by popcount,
 2. frequent items become mining *prefixes*, hash-partitioned across the
    cluster; each prefix's job ships with the bitmaps of the items that
    can extend it (items greater in the total order),
 3. each partition mines its prefixes depth-first by intersection,
-   entirely locally — no further shuffles (k-phase Apriori's per-level
+   entirely locally — no shuffle at all (k-phase Apriori's per-level
    synchronisation is gone, which is the point of the design).
 
-The vertical layout is one representation: a big-int tid-*bitmap* per
-item (bit ``t`` = transaction ``t``), intersected with ``&`` and counted
-with ``int.bit_count()`` — the RDD-Eclat speedup (PAPERS.md, arxiv
-1912.06415) and the same word-wise kernel
-:class:`~repro.core.candidatestore.BitmapStore` uses for Apriori-family
-counting (:mod:`repro.algorithms.eclat` keeps plain tid-sets, as the
-independent oracle).  The miner is candidate-free, so
-``MiningConfig.candidate_store`` does not reach it.
+The vertical layout is the one :class:`~repro.core.candidatestore.BitmapStore`
+counts Apriori-family passes over: a big-int tid-*bitmap* per item,
+intersected with ``&`` and counted with ``int.bit_count()`` — the
+RDD-Eclat speedup (PAPERS.md, arxiv 1912.06415).
+:mod:`repro.algorithms.eclat` keeps plain tid-sets, as the independent
+oracle.  The miner is candidate-free, so ``MiningConfig.candidate_store``
+does not reach it.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.common.errors import MiningError
 from repro.common.itemset import canonical_transaction, min_support_count
+from repro.core.candidatestore import build_tid_bitmaps
 from repro.core.results import MiningRunResult, engine_iteration_stats
 from repro.engine.context import Context
 from repro.engine.tracing import collect_engine_metrics
@@ -75,22 +76,17 @@ class DistEclat:
             algorithm="dist_eclat", min_support=min_support, n_transactions=n
         )
 
-        # ---- phase 1: vertical layout + frequent singletons (one shuffle)
+        # ---- phase 1: vertical layout + frequent singletons (driver) ----
         t0 = time.perf_counter()
-        mark = self.ctx.event_log.mark()
-        rdd = self.ctx.parallelize(list(enumerate(txns)), self.num_partitions)
-        bitmaps = dict(
-            rdd.flat_map(lambda pair: [(item, pair[0]) for item in pair[1]])
-            .group_by_key(self.num_partitions)
-            .filter(lambda kv: len(kv[1]) >= threshold)
-            .map_values(lambda tids: _tids_to_bitmap(tids, n))
-            .collect()
-        )
+        bitmaps = {
+            item: bm for item, bm in build_tid_bitmaps(txns).items()
+            if bm.bit_count() >= threshold
+        }
         singletons = {(item,): bm.bit_count() for item, bm in bitmaps.items()}
         result.itemsets.update(singletons)
         result.iterations.append(
             engine_iteration_stats(
-                self.ctx.event_log.tasks_since(mark),
+                (),  # no engine task: the driver laid the rows out
                 k=1,
                 seconds=time.perf_counter() - t0,
                 n_candidates=-1,
@@ -155,11 +151,3 @@ class DistEclat:
     def _attach_observability(self, result: MiningRunResult) -> None:
         result.trace = self.ctx.tracer
         result.engine_metrics = collect_engine_metrics(self.ctx)
-
-
-def _tids_to_bitmap(tids, n_txns: int) -> int:
-    """Transaction ids -> little-endian big-int bitmap over n_txns bits."""
-    buf = bytearray((n_txns + 7) >> 3)
-    for t in tids:
-        buf[t >> 3] |= 1 << (t & 7)
-    return int.from_bytes(buf, "little")

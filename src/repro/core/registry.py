@@ -33,7 +33,7 @@ Whether a *config* runs on the engine is more than its algorithm's flag
 that is decided, and the dispatcher, the serve tier's shipping rule and
 its planner all ask it.
 
-The built-in algorithms (yafim, rapriori, dist_eclat, pfp, mrapriori,
+The built-in algorithms (yafim, rapriori, dist_eclat, mrapriori,
 one_phase, apriori, eclat, fpgrowth) are registered at import time;
 their heavy imports stay inside the runner bodies so importing this
 module is cheap.
@@ -249,7 +249,7 @@ def run_algorithm(
 def _with_store(config: MiningConfig) -> dict:
     """Miner options with the config's ``candidate_store`` folded in; an
     explicit ``options["candidate_store"]`` wins over the field.  The
-    oracles, PFP and DistEclat are candidate-free and never receive the
+    oracles and DistEclat are candidate-free and never receive the
     knob."""
     return {"candidate_store": config.candidate_store, **config.options}
 
@@ -272,13 +272,6 @@ def _run_dist_eclat(ctx, txns, config: MiningConfig) -> MiningRunResult:
     from repro.core.dist_eclat import DistEclat
 
     miner = DistEclat(ctx, num_partitions=config.num_partitions, **config.options)
-    return miner.run(txns, config.min_support, max_length=config.max_length)
-
-
-def _run_pfp(ctx, txns, config: MiningConfig) -> MiningRunResult:
-    from repro.core.pfp import PFP
-
-    miner = PFP(ctx, num_partitions=config.num_partitions, **config.options)
     return miner.run(txns, config.min_support, max_length=config.max_length)
 
 
@@ -371,10 +364,6 @@ def _register_builtins() -> None:
     register_algorithm(
         "dist_eclat", _run_dist_eclat, needs_engine=True,
         description="prefix-distributed parallel Eclat on the same engine",
-    )
-    register_algorithm(
-        "pfp", _run_pfp, needs_engine=True,
-        description="Parallel FP-Growth (Li et al.) on the same engine",
     )
     register_algorithm(
         "mrapriori", _run_mrapriori,

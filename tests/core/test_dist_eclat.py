@@ -4,6 +4,8 @@ import pytest
 
 from repro.algorithms import apriori
 from repro.common.errors import MiningError
+from repro.common.itemset import canonical_transaction, min_support_count
+from repro.core.candidatestore import build_tid_bitmaps
 from repro.core.dist_eclat import DistEclat
 from repro.datasets import medical_cases, mushroom_like, quest_generator
 from repro.engine import Context
@@ -65,13 +67,20 @@ class TestCorrectness:
 
 
 class TestParallelStructure:
-    def test_exactly_one_shuffle(self, ctx):
-        """Dist-Eclat's selling point: no per-level synchronisation."""
-        DistEclat(ctx).run(TXNS, 0.4)
-        shuffle_stages = {
-            t.stage_id for t in ctx.event_log.tasks if t.kind == "shuffle_map"
+    def test_no_shuffle_stage(self, ctx):
+        """Dist-Eclat's selling point: no per-level synchronisation.  The
+        driver lays the rows out (the store's one vertical builder), so
+        no stage shuffles at all, and a singleton's support is its
+        bitmap's popcount."""
+        got = DistEclat(ctx).run(TXNS, 0.4)
+        assert not [t for t in ctx.event_log.tasks if t.kind == "shuffle_map"]
+        layout = build_tid_bitmaps(canonical_transaction(t) for t in TXNS)
+        threshold = min_support_count(0.4, len(TXNS))
+        singletons = {k: v for k, v in got.itemsets.items() if len(k) == 1}
+        assert singletons == {
+            (item,): bm.bit_count() for item, bm in layout.items()
+            if bm.bit_count() >= threshold
         }
-        assert len(shuffle_stages) == 1
 
     def test_processes_backend(self):
         with Context(backend="processes", parallelism=2) as ctx:

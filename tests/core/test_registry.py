@@ -41,7 +41,7 @@ def _toy_result(txns, config):
 class TestRegistry:
     def test_builtins_registered(self):
         names = algorithm_names()
-        for name in ("yafim", "dist_eclat", "pfp", "mrapriori", "apriori", "eclat", "fpgrowth"):
+        for name in ("yafim", "dist_eclat", "mrapriori", "apriori", "eclat", "fpgrowth"):
             assert name in names
 
     def test_round_trip_custom_algorithm(self):
@@ -217,10 +217,9 @@ class TestEmptyRows:
             dict(algorithm="yafim"),
             dict(algorithm="rapriori"),
             dict(algorithm="dist_eclat"),
-            dict(algorithm="pfp"),
             dict(incremental=True),
         ],
-        ids=["yafim", "rapriori", "dist_eclat", "pfp", "incremental"],
+        ids=["yafim", "rapriori", "dist_eclat", "incremental"],
     )
     def test_matches_oracle(self, path):
         config = MiningConfig(min_support=0.3, backend="serial", **path)
@@ -314,7 +313,7 @@ class TestRunsOnEngine:
         "knobs, expected",
         [
             ({"algorithm": "yafim"}, True),
-            ({"algorithm": "pfp"}, True),
+            ({"algorithm": "rapriori"}, True),
             ({"algorithm": "eclat"}, False),
             ({"algorithm": "mrapriori"}, False),
             ({"algorithm": "dist_eclat"}, True),

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.dist_eclat import DistEclat
 from repro.core.mrapriori import MRApriori
-from repro.core.pfp import PFP
 from repro.core.yafim import Yafim
 from repro.engine.context import Context
 from repro.hdfs.filesystem import MiniDfs
@@ -37,13 +36,12 @@ def results():
     return {
         "yafim": _run_engine_miner(Yafim),
         "dist_eclat": _run_engine_miner(DistEclat),
-        "pfp": _run_engine_miner(PFP),
         "mrapriori": _run_mrapriori(),
     }
 
 
 class TestUniformCounters:
-    @pytest.mark.parametrize("name", ["yafim", "dist_eclat", "pfp", "mrapriori"])
+    @pytest.mark.parametrize("name", ["yafim", "dist_eclat", "mrapriori"])
     def test_every_iteration_carries_engine_counters(self, results, name):
         result = results[name]
         assert result.iterations
@@ -53,13 +51,13 @@ class TestUniformCounters:
             assert 0.0 <= it.cache_hit_rate <= 1.0
             assert it.straggler_ratio >= 0.0
 
-    @pytest.mark.parametrize("name", ["yafim", "dist_eclat", "pfp", "mrapriori"])
+    @pytest.mark.parametrize("name", ["yafim", "dist_eclat", "mrapriori"])
     def test_trace_rides_on_result(self, results, name):
         result = results[name]
         assert result.trace is not None
         assert len(result.trace) > 0
 
-    @pytest.mark.parametrize("name", ["yafim", "dist_eclat", "pfp"])
+    @pytest.mark.parametrize("name", ["yafim", "dist_eclat"])
     def test_engine_metrics_ride_on_result(self, results, name):
         m = results[name].engine_metrics
         assert m is not None

@@ -17,7 +17,7 @@ from itertools import product
 import pytest
 
 from repro.algorithms import apriori
-from repro.core import RApriori, Yafim
+from repro.core import DistEclat, RApriori, Yafim
 from repro.core.candidatestore import (
     CandidateStore,
     register_store,
@@ -179,7 +179,8 @@ class TestLayoutGrid:
     use_broadcast / cache_transactions on and off, against the sequential
     Apriori oracle: whichever layout the store's class declares, whenever
     the miner lays the rows out, whether the block is cached or recomputed
-    per pass, the itemsets are the oracle's."""
+    per pass, the itemsets are the oracle's.  DistEclat, candidate-free,
+    runs the same inputs on both backends."""
 
     @pytest.fixture(scope="class")
     def oracles(self):
@@ -207,6 +208,17 @@ class TestLayoutGrid:
                 for name, (rows, support, max_length) in LAYOUT_INPUTS.items():
                     got = miner.run(rows, support, max_length=max_length)
                     assert got.itemsets == oracles[name], (name, use_broadcast, cache)
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_dist_eclat_on_every_input(self, backend, oracles):
+        """DistEclat lays its rows out with the stores' one vertical
+        builder, empty-row skip included: the same inputs, the oracle's
+        itemsets."""
+        with Context(backend=backend, parallelism=2) as ctx:
+            miner = DistEclat(ctx, num_partitions=3)
+            for name, (rows, support, max_length) in LAYOUT_INPUTS.items():
+                got = miner.run(rows, support, max_length=max_length)
+                assert got.itemsets == oracles[name], name
 
     def test_the_hollow_partition_really_is_hollow(self):
         rows, support, _ = LAYOUT_INPUTS["hollow_partition"]

@@ -184,7 +184,7 @@ class TestMiningConfigCacheKey:
     def test_differs_on_any_knob(self):
         base = MiningConfig(min_support=0.3)
         assert base.cache_key() != MiningConfig(min_support=0.31).cache_key()
-        assert base.cache_key() != MiningConfig(min_support=0.3, algorithm="pfp").cache_key()
+        assert base.cache_key() != MiningConfig(min_support=0.3, algorithm="dist_eclat").cache_key()
         assert base.cache_key() != MiningConfig(min_support=0.3, max_length=2).cache_key()
 
     def test_canonical_is_json_round_trippable(self):

@@ -230,8 +230,8 @@ class TestServedIsOneShot:
     @pytest.mark.parametrize("home", [{"backend": "serial"}, PROCESSES], ids=["ships", "stays"])
     @pytest.mark.parametrize(
         "knobs",
-        [{"algorithm": name} for name in ("yafim", "rapriori", "dist_eclat", "pfp")],
-        ids=["yafim", "rapriori", "dist_eclat", "pfp"],
+        [{"algorithm": name} for name in ("yafim", "rapriori", "dist_eclat")],
+        ids=["yafim", "rapriori", "dist_eclat"],
     )
     def test_equals_one_shot(self, svc, knobs, home):
         """Shipped or kept in the server: the one-shot API's itemsets, its

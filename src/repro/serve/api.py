@@ -146,7 +146,8 @@ def _minable(check: Callable) -> Callable:
     items hash and sort against one another (``[1, "a"]`` does not).
     Refused here, at the door: a fingerprint only renders items, so on a
     named dataset a warm miner would meet the row after the version had
-    moved and fail every later job."""
+    moved and fail every later job.  A named dataset's items must also be
+    all ``str`` or all ``int``: the dataset tier refuses ``[[1], ["a"]]``."""
 
     def rows(value):
         for row in check(value):
@@ -224,6 +225,7 @@ OPERATIONS: tuple[Operation, ...] = (
     ),
     Operation("cancel", "DELETE", "/jobs/{job_id}", route=BY_JOB),
     Operation("result", "GET", "/results/{job_id}", route=BY_JOB, call="get"),
+    # items not all str or all int: a 400 from ManagedDataset, naming the type
     Operation(
         "create_dataset", "POST", "/datasets/{dataset_id}", status=201, route=BY_DATASET,
         fields=(

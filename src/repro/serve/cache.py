@@ -44,13 +44,14 @@ class FingerprintChain:
     the serving tier mix raw-transaction submissions and versioned named
     datasets in one cache keyspace.
 
-    Items are rendered with ``str`` — the same rendering the ``.dat`` file
-    format uses — so a dataset fingerprints identically whether it arrived
-    as parsed ints or as strings read back from disk.  The encoding is
-    injective: every row is its own fixed-width digest, and inside a row
-    the item count and every rendered item are length-prefixed, so
-    ``[["a b"]]`` / ``[["a", "b"]]`` and ``[[1], [2]]`` / ``[[1, 2]]`` hash
-    differently.  (A join on a separator would conflate them, letting one
+    Items are rendered with ``str`` (UTF-8), and an item whose type is
+    not ``str`` has bit 31 of its length prefix set: ``[[1, 2]]`` and
+    ``[["1", "2"]]`` render alike, but they mine to different itemsets
+    (``(1,)`` is not ``("1",)``), so they must not share a fingerprint.
+    The encoding is injective: every row is its own fixed-width digest,
+    and inside a row the item count and every rendered item are
+    length-prefixed, so ``[["a b"]]`` / ``[["a", "b"]]`` and ``[[1], [2]]``
+    / ``[[1, 2]]`` hash differently.  (A join on a separator would conflate them, letting one
     tenant's submission silently hit another dataset's cache entry.)
     """
 
@@ -74,11 +75,20 @@ class FingerprintChain:
         for txn in transactions:
             parts = [len(txn).to_bytes(4, "big")]
             for item in txn:
-                data = str(item).encode("utf-8")
-                parts.append(len(data).to_bytes(4, "big"))
+                if item.__class__ is str:
+                    data = item.encode()
+                    parts.append(len(data).to_bytes(4, "big"))
+                else:
+                    data = str(item).encode()
+                    parts.append((len(data) | 1 << 31).to_bytes(4, "big"))
                 parts.append(data)
             digests.append(sha256(b"".join(parts)).digest())
         self._digests += b"".join(digests)
+        return self.hexdigest()
+
+    def join(self, other: "FingerprintChain") -> str:
+        """Fold in ``other``'s rows, hashed already; returns the new fingerprint."""
+        self._digests += other._digests
         return self.hexdigest()
 
     def retire(self, n_oldest: int) -> str:

@@ -27,7 +27,9 @@ their diffs.  Every advance is forwarded to it and answered, a little
 later, with each watched key's one-version diff rendered there, once;
 an incremental job asks it for the warm answer.  The server builds no
 miner; the only rows it renders are those of a composed multi-version
-span.
+span; the owner's renderer lives in :mod:`repro.serve.owner`.  Its one
+path needs a named dataset's items all ``str`` or all ``int``: any other
+is refused (400) here, before anything moves.
 
 Warm state lives as long as someone uses it: a watch no reader has
 polled, and a miner no job or watch has used, for ``changelog_limit``
@@ -63,25 +65,18 @@ import itertools
 import json
 import threading
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 
 from repro.common.errors import MiningError
 from repro.core.candidatestore import get_store
 from repro.core.incremental import FamilyDiff, incremental_store
 from repro.serve.cache import DatasetCache, FingerprintChain, ResultCache
-from repro.serve.owner import GONE
-from repro.serve.jobs import (
-    _DECODING,
-    MAX_POLL_S,
-    ApiError,
-    ServeError,
-    _tupled,
-    _unsendable,
-)
+from repro.serve.jobs import _DECODING, MAX_POLL_S, ApiError, ServeError, _tupled
+from repro.serve.owner import GONE, _in_payload_order
 
 
 @dataclass
@@ -166,30 +161,31 @@ def _mining_key(min_support, max_length, store) -> tuple:
     return (min_support, max_length, incremental_store(store))
 
 
-def _fingerprinted(chain: FingerprintChain, delta: list) -> str:
-    """``chain`` extended by ``delta`` — whole or, for a delta with an
-    un-renderable item or a row that is not iterable, not at all (400)."""
+def _item_type(kind: str | None, rows: list) -> str | None:
+    """``"str"`` or ``"int"``, what every item of a named dataset is once
+    ``rows`` join it (``kind``, what it was; ``None`` while it has no
+    item).  An item of another type is a 400 naming it: ``1``, ``True``
+    and ``1.0`` are one key with three JSON texts."""
+    expected = {"str": str, "int": int}.get(kind)
+    for item in chain.from_iterable(rows):
+        if type(item) is not expected:
+            if expected is not None or type(item) not in (str, int):
+                among = f" among {kind} items" if kind else ""
+                raise ApiError(f"a named dataset's items are all str or all int: "
+                               f"{item!r:.60} is {type(item).__name__}{among}")
+            expected, kind = type(item), type(item).__name__
+    return kind
+
+
+def _admitted(delta: list, kind: str | None) -> tuple[FingerprintChain, str | None]:
+    """``delta`` hashed on a chain of its own, and :func:`_item_type` after
+    it — or a 400 for a delta that cannot be fingerprinted (un-renderable
+    item, row not iterable), then for an item of another type."""
     try:
-        return chain.extend(delta)
+        hashed = FingerprintChain(delta)
     except Exception as exc:
         raise ApiError(f"delta could not be fingerprinted: {exc}") from exc
-
-
-def _in_payload_order(by_itemset: dict) -> list:
-    """The itemsets of ``by_itemset`` in the order payloads list them:
-    shorter itemsets first, equal lengths in the items' own order.  The
-    keys alone are sorted — a native tuple sort, then a stable one by
-    ``len`` — at half the cost of sorting ``(itemset, value)`` pairs,
-    which at a few thousand changed itemsets per version is GIL time
-    taken from the writer.  Itemsets whose items do not compare with
-    each other (mixed types) fall back to the order of their ``str``
-    forms."""
-    try:
-        keys = sorted(by_itemset)
-    except TypeError:
-        keys = sorted(by_itemset, key=lambda itemset: [str(x) for x in itemset])
-    keys.sort(key=len)
-    return keys
+    return hashed, _item_type(kind, delta)
 
 
 def _family_rows(family: dict) -> list:
@@ -232,141 +228,14 @@ def _rows_text(rows: dict) -> str:
     """``rows`` (field name -> rows, as :func:`_diff_rows` makes them, or
     ``{"family": _family_rows(...)}``) as the JSON text of those fields,
     braces stripped — ``"added": [...], ...`` — ready to follow an
-    answer's head.  Raises :class:`ServeError` naming an item JSON cannot
-    carry."""
-    return json.dumps(rows, default=_unsendable)[1:-1]
+    answer's head."""
+    return json.dumps(rows)[1:-1]
 
 
 def _diff_text(diff) -> str:
     """A diff as the feed sends it, each field sorted into payload order
-    here: what the server renders for a composed span, and the owner for
-    a dataset whose items are not all of one type."""
+    here: what the server renders for a composed span."""
     return _rows_text(_diff_rows(diff))
-
-
-# -- the owner's renderer ------------------------------------------------------
-# The owner (``serve.owner``) keeps every itemset's row as a ``%`` template
-# and each watched key's family in payload order; a field is one ``%``
-# over joined templates — byte for byte what ``json.dumps`` makes of the
-# same rows, ``%`` in an item doubled.
-
-#: itemsets whose row template a dataset's owner keeps (emptied when
-#: full): many times the ledger's 3 300-itemset family, well under 10 MB
-TEMPLATE_LIMIT = 1 << 16
-
-
-class RowTemplates(dict):
-    """One dataset's itemset -> its row template, ``[<the itemset's
-    JSON>, %d]``, made the first time the itemset is rendered.  A
-    family's itemsets move version after version, their counts changing
-    and the itemsets not: kept for the life of the owner, each is encoded
-    once.  The owner keeps them only while every item of the dataset is
-    of one type (``str`` or ``int``): equal items of two types (``1``,
-    ``True``, ``1.0``) render differently, and the text of one must never
-    answer for the other.  Raises :class:`ServeError` for an item JSON
-    cannot carry."""
-
-    def __missing__(self, itemset) -> str:
-        if len(self) >= TEMPLATE_LIMIT:
-            self.clear()
-        text = json.dumps(itemset, default=_unsendable).replace("%", "%%")
-        template = self[itemset] = f"[{text}, %d]"
-        return template
-
-
-def _array(templates) -> str:
-    """The JSON array of row ``templates``, their fields still open."""
-    return "[" + ", ".join(templates) + "]"
-
-
-def _filled(by_itemset: dict, templates: RowTemplates) -> str:
-    """``by_itemset`` (itemset -> count) as its JSON rows in payload
-    order."""
-    keys = _in_payload_order(by_itemset)
-    return _array(map(templates.__getitem__, keys)) % tuple(map(by_itemset.__getitem__, keys))
-
-
-def _rank(itemset: tuple) -> tuple:
-    """Where ``itemset`` sits in payload order (items of one type)."""
-    return len(itemset), itemset
-
-
-class KeptFamily:
-    """A watched key's family in payload order, as its owner keeps it
-    between versions: ``order``, the itemsets; ``rows`` and ``twins``,
-    their row templates (``[<JSON>, %d]`` and ``[<JSON>, %d, %d]``);
-    ``text``, the family's array of templates, joined when first asked
-    for after its membership moved; ``version``, the miner version the
-    order is current at.
-
-    An advance adds or removes a handful of a few thousand itemsets and
-    moves the counts of most: the order is edited by the diff's
-    membership (a bisect each), a diff's ``changed`` is the order
-    filtered by membership, and a family is one ``%`` over the kept
-    text.  Without templates (items of more than one type) it is
-    ``json.dumps`` over the same order, re-sorted whenever membership
-    moves: such itemsets need not compare."""
-
-    __slots__ = ("order", "rows", "twins", "text", "version")
-
-    def __init__(self, family, templates: RowTemplates | None, version: int):
-        self.order = _in_payload_order(family)
-        self.version = version
-        self.text = None
-        self.rows = self.twins = None
-        if templates is not None:
-            self.rows = [templates[itemset] for itemset in self.order]
-            self.twins = [row[:-1] + ", %d]" for row in self.rows]
-
-    def untemplated(self) -> None:
-        """The dataset's items stopped being of one type."""
-        self.rows = self.twins = self.text = None
-
-    def move(self, diff: FamilyDiff, templates: RowTemplates | None, version: int) -> None:
-        """Follow ``diff``, the one-version diff that took the miner to
-        ``version``."""
-        self.version = version
-        if not (diff.added or diff.removed):
-            return
-        self.text = None
-        if templates is None:
-            members = set(self.order).difference(diff.removed)
-            self.order = _in_payload_order(members.union(diff.added))
-            return
-        order, rows, twins = self.order, self.rows, self.twins
-        for itemset in diff.removed:
-            at = bisect_left(order, _rank(itemset), key=_rank)
-            del order[at], rows[at], twins[at]
-        for itemset in diff.added:
-            at = bisect_left(order, _rank(itemset), key=_rank)
-            row = templates[itemset]
-            order.insert(at, itemset)
-            rows.insert(at, row)
-            twins.insert(at, row[:-1] + ", %d]")
-
-    def diff_text(self, diff: FamilyDiff, templates: RowTemplates | None) -> str:
-        """``diff`` — the one this order last moved by — as the feed
-        sends it (:func:`_rows_text`'s layout): ``added`` / ``removed``
-        (a handful) sorted, ``changed`` the kept order filtered by
-        membership."""
-        if self.rows is None:
-            return _diff_text(diff)
-        moved = list(map(diff.changed.get, self.order))
-        olds_news = tuple(chain.from_iterable(filter(None, moved)))
-        changed = _array(compress(self.twins, moved)) % olds_news
-        return '"added": %s, "removed": %s, "changed": %s' % (
-            _filled(diff.added, templates), _filled(diff.removed, templates), changed,
-        )
-
-    def family_text(self, family: dict) -> str:
-        """``family`` (the itemsets of this order, with their counts) as
-        its JSON rows."""
-        if self.rows is None:
-            return json.dumps([(itemset, family[itemset]) for itemset in self.order],
-                              default=_unsendable)
-        if self.text is None:
-            self.text = _array(self.rows)
-        return self.text % tuple(map(family.__getitem__, self.order))
 
 
 def _decoded_rows(text: str) -> dict:
@@ -466,6 +335,8 @@ class ManagedDataset:
             raise ApiError(
                 f"dataset {dataset_id!r} must contain at least one transaction"
             )
+        #: ``"str"`` or ``"int"``, what every item is (see _item_type)
+        self.item_type = _item_type(None, self.transactions)
         if self.max_window is not None and len(self.transactions) > self.max_window:
             self.transactions = self.transactions[-self.max_window :]
         now = self.clock()
@@ -529,10 +400,10 @@ class ManagedDataset:
     def buffer_add(self, delta: list) -> int:
         """Stage a delta in the ingest buffer (caller holds :attr:`lock`).
 
-        The delta is fingerprinted here, on a throwaway chain, so one
-        that cannot be is refused at its own call — not at the flush that
-        would have carried other callers' staged rows down with it."""
-        _fingerprinted(FingerprintChain(), delta)
+        The delta is fingerprinted (on a throwaway chain) and its items'
+        type checked here, so a bad one is refused at its own call — not
+        at the flush that would have carried other callers' rows with it."""
+        _, self.item_type = _admitted(delta, self.item_type)
         if self._buffer_opened_s is None and delta:
             self._buffer_opened_s = self.clock()
         self._buffer.extend(delta)
@@ -586,18 +457,18 @@ class ManagedDataset:
         and pushes the watched keys' diffs back when it has.
 
         Returns an :class:`AppendResult`, or ``None`` when there was
-        nothing to do (empty delta, no retire due).  Hashing the delta
-        into the fingerprint chain is the first thing that mutates, and
-        the chain takes a delta whole or not at all — a poisoned delta
-        (un-renderable item, a row that is not iterable) leaves the entry
-        exactly as it was.
+        nothing to do (empty delta, no retire due).  The delta is hashed
+        and its items' type checked before anything mutates — a poisoned
+        delta (un-renderable item, a row that is not iterable) or an item
+        of another type leaves the entry exactly as it was.
         """
         self.check_live()
         delta = list(transactions)
         now = self.clock() if now is None else now
         if not delta and self._excess(now) == 0:
             return None
-        fingerprint = _fingerprinted(self.chain, delta)
+        hashed, self.item_type = _admitted(delta, self.item_type)
+        fingerprint = self.chain.join(hashed)
         old_fp, old_version = self.fingerprint, self.version
         self.transactions.extend(delta)
         self.arrivals.extend([now] * len(delta))

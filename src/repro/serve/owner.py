@@ -30,6 +30,10 @@ order:
   advance — every watched key's one-version diff, rendered once, with
   the window size and the miner count the owner now holds.
 
+The owner renders what it sends, from each watched key's family kept in
+payload order with one ``%`` row template per itemset (:class:`KeptFamily`);
+the server admits only datasets whose items are all ``str`` or all ``int``.
+
 The pipe is FIFO and the owner handles every message in the order it
 was sent, so a request sent after an append is answered from a window
 that holds it (read-your-writes), and a version's diffs are pushed
@@ -57,9 +61,12 @@ pipe fails at once.
 from __future__ import annotations
 
 import itertools
+import json
 import re
 import threading
 import weakref
+from bisect import bisect_left
+from itertools import chain, compress
 from pathlib import Path
 
 from repro.common.errors import MiningError
@@ -314,6 +321,121 @@ def _vm_hwm_kb(pid: int | None) -> int:
     return int(match.group(1)) if match else 0
 
 
+# -- the owner's renderer ------------------------------------------------------
+# A field is one ``%`` over joined row templates — byte for byte what
+# ``json.dumps`` makes of the same rows, ``%`` in an item doubled.
+
+#: itemsets whose row template a dataset's owner keeps (emptied when
+#: full): many times the ledger's 3 300-itemset family, well under 10 MB
+TEMPLATE_LIMIT = 1 << 16
+
+
+def _in_payload_order(by_itemset: dict) -> list:
+    """The itemsets of ``by_itemset`` in the order payloads list them:
+    shorter itemsets first, equal lengths in the items' own order.  The
+    keys alone are sorted — a native tuple sort, then a stable one by
+    ``len`` — at half the cost of sorting ``(itemset, value)`` pairs,
+    which at a few thousand changed itemsets per version is GIL time
+    taken from the writer."""
+    keys = sorted(by_itemset)
+    keys.sort(key=len)
+    return keys
+
+
+class RowTemplates(dict):
+    """One dataset's itemset -> its row template, ``[<the itemset's
+    JSON>, %d]``, made the first time the itemset is rendered.  A
+    family's itemsets move version after version, their counts changing
+    and the itemsets not: kept for the life of the owner, each is encoded
+    once."""
+
+    def __missing__(self, itemset) -> str:
+        if len(self) >= TEMPLATE_LIMIT:
+            self.clear()
+        text = json.dumps(itemset).replace("%", "%%")
+        template = self[itemset] = f"[{text}, %d]"
+        return template
+
+
+def _array(templates) -> str:
+    """The JSON array of row ``templates``, their fields still open."""
+    return "[" + ", ".join(templates) + "]"
+
+
+def _filled(by_itemset: dict, templates: RowTemplates) -> str:
+    """``by_itemset`` (itemset -> count) as its JSON rows in payload order."""
+    keys = _in_payload_order(by_itemset)
+    return _array(map(templates.__getitem__, keys)) % tuple(map(by_itemset.__getitem__, keys))
+
+
+def _rank(itemset: tuple) -> tuple:
+    """Where ``itemset`` sits in payload order."""
+    return len(itemset), itemset
+
+
+class KeptFamily:
+    """A watched key's family in payload order, as its owner keeps it
+    between versions: ``order``, the itemsets; ``rows`` and ``twins``,
+    their row templates (``[<JSON>, %d]`` and ``[<JSON>, %d, %d]``) from
+    ``templates``, the dataset's; ``text``, the family's array of
+    templates, joined when first asked for after its membership moved;
+    ``version``, the miner version the order is current at.
+
+    An advance adds or removes a handful of a few thousand itemsets and
+    moves the counts of most: the order is edited by the diff's
+    membership (a bisect each), a diff's ``changed`` is the order
+    filtered by membership, and a family is one ``%`` over the kept
+    text."""
+
+    __slots__ = ("order", "rows", "twins", "templates", "text", "version")
+
+    def __init__(self, family, templates: RowTemplates, version: int):
+        self.order = _in_payload_order(family)
+        self.rows = [templates[itemset] for itemset in self.order]
+        self.twins = [row[:-1] + ", %d]" for row in self.rows]
+        self.templates = templates
+        self.text = None
+        self.version = version
+
+    def move(self, diff, version: int) -> None:
+        """Follow ``diff``, the one-version
+        :class:`~repro.core.incremental.FamilyDiff` that took the miner to
+        ``version``."""
+        self.version = version
+        if not (diff.added or diff.removed):
+            return
+        self.text = None
+        order, rows, twins = self.order, self.rows, self.twins
+        for itemset in diff.removed:
+            at = bisect_left(order, _rank(itemset), key=_rank)
+            del order[at], rows[at], twins[at]
+        for itemset in diff.added:
+            at = bisect_left(order, _rank(itemset), key=_rank)
+            row = self.templates[itemset]
+            order.insert(at, itemset)
+            rows.insert(at, row)
+            twins.insert(at, row[:-1] + ", %d]")
+
+    def diff_text(self, diff) -> str:
+        """``diff`` — the one this order last moved by — as the feed
+        sends it (the layout of :func:`repro.serve.datasets._rows_text`):
+        ``added`` / ``removed`` (a handful) sorted, ``changed`` the kept
+        order filtered by membership."""
+        moved = list(map(diff.changed.get, self.order))
+        olds_news = tuple(chain.from_iterable(filter(None, moved)))
+        changed = _array(compress(self.twins, moved)) % olds_news
+        return '"added": %s, "removed": %s, "changed": %s' % (
+            _filled(diff.added, self.templates), _filled(diff.removed, self.templates), changed,
+        )
+
+    def family_text(self, family: dict) -> str:
+        """``family`` (the itemsets of this order, with their counts) as
+        its JSON rows."""
+        if self.text is None:
+            self.text = _array(self.rows)
+        return self.text % tuple(map(family.__getitem__, self.order))
+
+
 # -- the owner process ---------------------------------------------------------
 class _Owned:
     """One named dataset as its owner holds it: a mirror of the window,
@@ -321,8 +443,6 @@ class _Owned:
     watched key's family in payload order."""
 
     def __init__(self, rows: list, version: int, changelog_limit: int):
-        from repro.serve.datasets import RowTemplates
-
         self.window = list(rows)
         self.version = version
         self.changelog_limit = changelog_limit
@@ -334,9 +454,8 @@ class _Owned:
         #: watched mining key -> its family in payload order (KeptFamily)
         self.kept: dict = {}
         self.renders = 0
-        #: the one type every item is, while there is one (see _item_type)
-        self.item_type = _item_type(self.window)
-        self.templates = None if self.item_type is None else RowTemplates()
+        #: the dataset's row templates, shared by its kept families
+        self.templates = RowTemplates()
 
     def report(self) -> tuple:
         """``(warm miners, watches)``: what ``GET /datasets/{id}`` says."""
@@ -369,8 +488,6 @@ class _Owned:
     def watch(self, key: tuple) -> None:
         """From here on, every advance emits ``key``'s diff; its family is
         put in payload order here, once, and edited by each diff."""
-        from repro.serve.datasets import KeptFamily
-
         self.watched.add(key)
         miner = self.miner_for(key, len(self.window))
         miner.track_family_diff = True
@@ -385,8 +502,6 @@ class _Owned:
         """``family`` — ``miner``'s, as it stands — as its JSON rows in
         payload order: a watched key's from its kept order, any other's
         sorted for this answer."""
-        from repro.serve.datasets import KeptFamily
-
         kept = self.kept.get(key)
         if kept is None or kept.version != miner.version:
             kept = KeptFamily(family, self.templates, miner.version)
@@ -403,12 +518,7 @@ class _Owned:
         that cannot follow is dropped (its watch with it) and rebuilt on
         demand.  First, what nobody uses goes: the watches the server let
         go, and a miner no job or watch has used for ``changelog_limit``
-        versions.  A watched key's kept order moves here, with its miner,
-        whether or not its diff can be rendered after."""
-        if self.item_type is not None and _item_types(delta) - {self.item_type}:
-            self.item_type = self.templates = None
-            for kept in self.kept.values():
-                kept.untemplated()
+        versions.  A watched key's kept order moves here, with its miner."""
         self.window.extend(delta)
         pre_trim = self.window
         if n_retired:
@@ -438,7 +548,7 @@ class _Owned:
                 continue
             if watched:
                 diff = update.family_diff
-                self.kept[key].move(diff, self.templates, miner.version)
+                self.kept[key].move(diff, miner.version)
                 out.append((key, diff, miner.n_frequent))
         return out
 
@@ -505,18 +615,12 @@ class _Owner:
 
     def push(self, uid: int, owned: _Owned, version: int, diffs: list) -> None:
         """Render an advance's diffs, each once, and push them — every
-        version, diffs or none, so the server's feed moves with it.  A
-        diff that cannot be sent (an item JSON cannot carry) is left out:
-        its watch restarts, and the reset that follows says why."""
+        version, diffs or none, so the server's feed moves with it."""
         steps = []
         for key, diff, n_family in diffs:
-            try:
-                text = owned.kept[key].diff_text(diff, owned.templates)
-            except ServeError:
-                continue
             n_rows = len(diff.added) + len(diff.removed) + len(diff.changed)
-            steps.append((key, text, n_rows, n_family))
-            owned.renders += 1
+            steps.append((key, owned.kept[key].diff_text(diff), n_rows, n_family))
+        owned.renders += len(steps)
         self.conn.send(("feed", uid, version, len(owned.window), steps, owned.report()))
 
     # -- the answered requests ---------------------------------------------
@@ -541,20 +645,6 @@ class _Owner:
     @staticmethod
     def _inspect(owned: _Owned) -> dict:
         return owned.inspect()
-
-
-def _item_types(rows) -> set:
-    """The types of the items of ``rows``."""
-    return {type(item) for row in rows for item in row}
-
-
-def _item_type(rows) -> type | None:
-    """``str`` or ``int`` when every item of ``rows`` is one (a ``bool``
-    is not an ``int`` here), else ``None``: while there is one, the
-    dataset's rows are rendered from kept templates
-    (:class:`repro.serve.datasets.RowTemplates`)."""
-    kinds = _item_types(rows)
-    return kinds.pop() if len(kinds) == 1 and kinds <= {str, int} else None
 
 
 def _known(key: tuple, store: type) -> tuple:

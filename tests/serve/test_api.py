@@ -330,6 +330,18 @@ ONE_ANSWER = {
         lambda c: c.submit([[6, 7], [6]], CFG, tenant=""), (*BAD_REQUEST, "tenant"),
     ),
     "no-source": (lambda c: c.submit(None, CFG), (*BAD_REQUEST, "transactions")),
+    # a named dataset's items are all str or all int, the first fixing which
+    "create-two-item-types": (
+        lambda c: c.create_dataset("one-type", [[1, 2], ["a"]]), (*BAD_REQUEST, "'a' is str"),
+    ),
+    "create-float-items": (
+        lambda c: c.create_dataset("one-type", [[0.5]]), (*BAD_REQUEST, "0.5 is float"),
+    ),
+    "append-another-item-type": (
+        lambda c: c.create_dataset("one-type", TXNS, replace=True)
+        and c.append_dataset("one-type", [["a"]]),
+        (*BAD_REQUEST, "'a' is str among int items"),
+    ),
     # the approximate tier's names are gone from the wire — its top-level
     # sugar and its config fields alike: refused, never run exactly in silence
     "approx-sugar": (submitting({}, approx=True), (*BAD_REQUEST, "approx")),
@@ -382,6 +394,16 @@ def test_a_call_has_one_answer_on_both_transports(client, case):
     assert (type(err.value), err.value.status, err.value.code) == tuple(kind)
     assert named in str(err.value)
     assert jobs_made(client) == before  # refused: no job was made
+
+
+def test_an_item_of_another_type_changes_nothing(client):
+    client.create_dataset("one-type-kept", TXNS, replace=True)
+    before = client.dataset_info("one-type-kept")
+    for rows in ([["a"]], [[1], [True]], [[2.5]]):
+        with pytest.raises(ApiError) as err:
+            client.append_dataset("one-type-kept", rows)
+        assert (err.value.status, err.value.code) == (400, "bad_request")
+    assert client.dataset_info("one-type-kept") == before
 
 
 # -- submit keywords reach the shard on every surface ------------------------

@@ -29,9 +29,11 @@ class TestDatasetFingerprint:
         assert dataset_fingerprint([[1, 2]]) != dataset_fingerprint([[1, 3]])
         assert dataset_fingerprint([[1], [2]]) != dataset_fingerprint([[1, 2]])
 
-    def test_int_and_str_items_agree(self):
-        # .dat round-trips render items with str(); the fingerprint must too
-        assert dataset_fingerprint([[1, 2]]) == dataset_fingerprint([["1", "2"]])
+    def test_int_and_str_items_differ(self):
+        # 1 and "1" render alike but mine to different itemsets: a dataset
+        # of one must never be answered from the other's cache entry
+        assert dataset_fingerprint([[1, 2]]) != dataset_fingerprint([["1", "2"]])
+        assert dataset_fingerprint([[1]]) != dataset_fingerprint([[True]])
 
     def test_injective_for_items_containing_separators(self):
         # a space-join would conflate these, silently handing one tenant

@@ -77,10 +77,13 @@ class TestFingerprintChain:
             [["ab", "c"]]
         )
 
-    def test_int_str_render_identically(self):
-        assert dataset_fingerprint([[1, 2], [3]]) == dataset_fingerprint(
+    def test_int_and_str_items_differ(self):
+        assert dataset_fingerprint([[1, 2], [3]]) != dataset_fingerprint(
             [["1", "2"], ["3"]]
         )
+        chain = FingerprintChain([["1", "2"]])
+        assert chain.extend([[3]]) != dataset_fingerprint([["1", "2"], ["3"]])
+        assert chain.hexdigest() == dataset_fingerprint([["1", "2"], [3]])
 
 
 class TestLruByteCacheRemove:

@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -197,7 +198,7 @@ class TestJobLongPoll:
         warm-miner path for as long as the test holds ``entry.lock``
         (which the submit, made from the test's own thread, re-enters)."""
         name = request.node.name  # in a row too: no memoized answer
-        HttpClient(server.url).create_dataset(name, TXNS + [[name]])
+        HttpClient(server.url).create_dataset(name, TXNS + [[zlib.crc32(name.encode())]])
 
         def submit():
             return server.service.submit(None, self.INC, dataset_id=name).job_id

@@ -9,9 +9,10 @@ kill.  The grid interleaves create / append / age-retire / replace /
 submit / changes on both transports: every answer is the cold re-mine of
 the window its version held, every feed body is byte for byte the
 reference payload of the oracle's diff or family, and the server builds
-no incremental miner.  Two more: pushes and a delta each larger than the
-pipe, in flight at once, do not hang the shard; and the owner's kept
-itemset texts render the bytes of ``json.dumps``.
+no incremental miner.  Three more: pushes and a delta each larger than
+the pipe, in flight at once, do not hang the shard; the owner's kept
+itemset texts render the bytes of ``json.dumps``; and an item of another
+type than the dataset's is refused before anything moves.
 """
 
 import http.client
@@ -32,8 +33,14 @@ from repro.core.candidatestore import BitmapStore
 from repro.core.incremental import FamilyDiff
 from repro.core.registry import MiningConfig
 from repro.datasets import mushroom_like
-from repro.serve import HttpClient, LocalClient, MiningServer, MiningService
-from repro.serve import datasets as datasets_module
+from repro.serve import (
+    ApiError,
+    HttpClient,
+    LocalClient,
+    MiningServer,
+    MiningService,
+    dataset_fingerprint,
+)
 from repro.serve import owner as owner_module
 from repro.serve.datasets import _diff_payload, _family_payload, _in_payload_order
 from repro.serve.http import dispatch
@@ -336,15 +343,11 @@ class Pipe:
         self.sent.append(message)
 
 
-class Tagged(str):
-    """An item of another type than ``str`` that JSON writes as one."""
-
-
-#: per item type: the items rows are drawn from, a new item that arrives
-#: frequent (the miner re-encodes its window), and an item of another type
+#: per item type: the items rows are drawn from, and a new item that
+#: arrives frequent (the miner re-encodes its window)
 AWKWARD = {
-    str: (["a%d", 'b"q', "c\\", "d\u00e9", "%%", "f%s", "g", "\u65e5"], "z%", Tagged("t")),
-    int: (list(range(9, 17)), 99, 12.5),
+    str: (["a%d", 'b"q', "c\\", "d\u00e9", "%%", "f%s", "g", "\u65e5"], "z%"),
+    int: (list(range(9, 17)), 99),
 }
 
 
@@ -434,10 +437,9 @@ def test_the_kept_order_follows_every_version(kind, monkeypatch):
     version's diff: at every version it is the order of the miner's
     family, and every render is the oracle's bytes — across a full
     rebuild (a new frequent item), a watch started mid-stream, a respawn
-    reload, the template memo emptying, and a switch to items of two
-    types (rendered by ``json.dumps`` from then on)."""
-    monkeypatch.setattr(datasets_module, "TEMPLATE_LIMIT", 25)  # empties every few versions
-    items, newcomer, other = AWKWARD[kind]
+    reload and the template memo emptying."""
+    monkeypatch.setattr(owner_module, "TEMPLATE_LIMIT", 25)  # empties every few versions
+    items, newcomer = AWKWARD[kind]
     rng = random.Random(17)
     driven = Driven(random_rows(rng, 30, items))
     first = driven.watch(0.3)
@@ -456,55 +458,59 @@ def test_the_kept_order_follows_every_version(kind, monkeypatch):
     driven.watch(0.5)
     for _ in range(3):
         driven.slide(random_rows(rng, 3, items))
-    assert len(driven.owned.templates) <= datasets_module.TEMPLATE_LIMIT
-    # an item of another type: no templates from here on, the same bytes
-    driven.slide([(*row, other) for row in random_rows(rng, 10, items)])
-    assert driven.owned.templates is None
-    for _ in range(3):
-        driven.slide(random_rows(rng, 3, items))
-    assert driven.owned.renders == 2 * 7  # since the reload: two keys, seven versions
+    assert len(driven.owned.templates) <= owner_module.TEMPLATE_LIMIT
+    assert driven.owned.renders == 2 * 3  # since the reload: two keys, three versions
 
 
-def test_the_kept_order_moves_when_a_diff_cannot_be_rendered():
-    """A version whose diff cannot be sent (an item JSON cannot carry)
-    is left out of the feed and its watch restarts, but its key's kept
-    order has moved with the miner all the same: a job on another watched
-    key, and once the item has left a job on the first key and its
-    re-watch (a reset), answer the cold oracle."""
+def test_an_item_of_another_type_is_refused_and_nothing_moves():
+    """A named dataset's items are all ``str`` or all ``int``, the type
+    fixed by its first item: a delta holding an item of another type
+    (``Fraction``, ``bool``, or ``str`` beside ``int``) is refused with a
+    400 naming that type — appended or staged — and the window, the
+    version, the buffer and the owner's kept order stay as they were; the
+    next version's diff and job answer the cold oracle.  Empty rows fix no
+    type, and a replace starts over."""
     rng = random.Random(3)
     items = list(range(8))
     stream = [(0, 1, *row) for row in random_rows(rng, 30, items[2:])]
-    low, high = MiningConfig(min_support=0.2, incremental=True), MiningConfig(
-        min_support=0.8, incremental=True)
+    key = (0.2, None, "bitmap")
     with MiningService(n_workers=1) as service:
         service.create_dataset("f", stream, max_window=30)
-        for config in (low, high):
-            service.dataset_changes("f", since=1, min_support=config.min_support)
-        # 10 of the window's 30 rows hold 1/2: frequent under `low` only
-        delta = [(0, 1, Fraction(1, 2))] * 10
+        service.create_dataset("g", stream, flush_rows=100)
+        service.dataset_changes("f", since=1, min_support=key[0])
+        entry = service.dataset_registry.get("f")
+        kept = service.dataset_registry.owner.inspect(entry)["kept"]
+        for bad, named in (
+            ((0, 1, Fraction(1, 2)), "Fraction among int items"),
+            ((0, True), "True is bool"), ((0, "1"), "'1' is str"),
+        ):
+            for name in ("f", "g"):
+                with pytest.raises(ApiError, match=named) as err:
+                    service.append_dataset(name, [stream[0], bad])
+                assert (err.value.status, err.value.code) == (400, "bad_request")
+            assert entry.version == 1 and entry.transactions == stream
+            assert service.dataset_info("g")["buffered"] == 0
+            assert service.dataset_registry.owner.inspect(entry)["kept"] == kept
+        delta = [(0, 1, *row) for row in random_rows(rng, 10, items[2:])]
         stream.extend(delta)
         assert service.append_dataset("f", delta)["version"] == 2
-        answer = service.dataset_changes("f", since=1, min_support=high.min_support)
+        assert entry.fingerprint == dataset_fingerprint(stream[-30:])
+        answer = service.dataset_changes("f", since=1, min_support=key[0], timeout_s=10.0)
         assert answer["version"] == 2 and not answer["reset"]
-        entry = service.dataset_registry.get("f")
-        assert entry.watches[(low.min_support, None, "bitmap")].start_version is None
-
-        def answered(config):
-            job = service.submit(None, config, dataset_id="f")
-            assert job.wait(30.0) and job.error is None, job.error
-            return job.result.itemsets
-
-        assert answered(high) == fpgrowth(stream[-30:], high.min_support)
-        # the rows holding 1/2 leave, three versions of rows without it
-        for version in (3, 4, 5):
-            delta = [(0, 1, *row) for row in random_rows(rng, 10, items[2:])]
-            stream.extend(delta)
-            assert service.append_dataset("f", delta)["version"] == version
-        # the owner still slides the first key: its order came along
-        assert answered(low) == fpgrowth(stream[-30:], low.min_support)
-        reset = service.dataset_changes("f", since=1, min_support=low.min_support)
-        assert reset["reset"] and reset["version"] == 5
-        assert dict(reset["family"]) == fpgrowth(stream[-30:], low.min_support)
-        kept = service.dataset_registry.owner.inspect(entry)["kept"]
-        for key in ((low.min_support, None, "bitmap"), (high.min_support, None, "bitmap")):
-            assert kept[key] == _in_payload_order(fpgrowth(stream[-30:], key[0]))
+        family = fpgrowth(stream[-30:], key[0])
+        assert apply(fpgrowth(stream[-40:-10], key[0]), answer) == family
+        job = service.submit(None, MiningConfig(min_support=key[0], incremental=True),
+                             dataset_id="f")
+        assert job.wait(30.0) and job.result.itemsets == family
+        assert service.dataset_registry.owner.inspect(entry)["kept"][key] == (
+            _in_payload_order(family))
+        # the first item fixes the type: empty rows fix none ...
+        service.create_dataset("e", [[]])
+        service.append_dataset("e", [["a"]])
+        with pytest.raises(ApiError, match="1 is int among str items"):
+            service.append_dataset("e", [[1]])
+        with pytest.raises(ApiError, match="is float"):
+            service.create_dataset("e", [[2.5]], replace=True)
+        # ... and a replace starts over
+        assert service.create_dataset("e", [[1]], replace=True)["version"] == 1
+        assert service.append_dataset("e", [[2]])["version"] == 2

@@ -78,6 +78,27 @@ class TestSubmitAndRun:
         assert again.result.itemsets == first.result.itemsets
         assert service.results.hits == 1
 
+    def test_int_and_str_copies_of_a_dataset_get_their_own_answers(self, service):
+        """Bugfix: ``1`` and ``"1"`` render alike, and the fingerprint
+        rendered every item with ``str()`` — so the str copy of a dataset
+        was answered with the int copy's memoized itemsets, and a named
+        dataset's parsed rows were handed to a job over the other copy."""
+        ints = [[1, 2], [1, 2], [1]]
+        strs = [[str(item) for item in row] for row in ints]
+        first = service.submit(ints, CFG)
+        assert first.wait(30.0) and dict(first.result.itemsets) == {(1,): 3, (2,): 2, (1, 2): 2}
+        again = service.submit(strs, CFG)
+        assert again.wait(30.0) and again.via == "run"
+        assert dict(again.result.itemsets) == {("1",): 3, ("2",): 2, ("1", "2"): 2}
+        service.create_dataset("ints", ints)
+        service.create_dataset("strs", strs)
+        assert service.dataset_info("ints")["fingerprint"] != service.dataset_info("strs")[
+            "fingerprint"
+        ]
+        for name, answer in (("ints", first), ("strs", again)):
+            job = service.submit(None, MiningConfig(min_support=0.5), dataset_id=name)
+            assert job.wait(30.0) and job.result.itemsets == answer.result.itemsets
+
     def test_priority_orders_queued_jobs(self, service, algo):
         release = threading.Event()
         order = []

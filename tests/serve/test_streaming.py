@@ -343,10 +343,6 @@ class TestChangeFeed:
         assert [items for items, _ in _family_payload(family)] == [
             [2], [10], [2, 3], [10, 2], [2, 3, 10],
         ]  # numbers in numeric order, not "10" < "2"
-        mixed = {("b", 1): 2, (1,): 3, ("a",): 4, (1, "a"): 1}
-        assert [items for items, _ in _family_payload(mixed)] == [
-            [1], ["a"], [1, "a"], ["b", 1],
-        ]  # items that do not compare: by their str forms
         diff = FamilyDiff(added={("b",): 2, ("a",): 1}, changed={("c", "d"): (1, 2), ("c",): (4, 5)})
         assert _diff_payload(diff) == {
             "added": [[["a"], 1], [["b"], 2]], "removed": [],

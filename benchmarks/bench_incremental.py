@@ -13,7 +13,7 @@ than re-mining the appended window from scratch, while producing results
 The sweep runs mushroom at the paper's operating support (0.35): for
 each append fraction it builds fresh incremental state over the base
 window, times the append, times a cold build over the appended window
-with the same store and code path, and checks equality.  Each append is
+with the same code path, and checks equality.  Each append is
 timed twice — with the family diff the update emits and with
 ``track_family_diff=False`` — so the diff's cost is a recorded ratio, not
 a guess (PR 10 tripled the update pass by building the diff from two
@@ -59,7 +59,7 @@ from repro.datasets import mushroom_like
 REPORT = "BENCH_incremental.json"
 
 SUPPORT = 0.35
-STORE = "bitmap"
+STORE = "bitmap"  # what the tier counts on, whatever a config names: the report's label
 SEED = 7
 #: append sizes as fractions of the base window — all within the <= 1%
 #: regime the >= 5x headline claim is scoped to
@@ -100,10 +100,10 @@ ADVANCE_FLOORS = {
 
 
 def _cold_build(window: list, **options) -> tuple[float, IncrementalMiner]:
-    """Full re-mine of ``window`` through the same store and code path
-    the update uses, so the comparison isolates delta-maintenance."""
+    """Full re-mine of ``window`` through the same code path the
+    update uses, so the comparison isolates delta-maintenance."""
     t0 = time.perf_counter()
-    miner = IncrementalMiner(window, SUPPORT, candidate_store=STORE, **options)
+    miner = IncrementalMiner(window, SUPPORT, **options)
     return time.perf_counter() - t0, miner
 
 
@@ -262,10 +262,7 @@ def _policy_leg(base: list, pool: list) -> dict:
 
     max_window = len(base)
     per = max(1, int(len(base) * STREAM_FRAC) * 4)
-    cfg = MiningConfig(
-        min_support=SUPPORT, backend="serial", incremental=True,
-        candidate_store=STORE,
-    )
+    cfg = MiningConfig(min_support=SUPPORT, backend="serial", incremental=True)
     with MiningService(n_workers=1, result_ttl_s=60.0) as svc:
         svc.create_dataset("stream", base, max_window=max_window)
         peak = len(base)
@@ -312,7 +309,6 @@ def _advance_leg(base: list, pool: list, smoke: bool) -> dict:
     text (the feed push) and the family's text (the warm job's answer,
     ``result()`` included) — medians over the advances, each also as a
     cold build of the same window over it, so the host cancels out."""
-    from repro.core.candidatestore import get_store
     from repro.serve.owner import _Owner
 
     class Pipe:
@@ -321,9 +317,9 @@ def _advance_leg(base: list, pool: list, smoke: bool) -> dict:
 
     window = list(base[: ADVANCE_WINDOW[smoke]])
     cold_wall, _ = _cold_remine(window)
-    owner, key, store = _Owner(Pipe()), (SUPPORT, None, STORE), get_store(STORE)
+    owner, key = _Owner(Pipe()), (SUPPORT, None)
     owner.handle(("load", 1, window, 1, 64))
-    owner.handle(("watch", 1, key, store))
+    owner.handle(("watch", 1, key))
     owned = owner.datasets[1]
     phases: dict = {"slide": [], "diff_text": [], "family_text": []}
     clock = time.perf_counter
@@ -334,7 +330,7 @@ def _advance_leg(base: list, pool: list, smoke: bool) -> dict:
         t1 = clock()
         owner.push(1, owned, i + 2, diffs)
         t2 = clock()
-        owner._job(owned, len(owned.window), key, store)
+        owner._job(owned, len(owned.window), key)
         t3 = clock()
         for phase, seconds in zip(phases, (t1 - t0, t2 - t1, t3 - t2)):
             phases[phase].append(seconds)
@@ -395,7 +391,7 @@ def _watch_log_leg(pool: list) -> dict:
 
     window = mushroom_like(scale=0.8, seed=SEED).transactions[: ADVANCE_WINDOW[False]]
     deltas = [pool[i * ADVANCE_DELTA : (i + 1) * ADVANCE_DELTA] for i in range(LOG_ENTRIES)]
-    key = datasets._mining_key(SUPPORT, None, STORE)
+    key = datasets._mining_key(SUPPORT, None)
 
     def watched():
         registry = DatasetRegistry(DatasetCache(1 << 26), ResultCache(16, 60.0),

@@ -135,18 +135,12 @@ def _mine_with_appends(args, txns) -> int:
     and report update cost against a cold re-mine of the final window."""
     import time
 
-    from repro.core.incremental import IncrementalMiner, incremental_store
+    from repro.core.incremental import IncrementalMiner
 
-    store = incremental_store(args.candidate_store)
     t0 = time.perf_counter()
-    miner = IncrementalMiner(
-        txns, args.support, max_length=args.max_length, candidate_store=store
-    )
+    miner = IncrementalMiner(txns, args.support, max_length=args.max_length)
     build_s = time.perf_counter() - t0
-    print(
-        f"built incremental state over {miner.n_transactions} txns "
-        f"in {build_s:.3f}s (store={store})"
-    )
+    print(f"built incremental state over {miner.n_transactions} txns in {build_s:.3f}s")
     window = list(txns)
     update_total = 0.0
     for path in args.append_file:
@@ -170,9 +164,7 @@ def _mine_with_appends(args, txns) -> int:
     print(result.summary())
     _print_top_itemsets(result.itemsets, args.top)
     t0 = time.perf_counter()
-    IncrementalMiner(
-        window, args.support, max_length=args.max_length, candidate_store=store
-    )
+    IncrementalMiner(window, args.support, max_length=args.max_length)
     cold_s = time.perf_counter() - t0
     print(
         f"updates {update_total:.3f}s vs full re-mine {cold_s:.3f}s "
@@ -358,8 +350,7 @@ def cmd_watch(args) -> int:
     since = args.since if args.since is not None else info["version"]
     print(
         f"watching {args.dataset_id!r} from v{since} "
-        f"(support={args.support:g}, store={args.candidate_store}, "
-        f"poll={args.poll_timeout:g}s)"
+        f"(support={args.support:g}, poll={args.poll_timeout:g}s)"
     )
     polls = 0
     while args.max_polls is None or polls < args.max_polls:
@@ -369,7 +360,6 @@ def cmd_watch(args) -> int:
             since=since,
             min_support=args.support,
             max_length=args.max_length,
-            candidate_store=args.candidate_store,
             timeout_s=args.poll_timeout,
         )
         version = payload["version"]
@@ -446,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--incremental", action="store_true",
             help="incremental tier: delta-maintained counts with "
-            "border-bounded re-mining (candidate store defaults to bitmap; "
-            "runs in-process, --backend is inert)",
+            "border-bounded re-mining (runs in-process on bitmaps: "
+            "--backend and --candidate-store are inert)",
         )
         p.add_argument("--top", type=int, default=15, help="itemsets/rules to print")
 
@@ -607,10 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument("--support", type=float, required=True)
     watch.add_argument("--max-length", type=int, default=None)
-    watch.add_argument(
-        "--candidate-store", default="bitmap", choices=store_names(),
-        help="candidate store of the watched mining key",
-    )
     watch.add_argument(
         "--since", type=int, default=None, metavar="VERSION",
         help="start from this version (default: the current one)",

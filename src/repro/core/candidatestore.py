@@ -11,7 +11,6 @@ counting structure into an interface so every such experiment is a
 The interface (:class:`CandidateStore`)::
 
     insert(candidate)                  # add one k-itemset (idempotent)
-    without(candidates) -> store       # the store less some candidates
     count_into(counts, txn, weight=1)  # += weight per contained candidate
     count_partition(partition, weighted=False) -> dict   # batch kernel
     layout                             # class-level: the partition layout
@@ -125,26 +124,9 @@ class CandidateStore(ABC):
         self._index = None
         return candidate
 
-    def _forget(self, candidates) -> set:
-        """Drop ``candidates`` from the bookkeeping; returns those that
-        were there."""
-        gone = self._seen.intersection(candidates)
-        if gone:
-            self._seen -= gone
-            self._order = [cand for cand in self._order if cand not in gone]
-            self._index = None
-        return gone
-
     @abstractmethod
     def insert(self, candidate: Itemset) -> None:
         """Add one candidate (idempotent on duplicates)."""
-
-    def without(self, candidates) -> "CandidateStore":
-        """This store less ``candidates``.  By default a new store of the
-        same class over the candidates that stay; a store that can forget
-        in place does so and returns itself."""
-        gone = set(candidates)
-        return type(self)([cand for cand in self._order if cand not in gone])
 
     # -- counting -----------------------------------------------------------
     @abstractmethod
@@ -430,10 +412,14 @@ class BitmapStore(CandidateStore):
     def without(self, candidates) -> "BitmapStore":
         """Forgets ``candidates`` in place: the thousands that stay are
         neither registered nor grouped again."""
-        gone = self._forget(candidates)
-        if self._groups is not None:
-            for cand in gone:
-                self._groups.discard(cand)
+        gone = self._seen.intersection(candidates)
+        if gone:
+            self._seen -= gone
+            self._order = [cand for cand in self._order if cand not in gone]
+            self._index = None
+            if self._groups is not None:
+                for cand in gone:
+                    self._groups.discard(cand)
         return self
 
     def count_into(self, counts: dict, transaction, weight: int = 1) -> None:

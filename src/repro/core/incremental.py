@@ -16,8 +16,8 @@ rejected).  :class:`IncrementalMiner` therefore keeps, per window:
   keep the tidsets and intersect, do not rebuild them per pass);
 * per level ``k``: exact counts for **every** generated candidate, i.e.
   the frequent k-itemsets *and* the level's negative border, plus a warm
-  :class:`~repro.core.candidatestore.CandidateStore` over them (bitmap by
-  default — the PR-5 vertical counting kernel);
+  :class:`~repro.core.candidatestore.BitmapStore` over them (the
+  vertical counting kernel);
 * the exact per-item counts of the raw window (level 1 and the
   dictionary-shift guard).
 
@@ -27,9 +27,9 @@ places:
 
 * **Counting.**  The appended rows and the retired rows form a *signed*
   delta — ``(row, +n)`` / ``(row, -n)``, a row on both sides cancels —
-  laid out once per advance in the layout the configured store's class
-  counts, and each level takes ONE ``count_partition(delta,
-  weighted=True)`` pass over it returning net counts; each frequent
+  laid out once per advance as tid-bitmaps, and each level takes ONE
+  ``count_partition(delta, weighted=True)`` bitmap pass over it
+  returning net counts; each frequent
   family is re-derived against the **final** threshold.  A window
   advance must be a ``slide``, not an ``append`` then a ``retire``: the
   window in between is the largest of the three, its threshold the
@@ -49,13 +49,13 @@ places:
 * **The window.**  Only those genuinely new candidates need the whole
   window, and they read the maintained bitmaps through
   :func:`~repro.core.candidatestore.count_bitmaps`: one prefix walk, no
-  build, whatever the configured store (the store counts the delta
-  passes only).
+  build (the level's store counts the delta passes only).
 
 Everything runs in the calling thread: a popcount walk over resident
 bitmaps beats re-encoding the window for an engine job per level by
-2-5x at every size measured, so the miner takes no engine context and
-``MiningConfig.backend`` is inert for this tier.
+2-5x at every size measured, so the miner takes no engine context.  It
+counts on bitmaps only: a config's ``backend`` and candidate store are
+inert for this tier.
 
 The update also says what it changed: its :class:`FamilyDiff` is built
 from the ``(old, new)`` counts the pass holds while it applies them, not
@@ -84,13 +84,7 @@ from repro.common.encoding import ItemDictionary
 from repro.common.errors import MiningError
 from repro.common.itemset import canonical_transaction, min_support_count
 from repro.core.candidates import apriori_gen, candidates_delta
-from repro.core.candidatestore import (
-    build_tid_bitmaps,
-    count_bitmaps,
-    get_store,
-    lay_out,
-    make_store,
-)
+from repro.core.candidatestore import BitmapStore, build_tid_bitmaps, count_bitmaps
 from repro.core.results import IterationStats, MiningRunResult
 from repro.engine.tracing import Tracer
 
@@ -233,7 +227,7 @@ class _Level:
     k: int
     counts: dict  # candidate -> exact window count
     frequent: set  # candidates at/above the current threshold
-    store: object  # warm CandidateStore over counts' keys (delta passes)
+    store: BitmapStore  # warm over counts' keys (the delta passes)
 
     @property
     def border(self) -> set:
@@ -253,11 +247,6 @@ class IncrementalMiner:
         re-derived from the window size after every update.
     max_length:
         Optional cap on mined itemset length.
-    candidate_store:
-        The warm per-level store the delta passes count through (default
-        ``"bitmap"`` — the vertical tid-bitmap kernel is the cheapest per
-        delta row).  Full-window counts read the miner's own vertical
-        window.
     track_family_diff:
         Emit a :class:`FamilyDiff` with every update (a plain attribute:
         the serving tier turns it on when a watch starts reading them).
@@ -269,14 +258,12 @@ class IncrementalMiner:
         min_support: float,
         *,
         max_length: int | None = None,
-        candidate_store: str = "bitmap",
         track_family_diff: bool = True,
     ):
         if not 0.0 < min_support <= 1.0:
             raise MiningError(f"min_support must be in (0, 1], got {min_support}")
         self.min_support = min_support
         self.max_length = max_length
-        self.candidate_store = candidate_store
         self.track_family_diff = track_family_diff
         self._window: list = [canonical_transaction(t) for t in transactions]
         if not self._window:
@@ -491,13 +478,9 @@ class IncrementalMiner:
         self.last_update = update
         return self._finish(update, t0)
 
-    def _make_store(self, candidates=()):
-        return make_store(self.candidate_store, candidates)
-
     def _count_window(self, candidates) -> dict:
         """Exact full-window counts for ``candidates`` (zero-filled): one
-        prefix walk over the maintained tid-bitmaps — no build, whatever
-        ``candidate_store`` is."""
+        prefix walk over the maintained tid-bitmaps — no build."""
         counts = count_bitmaps(self._tids, candidates)
         return {c: counts.get(c, 0) for c in candidates}
 
@@ -530,7 +513,7 @@ class IncrementalMiner:
             candidates = apriori_gen(prev)
             if not candidates:
                 break
-            store = self._make_store(candidates)
+            store = BitmapStore(candidates)
             t1 = clock()
             counts = self._count_window(candidates)
             frequent = {c for c in candidates if counts[c] >= self._threshold}
@@ -635,7 +618,7 @@ class IncrementalMiner:
 
         # the signed delta, laid out once for every level's pass
         t0 = clock()
-        delta = lay_out(get_store(self.candidate_store), signed, weighted=True)
+        delta = build_tid_bitmaps(signed, weighted=True)
         phases["delta"] += clock() - t0
 
         items = sorted(code for (code,) in old_f1 | new_f1)
@@ -656,11 +639,11 @@ class IncrementalMiner:
                 fresh, stale = candidates_delta(counts, prev, arrived, left, items)
                 dropped = {cand: counts.pop(cand) for cand in stale}
                 if dropped:  # the store stays warm: only these leave it
-                    lvl.store = lvl.store.without(dropped)
+                    lvl.store.without(dropped)
             if lvl is None:  # no such level before
                 if not fresh:
                     break
-                lvl = _Level(k=k, counts=counts, frequent=set(), store=self._make_store())
+                lvl = _Level(k=k, counts=counts, frequent=set(), store=BitmapStore())
                 self._levels.append(lvl)
             t1 = clock()
             # ONE signed pass over the delta for the candidates that stay,
@@ -758,23 +741,6 @@ def _sweep(lvl: _Level, moved: dict, was: int, bar: int, changed, decode):
     return arrived, left
 
 
-def incremental_store(asked) -> str:
-    """The store an incremental run counts with, given the one asked for.
-
-    ``asked`` is a :class:`~repro.core.registry.MiningConfig` (its
-    ``candidate_store`` field, or ``options["candidate_store"]`` over
-    it), a store name, or ``None``.  ``MiningConfig.candidate_store``
-    defaults to the batch miners' ``hashtree``; this tier's default is
-    ``bitmap`` (the cheapest kernel per delta row), so the batch default
-    and no choice at all both map to it and any other choice is honoured.
-    Everything that names a warm miner by its store goes through here, so
-    two spellings of one choice never build two miners.
-    """
-    if not (asked is None or isinstance(asked, str)):
-        asked = asked.options.get("candidate_store", asked.candidate_store)
-    return "bitmap" if asked in (None, "hashtree") else asked
-
-
 def run_incremental(transactions, config) -> MiningRunResult:
     """Registry-shaped runner for ``MiningConfig(incremental=True)``.
 
@@ -782,22 +748,17 @@ def run_incremental(transactions, config) -> MiningRunResult:
     to the exact miners — and exists so the same config flows through
     ``mine_frequent_itemsets``, the CLI, and the serving tier (where the
     built state is kept warm and appends become delta updates).  It runs
-    in the calling thread: ``backend`` / ``parallelism`` / partition
-    counts on the config are inert here.
+    in the calling thread on bitmaps: the config's ``backend`` /
+    ``parallelism`` / partition counts and candidate store are inert here.
     """
-    miner = IncrementalMiner(
-        transactions,
-        config.min_support,
-        max_length=config.max_length,
-        candidate_store=incremental_store(config),
-    )
-    return miner.result()
+    return IncrementalMiner(
+        transactions, config.min_support, max_length=config.max_length
+    ).result()
 
 
 __all__ = [
     "FamilyDiff",
     "IncrementalMiner",
     "IncrementalUpdate",
-    "incremental_store",
     "run_incremental",
 ]

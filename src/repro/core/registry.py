@@ -76,8 +76,9 @@ class MiningConfig:
     #: incremental tier (repro.core.incremental): the run builds (or, in
     #: the serving tier, reuses) delta-maintainable sliding-window state
     #: instead of dispatching ``algorithm``; results are exact.  The tier
-    #: is in-process: ``backend`` / ``parallelism`` / ``num_partitions``
-    #: are inert on an incremental config
+    #: is in-process and counts on bitmaps: ``backend`` / ``parallelism`` /
+    #: ``num_partitions`` / ``candidate_store`` are inert on an incremental
+    #: config
     incremental: bool = False
     options: dict = field(default_factory=dict)
 

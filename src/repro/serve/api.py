@@ -244,18 +244,23 @@ OPERATIONS: tuple[Operation, ...] = (
             Field("flush", BODY, _flag),
         ),
     ),
+    # ``warm_miners`` / ``watches`` are the owner's report at ``version``
+    # (an ``append_dataset`` answer's are the last report: one push behind)
     Operation("dataset_info", "GET", "/datasets/{dataset_id}", route=BY_DATASET),
+    # the mining key is (min_support, max_length): the tier counts on
+    # bitmaps, so a ``candidate_store`` here is an unknown query param
     Operation(
         "dataset_changes", "GET", "/datasets/{dataset_id}/changes", route=BY_DATASET,
         fields=(
             Field("since", QUERY, int, required=True),
             Field("min_support", QUERY, float, required=True),
             Field("max_length", QUERY, int),
-            Field("candidate_store", QUERY, _text),
             Field("timeout_s", QUERY, float),
         ),
     ),
     Operation("healthz", "GET", "/healthz"),
+    # ``dataset_registry.warm_miners`` / ``.watches`` sum each dataset's
+    # last owner report, so they may lag an advance by one owner push
     Operation("metrics", "GET", "/metrics"),
 )
 

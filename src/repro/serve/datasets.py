@@ -72,8 +72,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from repro.common.errors import MiningError
-from repro.core.candidatestore import get_store
-from repro.core.incremental import FamilyDiff, incremental_store
+from repro.core.incremental import FamilyDiff
 from repro.serve.cache import DatasetCache, FingerprintChain, ResultCache
 from repro.serve.jobs import _DECODING, MAX_POLL_S, ApiError, ServeError, _tupled
 from repro.serve.owner import GONE, _in_payload_order
@@ -154,11 +153,11 @@ def _positive(kind: type, value, name: str):
 POLICY_FIELDS = ("max_window", "max_age_s", "flush_rows", "flush_age_s")
 
 
-def _mining_key(min_support, max_length, store) -> tuple:
-    """What names a dataset's warm miner in ``entry.miners``.  ``store``
-    is however the caller spelt it — a job's config, a watcher's query
-    argument or nothing — so one logical key is one miner."""
-    return (min_support, max_length, incremental_store(store))
+def _mining_key(min_support, max_length) -> tuple:
+    """What names a dataset's warm miner in the owner: the tier counts
+    on bitmaps whatever store a job's config names, so a job and a watch
+    at one support and length share one miner."""
+    return (min_support, max_length)
 
 
 def _item_type(kind: str | None, rows: list) -> str | None:
@@ -543,7 +542,6 @@ class ManagedDataset:
         from the next advance on emits its diffs.  Every call is a poll
         that keeps the watch (caller holds :attr:`lock`).  A key no miner
         could be built for is refused here, before anything moves."""
-        store = get_store(key[2])
         if not 0.0 < key[0] <= 1.0:
             raise MiningError(f"min_support must be in (0, 1], got {key[0]}")
         self.owner.post(self)  # held first: a reload restarts every watch
@@ -556,7 +554,7 @@ class ManagedDataset:
             if fresh:
                 watch.start_version = self.version
         if fresh:
-            self.owner.post(self, ("watch", self.uid, key, store))
+            self.owner.post(self, ("watch", self.uid, key))
         return watch
 
     def feeding(self, key: tuple) -> bool:
@@ -581,21 +579,37 @@ class ManagedDataset:
         return None if start is None else log[start:]
 
     def info(self) -> dict:
-        """JSON-safe summary (the ``GET /datasets/<id>`` payload)."""
+        """JSON-safe summary (the ``GET /datasets/<id>`` payload), with the
+        owner's counts at its version: waits, bounded as the change feed's
+        catch-up is, for the owner's push of that version, holding no
+        :attr:`lock`, so the wait holds up no advance."""
         with self.lock:
-            warm_miners, watches = self.owner_report
-            return {
-                "dataset_id": self.dataset_id,
-                "version": self.version,
-                "n_transactions": len(self.transactions),
-                "fingerprint": self.fingerprint,
-                "warm_miners": warm_miners,
-                "buffered": len(self._buffer),
-                "watches": watches,
-                "retired": self.retired,
-                "retired_transactions": self.retires,
-                "policy": {name: getattr(self, name) for name in POLICY_FIELDS},
-            }
+            info = self.head(self.owner_report)
+        with self.changed:
+            self.changed.wait_for(
+                lambda: self.feed_version >= info["version"] or not self.owner.holds(self)
+                or self.retired,
+                MAX_POLL_S,
+            )
+            info["warm_miners"], info["watches"] = self.owner_report
+        return info
+
+    def head(self, counts: tuple) -> dict:
+        """:meth:`info` as the window stands, with ``counts``, the owner's
+        ``(warm miners, watches)`` (caller holds :attr:`lock`)."""
+        warm_miners, watches = counts
+        return {
+            "dataset_id": self.dataset_id,
+            "version": self.version,
+            "n_transactions": len(self.transactions),
+            "fingerprint": self.fingerprint,
+            "warm_miners": warm_miners,
+            "buffered": len(self._buffer),
+            "watches": watches,
+            "retired": self.retired,
+            "retired_transactions": self.retires,
+            "policy": {name: getattr(self, name) for name in POLICY_FIELDS},
+        }
 
 
 class DatasetRegistry:
@@ -751,7 +765,7 @@ class DatasetRegistry:
             self._ensure_flusher(min(ages))
         with entry.lock:
             self._cache.add(list(entry.transactions), entry.fingerprint)
-            return entry.info()
+        return entry.info()
 
     def append_dataset(
         self,
@@ -780,6 +794,9 @@ class DatasetRegistry:
         entry = self.get(dataset_id)
         with entry.lock:
             entry.check_live()
+            # the owner's counts before this advance: an append does not wait
+            # for its own slide, and read after posting it they would race it
+            counts = entry.owner_report
             if expected_version is not None and entry.version != expected_version:
                 raise ApiError(
                     f"dataset {dataset_id!r} is at version {entry.version}, "
@@ -799,7 +816,7 @@ class DatasetRegistry:
             if delta:
                 self.record_append()
             invalidated = self._settle(entry, res)
-            info = entry.info()
+            info = entry.head(counts)
         info["invalidated_results"] = invalidated
         info["flushed"] = flushed
         return info
@@ -815,7 +832,6 @@ class DatasetRegistry:
         since: int,
         min_support: float,
         max_length: int | None = None,
-        candidate_store: str | None = None,
         timeout_s: float = 0.0,
     ) -> dict:
         """The change feed: what happened to the frequent-itemset family
@@ -839,7 +855,7 @@ class DatasetRegistry:
         for one version, the text the owner rendered, sent to every reader.
         """
         entry = self.get(dataset_id)
-        key = _mining_key(min_support, max_length, candidate_store)
+        key = _mining_key(min_support, max_length)
         deadline = time.monotonic() + max(0.0, min(float(timeout_s), MAX_POLL_S))
         with entry.lock:
             entry.check_live()
@@ -853,18 +869,15 @@ class DatasetRegistry:
             current = entry.version
         with entry.changed:
             # the owner's log reaches the version this call came in at ...
-            caught_up = time.monotonic() + MAX_POLL_S
-            while entry.feed_version < current and entry.feeding(key) and not entry.retired:
-                remaining = caught_up - time.monotonic()
-                if remaining <= 0:
-                    break
-                entry.changed.wait(remaining)
+            entry.changed.wait_for(
+                lambda: entry.feed_version >= current or not entry.feeding(key) or entry.retired,
+                MAX_POLL_S,
+            )
             # ... and, when that is the version asked from, the next one
-            while entry.feed_version == since and entry.feeding(key) and not entry.retired:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                entry.changed.wait(remaining)
+            entry.changed.wait_for(
+                lambda: entry.feed_version != since or not entry.feeding(key) or entry.retired,
+                deadline - time.monotonic(),
+            )
             entry.check_live()
             steps = entry.changes_since(key, since)
             if steps and len(steps) > 1 and sum(step.n_rows for step in steps) > steps[-1].n_family:
@@ -906,7 +919,7 @@ class DatasetRegistry:
                     "n_transactions": len(entry.transactions),
                     "reset": True,
                 }
-                reply = self.owner.request(entry, "family", key, get_store(key[2]))
+                reply = self.owner.request(entry, "family", key)
             rows = reply.wait()
             if rows is not GONE:
                 return FeedAnswer(head, rows)
@@ -938,11 +951,11 @@ class DatasetRegistry:
         have retired (``version < prefix_since``), the miner has already
         moved past it, or the owner died first.
         """
-        key = _mining_key(config.min_support, config.max_length, config)
+        key = _mining_key(config.min_support, config.max_length)
         with entry.lock:
             if entry.retired or version < entry.prefix_since:
                 return None
-            reply = self.owner.request(entry, "job", n_rows, key, get_store(key[2]))
+            reply = self.owner.request(entry, "job", n_rows, key)
         result = reply.wait(abandoned)
         return None if result is GONE else result
 

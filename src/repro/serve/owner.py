@@ -20,8 +20,6 @@ order:
   version — at create, and again after a respawn), ``drop``, ``advance``
   (the delta, how many rows retired, the new version, the watches the
   server let go) and ``watch`` (start emitting a key's diffs);
-  a message that names a mining key carries its candidate store's class,
-  registered on arrival, as a job worker registers an algorithm;
 * server → owner, answered: ``job`` (the kept result of a warm miner
   caught up to a snapshot's rows, or ``None``: answer it cold),
   ``family`` (a key's whole family as the JSON rows a reset sends) and
@@ -446,7 +444,7 @@ class _Owned:
         self.window = list(rows)
         self.version = version
         self.changelog_limit = changelog_limit
-        #: (min_support, max_length, candidate_store) -> IncrementalMiner
+        #: (min_support, max_length) -> IncrementalMiner
         self.miners: dict = {}
         #: mining key -> the version a job or a watch last used its miner
         self.last_used: dict = {}
@@ -472,10 +470,9 @@ class _Owned:
         self.last_used[key] = self.version
         miner = self.miners.get(key)
         if miner is None:
-            min_support, max_length, store = key
+            min_support, max_length = key
             miner = self.miners[key] = IncrementalMiner(
                 self.window[:n_rows], min_support, max_length=max_length,
-                candidate_store=store,
                 # nobody reads diffs until a watch on the key asks
                 track_family_diff=key in self.watched,
             )
@@ -595,7 +592,7 @@ class _Owner:
                 return
             if kind == "watch":
                 try:
-                    owned.watch(_known(*args[1:]))
+                    owned.watch(args[1])
                 except Exception:  # noqa: BLE001 - no miner: the server's watch restarts
                     owned.unwatch(args[1])
                 return
@@ -625,10 +622,10 @@ class _Owner:
 
     # -- the answered requests ---------------------------------------------
     @staticmethod
-    def _job(owned: _Owned, n_rows: int, key: tuple, store: type):
+    def _job(owned: _Owned, n_rows: int, key: tuple):
         from repro.serve.jobs import KeptItemsets
 
-        miner = owned.miner_for(_known(key, store), n_rows)
+        miner = owned.miner_for(key, n_rows)
         if miner is None:
             return None
         # rendered here, once, as ``kept`` renders: the server unpickles one string
@@ -638,23 +635,13 @@ class _Owner:
         return result
 
     @staticmethod
-    def _family(owned: _Owned, key: tuple, store: type) -> str:
-        miner = owned.miner_for(_known(key, store), len(owned.window))
+    def _family(owned: _Owned, key: tuple) -> str:
+        miner = owned.miner_for(key, len(owned.window))
         return '"family": ' + owned.family_text(key, miner, miner.itemsets())
 
     @staticmethod
     def _inspect(owned: _Owned) -> dict:
         return owned.inspect()
-
-
-def _known(key: tuple, store: type) -> tuple:
-    """``key``, its candidate store registered under its name here: a
-    store registered in the server after this process started (or one it
-    was spawned without) arrives with the request that names it."""
-    from repro.core.candidatestore import register_store
-
-    register_store(key[2], store, overwrite=True)
-    return key
 
 
 def _owner_main(conn) -> None:

@@ -174,16 +174,6 @@ class TestStoreContract:
         assert counts == {(1, 2, 3): 1, (2, 3, 4): 1}
         assert sorted(store.candidate_index().values()) == [0, 1]
 
-    def test_a_store_without_some_candidates_counts_the_rest(self, name):
-        cands, txns = random_case(6)
-        store = make_store(name, cands)
-        store.count_partition(lay_out(store, txns))  # counted before the drop
-        rest = store.without(cands[::3])
-        assert sorted(rest) == sorted(cands[1::3] + cands[2::3])
-        assert rest.count_partition(lay_out(rest, txns)) == brute_counts(list(rest), txns)
-        rest.insert(cands[0])
-        assert rest.count_partition(lay_out(rest, txns)) == brute_counts(list(rest), txns)
-
     def test_weighted_counting(self, name):
         store = make_store(name, CANDIDATES)
         counts = {}

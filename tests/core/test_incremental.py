@@ -29,6 +29,9 @@ from repro.core.registry import MiningConfig, run_algorithm
 from repro.datasets import mushroom_like, quest_generator
 from tests.core.test_store_parity import DEGENERATE_INPUTS
 
+#: every registered store, the two test-only plug-ins included: the miner
+#: counts on bitmaps, and a leg checks it against the batch miner counting
+#: on its store
 STORES = ["hashtree", "trie", "flatdict", "bitmap", "linear"]
 
 
@@ -36,6 +39,12 @@ def oracle(txns, min_support, max_length=None):
     cfg = MiningConfig(
         min_support=min_support, algorithm="apriori", max_length=max_length
     )
+    return run_algorithm(txns, cfg).itemsets
+
+
+def batch(txns, min_support, store):
+    """A cold batch mine (YAFIM) of ``txns`` counting on ``store``."""
+    cfg = MiningConfig(min_support=min_support, candidate_store=store, num_partitions=1)
     return run_algorithm(txns, cfg).itemsets
 
 
@@ -60,8 +69,8 @@ class TestColdBuild:
     @pytest.mark.parametrize("store", STORES)
     def test_build_matches_oracle(self, sparse_pool, store):
         window = sparse_pool[:120]
-        miner = IncrementalMiner(window, 0.08, candidate_store=store)
-        assert miner.itemsets() == oracle(window, 0.08)
+        miner = IncrementalMiner(window, 0.08)
+        assert miner.itemsets() == oracle(window, 0.08) == batch(window, 0.08, store)
 
     def test_build_update_stats(self):
         miner = IncrementalMiner(BORDER_BASE, 0.5)
@@ -183,15 +192,16 @@ class TestUpdateMechanisms:
 
 
 class TestRandomizedOracleParity:
-    """The acceptance grid: random append/retire sequences, every store,
-    every backend, always byte-identical to a cold oracle re-mine."""
+    """The acceptance grid: random append/retire sequences, always
+    byte-identical to a cold oracle re-mine and to a batch mine on every
+    store."""
 
     @pytest.mark.parametrize("store", STORES)
     def test_random_sequences_every_store(self, sparse_pool, store):
         rng = random.Random(hash(store) & 0xFFFF)
         window = list(sparse_pool[:100])
         cursor = 100
-        miner = IncrementalMiner(window, 0.08, candidate_store=store)
+        miner = IncrementalMiner(window, 0.08)
         for _ in range(6):
             if cursor < len(sparse_pool) and (len(window) < 40 or rng.random() < 0.6):
                 n = rng.randint(1, min(20, len(sparse_pool) - cursor))
@@ -203,7 +213,7 @@ class TestRandomizedOracleParity:
                 n = rng.randint(1, max(1, len(window) // 4))
                 del window[:n]
                 miner.retire(n)
-            assert miner.itemsets() == oracle(window, 0.08)
+            assert miner.itemsets() == oracle(window, 0.08) == batch(window, 0.08, store)
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE_INPUTS))
     @pytest.mark.parametrize("store", STORES)
@@ -214,8 +224,8 @@ class TestRandomizedOracleParity:
         rows, support, _ = DEGENERATE_INPUTS[name]
         step = max(1, len(rows) // 4)
         window = list(rows)
-        miner = IncrementalMiner(window, support, candidate_store=store)
-        assert miner.itemsets() == oracle(window, support)
+        miner = IncrementalMiner(window, support)
+        assert miner.itemsets() == oracle(window, support) == batch(window, support, store)
         for start in range(0, len(rows), step):
             delta = rows[start:start + step]
             miner.slide(delta, len(delta))
@@ -227,7 +237,7 @@ class TestRandomizedOracleParity:
             assert miner.itemsets() == oracle(window, support)
         miner.append(rows[:step])
         window += rows[:step]
-        assert miner.itemsets() == oracle(window, support)
+        assert miner.itemsets() == oracle(window, support) == batch(window, support, store)
 
     def test_dense_dataset_parity(self):
         ds = mushroom_like(scale=0.02, seed=11)
@@ -275,17 +285,21 @@ class TestResultAndRegistry:
         assert result.itemsets == fpgrowth(window, 0.08)
         assert result.engine_metrics is None and result.trace.spans
 
-    def test_run_incremental_store_resolution(self, sparse_pool):
+    def test_run_incremental_ignores_the_store(self, sparse_pool, monkeypatch):
+        """The tier counts on bitmaps: a store the config names, as its
+        field or in ``options``, is never built."""
+        from repro.core.candidatestore import LinearStore
+
+        def never(*args, **kwargs):
+            raise AssertionError("an incremental run built the store it named")
+
+        monkeypatch.setattr(LinearStore, "__init__", never)
         window = sparse_pool[:60]
-        cfg = MiningConfig(
-            min_support=0.1, incremental=True,
-            options={"candidate_store": "linear"},
-        )
-        assert run_incremental(window, cfg).itemsets == oracle(window, 0.1)
-        cfg2 = MiningConfig(
-            min_support=0.1, incremental=True, candidate_store="linear"
-        )
-        assert run_incremental(window, cfg2).itemsets == oracle(window, 0.1)
+        for cfg in (
+            MiningConfig(min_support=0.1, incremental=True, candidate_store="linear"),
+            MiningConfig(min_support=0.1, incremental=True, options={"candidate_store": "linear"}),
+        ):
+            assert run_incremental(window, cfg).itemsets == oracle(window, 0.1)
 
 
 class TestFamilyDiff:
@@ -434,8 +448,8 @@ class TestFusedSlide:
     def test_slide_equals_two_steps_equals_cold_mine(
         self, store, initial, steps, min_support
     ):
-        fused = IncrementalMiner(initial, min_support, candidate_store=store)
-        twice = IncrementalMiner(initial, min_support, candidate_store=store)
+        fused = IncrementalMiner(initial, min_support)
+        twice = IncrementalMiner(initial, min_support)
         window = list(initial)
         for delta, n_oldest in steps:
             n_oldest = min(n_oldest, len(window) + len(delta) - 1)
@@ -445,9 +459,8 @@ class TestFusedSlide:
             window = (window + delta)[n_oldest:]
             after = fused.itemsets()
             assert after == twice.itemsets() == fpgrowth(window, min_support)
-            assert after == IncrementalMiner(
-                window, min_support, candidate_store=store
-            ).itemsets()
+            assert after == IncrementalMiner(window, min_support).itemsets()
+            assert after == batch(window, min_support, store)
             assert fused.n_transactions == len(window)
             assert update.threshold == twice.threshold
             for miner in (fused, twice):
@@ -554,8 +567,8 @@ class TestFusedSlide:
 
 class TestCandidateMaintenance:
     """Level k's tracked set follows level k-1's crossings, the vertical
-    window follows the rows — on every store, and across the events that
-    stress them: a retire deeper than the old window, a dictionary-shift
+    window follows the rows — checked against a batch mine on every
+    store, and across the events that stress them: a retire deeper than the old window, a dictionary-shift
     rebuild, levels appearing and vanishing."""
 
     @pytest.mark.parametrize("store", STORES)
@@ -563,7 +576,7 @@ class TestCandidateMaintenance:
         rng = random.Random(STORES.index(store))
         window = list(sparse_pool[:60])
         cursor = 60
-        miner = IncrementalMiner(window, 0.1, candidate_store=store)
+        miner = IncrementalMiner(window, 0.1)
         for step in range(12):
             n_new = rng.randint(0, 25) if cursor < len(sparse_pool) else 0
             delta = list(sparse_pool[cursor:cursor + n_new])
@@ -579,7 +592,7 @@ class TestCandidateMaintenance:
             upd = miner.slide(delta, n_old)
             window = (window + delta)[n_old:]
             assert upd.full_rebuild or step != 8
-            assert miner.itemsets() == oracle(window, 0.1)
+            assert miner.itemsets() == oracle(window, 0.1) == batch(window, 0.1, store)
             assert_tracked_is_apriori_gen(miner)
             assert_vertical_window_is_current(miner)
         assert miner.full_rebuilds >= 1
@@ -589,18 +602,19 @@ class TestCandidateMaintenance:
         """Every slide moves a and b (and with them ab and abc) across the
         threshold, one way then back, so levels 2 and 3 lose and regain
         the same candidates each time while cd stays: a store kept warm
-        across the crossings must count like a cold re-mine at every
-        version, and the diffs must compose to the two-snapshot diff."""
+        across the crossings must count like a cold re-mine (and a batch
+        mine on ``store``) at every version, and the diffs must compose
+        to the two-snapshot diff."""
         abc, c = ("a", "b", "c", "d"), ("c", "d")
         base = [abc, abc, c, c] * 4  # a = b = ab = abc = 8 of 16: threshold 8
-        miner = IncrementalMiner(base, 0.5, candidate_store=store)
+        miner = IncrementalMiner(base, 0.5)
         first, window, diffs = miner.itemsets(), list(base), []
         dropped = added = 0
         for i in range(7):
             delta = [c, c] if i % 2 == 0 else [abc, abc]  # the oldest two are abc then c
             upd = miner.slide(delta, 2)
             window = window[2:] + delta
-            assert miner.itemsets() == oracle(window, 0.5)
+            assert miner.itemsets() == oracle(window, 0.5) == batch(window, 0.5, store)
             assert_tracked_is_apriori_gen(miner)
             assert_vertical_window_is_current(miner)
             diffs.append(upd.family_diff)

@@ -197,7 +197,6 @@ VALUES = {
     "since": st.integers(),
     "min_support": numbers,
     "max_length": st.integers(),
-    "candidate_store": ids,
     "timeout": st.sampled_from([0.0, 0.25, MAX_POLL_S]) | st.floats(0.0, MAX_POLL_S),
 }
 
@@ -330,6 +329,13 @@ ONE_ANSWER = {
         lambda c: c.submit([[6, 7], [6]], CFG, tenant=""), (*BAD_REQUEST, "tenant"),
     ),
     "no-source": (lambda c: c.submit(None, CFG), (*BAD_REQUEST, "transactions")),
+    # the incremental tier counts on bitmaps: a watch names no store
+    "changes-candidate-store": (
+        lambda c: c.create_dataset("one-answer-feed", TXNS, replace=True) and c._request(
+            "GET", "/datasets/one-answer-feed/changes?since=1&min_support=0.4&candidate_store=bitmap"
+        ),
+        (*BAD_REQUEST, "candidate_store"),
+    ),
     # a named dataset's items are all str or all int, the first fixing which
     "create-two-item-types": (
         lambda c: c.create_dataset("one-type", [[1, 2], ["a"]]), (*BAD_REQUEST, "'a' is str"),
@@ -597,7 +603,7 @@ def typed_payload(body):
 
 
 #: wire names the table no longer declares, kept in the ladder: still a 400
-RETIRED = {("submit", "approx")}
+RETIRED = {("submit", "approx"), ("dataset_changes", "candidate_store")}
 
 
 def test_wrong_values_cover_every_declared_field():

@@ -6,6 +6,8 @@ flavours): once a dataset is appended to, no job submitted afterwards is
 ever answered from a result memoized before the append.
 """
 
+import time
+
 import pytest
 
 from repro.core.api import mine_frequent_itemsets
@@ -16,6 +18,7 @@ from repro.serve import (
     DatasetRegistry,
     FingerprintChain,
     HttpClient,
+    LocalClient,
     LruByteCache,
     MiningServer,
     MiningService,
@@ -198,7 +201,7 @@ class TestDatasetRegistry:
             )
             assert entry.chain.hexdigest() == dataset_fingerprint(BASE)
             assert reg.owner.inspect(entry)["miners"] == miners
-            assert list(miners) == [(0.5, None, "bitmap")] and miner["version"] == 1
+            assert list(miners) == [(0.5, None)] and miner["version"] == 1
         with entry.lock:
             entry.append(DELTA)  # still fully functional, the miner with it
         window = (BASE + DELTA)[len(DELTA):]
@@ -291,6 +294,26 @@ class TestServiceDatasets:
         assert fresh.wait(30.0)
         assert fresh.dataset_version == 3
         assert fresh.result.itemsets == oracle((v2 + DELTA)[len(DELTA):])
+
+    def test_info_answers_the_owners_counts_at_its_version(self, service, monkeypatch):
+        """``warm_miners`` / ``watches`` come from the owner's push of the
+        version ``info`` answers for, however late that push lands: a
+        push held up in the server (as under CPU load) is waited for."""
+        from repro.serve.datasets import ManagedDataset
+
+        logged = ManagedDataset.logged
+
+        def late(self, *args):
+            time.sleep(0.3)
+            logged(self, *args)
+
+        monkeypatch.setattr(ManagedDataset, "logged", late)
+        client = LocalClient(service)
+        client.create_dataset("w", BASE)
+        client.dataset_changes("w", since=1, min_support=0.5)
+        client.append_dataset("w", DELTA)
+        info = client.dataset_info("w")
+        assert (info["version"], info["warm_miners"], info["watches"]) == (2, 1, 1)
 
     def test_version_conflict(self, service):
         service.create_dataset("w", BASE)

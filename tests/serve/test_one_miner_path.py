@@ -1,7 +1,8 @@
 """One warm-miner path: jobs and watches of a named dataset share the
-miner its dataset owner builds and catches up, on every store and both
-transports; a job whose snapshot the window has left behind is answered
-from its own rows, cold, and the miner is none the wiser.
+miner its dataset owner builds and catches up, whatever store a job's
+config names, on both transports; a job whose snapshot the window has
+left behind is answered from its own rows, cold, and the miner is none
+the wiser.
 
 Every answer is checked against a cold re-mine of the rows its
 ``dataset_version`` held, and ``warm_miners`` never passes one per mining
@@ -57,7 +58,7 @@ class Tier:
         self.config = MiningConfig(
             min_support=0.5, backend="serial", incremental=True, candidate_store=store
         )
-        self.watch = dict(min_support=0.5, candidate_store=store)
+        self.watch = dict(min_support=0.5)  # a watch names no store: the tier counts on bitmaps
         self._gates = itertools.count()
 
     @property

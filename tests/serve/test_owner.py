@@ -29,7 +29,6 @@ import pytest
 
 from repro.algorithms import fpgrowth
 from repro.core import incremental
-from repro.core.candidatestore import BitmapStore
 from repro.core.incremental import FamilyDiff
 from repro.core.registry import MiningConfig
 from repro.datasets import mushroom_like
@@ -379,8 +378,8 @@ class Driven:
         self.families = {}
 
     def watch(self, support: float):
-        key = (support, None, "bitmap")
-        self.owner.handle(("watch", 1, key, BitmapStore))
+        key = (support, None)
+        self.owner.handle(("watch", 1, key))
         self.families[key] = fpgrowth(self.window, support)
         return key
 
@@ -405,10 +404,10 @@ class Driven:
             assert self.owned.kept[key].order == _in_payload_order(new)
             diff = FamilyDiff.between(old, new)
             assert steps[key] == json.dumps(_diff_payload(diff))[1:-1]
-            job = self.ask("job", self.WINDOW, key, BitmapStore)
+            job = self.ask("job", self.WINDOW, key)
             assert job.itemsets.text == json.dumps(_family_payload(new))
             assert job.itemsets == new
-            family = self.ask("family", key, BitmapStore)
+            family = self.ask("family", key)
             assert family == json.dumps({"family": _family_payload(new)})[1:-1]
         return steps
 
@@ -473,7 +472,7 @@ def test_an_item_of_another_type_is_refused_and_nothing_moves():
     rng = random.Random(3)
     items = list(range(8))
     stream = [(0, 1, *row) for row in random_rows(rng, 30, items[2:])]
-    key = (0.2, None, "bitmap")
+    key = (0.2, None)
     with MiningService(n_workers=1) as service:
         service.create_dataset("f", stream, max_window=30)
         service.create_dataset("g", stream, flush_rows=100)

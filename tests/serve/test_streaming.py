@@ -10,6 +10,7 @@ The two invariants pinned here end-to-end:
   of the last — the subscription surface never drifts from the oracle.
 """
 
+import dataclasses
 import http.client
 import json
 import random
@@ -308,12 +309,13 @@ class TestChangeFeed:
 
     @pytest.mark.parametrize("spelling", [None, "bitmap", "hashtree"])
     def test_job_and_watch_share_one_miner(self, service, spelling):
-        """A job's config says ``hashtree`` (the batch default) where a
-        watcher says nothing; both mean this tier's default store, and
-        one logical mining key must be one warm miner — built once,
-        advanced once per version."""
+        """A job's config names a store (``None``: the batch default
+        ``hashtree``) where a watcher names none; the tier counts on
+        bitmaps whatever is named, so one ``(min_support, max_length)``
+        is one warm miner — built once, advanced once per version."""
+        config = INC if spelling is None else dataclasses.replace(INC, candidate_store=spelling)
         service.create_dataset("w", BASE)
-        job = service.submit(None, INC, dataset_id="w")
+        job = service.submit(None, config, dataset_id="w")
         assert job.wait(30.0) and job.result.itemsets == oracle(BASE)
         entry = service.dataset_registry.get("w")
 
@@ -322,19 +324,20 @@ class TestChangeFeed:
 
         (miner,) = miners().values()
         assert not miner["track_family_diff"]  # nobody reads a job-only miner's diffs
-        service.dataset_changes("w", since=1, min_support=0.5, candidate_store=spelling)
+        service.dataset_changes("w", since=1, min_support=0.5)
         (now,) = miners().values()
         assert now["ident"] == miner["ident"] and now["track_family_diff"]
         service.append_dataset("w", DELTA)
-        payload = service.dataset_changes(
-            "w", since=1, min_support=0.5, candidate_store=spelling
-        )
+        payload = service.dataset_changes("w", since=1, min_support=0.5)
         assert apply_payload_diff(oracle(BASE), payload) == oracle(BASE + DELTA)
         (now,) = miners().values()
         assert now["ident"] == miner["ident"] and now["version"] == 2
-        # a store this tier honours as asked is a different miner
-        service.dataset_changes("w", since=2, min_support=0.5, candidate_store="linear")
-        assert len(miners()) == 2
+        # a job naming any other registered store shares it too
+        job = service.submit(
+            None, dataclasses.replace(INC, candidate_store="linear"), dataset_id="w"
+        )
+        assert job.wait(30.0) and job.result.itemsets == oracle(BASE + DELTA)
+        assert len(miners()) == 1
 
     def test_payloads_list_shorter_itemsets_first_then_item_order(self):
         from repro.serve.datasets import _diff_payload, _family_payload
@@ -365,7 +368,7 @@ class TestChangeFeed:
             client.create_dataset("w", rows[:120])
             client.dataset_changes("w", since=1, min_support=0.4)  # the watch
             entry = srv.service.shards[0].dataset_registry.get("w")
-            key = _mining_key(0.4, None, None)
+            key = _mining_key(0.4, None)
             windows = {1: rows[:120]}
             diffs = {}
 
@@ -480,7 +483,7 @@ class TestChangeFeed:
         try:
             reg.create_dataset("w", rows[:800], max_window=800)
             reg.dataset_changes("w", since=1, min_support=0.5)
-            log = reg.get("w").watches[_mining_key(0.5, None, None)].log
+            log = reg.get("w").watches[_mining_key(0.5, None)].log
             diffs = []  # the same log, left as the diffs the miner logged
             for i in range(64):
                 delta = feed[2 * i: 2 * i + 2]
@@ -777,7 +780,7 @@ class TestLifecycleBugfixes:
             payload = service.dataset_changes("w", since=entry.version, min_support=0.3)
         state = owner.inspect(entry)
         assert set(state["miners"]) == set(entry.watches) == set(state["last_used"]) == {
-            (0.3, None, "bitmap")
+            (0.3, None)
         } == set(state["watched"])
         assert payload["reset"] is False
         # a returning job rebuilds cold, a returning reader gets the family
@@ -871,9 +874,7 @@ class TestRandomizedStreamOracle:
                 min_support=0.3, backend="serial", incremental=True,
                 candidate_store=store,
             )
-            svc.dataset_changes(
-                "w", since=1, min_support=0.3, candidate_store=store
-            )
+            svc.dataset_changes("w", since=1, min_support=0.3)
             family = oracle(window, 0.3)
             cursor, version = 30, 1
             while cursor < len(feed):
@@ -885,9 +886,7 @@ class TestRandomizedStreamOracle:
                 info = svc.dataset_info("w")
                 assert info["n_transactions"] <= max_window  # never exceeds
                 assert info["n_transactions"] == len(window)
-                payload = svc.dataset_changes(
-                    "w", since=version, min_support=0.3, candidate_store=store
-                )
+                payload = svc.dataset_changes("w", since=version, min_support=0.3)
                 version = payload["version"]
                 assert payload["reset"] is False
                 family = apply_payload_diff(family, payload)
@@ -981,7 +980,7 @@ class TestWatchCli:
         )
         assert args.func is cmd_watch
         assert args.dataset_id == "w" and args.support == 0.5
-        assert args.candidate_store == "bitmap"
+        assert not hasattr(args, "candidate_store")  # the tier counts on bitmaps
         assert args.poll_timeout == 20.0
 
     def test_submit_accepts_policy_flags(self):

@@ -38,7 +38,7 @@ PINNED = {
     "repro compare": 9,
     "repro serve": 11,
     "repro submit": 28,
-    "repro watch": 9,
+    "repro watch": 8,
 }
 
 

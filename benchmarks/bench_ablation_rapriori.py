@@ -2,10 +2,14 @@
 
 Rathee et al. (2015) showed YAFIM's pass 2 dominates on sparse datasets:
 with m frequent items, apriori_gen materialises C(m, 2) pair candidates
-and a hash tree over them, while counting pairs needs no candidates at
-all.  We run YAFIM and R-Apriori on the sparse Quest-style dataset and
-compare pass-2 time and broadcast volume — later passes are identical by
-construction.
+and a structure over them, while counting pairs needs no candidates at
+all.  YAFIM's fast path over rows (the default ``hashtree`` store) now
+counts pass 2 that way itself, so the two miners differ only where
+YAFIM still builds C2: on ``candidate_store="bitmap"``, whose pass 2
+intersects every candidate pair on the laid-out block.  Both miners run
+there on the sparse Quest-style dataset and we compare pass-2 time and
+broadcast volume — later passes count the same candidates on the same
+store.
 """
 
 from __future__ import annotations
@@ -17,11 +21,14 @@ from repro.core.yafim import Yafim
 from repro.datasets import t10i4d100k_like
 from repro.engine import Context
 
+STORE = "bitmap"
+
 
 def _run(miner_cls):
     ds = t10i4d100k_like(scale=0.01, seed=7)
     with Context(backend="serial") as ctx:
-        return miner_cls(ctx, num_partitions=8).run(ds.transactions, 0.0025, max_length=3)
+        miner = miner_cls(ctx, num_partitions=8, candidate_store=STORE)
+        return miner.run(ds.transactions, 0.0025, max_length=3)
 
 
 def test_ablation_rapriori(benchmark):
@@ -39,14 +46,14 @@ def test_ablation_rapriori(benchmark):
     table = format_table(
         ["miner", "pass-2 candidates", "pass-2 broadcast (B)", "pass-2 (s)", "total (s)"],
         rows,
-        title="Ablation A8 — R-Apriori candidate-free pass 2 [T10I4, sup=0.25%]",
+        title=f"Ablation A8 — R-Apriori candidate-free pass 2 [T10I4, sup=0.25%, store={STORE}]",
     )
     write_report("ablation_rapriori", table)
 
     ya_p2 = next(it for it in yafim.iterations if it.k == 2)
     ra_p2 = next(it for it in rapriori.iterations if it.k == 2)
     benchmark.extra_info["pass2_speedup"] = round(ya_p2.seconds / ra_p2.seconds, 2)
-    # R-Apriori ships only the frequent-item set, not a pair hash tree
-    assert ra_p2.broadcast_bytes < ya_p2.broadcast_bytes / 5
-    # and pass 2 gets faster (no tree construction, no tree walks)
+    # YAFIM broadcasts a C2 bitmap store; R-Apriori's pass ships nothing
+    assert ya_p2.broadcast_bytes > 0 == ra_p2.broadcast_bytes
+    # and pass 2 gets faster (no store build, no intersection per pair)
     assert ra_p2.seconds < ya_p2.seconds

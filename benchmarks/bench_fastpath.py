@@ -1,4 +1,4 @@
-"""Counting fast path vs the paper dataflow, on the dense datasets.
+"""Counting fast path vs the paper dataflow, on dense and sparse data.
 
 The fast path (dictionary encoding + in-store weighted counting +
 cross-pass compaction) attacks three costs the seed paid every pass:
@@ -14,14 +14,20 @@ cross-pass compaction) attacks three costs the seed paid every pass:
   transactions that cannot affect any later pass
   (``CompactionStats``).
 
-This benchmark mines the dense seed datasets twice on the process
-backend — fast path vs. ``paper_dataflow=True`` — verifies identical
-output, then writes ``BENCH_fastpath.json`` at the repo root (a
-``--smoke`` run: under the git-ignored ``benchmarks/out/``) with per-pass
-wall-clock, shuffle bytes/records and allocated-pair counts.
+and, on the fast path over rows, a fourth: pass 2's C(|L1|, 2)
+candidates, built into a store, broadcast and walked although a row
+already names its own pairs (the sparse leg, ``t10i4d100k_like``, where
+that pass is most of the paper dataflow's wall).
 
-On top of that sits the candidate-store ablation grid: the same
-fast-path run repeated per registered store (``store_names()``;
+This benchmark mines the dense seed datasets and the sparse one twice on
+the process backend — fast path vs. ``paper_dataflow=True`` — verifies
+identical output, then writes ``BENCH_fastpath.json`` at the repo root (a
+``--smoke`` run: under the git-ignored ``benchmarks/out/``) with per-pass
+wall-clock, broadcast bytes, shuffle bytes/records and allocated-pair
+counts.
+
+On top of that sits the candidate-store ablation grid (dense datasets
+only): the same fast-path run repeated per registered store (``store_names()``;
 ``--stores`` narrows it), the hash-tree run being the reference.  Every
 store must produce the identical itemsets; the bitmap store's Phase-II
 speedup over the hash tree is the headline number of the vertical
@@ -42,6 +48,7 @@ or under pytest-benchmark along with the other figures.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -50,7 +57,7 @@ from _envelope import envelope, report_path
 
 from repro.core.candidatestore import get_store, store_names
 from repro.core.yafim import Yafim
-from repro.datasets import chess_like, mushroom_like
+from repro.datasets import chess_like, mushroom_like, t10i4d100k_like
 from repro.engine.context import Context
 
 REPORT = "BENCH_fastpath.json"
@@ -92,6 +99,10 @@ def _mine(
     record = {
         "wall_seconds": round(wall, 4),
         "n_itemsets": result.num_itemsets,
+        # the answer itself, so a report gates fast == paper after the fact
+        "itemsets_sha256": hashlib.sha256(
+            repr(sorted(result.itemsets.items())).encode()
+        ).hexdigest(),
         "engine_jobs": result.engine_metrics.n_jobs,
         # phase-II cost includes encode/compact work the fast path spends
         # outside the per-pass windows — charged here so the comparison
@@ -105,6 +116,7 @@ def _mine(
             {
                 "k": it.k,
                 "seconds": round(it.seconds, 4),
+                "broadcast_bytes": it.broadcast_bytes,
                 "shuffle_bytes": it.shuffle_bytes,
                 "shuffle_records": it.shuffle_records,
                 "allocated_pairs": emitted(it),
@@ -208,9 +220,12 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
     # grid support is lower where the compare support leaves Phase II
     # too small to differentiate counting structures (chess at 0.85
     # compacts to a few hundred weighted txns — pure engine overhead).
+    # The sparse leg runs no store grid: its bitmap-vs-hashtree floor
+    # would need a rule of its own for pass 2 (ROADMAP item 12).
     datasets = {
         "mushroom": (mushroom_like(scale=0.1 if smoke else 0.8, seed=7), 0.35, 0.35),
         "chess": (chess_like(scale=0.5 if smoke else 1.0, seed=7), 0.85, 0.6),
+        "t10i4d100k": (t10i4d100k_like(scale=0.01 if smoke else 0.05, seed=7), 0.005, None),
     }
 
     stores = list(stores) if stores else store_names()
@@ -227,8 +242,9 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
         fast, fast_itemsets = _mine(ds.transactions, min_support, fastpath=True)
         entry = _compare(ds.name, ds.transactions, min_support, fast, fast_itemsets)
         entry["dataset"] = ds.name
-        entry["stores_min_support"] = grid_support
-        entry["stores"] = _store_grid(ds.name, ds.transactions, grid_support, stores)
+        if grid_support is not None:
+            entry["stores_min_support"] = grid_support
+            entry["stores"] = _store_grid(ds.name, ds.transactions, grid_support, stores)
         report["datasets"][name] = entry
     report["best_phase2_speedup"] = max(
         e["phase2_speedup"] for e in report["datasets"].values()
@@ -236,7 +252,7 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
     report["bitmap_phase2_speedup_vs_hashtree"] = {
         name: e["stores"]["bitmap"]["phase2_speedup_vs_hashtree"]
         for name, e in report["datasets"].items()
-        if "bitmap" in e["stores"]
+        if "bitmap" in e.get("stores", {})
     }
     with open(report_path(REPORT, smoke), "w") as f:
         json.dump(report, f, indent=2)
@@ -255,6 +271,15 @@ def check_report(report: dict) -> None:
         fast = entry["fastpath"]["shuffle_records_total"]
         base = entry["baseline"]["shuffle_records_total"]
         assert fast == 0 < base, f"{name}: fastpath shuffled {fast} records, baseline {base}"
+        digests = {entry[leg]["itemsets_sha256"] for leg in ("fastpath", "baseline")}
+        assert len(digests) == 1, f"{name}: fast path and paper dataflow disagree"
+        # pass 2 counts pairs off the rows: no C2 store is built or shipped
+        pass2 = next(p for p in entry["fastpath"]["passes"] if p["k"] == 2)
+        assert pass2["broadcast_bytes"] == 0, (
+            f"{name}: the fast path's pass 2 broadcast {pass2['broadcast_bytes']}B"
+        )
+        if "stores" not in entry:
+            continue
         counts = {s: rec["n_itemsets"] for s, rec in entry["stores"].items()}
         assert len(set(counts.values())) == 1, f"{name}: stores disagree: {counts}"
         bitmap = entry["stores"].get("bitmap")
@@ -315,7 +340,7 @@ def main(argv=None) -> int:
             f"shuffle {entry['baseline']['shuffle_bytes_total']}B -> "
             f"{entry['fastpath']['shuffle_bytes_total']}B"
         )
-        for store, rec in entry["stores"].items():
+        for store, rec in entry.get("stores", {}).items():
             print(
                 f"  store {store:>9} @ sup={entry['stores_min_support']}: "
                 f"phase2 {rec['phase2_seconds']}s "

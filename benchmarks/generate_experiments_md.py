@@ -44,7 +44,12 @@ SECTIONS = [
         "paper-cluster replay, and the per-pass gap is largest on the late "
         "passes where candidate sets shrink but MapReduce still pays the "
         "full job round-trip. Absolute values differ (miniature datasets, "
-        "one machine) — see DESIGN.md's substitution table.",
+        "one machine) — see DESIGN.md's substitution table. YAFIM runs its "
+        "default fast path, whose pass 2 is R-Apriori's candidate-free pair "
+        "count (DESIGN.md choice 26): the T10I4D100K pass 2 builds and ships "
+        "no C2 (2.33 s before the fold -> 0.10 s, same box). Whether these "
+        "figures should run `paper_dataflow=True` instead is open (ROADMAP "
+        "item 15).",
     ),
     (
         "Fig. 4 — sizeup (1..6x data, fixed 48 cores)",
@@ -101,7 +106,11 @@ SECTIONS = [
         "alternative needs a single job but counts and shuffles an order "
         "of magnitude more (the paper's memory-overflow criticism). "
         "A8: R-Apriori's candidate-free second pass (the published YAFIM "
-        "follow-up) is faster with ~100x smaller broadcasts on sparse data.",
+        "follow-up) ships nothing and is ~3.5x faster than intersecting C2 on "
+        "the bitmap store. YAFIM's fast path over rows now counts pass 2 the "
+        "same way (DESIGN.md choice 26), so A8 runs both miners on "
+        "`candidate_store=\"bitmap\"`, where they still differ, and A3's "
+        "pass 2 reads the same for tree and list: neither builds C2 there.",
     ),
     (
         "Extensions beyond the paper",

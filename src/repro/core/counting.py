@@ -32,8 +32,8 @@ streams the partition.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import combinations
+from collections import Counter, defaultdict
+from itertools import chain, combinations, repeat
 
 from repro.common.sizeof import estimate_size
 from repro.core.candidatestore import get_store, lay_out, make_store
@@ -228,15 +228,10 @@ class CandidateEmitter:
 
 
 class PairCounter:
-    """R-Apriori pass 2: candidate-free pair counting, one counter per
-    partition.
-
-    ``keep``/``keep_bc`` carry the frequent-item set when the working RDD
-    still holds raw transactions (the paper dataflow); without one the
-    transactions were already projected onto frequent items by the
-    encoder, so no per-transaction filter — and no pass-2 shipping at
-    all — is needed.
-    """
+    """Pass 2 without candidates: a row projected onto L1 names its C2
+    matches itself.  Weight-1 rows are counted by builtins in one
+    ``Counter``, only the weighted rest in a loop; ``keep``/``keep_bc``
+    filter raw rows (the paper dataflow) to the frequent-item set."""
 
     def __init__(self, *, keep_bc=None, keep=None, weighted: bool = False):
         self._keep_bc = keep_bc
@@ -245,12 +240,20 @@ class PairCounter:
 
     def __call__(self, partition):
         keep = _resolve(self._keep_bc, self._keep)
-        rows = partition if self._weighted else ((txn, 1) for txn in partition)
-        counts: dict = {}
+        if keep is not None:
+            partition = ([i for i in txn if i in keep] for txn in partition)
+        ones, heavy = partition, ()
+        if self._weighted:
+            ones, heavy = [], []
+            for txn, weight in partition:
+                if weight == 1:
+                    ones.append(txn)
+                else:
+                    heavy.append((txn, weight))
+        counts = Counter(chain.from_iterable(map(combinations, ones, repeat(2))))
         get = counts.get
-        for txn, weight in rows:
-            kept = txn if keep is None else [i for i in txn if i in keep]
-            for pair in combinations(kept, 2):
+        for txn, weight in heavy:
+            for pair in combinations(txn, 2):
                 counts[pair] = get(pair, 0) + weight
         yield from counts.items()
 

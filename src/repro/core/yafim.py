@@ -43,7 +43,10 @@ one global merge):
   rows as they are, ``bitmap`` reads per-item tid-bitmaps, and either way
   that is the cached working RDD (resident in the workers' block stores
   on ``processes``);
-* each Phase II pass is one ``map_partitions`` kernel
+* pass 2 over rows (``hashtree``, ``linear``) is R-Apriori's
+  (:meth:`Yafim._pair_pass`): each row, projected onto L1, counts its own
+  pairs, and no C2 is built, broadcast or walked;
+* every other Phase II pass is one ``map_partitions`` kernel
   (:class:`~repro.core.counting.CandidateCounter`) that counts the whole
   partition inside the candidate store; one ``run_job`` brings each
   partition's int-keyed ``candidate_index -> partial_count`` dict back,
@@ -78,6 +81,7 @@ from repro.core.candidatestore import get_store, make_store
 from repro.core.counting import (
     CandidateCounter,
     CandidateEmitter,
+    PairCounter,
     PartitionLayout,
     PartitionSummarizer,
     Phase1PartitionCounter,
@@ -131,17 +135,15 @@ class Yafim:
         docstring).  The structural-fidelity reference; same itemsets.
     candidate_store:
         Name of a registered :mod:`repro.core.candidatestore` store
-        (``hashtree``/``bitmap``/``linear``) for Phase II counting;
-        ``linear`` is ablation A3.  Unknown names fail fast on the driver.
+        (``hashtree``/``bitmap``/``linear``) for Phase II counting (a
+        row-wise store's from pass 3 on the fast path); ``linear`` is
+        ablation A3.  Unknown names fail fast on the driver.
     store_options:
         Keyword arguments for the store constructor (e.g. the hash
         tree's ``fanout``/``max_leaf_size``).
     """
 
     algorithm_name = "yafim"
-    #: the first pass counted through the candidate store — the pass a
-    #: store class with a layout of its own gets the rows laid out for
-    first_store_pass = 2
 
     def __init__(
         self,
@@ -333,10 +335,11 @@ class Yafim:
         """Count one candidate level against the working RDD.
 
         Returns ``(L_k, n_candidates, bc, bc_bytes, closure_bytes)`` or
-        ``None`` when ``apriori_gen`` produced no candidates.  Subclasses
-        override this to swap a pass's counting strategy (R-Apriori's
-        candidate-free pass 2).
+        ``None`` when ``apriori_gen`` produced no candidates.  A pass
+        :meth:`_counts_pairs` claims goes to :meth:`_pair_pass` instead.
         """
+        if self._counts_pairs(k):
+            return self._pair_pass(enc_level, working, threshold)
         with self.ctx.tracer.span(f"apriori_gen k={k}", "driver", n_seed=len(enc_level)):
             candidates = apriori_gen(enc_level.keys())
         if not candidates:
@@ -345,26 +348,43 @@ class Yafim:
             f"store_build k={k}", "driver",
             n_candidates=len(candidates), store=self.candidate_store,
         ):
-            matcher = self._build_matcher(candidates)
-        bc = self.ctx.broadcast(matcher) if self.use_broadcast else None
-        bc_bytes = bc.size_bytes if bc is not None else 0
-        closure_bytes = 0
-        if bc is None:
-            # Spark's default behaviour ships the closure (candidates
-            # included) with EVERY task — charge it per map task so the
-            # broadcast ablation can quantify the saving (§IV-C).
-            closure_bytes = estimate_size(matcher) * working.num_partitions
-        direct = None if bc is not None else matcher
+            matcher = make_store(self.candidate_store, candidates, **self.store_options)
+        bc, direct, bc_bytes, closure_bytes = self._ship(matcher, working)
         if self.paper_dataflow:
-            new_level = self._count_level(
-                working, CandidateEmitter(bc=bc, matcher=direct), threshold
-            )
+            kernel = CandidateEmitter(bc=bc, matcher=direct)
         else:
-            new_level = self._count_level(
-                working, CandidateCounter(bc=bc, matcher=direct, weighted=True),
-                threshold, decode=candidates,
-            )
+            kernel = CandidateCounter(bc=bc, matcher=direct, weighted=True)
+        new_level = self._count_level(working, kernel, threshold, decode=candidates)
         return new_level, len(candidates), bc, bc_bytes, closure_bytes
+
+    def _counts_pairs(self, k) -> bool:
+        """Whether pass ``k`` counts pairs off the rows: pass 2 of the
+        fast path while the working set is rows, not a laid-out block."""
+        return k == 2 and not self.paper_dataflow and get_store(self.candidate_store).layout is None
+
+    def _pair_pass(self, enc_level, working, threshold):
+        """Pass 2 with no candidate set (R-Apriori's): each row counts its
+        own pairs.  The encoded rows are already projected onto L1, so
+        nothing ships; raw rows (the paper dataflow) are filtered by the
+        frequent-item set.  Reports the C(m, 2) ``apriori_gen`` would make.
+        """
+        m = len(enc_level)
+        bc, keep, bc_bytes, closure_bytes = None, None, 0, 0
+        if self.paper_dataflow:
+            frequent = frozenset(item for (item,) in enc_level)
+            bc, keep, bc_bytes, closure_bytes = self._ship(frequent, working)
+        kernel = PairCounter(keep_bc=bc, keep=keep, weighted=not self.paper_dataflow)
+        pairs = self._count_level(working, kernel, threshold)
+        return pairs, m * (m - 1) // 2, bc, bc_bytes, closure_bytes
+
+    def _ship(self, value, working) -> tuple:
+        """``value`` for one pass's tasks: ``(bc, direct, bc_bytes, closure_bytes)``.
+        Without ``use_broadcast`` it rides in EVERY task's closure, as Spark's
+        default ships it, charged per map task for the A1 ablation (§IV-C)."""
+        if self.use_broadcast:
+            bc = self.ctx.broadcast(value)
+            return bc, None, bc.size_bytes, 0
+        return None, value, 0, estimate_size(value) * working.num_partitions
 
     def _count_level(self, working, kernel, threshold, decode=None) -> dict:
         """Run one counting ``kernel`` over ``working``; the frequent keys.
@@ -398,8 +418,9 @@ class Yafim:
         dictionary; ``kind="compact"`` drops the rows too short for a
         (k+1)-candidate and the items outside ``shipped``, the items of
         L_k.  Either way the result holds weighted ``(encoded_txn,
-        multiplicity)`` rows — until the first store-counted pass is next
-        and the store class declares a layout: then the same tasks end in
+        multiplicity)`` rows — until a store-counted pass (one
+        :meth:`_counts_pairs` leaves to the store) is next and the store
+        class declares a layout: then the same tasks end in
         :class:`~repro.core.counting.PartitionLayout` and what is cached
         is the block, built once, which every later pass only counts.
 
@@ -419,7 +440,7 @@ class Yafim:
             kernel = TransactionCompactor(keep_bc=ship_bc, keep=direct, min_len=k + 1)
         working = source.map_partitions(kernel)
         layout = get_store(self.candidate_store).layout
-        laid_out = layout is not None and k + 1 >= self.first_store_pass
+        laid_out = layout is not None and not self._counts_pairs(k + 1)
         if laid_out:
             working = working.map_partitions(PartitionLayout(layout))
         if self.cache_transactions:
@@ -462,9 +483,6 @@ class Yafim:
         metrics.compaction_bytes_saved = sum(c.bytes_saved for c in rounds)
 
     # -- helpers ---------------------------------------------------------------
-    def _build_matcher(self, candidates: list):
-        return make_store(self.candidate_store, candidates, **self.store_options)
-
     def _iteration_stats(
         self, k: int, seconds: float, n_candidates: int, n_frequent: int,
         mark: int, broadcast_bytes: int, closure_bytes: int = 0,

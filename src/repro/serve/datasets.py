@@ -367,6 +367,8 @@ class ManagedDataset:
         self.feed_n = len(self.transactions)
         #: ``(warm miners, watches)`` as the owner last reported them
         self.owner_report = (0, 0)
+        #: watches sent to the owner, and its reports of having set them up
+        self.watches_posted = self.watches_reported = 0
         self.uid = next(_UIDS)
         self.owner = owner
         #: True once replaced via ``create(replace=True)`` — appends to
@@ -513,6 +515,7 @@ class ManagedDataset:
                 watch.reset()
             self.feed_version, self.feed_n = self.version, len(self.transactions)
             self.owner_report = (0, 0)
+            self.watches_posted = self.watches_reported = 0
             self.changed.notify_all()
 
     def logged(self, version: int, n_transactions: int, steps: list, report: tuple) -> None:
@@ -535,6 +538,13 @@ class ManagedDataset:
             self.owner_report = report
             self.changed.notify_all()
 
+    def reported(self, report: tuple) -> None:
+        """The owner's counts once it has set up a watch."""
+        with self.changed:
+            self.watches_reported += 1
+            self.owner_report = report
+            self.changed.notify_all()
+
     # -- change feed -------------------------------------------------------
     def watch(self, key: tuple) -> _Watch:
         """The change-feed watch on mining ``key``, established on first
@@ -544,6 +554,8 @@ class ManagedDataset:
         could be built for is refused here, before anything moves."""
         if not 0.0 < key[0] <= 1.0:
             raise MiningError(f"min_support must be in (0, 1], got {key[0]}")
+        if key[1] is not None and key[1] < 1:
+            raise MiningError(f"max_length must be >= 1, got {key[1]}")
         self.owner.post(self)  # held first: a reload restarts every watch
         with self.changed:
             watch = self.watches.get(key)
@@ -553,8 +565,8 @@ class ManagedDataset:
             fresh = watch.start_version is None
             if fresh:
                 watch.start_version = self.version
-        if fresh:
-            self.owner.post(self, ("watch", self.uid, key))
+        if fresh and self.owner.post(self, ("watch", self.uid, key)):
+            self.watches_posted += 1
         return watch
 
     def feeding(self, key: tuple) -> bool:
@@ -581,14 +593,17 @@ class ManagedDataset:
     def info(self) -> dict:
         """JSON-safe summary (the ``GET /datasets/<id>`` payload), with the
         owner's counts at its version: waits, bounded as the change feed's
-        catch-up is, for the owner's push of that version, holding no
-        :attr:`lock`, so the wait holds up no advance."""
+        catch-up is, for the owner's push of that version and its report
+        of every watch sent before, holding no :attr:`lock`, so the wait
+        holds up no advance."""
         with self.lock:
             info = self.head(self.owner_report)
+            posted = self.watches_posted
         with self.changed:
             self.changed.wait_for(
-                lambda: self.feed_version >= info["version"] or not self.owner.holds(self)
-                or self.retired,
+                lambda: self.feed_version >= info["version"]
+                and self.watches_reported >= posted
+                or not self.owner.holds(self) or self.retired,
                 MAX_POLL_S,
             )
             info["warm_miners"], info["watches"] = self.owner_report
@@ -843,10 +858,11 @@ class DatasetRegistry:
         every window advance, pushing one rendered diff per version
         transition into the watch's log.  The answer waits for the log to
         reach the version the call came in at (the owner renders at most a
-        version behind); when ``since`` is that version the call then
-        long-polls up to ``timeout_s`` (capped server-side) for the next
-        advance.  A ``since`` older than the log covers answers
-        ``reset=true`` with the full current family instead of a diff, and
+        version behind) and for the owner to have set the watch up; when
+        ``since`` is that version the call then long-polls up to
+        ``timeout_s`` (capped server-side) for the next advance.  A
+        ``since`` older than the log covers answers ``reset=true`` with
+        the full current family instead of a diff, and
         so does a span of versions whose logged rows outnumber the
         family's itemsets: the family is the smaller answer, and it needs
         no decode.  A reset's family is rendered by the owner.
@@ -866,11 +882,13 @@ class DatasetRegistry:
             if entry.pending_buffered:
                 self._settle(entry, entry.flush())
             entry.watch(key)
-            current = entry.version
+            current, posted = entry.version, entry.watches_posted
         with entry.changed:
-            # the owner's log reaches the version this call came in at ...
+            # the owner's log reaches the version this call came in at, and
+            # the owner has set up every watch sent so far (this one too) ...
             entry.changed.wait_for(
-                lambda: entry.feed_version >= current or not entry.feeding(key) or entry.retired,
+                lambda: entry.feed_version >= current and entry.watches_reported >= posted
+                or not entry.feeding(key) or entry.retired,
                 MAX_POLL_S,
             )
             # ... and, when that is the version asked from, the next one

@@ -24,9 +24,10 @@ order:
   caught up to a snapshot's rows, or ``None``: answer it cold),
   ``family`` (a key's whole family as the JSON rows a reset sends) and
   ``inspect`` (the warm state, for tests and drills);
-* owner → server: ``reply`` to a request, and one ``feed`` push per
+* owner → server: ``reply`` to a request, one ``feed`` push per
   advance — every watched key's one-version diff, rendered once, with
-  the window size and the miner count the owner now holds.
+  the window size and the miner count the owner now holds — and one
+  ``report`` of those counts per ``watch`` it has set up.
 
 The owner renders what it sends, from each watched key's family kept in
 payload order with one ``%`` row template per itemset (:class:`KeptFamily`);
@@ -232,6 +233,12 @@ class DatasetOwner:
                     entry.owner_report = report
                 if reply is not None:
                     reply.set(ok, value)
+            elif message[0] == "report":
+                _, uid, report = message
+                with self._state_lock:
+                    entry = self._loaded.get(uid)
+                if entry is not None:
+                    entry.reported(report)
             else:  # "feed"
                 _, uid, version, n_transactions, steps, report = message
                 self.versions_applied += 1
@@ -595,6 +602,7 @@ class _Owner:
                     owned.watch(args[1])
                 except Exception:  # noqa: BLE001 - no miner: the server's watch restarts
                     owned.unwatch(args[1])
+                self.conn.send(("report", args[0], owned.report()))
                 return
             delta, n_retired, version, unwatched = args[1:]
             diffs = owned.advance(delta, n_retired, version, unwatched)

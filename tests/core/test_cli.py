@@ -278,7 +278,8 @@ class TestMine:
 
     def test_mine_trace_out_writes_chrome_trace(self, tmp_path, capsys):
         data = tmp_path / "t.dat"
-        data.write_text("a b\na b c\nb c\na b\n")
+        # reaches pass 3: pass 2 counts pairs off the rows and builds no store
+        data.write_text("a b c\na b c\nb c\na b\n")
         trace = tmp_path / "trace.json"
         rc = main(
             [
@@ -292,7 +293,8 @@ class TestMine:
         names = {e["name"] for e in doc["traceEvents"]}
         assert any(n.startswith("job-") for n in names)
         assert any(n.startswith("broadcast_publish") for n in names)
-        assert any(n.startswith("store_build") for n in names)
+        assert "store_build k=3" in names
+        assert "store_build k=2" not in names
 
     def test_mine_without_source_exits(self):
         with pytest.raises(SystemExit):

@@ -10,10 +10,11 @@ import random
 
 import pytest
 
-from repro.algorithms import apriori
+from repro.algorithms import apriori, fpgrowth
 from repro.common.encoding import ItemDictionary
 from repro.core import HashTree, LinearStore, RApriori, Yafim
 from repro.core.one_phase import OnePhaseMR, SubsetEnumerationMapper
+from repro.datasets import mushroom_like, t10i4d100k_like
 from repro.engine import Context
 from repro.engine.executors import BACKENDS
 from repro.hdfs import MiniDfs
@@ -294,6 +295,76 @@ class TestLaidOutOnce:
             TXNS, 0.3
         )
         assert not tid_bitmap_builds and result.itemsets == apriori(TXNS, 0.3)
+
+
+# ---------------------------------------------------------------------------
+# Pass 2 off the rows: no C2 built, broadcast or walked
+# ---------------------------------------------------------------------------
+def _pass_two(result):
+    return next(it for it in result.iterations if it.k == 2)
+
+
+def _span_names(result):
+    return {span.name for span in result.trace.spans}
+
+
+def _with_duplicates(rows):
+    """Every third row twice in a row, so a partition holds the pair and
+    the encode round weighs it 2."""
+    return [row for i, row in enumerate(rows) for _ in range(1 + (i % 3 == 0))]
+
+
+@pytest.fixture(scope="module")
+def pair_inputs():
+    """``name -> (rows, support, fpgrowth answer)``: one sparse input and
+    one dense one."""
+    inputs = {
+        "sparse": (t10i4d100k_like(scale=0.004, seed=7).transactions, 0.01),
+        "dense": (mushroom_like(scale=0.03, seed=7).transactions, 0.4),
+    }
+    return {
+        name: (rows, support, fpgrowth(rows, support))
+        for name, (base, support) in inputs.items()
+        for rows in [_with_duplicates(base)]
+    }
+
+
+class TestPairPass:
+    @pytest.mark.parametrize("store", ["hashtree", "linear"])
+    def test_a_row_store_builds_and_ships_nothing_at_pass_two(self, ctx, store):
+        result = Yafim(ctx, num_partitions=4, candidate_store=store).run(TXNS, 0.3)
+        names = _span_names(result)
+        assert _pass_two(result).broadcast_bytes == 0
+        assert "store_build k=2" not in names and "apriori_gen k=2" not in names
+        assert "store_build k=3" in names  # later passes count through the store
+        m = len(result.level(1))
+        assert _pass_two(result).n_candidates == m * (m - 1) // 2
+        assert result.itemsets == apriori(TXNS, 0.3)
+
+    def test_paper_dataflow_still_broadcasts_the_pass_two_hash_tree(self, ctx):
+        result = Yafim(ctx, num_partitions=4, **PAPER_SHAPE).run(TXNS, 0.3)
+        assert _pass_two(result).broadcast_bytes > 0
+        assert "store_build k=2" in _span_names(result)
+        assert result.itemsets == apriori(TXNS, 0.3)
+
+    def test_the_bitmap_store_counts_pass_two(self, ctx):
+        result = Yafim(ctx, num_partitions=4, candidate_store="bitmap").run(TXNS, 0.3)
+        assert _pass_two(result).broadcast_bytes > 0
+        assert "store_build k=2" in _span_names(result)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", ["sparse", "dense"])
+    @pytest.mark.parametrize("max_length", [1, 2, 3, None])
+    def test_matches_fpgrowth(self, pair_inputs, backend, name, max_length):
+        rows, support, oracle = pair_inputs[name]
+        with Context(backend=backend, parallelism=2) as c:
+            result = Yafim(c, num_partitions=3).run(rows, support, max_length=max_length)
+        want = {k: v for k, v in oracle.items() if max_length is None or len(k) <= max_length}
+        assert result.itemsets == want
+        if max_length != 1:
+            encode = result.iterations[0].compaction
+            assert encode.weight_after > encode.txns_after  # some weights above 1
+            assert _pass_two(result).broadcast_bytes == 0
 
 
 class TestShuffleAccounting:

@@ -79,16 +79,21 @@ class TestCorrectness:
 
 class TestPassTwoBehaviour:
     def test_no_pass2_broadcast_of_hash_tree(self, ctx):
-        """Pass 2 ships only the frequent-item set — far smaller than the
-        pair hash tree YAFIM would broadcast."""
+        """Under the paper dataflow pass 2 ships only the frequent-item
+        set — far smaller than the pair hash tree YAFIM broadcasts there;
+        on the fast path it ships nothing at all."""
         ds = quest_generator(n_transactions=300, n_items=100, seed=3)
-        ra = RApriori(ctx).run(ds.transactions, 0.02)
+        ra = RApriori(ctx, paper_dataflow=True).run(ds.transactions, 0.02)
         with Context(backend="serial") as ctx2:
-            ya = Yafim(ctx2).run(ds.transactions, 0.02)
+            ya = Yafim(ctx2, paper_dataflow=True).run(ds.transactions, 0.02)
         ra_pass2 = next(it for it in ra.iterations if it.k == 2)
         ya_pass2 = next(it for it in ya.iterations if it.k == 2)
-        assert ra_pass2.broadcast_bytes < ya_pass2.broadcast_bytes / 5
+        assert 0 < ra_pass2.broadcast_bytes < ya_pass2.broadcast_bytes / 5
         assert ra.itemsets == ya.itemsets
+        with Context(backend="serial") as ctx3:
+            fast = RApriori(ctx3).run(ds.transactions, 0.02)
+        assert next(it for it in fast.iterations if it.k == 2).broadcast_bytes == 0
+        assert fast.itemsets == ya.itemsets
 
     def test_pass2_records_equivalent_candidate_count(self, ctx):
         res = RApriori(ctx).run(TXNS, 0.3)

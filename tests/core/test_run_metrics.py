@@ -71,9 +71,13 @@ class TestUniformCounters:
                 assert it.straggler_ratio >= 1.0
 
     def test_yafim_broadcast_bytes_on_candidate_passes(self, results):
-        later = [it for it in results["yafim"].iterations if it.k >= 2]
+        # pass 2 builds no candidate set (pairs off the rows); every later
+        # pass broadcasts its store
+        iterations = results["yafim"].iterations
+        later = [it for it in iterations if it.k >= 3]
         assert later
         assert all(it.broadcast_bytes > 0 for it in later)
+        assert next(it for it in iterations if it.k == 2).broadcast_bytes == 0
 
 
 class TestCacheHitRate:

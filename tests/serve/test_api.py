@@ -378,6 +378,18 @@ ONE_ANSWER = {
             ("apriori", {"algorithm": "apriori"}),
         )
     },
+    # a watch is refused where a job with its max_length would be
+    **{
+        f"changes-max_length-{value}": (
+            lambda c, value=value: c.create_dataset("one-answer-feed", TXNS, replace=True)
+            and c._request(
+                "GET",
+                f"/datasets/one-answer-feed/changes?since=1&min_support=0.4&max_length={value}",
+            ),
+            (*BAD_REQUEST, f"max_length must be >= 1, got {value}"),
+        )
+        for value in (0, -1)
+    },
 }
 
 
@@ -410,6 +422,29 @@ def test_an_item_of_another_type_changes_nothing(client):
             client.append_dataset("one-type-kept", rows)
         assert (err.value.status, err.value.code) == (400, "bad_request")
     assert client.dataset_info("one-type-kept") == before
+
+
+def test_a_refused_watch_builds_nothing(client):
+    client.create_dataset("refused-watch", TXNS, replace=True)
+    for value in (0, -1):
+        with pytest.raises(ApiError) as err:
+            client.dataset_changes("refused-watch", since=1, min_support=0.4, max_length=value)
+        assert (err.value.status, err.value.code) == (400, "bad_request")
+    client.dataset_changes("refused-watch", since=1, min_support=0.4, max_length=2)
+    info = client.dataset_info("refused-watch")
+    assert (info["version"], info["warm_miners"], info["watches"]) == (1, 1, 1)
+
+
+def test_a_new_watch_is_counted_at_its_version(client):
+    """No version follows the watch, so only the owner's report of having
+    set it up can carry the counts ``info`` answers."""
+    client.create_dataset("counted-watch", TXNS, replace=True)
+    client.dataset_changes("counted-watch", since=1, min_support=0.4)
+    info = client.dataset_info("counted-watch")
+    assert (info["version"], info["warm_miners"], info["watches"]) == (1, 1, 1)
+    client.dataset_changes("counted-watch", since=1, min_support=0.5, max_length=2)
+    info = client.dataset_info("counted-watch")
+    assert (info["version"], info["warm_miners"], info["watches"]) == (1, 2, 2)
 
 
 # -- submit keywords reach the shard on every surface ------------------------

@@ -59,7 +59,9 @@ class MiningConfig:
 
     Parameters mirror :func:`repro.core.api.mine_frequent_itemsets`;
     ``options`` carries algorithm-specific keyword arguments handed to
-    the miner's constructor (e.g. YAFIM's ``paper_dataflow=True``).
+    the miner's constructor (e.g. YAFIM's ``paper_dataflow=True``); an
+    ``options["candidate_store"]`` is moved into the field (and wins
+    over it), so both spellings are one config.
     ``backend`` / ``parallelism`` configure the engine context, so they
     are inert on the algorithms that build none: the MapReduce ones
     (``mrapriori``, ``one_phase``, whose map and reduce tasks run in
@@ -83,6 +85,10 @@ class MiningConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if "candidate_store" in self.options:
+            options = dict(self.options)
+            object.__setattr__(self, "candidate_store", options.pop("candidate_store"))
+            object.__setattr__(self, "options", options)
         if not 0.0 < self.min_support <= 1.0:
             raise MiningError(
                 f"min_support must be in (0, 1], got {self.min_support}"
@@ -248,11 +254,10 @@ def run_algorithm(
 # Built-in algorithms
 # ---------------------------------------------------------------------------
 def _with_store(config: MiningConfig) -> dict:
-    """Miner options with the config's ``candidate_store`` folded in; an
-    explicit ``options["candidate_store"]`` wins over the field.  The
+    """Miner options with the config's ``candidate_store`` added.  The
     oracles and DistEclat are candidate-free and never receive the
     knob."""
-    return {"candidate_store": config.candidate_store, **config.options}
+    return {**config.options, "candidate_store": config.candidate_store}
 
 
 def _run_yafim(ctx, txns, config: MiningConfig) -> MiningRunResult:

@@ -244,8 +244,8 @@ OPERATIONS: tuple[Operation, ...] = (
             Field("flush", BODY, _flag),
         ),
     ),
-    # ``warm_miners`` / ``watches`` are the owner's report at ``version``
-    # (an ``append_dataset`` answer's are the last report: one push behind)
+    # ``warm_miners`` / ``watches`` are asked of the owner, at ``version``:
+    # the one answer that carries them (an append's and /metrics' do not)
     Operation("dataset_info", "GET", "/datasets/{dataset_id}", route=BY_DATASET),
     # the mining key is (min_support, max_length): the tier counts on
     # bitmaps, so a ``candidate_store`` here is an unknown query param
@@ -259,8 +259,9 @@ OPERATIONS: tuple[Operation, ...] = (
         ),
     ),
     Operation("healthz", "GET", "/healthz"),
-    # ``dataset_registry.warm_miners`` / ``.watches`` sum each dataset's
-    # last owner report, so they may lag an advance by one owner push
+    # read without a wait, so they may lag: ``job_workers.datasets_resident``
+    # (each worker's last answer), ``dataset_owner.versions_applied`` (the
+    # pushes read so far) and ``.vm_hwm_kb`` (/proc at the call)
     Operation("metrics", "GET", "/metrics"),
 )
 

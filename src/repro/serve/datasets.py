@@ -365,10 +365,6 @@ class ManagedDataset:
         #: size there: what a feed answer is given at
         self.feed_version = self.version
         self.feed_n = len(self.transactions)
-        #: ``(warm miners, watches)`` as the owner last reported them
-        self.owner_report = (0, 0)
-        #: watches sent to the owner, and its reports of having set them up
-        self.watches_posted = self.watches_reported = 0
         self.uid = next(_UIDS)
         self.owner = owner
         #: True once replaced via ``create(replace=True)`` — appends to
@@ -514,11 +510,9 @@ class ManagedDataset:
             for watch in self.watches.values():
                 watch.reset()
             self.feed_version, self.feed_n = self.version, len(self.transactions)
-            self.owner_report = (0, 0)
-            self.watches_posted = self.watches_reported = 0
             self.changed.notify_all()
 
-    def logged(self, version: int, n_transactions: int, steps: list, report: tuple) -> None:
+    def logged(self, version: int, n_transactions: int, steps: list) -> None:
         """The owner's diffs for the advance that produced ``version``:
         ``[(key, text, n_rows, n_family)]``, one per key it watches.  Each
         lands in its watch's log; a watch owed a step that did not come
@@ -535,14 +529,6 @@ class ManagedDataset:
                 else:
                     watch.log.append(_Transition(version - 1, *step))
             self.feed_version, self.feed_n = version, n_transactions
-            self.owner_report = report
-            self.changed.notify_all()
-
-    def reported(self, report: tuple) -> None:
-        """The owner's counts once it has set up a watch."""
-        with self.changed:
-            self.watches_reported += 1
-            self.owner_report = report
             self.changed.notify_all()
 
     # -- change feed -------------------------------------------------------
@@ -565,8 +551,8 @@ class ManagedDataset:
             fresh = watch.start_version is None
             if fresh:
                 watch.start_version = self.version
-        if fresh and self.owner.post(self, ("watch", self.uid, key)):
-            self.watches_posted += 1
+        if fresh:
+            self.owner.post(self, ("watch", self.uid, key))
         return watch
 
     def feeding(self, key: tuple) -> bool:
@@ -591,36 +577,27 @@ class ManagedDataset:
         return None if start is None else log[start:]
 
     def info(self) -> dict:
-        """JSON-safe summary (the ``GET /datasets/<id>`` payload), with the
-        owner's counts at its version: waits, bounded as the change feed's
-        catch-up is, for the owner's push of that version and its report
-        of every watch sent before, holding no :attr:`lock`, so the wait
-        holds up no advance."""
+        """JSON-safe summary (the ``GET /datasets/<id>`` payload) with the
+        owner's ``warm_miners`` / ``watches`` at its version: asked of the
+        owner under :attr:`lock`, so behind every advance and watch sent
+        before, and waited for outside it.  An owner gone before it
+        answers holds none (its successor is sent the window afresh)."""
         with self.lock:
-            info = self.head(self.owner_report)
-            posted = self.watches_posted
-        with self.changed:
-            self.changed.wait_for(
-                lambda: self.feed_version >= info["version"]
-                and self.watches_reported >= posted
-                or not self.owner.holds(self) or self.retired,
-                MAX_POLL_S,
-            )
-            info["warm_miners"], info["watches"] = self.owner_report
+            info = self.head()
+            reply = self.owner.request(self, "report")
+        counts = reply.wait()
+        info["warm_miners"], info["watches"] = (0, 0) if counts is GONE else counts
         return info
 
-    def head(self, counts: tuple) -> dict:
-        """:meth:`info` as the window stands, with ``counts``, the owner's
-        ``(warm miners, watches)`` (caller holds :attr:`lock`)."""
-        warm_miners, watches = counts
+    def head(self) -> dict:
+        """:meth:`info` as the window stands, without the owner's counts
+        (caller holds :attr:`lock`)."""
         return {
             "dataset_id": self.dataset_id,
             "version": self.version,
             "n_transactions": len(self.transactions),
             "fingerprint": self.fingerprint,
-            "warm_miners": warm_miners,
             "buffered": len(self._buffer),
-            "watches": watches,
             "retired": self.retired,
             "retired_transactions": self.retires,
             "policy": {name: getattr(self, name) for name in POLICY_FIELDS},
@@ -723,10 +700,8 @@ class DatasetRegistry:
             "creates": creates,
             "appends": appends,
             "flushes": flushes,
-            "warm_miners": sum(e.owner_report[0] for e in entries),
             "buffered": sum(e.pending_buffered for e in entries),
             "retired_transactions": sum(e.retires for e in entries),
-            "watches": sum(e.owner_report[1] for e in entries),
         }
 
     # -- the BY_DATASET operations -----------------------------------------
@@ -809,9 +784,6 @@ class DatasetRegistry:
         entry = self.get(dataset_id)
         with entry.lock:
             entry.check_live()
-            # the owner's counts before this advance: an append does not wait
-            # for its own slide, and read after posting it they would race it
-            counts = entry.owner_report
             if expected_version is not None and entry.version != expected_version:
                 raise ApiError(
                     f"dataset {dataset_id!r} is at version {entry.version}, "
@@ -831,7 +803,7 @@ class DatasetRegistry:
             if delta:
                 self.record_append()
             invalidated = self._settle(entry, res)
-            info = entry.head(counts)
+            info = entry.head()
         info["invalidated_results"] = invalidated
         info["flushed"] = flushed
         return info
@@ -858,9 +830,9 @@ class DatasetRegistry:
         every window advance, pushing one rendered diff per version
         transition into the watch's log.  The answer waits for the log to
         reach the version the call came in at (the owner renders at most a
-        version behind) and for the owner to have set the watch up; when
-        ``since`` is that version the call then long-polls up to
-        ``timeout_s`` (capped server-side) for the next advance.  A
+        version behind); when ``since`` is that version the call then
+        long-polls up to ``timeout_s`` (capped server-side) for the next
+        advance.  A
         ``since`` older than the log covers answers ``reset=true`` with
         the full current family instead of a diff, and
         so does a span of versions whose logged rows outnumber the
@@ -882,13 +854,11 @@ class DatasetRegistry:
             if entry.pending_buffered:
                 self._settle(entry, entry.flush())
             entry.watch(key)
-            current, posted = entry.version, entry.watches_posted
+            current = entry.version
         with entry.changed:
-            # the owner's log reaches the version this call came in at, and
-            # the owner has set up every watch sent so far (this one too) ...
+            # the owner's log reaches the version this call came in at ...
             entry.changed.wait_for(
-                lambda: entry.feed_version >= current and entry.watches_reported >= posted
-                or not entry.feeding(key) or entry.retired,
+                lambda: entry.feed_version >= current or not entry.feeding(key) or entry.retired,
                 MAX_POLL_S,
             )
             # ... and, when that is the version asked from, the next one

@@ -22,12 +22,12 @@ order:
   server let go) and ``watch`` (start emitting a key's diffs);
 * server → owner, answered: ``job`` (the kept result of a warm miner
   caught up to a snapshot's rows, or ``None``: answer it cold),
-  ``family`` (a key's whole family as the JSON rows a reset sends) and
+  ``family`` (a key's whole family as the JSON rows a reset sends),
+  ``report`` (how many warm miners and watches it holds) and
   ``inspect`` (the warm state, for tests and drills);
-* owner → server: ``reply`` to a request, one ``feed`` push per
+* owner → server: ``reply`` to a request, and one ``feed`` push per
   advance — every watched key's one-version diff, rendered once, with
-  the window size and the miner count the owner now holds — and one
-  ``report`` of those counts per ``watch`` it has set up.
+  the window size.
 
 The owner renders what it sends, from each watched key's family kept in
 payload order with one ``%`` row template per itemset (:class:`KeptFamily`);
@@ -225,27 +225,18 @@ class DatasetOwner:
                     return
                 continue
             if message[0] == "reply":
-                _, rid, ok, value, uid, report = message
+                _, rid, ok, value = message
                 with self._state_lock:
                     reply = self._replies.pop(rid, None)
-                    entry = self._loaded.get(uid)
-                if entry is not None and report is not None:
-                    entry.owner_report = report
                 if reply is not None:
                     reply.set(ok, value)
-            elif message[0] == "report":
-                _, uid, report = message
-                with self._state_lock:
-                    entry = self._loaded.get(uid)
-                if entry is not None:
-                    entry.reported(report)
             else:  # "feed"
-                _, uid, version, n_transactions, steps, report = message
+                _, uid, version, n_transactions, steps = message
                 self.versions_applied += 1
                 with self._state_lock:
                     entry = self._loaded.get(uid)
                 if entry is not None:
-                    entry.logged(version, n_transactions, steps, report)
+                    entry.logged(version, n_transactions, steps)
 
     def _respawn(self) -> bool:
         """The owner is gone: fail what waited on it and start another,
@@ -602,7 +593,6 @@ class _Owner:
                     owned.watch(args[1])
                 except Exception:  # noqa: BLE001 - no miner: the server's watch restarts
                     owned.unwatch(args[1])
-                self.conn.send(("report", args[0], owned.report()))
                 return
             delta, n_retired, version, unwatched = args[1:]
             diffs = owned.advance(delta, n_retired, version, unwatched)
@@ -616,7 +606,7 @@ class _Owner:
             value, ok = getattr(self, f"_{kind}")(owned, *rest), True
         except BaseException as exc:  # noqa: BLE001 - the server's to raise
             value, ok = picklable_exception(exc), False
-        self.conn.send(("reply", rid, ok, value, uid, owned and owned.report()))
+        self.conn.send(("reply", rid, ok, value))
 
     def push(self, uid: int, owned: _Owned, version: int, diffs: list) -> None:
         """Render an advance's diffs, each once, and push them — every
@@ -626,7 +616,7 @@ class _Owner:
             n_rows = len(diff.added) + len(diff.removed) + len(diff.changed)
             steps.append((key, owned.kept[key].diff_text(diff), n_rows, n_family))
         owned.renders += len(steps)
-        self.conn.send(("feed", uid, version, len(owned.window), steps, owned.report()))
+        self.conn.send(("feed", uid, version, len(owned.window), steps))
 
     # -- the answered requests ---------------------------------------------
     @staticmethod
@@ -646,6 +636,10 @@ class _Owner:
     def _family(owned: _Owned, key: tuple) -> str:
         miner = owned.miner_for(key, len(owned.window))
         return '"family": ' + owned.family_text(key, miner, miner.itemsets())
+
+    @staticmethod
+    def _report(owned: _Owned) -> tuple:
+        return owned.report()
 
     @staticmethod
     def _inspect(owned: _Owned) -> dict:

@@ -80,7 +80,7 @@ def shipping_request(job: Job, config: MiningConfig) -> bytes | None:
     if config.backend == "processes" and runs_on_engine(config):
         return None
     spec = get_algorithm(config.algorithm)
-    store = config.options.get("candidate_store", config.candidate_store)
+    store = config.candidate_store
     try:
         return pickle.dumps(
             (job.dataset_fingerprint, config, spec, store, get_store(store)),

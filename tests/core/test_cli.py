@@ -8,7 +8,6 @@ import re
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 
 import pytest
@@ -126,21 +125,22 @@ class TestParser:
 
 class TestServe:
     @pytest.mark.parametrize("how", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"])
-    def test_no_descendant_outlives_a_server_stopped_mid_job(self, how):
+    def test_no_descendant_outlives_a_server_stopped_mid_job(self, how, tmp_path):
         """``repro serve`` catches no signal: its job workers (and whatever
         they started) must notice the parent is gone on their own, also in
         the middle of a mine — the perf ledger's ``Server.close()`` is a
-        SIGTERM, and a survivor holding its stderr hangs the harness."""
+        SIGTERM, and a survivor holding its stderr hangs the harness.  The
+        server gets a temporary directory of its own: in the shared one,
+        another process's job workers come and go while this test runs."""
         from repro.core.registry import MiningConfig
         from repro.datasets import mushroom_like
         from repro.serve import HttpClient
         from tests.procs import descendants, gone_within
 
-        def worker_dirs() -> set:
-            return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-job-worker-*")))
+        def worker_dirs() -> list:
+            return glob.glob(os.path.join(tmp_path, "repro-job-worker-*"))
 
-        before = worker_dirs()
-        with _cli_server("--workers", "2") as (proc, url):
+        with _cli_server("--workers", "2", tmp=tmp_path) as (proc, url):
             client = HttpClient(url)
             txns = mushroom_like(scale=0.5, seed=2).transactions
             job = client.submit(txns, MiningConfig(min_support=0.25, backend="serial"))
@@ -150,11 +150,12 @@ class TestServe:
                 time.sleep(0.01)
             kids = descendants(proc.pid)
             assert len(kids) >= 2  # one job worker per service worker
+            assert len(worker_dirs()) == 2
             proc.send_signal(how)
             proc.wait(timeout=10)
             assert proc.returncode == -how
             assert gone_within(kids, 2.0) == []
-            assert worker_dirs() <= before  # each worker took its temporary files along
+            assert worker_dirs() == []  # each worker took its temporary files along
 
     def test_cli_server_announces_its_url_serves_and_stops_on_sigterm(self):
         """The path every ``repro serve`` user runs, and the banner the
@@ -185,15 +186,19 @@ class TestServe:
 
 
 @contextlib.contextmanager
-def _cli_server(*flags):
-    """``python -m repro serve --port 0 --quiet`` as a subprocess; yields
-    ``(process, url)`` and leaves nothing running."""
+def _cli_server(*flags, tmp=None):
+    """``python -m repro serve --port 0 --quiet`` as a subprocess (its
+    temporary files under ``tmp``, if given); yields ``(process, url)``
+    and leaves nothing running."""
     import repro
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    if tmp is not None:
+        env["TMPDIR"] = str(tmp)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet", *flags],
-        stdout=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=src),
+        stdout=subprocess.PIPE, text=True, env=env,
     )
     try:
         banner = proc.stdout.readline()

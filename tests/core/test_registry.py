@@ -176,6 +176,20 @@ class TestMiningConfig:
         b = MiningConfig(min_support=0.4, candidate_store="linear")
         assert a.cache_key() == b.cache_key()
 
+    def test_both_spellings_of_the_store_are_one_config(self):
+        """``options["candidate_store"]`` moves into the field, and wins
+        over it: one key, and the store the field names is the one run."""
+        field = MiningConfig(min_support=0.4, candidate_store="bitmap")
+        for options in ({"candidate_store": "bitmap"}, {"candidate_store": "bitmap", "x": 1}):
+            given = MiningConfig(min_support=0.4, candidate_store="linear", options=options)
+            assert given.candidate_store == "bitmap" and "candidate_store" not in given.options
+        option = MiningConfig(min_support=0.4, options={"candidate_store": "bitmap"})
+        assert option == field and option.cache_key() == field.cache_key()
+
+    def test_an_unknown_store_in_options_is_refused_at_construction(self):
+        with pytest.raises(MiningError, match="unknown candidate store 'nope'"):
+            MiningConfig(min_support=0.4, options={"candidate_store": "nope"})
+
     def test_options_store_overrides_the_config_field(self, monkeypatch):
         # ablation A3 through the options path: the field's default
         # "hashtree" is always folded in, but may not override it.

@@ -361,8 +361,7 @@ PARENT_SHAPE = {
             "context_pool": leaves("created idle reused"),
             "dataset_cache": leaves("bytes entries evictions hit_rate hits max_bytes misses"),
             "dataset_registry": leaves(
-                "appends buffered creates datasets flushes retired_transactions warm_miners "
-                "watches"
+                "appends buffered creates datasets flushes retired_transactions"
             ),
             "job_workers": leaves(
                 "alive datasets_resident jobs_run killed restarts rows_shipped ship_bytes started"

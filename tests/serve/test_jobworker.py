@@ -418,10 +418,14 @@ class TestFaultDrills:
         job = svc.submit(OTHER, cfg())
         assert _runners.ran_in(done(job)) != old and job.attempts == 1
 
-    def test_shutdown_drains_a_shipped_job_wakes_its_waiter_and_leaves_no_child(self):
+    def test_shutdown_drains_a_shipped_job_wakes_its_waiter_and_leaves_no_child(self, tmp_path):
         svc = forked_service(n_workers=2)
         pids = [w.pid for w in svc._job_workers]
-        job = svc.submit(ROWS, cfg("sleepy", seconds=0.5))
+        marker = str(tmp_path / "sleeping")
+        job = svc.submit(ROWS, cfg("sleepy", seconds=0.5, marker=marker))
+        # shipped before the shutdown: a job still queued then is cancelled
+        # (under load the worker thread may not have taken it yet)
+        wait_for(marker)
         seen = []
         waiter = threading.Thread(target=lambda: seen.append(svc.wait(job.job_id, 20.0).state))
         waiter.start()

@@ -385,7 +385,7 @@ class Driven:
 
     def ask(self, kind: str, *args):
         self.owner.handle((kind, 7, 1, *args))
-        _, rid, ok, value, _, _ = self.pipe.sent[-1]
+        _, rid, ok, value = self.pipe.sent[-1]
         assert rid == 7 and ok, value
         return value
 
@@ -394,7 +394,7 @@ class Driven:
         self.stream.extend(delta)
         self.version += 1
         self.owner.handle(("advance", 1, delta, len(delta), self.version, []))
-        feed, uid, version, n_rows, steps, _ = self.pipe.sent[-1]
+        feed, uid, version, n_rows, steps = self.pipe.sent[-1]
         assert (feed, uid, version, n_rows) == ("feed", 1, self.version, self.WINDOW)
         steps = {step[0]: step[1] for step in steps}
         for key, old in self.families.items():

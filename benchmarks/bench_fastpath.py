@@ -34,6 +34,11 @@ speedup over the hash tree is the headline number of the vertical
 counting kernel, and its job count — passes + 1 — is what "laid out
 once" means on the engine.
 
+The placement leg (mushroom only) reruns the fast path on one partition
+and compares the rows its passes >= 3 walk: a count, so its ceiling is
+host-independent.  Duplicates meet only inside a partition, so the ratio
+says whether rows alike in content were sliced into one.
+
 The report checks itself: :func:`check_report` is the gate over a report
 (a fresh run, or the checked-in file) and ``--check`` runs it.
 
@@ -73,17 +78,23 @@ MIN_FASTPATH_SPEEDUP = 2.0
 #: the vertical kernel's Phase II vs the hash tree's, every dataset (the
 #: reference box reads 9-15x at full size and 4-6x on --smoke)
 MIN_BITMAP_SPEEDUP = 2.0
+#: rows the passes >= 3 walk on N_PARTITIONS partitions over the same on
+#: one (the placement leg).  A count, not a timing: 1.025 at full size
+#: and on --smoke with the rows sorted before slicing; 1.66 / 1.30 when
+#: they are sliced in arrival order
+MAX_PLACEMENT_ROWS_RATIO = 1.1
 
 
 def _mine(
-    transactions, min_support: float, fastpath: bool, store: str | None = None
+    transactions, min_support: float, fastpath: bool, store: str | None = None,
+    num_partitions: int = N_PARTITIONS,
 ) -> tuple[dict, dict]:
     knobs = {} if fastpath else dict(BASELINE_KNOBS)
     if store is not None:
         knobs["candidate_store"] = store
     t0 = time.perf_counter()
     with Context(backend=BACKEND, parallelism=N_WORKERS) as ctx:
-        result = Yafim(ctx, num_partitions=N_PARTITIONS, **knobs).run(
+        result = Yafim(ctx, num_partitions=num_partitions, **knobs).run(
             transactions, min_support
         )
     wall = time.perf_counter() - t0
@@ -173,6 +184,30 @@ def _compare(
     }
 
 
+def _rows_counted_from_pass3(record: dict) -> int:
+    """Rows the passes >= 3 of a run walked: the ``txns`` left by the
+    compaction round before each of them."""
+    ran = {p["k"] for p in record["passes"]}
+    return sum(
+        c["txns"][1] for c in record["compaction"]
+        if c["after_pass"] >= 2 and c["after_pass"] + 1 in ran
+    )
+
+
+def _placement(transactions, min_support: float, fast: dict, fast_itemsets: dict) -> dict:
+    """Placement leg: the fast path's rows per pass on ``N_PARTITIONS``
+    partitions against one partition, where the per-partition dedupe is
+    a global one.  Rows sliced in arrival order leave duplicates in
+    different partitions; sorted before slicing, they meet."""
+    one, one_itemsets = _mine(transactions, min_support, fastpath=True, num_partitions=1)
+    assert one_itemsets == fast_itemsets, "placement: one partition changed the output"
+    rows = {N_PARTITIONS: _rows_counted_from_pass3(fast), 1: _rows_counted_from_pass3(one)}
+    return {
+        "rows_counted_from_pass3": {str(n): r for n, r in rows.items()},
+        "rows_ratio": round(rows[N_PARTITIONS] / max(rows[1], 1), 3),
+    }
+
+
 def _store_grid(
     name: str, transactions, min_support: float, stores: list[str]
 ) -> dict:
@@ -242,6 +277,8 @@ def run_fastpath_bench(smoke: bool = False, stores: list[str] | None = None) -> 
         fast, fast_itemsets = _mine(ds.transactions, min_support, fastpath=True)
         entry = _compare(ds.name, ds.transactions, min_support, fast, fast_itemsets)
         entry["dataset"] = ds.name
+        if name == "mushroom":
+            entry["placement"] = _placement(ds.transactions, min_support, fast, fast_itemsets)
         if grid_support is not None:
             entry["stores_min_support"] = grid_support
             entry["stores"] = _store_grid(ds.name, ds.transactions, grid_support, stores)
@@ -294,6 +331,11 @@ def check_report(report: dict) -> None:
                 f"{name}: bitmap phase II {speedup}x the hash tree's, "
                 f"floor {MIN_BITMAP_SPEEDUP}x"
             )
+    ratio = report["datasets"]["mushroom"]["placement"]["rows_ratio"]
+    assert ratio <= MAX_PLACEMENT_ROWS_RATIO, (
+        f"mushroom: passes >= 3 walked {ratio}x the rows of one partition, "
+        f"ceiling {MAX_PLACEMENT_ROWS_RATIO}x"
+    )
     best = report["best_phase2_speedup"]
     assert best >= MIN_FASTPATH_SPEEDUP, (
         f"fast path phase-II speedup {best}x < {MIN_FASTPATH_SPEEDUP}x"
@@ -340,6 +382,13 @@ def main(argv=None) -> int:
             f"shuffle {entry['baseline']['shuffle_bytes_total']}B -> "
             f"{entry['fastpath']['shuffle_bytes_total']}B"
         )
+        if "placement" in entry:
+            placement = entry["placement"]
+            print(
+                f"  placement: rows counted from pass 3 "
+                f"{placement['rows_counted_from_pass3']} "
+                f"({placement['rows_ratio']}x one partition's)"
+            )
         for store, rec in entry.get("stores", {}).items():
             print(
                 f"  store {store:>9} @ sup={entry['stores_min_support']}: "

@@ -191,6 +191,9 @@ K_DATASETS = 12
 RESULT_CACHE_ENTRIES = 4
 WORKERS_TOTAL = 8
 N_CLIENTS = 6
+#: N shards / 1 shard, jobs/s on the repeat-dataset workload (full size
+#: only): what cache affinity must buy
+SHARD_FLOOR = 2.0
 SHARD_QUEUE_LIMIT = 64
 SHARD_SUPPORT = 0.35
 
@@ -513,12 +516,19 @@ def run_kept_bench() -> dict:
 
 def check_floors(report: dict) -> None:
     """The gate over a report (a fresh run, or the checked-in file), all
-    ratios: two fresh clients must get ``FRESH_FLOOR`` x one client's
-    jobs/s with a cold result cache, in the median of the interleaved
-    pairs, wherever the run had two cores to use; a recognised repeat
-    must cost at most ``REPEAT_CEILING`` x the same repeat decoded in
-    full, and a kept answer must hold at most ``KEPT_CEILING`` x the
-    bytes a kept dict held."""
+    ratios: N shards must get ``SHARD_FLOOR`` x one shard's jobs/s at
+    full size (at smoke size fixed overheads drown the cache effect, so
+    the ratio is recorded, not gated); two fresh clients must get
+    ``FRESH_FLOOR`` x one client's jobs/s with a cold result cache, in
+    the median of the interleaved pairs, wherever the run had two cores
+    to use; a recognised repeat must cost at most ``REPEAT_CEILING`` x
+    the same repeat decoded in full, and a kept answer must hold at most
+    ``KEPT_CEILING`` x the bytes a kept dict held."""
+    if not report["smoke"]:
+        assert report["throughput_speedup"] >= SHARD_FLOOR, (
+            f"{max(report['legs'], key=int)}-shard throughput only "
+            f"{report['throughput_speedup']}x of 1 shard (floor {SHARD_FLOOR}x)"
+        )
     kept = report["kept_answer"]
     assert kept["vs_dict"] <= KEPT_CEILING, (
         f"a kept answer retains {kept['retained_bytes_per_answer']} bytes, "
@@ -574,18 +584,20 @@ def run_shard_bench(shards: int = 4, smoke: bool = False) -> dict:
         "against the dict it held before answers were kept as their JSON"
     )
 
-    # acceptance: affinity must buy >= 2x jobs/s on the repeat-dataset
-    # workload (smoke still records the ratio but does not gate — at
-    # tiny scale fixed overheads dominate the cache effect)
-    if not smoke:
-        assert report["throughput_speedup"] >= 2.0, (
-            f"{shards}-shard throughput only "
-            f"{report['throughput_speedup']}x of 1 shard"
-        )
-    with open(report_path(REPORT, smoke), "w") as f:
-        json.dump(report, f, indent=2)
-    check_floors(report)
+    try:
+        check_floors(report)
+    except AssertionError:
+        # a full-size run that misses a floor keeps its numbers, but not
+        # at the root, where only a report that passes is checked in
+        _write_report(report, report_path(REPORT, smoke=True))
+        raise
+    _write_report(report, report_path(REPORT, smoke))
     return report
+
+
+def _write_report(report: dict, path: str) -> None:
+    with open(path, "w") as f:
+        json.dump(report, f, indent=2)
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,12 @@ one global merge):
 * the transactions are re-encoded once over a broadcast item ->
   dense-int dictionary ordered by descending support
   (:class:`~repro.common.encoding.ItemDictionary`), infrequent items
-  dropped and identical rows deduplicated into ``(txn, multiplicity)``;
+  dropped and identical rows deduplicated into ``(txn, multiplicity)``.
+  Duplicates meet only inside a partition, so :meth:`Yafim.run` sorts
+  the canonical rows on the driver before slicing them (fast path, more
+  than one partition): rows alike in content land in one slice, and the
+  per-partition dedupe — here and in every compaction round — leaves
+  about what a global one would, with no shuffle;
 * a store counts the partition layout its class declares
   (:attr:`~repro.core.candidatestore.CandidateStore.layout`), and the
   miner — the owner of the rows — lays them out once, in the round before
@@ -109,6 +114,15 @@ def load_transactions_rdd(ctx: Context, dfs, path: str, sep: str | None = None) 
     ).filter(lambda t: len(t) > 0)
 
 
+def _placed_by_content(rows: list) -> list:
+    """``rows`` in sorted order, or as they came when their items do not
+    compare across rows (``(1, 2)`` beside ``("a", "b")``)."""
+    try:
+        return sorted(rows)
+    except TypeError:
+        return rows
+
+
 class Yafim:
     """Configured YAFIM miner bound to an engine :class:`Context`.
 
@@ -171,10 +185,17 @@ class Yafim:
         min_support: float,
         max_length: int | None = None,
     ) -> MiningRunResult:
-        """Mine an in-memory collection of transactions."""
-        rdd = self.ctx.parallelize(
-            [canonical_transaction(t) for t in transactions], self.num_partitions
-        )
+        """Mine an in-memory collection of transactions.
+
+        On the fast path over more than one partition the canonical rows
+        are sorted before ``parallelize`` cuts them into contiguous
+        slices: rows alike in content then share a partition, where the
+        encode and compaction rounds collapse them (see module docstring).
+        """
+        rows = [canonical_transaction(t) for t in transactions]
+        if not self.paper_dataflow and self.num_partitions > 1:
+            rows = _placed_by_content(rows)
+        rdd = self.ctx.parallelize(rows, self.num_partitions)
         return self.run_rdd(rdd, min_support, max_length=max_length)
 
     def run_text_file(

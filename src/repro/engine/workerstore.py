@@ -144,10 +144,15 @@ def resolve_block(key: tuple) -> Any:
     return _runtime.resolve(key)
 
 
-def exit_with_parent(last_act=None) -> None:
+def exit_with_parent(last_act=None):
     """Called first thing in a worker process: from here on it dies when
     its parent does, however the parent went (SIGKILL included) — after
     ``last_act()``, if given (a worker removing its own temporary files).
+    Returns that exit, ``leave()``: the worker's loop calls it too when
+    its pipe reaches EOF, which the parent's death can cause at the same
+    moment.  Whichever thread gets there first runs ``last_act()`` to the
+    end and exits; the other blocks until it has (a loop that simply
+    returned would end the process under a ``last_act`` half done).
 
     A pipe's EOF cannot say so: a forked worker inherits the parent end of
     its own pipe — and of every sibling's started before it — so
@@ -162,19 +167,25 @@ def exit_with_parent(last_act=None) -> None:
     import os
     from multiprocessing.connection import wait
 
+    lock = threading.Lock()
+
+    def leave() -> None:
+        with lock:  # never released: the holder exits
+            try:
+                if last_act is not None:
+                    last_act()
+            finally:
+                os._exit(1)
+
     parent = multiprocessing.parent_process()
-    if parent is None:  # not a multiprocessing child: nobody to follow
-        return
+    if parent is not None:  # a multiprocessing child: follow its parent
 
-    def watch() -> None:
-        wait([parent.sentinel])
-        try:
-            if last_act is not None:
-                last_act()
-        finally:
-            os._exit(1)
+        def watch() -> None:
+            wait([parent.sentinel])
+            leave()
 
-    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+        threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+    return leave
 
 
 #: how often a :meth:`WorkerProcess.exchange` that may be abandoned asks
@@ -301,20 +312,25 @@ def worker_loop(conn, store_bytes: int | None, handle, worker_id: str, last_act=
     of ``store_bytes``; then, until it is killed: receive a message, send
     ``handle(runtime, message)``.  What the work raised goes *into* the
     reply (:func:`picklable_exception`); an exception that escapes
-    ``handle`` is a death like any other.
+    ``handle`` is a death like any other.  A pipe that fails either way
+    means the parent is gone, and the loop leaves the way the watch does.
     """
     import signal
 
-    exit_with_parent(last_act)
+    leave = exit_with_parent(last_act)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     global _runtime
     _runtime = runtime = WorkerRuntime(WorkerBlockStore(store_bytes), conn, worker_id)
     while True:
         try:
             message = conn.recv()
-        except (EOFError, OSError):
-            return
-        conn.send(handle(runtime, message))
+        except (EOFError, OSError):  # nobody left to send work: the parent is gone
+            leave()
+        reply = handle(runtime, message)
+        try:
+            conn.send(reply)
+        except OSError:  # nobody left to read it
+            leave()
 
 
 def _worker_main(conn, slot: int, budget_bytes: int | None) -> None:

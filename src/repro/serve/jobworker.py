@@ -36,6 +36,7 @@ All of a handle's methods but :meth:`JobWorker.stop` and
 
 from __future__ import annotations
 
+import os
 import pickle
 import shutil
 import tempfile
@@ -81,7 +82,7 @@ class JobWorker:
 
     def _child_gone(self) -> None:
         """Fold away what died with a process."""
-        shutil.rmtree(self._tmp, ignore_errors=True)
+        _remove_dir(self._tmp)
         self.datasets_resident = 0
 
     def stop(self) -> None:
@@ -190,10 +191,22 @@ def _job_worker_main(conn, tmp_dir: str, store_bytes: int) -> None:
         return (*reply, stats)
 
     # nobody else is left to remove tmp_dir once the server is gone
-    worker_loop(
-        conn, store_bytes, run_job, "job-worker",
-        last_act=lambda: shutil.rmtree(tmp_dir, ignore_errors=True),
-    )
+    worker_loop(conn, store_bytes, run_job, "job-worker", last_act=lambda: _remove_dir(tmp_dir))
+
+
+def _remove_dir(path: str) -> None:
+    """Remove a job worker's temporary directory, which a thread of the
+    worker may still be adding to (its parent-watch thread removes it
+    while the job runs on).  The directory is renamed first: nothing can
+    be created under its name after that, so the tree removed is the
+    whole of it.  A directory already gone is no error; a removal that
+    fails is not hidden."""
+    gone = f"{path}.gone"
+    try:
+        os.rename(path, gone)
+    except FileNotFoundError:
+        return
+    shutil.rmtree(gone)
 
 
 __all__ = ["JobWorker"]

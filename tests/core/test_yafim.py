@@ -1,8 +1,10 @@
 """YAFIM behaviour tests: correctness, configuration, instrumentation."""
 
+import random
+
 import pytest
 
-from repro.algorithms import apriori
+from repro.algorithms import apriori, fpgrowth
 from repro.common.errors import MiningError
 from repro.core import Yafim, load_transactions_rdd
 from repro.engine import Context
@@ -107,6 +109,38 @@ class TestConfigurations:
     def test_broadcast_accounting(self, ctx):
         Yafim(ctx).run(TXNS, 0.4)
         assert ctx.broadcast_manager.transfers > 0
+
+
+class TestPlacement:
+    """On the fast path over more than one partition, ``run`` sorts the
+    canonical rows before slicing them, so identical rows share a
+    partition and the encode round's per-partition dedupe collapses them."""
+
+    DISTINCT = [
+        ["a", "b", "c"], ["a", "b"], ["b", "c", "d"],
+        ["a", "c", "d", "e"], ["c", "e"], ["a", "b", "c", "d", "e"],
+    ]
+    PARTITIONS = 4
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_identical_rows_meet_in_one_partition(self, backend):
+        rows = [list(row) for row in self.DISTINCT for _ in range(7)]
+        random.Random(3).shuffle(rows)
+        with Context(backend=backend, parallelism=2) as ctx:
+            got = Yafim(ctx, num_partitions=self.PARTITIONS).run(rows, 0.1)
+        encode = got.iterations[0].compaction
+        assert encode.kind == "encode" and encode.weight_after == len(rows)
+        # every item is frequent, so the encoded rows are as distinct as
+        # the raw ones: a run of equal rows crosses at most P - 1 cuts
+        assert encode.txns_after <= len(self.DISTINCT) + self.PARTITIONS - 1
+        assert got.itemsets == fpgrowth(rows, 0.1)
+
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_rows_that_do_not_compare_keep_their_order_and_mine(self, backend):
+        rows = [[1, 2], [1, 2], [1, 2], [1], ["a", "b"], ["a"]]
+        with Context(backend=backend, parallelism=2) as ctx:
+            got = Yafim(ctx, num_partitions=2).run(rows, 0.3)
+        assert got.itemsets == {(1,): 4, (2,): 3, ("a",): 2, (1, 2): 3}
 
 
 class TestInstrumentation:

@@ -64,6 +64,18 @@ def die_once(txns, config) -> MiningRunResult:
     return fast(txns, config)
 
 
+def churn(txns, config) -> MiningRunResult:
+    """Adds directories to this process's ``tempfile`` directory until
+    that fails (the directory is gone); the marker file is written after
+    the first."""
+    import tempfile
+
+    tempfile.mkdtemp()
+    _first_call(config)
+    while True:
+        tempfile.mkdtemp()
+
+
 def engine_sleepy(ctx, txns, config) -> MiningRunResult:
     """:func:`sleepy` inside an engine run: its context is live (spill
     directory and all) while it sleeps.  Register with ``needs_engine``."""

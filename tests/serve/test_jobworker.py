@@ -9,8 +9,12 @@ thread here.  The
 shippable runners live in :mod:`tests.serve._runners`.
 """
 
+import glob
 import os
 import signal
+import subprocess
+import sys
+import tempfile
 import threading
 import time
 
@@ -451,6 +455,86 @@ class TestFaultDrills:
         waiter.join(5.0)
         assert seen == [JobState.FAILED] and "stopped" in job.error
         assert gone_within(pids, 2.0) == []
+
+
+    def test_a_worker_stopped_or_killed_mid_job_leaves_no_temporary_directory(
+        self, tmp_path, monkeypatch
+    ):
+        """Each job worker's temporary files live in a directory of its own
+        under the server's ``tempfile.tempdir``.  One worker stopped and
+        one SIGKILLed while their engine runs hold a spill directory there
+        leave nothing behind; nor does the replacement, at shutdown."""
+        shared = tmp_path / "tmp"
+        shared.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(shared))
+
+        def worker_dirs() -> list:
+            return sorted(glob.glob(str(shared / "repro-job-worker-*")))
+
+        svc = forked_service(n_workers=2)
+        try:
+            markers = [str(tmp_path / f"sleeping-{i}") for i in range(2)]
+            jobs = [
+                svc.submit(ROWS, cfg("engine_sleepy", seconds=30.0, marker=m)) for m in markers
+            ]
+            for marker in markers:
+                wait_for(marker)
+            dirs = worker_dirs()
+            assert len(dirs) == 2
+            assert all(
+                any(n.startswith("blockmgr_") for n in os.listdir(d)) for d in dirs
+            )  # both engine runs are live
+            stopped, killed = svc._job_workers
+            stopped.stop()
+            os.kill(killed.pid, signal.SIGKILL)
+            for job in jobs:
+                assert job.wait(10.0) and job.state is JobState.FAILED
+            assert [d for d in worker_dirs() if d in dirs] == []
+        finally:
+            svc.shutdown()
+        assert os.listdir(shared) == []
+
+
+    @pytest.mark.parametrize("how", ["exit", "sigkill"])
+    def test_a_worker_outliving_its_server_mid_job_removes_all_its_directory(
+        self, tmp_path, how
+    ):
+        """The server process goes while its job worker's job keeps adding
+        directories to the worker's own temporary directory: the worker,
+        following its parent out, still removes the whole of it."""
+        marker = tmp_path / "churning"
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        server = (
+            "import os, signal, sys, time\n"
+            "from repro.core.registry import MiningConfig, register_algorithm\n"
+            "from repro.serve import MiningService\n"
+            "from tests.serve import _runners\n"
+            "register_algorithm('ship_churn', _runners.churn)\n"
+            "svc = MiningService(n_workers=1)\n"
+            "svc.submit([[1, 2]], MiningConfig(min_support=0.5, algorithm='ship_churn',\n"
+            "           options={'marker': sys.argv[1]}))\n"
+            "deadline = time.monotonic() + 30.0\n"
+            "while not os.path.exists(sys.argv[1]) and time.monotonic() < deadline:\n"
+            "    time.sleep(0.005)\n"
+            "time.sleep(0.05)\n"
+            "if sys.argv[2] == 'sigkill':\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "os._exit(0)\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = dict(
+            os.environ, TMPDIR=str(tmp),
+            PYTHONPATH=os.pathsep.join([os.path.join(root, "src"), root]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", server, str(marker), how], env=env, timeout=60
+        )
+        assert marker.exists(), done
+        deadline = time.monotonic() + 10.0
+        while glob.glob(str(tmp / "repro-job-worker-*")):
+            assert time.monotonic() < deadline, os.listdir(tmp)
+            time.sleep(0.05)
 
 
 class TestAnEngineWorkerDiesUnderAServedJob:

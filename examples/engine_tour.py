@@ -40,16 +40,6 @@ with Context(backend="processes", parallelism=2) as ctx:
     print(f"Broadcast filter kept: {sorted(kept)}")
     print(f"Broadcast transfers: {ctx.broadcast_manager.transfers} (<= 2 workers)")
 
-    # --- accumulators ------------------------------------------------------
-    chars = ctx.accumulator(0)
-    words.foreach(lambda w, a=chars: a.add(len(w)))
-    print(f"Accumulated character count: {chars.value}")
-
-    # --- joins and cogroup ---------------------------------------------------
-    prices = ctx.parallelize([("fox", 9.5), ("dog", 3.0)], 2)
-    lengths = words.distinct().map(lambda w: (w, len(w)))
-    print("Join:", sorted(lengths.join(prices).collect()))
-
     # --- fault tolerance: injected failures are retried transparently ------
     ctx.fault_injector.fail_task(stage_kind="result", times=2)
     assert words.count() == 11

@@ -13,24 +13,16 @@ Public surface::
         )
 """
 
-from repro.engine.accumulator import (
-    FLOAT_PARAM,
-    INT_PARAM,
-    LIST_PARAM,
-    Accumulator,
-    AccumulatorParam,
-)
 from repro.engine.broadcast import Broadcast, BroadcastManager
 from repro.engine.context import Context
 from repro.engine.dependencies import (
     Aggregator,
     NarrowDependency,
     OneToOneDependency,
-    RangeDependency,
     ShuffleDependency,
 )
 from repro.engine.faults import FaultInjector, InjectedTaskFailure
-from repro.engine.lineage import debug_string, explain, stage_count, to_networkx
+from repro.engine.lineage import debug_string, stage_count
 from repro.engine.metrics import EventLog, JobSummary, StageSummary, TaskMetrics
 from repro.engine.partitioner import (
     HashPartitioner,
@@ -38,7 +30,7 @@ from repro.engine.partitioner import (
     RangePartitioner,
     compute_range_bounds,
 )
-from repro.engine.rdd import RDD, ParallelCollectionRDD, ShuffledRDD, TextFileRDD, UnionRDD
+from repro.engine.rdd import RDD, ParallelCollectionRDD, ShuffledRDD, TextFileRDD
 from repro.engine.statcounter import StatCounter
 from repro.engine.storage import BlockId, BlockManager, StorageLevel
 from repro.engine.tracing import (
@@ -50,11 +42,6 @@ from repro.engine.tracing import (
 )
 
 __all__ = [
-    "FLOAT_PARAM",
-    "INT_PARAM",
-    "LIST_PARAM",
-    "Accumulator",
-    "AccumulatorParam",
     "Aggregator",
     "BlockId",
     "BlockManager",
@@ -72,7 +59,6 @@ __all__ = [
     "ParallelCollectionRDD",
     "Partitioner",
     "RDD",
-    "RangeDependency",
     "RangePartitioner",
     "ShuffleDependency",
     "ShuffledRDD",
@@ -83,12 +69,9 @@ __all__ = [
     "TaskMetrics",
     "TextFileRDD",
     "Tracer",
-    "UnionRDD",
     "collect_engine_metrics",
     "compute_range_bounds",
     "debug_string",
-    "explain",
     "export_chrome_trace",
     "stage_count",
-    "to_networkx",
 ]

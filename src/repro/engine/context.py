@@ -1,8 +1,8 @@
 """Context — the engine's entry point (Spark's ``SparkContext``).
 
 Owns every driver-side service: block manager, shuffle manager, broadcast
-manager, accumulator registry, event log, fault injector, executor and DAG
-scheduler.  Create one per application::
+manager, event log, fault injector, executor and DAG scheduler.  Create
+one per application::
 
     with Context(backend="processes", parallelism=2) as ctx:
         rdd = ctx.parallelize(range(100), 4).map(lambda x: x * x)
@@ -14,13 +14,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterable
 
-from repro.engine.accumulator import (
-    FLOAT_PARAM,
-    INT_PARAM,
-    Accumulator,
-    AccumulatorParam,
-    AccumulatorRegistry,
-)
 from repro.engine.broadcast import Broadcast, BroadcastManager
 from repro.engine.dag import DAGScheduler
 from repro.engine.executors import DEFAULT_BACKEND, make_executor
@@ -85,7 +78,6 @@ class Context:
         )
         self.block_manager.on_remove = self.executor.invalidate_prefix
         self.executor.broadcast_ship_hook = self.broadcast_manager.record_shipment
-        self.accumulators = AccumulatorRegistry()
         self.event_log = EventLog()
         self.fault_injector = FaultInjector()
         self.scheduler = DAGScheduler(self, max_task_failures=max_task_failures)
@@ -114,12 +106,6 @@ class Context:
         """Ship ``value`` to every worker once (§IV-C of the paper)."""
         self._check_alive()
         return self.broadcast_manager.new_broadcast(value)
-
-    def accumulator(self, initial: Any = 0, param: AccumulatorParam | None = None) -> Accumulator:
-        self._check_alive()
-        if param is None:
-            param = FLOAT_PARAM if isinstance(initial, float) else INT_PARAM
-        return self.accumulators.register(Accumulator(initial, param))
 
     # -- execution ---------------------------------------------------------
     def run_job(self, rdd: RDD, func, partitions: list[int] | None = None) -> list:

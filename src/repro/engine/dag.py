@@ -308,7 +308,6 @@ class DAGScheduler:
             cache_misses=m.cache_misses,
         )
         self.context.event_log.record_task(res.metrics)
-        self.context.accumulators.merge_all(res.accumulator_deltas)
         for (rdd_id, part), data in res.cache_back.items():
             level = self.context._storage_level_of(rdd_id)
             if level is not None:

@@ -88,22 +88,6 @@ class OneToOneDependency(NarrowDependency):
         return [partition_index]
 
 
-class RangeDependency(NarrowDependency):
-    """union-style: a contiguous range of child partitions maps to the
-    parent's partitions shifted by ``out_start``."""
-
-    def __init__(self, rdd: "RDD", in_start: int, out_start: int, length: int):
-        super().__init__(rdd)
-        self.in_start = in_start
-        self.out_start = out_start
-        self.length = length
-
-    def get_parents(self, partition_index: int) -> list[int]:
-        if self.out_start <= partition_index < self.out_start + self.length:
-            return [partition_index - self.out_start + self.in_start]
-        return []
-
-
 class ShuffleDependency(Dependency):
     """Stage boundary: the parent's records are repartitioned by key."""
 

@@ -30,9 +30,7 @@ from repro.common.errors import EngineError
 from repro.engine.dependencies import (
     Aggregator,
     Dependency,
-    NarrowDependency,
     OneToOneDependency,
-    RangeDependency,
     ShuffleDependency,
     shipping_resident,
 )
@@ -206,9 +204,6 @@ class RDD(Generic[T]):
             preserves_partitioning=True,
         )
 
-    def union(self, other: "RDD[T]") -> "RDD[T]":
-        return UnionRDD(self.context, [self, other])
-
     def distinct(self, num_partitions: int | None = None) -> "RDD[T]":
         return (
             self.map(lambda x: (x, None))
@@ -243,10 +238,6 @@ class RDD(Generic[T]):
 
         return self.map_partitions_with_index(with_index)
 
-    def coalesce(self, num_partitions: int) -> "RDD[T]":
-        """Narrow merge into fewer partitions (no shuffle)."""
-        return CoalescedRDD(self, num_partitions)
-
     def repartition(self, num_partitions: int) -> "RDD[T]":
         """Full shuffle into ``num_partitions`` balanced partitions."""
         keyed = self.map_partitions_with_index(
@@ -270,10 +261,6 @@ class RDD(Generic[T]):
             .subtract_by_key(other.map(lambda x: (x, True)))
             .map(lambda kv: kv[0])
         )
-
-    def cartesian(self, other: "RDD[U]") -> "RDD[tuple[T, U]]":
-        """All pairs (a, b); |left| x |right| partitions."""
-        return CartesianRDD(self, other)
 
     def take_sample(self, n: int, seed: int = 0) -> list[T]:
         """``n`` elements sampled without replacement (driver-side finish).
@@ -605,23 +592,11 @@ class RDD(Generic[T]):
         partials = [x for chunk in self.context.run_job(self, small_part) for x in chunk]
         return heapq.nsmallest(n, partials, key=key)
 
-    def foreach(self, f: Callable[[T], None]) -> None:
-        self.context.run_job(self, lambda _ctx, it: [f(x) for x in it] and None)
-
-    def foreach_partition(self, f: Callable[[Iterator[T]], None]) -> None:
-        self.context.run_job(self, lambda _ctx, it: f(it))
-
     def save_as_text_file(self, dfs, path: str) -> None:
         """Write one ``part-NNNNN`` file per partition into the mini-DFS."""
         chunks = self.context.run_job(self, lambda _ctx, it: [str(x) for x in it])
         for i, lines in enumerate(chunks):
             dfs.write_lines(f"{path.rstrip('/')}/part-{i:05d}", lines)
-
-    # -- introspection -----------------------------------------------------
-    def to_debug_string(self) -> str:
-        from repro.engine.lineage import debug_string
-
-        return debug_string(self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(id={self.id}, partitions={self.num_partitions})"
@@ -742,99 +717,6 @@ class MapPartitionsRDD(RDD[U]):
     def compute(self, partition: Partition, task_ctx) -> Iterator[U]:
         parent_part = self.parent.partitions()[partition.index]
         return iter(self.f(partition.index, self.parent.iterator(parent_part, task_ctx)))
-
-
-class UnionRDD(RDD[T]):
-    """Concatenation of several RDDs; partitions are stacked end-to-end."""
-
-    def __init__(self, context: "Context", parents: list[RDD[T]]):
-        deps: list[Dependency] = []
-        offset = 0
-        for parent in parents:
-            deps.append(RangeDependency(parent, 0, offset, parent.num_partitions))
-            offset += parent.num_partitions
-        super().__init__(context, deps)
-        self.parents = parents
-
-    def _make_partitions(self) -> list[Partition]:
-        return [Partition(index=i) for i in range(sum(p.num_partitions for p in self.parents))]
-
-    def compute(self, partition: Partition, task_ctx) -> Iterator[T]:
-        idx = partition.index
-        for parent in self.parents:
-            if idx < parent.num_partitions:
-                return parent.iterator(parent.partitions()[idx], task_ctx)
-            idx -= parent.num_partitions
-        raise EngineError(f"union partition {partition.index} out of range")
-
-
-class CoalescedRDD(RDD[T]):
-    """Merges parent partitions into fewer child partitions without shuffle."""
-
-    def __init__(self, parent: RDD[T], num_partitions: int):
-        if num_partitions < 1:
-            raise EngineError("coalesce target must be >= 1")
-        self._target = min(num_partitions, max(1, parent.num_partitions))
-        self.parent = parent
-        dep = _CoalesceDependency(parent, parent.num_partitions, self._target)
-        super().__init__(parent.context, [dep])
-        self._dep = dep
-
-    def _make_partitions(self) -> list[Partition]:
-        return [Partition(index=i) for i in range(self._target)]
-
-    def compute(self, partition: Partition, task_ctx) -> Iterator[T]:
-        parent_parts = self.parent.partitions()
-        return itertools.chain.from_iterable(
-            self.parent.iterator(parent_parts[i], task_ctx)
-            for i in self._dep.get_parents(partition.index)
-        )
-
-
-class _CoalesceDependency(NarrowDependency):
-    def __init__(self, rdd: RDD, n_parent: int, n_child: int):
-        super().__init__(rdd)
-        self.n_parent = n_parent
-        self.n_child = n_child
-
-    def get_parents(self, partition_index: int) -> list[int]:
-        lo = (partition_index * self.n_parent) // self.n_child
-        hi = ((partition_index + 1) * self.n_parent) // self.n_child
-        return list(range(lo, hi))
-
-
-class CartesianRDD(RDD[tuple]):
-    """Cross product: one child partition per (left, right) partition pair."""
-
-    def __init__(self, left: RDD, right: RDD):
-        super().__init__(left.context, [_CartesianDependency(left, True, right.num_partitions),
-                                        _CartesianDependency(right, False, right.num_partitions)])
-        self.left = left
-        self.right = right
-
-    def _make_partitions(self) -> list[Partition]:
-        n = self.left.num_partitions * self.right.num_partitions
-        return [Partition(index=i) for i in range(n)]
-
-    def compute(self, partition: Partition, task_ctx) -> Iterator[tuple]:
-        n_right = self.right.num_partitions
-        li, ri = divmod(partition.index, n_right)
-        left_part = self.left.partitions()[li]
-        right_part = self.right.partitions()[ri]
-        left_items = list(self.left.iterator(left_part, task_ctx))
-        right_items = list(self.right.iterator(right_part, task_ctx))
-        return ((a, b) for a in left_items for b in right_items)
-
-
-class _CartesianDependency(NarrowDependency):
-    def __init__(self, rdd: RDD, is_left: bool, n_right: int):
-        super().__init__(rdd)
-        self.is_left = is_left
-        self.n_right = n_right
-
-    def get_parents(self, partition_index: int) -> list[int]:
-        li, ri = divmod(partition_index, self.n_right)
-        return [li if self.is_left else ri]
 
 
 class ShuffledRDD(RDD[tuple]):

@@ -124,7 +124,6 @@ class Task:
             task=self,
             value=value,
             metrics=metrics,
-            accumulator_deltas=ctx.accumulator_deltas,
             cache_back=ctx.cache_back,
         )
 
@@ -171,5 +170,4 @@ class TaskResult:
     task: Task
     value: Any
     metrics: TaskMetrics
-    accumulator_deltas: dict[int, Any]
     cache_back: dict[tuple[int, int], list]

@@ -71,8 +71,13 @@ class BlockManager:
     ):
         self.memory_limit = memory_limit_bytes  # None = unbounded
         self._owns_spill = spill_dir is None
-        self.spill_dir = spill_dir or tempfile.mkdtemp(prefix="blockmgr_")
-        os.makedirs(self.spill_dir, exist_ok=True)
+        if spill_dir is None:
+            # mkdtemp made it; making it again could bring back a name the
+            # job worker has just renamed away (serve.jobworker._remove_dir)
+            spill_dir = tempfile.mkdtemp(prefix="blockmgr_")
+        else:
+            os.makedirs(spill_dir, exist_ok=True)
+        self.spill_dir = spill_dir
         self._mem: OrderedDict[BlockId, tuple[list, int]] = OrderedDict()
         self._disk: dict[BlockId, int] = {}  # block -> spilled size
         self._levels: dict[BlockId, StorageLevel] = {}

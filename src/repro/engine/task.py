@@ -1,18 +1,17 @@
 """Task context — the per-attempt execution environment.
 
 A :class:`TaskContext` is installed in a thread-local while a task runs so
-that accumulators, broadcast accounting and metric counters can find "the
-current task" without threading it through every user function, mirroring
-Spark's ``TaskContext.get()``.
+that broadcast accounting and metric counters can find "the current task"
+without threading it through every user function, mirroring Spark's
+``TaskContext.get()``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.engine.accumulator import Accumulator
     from repro.engine.metrics import TaskMetrics
 
 _local = threading.local()
@@ -22,22 +21,12 @@ class TaskContext:
     def __init__(self, metrics: "TaskMetrics", worker_id: str = "driver"):
         self.metrics = metrics
         self.worker_id = worker_id
-        self.accumulator_deltas: dict[int, Any] = {}
-        self._accumulator_params: dict[int, Any] = {}
         # Inputs resolved by the scheduler before shipping (process backend):
         self.preloaded_blocks: dict[tuple[int, int], list] = {}  # (rdd_id, part) -> data
         self.preloaded_shuffle: dict[tuple[int, int], list] = {}  # (shuffle_id, part) -> buckets
         # Outputs a worker computed for a cached RDD, returned for the
         # driver's block manager to store:
         self.cache_back: dict[tuple[int, int], list] = {}
-
-    def accumulate(self, acc: "Accumulator", delta: Any) -> None:
-        if acc.id in self.accumulator_deltas:
-            self.accumulator_deltas[acc.id] = acc.param.add(
-                self.accumulator_deltas[acc.id], delta
-            )
-        else:
-            self.accumulator_deltas[acc.id] = acc.param.add(acc.param.zero(), delta)
 
     def __enter__(self) -> "TaskContext":
         push_task_context(self)

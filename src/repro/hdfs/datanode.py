@@ -30,7 +30,11 @@ class DataNode:
         self.root_dir = root_dir
         self.alive = True
         self.metrics = DataNodeMetrics()
-        os.makedirs(root_dir, exist_ok=True)
+        # its own directory only: a parent that is gone stays gone
+        try:
+            os.mkdir(root_dir)
+        except FileExistsError:
+            pass
 
     def _path(self, block_id: BlockId) -> str:
         return os.path.join(self.root_dir, block_id.filename())

@@ -73,7 +73,13 @@ class MiniDfs:
         if block_size < 1:
             raise HdfsError("block_size must be positive")
         self._owns_root = root_dir is None
-        self.root_dir = root_dir or tempfile.mkdtemp(prefix="minidfs_")
+        if root_dir is None:
+            # mkdtemp made it; making it again could bring back a name
+            # removed meanwhile (see BlockManager)
+            root_dir = tempfile.mkdtemp(prefix="minidfs_")
+        else:
+            os.makedirs(root_dir, exist_ok=True)
+        self.root_dir = root_dir
         self.block_size = block_size
         node_ids = [f"dn{i}" for i in range(n_datanodes)]
         self.datanodes = {

@@ -1,31 +1,27 @@
-"""Caching semantics, broadcast variables, accumulators."""
-
-import pytest
+"""Caching semantics and broadcast variables."""
 
 from repro.engine import Context, StorageLevel
 from repro.engine.storage import BlockId
 
 
+def source_records_read(ctx) -> int:
+    """Records the tasks logged so far read from their source partitions."""
+    return sum(t.records_in for t in ctx.event_log.tasks)
+
+
 class TestCaching:
     def test_cache_avoids_recompute(self, ctx):
-        calls = ctx.accumulator(0)
-
-        def spy(x, a=None):
-            a.add(1)
-            return x
-
-        rdd = ctx.parallelize(range(10), 2).map(lambda x, a=calls: spy(x, a)).cache()
+        rdd = ctx.parallelize(range(10), 2).map(lambda x: x).cache()
         rdd.count()
-        assert calls.value == 10
+        assert source_records_read(ctx) == 10
         rdd.count()
-        assert calls.value == 10  # second action served from cache
+        assert source_records_read(ctx) == 10  # second action served from cache
 
     def test_uncached_recomputes(self, ctx):
-        calls = ctx.accumulator(0)
-        rdd = ctx.parallelize(range(10), 2).map(lambda x, a=calls: (a.add(1), x)[1])
+        rdd = ctx.parallelize(range(10), 2).map(lambda x: x)
         rdd.count()
         rdd.count()
-        assert calls.value == 20
+        assert source_records_read(ctx) == 20
 
     def test_unpersist_frees_blocks(self, ctx):
         rdd = ctx.parallelize(range(10), 4).cache()
@@ -87,32 +83,3 @@ class TestBroadcast:
     def test_size_estimated(self, ctx):
         bc = ctx.broadcast("x" * 10_000)
         assert bc.size_bytes > 9_000
-
-
-class TestAccumulators:
-    def test_driver_side_add(self, ctx):
-        acc = ctx.accumulator(5)
-        acc.add(3)
-        assert acc.value == 8
-
-    def test_task_side_add_merged_once(self, ctx):
-        acc = ctx.accumulator(0)
-        ctx.parallelize(range(100), 4).foreach(lambda x, a=acc: a.add(1))
-        assert acc.value == 100
-
-    def test_float_param_inferred(self, ctx):
-        acc = ctx.accumulator(0.0)
-        ctx.parallelize([0.5, 1.5], 2).foreach(lambda x, a=acc: a.add(x))
-        assert acc.value == pytest.approx(2.0)
-
-    def test_failed_attempts_do_not_double_count(self, ctx):
-        acc = ctx.accumulator(0)
-        ctx.fault_injector.fail_task(stage_kind="result", partition=0, times=1)
-        ctx.parallelize(range(10), 2).foreach(lambda x, a=acc: a.add(1))
-        assert acc.value == 10  # injected failure happened before dispatch
-
-    def test_works_on_process_backend(self):
-        with Context(backend="processes", parallelism=2) as ctx:
-            acc = ctx.accumulator(0)
-            ctx.parallelize(range(40), 4).foreach(lambda x, a=acc: a.add(1))
-            assert acc.value == 40

@@ -94,12 +94,3 @@ class TestAgainstPython:
         ))
         want = sorted((k, (a, b)) for k, a in left for k2, b in right if k == k2)
         assert got == want
-
-    @_settings
-    @given(st.lists(st.integers(0, 30), max_size=40))
-    def test_union_is_concatenation(self, xs):
-        half = len(xs) // 2
-        got = run(lambda ctx: ctx.parallelize(xs[:half], 2).union(
-            ctx.parallelize(xs[half:], 3)
-        ).collect())
-        assert got == xs

@@ -35,14 +35,14 @@ class TestProcessBackend:
 
     def test_chained_shuffles(self, pctx):
         got = (
-            pctx.parallelize([(i % 3, i) for i in range(30)], 4)
-            .group_by_key()
-            .map_values(len)
+            pctx.parallelize([(i % 3, 1) for i in range(30)], 4)
+            .reduce_by_key(lambda a, b: a + b)
             .map(lambda kv: (kv[1], 1))
             .reduce_by_key(lambda a, b: a + b)
             .collect_as_map()
         )
         assert got == {10: 3}
+        assert sum(t.kind == "shuffle_map" for t in pctx.event_log.tasks) == 4 + 4
 
     def test_broadcast_value_ships(self, pctx):
         bc = pctx.broadcast({"mult": 5})
@@ -61,20 +61,9 @@ class TestProcessBackend:
         got = sorted(a.join(b).collect())
         assert got == [(1, ("x", "z"))]
 
-    def test_cartesian(self, pctx):
-        got = sorted(
-            pctx.parallelize([1, 2], 2).cartesian(pctx.parallelize("ab", 1)).collect()
-        )
-        assert got == [(1, "a"), (1, "b"), (2, "a"), (2, "b")]
-
     def test_fault_retry(self, pctx):
         pctx.fault_injector.fail_task(stage_kind="result", partition=0, times=1)
         assert pctx.parallelize(range(10), 2).count() == 10
-
-    def test_union_of_sources(self, pctx):
-        a = pctx.parallelize([1, 2], 2)
-        b = pctx.parallelize([3], 1)
-        assert a.union(b).collect() == [1, 2, 3]
 
     def test_sort_by(self, pctx):
         data = [5, 1, 4, 2, 3]

@@ -60,13 +60,6 @@ class TestNarrowTransformations:
     def test_key_by(self, ctx):
         assert ctx.parallelize([3], 1).key_by(lambda x: x % 2).collect() == [(1, 3)]
 
-    def test_union(self, ctx):
-        a = ctx.parallelize([1, 2], 2)
-        b = ctx.parallelize([3], 1)
-        u = a.union(b)
-        assert u.num_partitions == 3
-        assert u.collect() == [1, 2, 3]
-
     def test_distinct(self, ctx):
         got = sorted(ctx.parallelize([1, 2, 1, 3, 2], 3).distinct().collect())
         assert got == [1, 2, 3]
@@ -88,14 +81,6 @@ class TestNarrowTransformations:
     def test_zip_with_index(self, ctx):
         got = ctx.parallelize(["a", "b", "c", "d"], 3).zip_with_index().collect()
         assert got == [("a", 0), ("b", 1), ("c", 2), ("d", 3)]
-
-    def test_coalesce(self, ctx):
-        rdd = ctx.parallelize(range(10), 5).coalesce(2)
-        assert rdd.num_partitions == 2
-        assert rdd.collect() == list(range(10))
-
-    def test_coalesce_cannot_grow(self, ctx):
-        assert ctx.parallelize(range(4), 2).coalesce(8).num_partitions == 2
 
     def test_repartition(self, ctx):
         rdd = ctx.parallelize(range(20), 2).repartition(5)
@@ -192,11 +177,6 @@ class TestActions:
         assert rdd.top(2) == [9, 7]
         assert rdd.take_ordered(2) == [1, 3]
         assert rdd.top(2, key=lambda x: -x) == [1, 3]
-
-    def test_foreach_with_accumulator(self, ctx):
-        acc = ctx.accumulator(0)
-        ctx.parallelize(range(5), 2).foreach(lambda x, a=acc: a.add(x))
-        assert acc.value == 10
 
     def test_is_empty(self, ctx):
         assert not ctx.parallelize([1], 1).is_empty()

@@ -1,4 +1,4 @@
-"""Set-style, cartesian, sampling and histogram operators."""
+"""Set-style, sampling and histogram operators."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -58,35 +58,6 @@ class TestSubtract:
                 ctx.parallelize(xs, 3).subtract(ctx.parallelize(ys, 2)).collect()
             )
         assert got == sorted(x for x in xs if x not in ys)
-
-
-class TestCartesian:
-    def test_basic(self, ctx):
-        a = ctx.parallelize([1, 2], 2)
-        b = ctx.parallelize(["x", "y"], 1)
-        got = sorted(a.cartesian(b).collect())
-        assert got == [(1, "x"), (1, "y"), (2, "x"), (2, "y")]
-
-    def test_partition_count(self, ctx):
-        a = ctx.parallelize(range(4), 3)
-        b = ctx.parallelize(range(2), 2)
-        assert a.cartesian(b).num_partitions == 6
-
-    def test_empty_side(self, ctx):
-        a = ctx.parallelize([1], 1)
-        b = ctx.parallelize([], 2)
-        assert a.cartesian(b).collect() == []
-
-    def test_count_is_product(self, ctx):
-        a = ctx.parallelize(range(7), 2)
-        b = ctx.parallelize(range(5), 3)
-        assert a.cartesian(b).count() == 35
-
-    def test_with_cached_parent(self, ctx):
-        a = ctx.parallelize(range(3), 2).cache()
-        a.count()
-        got = a.cartesian(ctx.parallelize([9], 1)).collect()
-        assert sorted(got) == [(0, 9), (1, 9), (2, 9)]
 
 
 class TestTakeSample:

@@ -24,7 +24,10 @@ from repro.algorithms import apriori
 from repro.core.api import mine_frequent_itemsets
 from repro.core.registry import MiningConfig, register_algorithm, unregister_algorithm
 from repro.datasets import mushroom_like
+from repro.engine.storage import BlockManager
+from repro.hdfs import MiniDfs
 from repro.serve import ApiError, HttpClient, JobState, LocalClient, MiningServer, MiningService
+from repro.serve.jobworker import _remove_dir
 from repro.serve.runner import shipping_request
 from tests.procs import descendants, gone_within, pid_alive, wait_until_single_threaded
 from tests.serve import _runners
@@ -535,6 +538,39 @@ class TestFaultDrills:
         while glob.glob(str(tmp / "repro-job-worker-*")):
             assert time.monotonic() < deadline, os.listdir(tmp)
             time.sleep(0.05)
+
+    @pytest.mark.parametrize("make, refused", [
+        (BlockManager, None),
+        (MiniDfs, FileNotFoundError),  # its datanodes have no root left to live in
+    ], ids=["BlockManager", "MiniDfs"])
+    def test_a_directory_removed_right_after_mkdtemp_is_not_made_again(
+        self, tmp_path, monkeypatch, make, refused
+    ):
+        """A job's engine context or mini-DFS makes its directory inside
+        the worker's own, which the worker's parent-watch thread may
+        remove (``_remove_dir``: rename, then delete) at any moment.  Here
+        the removal lands in the one window between ``mkdtemp`` and the
+        next line: the old name must stay gone."""
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def mkdtemp_then_removed(*args, **kwargs):
+            path = real_mkdtemp(*args, **kwargs)
+            made.append(path)
+            _remove_dir(path)
+            return path
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp_then_removed)
+        if refused is None:
+            made_by = make()
+            assert os.listdir(tmp_path) == []
+            made_by.close()
+        else:
+            with pytest.raises(refused):
+                make()
+        assert len(made) == 1
+        assert os.listdir(tmp_path) == []
 
 
 class TestAnEngineWorkerDiesUnderAServedJob:

@@ -229,6 +229,10 @@ def test_service_forgets_idle_tenants_and_cancelled_entries():
             assert not svc._queue._lanes  # 300 tenants seen, none in the rotation
 
             gate = svc.submit([[0]], MiningConfig(min_support=0.5, algorithm="queue_gate"))
+            deadline = time.monotonic() + 10.0
+            while gate.state is not JobState.RUNNING:  # the worker's pop is done
+                assert time.monotonic() < deadline, gate.state
+                time.sleep(0.005)
             for i in range(300):  # worker busy: submit-and-cancel piles nothing up
                 queued = svc.submit(
                     [[i, i]], MiningConfig(min_support=0.5, algorithm="queue_trivial"),

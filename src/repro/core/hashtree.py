@@ -12,18 +12,27 @@ through a broadcast variable (§IV-C).
 
 ``HashTree`` is a :class:`~repro.core.candidatestore.CandidateStore`
 (registered as ``"hashtree"``, the default): the base class supplies
-candidate validation, insertion-order bookkeeping and the batch
-``count_partition``/``subset`` defaults, the tree supplies the walk.  It
+candidate validation, insertion-order bookkeeping and the ``subset``
+default, the tree supplies the walk and the batch ``count_partition``.  It
 honors the **at-most-once contract** because containment checks run
 against the transaction's item *set* (duplicate transaction items
 collapse), every node is visited at most once by the slot-set walk, and
 a duplicate ``insert`` is a no-op — a re-inserted candidate would
 otherwise occupy two bucket slots and silently double-count.
+
+``count_partition`` (the fast path's pass k >= 3) walks only the rows
+the tree prunes well: a row with at most ``len(tree)`` k-subsets looks
+its canonical (duplicate-free) form's k-subsets up in the candidate set,
+as R-Apriori's pass 2 does.  ``count_into`` and ``subset`` — what
+``paper_dataflow=True`` runs — always walk.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
+from itertools import chain, combinations, repeat
+from math import comb
 
 from repro.common.itemset import Itemset
 from repro.common.rng import stable_hash
@@ -97,6 +106,35 @@ class HashTree(CandidateStore):
                 self._split(child, depth + 1)
 
     # -- queries ----------------------------------------------------------
+    def count_partition(self, partition, weighted: bool = False) -> dict:
+        """Count a partition, each row by the cheaper of two ways.
+
+        A row with ``C(len(row), k) <= len(self)`` (the factor measured
+        in DESIGN.md choice 29) is made canonical, and the rows of one
+        weight count their own k-subsets in one C-level ``Counter``
+        filtered by the candidate set.  Longer rows, and rows whose items
+        do not compare, take the walk (:meth:`count_into`).
+        """
+        counts: dict = {}
+        if self.k is None:
+            return counts
+        k, limit = self.k, len(self)
+        short: dict = defaultdict(list)  # weight -> canonical short rows
+        for txn, weight in partition if weighted else zip(partition, repeat(1)):
+            if comb(len(txn), k) <= limit:
+                try:
+                    short[weight].append(tuple(sorted(set(txn))))
+                    continue
+                except TypeError:  # no order among the items: walk it
+                    pass
+            self.count_into(counts, txn, weight)
+        get, seen = counts.get, self._seen.__contains__
+        for weight, rows in short.items():
+            subsets = chain.from_iterable(map(combinations, rows, repeat(k)))
+            for cand, n in Counter(filter(seen, subsets)).items():
+                counts[cand] = get(cand, 0) + n * weight
+        return counts
+
     def count_into(self, counts: dict, transaction: Sequence, weight: int = 1) -> None:
         """Add ``weight`` to ``counts[cand]`` for every contained candidate
         — the ``C_t = subset(C_k, t)`` step, counted in place.

@@ -119,6 +119,62 @@ class TestSubset:
         assert sorted(tree.subset(tuple(range(8)))) == cands
 
 
+#: ints, then strs: a row holding both has no canonical (sorted) form, and
+#: ``combinations(ITEMS, k)`` is canonical wherever its items compare
+INTS, STRS = tuple(range(5)), ("a", "b", "c")
+ITEMS = INTS + STRS
+
+
+class TestCountPartition:
+    """``count_partition`` counts short rows by their own k-subsets and
+    the rest by the walk; either way it must equal ``count_into`` summed
+    over the same rows."""
+
+    @staticmethod
+    def _walked(tree, rows, weighted) -> dict:
+        counts: dict = {}
+        for txn, weight in rows if weighted else ((txn, 1) for txn in rows):
+            tree.count_into(counts, txn, weight)
+        return {cand: n for cand, n in counts.items() if n}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_count_into_summed_over_the_rows(self, data):
+        k = data.draw(st.integers(1, 5), label="k")
+        every = list(combinations(ITEMS, k))
+        kept = data.draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+        cands = [cand for cand, keep in zip(every, kept) if keep] or every[:1]
+        tree = HashTree(
+            cands,
+            fanout=data.draw(st.sampled_from([2, 4, 64]), label="fanout"),
+            max_leaf_size=data.draw(st.sampled_from([1, 3, 16]), label="leaf"),
+        )
+        # rows repeat and shuffle items, and run from below k to far past
+        # the rule's C(|t|, k) <= len(tree), so both ways get rows
+        pools = st.sampled_from([INTS, STRS, ITEMS])
+        txns = pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=9))
+        txns = txns.map(tuple)
+        weighted = data.draw(st.booleans(), label="weighted")
+        if weighted:
+            weights = st.integers(-3, 4).filter(bool)
+            rows = data.draw(st.lists(st.tuples(txns, weights), max_size=12))
+        else:
+            rows = data.draw(st.lists(txns, max_size=12))
+        got = {c: n for c, n in tree.count_partition(rows, weighted).items() if n}
+        assert got == self._walked(tree, rows, weighted)
+
+    def test_a_row_with_repeated_unsorted_items_counts_once(self):
+        tree = HashTree(combinations(range(5), 3))  # 10 < C(6, 3): 6 items walk
+        rows = [((3, 2, 1, 3), 2), ((4, 2, 3), -1), ((1, 2, 3, 4, 5, 6), 5)]
+        assert tree.count_partition(rows, weighted=True) == {
+            (1, 2, 3): 7, (1, 2, 4): 5, (1, 3, 4): 5, (2, 3, 4): 4,
+        }
+
+    def test_a_row_whose_items_do_not_compare_is_walked(self):
+        tree = HashTree([(1, "a")])
+        assert tree.count_partition([("a", 1), (1, "a")]) == {(1, "a"): 2}
+
+
 class TestStats:
     def test_stats_keys(self):
         tree = HashTree(list(combinations(range(10), 2)), fanout=4, max_leaf_size=3)

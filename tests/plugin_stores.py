@@ -83,7 +83,11 @@ class FlatDictStore(CandidateStore):
     enumerate the transaction's k-subsets and probe a hash set.  When
     ``C(|t|, k)`` outgrows the candidate count the probe direction flips
     to a candidate scan, so dense transactions never pay an exponential
-    enumeration.
+    enumeration.  The built-in ``hashtree`` applies this rule (at
+    factor 1) per row in its batch ``count_partition`` (DESIGN.md choice
+    29), with the tree walk instead of a scan for the long rows and one
+    C-level ``Counter`` per weight instead of a Python loop per subset;
+    this store stays as a per-transaction plug-in of that strategy.
     """
 
     #: enumeration runs while C(|t|, k) <= this multiple of |candidates|

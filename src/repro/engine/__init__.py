@@ -31,7 +31,6 @@ from repro.engine.partitioner import (
     compute_range_bounds,
 )
 from repro.engine.rdd import RDD, ParallelCollectionRDD, ShuffledRDD, TextFileRDD
-from repro.engine.statcounter import StatCounter
 from repro.engine.storage import BlockId, BlockManager, StorageLevel
 from repro.engine.tracing import (
     EngineMetrics,
@@ -64,7 +63,6 @@ __all__ = [
     "ShuffledRDD",
     "Span",
     "StageSummary",
-    "StatCounter",
     "StorageLevel",
     "TaskMetrics",
     "TextFileRDD",

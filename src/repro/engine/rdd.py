@@ -1,10 +1,12 @@
 """The RDD abstraction: lazy, partitioned, lineage-tracked collections.
 
-This is the engine's public surface and deliberately mirrors Spark's RDD
-API (the paper's pseudocode is written directly against ``flatMap`` /
-``map`` / ``reduceByKey``).  Transformations build new RDD nodes linked by
-:mod:`repro.engine.dependencies`; nothing executes until an action calls
-``context.run_job`` which hands the lineage to the DAG scheduler.
+This is the engine's public surface and deliberately mirrors the part of
+Spark's RDD API that the miners, the MapReduce baseline, the benches and
+the examples run on (the paper's pseudocode is written directly against
+``flatMap`` / ``map`` / ``reduceByKey``).  Transformations build new RDD
+nodes linked by :mod:`repro.engine.dependencies`; nothing executes until
+an action calls ``context.run_job`` which hands the lineage to the DAG
+scheduler.
 
 Worker-side execution note: for the process-pool backend the RDD graph is
 cloudpickled into the worker with ``context`` stripped (see
@@ -262,69 +264,6 @@ class RDD(Generic[T]):
             .map(lambda kv: kv[0])
         )
 
-    def take_sample(self, n: int, seed: int = 0) -> list[T]:
-        """``n`` elements sampled without replacement (driver-side finish).
-
-        Follows Spark's approach: over-sample distributed, then trim on
-        the driver with a seeded shuffle for exactness on small ``n``.
-        """
-        if n <= 0:
-            return []
-        total = self.count()
-        if n >= total:
-            return self.collect()
-        import numpy as np
-
-        fraction = min(1.0, (n / total) * 2 + 0.02)
-        pool = self.sample(fraction, seed=seed).collect()
-        attempt = seed
-        while len(pool) < n:  # extremely unlikely; widen until satisfied
-            attempt += 1
-            fraction = min(1.0, fraction * 2)
-            pool = self.sample(fraction, seed=attempt).collect()
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(pool), size=n, replace=False)
-        return [pool[i] for i in sorted(idx.tolist())]
-
-    def histogram(self, buckets: int | list) -> tuple[list, list[int]]:
-        """(bucket_edges, counts) over a numeric RDD.
-
-        ``buckets`` is either a bucket count (evenly spaced over
-        [min, max]) or an explicit ascending edge list.  The final bucket
-        is closed on the right, as in Spark.
-        """
-        if isinstance(buckets, int):
-            if buckets < 1:
-                raise EngineError("bucket count must be >= 1")
-            lo, hi = self.min(), self.max()
-            if lo == hi:
-                edges = [lo, hi]
-            else:
-                step = (hi - lo) / buckets
-                edges = [lo + i * step for i in range(buckets)] + [hi]
-        else:
-            edges = list(buckets)
-            if len(edges) < 2 or any(a >= b for a, b in zip(edges, edges[1:])):
-                raise EngineError("bucket edges must be ascending, >= 2 entries")
-        n_buckets = len(edges) - 1
-
-        def count_part(_ctx, it: Iterator[T]) -> list[int]:
-            import bisect
-
-            counts = [0] * n_buckets
-            for x in it:
-                if x < edges[0] or x > edges[-1]:
-                    continue
-                idx = min(bisect.bisect_right(edges, x) - 1, n_buckets - 1)
-                counts[idx] += 1
-            return counts
-
-        totals = [0] * n_buckets
-        for partial in self.context.run_job(self, count_part):
-            for i, c in enumerate(partial):
-                totals[i] += c
-        return edges, totals
-
     def sort_by(
         self,
         key_func: Callable[[T], Any],
@@ -520,43 +459,6 @@ class RDD(Generic[T]):
 
     def sum(self):
         return self.fold(0, lambda a, b: a + b)
-
-    def max(self):
-        return self.reduce(lambda a, b: a if a >= b else b)
-
-    def min(self):
-        return self.reduce(lambda a, b: a if a <= b else b)
-
-    def stats(self):
-        """Count/mean/stdev/min/max of a numeric RDD in one pass."""
-        from repro.engine.statcounter import StatCounter
-
-        def stat_part(_ctx, it: Iterator[T]) -> StatCounter:
-            counter = StatCounter()
-            for x in it:
-                counter.add(x)
-            return counter
-
-        total = StatCounter()
-        for partial in self.context.run_job(self, stat_part):
-            total.merge(partial)
-        return total
-
-    def stdev(self) -> float:
-        return self.stats().stdev
-
-    def variance(self) -> float:
-        return self.stats().variance
-
-    def mean(self) -> float:
-        total, n = self.aggregate(
-            (0.0, 0),
-            lambda acc, x: (acc[0] + x, acc[1] + 1),
-            lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        if n == 0:
-            raise EngineError("mean() on empty RDD")
-        return total / n
 
     def count_by_value(self) -> dict[T, int]:
         return dict(self.map(lambda x: (x, 1)).reduce_by_key(lambda a, b: a + b).collect())

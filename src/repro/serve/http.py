@@ -71,6 +71,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import signal
 import threading
 import time
 from collections import OrderedDict
@@ -484,16 +486,32 @@ class MiningServer:
         return self
 
     def serve_forever(self) -> None:
-        """Serve on the calling thread (the ``repro serve`` CLI path)."""
+        """Serve on the calling (main) thread: the ``repro serve`` CLI path.
+
+        Ctrl-C closes the server, running jobs drained.  SIGTERM does not
+        wait for them: the job workers are killed and their temporary
+        directories removed, and then the process ends by that signal.
+        Whoever sees it exit finds nothing of it left, running or in its
+        ``TMPDIR`` — which they may be about to remove.
+        """
+        signal.signal(signal.SIGTERM, _raise_terminated)
+        terminated = False
         try:
             self._serving = True
             self._httpd.serve_forever()
         except KeyboardInterrupt:  # pragma: no cover - interactive path
             pass
+        except _Terminated:
+            terminated = True
         finally:
-            self.close()
+            self.close(wait=not terminated)
+        if terminated:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.kill(os.getpid(), signal.SIGTERM)
 
-    def close(self) -> None:
+    def close(self, wait: bool = True) -> None:
+        """Stop serving and shut the owned router down (``wait``: running
+        jobs drained first; else their job workers are killed at once)."""
         if self._serving:
             self._serving = False
             self._httpd.shutdown()
@@ -502,13 +520,21 @@ class MiningServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         if self._owns_service:
-            self.service.shutdown()
+            self.service.shutdown(wait)
 
     def __enter__(self) -> "MiningServer":
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class _Terminated(BaseException):
+    """SIGTERM, raised on the main thread to unwind ``serve_forever``."""
+
+
+def _raise_terminated(_signum, _frame) -> None:
+    raise _Terminated
 
 
 __all__ = [

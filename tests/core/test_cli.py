@@ -126,12 +126,16 @@ class TestParser:
 class TestServe:
     @pytest.mark.parametrize("how", [signal.SIGTERM, signal.SIGKILL], ids=["sigterm", "sigkill"])
     def test_no_descendant_outlives_a_server_stopped_mid_job(self, how, tmp_path):
-        """``repro serve`` catches no signal: its job workers (and whatever
-        they started) must notice the parent is gone on their own, also in
-        the middle of a mine — the perf ledger's ``Server.close()`` is a
-        SIGTERM, and a survivor holding its stderr hangs the harness.  The
-        server gets a temporary directory of its own: in the shared one,
-        another process's job workers come and go while this test runs."""
+        """No descendant outlives a ``repro serve`` stopped in the middle
+        of a mine — the perf ledger's ``Server.close()`` is a SIGTERM, and
+        a survivor holding its stderr hangs the harness.  After SIGKILL
+        the job workers (and whatever they started) notice the parent is
+        gone on their own; SIGTERM the server ends by killing them itself,
+        so their temporary directories are gone by the time its exit is
+        seen, and whoever waits for it may remove its ``TMPDIR`` at once.
+        The server gets a temporary directory of its own: in the shared
+        one, another process's job workers come and go while this test
+        runs."""
         from repro.core.registry import MiningConfig
         from repro.datasets import mushroom_like
         from repro.serve import HttpClient
@@ -154,6 +158,8 @@ class TestServe:
             proc.send_signal(how)
             proc.wait(timeout=10)
             assert proc.returncode == -how
+            if how == signal.SIGTERM:
+                assert worker_dirs() == []  # removed before the server exited
             assert gone_within(kids, 2.0) == []
             assert worker_dirs() == []  # each worker took its temporary files along
 

@@ -157,17 +157,6 @@ class TestActions:
         )
         assert (total, n) == (45, 10)
 
-    def test_sum_max_min_mean(self, ctx):
-        rdd = ctx.parallelize([4.0, 1.0, 7.0], 2)
-        assert rdd.sum() == 12.0
-        assert rdd.max() == 7.0
-        assert rdd.min() == 1.0
-        assert rdd.mean() == pytest.approx(4.0)
-
-    def test_mean_empty_raises(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.empty_rdd().mean()
-
     def test_count_by_value(self, ctx):
         got = ctx.parallelize(list("abca"), 2).count_by_value()
         assert got == {"a": 2, "b": 1, "c": 1}

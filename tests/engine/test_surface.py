@@ -20,14 +20,13 @@ RDD_METHODS = {
     "aggregate", "aggregate_by_key", "cache", "cogroup", "collect", "collect_as_map",
     "combine_by_key", "compute", "count", "count_by_key", "count_by_value", "distinct",
     "filter", "first", "flat_map", "flat_map_values", "fold", "fold_by_key",
-    "full_outer_join", "glom", "group_by", "group_by_key", "histogram", "intersection",
-    "is_empty", "iterator", "join", "key_by", "keys", "left_outer_join", "lookup", "map",
-    "map_partitions", "map_partitions_with_index", "map_values", "max", "mean", "min",
-    "num_partitions", "partition_by", "partitioner", "partitions", "persist", "reduce",
-    "reduce_by_key", "repartition", "right_outer_join", "sample", "save_as_text_file",
-    "sort_by", "stats", "stdev", "subtract", "subtract_by_key", "sum", "take",
-    "take_ordered", "take_sample", "top", "unpersist", "values", "variance",
-    "zip_with_index",
+    "full_outer_join", "glom", "group_by", "group_by_key", "intersection", "is_empty",
+    "iterator", "join", "key_by", "keys", "left_outer_join", "lookup", "map",
+    "map_partitions", "map_partitions_with_index", "map_values", "num_partitions",
+    "partition_by", "partitioner", "partitions", "persist", "reduce", "reduce_by_key",
+    "repartition", "right_outer_join", "sample", "save_as_text_file", "sort_by",
+    "subtract", "subtract_by_key", "sum", "take", "take_ordered", "top", "unpersist",
+    "values", "zip_with_index",
 }
 CONTEXT_METHODS = {
     "broadcast", "clear_shuffle_outputs", "empty_rdd", "parallelize", "run_job", "stop",
@@ -38,7 +37,7 @@ EXPORTS = {
     "EngineMetrics", "EventLog", "FaultInjector", "HashPartitioner", "InjectedTaskFailure",
     "JobSummary", "NarrowDependency", "OneToOneDependency", "ParallelCollectionRDD",
     "Partitioner", "RDD", "RangePartitioner", "ShuffleDependency", "ShuffledRDD", "Span",
-    "StageSummary", "StatCounter", "StorageLevel", "TaskMetrics", "TextFileRDD", "Tracer",
+    "StageSummary", "StorageLevel", "TaskMetrics", "TextFileRDD", "Tracer",
     "collect_engine_metrics", "compute_range_bounds", "debug_string", "export_chrome_trace",
     "stage_count",
 }

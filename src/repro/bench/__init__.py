@@ -10,13 +10,12 @@ from repro.bench.harness import (
     sizeup_series,
     speedup_series,
 )
-from repro.bench.reporting import format_series, format_table, sparkline, speedup_table
+from repro.bench.reporting import format_table, sparkline
 from repro.bench.sweeps import SweepPoint, partition_sweep, support_sweep
 
 __all__ = [
     "ComparisonRun",
     "SweepPoint",
-    "format_series",
     "format_table",
     "replay_mr",
     "replay_mr_per_pass",
@@ -27,6 +26,5 @@ __all__ = [
     "partition_sweep",
     "sparkline",
     "speedup_series",
-    "speedup_table",
     "support_sweep",
 ]

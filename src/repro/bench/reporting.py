@@ -61,25 +61,3 @@ def sparkline(values: Sequence[float], width: int = 40) -> str:
     top = max(values) or 1.0
     return "".join(blocks[min(8, int(round(8 * v / top)))] for v in values)
 
-
-def format_series(
-    label: str, xs: Sequence, ys: Sequence[float], unit: str = "s"
-) -> str:
-    """A labelled (x, y) series with a sparkline, one line per point."""
-    lines = [f"{label}   {sparkline(list(ys))}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {str(x):>10} : {y:10.4f} {unit}")
-    return "\n".join(lines)
-
-
-def speedup_table(
-    xs: Sequence, baseline: Sequence[float], ours: Sequence[float],
-    x_name: str = "x", baseline_name: str = "MRApriori", ours_name: str = "YAFIM",
-) -> str:
-    rows = [
-        (x, b, o, b / o if o > 0 else float("inf"))
-        for x, b, o in zip(xs, baseline, ours)
-    ]
-    return format_table(
-        [x_name, f"{baseline_name} (s)", f"{ours_name} (s)", "speedup"], rows
-    )

@@ -28,7 +28,7 @@ from repro.common.itemset import (
 )
 from repro.common.rng import make_rng, spawn, stable_hash
 from repro.common.sizeof import estimate_size, pickled_size
-from repro.common.timing import PhaseTimer, Stopwatch, now
+from repro.common.timing import now
 
 __all__ = [
     "BlockUnavailableError",
@@ -43,9 +43,7 @@ __all__ = [
     "JobConfigError",
     "MapReduceError",
     "MiningError",
-    "PhaseTimer",
     "ReproError",
-    "Stopwatch",
     "TaskFailedError",
     "canonical",
     "canonical_transaction",

@@ -1,83 +1,8 @@
-"""Wall-clock instrumentation used by both runtimes and the bench harness."""
+"""Wall-clock instrumentation."""
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-
-
-@dataclass
-class Stopwatch:
-    """Accumulating stopwatch; safe to start/stop repeatedly.
-
-    >>> sw = Stopwatch()
-    >>> with sw.running():
-    ...     pass
-    >>> sw.elapsed >= 0.0
-    True
-    """
-
-    elapsed: float = 0.0
-    _started_at: float | None = None
-
-    def start(self) -> None:
-        if self._started_at is not None:
-            raise RuntimeError("stopwatch already running")
-        self._started_at = time.perf_counter()
-
-    def stop(self) -> float:
-        if self._started_at is None:
-            raise RuntimeError("stopwatch not running")
-        delta = time.perf_counter() - self._started_at
-        self.elapsed += delta
-        self._started_at = None
-        return delta
-
-    @contextmanager
-    def running(self):
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._started_at = None
-
-
-@dataclass
-class PhaseTimer:
-    """Named-phase timer: records one duration per labelled phase.
-
-    The bench harness uses one of these per mining run to capture the
-    per-iteration times plotted in the paper's Fig. 3 and Fig. 6.
-    """
-
-    phases: list[tuple[str, float]] = field(default_factory=list)
-
-    @contextmanager
-    def phase(self, label: str):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.phases.append((label, time.perf_counter() - t0))
-
-    def record(self, label: str, seconds: float) -> None:
-        self.phases.append((label, seconds))
-
-    @property
-    def total(self) -> float:
-        return sum(d for _, d in self.phases)
-
-    def as_dict(self) -> dict[str, float]:
-        """Phase label -> duration; duplicate labels accumulate."""
-        out: dict[str, float] = {}
-        for label, dur in self.phases:
-            out[label] = out.get(label, 0.0) + dur
-        return out
 
 
 def now() -> float:

@@ -31,9 +31,6 @@ class BlockInfo:
     length: int  # actual bytes stored (last block may be short)
     replicas: list[str] = field(default_factory=list)  # datanode ids
 
-    def is_available(self, live: set[str]) -> bool:
-        return any(r in live for r in self.replicas)
-
 
 @dataclass
 class FileMeta:

@@ -26,12 +26,10 @@ class DfsMetrics:
     bytes_read: int = 0
     files_created: int = 0
     files_read: int = 0
-    files_deleted: int = 0
 
     def snapshot(self) -> "DfsMetrics":
         return DfsMetrics(
-            self.bytes_written, self.bytes_read,
-            self.files_created, self.files_read, self.files_deleted,
+            self.bytes_written, self.bytes_read, self.files_created, self.files_read,
         )
 
     def delta(self, earlier: "DfsMetrics") -> "DfsMetrics":
@@ -40,7 +38,6 @@ class DfsMetrics:
             self.bytes_read - earlier.bytes_read,
             self.files_created - earlier.files_created,
             self.files_read - earlier.files_read,
-            self.files_deleted - earlier.files_deleted,
         )
 
 
@@ -169,13 +166,6 @@ class MiniDfs:
     def exists(self, path: str) -> bool:
         return self.namenode.exists(path)
 
-    def delete(self, path: str) -> None:
-        meta = self.namenode.delete_file(path)
-        for info in meta.blocks:
-            for node_id in info.replicas:
-                self.datanodes[node_id].delete_block(info.block_id)
-        self.metrics.files_deleted += 1
-
     def file_length(self, path: str) -> int:
         return self.namenode.get_file(path).length
 
@@ -188,50 +178,6 @@ class MiniDfs:
     # -- fault injection ----------------------------------------------------
     def fail_datanode(self, node_id: str) -> None:
         self.datanodes[node_id].fail()
-
-    def recover_datanode(self, node_id: str) -> None:
-        self.datanodes[node_id].recover()
-
-    # -- replication maintenance ------------------------------------------
-    def under_replicated_blocks(self) -> list[tuple[str, "BlockInfo"]]:
-        """(path, block) pairs with fewer live replicas than the target."""
-        live = {nid for nid, node in self.datanodes.items() if node.alive}
-        target = self.namenode.replication
-        out = []
-        for path in self.namenode.list_files("/"):
-            for info in self.namenode.get_file(path).blocks:
-                alive_replicas = [r for r in info.replicas if r in live]
-                if 0 < len(alive_replicas) < min(target, len(live)):
-                    out.append((path, info))
-        return out
-
-    def rereplicate(self) -> int:
-        """Restore the replication factor of damaged blocks.
-
-        What the HDFS namenode does continuously in the background: for
-        every under-replicated block, copy a surviving replica onto live
-        datanodes that don't hold one yet.  Returns the number of new
-        replicas created.  Blocks with no live replica are unrecoverable
-        and left untouched (reads raise BlockUnavailableError).
-        """
-        live = {nid for nid, node in self.datanodes.items() if node.alive}
-        created = 0
-        for _path, info in self.under_replicated_blocks():
-            sources = [r for r in info.replicas if r in live]
-            if not sources:
-                continue
-            data = self.datanodes[sources[0]].read_block(info.block_id)
-            self.metrics.bytes_read += len(data)
-            targets = sorted(live - set(info.replicas))
-            need = min(self.namenode.replication, len(live)) - len(sources)
-            for node_id in targets[:need]:
-                self.datanodes[node_id].write_block(info.block_id, data)
-                self.metrics.bytes_written += len(data)
-                info.replicas.append(node_id)
-                created += 1
-            # drop dead replicas from metadata (the namenode's view)
-            info.replicas = [r for r in info.replicas if r in live]
-        return created
 
 
 __all__ = ["MiniDfs", "DfsMetrics", "normalize_path"]

@@ -44,12 +44,6 @@ class NameNode:
     def exists(self, path: str) -> bool:
         return normalize_path(path) in self._files
 
-    def delete_file(self, path: str) -> FileMeta:
-        path = normalize_path(path)
-        meta = self.get_file(path)
-        del self._files[path]
-        return meta
-
     def list_files(self, prefix: str = "/") -> list[str]:
         prefix = normalize_path(prefix)
         if not prefix.endswith("/"):
@@ -82,9 +76,6 @@ class NameNode:
         info = BlockInfo(block_id=block_id, offset=offset, length=length, replicas=replicas)
         meta.blocks.append(info)
         return info
-
-    def total_bytes(self) -> int:
-        return sum(m.length for m in self._files.values())
 
 
 def normalize_path(path: str) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.hdfs.filesystem import MiniDfs
 
-_OVERREAD = 1 << 16  # how far past the split end we look for the final newline
+_OVERREAD = 1 << 16  # first look past the split end for the final newline
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,8 @@ def read_split_lines(dfs: MiniDfs, split: InputSplit) -> list[str]:
     file_len = dfs.file_length(split.path)
     start = split.start
     read_from = start - 1 if start > 0 else 0
-    raw = dfs.read_block_range(
-        split.path,
-        read_from,
-        min(split.end + _OVERREAD, file_len) - read_from,
-    )
+    stop = min(split.end + _OVERREAD, file_len)
+    raw = dfs.read_block_range(split.path, read_from, stop - read_from)
     # Absolute file offset where owned content begins.
     if start > 0:
         nl = raw.find(b"\n")
@@ -68,6 +65,15 @@ def read_split_lines(dfs: MiniDfs, split: InputSplit) -> list[str]:
         first_owned = 0
     if first_owned >= split.end:
         return []  # no line starts inside [start, end)
+    # The final owned line may run past the overread: read on to the first
+    # newline at or after byte ``end - 1``, or to EOF.  Each read doubles
+    # what is held, so a long line costs time linear in its length.
+    scan = split.end - 1 - read_from
+    while stop < file_len and raw.find(b"\n", scan) < 0:
+        scan = len(raw)
+        more = min(stop + len(raw), file_len)
+        raw += dfs.read_block_range(split.path, stop, more - stop)
+        stop = more
     data = raw[first_owned - read_from :]
     owned_span = split.end - first_owned  # lines must *start* before split.end
     lines: list[str] = []

@@ -18,18 +18,15 @@ from repro.mapreduce.job import (
     Reducer,
     default_partitioner,
 )
-from repro.mapreduce.jobchain import ChainResult, JobChain
 from repro.mapreduce.runner import JobMetrics, JobResult, JobRunner, read_job_output
 
 __all__ = [
     "COMBINE_INPUT_RECORDS",
     "COMBINE_OUTPUT_RECORDS",
-    "ChainResult",
     "Counters",
     "FunctionMapper",
     "FunctionReducer",
     "GROUP_TASK",
-    "JobChain",
     "JobMetrics",
     "JobResult",
     "JobRunner",

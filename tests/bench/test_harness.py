@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import (
     replay_mr,
     replay_mr_per_pass,
@@ -11,7 +12,7 @@ from repro.bench.harness import (
     sizeup_series,
     speedup_series,
 )
-from repro.bench.reporting import format_series, format_table, sparkline, speedup_table
+from repro.bench.reporting import format_table, sparkline
 from repro.cluster import ClusterSpec
 from repro.datasets import medical_cases
 
@@ -88,11 +89,19 @@ class TestReplays:
         ya_times = [y for _c, _m, y in series]
         assert ya_times[0] >= ya_times[-1]
 
-    def test_sizeup_series(self):
+    def test_sizeup_series(self, monkeypatch):
         spec = ClusterSpec(nodes=6)
-        # Scale chosen so the factor-4 run crosses the 48-core wave
-        # boundary: that is where MapReduce's per-task overhead starts
-        # growing the makespan while YAFIM's stays flat.
+        runs = []
+
+        def recording_comparison(*args, **kwargs):
+            runs.append(run_comparison(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(harness, "run_comparison", recording_comparison)
+        # Block size chosen so the factor-4 run crosses the 48-core wave
+        # boundary (96 512 bytes at factor 1 make 14 splits, at factor 4
+        # 54): that is where MapReduce's per-task overhead starts growing
+        # the makespan while YAFIM's stays flat.
         series = sizeup_series(
             lambda: medical_cases(n_cases=1500, seed=5),
             0.08,
@@ -100,9 +109,18 @@ class TestReplays:
             spec,
             num_partitions=4,
             max_length=3,
-            dfs_block_size=8 * 1024,
+            dfs_block_size=7 * 1024,
         )
         assert [f for f, _m, _y in series] == [1, 4]
+        # one map task per split in every MapReduce job: one wave at
+        # factor 1, more than one at factor 4
+        map_tasks = [
+            {len(rec.task_durations) for it in run.mrapriori.iterations
+             for rec in it.stage_records if rec.label.endswith("/map")}
+            for run in runs
+        ]
+        assert map_tasks == [{14}, {54}]
+        assert 14 <= spec.total_cores < 54
         # MR cost grows with data size; YAFIM grows far slower
         (_, mr1, ya1), (_, mr2, ya2) = series
         assert mr2 > mr1
@@ -124,12 +142,3 @@ class TestReporting:
 
     def test_sparkline_empty(self):
         assert sparkline([]) == ""
-
-    def test_format_series(self):
-        text = format_series("lbl", [1, 2], [0.5, 1.0])
-        assert "lbl" in text and "1" in text
-
-    def test_speedup_table(self):
-        text = speedup_table([1, 2], [10.0, 20.0], [1.0, 2.0])
-        assert "speedup" in text
-        assert "10.00" in text

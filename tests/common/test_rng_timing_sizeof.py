@@ -1,16 +1,13 @@
-"""Unit tests for RNG helpers, timers and size estimation."""
+"""Unit tests for RNG helpers and size estimation."""
 
 import pickle
-import time
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.rng import make_rng, spawn, stable_hash
 from repro.common.sizeof import estimate_size, pickled_size
-from repro.common.timing import PhaseTimer, Stopwatch
 
 
 class TestRng:
@@ -52,56 +49,6 @@ class TestStableHash:
         # Pin one value so cross-process regressions are caught.
         assert stable_hash("anchor") == stable_hash("anchor", salt=0)
         assert isinstance(stable_hash(("a", 3)), int)
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw.running():
-            time.sleep(0.002)
-        first = sw.elapsed
-        with sw.running():
-            time.sleep(0.002)
-        assert sw.elapsed > first > 0
-
-    def test_double_start_raises(self):
-        sw = Stopwatch()
-        sw.start()
-        with pytest.raises(RuntimeError):
-            sw.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw.running():
-            pass
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-
-class TestPhaseTimer:
-    def test_records_phases_in_order(self):
-        pt = PhaseTimer()
-        with pt.phase("one"):
-            pass
-        with pt.phase("two"):
-            pass
-        assert [label for label, _ in pt.phases] == ["one", "two"]
-
-    def test_total_is_sum(self):
-        pt = PhaseTimer()
-        pt.record("a", 1.5)
-        pt.record("b", 2.5)
-        assert pt.total == pytest.approx(4.0)
-
-    def test_as_dict_accumulates_duplicates(self):
-        pt = PhaseTimer()
-        pt.record("k", 1.0)
-        pt.record("k", 2.0)
-        assert pt.as_dict() == {"k": 3.0}
 
 
 class TestSizeof:

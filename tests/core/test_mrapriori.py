@@ -74,6 +74,18 @@ class TestMRApriori:
         got = MRApriori(runner, num_reducers=5).run("/t.txt", 0.4)
         assert got.itemsets == ORACLE
 
+    def test_a_row_longer_than_the_split_overread_is_mined_whole(self, tmp_path):
+        # 108 889 bytes in one row, 8 KiB blocks: the row's last items lie
+        # beyond the 64 KiB a split first reads past its end
+        long_row = [str(i) for i in range(20000)]
+        txns = [long_row] + [["19997", "19998", "19999"]] * 3
+        with MiniDfs(root_dir=str(tmp_path), n_datanodes=3, block_size=8 * 1024,
+                     replication=1) as dfs:
+            dfs.write_lines("/t.txt", (" ".join(t) for t in txns))
+            got = MRApriori(JobRunner(dfs)).run("/t.txt", 0.8)
+        assert got.itemsets == apriori(txns, 0.8)
+        assert got.itemsets[("19997", "19998", "19999")] == 4
+
 
 class TestVariants:
     def test_spc_equals_mrapriori_jobs(self, runner):

@@ -40,13 +40,6 @@ class TestNamespace:
         with pytest.raises(FileNotFoundInDfs):
             dfs.read_text("/missing")
 
-    def test_delete_removes_blocks(self, dfs):
-        dfs.write_text("/a", "x" * 300)
-        dfs.delete("/a")
-        assert not dfs.exists("/a")
-        with pytest.raises(FileNotFoundInDfs):
-            dfs.read_text("/a")
-
     def test_list_files_prefix(self, dfs):
         dfs.write_text("/out/part-0", "a")
         dfs.write_text("/out/part-1", "b")
@@ -110,14 +103,6 @@ class TestFaults:
             dfs.fail_datanode(node)
         with pytest.raises(BlockUnavailableError):
             dfs.read_text("/f")
-
-    def test_recovery_restores_access(self, dfs):
-        dfs.write_text("/f", "x")
-        nodes = dfs.block_locations("/f")[0].replicas
-        for node in nodes:
-            dfs.fail_datanode(node)
-        dfs.recover_datanode(nodes[0])
-        assert dfs.read_text("/f") == "x"
 
 
 class TestMetrics:

@@ -32,11 +32,14 @@ class TestSplits:
             assert read_all_lines_via_splits(dfs, "/f") == lines
 
     def test_single_line_spanning_many_blocks(self, tmp_path):
-        long_line = "z" * 300
-        with make_dfs(tmp_path, 64) as dfs:
-            dfs.write_lines("/f", [long_line, "tail"])
-            got = read_all_lines_via_splits(dfs, "/f")
-            assert got == [long_line, "tail"]
+        # the second line (108 889 bytes) runs past the 64 KiB a split
+        # first reads beyond its end, so its reader must read on
+        cases = [("z" * 300, 64), (" ".join(map(str, range(20000))), 8 * 1024)]
+        for i, (long_line, block_size) in enumerate(cases):
+            with make_dfs(tmp_path / str(i), block_size) as dfs:
+                dfs.write_lines("/f", [long_line, "1 2 3"])
+                got = read_all_lines_via_splits(dfs, "/f")
+                assert got == [long_line, "1 2 3"]
 
     def test_interior_split_owning_no_line_start_is_empty(self, tmp_path):
         # One very long first line means blocks 1..n-1 own no line starts.

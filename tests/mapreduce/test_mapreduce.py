@@ -1,4 +1,4 @@
-"""MapReduce runtime tests: wordcount, combiner, counters, chains, errors."""
+"""MapReduce runtime tests: wordcount, combiner, counters, errors."""
 
 from collections import Counter as PyCounter
 
@@ -13,7 +13,6 @@ from repro.mapreduce import (
     REDUCE_OUTPUT_RECORDS,
     FunctionMapper,
     FunctionReducer,
-    JobChain,
     JobRunner,
     JobSpec,
     Mapper,
@@ -185,48 +184,3 @@ class TestDistributedCacheAndConfig:
         )
         assert got == {0: 2, 1: 4}
 
-
-class TestJobChain:
-    def test_iterative_chain_stops_on_none(self, dfs):
-        # Job i counts words of the previous output; stop after 3 jobs.
-        dfs.write_lines("/in.txt", ["a a b"])
-        runner = JobRunner(dfs)
-        chain = JobChain(runner)
-
-        def next_job(iteration, previous):
-            if iteration == 3:
-                return None
-            inp = ["/in.txt"] if previous is None else [  # read previous output
-                p for p in dfs.list_files(previous.output_path)
-            ]
-            return JobSpec(
-                name=f"job{iteration}",
-                input_paths=inp,
-                output_path=f"/iter{iteration}",
-                mapper_factory=WordCountMapper,
-                reducer_factory=SumReducer,
-                num_reducers=1,
-            )
-
-        result = chain.run(next_job)
-        assert len(result.results) == 3
-        assert result.total_wall_seconds > 0
-        # each iteration re-read from the DFS: per-job read bytes all > 0
-        assert all(m.hdfs_read_bytes > 0 for m in result.per_job_metrics)
-
-    def test_max_iterations_cap(self, dfs):
-        dfs.write_lines("/in.txt", ["a"])
-        runner = JobRunner(dfs)
-        chain = JobChain(runner, max_iterations=2)
-
-        def always(iteration, previous):
-            return JobSpec(
-                name=f"j{iteration}",
-                input_paths=["/in.txt"],
-                output_path=f"/o{iteration}",
-                mapper_factory=WordCountMapper,
-                reducer_factory=SumReducer,
-                num_reducers=1,
-            )
-
-        assert len(chain.run(always).results) == 2

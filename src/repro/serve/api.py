@@ -225,6 +225,7 @@ OPERATIONS: tuple[Operation, ...] = (
     ),
     Operation("cancel", "DELETE", "/jobs/{job_id}", route=BY_JOB),
     Operation("result", "GET", "/results/{job_id}", route=BY_JOB, call="get"),
+    Operation("trace", "GET", "/jobs/{job_id}/trace", route=BY_JOB, call="get"),
     # items not all str or all int: a 400 from ManagedDataset, naming the type
     Operation(
         "create_dataset", "POST", "/datasets/{dataset_id}", status=201, route=BY_DATASET,

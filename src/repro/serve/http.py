@@ -25,6 +25,8 @@ have sent, so both transports answer alike by construction:
 ``DELETE /jobs/{job_id}``               cancel (queued or running)
 ``GET /results/{job_id}``               mined itemsets once DONE (409
                                         ``not_done`` while in flight)
+``GET /jobs/{job_id}/trace``            the run's chrome trace once DONE,
+                                        the server's spans included (409)
 ``POST /datasets/{dataset_id}``         register a named, versioned dataset
                                         with its window / ingest policies
                                         (409 ``dataset_exists``)
@@ -58,8 +60,9 @@ answered 400 / 408 ``incomplete_body`` and its connection closed.
 A byte-identical resubmission is recognised by the digest of its body
 (:class:`RepeatMemo`, the socket transport's), and every answer is sent
 as the JSON text its result was rendered to when it was produced
-(:func:`result_text`) — a change-feed diff as the text its first reader
-rendered (:class:`~repro.serve.datasets.FeedAnswer`).
+(:func:`result_text`), its trace as the text it keeps
+(:class:`~repro.serve.jobs.KeptTrace`) — a change-feed diff as the text
+its first reader rendered (:class:`~repro.serve.datasets.FeedAnswer`).
 
 ``MiningServer`` runs the whole stack in-process on an ephemeral port —
 the tests use it; ``repro serve`` keeps it in the foreground.
@@ -213,7 +216,9 @@ def _answer(op: Operation, kwargs: dict, out, memo: RepeatMemo | None):
         if memo is not None and op.name == "metrics":
             out["router"]["http"] = memo.stats()
         return op.status, out
-    if op.name == "result":
+    if op.name in ("result", "trace"):
+        if out.state is JobState.DONE and op.name == "trace":  # a run's KeptTrace, or none
+            return op.status, getattr(out.result.trace, "text", '{"traceEvents": []}')
         if out.state is JobState.DONE:
             if memo is not None:
                 memo.sent_result()

@@ -10,9 +10,10 @@ through::
        │           ├──────▶ TIMED_OUT   (deadline fired mid-run)
        └───────────┴──────▶ CANCELLED   (client cancel, queued or running)
 
-A DONE job's result is held as it is sent: :func:`kept` renders the
-itemsets to their JSON text once, where the answer is produced, and the
-result's ``itemsets`` becomes a :class:`KeptItemsets` over that text.
+A DONE job's result is held as it is sent: :func:`kept` renders its
+itemsets and trace to their JSON text once, where the answer is
+produced (a :class:`KeptItemsets`, a :class:`KeptTrace`), its passes
+to :class:`KeptPass` rows.
 
 A job's record has one owner: the :class:`Job` in the table of the
 shard that accepted it.  State is only ever mutated under that service's
@@ -35,9 +36,11 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from repro.common.errors import ReproError
 from repro.core.registry import MiningConfig
+from repro.engine.tracing import Tracer, chrome_trace_document
 
 
 #: server-side cap on one long-poll wait (``/changes``, ``/jobs/<id>``)
@@ -175,16 +178,77 @@ class KeptItemsets(Mapping):
         return f"<KeptItemsets: {self._n} itemsets in {len(self.text)} characters of JSON>"
 
 
+def _events_text(events: list) -> str:
+    """``events`` as JSON array items; an argument JSON cannot carry is its
+    ``repr`` (every argument is, for a key not a string or a cycle)."""
+    try:
+        return json.dumps(events, default=repr)[1:-1]
+    except (TypeError, ValueError):
+        return json.dumps([{**e, "args": {str(k): repr(v) for k, v in e["args"].items()}}
+                           for e in events])[1:-1]
+
+
+class KeptTrace:
+    """A finished answer's trace as the service holds it: the chrome-trace
+    text ``GET /jobs/{id}/trace`` sends, its span count and origin.  The
+    server adds its ``job_worker`` span and ``rows_resident`` instant
+    with the tracer's own ``add_span`` / ``instant``, on the run's clock
+    (``perf_counter`` is one for the host's processes), without decoding."""
+
+    __slots__ = ("text", "n_spans", "origin_s", "_tracks")
+    _TAIL = '], "displayTimeUnit": "ms"}'  # how the text ends: its events array is last
+
+    def __init__(self, tracer: Tracer):
+        events = chrome_trace_document([tracer])["traceEvents"]
+        self.text = '{"traceEvents": [' + _events_text(events) + self._TAIL
+        self.n_spans, self.origin_s = len(tracer.spans), tracer.origin_s
+        self._tracks = [e["args"]["name"] for e in events if e["name"] == "thread_name"]
+
+    def add_span(self, name, category, start_s, duration_s, track="driver", **args) -> None:
+        self.n_spans += 1
+        self._add(track, args, name=name, cat=category, ph="X",
+                  ts=(start_s - self.origin_s) * 1e6, dur=duration_s * 1e6)
+
+    def instant(self, name, category, track="driver", **args) -> None:
+        self._add(track, args, name=name, cat=category, ph="i", s="t",
+                  ts=(time.perf_counter() - self.origin_s) * 1e6)
+
+    def _add(self, track: str, args: dict, **event) -> None:
+        new = []
+        if track not in self._tracks:  # a track the run had no event on: name it
+            self._tracks.append(track)
+            new.append({"name": "thread_name", "ph": "M", "pid": 0,
+                        "tid": len(self._tracks) - 1, "args": {"name": track}})
+        new.append({**event, "pid": 0, "tid": self._tracks.index(track), "args": args})
+        self.text = self.text[: -len(self._TAIL)] + ", " + _events_text(new) + self._TAIL
+
+
+class KeptPass(NamedTuple):
+    """One pass of a kept answer: what ``total_seconds`` and ``summary()``
+    read of an :class:`~repro.core.results.IterationStats`."""
+
+    k: int
+    seconds: float
+    n_candidates: int
+    n_frequent: int
+
+
 def kept(result):
-    """``result`` with its itemsets rendered, once, to the JSON text they
-    are sent as, and its dict dropped for a :class:`KeptItemsets` over
-    that text (a result already kept is returned as it is).  Raises
-    :class:`ServeError` naming an item that JSON cannot carry — no client
-    could be sent such an answer."""
+    """``result`` as the service keeps it, each part rendered once where
+    the answer is made: its itemsets to the JSON text they are sent as (a
+    :class:`KeptItemsets`), a ``Tracer`` to a :class:`KeptTrace`, its
+    passes to :class:`KeptPass` rows; ``engine_metrics`` stays.  A part
+    already kept is left as it is.  Raises :class:`ServeError` naming an
+    item that JSON cannot carry — no client could be sent such an answer."""
     itemsets = result.itemsets
     if not isinstance(itemsets, KeptItemsets):
         text = json.dumps(list(itemsets.items()), default=_unsendable)
         result.itemsets = KeptItemsets(text, len(itemsets))
+    if isinstance(result.trace, Tracer):
+        result.trace = KeptTrace(result.trace)
+    if any(type(p) is not KeptPass for p in result.iterations):
+        result.iterations = [KeptPass(p.k, p.seconds, p.n_candidates, p.n_frequent)
+                             for p in result.iterations]
     return result
 
 

@@ -7,7 +7,7 @@ owning the job — attempts, deadline, cancel, retry, all in
 :class:`~repro.serve.runner.JobRunner` — and sends the process ``(dataset
 fingerprint, config as planned, algorithm spec, candidate store)``; the process answers
 with the pickled :class:`~repro.core.results.MiningRunResult`, its
-itemsets already rendered to the JSON text they are sent as
+itemsets and trace already rendered to the JSON text they are sent as
 (:func:`~repro.serve.jobs.kept`).  What
 makes a process worth keeping lives in it, §IV-B of the paper one level
 up: **rows, by fingerprint** — a byte-budgeted LRU
@@ -106,9 +106,9 @@ class JobWorker:
         Raises what the algorithm raised in the worker, or
         :class:`~repro.common.errors.EngineError` when the process died
         under the job.  A result that carries a trace gets one
-        ``job_worker`` span covering ship + wait + unpickle, so the job's
-        ``run_seconds`` decomposes into the worker's own time and the
-        crossing.
+        ``job_worker`` span covering ship + wait + unpickle, added to the
+        kept text on the worker's timeline, so the job's ``run_seconds``
+        decomposes into the worker's own time and the crossing.
         """
         rows_before, bytes_before = self.rows_shipped, self.ship_bytes
 
@@ -179,7 +179,7 @@ def _job_worker_main(conn, tmp_dir: str, store_bytes: int) -> None:
                 spec.name, spec.runner, needs_engine=spec.needs_engine, overwrite=True
             )
             register_store(store, store_cls, overwrite=True)
-            # rendered here, once: the server unpickles one string
+            # rendered here, once: the server unpickles strings, no Span
             result = kept(run_algorithm(rows, config))
             reply = ("done", pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
         except BaseException as exc:  # noqa: BLE001 - the client's to read

@@ -621,16 +621,16 @@ class _Owner:
     # -- the answered requests ---------------------------------------------
     @staticmethod
     def _job(owned: _Owned, n_rows: int, key: tuple):
-        from repro.serve.jobs import KeptItemsets
+        from repro.serve.jobs import KeptItemsets, kept
 
         miner = owned.miner_for(key, n_rows)
         if miner is None:
             return None
-        # rendered here, once, as ``kept`` renders: the server unpickles one string
+        # rendered here, once, as ``kept`` renders: the server unpickles strings
         result = miner.result()
         itemsets = result.itemsets
         result.itemsets = KeptItemsets(owned.family_text(key, miner, itemsets), len(itemsets))
-        return result
+        return kept(result)
 
     @staticmethod
     def _family(owned: _Owned, key: tuple) -> str:

@@ -19,7 +19,7 @@ interpreter, killed on timeout or cancel — or, for what cannot leave, an
 attempt thread here that can only be abandoned.  Either home hands back
 its answer already rendered to the JSON it is sent as
 (:func:`~repro.serve.jobs.kept`), so the service keeps that text and
-never the dict.
+never the dict, the ``Tracer`` or the per-pass records.
 """
 
 from __future__ import annotations

@@ -501,7 +501,7 @@ class MiningService:
                 entry["engine_metrics"] = metrics.summary()
             trace = getattr(job.result, "trace", None)
             if trace is not None:
-                entry["trace_spans"] = len(trace.spans)
+                entry["trace_spans"] = trace.n_spans
             recent.append(entry)
         return {
             "name": self.name,

@@ -98,3 +98,17 @@ def engine_leftovers(txns, config) -> MiningRunResult:
         ctx.block_manager.cached_block_count for ctx in contexts
     )
     return out
+
+
+def odd_trace(txns, config) -> MiningRunResult:
+    """:func:`fast` with a trace whose span arguments JSON cannot carry
+    as given: a ``frozenset``, and under ``options["tuple_key"]`` a dict
+    keyed by a tuple."""
+    from repro.engine.tracing import Tracer
+
+    out = fast(txns, config)
+    out.trace = Tracer(label="odd")
+    out.trace.add_span("odd", "driver", out.trace.origin_s, 0.001, items=frozenset({1}))
+    if config.options.get("tuple_key"):
+        out.trace.instant("keyed", "driver", by={(1, 2): "pair"})
+    return out

@@ -30,6 +30,7 @@ from repro.serve import (
     ServeError,
     ShardRouter,
 )
+from tests.serve.test_kept_answers import trace_events
 
 TXNS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3]]
 
@@ -408,6 +409,13 @@ def test_routed_metrics_keep_the_parents_key_set(algos):
         assert router.wait(engine.job_id, 30.0).state is JobState.DONE
         assert router.submit(TXNS, gate()).via == "memoized"
         assert flatten(router.metrics()) == flatten(PARENT_SHAPE)
+        # the count is of the spans the kept trace serves, the server's included
+        (entry,) = [
+            e for e in router.metrics()["shards"][0]["service"]["recent_jobs"]
+            if e["job_id"] == engine.job_id
+        ]
+        served = [e for e in trace_events(router.get(engine.job_id).result) if e["ph"] == "X"]
+        assert entry["trace_spans"] == len(served) > 0
     with ShardRouter(n_shards=1, n_workers=1) as unplanned:
         assert "planner" not in unplanned.metrics()
 

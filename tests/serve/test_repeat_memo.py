@@ -35,6 +35,7 @@ from repro.serve.http import (
 )
 from repro.serve.jobs import Job, JobRequest, JobState, KeptItemsets, kept
 from tests.serve import _runners
+from tests.serve.test_kept_answers import trace_events
 
 ROWS = [[1, 2, 3], [1, 2], [2, 3], [1, 3], [1, 2, 3], [4]]
 
@@ -254,7 +255,7 @@ def test_result_gone_rows_resident_runs_on_the_rows_the_shard_holds():
         assert srv.memo.stats()["fallbacks_not_resident"] == 0
         job = service.get(final["job_id"])
         assert job.rows_resident
-        assert [i.name for i in job.result.trace.instants if i.category == "serve"] == [
+        assert [e["name"] for e in trace_events(job.result) if e.get("cat") == "serve"] == [
             "rows_resident"
         ]
         # ... which its job worker held too
